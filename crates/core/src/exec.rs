@@ -75,13 +75,32 @@ pub(crate) fn encode_body(body: &RaRoundBody) -> Result<Vec<u8>, crate::EdgeSlic
         .map_err(crate::EdgeSliceError::from)
 }
 
-/// Decodes a wire round body. A payload that framed correctly but fails
-/// to decode is a protocol bug or a foreign peer — a typed error, never
-/// a panic.
-pub(crate) fn decode_body(bytes: &[u8]) -> Result<RaRoundBody, crate::EdgeSliceError> {
+/// Decodes the wire round body RA `ra` reported for global round `round`.
+/// A payload that framed correctly but fails to decode is a protocol bug
+/// or a foreign peer — a typed error, never a panic. So is a body whose
+/// monitor rows are not the reporter's own for that round and a known
+/// slice: the monitor sizes its per-round aggregates by those three ids,
+/// and a peer must not get to pick them.
+pub(crate) fn decode_body(
+    bytes: &[u8],
+    ra: RaId,
+    round: usize,
+    n_slices: usize,
+) -> Result<RaRoundBody, crate::EdgeSliceError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| crate::EdgeSliceError::Serialization(format!("non-UTF-8 body: {e}")))?;
-    serde_json::from_str(text).map_err(crate::EdgeSliceError::from)
+    let body: RaRoundBody = serde_json::from_str(text)?;
+    if let Some(r) = body
+        .records
+        .iter()
+        .find(|r| r.round != round || r.ra != ra || r.slice.0 >= n_slices)
+    {
+        return Err(crate::EdgeSliceError::Serialization(format!(
+            "monitor row for (round {}, {}, {}) in {ra}'s report for round {round}",
+            r.round, r.ra, r.slice
+        )));
+    }
+    Ok(body)
 }
 
 /// A per-RA execution worker: everything one resource autonomy needs to
@@ -663,5 +682,32 @@ mod tests {
         assert_sync::<FaultInjector>();
         assert_sync::<OrchestrationAgent>();
         assert_sync::<crate::CheckpointStore>();
+    }
+
+    /// A peer's report may only carry its own rows for the round being
+    /// collected: anything else is rejected before it reaches the monitor.
+    #[test]
+    fn decode_body_rejects_rows_that_are_not_the_reporters() {
+        let body = |record: MonitorRecord| RaRoundBody {
+            u: vec![0.0],
+            queues: Vec::new(),
+            coordination: Vec::new(),
+            global_t: 0,
+            records: vec![record],
+            active: Vec::new(),
+            rates: Vec::new(),
+        };
+        let decode = |record| decode_body(&encode_body(&body(record)).unwrap(), RaId(1), 7, 2);
+        assert!(decode(MonitorRecord::outage(7, 0, RaId(1), SliceId(1))).is_ok());
+        for foreign in [
+            MonitorRecord::outage(usize::MAX, 0, RaId(1), SliceId(1)),
+            MonitorRecord::outage(7, 0, RaId(0), SliceId(1)),
+            MonitorRecord::outage(7, 0, RaId(1), SliceId(2)),
+        ] {
+            assert!(matches!(
+                decode(foreign),
+                Err(crate::EdgeSliceError::Serialization(_))
+            ));
+        }
     }
 }

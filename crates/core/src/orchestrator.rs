@@ -1107,7 +1107,12 @@ impl EdgeSliceSystem {
                 };
                 let body = match rep.body {
                     None => None,
-                    Some(bytes) => match crate::exec::decode_body(&bytes) {
+                    Some(bytes) => match crate::exec::decode_body(
+                        &bytes,
+                        RaId(rep.ra),
+                        round_base + round,
+                        self.config.slices.len(),
+                    ) {
                         Ok(body) => Some(body),
                         Err(err) => {
                             // Framed correctly but undecodable: a foreign

@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: the full Alg. 1 loop over envs, agents,
 //! coordinator and monitor.
 
-use edgeslice::{AgentConfig, EdgeSliceSystem, OrchestratorKind, RaId, SliceId, SystemConfig};
+use edgeslice::{
+    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, OrchestratorKind, RaId,
+    RunReport, SliceId, SystemConfig,
+};
 use edgeslice_rl::{DdpgConfig, Technique};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,6 +71,82 @@ fn monitor_agrees_with_run_report() {
         sys.monitor().records().len(),
         report.rounds.len() * 10 * 2 * 2
     );
+}
+
+/// Every round's `usage` and `served_fraction` in `report` are, bit for
+/// bit, what the monitor answers for that round after the fact.
+fn assert_report_matches_monitor(sys: &EdgeSliceSystem, report: &RunReport) {
+    let n_ras = sys.config().n_ras;
+    let period = sys.config().reward.period;
+    for r in &report.rounds {
+        assert_eq!(
+            r.served_fraction.to_bits(),
+            sys.monitor()
+                .round_served_fraction(r.round, n_ras, period)
+                .to_bits(),
+            "round {}: served fraction",
+            r.round
+        );
+        for (i, usage) in r.usage.iter().enumerate() {
+            assert_eq!(
+                usage.map(f64::to_bits),
+                sys.monitor()
+                    .round_usage(r.round, SliceId(i))
+                    .map(f64::to_bits),
+                "round {}, slice {i}: usage",
+                r.round
+            );
+        }
+    }
+}
+
+/// The monitor's per-round aggregates are keyed by round, not by where a
+/// round's rows sit in the history: a same-process kill + `resume`
+/// re-appends the replayed round's rows (mid-outage here) behind later
+/// rounds, and the report still equals the post-hoc queries exactly.
+#[test]
+fn round_records_equal_post_hoc_monitor_queries_across_outage_and_resume() {
+    const ROUNDS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("edgeslice-e2e-monitor-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan::scripted(
+        2,
+        ROUNDS,
+        vec![FaultEvent::RaOutage {
+            ra: RaId(0),
+            start_round: 3,
+            rounds: 3,
+        }],
+    )
+    .unwrap();
+    let injector = FaultInjector::new(plan);
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut sys = EdgeSliceSystem::new(
+        SystemConfig::prototype(),
+        OrchestratorKind::Taro,
+        &AgentConfig::default(),
+        &mut rng,
+    );
+    sys.set_checkpointing(&dir, 2).unwrap();
+
+    // "Killed" after round 5: the newest snapshot on disk is the round-4
+    // one, so the resume below replays round 4 — the middle of the outage.
+    let partial = sys.run_with_faults(5, &mut rng, &injector);
+    assert_eq!(partial.rounds.len(), 5);
+    assert!(partial.rounds[4].served_fraction < 1.0);
+    assert_report_matches_monitor(&sys, &partial);
+    let rows_per_round = sys.monitor().records().len() / 5;
+
+    let report = sys.resume(&dir, ROUNDS, &mut rng, &injector).unwrap();
+    assert_eq!(report.rounds.len(), ROUNDS);
+    assert_eq!(sys.monitor().rounds(), ROUNDS);
+    assert_eq!(
+        sys.monitor().records().len(),
+        (5 + ROUNDS - 4) * rows_per_round,
+        "rounds 4.. were re-run on top of the five already recorded"
+    );
+    assert_report_matches_monitor(&sys, &report);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
