@@ -19,30 +19,39 @@ impl Taro {
     /// Allocates all three resources proportionally to `queue_lengths`.
     /// With an empty system (all queues zero) the capacity is split evenly.
     pub fn allocate(&self, queue_lengths: &[f64]) -> Vec<DomainShares> {
-        let total: f64 = queue_lengths.iter().map(|l| l.max(0.0)).sum();
-        let n = queue_lengths.len().max(1);
-        queue_lengths
-            .iter()
-            .map(|&l| {
-                let share = if total > 0.0 {
-                    l.max(0.0) / total
-                } else {
-                    1.0 / n as f64
-                };
-                DomainShares::new(share, share, share)
-            })
-            .collect()
+        proportional_shares(queue_lengths).collect()
     }
 
     /// The flat action-vector form of [`Taro::allocate`] (slice-major
     /// `[radio, transport, compute]` layout), for use wherever a learned
     /// policy's action is expected.
     pub fn action(&self, queue_lengths: &[f64]) -> Vec<f64> {
-        self.allocate(queue_lengths)
-            .iter()
-            .flat_map(|s| s.as_array())
-            .collect()
+        let mut action = Vec::with_capacity(queue_lengths.len() * 3);
+        self.action_into(queue_lengths, &mut action);
+        action
     }
+
+    /// [`Taro::action`] into a caller-owned buffer (cleared and refilled;
+    /// allocation-free once its capacity has warmed up).
+    pub fn action_into(&self, queue_lengths: &[f64], action: &mut Vec<f64>) {
+        action.clear();
+        action.extend(proportional_shares(queue_lengths).flat_map(|s| s.as_array()));
+    }
+}
+
+/// Each slice's share triple, proportional to its (non-negative) queue
+/// length; an even split when every queue is empty.
+fn proportional_shares(queue_lengths: &[f64]) -> impl Iterator<Item = DomainShares> + '_ {
+    let total: f64 = queue_lengths.iter().map(|l| l.max(0.0)).sum();
+    let n = queue_lengths.len().max(1);
+    queue_lengths.iter().map(move |&l| {
+        let share = if total > 0.0 {
+            l.max(0.0) / total
+        } else {
+            1.0 / n as f64
+        };
+        DomainShares::new(share, share, share)
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! mean network and its decoding rule), not optimizer or replay state —
 //! the unit an operator ships from the training cluster to the RAs.
 
-use edgeslice_nn::Mlp;
+use edgeslice_nn::{FleetScratch, Mlp, Parallelism};
 use serde::{Deserialize, Serialize};
 
 use crate::{AgentBackend, OrchestrationAgent, RaId};
@@ -142,13 +142,27 @@ impl PolicyCheckpoint {
     ///
     /// Panics if `state.len() != state_dim()`.
     pub fn decide(&self, state: &[f64]) -> Vec<f64> {
-        let out = self.network.forward_one(state);
-        match self.decode {
-            Decode::Direct => out.into_iter().map(|v| v.clamp(0.0, 1.0)).collect(),
-            Decode::SigmoidMeanHead => (0..self.action_dim)
-                .map(|j| edgeslice_nn::sigmoid(out[j]))
-                .collect(),
-        }
+        let mut action = Vec::with_capacity(self.action_dim);
+        self.decide_into(state, &mut FleetScratch::new(), &mut action);
+        action
+    }
+
+    /// [`PolicyCheckpoint::decide`] on caller-owned storage: the state is
+    /// one row through the policy network's batched forward in `scratch`,
+    /// decoded into `action` (cleared and refilled). Bit-identical to
+    /// `decide`, and allocation-free once both buffers have warmed up —
+    /// what a per-RA worker calls every interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len() != state_dim()`.
+    pub fn decide_into(&self, state: &[f64], scratch: &mut FleetScratch, action: &mut Vec<f64>) {
+        scratch.begin(1, state.len());
+        scratch.set_input_row(0, state);
+        let out = self
+            .network
+            .forward_fleet_scratch(scratch, Parallelism::Sequential);
+        self.decode_row(out.row(0), action);
     }
 
     /// True when `other` holds the same decode rule, dimensions, and

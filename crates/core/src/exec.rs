@@ -14,6 +14,7 @@
 
 use std::time::Duration;
 
+use edgeslice_nn::FleetScratch;
 use edgeslice_runtime::{
     derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
     RoundWorker, DOMAIN_ROUND,
@@ -24,16 +25,18 @@ use rand::SeedableRng;
 use crate::orchestrator::DownEvent;
 use crate::store::{CheckpointStore, RunSnapshot, WorkerSnapshot};
 use crate::{
-    project_action_per_resource, FaultInjector, FrozenPolicy, IntervalStatus, MonitorRecord,
-    OrchestrationAgent, PerformanceCoordinator, PolicyCheckpoint, RaId, RaSliceEnv, RoundRecord,
-    RunReport, SliceId, SliceSpec, SystemMonitor, Taro,
+    project_action_per_resource, FaultInjector, IntervalStatus, MonitorRecord,
+    PerformanceCoordinator, PolicyCheckpoint, RaId, RaSliceEnv, RoundRecord, RunReport, SliceId,
+    SliceSpec, SystemMonitor, Taro,
 };
 
 /// The policy a worker decides with.
-pub(crate) enum WorkerPolicy<'a> {
-    /// A trained per-RA DRL agent (decisions only; training never runs
-    /// inside a coordination round).
-    Learned(&'a OrchestrationAgent),
+pub(crate) enum WorkerPolicy {
+    /// The RA's effective frozen policy — the snapshot-restored one when
+    /// there is one, the live agent's otherwise (bit-identical decisions
+    /// either way: the checkpoint stores the exact weights, and training
+    /// never runs inside a coordination round).
+    Learned(PolicyCheckpoint),
     /// The TARO proportional baseline.
     Taro(Taro),
 }
@@ -108,7 +111,7 @@ pub(crate) fn decode_body(
 pub(crate) struct RaExecWorker<'a> {
     ra: RaId,
     env: &'a mut RaSliceEnv,
-    policy: WorkerPolicy<'a>,
+    policy: WorkerPolicy,
     injector: &'a FaultInjector,
     /// This worker's domain-separated stream seed; the traffic RNG is
     /// rederived from it at the top of every round, so worker randomness
@@ -122,16 +125,22 @@ pub(crate) struct RaExecWorker<'a> {
     /// Global round index of this run's round 0 (monitor rounds keep
     /// counting across runs).
     round_base: usize,
-    /// Policy snapshot taken at outage start (learned kinds only).
+    /// Policy snapshot taken at outage start (learned kinds only) and
+    /// re-deployed at rejoin; decisions after a rejoin are bit-identical
+    /// to the pre-outage policy.
     checkpoint: Option<PolicyCheckpoint>,
-    /// Policy restored from the checkpoint at rejoin; decisions after a
-    /// rejoin are bit-identical to the pre-outage policy.
-    restored: Option<FrozenPolicy>,
     was_down: bool,
     /// Real wall-clock delay applied when this worker straggles, making
     /// the late report physically late on the channel (zero by default so
     /// determinism tests stay instant).
     straggle_sleep: Duration,
+    /// What the policy observes this interval (Eq. 13 state; queue
+    /// lengths under TARO), its action, and the batch-1 inference
+    /// scratch: worker-owned and refilled in place, so an agent step
+    /// never touches the allocator.
+    state: Vec<f64>,
+    action: Vec<f64>,
+    scratch: FleetScratch,
 }
 
 impl<'a> RaExecWorker<'a> {
@@ -139,7 +148,7 @@ impl<'a> RaExecWorker<'a> {
     pub(crate) fn new(
         ra: RaId,
         env: &'a mut RaSliceEnv,
-        policy: WorkerPolicy<'a>,
+        policy: WorkerPolicy,
         injector: &'a FaultInjector,
         stream_seed: u64,
         period: usize,
@@ -161,9 +170,11 @@ impl<'a> RaExecWorker<'a> {
             project_actions,
             round_base,
             checkpoint: None,
-            restored: None,
             was_down: false,
             straggle_sleep,
+            state: Vec::new(),
+            action: Vec::new(),
+            scratch: FleetScratch::new(),
         }
     }
 
@@ -172,15 +183,6 @@ impl<'a> RaExecWorker<'a> {
     /// the rejoin path, exactly like the uninterrupted worker would.
     pub(crate) fn with_down_state(mut self, was_down: bool) -> Self {
         self.was_down = was_down;
-        self
-    }
-
-    /// Installs a restored policy (from a run or train snapshot); the
-    /// worker decides with it instead of the live agent. Decisions are
-    /// bit-identical either way — the checkpoint stores the exact weights.
-    pub(crate) fn with_restored_policy(mut self, ckpt: PolicyCheckpoint) -> Self {
-        let ra = self.ra;
-        self.restored = Some(ckpt.into_frozen_policy(ra));
         self
     }
 }
@@ -254,18 +256,22 @@ impl RoundWorker for RaExecWorker<'_> {
         let mut u = vec![0.0; self.n_slices];
         let mut records = Vec::with_capacity(self.period * self.n_slices);
         for t in 0..self.period {
-            let mut action = match &self.policy {
-                WorkerPolicy::Learned(agent) => match &self.restored {
-                    Some(policy) => policy.decide(&self.env.observe()),
-                    None => agent.decide(&self.env.observe()),
-                },
-                WorkerPolicy::Taro(taro) => taro.action(&self.env.queue_lengths()),
-            };
-            if self.project_actions {
-                project_action_per_resource(&mut action, self.n_slices);
+            match &self.policy {
+                WorkerPolicy::Learned(policy) => {
+                    self.env.observe_into(&mut self.state);
+                    policy.decide_into(&self.state, &mut self.scratch, &mut self.action);
+                }
+                WorkerPolicy::Taro(taro) => {
+                    self.env.queue_lengths_into(&mut self.state);
+                    taro.action_into(&self.state, &mut self.action);
+                }
             }
-            let (_, perf) = self.env.advance(&action, &mut self.rng);
-            let queues = self.env.queue_lengths();
+            if self.project_actions {
+                project_action_per_resource(&mut self.action, self.n_slices);
+            }
+            self.env.advance_scratch(&self.action, &mut self.rng);
+            let perf = self.env.last_performance();
+            let queues = self.env.queues();
             let shares = self.env.last_shares();
             for i in 0..self.n_slices {
                 u[i] += perf[i];
@@ -274,7 +280,7 @@ impl RoundWorker for RaExecWorker<'_> {
                     interval: t,
                     ra: self.ra,
                     slice: SliceId(i),
-                    queue: queues[i],
+                    queue: queues[i].backlog(),
                     performance: perf[i],
                     shares: shares[i].as_array(),
                     status: IntervalStatus::Served,
@@ -303,16 +309,8 @@ impl RoundWorker for RaExecWorker<'_> {
     fn handle_control(&mut self, ctl: &Control) {
         match ctl {
             Control::Checkpoint => {
-                if self.checkpoint.is_none() {
-                    // Snapshot the *effective* policy: the restored one if
-                    // a rejoin already happened, the live agent otherwise.
-                    self.checkpoint = match (&self.restored, &self.policy) {
-                        (Some(fp), _) => Some(fp.checkpoint().clone()),
-                        (None, WorkerPolicy::Learned(agent)) => {
-                            Some(PolicyCheckpoint::from_agent(agent))
-                        }
-                        (None, WorkerPolicy::Taro(_)) => None,
-                    };
+                if let (None, WorkerPolicy::Learned(policy)) = (&self.checkpoint, &self.policy) {
+                    self.checkpoint = Some(policy.clone());
                 }
             }
             Control::Rejoin { .. } => {
@@ -320,7 +318,7 @@ impl RoundWorker for RaExecWorker<'_> {
                 // re-deployed from the outage-start checkpoint.
                 self.env.clear_queues();
                 if let Some(ckpt) = self.checkpoint.take() {
-                    self.restored = Some(ckpt.into_frozen_policy(self.ra));
+                    self.policy = WorkerPolicy::Learned(ckpt);
                 }
             }
             Control::Shutdown => {}
@@ -675,12 +673,12 @@ mod tests {
     fn worker_types_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<RaSliceEnv>();
-        assert_send::<OrchestrationAgent>();
+        assert_send::<crate::OrchestrationAgent>();
         assert_send::<RaExecWorker<'_>>();
         assert_send::<RaRoundBody>();
         fn assert_sync<T: Sync>() {}
         assert_sync::<FaultInjector>();
-        assert_sync::<OrchestrationAgent>();
+        assert_sync::<crate::OrchestrationAgent>();
         assert_sync::<crate::CheckpointStore>();
     }
 

@@ -103,7 +103,8 @@ impl PolicyFleet {
             states.len(),
             self.policies.len()
         );
-        actions.resize_with(self.policies.len(), Vec::new);
+        // Empty rows hold no heap block; each grows once, at warm-up.
+        actions.resize_with(self.policies.len(), Default::default);
         for (group, scratch) in self.groups.iter().zip(&mut self.scratches) {
             let rep = *group
                 .first()

@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use edgeslice_optim::{project_capacity, AdmmConfig, AdmmResiduals};
+use edgeslice_optim::{project_capacity_strided, AdmmConfig, AdmmResiduals};
 use edgeslice_rl::Technique;
 use edgeslice_runtime::{
     caps, derive_stream_seed, par_map, Control, Engine, Lease, NetCoordinator, NodeInfo, RaReport,
@@ -937,45 +937,27 @@ impl EdgeSliceSystem {
         let project_actions = self.config.project_actions;
         let straggle_sleep = self.straggle_sleep;
         let mut workers: Vec<RaExecWorker<'_>> = Vec::with_capacity(n_ras);
-        match self.kind {
-            OrchestratorKind::Learned(_) => {
-                for (j, (env, agent)) in self.envs.iter_mut().zip(&self.agents).enumerate() {
-                    let mut worker = RaExecWorker::new(
-                        RaId(j),
-                        env,
-                        WorkerPolicy::Learned(agent),
-                        injector,
-                        derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                        period,
-                        project_actions,
-                        round_base,
-                        straggle_sleep,
-                    )
-                    .with_down_state(worker_state[j].was_down);
-                    if let Some(ckpt) = &self.policy_overrides[j] {
-                        worker = worker.with_restored_policy(ckpt.clone());
-                    }
-                    workers.push(worker);
-                }
-            }
-            OrchestratorKind::Taro => {
-                for (j, env) in self.envs.iter_mut().enumerate() {
-                    workers.push(
-                        RaExecWorker::new(
-                            RaId(j),
-                            env,
-                            WorkerPolicy::Taro(crate::Taro::new()),
-                            injector,
-                            derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                            period,
-                            project_actions,
-                            round_base,
-                            straggle_sleep,
-                        )
-                        .with_down_state(worker_state[j].was_down),
-                    );
-                }
-            }
+        for (j, (env, policy)) in self.envs.iter_mut().zip(&policies).enumerate() {
+            // One effective policy per worker: the snapshot-restored
+            // checkpoint or the live agent's, resolved once here.
+            let policy = match policy {
+                Some(ckpt) => WorkerPolicy::Learned(ckpt.clone()),
+                None => WorkerPolicy::Taro(crate::Taro::new()),
+            };
+            workers.push(
+                RaExecWorker::new(
+                    RaId(j),
+                    env,
+                    policy,
+                    injector,
+                    derive_stream_seed(master, DOMAIN_ORCH, j as u64),
+                    period,
+                    project_actions,
+                    round_base,
+                    straggle_sleep,
+                )
+                .with_down_state(worker_state[j].was_down),
+            );
         }
         let mut exec = SystemExecCoordinator::new(
             &mut self.coordinator,
@@ -1252,7 +1234,9 @@ impl EdgeSliceSystem {
         }
         let stream_seed = derive_stream_seed(master, DOMAIN_ORCH, ra.0 as u64);
         let policy = match self.kind {
-            OrchestratorKind::Learned(_) => WorkerPolicy::Learned(&self.agents[ra.0]),
+            OrchestratorKind::Learned(_) => WorkerPolicy::Learned(
+                policy_override.unwrap_or_else(|| PolicyCheckpoint::from_agent(&self.agents[ra.0])),
+            ),
             OrchestratorKind::Taro => WorkerPolicy::Taro(crate::Taro::new()),
         };
         let mut worker = RaExecWorker::new(
@@ -1267,9 +1251,6 @@ impl EdgeSliceSystem {
             self.straggle_sleep,
         )
         .with_down_state(was_down);
-        if let Some(ckpt) = policy_override {
-            worker = worker.with_restored_policy(ckpt);
-        }
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
             | match self.kind {
@@ -1420,11 +1401,7 @@ pub fn project_action_per_resource(action: &mut [f64], n_slices: usize) {
     let k = crate::ResourceKind::COUNT;
     debug_assert_eq!(action.len(), n_slices * k);
     for kind in 0..k {
-        let mut column: Vec<f64> = (0..n_slices).map(|i| action[i * k + kind]).collect();
-        project_capacity(&mut column, 1.0);
-        for (i, v) in column.into_iter().enumerate() {
-            action[i * k + kind] = v;
-        }
+        project_capacity_strided(action, kind, k, 1.0);
     }
 }
 

@@ -56,8 +56,11 @@ const WALL_CLOCK_QUARANTINE: &[&str] = &[
 /// Crates whose non-test code must not panic: a coordinator panic takes
 /// the whole system down — the Supervisor only catches *worker* panics.
 const PANIC_CRATES: &[&str] = &["runtime", "core"];
-/// Crates carrying the zero-allocation training hot path.
-pub(crate) const HOT_PATH_CRATES: &[&str] = &["nn", "rl"];
+/// Crates carrying a zero-allocation hot path: the training step (`nn`,
+/// `rl`) and the agent step of the round loop — `core`'s `*_into` /
+/// `*_scratch` worker and environment calls, `netsim`'s dataset model
+/// under them, and the `optim` least-squares fit under that.
+pub(crate) const HOT_PATH_CRATES: &[&str] = &["nn", "rl", "optim", "netsim", "core"];
 
 /// A pre-lexed source file plus the context rules need to scope
 /// themselves: owning crate, path, whether it is a crate root, and which
@@ -191,7 +194,7 @@ pub fn registry() -> Vec<Rule> {
             severity: Severity::Error,
             description: "no Vec::new/vec!/to_vec/clone()/collect() inside the `*_into` / \
                           `*_scratch` / `matmul_*` / `pack_*` / `accumulate_*` function \
-                          families in nn/rl",
+                          families in nn/rl/optim/netsim/core",
             check: hot_path_alloc,
         },
         Rule {
@@ -437,9 +440,10 @@ pub(crate) fn alloc_construct(toks: &[Tok], k: usize) -> Option<&'static str> {
 }
 
 /// Rule 3 — hot-path allocation discipline. PR 4's zero-allocation
-/// training loop is proven by a counting allocator at test time; this is
-/// the static complement, so a stray allocation is caught at lint time
-/// even on paths the test didn't drive. Inside every function in the
+/// training loop and the round loop's zero-allocation agent step are
+/// proven by a counting allocator at test time; this is the static
+/// complement, so a stray allocation is caught at lint time even on paths
+/// the tests didn't drive. Inside every function in the
 /// [`is_hot_path_fn_name`] families (the caller-provides-storage
 /// `*_into`/`*_scratch` suffixes and the `matmul_*`/`pack_*`/`accumulate_*`
 /// kernel layer) in [`HOT_PATH_CRATES`], these are banned: `Vec::new`,
@@ -490,7 +494,8 @@ fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                         "{what} inside hot-path fn `{fn_name}`: the `*_into`/`*_scratch` \
                          and kernel (`matmul_*`/`pack_*`/`accumulate_*`) families must \
                          reuse caller-provided storage \
-                         (see the counting-allocator test in crates/rl/tests/zero_alloc.rs)"
+                         (see the counting-allocator tests: crates/rl/tests/zero_alloc.rs, \
+                         crates/core/tests/zero_alloc_step.rs)"
                     ),
                 ));
             }

@@ -234,6 +234,23 @@ fn transitive_alloc_bad_fires_two_calls_down() {
 }
 
 #[test]
+fn transitive_alloc_follows_a_core_into_fn_two_calls_down() {
+    // The agent step's families: `core` (with `netsim` and `optim` under
+    // it) is a hot-path crate, so a `Vec` two calls below a `core`
+    // `*_into` fn is reported, with its chain.
+    let (diags, _) = analyze_fixture("transitive_alloc_core_bad.rs", "core", false);
+    assert_all_rule(&diags, "transitive-alloc", 1);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert!(diags[0].message.contains("advance_into"));
+    assert!(diags[0].message.contains("`service_time` → `fit_cell`"));
+    assert!(diags[0].message.contains("Vec::new()"));
+    for hot in ["netsim", "optim"] {
+        let (diags, _) = analyze_fixture("transitive_alloc_core_bad.rs", hot, false);
+        assert_all_rule(&diags, "transitive-alloc", 1);
+    }
+}
+
+#[test]
 fn transitive_alloc_clean_is_silent() {
     let (diags, _) = analyze_fixture("transitive_alloc_clean.rs", "nn", false);
     assert!(diags.is_empty(), "{diags:#?}");

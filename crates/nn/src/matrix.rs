@@ -478,10 +478,14 @@ impl Matrix {
     /// The kernel is blocked 2×4: two rows of `self` against four rows of
     /// `rhs` give eight independent accumulator chains, which hides the
     /// floating-point add latency that serializes the single-accumulator
-    /// dot product in [`Matrix::matmul_nt`]. Every output element is still
-    /// one accumulator running over `k` in ascending order, so results are
-    /// bit-identical to `matmul_nt` — the blocking only reorders *which*
-    /// outputs are in flight, never the sum inside one output.
+    /// dot product in [`Matrix::matmul_nt`]; an odd last row (a one-row
+    /// product is nothing else) runs a 1×8 dot tile with the same eight
+    /// chains, and shapes at least [`A_BT_BLOCKED_MIN_ROWS`] × 32 ×
+    /// [`TILE_N`] take the cache-blocked schedule. Every output element is
+    /// still one accumulator running over `k` in ascending order, so
+    /// results are bit-identical to `matmul_nt` — the blocking only
+    /// reorders *which* outputs are in flight, never the sum inside one
+    /// output.
     ///
     /// # Panics
     ///
@@ -494,7 +498,7 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for(m, n);
-        a_bt_rows(&self.data, k, 0, m, &rhs.data, n, &mut out.data);
+        a_bt_rows(&self.data, m, k, 0, m, &rhs.data, n, &mut out.data);
     }
 
     /// [`Matrix::matmul_a_bt_into`] with the cache-blocked schedule forced
@@ -533,7 +537,7 @@ impl Matrix {
         out.resize_for(m, n);
         let (a, b) = (&self.data, &rhs.data);
         crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| {
-            a_bt_rows(a, k, i0, nr, b, n, rows);
+            a_bt_rows(a, m, k, i0, nr, b, n, rows);
         });
     }
 
@@ -1204,18 +1208,43 @@ fn at_b_rows_blocked(
     }
 }
 
+/// Fewest rows of `A` (the *global* row count, not a thread's chunk) for
+/// which `A·Bᵀ` takes the cache-blocked schedule. Every blocked call
+/// zero-fills a 64 KiB stack panel and transpose-packs each `B` tile once
+/// — a fixed cost worth a few rows of multiply-adds, repaid only when
+/// several rows reuse the packed panel (measured crossover: 8–16 rows at
+/// hidden widths 128 and 64, DESIGN.md §14). Below it — the one-row policy
+/// forward of every agent step above all — the register dot tiles read
+/// `B` in place.
+pub const A_BT_BLOCKED_MIN_ROWS: usize = 8;
+
 /// Row-range body of [`Matrix::matmul_a_bt_into`]: computes output rows
-/// `i0..i0 + nr` of `A·Bᵀ` with the 2×4 register kernel (eight independent
-/// accumulator chains). Every output is one accumulator over `k` ascending
-/// — bit-identical to [`Matrix::matmul_nt`] — and per-row math never
-/// depends on which rows share a chunk.
+/// `i0..i0 + nr` of `A·Bᵀ` (`m` is the global row count of `A`) with the
+/// 2×4 register kernel (eight independent accumulator chains) and, for the
+/// odd last row, a 1×8 dot tile — the same eight chains, so a single row
+/// is not latency-bound on one accumulator either. Every output is one
+/// accumulator over `k` ascending — bit-identical to [`Matrix::matmul_nt`]
+/// — and per-row math never depends on which rows share a chunk.
 ///
-/// Operands at least 32 deep and [`TILE_N`] wide dispatch to the blocked
-/// schedule: its transpose-packed panel feeds the 2×8 microkernel, which
-/// sustains a higher madd rate than the 2×4 dot kernel once the panel
-/// pack amortizes (the paper's 128×128 hidden forwards included).
-fn a_bt_rows(a: &[f64], k: usize, i0: usize, nr: usize, b: &[f64], n: usize, out_rows: &mut [f64]) {
-    if k >= 32 && n >= TILE_N {
+/// Operands at least 32 deep, [`TILE_N`] wide and
+/// [`A_BT_BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: its
+/// transpose-packed panel feeds the 2×8 microkernel, which sustains a
+/// higher madd rate than the dot kernels once the panel pack amortizes
+/// (the paper's 128×128 hidden forwards at batch 128 included). All three
+/// terms are functions of the global shape, so row-split threading cannot
+/// change which kernel a row sees.
+#[allow(clippy::too_many_arguments)]
+fn a_bt_rows(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    i0: usize,
+    nr: usize,
+    b: &[f64],
+    n: usize,
+    out_rows: &mut [f64],
+) {
+    if m >= A_BT_BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         a_bt_rows_blocked(a, k, i0, nr, b, n, out_rows);
         return;
     }
@@ -1256,28 +1285,38 @@ fn a_bt_rows(a: &[f64], k: usize, i0: usize, nr: usize, b: &[f64], n: usize, out
     }
     if i < nr {
         let a0 = &a[(i0 + i) * k..(i0 + i + 1) * k];
+        let out = &mut out_rows[i * n..(i + 1) * n];
         let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut acc = [0.0f64; 4];
-            for t in 0..k {
-                let x0 = a0[t];
-                acc[0] += x0 * b0[t];
-                acc[1] += x0 * b1[t];
-                acc[2] += x0 * b2[t];
-                acc[3] += x0 * b3[t];
-            }
-            out_rows[i * n + j..i * n + j + 4].copy_from_slice(&acc);
+        while j + 8 <= n {
+            out[j..j + 8].copy_from_slice(&dot_tile::<8>(a0, &b[j * k..(j + 8) * k]));
+            j += 8;
+        }
+        if j + 4 <= n {
+            out[j..j + 4].copy_from_slice(&dot_tile::<4>(a0, &b[j * k..(j + 4) * k]));
             j += 4;
         }
         while j < n {
-            out_rows[i * n + j] = dot(a0, &b[j * k..(j + 1) * k]);
+            out[j] = dot(a0, &b[j * k..(j + 1) * k]);
             j += 1;
         }
     }
+}
+
+/// One row of `A` against `W` consecutive rows of `B` (`b_rows`, `W × k`
+/// row-major): `W` independent accumulator chains, each running over `k`
+/// ascending exactly like [`dot`].
+#[inline]
+fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
+    let k = a0.len();
+    let rows: [&[f64]; W] = std::array::from_fn(|c| &b_rows[c * k..(c + 1) * k]);
+    let mut acc = [0.0f64; W];
+    for t in 0..k {
+        let x = a0[t];
+        for c in 0..W {
+            acc[c] += x * rows[c][t];
+        }
+    }
+    acc
 }
 
 /// Cache-blocked row-range body of [`Matrix::matmul_a_bt_into`]:

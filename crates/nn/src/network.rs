@@ -311,14 +311,21 @@ impl Mlp {
         h
     }
 
-    /// Convenience forward pass for a single input vector.
+    /// Convenience forward pass for a single input vector: one row through
+    /// [`Mlp::forward_fleet_scratch`] on a throw-away scratch, so the
+    /// batch-1 forward has one implementation. Callers that decide every
+    /// step keep a [`FleetScratch`] and call that directly.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim`.
     pub fn forward_one(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.in_dim(), "input length mismatch");
-        self.forward(&Matrix::row_vector(x)).into_vec()
+        let mut s = FleetScratch::new();
+        s.begin(1, x.len());
+        s.set_input_row(0, x);
+        self.forward_fleet_scratch(&mut s, Parallelism::Sequential);
+        s.cur.into_vec()
     }
 
     /// Batched multi-network forward: one fused GEMM chain over the input

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra core.
 
-use edgeslice_nn::{Activation, Matrix, Mlp, Parallelism, TILE_K, TILE_N};
+use edgeslice_nn::{Activation, Matrix, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS, TILE_K, TILE_N};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -295,6 +295,71 @@ fn blocked_and_par_handle_degenerate_shapes() {
         assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
         empty_batch.matmul_a_bt_par_into(&empty_batch, &mut out, par);
         assert_eq!(out.shape(), (0, 0));
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `A·Bᵀ` on every side of its three dispatch terms — rows around
+/// [`A_BT_BLOCKED_MIN_ROWS`] (one row is the per-RA policy forward), widths
+/// around the 8- and 4-wide dot tiles and [`TILE_N`], depths around the
+/// blocked schedule's 32 — equals the single-accumulator reference
+/// `matmul_nt` by `to_bits`, and row-split threading changes nothing: the
+/// dispatch reads the global row count, never a thread's chunk.
+#[test]
+fn a_bt_dispatch_bit_identical_to_matmul_nt_around_every_threshold() {
+    let mut rng = StdRng::seed_from_u64(1717);
+    let t = A_BT_BLOCKED_MIN_ROWS;
+    let mut out = Matrix::zeros(1, 1);
+    for m in [1, 2, 3, t - 1, t, t + 1] {
+        for n in [1, 7, 8, 9, 15, 63, 64, 65, 128] {
+            for k in [1, 10, 31, 32, 64, 128] {
+                let a = rand_matrix(&mut rng, m, k);
+                let b = rand_matrix(&mut rng, n, k);
+                let want = bits(&a.matmul_nt(&b));
+                a.matmul_a_bt_into(&b, &mut out);
+                assert_eq!(bits(&out), want, "a_bt {m}x{k}x{n}");
+                for threads in [1, 2, 4] {
+                    a.matmul_a_bt_par_into(&b, &mut out, Parallelism::Threaded(threads));
+                    assert_eq!(bits(&out), want, "a_bt_par({threads}) {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+}
+
+/// `forward_one` (one row through the batched scratch forward) against row
+/// 0 of the allocating `forward` (`matmul_nt` + `Activation::forward`, the
+/// reference pair), bit for bit, with every activation in the hidden and
+/// in the output position, on a narrow net and on one whose layers cross
+/// the blocked schedule's depth and width thresholds.
+#[test]
+fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
+    const ACTS: [Activation; 6] = [
+        Activation::Identity,
+        Activation::Relu,
+        Activation::LeakyRelu(0.01),
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Softplus,
+    ];
+    let mut rng = StdRng::seed_from_u64(2929);
+    for dims in [&[3, 6, 2][..], &[10, 64, 64, 15][..]] {
+        for hidden in ACTS {
+            for output in ACTS {
+                let net = Mlp::new(dims, hidden, output, &mut rng);
+                let x = rand_matrix(&mut rng, 3, dims[0]);
+                let want = net.forward(&x);
+                let got = net.forward_one(x.row(0));
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{dims:?} {hidden:?} → {output:?}"
+                );
+            }
+        }
     }
 }
 

@@ -9,7 +9,8 @@
 //! * [`LinearModel`] — the local linear regression that the simulated
 //!   environment fits over grid-search neighbours (Sec. VI-B; the paper used
 //!   scikit-learn).
-//! * [`solve_spd`] / [`solve_general`] — small dense direct solvers.
+//! * [`solve_spd`] / [`solve_spd_in_place`] / [`solve_general`] — small dense
+//!   direct solvers.
 //! * [`conjugate_gradient`] — implicit-system solver used by TRPO.
 //!
 //! # Examples
@@ -41,6 +42,7 @@ pub use cg::conjugate_gradient;
 pub use error::OptimError;
 pub use linreg::LinearModel;
 pub use qp::{
-    clamp_box, project_capacity, project_sum_halfspace, solve_projection_qp, QpConfig, QpSolution,
+    clamp_box, project_capacity, project_capacity_strided, project_sum_halfspace,
+    solve_projection_qp, QpConfig, QpSolution,
 };
-pub use solve::{solve_general, solve_spd};
+pub use solve::{solve_general, solve_spd, solve_spd_in_place};

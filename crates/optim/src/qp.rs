@@ -117,15 +117,28 @@ pub fn clamp_box(x: &mut [f64], lo: f64, hi: f64) {
 /// for resource shares, not the Euclidean one, so zero allocations stay
 /// zero).
 pub fn project_capacity(x: &mut [f64], cap: f64) {
-    for v in x.iter_mut() {
+    project_capacity_strided(x, 0, 1, cap);
+}
+
+/// [`project_capacity`] applied in place to the strided column
+/// `x[offset], x[offset + stride], …` — one resource's column of a flat
+/// slice-major action, without gathering it into its own vector. Same
+/// order of operations (clamp, sequential sum, scale), so a column
+/// projected here is bit-identical to the gathered one.
+///
+/// # Panics
+///
+/// Panics if `stride` is zero.
+pub fn project_capacity_strided(x: &mut [f64], offset: usize, stride: usize, cap: f64) {
+    for v in x.iter_mut().skip(offset).step_by(stride) {
         if *v < 0.0 {
             *v = 0.0;
         }
     }
-    let sum: f64 = x.iter().sum();
+    let sum: f64 = x.iter().skip(offset).step_by(stride).sum();
     if sum > cap && sum > 0.0 {
         let scale = cap / sum;
-        for v in x.iter_mut() {
+        for v in x.iter_mut().skip(offset).step_by(stride) {
             *v *= scale;
         }
     }
@@ -204,6 +217,25 @@ mod tests {
         let mut x = vec![-1.0, 0.5];
         project_capacity(&mut x, 10.0);
         assert_eq!(x, vec![0.0, 0.5]);
+    }
+
+    #[test]
+    fn strided_projection_equals_gathered_columns_bit_for_bit() {
+        // A slice-major 4 × 3 action with negatives, −0.0 and one
+        // over-subscribed column; every other entry belongs to a
+        // neighbouring column and must come back untouched.
+        let flat = [
+            0.7, -0.2, 0.1, 0.9, 0.3, -0.0, 0.4, 0.25, 0.0, 0.35, 0.45, 0.2,
+        ];
+        let mut strided = flat;
+        for kind in 0..3 {
+            project_capacity_strided(&mut strided, kind, 3, 1.0);
+            let mut column: Vec<f64> = flat.iter().skip(kind).step_by(3).copied().collect();
+            project_capacity(&mut column, 1.0);
+            for (i, want) in column.iter().enumerate() {
+                assert_eq!(strided[i * 3 + kind].to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,25 @@ use crate::OptimError;
 /// Returns [`OptimError::NotPositiveDefinite`] if a non-positive pivot is
 /// encountered, and [`OptimError::DimensionMismatch`] if shapes disagree.
 pub fn solve_spd(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
+    let mut l = a.to_vec();
+    let mut x = b.to_vec();
+    solve_spd_in_place(&mut l, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve_spd`] without touching the heap: the Cholesky factor `L`
+/// overwrites `a`'s lower triangle (the strict upper triangle is never
+/// read or written) and the solution overwrites `b`. Every element is
+/// computed by the same operations in the same order as the out-of-place
+/// solve — each `L` entry is read only after it is final, and both
+/// triangular solves consume `b` in the direction they produce it — so the
+/// two agree bit for bit.
+///
+/// # Errors
+///
+/// As [`solve_spd`]. On [`OptimError::NotPositiveDefinite`] both buffers
+/// are left partially overwritten.
+pub fn solve_spd_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), OptimError> {
     let n = b.len();
     if a.len() != n * n {
         return Err(OptimError::DimensionMismatch {
@@ -18,12 +37,11 @@ pub fn solve_spd(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
         });
     }
     // Cholesky: A = L Lᵀ with L lower-triangular.
-    let mut l = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..=i {
             let mut sum = a[i * n + j];
             for k in 0..j {
-                sum -= l[i * n + k] * l[j * n + k];
+                sum -= a[i * n + k] * a[j * n + k];
             }
             if i == j {
                 if sum <= 0.0 {
@@ -32,31 +50,29 @@ pub fn solve_spd(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
                         value: sum,
                     });
                 }
-                l[i * n + j] = sum.sqrt();
+                a[i * n + j] = sum.sqrt();
             } else {
-                l[i * n + j] = sum / l[j * n + j];
+                a[i * n + j] = sum / a[j * n + j];
             }
         }
     }
     // Forward solve L y = b.
-    let mut y = vec![0.0f64; n];
     for i in 0..n {
         let mut sum = b[i];
         for k in 0..i {
-            sum -= l[i * n + k] * y[k];
+            sum -= a[i * n + k] * b[k];
         }
-        y[i] = sum / l[i * n + i];
+        b[i] = sum / a[i * n + i];
     }
     // Backward solve Lᵀ x = y.
-    let mut x = vec![0.0f64; n];
     for i in (0..n).rev() {
-        let mut sum = y[i];
+        let mut sum = b[i];
         for k in i + 1..n {
-            sum -= l[k * n + i] * x[k];
+            sum -= a[k * n + i] * b[k];
         }
-        x[i] = sum / l[i * n + i];
+        b[i] = sum / a[i * n + i];
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solves a general square system `A x = b` via Gaussian elimination with
@@ -119,6 +135,92 @@ pub fn solve_general(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The out-of-place Cholesky solve as it stood before
+    /// [`solve_spd_in_place`] (separate `l`, `y`, `x` vectors), kept
+    /// verbatim as the differential oracle.
+    fn solve_spd_reference(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
+        let n = b.len();
+        let mut l = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[i * n + j];
+                for k in 0..j {
+                    sum -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(OptimError::NotPositiveDefinite {
+                            pivot: i,
+                            value: sum,
+                        });
+                    }
+                    l[i * n + j] = sum.sqrt();
+                } else {
+                    l[i * n + j] = sum / l[j * n + j];
+                }
+            }
+        }
+        let mut y = vec![0.0f64; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l[i * n + k] * y[k];
+            }
+            y[i] = sum / l[i * n + i];
+        }
+        let mut x = vec![0.0f64; n];
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for k in i + 1..n {
+                sum -= l[k * n + i] * x[k];
+            }
+            x[i] = sum / l[i * n + i];
+        }
+        Ok(x)
+    }
+
+    proptest! {
+        /// In-place and out-of-place solves agree bit for bit — on the
+        /// solution for SPD systems (`MᵀM + I/8`), and on the failing pivot
+        /// and its value for symmetric indefinite ones (`M + Mᵀ`).
+        #[test]
+        fn in_place_solve_is_bit_identical_to_the_reference(
+            n in 1usize..7,
+            m in collection::vec(-2.0f64..2.0, 36usize),
+            b in collection::vec(-5.0f64..5.0, 6usize),
+            spd in 0u32..4,
+        ) {
+            let mut a = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    a[i * n + j] = if spd > 0 {
+                        (0..n).map(|t| m[t * n + i] * m[t * n + j]).sum::<f64>()
+                            + if i == j { 0.125 } else { 0.0 }
+                    } else {
+                        m[i * n + j] + m[j * n + i]
+                    };
+                }
+            }
+            let b = &b[..n];
+            match (solve_spd(&a, b), solve_spd_reference(&a, b)) {
+                (Ok(x), Ok(want)) => {
+                    for (u, v) in x.iter().zip(&want) {
+                        prop_assert_eq!(u.to_bits(), v.to_bits());
+                    }
+                }
+                (
+                    Err(OptimError::NotPositiveDefinite { pivot, value }),
+                    Err(OptimError::NotPositiveDefinite { pivot: p, value: v }),
+                ) => {
+                    prop_assert_eq!(pivot, p);
+                    prop_assert_eq!(value.to_bits(), v.to_bits());
+                }
+                (got, want) => panic!("solvers disagree: {got:?} vs {want:?}"),
+            }
+        }
+    }
 
     #[test]
     fn spd_solve_matches_known_solution() {

@@ -5,28 +5,43 @@
 //! allocations are ignored. The agent is warmed past its first update (which
 //! legitimately grows every scratch buffer to steady-state capacity), then a
 //! burst of further updates must perform **zero** heap allocations.
+//!
+//! Flag and count are **per thread**: libtest runs each test on its own
+//! thread and allocates on its harness thread whenever it likes (printing a
+//! finished test's result, say), so a process-global flag counted the
+//! harness's allocations into whichever test happened to be measuring —
+//! about one run in three failed. A thread only ever counts itself now, and
+//! the tests need no lock between them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use edgeslice_rl::{Ddpg, DdpgConfig, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Counts `alloc`/`realloc` calls while [`ENABLED`] is set. Deallocations
-/// are not counted: freeing during the measured region would itself imply a
-/// prior allocation, and steady-state buffers are never freed anyway.
+/// Counts the calling thread's `alloc`/`realloc` calls while its
+/// [`COUNTING`] flag is set. Deallocations are not counted: freeing during
+/// the measured region would itself imply a prior allocation, and
+/// steady-state buffers are never freed anyway.
 struct CountingAllocator;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without destructors: reading them from inside
+    // the allocator neither allocates nor registers a TLS destructor.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -35,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,24 +58,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes the tests in this binary: [`ENABLED`] is process-global, so a
-/// concurrently running test's setup allocations would otherwise leak into
-/// another test's measured region.
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with allocation counting enabled and returns how many heap
-/// allocations it performed.
+/// Runs `f` with allocation counting enabled on this thread and returns how
+/// many heap allocations it performed.
 fn count_allocations(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     f();
-    ENABLED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
 fn ddpg_update_is_allocation_free_at_steady_state() {
-    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let config = DdpgConfig {
         hidden: 32,
         batch_size: 64,
@@ -110,7 +117,6 @@ fn ddpg_update_is_allocation_free_at_steady_state() {
 fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
     use edgeslice_nn::{Activation, FleetScratch, Matrix, Mlp, Parallelism, TILE_K, TILE_N};
 
-    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(13);
 
     // Shapes past TILE_K/TILE_N so the plain entry points auto-dispatch to
@@ -183,8 +189,44 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
 }
 
 #[test]
+fn one_row_fleet_forward_is_allocation_free() {
+    use edgeslice_nn::{Activation, FleetScratch, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS};
+
+    // The per-RA decide of every agent step: one state row through the
+    // batched forward. Hidden 64 and 128 are both past the blocked
+    // schedule's depth and width thresholds, so it is the row-count term of
+    // the dispatch that keeps this on the register dot tiles.
+    const { assert!(A_BT_BLOCKED_MIN_ROWS > 1) };
+    let mut rng = StdRng::seed_from_u64(14);
+    for hidden in [64, 128] {
+        let net = Mlp::new(
+            &[10, hidden, hidden, 15],
+            Activation::leaky_default(),
+            Activation::Sigmoid,
+            &mut rng,
+        );
+        let state: Vec<f64> = (0..10).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+        let mut scratch = FleetScratch::new();
+        scratch.begin(1, 10);
+        scratch.set_input_row(0, &state);
+        net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+        let allocations = count_allocations(|| {
+            for _ in 0..32 {
+                scratch.begin(1, 10);
+                scratch.set_input_row(0, &state);
+                let out = net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+                assert_eq!(out.shape(), (1, 15));
+            }
+        });
+        assert_eq!(
+            allocations, 0,
+            "one-row forward (hidden {hidden}) performed {allocations} heap allocations"
+        );
+    }
+}
+
+#[test]
 fn rejected_update_during_warmup_is_also_allocation_free() {
-    let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let config = DdpgConfig {
         batch_size: 64,
         ..Default::default()
