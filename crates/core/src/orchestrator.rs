@@ -6,294 +6,27 @@
 //! fresh `z − y`, iterating until the ADMM residuals converge.
 
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
-use edgeslice_optim::{project_capacity_strided, AdmmConfig, AdmmResiduals};
-use edgeslice_rl::Technique;
-use edgeslice_runtime::{
-    caps, derive_stream_seed, par_map, Control, Engine, Lease, NetCoordinator, NodeInfo, RaReport,
-    RoundCoordinator, RoundWorker, Scheduler, Supervisor, SupervisorConfig, Transport,
-    TransportError, WorkerCommand, WorkerSession, DOMAIN_ORCH, DOMAIN_TRAIN,
-};
+use edgeslice_optim::project_capacity_strided;
+use edgeslice_runtime::{derive_stream_seed, par_map, Scheduler, SupervisorConfig, DOMAIN_TRAIN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use edgeslice_netsim::{
-    AppProfile, ComputationModel, DiurnalTrace, FrameResolution, PoissonTraffic, TrafficSource,
-};
-
-use crate::exec::{RaExecWorker, SystemExecCoordinator, WorkerPolicy};
 use crate::store::{CheckpointStore, TrainSnapshot, WorkerSnapshot};
 use crate::{
-    AgentConfig, EdgeSliceError, FaultInjector, OrchestrationAgent, PerformanceCoordinator,
-    PerformanceFunction, PolicyCheckpoint, QueuePenalty, RaEnvConfig, RaId, RaSliceEnv,
-    RewardParams, Sla, SliceId, SliceSpec, StateSpec, SystemMonitor,
+    AgentConfig, EdgeSliceError, OrchestrationAgent, PerformanceCoordinator, PolicyCheckpoint,
+    RaId, RaSliceEnv, Sla, SliceId, SystemMonitor,
 };
 
-/// Traffic model shared by every (slice, RA) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum TrafficKind {
-    /// Stationary Poisson arrivals (prototype experiments, rate 10).
-    Poisson(f64),
-    /// Synthetic diurnal traces (trace-driven simulations), randomized per
-    /// (slice, RA) around the given base rate.
-    Diurnal {
-        /// Peak arrivals per interval.
-        base: f64,
-    },
-}
+mod run;
+mod types;
 
-/// Full system configuration.
-#[derive(Clone)]
-pub struct SystemConfig {
-    /// Slice specifications (apps + SLAs).
-    pub slices: Vec<SliceSpec>,
-    /// Number of resource autonomies.
-    pub n_ras: usize,
-    /// Reward weights and the period length `T`.
-    pub reward: RewardParams,
-    /// Agent observability (EdgeSlice vs EdgeSlice-NT).
-    pub state_spec: StateSpec,
-    /// ADMM convergence parameters.
-    pub admm: AdmmConfig,
-    /// Traffic model.
-    pub traffic: TrafficKind,
-    /// The hidden slice performance function.
-    pub perf: Arc<dyn PerformanceFunction>,
-    /// Range for randomized coordination during offline training.
-    pub coord_sample_range: (f64, f64),
-    /// Project evaluated actions onto per-resource capacity (what the
-    /// physical managers enforce anyway). Training is never projected.
-    pub project_actions: bool,
-}
-
-impl std::fmt::Debug for SystemConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SystemConfig")
-            .field("slices", &self.slices.len())
-            .field("n_ras", &self.n_ras)
-            .field("period", &self.reward.period)
-            .field("state_spec", &self.state_spec)
-            .field("traffic", &self.traffic)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SystemConfig {
-    /// The prototype experiments (Sec. VII-C): 2 slices (traffic-heavy +
-    /// compute-heavy), 2 RAs, Poisson(10) traffic, `t = 1 s`, `T = 10`,
-    /// `Umin = −50`, `ρ = 1`, `β = 20`.
-    pub fn prototype() -> Self {
-        Self {
-            slices: vec![
-                SliceSpec::experiment_slice1(),
-                SliceSpec::experiment_slice2(),
-            ],
-            n_ras: 2,
-            reward: RewardParams::paper(),
-            state_spec: StateSpec::Full,
-            admm: AdmmConfig::default(),
-            traffic: TrafficKind::Poisson(10.0),
-            perf: Arc::new(QueuePenalty::paper()),
-            coord_sample_range: (-100.0, 25.0),
-            project_actions: true,
-        }
-    }
-
-    /// The trace-driven simulations (Sec. VII-D): `n_slices` slices with
-    /// randomly selected frame resolutions and computation models,
-    /// `n_ras` RAs, diurnal traffic, `T = 24` intervals (one per hour).
-    pub fn simulation(n_slices: usize, n_ras: usize, rng: &mut StdRng) -> Self {
-        // The experiments' Umin = −50 is calibrated to 2 RAs × T=10; keep
-        // the same per-(RA, interval) stringency as the network grows so
-        // the SLA stays meaningful (and the ADMM duals stay interior).
-        let umin = -50.0 * (n_ras as f64 / 2.0) * (24.0 / 10.0);
-        let slices = (0..n_slices)
-            .map(|i| {
-                let res = FrameResolution::ALL[rng.gen_range(0..3)];
-                let model = ComputationModel::ALL[rng.gen_range(0..3)];
-                SliceSpec::new(SliceId(i), AppProfile::new(res, model), Sla::new(umin))
-            })
-            .collect();
-        Self {
-            slices,
-            n_ras,
-            reward: RewardParams {
-                period: 24,
-                ..RewardParams::paper()
-            },
-            state_spec: StateSpec::Full,
-            admm: AdmmConfig::default(),
-            traffic: TrafficKind::Diurnal { base: 12.0 },
-            perf: Arc::new(QueuePenalty::paper()),
-            coord_sample_range: (-100.0, 25.0),
-            project_actions: true,
-        }
-    }
-
-    /// The EdgeSlice-NT ablation of this configuration.
-    pub fn without_traffic_state(mut self) -> Self {
-        self.state_spec = StateSpec::CoordinationOnly;
-        self
-    }
-
-    fn make_traffic(&self, rng: &mut StdRng) -> Vec<Box<dyn TrafficSource + Send>> {
-        self.slices
-            .iter()
-            .map(|_| -> Box<dyn TrafficSource + Send> {
-                match self.traffic {
-                    TrafficKind::Poisson(rate) => Box::new(PoissonTraffic::new(rate)),
-                    TrafficKind::Diurnal { base } => Box::new(DiurnalTrace::random_area(base, rng)),
-                }
-            })
-            .collect()
-    }
-
-    fn make_env(&self, rng: &mut StdRng) -> RaSliceEnv {
-        let env_config = RaEnvConfig {
-            slices: self.slices.clone(),
-            perf: Arc::clone(&self.perf),
-            reward: self.reward,
-            state_spec: self.state_spec,
-            interval_s: 1.0,
-            queue_norm: 25.0,
-            coord_norm: 50.0,
-            coord_sample_range: self.coord_sample_range,
-            randomize_coord: true,
-            queue_capacity: 200.0,
-            squash_training_reward: true,
-            project_shares: true,
-        };
-        RaSliceEnv::with_dataset(env_config, self.make_traffic(rng))
-    }
-}
-
-/// Which orchestration policy drives the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrchestratorKind {
-    /// A learned per-RA agent (EdgeSlice / EdgeSlice-NT, by state spec).
-    Learned(Technique),
-    /// The TARO proportional baseline.
-    Taro,
-}
-
-/// One coordination round's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundRecord {
-    /// Round index.
-    pub round: usize,
-    /// `Σ_{i,j,t} U` of the round.
-    pub system_performance: f64,
-    /// `Σ_{j,t} U` per slice.
-    pub slice_performance: Vec<f64>,
-    /// Mean `[radio, transport, compute]` usage per slice.
-    pub usage: Vec<[f64; 3]>,
-    /// ADMM residuals after the coordinator update.
-    pub residuals: AdmmResiduals,
-    /// Whether each slice's SLA held this round. Under outages the target
-    /// is prorated by `served_fraction` — dark intervals are excluded from
-    /// SLA accounting rather than counted as zero-performance service.
-    pub sla_met: Vec<bool>,
-    /// RAs that were dark this round.
-    pub outages: Vec<RaId>,
-    /// RAs whose supervised worker went down this round (caught panic,
-    /// exhausted restart budget, or dead channel) — reported explicitly,
-    /// never silently truncated into a missing report.
-    pub downed: Vec<RaId>,
-    /// Malformed reports (wrong round, unknown RA, duplicate slot) the
-    /// gather loop dropped with a trace this round.
-    pub discarded_reports: usize,
-    /// Fraction of this round's (RA, interval) pairs that served traffic
-    /// (`1.0` in a fault-free round).
-    pub served_fraction: f64,
-    /// End-of-round queue backlog per RA (summed over slices; `0.0` for an
-    /// RA whose report never arrived).
-    pub load: Vec<f64>,
-}
-
-/// One supervision event: a worker that could not report this round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DownEvent {
-    /// The downed RA.
-    pub ra: RaId,
-    /// Global round index of the event.
-    pub round: usize,
-    /// Human-readable cause (`"panic: …"`, `"restart budget exhausted"`,
-    /// `"worker channel disconnected"`).
-    pub cause: String,
-}
-
-/// Aggregate supervision telemetry for a run: what went down, when, and
-/// what the engine's gather loop had to discard or time out on.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct SupervisionStats {
-    /// Every worker-down event, in round order (RA-sorted within a round).
-    pub worker_downs: Vec<DownEvent>,
-    /// Rounds whose wall-clock report deadline expired.
-    pub deadline_timeouts: usize,
-    /// Rounds that ended with a dead worker channel.
-    pub disconnects: usize,
-    /// Malformed reports dropped at the gather loop across the run.
-    pub discarded_reports: usize,
-    /// Networked mode: frame sends retried after a transient failure and
-    /// ultimately delivered — "the network flaked but recovered". Always
-    /// zero in-process.
-    pub send_retries: usize,
-    /// Networked mode: frame sends abandoned after the bounded retry
-    /// budget (the link broke; the lease decides whether the worker is
-    /// down). Always zero in-process.
-    pub sends_abandoned: usize,
-    /// Networked mode: leases that lapsed into a
-    /// [`edgeslice_runtime::DownCause::LeaseExpired`] down event — "the
-    /// worker died". Always zero in-process.
-    pub leases_expired: usize,
-    /// Networked mode: workers re-admitted after a lease expiry (a sign
-    /// of life or a fresh registration from a respawned process). Always
-    /// zero in-process.
-    pub rejoins: usize,
-}
-
-/// The full run's outcome.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct RunReport {
-    /// Per-round records, in order.
-    pub rounds: Vec<RoundRecord>,
-    /// Supervision telemetry accumulated over the run.
-    pub supervision: SupervisionStats,
-    /// Per-slot lifecycle outcomes (admit round, depart round, reject
-    /// reason, resize count) for dynamic-workload runs; empty for static
-    /// runs.
-    pub slice_lifetimes: Vec<crate::SliceLifetime>,
-}
-
-impl RunReport {
-    /// System performance of the final round.
-    pub fn final_system_performance(&self) -> f64 {
-        self.rounds.last().map_or(0.0, |r| r.system_performance)
-    }
-
-    /// Serializes the report to JSON (for offline analysis/plotting).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeSliceError::Serialization`] on failure (practically
-    /// impossible for this structure).
-    pub fn to_json(&self) -> Result<String, EdgeSliceError> {
-        serde_json::to_string_pretty(self).map_err(EdgeSliceError::from)
-    }
-
-    /// Mean system performance over the last `n` rounds (a stabler
-    /// convergence figure than the single final round).
-    pub fn tail_system_performance(&self, n: usize) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        let tail = &self.rounds[self.rounds.len().saturating_sub(n)..];
-        tail.iter().map(|r| r.system_performance).sum::<f64>() / tail.len() as f64
-    }
-}
+pub use run::{ServeOutcome, WorkerNetOptions};
+pub use types::{
+    DownEvent, OrchestratorKind, RoundRecord, RunReport, SupervisionStats, SystemConfig,
+    TrafficKind,
+};
 
 /// The assembled EdgeSlice system: envs + agents + coordinator + monitor.
 ///
@@ -710,664 +443,6 @@ impl EdgeSliceSystem {
                 .expect("invariant: set_workload validated the plan against this system's slices");
         }
     }
-
-    /// Runs Alg. 1 for at most `max_rounds` coordination rounds (stopping
-    /// early on ADMM convergence) and reports per-round outcomes.
-    pub fn run(&mut self, max_rounds: usize, rng: &mut StdRng) -> RunReport {
-        let injector = FaultInjector::none(self.config.n_ras, max_rounds);
-        self.run_with_faults(max_rounds, rng, &injector)
-    }
-
-    /// Runs Alg. 1 under injected faults (Alg. 1 + the degradation policy).
-    ///
-    /// The injector's rounds index this run's rounds, 0-based. Per round,
-    /// for each RA the orchestrator consults its [`crate::RaFaultView`]:
-    ///
-    /// * **down** — the RA serves nothing; the monitor records explicit
-    ///   outage rows; the coordinator sees the RA as missing (stale reuse,
-    ///   frozen duals, death + redistribution past the staleness budget).
-    ///   At outage start a learned RA's policy is checkpointed.
-    /// * **rejoining** — the RA's queues are flushed (the node rebooted)
-    ///   and, for learned kinds, its policy is restored from the
-    ///   checkpoint taken at outage start — decisions after rejoin are
-    ///   bit-identical to the pre-outage policy.
-    /// * **broadcast dropped** — the RA orchestrates on its previous
-    ///   `z − y` (the env keeps the last coordination it received).
-    /// * **straggler** — traffic is served and monitored, but the report
-    ///   misses the deadline: the coordinator treats the RA as missing
-    ///   this round (the late report is superseded by the next one).
-    /// * **capacity degradation** — the RA's substrate capacity is scaled
-    ///   for the round; the agent's shares deliver proportionally less.
-    ///
-    /// SLA accounting excludes outage intervals: each round's `Umin` is
-    /// prorated by the fraction of (RA, interval) pairs that served.
-    ///
-    /// Execution is delegated to the [`edgeslice_runtime`] engine: one
-    /// worker per RA (each with a private RNG stream derived from a master
-    /// seed drawn once from `rng`), folded by a coordinator task. The
-    /// report is bit-identical across schedulers.
-    pub fn run_with_faults(
-        &mut self,
-        max_rounds: usize,
-        rng: &mut StdRng,
-        injector: &FaultInjector,
-    ) -> RunReport {
-        let master = rng.gen::<u64>();
-        self.run_rounds(max_rounds, master, injector, None)
-    }
-
-    /// Resumes an interrupted `run`/`run_with_faults` from the newest
-    /// valid snapshot in `dir`, producing a report bit-identical to the
-    /// run that was never interrupted (same system seed, same fault plan,
-    /// same `max_rounds`).
-    ///
-    /// Corrupt or truncated snapshot files are skipped (with a note on
-    /// stderr) in favour of the newest one that validates; if none does,
-    /// the run simply starts over from round 0 — `resume` is therefore
-    /// safe to use as the *only* entry point of a crash-looped program.
-    /// One draw is consumed from `rng` either way, so the caller's seed
-    /// stream stays aligned with the interrupted program's.
-    ///
-    /// What resume cannot replay: real wall-clock deadline misses and
-    /// channel disconnects (as opposed to fault-plan stragglers and
-    /// scripted outages/panics) are nondeterministic in the original run,
-    /// so their reports are only equal if neither run hits one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeSliceError::Io`] if the store cannot be opened and
-    /// [`EdgeSliceError::SnapshotMismatch`] if the snapshot belongs to a
-    /// differently-shaped system.
-    pub fn resume(
-        &mut self,
-        dir: &Path,
-        max_rounds: usize,
-        rng: &mut StdRng,
-        injector: &FaultInjector,
-    ) -> Result<RunReport, EdgeSliceError> {
-        let every_k = self.checkpoint_every;
-        self.set_checkpointing(dir, every_k)?;
-        let latest = self
-            .store
-            .as_ref()
-            .expect("invariant: set_checkpointing attached the store on the line above")
-            .latest_run()?;
-        for (path, err) in &latest.rejected {
-            eprintln!(
-                "edgeslice: skipping unreadable snapshot {}: {err}",
-                path.display()
-            );
-        }
-        // Drawn whether or not a snapshot exists, so the caller's rng
-        // stays aligned with the interrupted program's seed stream.
-        let drawn_master = rng.gen::<u64>();
-        let Some(snap) = latest.snapshot else {
-            return Ok(self.run_rounds(max_rounds, drawn_master, injector, None));
-        };
-        if snap.workers.len() != self.config.n_ras {
-            return Err(EdgeSliceError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot has {} RAs, this system has {}",
-                    snap.workers.len(),
-                    self.config.n_ras
-                ),
-            });
-        }
-        snap.validate_slices(&self.config.slices)?;
-        match (self.workload.as_mut(), snap.lifecycle) {
-            (Some(lc), Some(state)) => lc.restore(state)?,
-            (Some(_), None) => {
-                return Err(EdgeSliceError::SnapshotMismatch {
-                    reason: "this system has a workload plan but the snapshot carries no \
-                             lifecycle state"
-                        .into(),
-                });
-            }
-            (None, Some(_)) => {
-                return Err(EdgeSliceError::SnapshotMismatch {
-                    reason: "the snapshot carries lifecycle state but this system has no \
-                             workload plan"
-                        .into(),
-                });
-            }
-            (None, None) => {}
-        }
-        self.coordinator.restore(&snap.coordinator)?;
-        self.policy_overrides = snap.policies;
-        let mut prefix = RunReport {
-            rounds: snap.rounds,
-            supervision: snap.supervision,
-            slice_lifetimes: Vec::new(),
-        };
-        if snap.next_round >= max_rounds {
-            // The interrupted run had already finished these rounds; its
-            // lifecycle outcomes are the restored machine's.
-            if let Some(lc) = &self.workload {
-                prefix.slice_lifetimes = lc.lifetimes().to_vec();
-            }
-            return Ok(prefix);
-        }
-        Ok(self.run_rounds(
-            max_rounds,
-            snap.master_seed,
-            injector,
-            Some(ResumeState {
-                first_round: snap.next_round,
-                round_base: snap.round_base,
-                worker_state: snap.workers,
-                panic_counts: snap.panic_counts,
-                prefix,
-            }),
-        ))
-    }
-
-    /// The single round-loop implementation behind `run`,
-    /// `run_with_faults` and `resume`.
-    fn run_rounds(
-        &mut self,
-        max_rounds: usize,
-        master: u64,
-        injector: &FaultInjector,
-        resume: Option<ResumeState>,
-    ) -> RunReport {
-        let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
-        for env in &mut self.envs {
-            env.set_randomize_coord(false);
-        }
-        let (first_round, round_base, worker_state, panic_counts, prefix) = match resume {
-            Some(state) => {
-                // Rewind every environment to the snapshot boundary,
-                // including its slot activity and rate overrides (absent
-                // on pre-churn snapshots: fall back to the restored
-                // workload machine's present state).
-                for (env, ws) in self.envs.iter_mut().zip(&state.worker_state) {
-                    env.restore_round_state(ws.queues.clone(), &ws.coordination, ws.global_t);
-                    if !ws.active.is_empty() {
-                        env.restore_lifecycle(&ws.active, &ws.rates);
-                    }
-                }
-                if state
-                    .worker_state
-                    .first()
-                    .is_some_and(|ws| ws.active.is_empty())
-                {
-                    self.sync_lifecycle_into_substrate();
-                }
-                (
-                    state.first_round,
-                    state.round_base,
-                    state.worker_state,
-                    state.panic_counts,
-                    state.prefix,
-                )
-            }
-            None => {
-                let round_base = self.monitor.rounds();
-                // A fresh dynamic run starts from the workload machine's
-                // present state: initial slices active, planned arrivals
-                // pending (deactivated rows and slots).
-                self.sync_lifecycle_into_substrate();
-                // The initial snapshot state is the environments as they
-                // stand at run start (post-training baseline).
-                let worker_state = self
-                    .envs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, env)| WorkerSnapshot {
-                        ra: RaId(j),
-                        queues: env.queues().to_vec(),
-                        coordination: env.coordination().to_vec(),
-                        global_t: env.global_t(),
-                        was_down: false,
-                        active: env.slice_active().to_vec(),
-                        rates: env.rate_overrides().to_vec(),
-                    })
-                    .collect();
-                (
-                    0,
-                    round_base,
-                    worker_state,
-                    vec![0; n_ras],
-                    RunReport::default(),
-                )
-            }
-        };
-        let policies = self.effective_policies();
-        let project_actions = self.config.project_actions;
-        let straggle_sleep = self.straggle_sleep;
-        let mut workers: Vec<RaExecWorker<'_>> = Vec::with_capacity(n_ras);
-        for (j, (env, policy)) in self.envs.iter_mut().zip(&policies).enumerate() {
-            // One effective policy per worker: the snapshot-restored
-            // checkpoint or the live agent's, resolved once here.
-            let policy = match policy {
-                Some(ckpt) => WorkerPolicy::Learned(ckpt.clone()),
-                None => WorkerPolicy::Taro(crate::Taro::new()),
-            };
-            workers.push(
-                RaExecWorker::new(
-                    RaId(j),
-                    env,
-                    policy,
-                    injector,
-                    derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                    period,
-                    project_actions,
-                    round_base,
-                    straggle_sleep,
-                )
-                .with_down_state(worker_state[j].was_down),
-            );
-        }
-        let mut exec = SystemExecCoordinator::new(
-            &mut self.coordinator,
-            &mut self.monitor,
-            &self.config.slices,
-            n_ras,
-            period,
-            round_base,
-        )
-        .with_state(worker_state, panic_counts.clone(), policies, prefix)
-        .with_workload(self.workload.as_mut());
-        if let Some(store) = &self.store {
-            exec = exec.with_sink(store, self.checkpoint_every, master);
-        }
-        Engine::new(self.scheduler)
-            .with_deadline(self.round_deadline)
-            .with_supervisor(self.supervision)
-            .with_prior_panics(panic_counts)
-            .run_from(&mut workers, &mut exec, first_round, max_rounds);
-        let mut report = exec.report;
-        drop(workers);
-        if let Some(lc) = &self.workload {
-            report.slice_lifetimes = lc.lifetimes().to_vec();
-        }
-        // Leave the substrates healthy for subsequent runs.
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
-        report
-    }
-
-    /// The effective policy per RA — what a fresh process re-installs
-    /// instead of retraining (`None` for TARO).
-    fn effective_policies(&self) -> Vec<Option<PolicyCheckpoint>> {
-        match self.kind {
-            OrchestratorKind::Learned(_) => (0..self.config.n_ras)
-                .map(|j| {
-                    self.policy_overrides[j]
-                        .clone()
-                        .or_else(|| Some(PolicyCheckpoint::from_agent(&self.agents[j])))
-                })
-                .collect(),
-            OrchestratorKind::Taro => vec![None; self.config.n_ras],
-        }
-    }
-
-    /// Runs Alg. 1 as the *coordinator of a networked deployment*: every
-    /// RA is a separate [`EdgeSliceSystem::serve_ra`] peer (thread or
-    /// process) reached through `net`'s [`Transport`] links, registered on
-    /// the ε-ORC-style lease plane.
-    ///
-    /// The round protocol, ADMM folding, degraded-coordination policy and
-    /// checkpointing are exactly `run_with_faults`'s — the coordinator
-    /// side is transport-agnostic, so a loopback run and a UDS run of the
-    /// same seed and fault plan produce byte-identical [`RunReport`]s.
-    /// Failure semantics differ from in-process in one deliberate way: a
-    /// vanished peer is detected by its *lapsed lease*
-    /// ([`edgeslice_runtime::DownCause::LeaseExpired`], folded into
-    /// [`SupervisionStats::leases_expired`] and the per-round `downed`
-    /// set), never by the broken socket, and a degraded round completes
-    /// through the same stale-report/frozen-dual ADMM path a scripted
-    /// outage takes.
-    ///
-    /// One seed draw is consumed from `rng`, exactly like
-    /// `run_with_faults`, so workers constructed from the same seed derive
-    /// the identical master seed in [`EdgeSliceSystem::serve_ra`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeSliceError::Transport`] if registration does not
-    /// complete within `net`'s configured deadline. Mid-run transport
-    /// failures are *not* errors: they degrade the run (telemetry, lease
-    /// expiries) instead of aborting it.
-    pub fn run_networked<T: Transport>(
-        &mut self,
-        max_rounds: usize,
-        rng: &mut StdRng,
-        injector: &FaultInjector,
-        net: &mut NetCoordinator<T>,
-    ) -> Result<RunReport, EdgeSliceError> {
-        let _ = injector; // the fault plan acts on the worker side
-        let master = rng.gen::<u64>();
-        let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
-        for env in &mut self.envs {
-            env.set_randomize_coord(false);
-        }
-        let round_base = self.monitor.rounds();
-        self.sync_lifecycle_into_substrate();
-        let worker_state: Vec<WorkerSnapshot> = self
-            .envs
-            .iter()
-            .enumerate()
-            .map(|(j, env)| WorkerSnapshot {
-                ra: RaId(j),
-                queues: env.queues().to_vec(),
-                coordination: env.coordination().to_vec(),
-                global_t: env.global_t(),
-                was_down: false,
-                active: env.slice_active().to_vec(),
-                rates: env.rate_overrides().to_vec(),
-            })
-            .collect();
-        let policies = self.effective_policies();
-        net.wait_registered(0).map_err(EdgeSliceError::Transport)?;
-        let mut exec = SystemExecCoordinator::new(
-            &mut self.coordinator,
-            &mut self.monitor,
-            &self.config.slices,
-            n_ras,
-            period,
-            round_base,
-        )
-        .with_state(worker_state, vec![0; n_ras], policies, RunReport::default())
-        .with_workload(self.workload.as_mut());
-        if let Some(store) = &self.store {
-            exec = exec.with_sink(store, self.checkpoint_every, master);
-        }
-        for round in 0..max_rounds {
-            let zys = exec.broadcast(round);
-            let lifecycle = exec.lifecycle_delta(round);
-            let (raw, mut telemetry) = net.run_round(round, &zys, &lifecycle);
-            let mut slots: Vec<Option<RaReport<crate::exec::RaRoundBody>>> =
-                Vec::with_capacity(n_ras);
-            for slot in raw {
-                let Some(rep) = slot else {
-                    slots.push(None);
-                    continue;
-                };
-                let body = match rep.body {
-                    None => None,
-                    Some(bytes) => match crate::exec::decode_body(
-                        &bytes,
-                        RaId(rep.ra),
-                        round_base + round,
-                        self.config.slices.len(),
-                    ) {
-                        Ok(body) => Some(body),
-                        Err(err) => {
-                            // Framed correctly but undecodable: a foreign
-                            // or buggy peer. Drop the report, count it,
-                            // keep the round going.
-                            eprintln!(
-                                "edgeslice: dropping undecodable report body from ra {}: {err}",
-                                rep.ra
-                            );
-                            telemetry.discarded_reports += 1;
-                            slots.push(None);
-                            continue;
-                        }
-                    },
-                };
-                slots.push(Some(RaReport {
-                    ra: rep.ra,
-                    round: rep.round,
-                    deadline_missed: rep.deadline_missed,
-                    body,
-                }));
-            }
-            let converged = exec.collect(round, slots, &telemetry);
-            if converged {
-                break;
-            }
-        }
-        net.shutdown();
-        let mut report = exec.report;
-        let stats = net.stats();
-        report.supervision.send_retries += stats.send_retries;
-        report.supervision.sends_abandoned += stats.sends_abandoned;
-        report.supervision.leases_expired += stats.leases_expired;
-        report.supervision.rejoins += stats.rejoins;
-        if let Some(lc) = &self.workload {
-            report.slice_lifetimes = lc.lifetimes().to_vec();
-        }
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
-        Ok(report)
-    }
-
-    /// Serves RA `ra` as a *networked worker peer* of a
-    /// [`EdgeSliceSystem::run_networked`] coordinator, over `transport`.
-    ///
-    /// The peer must be built from the same seed as the coordinator (both
-    /// construct the full system identically, then draw one master seed
-    /// from `rng` here), which is what makes its decisions bit-identical
-    /// to an in-process worker's. It registers on the coordinator's lease
-    /// plane, then serves rounds until `Shutdown` or disconnect:
-    ///
-    /// * injected faults from `injector` act exactly as in-process —
-    ///   panics really unwind and are caught by a per-worker
-    ///   [`Supervisor`] (reported to the coordinator as a typed `Down`
-    ///   frame), outages go dark, stragglers mark their reports late;
-    /// * a [`FaultEvent::WorkerSilence`](crate::FaultEvent::WorkerSilence)
-    ///   window freezes the peer: connected but sending neither reports
-    ///   nor lease refreshes, so the coordinator's failure detector — the
-    ///   lease, not the socket — fires deterministically;
-    /// * with a [`CheckpointStore`] attached
-    ///   ([`EdgeSliceSystem::set_checkpointing`] on the same directory the
-    ///   coordinator checkpoints into), a freshly (re)spawned peer
-    ///   re-syncs its environment, policy and restart budget from the
-    ///   newest snapshot before registering — the kill-and-rejoin path.
-    ///
-    /// Returns what happened: rounds served, the snapshot round re-synced
-    /// from (if any), and panics caught by the local supervisor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeSliceError::Transport`] if the session cannot be
-    /// established or dies mid-round, and [`EdgeSliceError::Io`] /
-    /// snapshot errors if the checkpoint store is attached but unreadable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ra` is outside this system's RA range.
-    pub fn serve_ra<T: Transport>(
-        &mut self,
-        ra: RaId,
-        rng: &mut StdRng,
-        injector: &FaultInjector,
-        transport: T,
-        opts: &WorkerNetOptions,
-    ) -> Result<ServeOutcome, EdgeSliceError> {
-        let n_ras = self.config.n_ras;
-        assert!(ra.0 < n_ras, "serve_ra: ra {} out of range {n_ras}", ra.0);
-        let master = rng.gen::<u64>();
-        let period = self.config.reward.period;
-        for env in &mut self.envs {
-            env.set_randomize_coord(false);
-        }
-        // Re-sync from the newest checkpoint, if a store is attached and
-        // its snapshot belongs to this exact run (same master seed).
-        let mut resynced_from = None;
-        let mut round_base = self.monitor.rounds();
-        let mut panic_count = 0usize;
-        let mut policy_override = self.policy_overrides[ra.0].clone();
-        let mut was_down = false;
-        if let Some(store) = &self.store {
-            let latest = store.latest_run()?;
-            for (path, err) in &latest.rejected {
-                eprintln!(
-                    "edgeslice: skipping unreadable snapshot {}: {err}",
-                    path.display()
-                );
-            }
-            if let Some(snap) = latest.snapshot {
-                if snap.master_seed == master && snap.workers.len() == n_ras {
-                    let ws = &snap.workers[ra.0];
-                    self.envs[ra.0].restore_round_state(
-                        ws.queues.clone(),
-                        &ws.coordination,
-                        ws.global_t,
-                    );
-                    if !ws.active.is_empty() {
-                        self.envs[ra.0].restore_lifecycle(&ws.active, &ws.rates);
-                    }
-                    was_down = ws.was_down;
-                    panic_count = snap.panic_counts[ra.0];
-                    policy_override = snap.policies[ra.0].clone().or(policy_override);
-                    round_base = snap.round_base;
-                    resynced_from = Some(snap.next_round);
-                }
-            }
-        }
-        // A fresh (non-resynced) dynamic worker starts from the workload
-        // machine's present state; per-round lifecycle payloads converge
-        // it from there.
-        if resynced_from.is_none() {
-            if let Some(lc) = &self.workload {
-                self.envs[ra.0].apply_lifecycle(&lc.state()).expect(
-                    "invariant: set_workload validated the plan against this system's slices",
-                );
-            }
-        }
-        let stream_seed = derive_stream_seed(master, DOMAIN_ORCH, ra.0 as u64);
-        let policy = match self.kind {
-            OrchestratorKind::Learned(_) => WorkerPolicy::Learned(
-                policy_override.unwrap_or_else(|| PolicyCheckpoint::from_agent(&self.agents[ra.0])),
-            ),
-            OrchestratorKind::Taro => WorkerPolicy::Taro(crate::Taro::new()),
-        };
-        let mut worker = RaExecWorker::new(
-            ra,
-            &mut self.envs[ra.0],
-            policy,
-            injector,
-            stream_seed,
-            period,
-            self.config.project_actions,
-            round_base,
-            self.straggle_sleep,
-        )
-        .with_down_state(was_down);
-        let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
-        let capabilities = caps::RESYNC
-            | match self.kind {
-                OrchestratorKind::Learned(_) => caps::LEARNED,
-                OrchestratorKind::Taro => caps::TARO,
-            };
-        let node = NodeInfo {
-            ra: ra.0,
-            capabilities,
-            capacity: 1.0,
-        };
-        let (mut session, _ack) = WorkerSession::establish(
-            transport,
-            node,
-            opts.lease,
-            opts.establish_timeout,
-            opts.refresh_interval,
-        )
-        .map_err(EdgeSliceError::Transport)?;
-        let mut rounds_served = 0usize;
-        let mut frozen = false;
-        loop {
-            match session.next_command(opts.idle_budget) {
-                Ok(WorkerCommand::Round(info)) => {
-                    let view = injector.view(ra, info.round);
-                    if view.silent {
-                        if !frozen {
-                            // Freeze: checkpoint the effective policy and
-                            // mark the worker down so the round it thaws
-                            // on takes the rejoin path — the same
-                            // make-before-break an outage performs.
-                            worker.handle_control(&Control::Checkpoint);
-                            let _ = worker.recover();
-                            frozen = true;
-                        }
-                        session.set_auto_refresh(false);
-                        continue;
-                    }
-                    frozen = false;
-                    session.set_auto_refresh(true);
-                    match supervisor.guard(0, &mut worker, &info) {
-                        Ok(report) => {
-                            let body = match &report.body {
-                                Some(b) => Some(crate::exec::encode_body(b)?),
-                                None => None,
-                            };
-                            session
-                                .report(report.round, report.deadline_missed, body)
-                                .map_err(EdgeSliceError::Transport)?;
-                            rounds_served += 1;
-                        }
-                        Err(down) => {
-                            // A real caught panic (or an exhausted restart
-                            // budget), shipped as a typed Down frame.
-                            session
-                                .down(info.round, down.cause.to_string())
-                                .map_err(EdgeSliceError::Transport)?;
-                        }
-                    }
-                }
-                Ok(WorkerCommand::Control(Control::Shutdown)) => break,
-                Ok(WorkerCommand::Control(ctl)) => worker.handle_control(&ctl),
-                // The coordinator is gone: an orderly end of service, not
-                // a worker failure.
-                Err(TransportError::Disconnected) => break,
-                Err(e) => return Err(EdgeSliceError::Transport(e)),
-            }
-        }
-        let caught_panics = supervisor.restarts(0);
-        drop(worker);
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
-        Ok(ServeOutcome {
-            rounds_served,
-            resynced_from,
-            caught_panics,
-        })
-    }
-}
-
-/// Knobs for a [`EdgeSliceSystem::serve_ra`] worker peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerNetOptions {
-    /// The lease this worker declares at registration (its own failure
-    /// deadline, in rounds).
-    pub lease: Lease,
-    /// Budget for handshake + registration.
-    pub establish_timeout: Duration,
-    /// How often the idle worker refreshes its lease.
-    pub refresh_interval: Duration,
-    /// How long the worker waits for a command before giving up on the
-    /// coordinator.
-    pub idle_budget: Duration,
-}
-
-impl Default for WorkerNetOptions {
-    fn default() -> Self {
-        Self {
-            lease: Lease::default(),
-            establish_timeout: Duration::from_secs(10),
-            refresh_interval: Duration::from_millis(100),
-            idle_budget: Duration::from_secs(120),
-        }
-    }
-}
-
-/// What a [`EdgeSliceSystem::serve_ra`] worker peer did before shutdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeOutcome {
-    /// Rounds this peer served (reports actually sent).
-    pub rounds_served: usize,
-    /// `Some(next_round)` if the peer re-synced from a checkpoint
-    /// snapshot before registering (the kill-and-rejoin path).
-    pub resynced_from: Option<usize>,
-    /// Panics the peer's local supervisor caught and restarted through.
-    pub caught_panics: usize,
 }
 
 /// One RA's training bundle: agent + env + private RNG stream, shippable
@@ -1377,21 +452,6 @@ struct TrainUnit<'a> {
     agent: &'a mut OrchestrationAgent,
     env: &'a mut RaSliceEnv,
     rng: StdRng,
-}
-
-/// The state a resumed run re-enters the round loop with.
-struct ResumeState {
-    /// First engine-local round to execute.
-    first_round: usize,
-    /// Global round index of the interrupted run's round 0.
-    round_base: usize,
-    /// Per-RA round-boundary state from the snapshot.
-    worker_state: Vec<WorkerSnapshot>,
-    /// Caught panics per RA before the snapshot (restart budgets).
-    panic_counts: Vec<usize>,
-    /// The rounds (and supervision telemetry) completed before the
-    /// snapshot.
-    prefix: RunReport,
 }
 
 /// Projects a flat slice-major action onto per-resource capacity
@@ -1416,7 +476,8 @@ impl OrchestrationAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::StateSpec;
+    use edgeslice_rl::Technique;
 
     fn quick_agent_config() -> AgentConfig {
         AgentConfig {
