@@ -4,20 +4,23 @@
 //! [`SystemExecCoordinator`] wrapping the ADMM coordinator and the system
 //! monitor.
 //!
-//! Both the sequential and the threaded schedulers drive exactly this
-//! code, so `EdgeSliceSystem::run*` has a single round-loop implementation
-//! regardless of topology — and, because every worker reseeds its RNG per
-//! round from a domain-separated stream, the two topologies produce
-//! bit-identical [`crate::RunReport`]s for the same seed, and a run
-//! resumed from a [`crate::CheckpointStore`] snapshot is bit-identical to
-//! one that was never interrupted.
+//! Every run path drives exactly this code through the runtime's one
+//! [`edgeslice_runtime::round_loop`]: the coordinator task is the same
+//! whether the workers are gathered inline, from shard threads or — as
+//! `serve_ra` peers running this worker in their own processes — over
+//! transport links; the scheduler or the transport only picks the gather.
+//! And, because every worker reseeds its RNG per round from a
+//! domain-separated stream, the topologies produce bit-identical
+//! [`crate::RunReport`]s for the same seed, and a run resumed from a
+//! [`crate::CheckpointStore`] snapshot is bit-identical to one that was
+//! never interrupted.
 
 use std::time::Duration;
 
 use edgeslice_nn::FleetScratch;
 use edgeslice_runtime::{
     derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
-    RoundWorker, DOMAIN_ROUND,
+    RoundWorker, DOMAIN_ORCH, DOMAIN_ROUND,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,6 +42,32 @@ pub(crate) enum WorkerPolicy {
     Learned(PolicyCheckpoint),
     /// The TARO proportional baseline.
     Taro(Taro),
+}
+
+impl From<Option<PolicyCheckpoint>> for WorkerPolicy {
+    /// An RA's effective policy as the system resolves it: a checkpoint
+    /// for learned kinds, none for TARO.
+    fn from(policy: Option<PolicyCheckpoint>) -> Self {
+        policy.map_or_else(|| WorkerPolicy::Taro(Taro::new()), WorkerPolicy::Learned)
+    }
+}
+
+/// What every RA worker of one run is built from, whichever process it
+/// lives in.
+#[derive(Clone, Copy)]
+pub(crate) struct WorkerRun<'a> {
+    pub injector: &'a FaultInjector,
+    /// The run's master seed; each worker derives its own stream from it.
+    pub master: u64,
+    pub period: usize,
+    pub project_actions: bool,
+    /// Global round index of this run's round 0 (monitor rounds keep
+    /// counting across runs).
+    pub round_base: usize,
+    /// Real wall-clock delay applied when a worker straggles, making the
+    /// late report physically late on the channel (zero by default so
+    /// determinism tests stay instant).
+    pub straggle_sleep: Duration,
 }
 
 /// One RA's round outcome, carried in [`RaReport::body`]: the achieved
@@ -112,28 +141,19 @@ pub(crate) struct RaExecWorker<'a> {
     ra: RaId,
     env: &'a mut RaSliceEnv,
     policy: WorkerPolicy,
-    injector: &'a FaultInjector,
+    run: WorkerRun<'a>,
     /// This worker's domain-separated stream seed; the traffic RNG is
     /// rederived from it at the top of every round, so worker randomness
     /// is a pure function of (master seed, RA, round) — the keystone of
     /// crash-consistent resume.
     stream_seed: u64,
     rng: StdRng,
-    period: usize,
     n_slices: usize,
-    project_actions: bool,
-    /// Global round index of this run's round 0 (monitor rounds keep
-    /// counting across runs).
-    round_base: usize,
     /// Policy snapshot taken at outage start (learned kinds only) and
     /// re-deployed at rejoin; decisions after a rejoin are bit-identical
     /// to the pre-outage policy.
     checkpoint: Option<PolicyCheckpoint>,
     was_down: bool,
-    /// Real wall-clock delay applied when this worker straggles, making
-    /// the late report physically late on the channel (zero by default so
-    /// determinism tests stay instant).
-    straggle_sleep: Duration,
     /// What the policy observes this interval (Eq. 13 state; queue
     /// lengths under TARO), its action, and the batch-1 inference
     /// scratch: worker-owned and refilled in place, so an agent step
@@ -144,46 +164,34 @@ pub(crate) struct RaExecWorker<'a> {
 }
 
 impl<'a> RaExecWorker<'a> {
-    #[allow(clippy::too_many_arguments)] // plain construction-time wiring
+    /// RA `ra`'s worker for `run`. `was_down` marks a worker freshly
+    /// resumed from a snapshot where its RA was down (mid-outage or just
+    /// panicked): its next served round takes the rejoin path, exactly
+    /// like the uninterrupted worker would.
     pub(crate) fn new(
         ra: RaId,
         env: &'a mut RaSliceEnv,
         policy: WorkerPolicy,
-        injector: &'a FaultInjector,
-        stream_seed: u64,
-        period: usize,
-        project_actions: bool,
-        round_base: usize,
-        straggle_sleep: Duration,
+        was_down: bool,
+        run: WorkerRun<'a>,
     ) -> Self {
         let n_slices = env.n_slices();
+        let stream_seed = derive_stream_seed(run.master, DOMAIN_ORCH, ra.0 as u64);
         Self {
             ra,
             env,
             policy,
-            injector,
+            run,
             stream_seed,
             // Placeholder only: `run_round` reseeds before every draw.
             rng: StdRng::seed_from_u64(stream_seed),
-            period,
             n_slices,
-            project_actions,
-            round_base,
             checkpoint: None,
-            was_down: false,
-            straggle_sleep,
+            was_down,
             state: Vec::new(),
             action: Vec::new(),
             scratch: FleetScratch::new(),
         }
-    }
-
-    /// Marks the worker as freshly resumed from a snapshot where its RA
-    /// was down (mid-outage or just panicked): its next served round takes
-    /// the rejoin path, exactly like the uninterrupted worker would.
-    pub(crate) fn with_down_state(mut self, was_down: bool) -> Self {
-        self.was_down = was_down;
-        self
     }
 }
 
@@ -196,7 +204,7 @@ impl RoundWorker for RaExecWorker<'_> {
 
     fn run_round(&mut self, info: &CoordInfo) -> RaReport<RaRoundBody> {
         let round_off = info.round;
-        let view = self.injector.view(self.ra, round_off);
+        let view = self.run.injector.view(self.ra, round_off);
         // A scripted worker panic unwinds for real, before the RNG reseed
         // and before any state mutation: the panicked round leaves the
         // worker exactly as the previous round left it, which is what
@@ -230,7 +238,7 @@ impl RoundWorker for RaExecWorker<'_> {
                 ),
             }
         }
-        let round = self.round_base + round_off;
+        let round = self.run.round_base + round_off;
         if view.down {
             // Outage start: make-before-break — snapshot the policy the
             // RA will be re-deployed from when it rejoins.
@@ -254,8 +262,8 @@ impl RoundWorker for RaExecWorker<'_> {
             self.env.set_coordination(&info.zy);
         }
         let mut u = vec![0.0; self.n_slices];
-        let mut records = Vec::with_capacity(self.period * self.n_slices);
-        for t in 0..self.period {
+        let mut records = Vec::with_capacity(self.run.period * self.n_slices);
+        for t in 0..self.run.period {
             match &self.policy {
                 WorkerPolicy::Learned(policy) => {
                     self.env.observe_into(&mut self.state);
@@ -266,7 +274,7 @@ impl RoundWorker for RaExecWorker<'_> {
                     taro.action_into(&self.state, &mut self.action);
                 }
             }
-            if self.project_actions {
+            if self.run.project_actions {
                 project_action_per_resource(&mut self.action, self.n_slices);
             }
             self.env.advance_scratch(&self.action, &mut self.rng);
@@ -287,8 +295,8 @@ impl RoundWorker for RaExecWorker<'_> {
                 });
             }
         }
-        if view.straggler && !self.straggle_sleep.is_zero() {
-            std::thread::sleep(self.straggle_sleep);
+        if view.straggler && !self.run.straggle_sleep.is_zero() {
+            std::thread::sleep(self.run.straggle_sleep);
         }
         RaReport {
             ra: self.ra.0,
@@ -426,6 +434,17 @@ impl<'a> SystemExecCoordinator<'a> {
         self
     }
 
+    /// Records `ra` as having served nothing in `round`: one explicit
+    /// outage row per (interval, slice).
+    fn record_outage(&mut self, round: usize, ra: RaId) {
+        for t in 0..self.period {
+            for i in 0..self.slices.len() {
+                self.monitor
+                    .record(MonitorRecord::outage(round, t, ra, SliceId(i)));
+            }
+        }
+    }
+
     /// Attaches a durable snapshot sink writing every `every_k` rounds.
     pub(crate) fn with_sink(
         mut self,
@@ -542,16 +561,7 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                 None => {
                     present[j] = false;
                     if downed.contains(&RaId(j)) {
-                        for t in 0..self.period {
-                            for i in 0..n_slices {
-                                self.monitor.record(MonitorRecord::outage(
-                                    round,
-                                    t,
-                                    RaId(j),
-                                    SliceId(i),
-                                ));
-                            }
-                        }
+                        self.record_outage(round, RaId(j));
                     }
                 }
                 Some(rep) => match rep.body {
@@ -560,16 +570,7 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                         present[j] = false;
                         outages.push(RaId(j));
                         self.worker_state[j].was_down = true;
-                        for t in 0..self.period {
-                            for i in 0..n_slices {
-                                self.monitor.record(MonitorRecord::outage(
-                                    round,
-                                    t,
-                                    RaId(j),
-                                    SliceId(i),
-                                ));
-                            }
-                        }
+                        self.record_outage(round, RaId(j));
                     }
                     Some(body) => {
                         for (row, &u) in achieved.iter_mut().zip(&body.u) {

@@ -248,15 +248,7 @@ impl EdgeSliceSystem {
                     master_seed: master,
                     env_steps,
                     policy: PolicyCheckpoint::from_agent(unit.agent),
-                    env: WorkerSnapshot {
-                        ra: unit.ra,
-                        queues: unit.env.queues().to_vec(),
-                        coordination: unit.env.coordination().to_vec(),
-                        global_t: unit.env.global_t(),
-                        was_down: false,
-                        active: unit.env.slice_active().to_vec(),
-                        rates: unit.env.rate_overrides().to_vec(),
-                    },
+                    env: WorkerSnapshot::capture(unit.ra, unit.env),
                 };
                 if let Err(err) = store.save_train(&snap) {
                     eprintln!(
@@ -356,16 +348,26 @@ impl EdgeSliceSystem {
     /// one fused GEMM chain per decision round; per-RA actions stay
     /// bit-identical to [`OrchestrationAgent::decide`].
     pub fn policy_fleet(&self, par: edgeslice_nn::Parallelism) -> crate::PolicyFleet {
-        let policies = self
-            .agents
-            .iter()
-            .zip(&self.policy_overrides)
-            .map(|(agent, over)| match over {
-                Some(p) => p.clone(),
-                None => PolicyCheckpoint::from_agent(agent),
-            })
+        let policies = (0..self.config.n_ras)
+            .filter_map(|j| self.effective_policy(j, None))
             .collect();
         crate::PolicyFleet::new(policies, par)
+    }
+
+    /// The policy RA `j` decides with — what a fresh process re-installs
+    /// instead of retraining: `restored` (a snapshot's) when given, else
+    /// the pinned override, else the live agent's. `None` for TARO.
+    fn effective_policy(
+        &self,
+        j: usize,
+        restored: Option<PolicyCheckpoint>,
+    ) -> Option<PolicyCheckpoint> {
+        match self.kind {
+            OrchestratorKind::Learned(_) => restored
+                .or_else(|| self.policy_overrides[j].clone())
+                .or_else(|| Some(PolicyCheckpoint::from_agent(&self.agents[j]))),
+            OrchestratorKind::Taro => None,
+        }
     }
 
     /// A mutable handle to RA 0's environment (used to train an agent that

@@ -6,17 +6,18 @@ use std::path::Path;
 use std::time::Duration;
 
 use edgeslice_runtime::{
-    caps, derive_stream_seed, Control, Engine, Lease, NetCoordinator, NodeInfo, RaReport,
-    RoundCoordinator, RoundWorker, Supervisor, Transport, TransportError, WorkerCommand,
-    WorkerSession, DOMAIN_ORCH,
+    caps, round_loop, Control, Engine, Lease, NodeInfo, RaReport, RoundGather, RoundTelemetry,
+    RoundWorker, Supervisor, Transport, TransportError, WorkerCommand, WorkerSession,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use super::{EdgeSliceSystem, OrchestratorKind, RunReport};
-use crate::exec::{RaExecWorker, SystemExecCoordinator, WorkerPolicy};
-use crate::store::WorkerSnapshot;
-use crate::{EdgeSliceError, FaultInjector, PolicyCheckpoint, RaId};
+use crate::exec::{
+    decode_body, encode_body, RaExecWorker, RaRoundBody, SystemExecCoordinator, WorkerRun,
+};
+use crate::store::{CheckpointStore, RunSnapshot, WorkerSnapshot};
+use crate::{EdgeSliceError, FaultInjector, NetCoordinator, RaId};
 
 impl EdgeSliceSystem {
     /// Runs Alg. 1 for at most `max_rounds` coordination rounds (stopping
@@ -61,7 +62,7 @@ impl EdgeSliceSystem {
         injector: &FaultInjector,
     ) -> RunReport {
         let master = rng.gen::<u64>();
-        self.run_rounds(max_rounds, master, injector, None)
+        self.run_rounds(max_rounds, master, Workers::Local(injector), None)
     }
 
     /// Resumes an interrupted `run`/`run_with_faults` from the newest
@@ -95,22 +96,16 @@ impl EdgeSliceSystem {
     ) -> Result<RunReport, EdgeSliceError> {
         let every_k = self.checkpoint_every;
         self.set_checkpointing(dir, every_k)?;
-        let latest = self
-            .store
-            .as_ref()
-            .expect("invariant: set_checkpointing attached the store on the line above")
-            .latest_run()?;
-        for (path, err) in &latest.rejected {
-            eprintln!(
-                "edgeslice: skipping unreadable snapshot {}: {err}",
-                path.display()
-            );
-        }
+        let latest = newest_valid_run(
+            self.store
+                .as_ref()
+                .expect("invariant: set_checkpointing attached the store on the line above"),
+        )?;
         // Drawn whether or not a snapshot exists, so the caller's rng
         // stays aligned with the interrupted program's seed stream.
         let drawn_master = rng.gen::<u64>();
-        let Some(snap) = latest.snapshot else {
-            return Ok(self.run_rounds(max_rounds, drawn_master, injector, None));
+        let Some(snap) = latest else {
+            return Ok(self.run_rounds(max_rounds, drawn_master, Workers::Local(injector), None));
         };
         if snap.workers.len() != self.config.n_ras {
             return Err(EdgeSliceError::SnapshotMismatch {
@@ -158,8 +153,8 @@ impl EdgeSliceSystem {
         Ok(self.run_rounds(
             max_rounds,
             snap.master_seed,
-            injector,
-            Some(ResumeState {
+            Workers::Local(injector),
+            Some(RunStart {
                 first_round: snap.next_round,
                 round_base: snap.round_base,
                 worker_state: snap.workers,
@@ -169,110 +164,89 @@ impl EdgeSliceSystem {
         ))
     }
 
-    /// The single round-loop implementation behind `run`,
-    /// `run_with_faults` and `resume`.
+    /// The one run path behind `run`, `run_with_faults`, `resume` and
+    /// `run_networked`: snapshots (or, resuming, rewinds) the worker
+    /// state, resolves the policies, wires the coordinator task to sink
+    /// and workload, drives the runtime's round loop over `workers`, and
+    /// leaves the substrates healthy. Where the RA workers live only picks
+    /// the gather under that loop.
     fn run_rounds(
         &mut self,
         max_rounds: usize,
         master: u64,
-        injector: &FaultInjector,
-        resume: Option<ResumeState>,
+        workers: Workers<'_>,
+        resume: Option<RunStart>,
     ) -> RunReport {
         let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
-        let (first_round, round_base, worker_state, panic_counts, prefix) = match resume {
-            Some(state) => {
-                // Rewind every environment to the snapshot boundary,
-                // including its slot activity and rate overrides (absent
-                // on pre-churn snapshots: fall back to the restored
-                // workload machine's present state).
-                for (env, ws) in self.envs.iter_mut().zip(&state.worker_state) {
-                    env.restore_round_state(ws.queues.clone(), &ws.coordination, ws.global_t);
-                    if !ws.active.is_empty() {
-                        env.restore_lifecycle(&ws.active, &ws.rates);
-                    }
+        let RunStart {
+            first_round,
+            round_base,
+            worker_state,
+            panic_counts,
+            prefix,
+        } = match resume {
+            Some(start) => {
+                // Rewind every environment to the snapshot boundary; a
+                // pre-churn snapshot carries no slot activity, so fall
+                // back to the restored workload machine's present state.
+                for (env, ws) in self.envs.iter_mut().zip(&start.worker_state) {
+                    ws.rewind(env);
                 }
-                if state
+                if start
                     .worker_state
                     .first()
                     .is_some_and(|ws| ws.active.is_empty())
                 {
                     self.sync_lifecycle_into_substrate();
                 }
-                (
-                    state.first_round,
-                    state.round_base,
-                    state.worker_state,
-                    state.panic_counts,
-                    state.prefix,
-                )
+                start
             }
             None => {
-                let round_base = self.monitor.rounds();
                 // A fresh dynamic run starts from the workload machine's
                 // present state: initial slices active, planned arrivals
                 // pending (deactivated rows and slots).
                 self.sync_lifecycle_into_substrate();
-                // The initial snapshot state is the environments as they
-                // stand at run start (post-training baseline).
-                let worker_state = self
-                    .envs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, env)| WorkerSnapshot {
-                        ra: RaId(j),
-                        queues: env.queues().to_vec(),
-                        coordination: env.coordination().to_vec(),
-                        global_t: env.global_t(),
-                        was_down: false,
-                        active: env.slice_active().to_vec(),
-                        rates: env.rate_overrides().to_vec(),
-                    })
-                    .collect();
-                (
-                    0,
-                    round_base,
-                    worker_state,
-                    vec![0; n_ras],
-                    RunReport::default(),
-                )
+                RunStart {
+                    first_round: 0,
+                    round_base: self.monitor.rounds(),
+                    // The environments as they stand at run start
+                    // (post-training baseline).
+                    worker_state: self
+                        .envs
+                        .iter()
+                        .enumerate()
+                        .map(|(j, env)| WorkerSnapshot::capture(RaId(j), env))
+                        .collect(),
+                    panic_counts: vec![0; n_ras],
+                    prefix: RunReport::default(),
+                }
             }
         };
-        let policies = self.effective_policies();
-        let project_actions = self.config.project_actions;
-        let straggle_sleep = self.straggle_sleep;
-        let mut workers: Vec<RaExecWorker<'_>> = Vec::with_capacity(n_ras);
-        for (j, (env, policy)) in self.envs.iter_mut().zip(&policies).enumerate() {
-            // One effective policy per worker: the snapshot-restored
-            // checkpoint or the live agent's, resolved once here.
-            let policy = match policy {
-                Some(ckpt) => WorkerPolicy::Learned(ckpt.clone()),
-                None => WorkerPolicy::Taro(crate::Taro::new()),
-            };
-            workers.push(
-                RaExecWorker::new(
-                    RaId(j),
-                    env,
-                    policy,
-                    injector,
-                    derive_stream_seed(master, DOMAIN_ORCH, j as u64),
-                    period,
-                    project_actions,
-                    round_base,
-                    straggle_sleep,
-                )
-                .with_down_state(worker_state[j].was_down),
-            );
-        }
+        let policies: Vec<_> = (0..n_ras).map(|j| self.effective_policy(j, None)).collect();
+        // Workers exist in this process only when the RAs do: one per RA,
+        // each on its effective policy, resolved once here.
+        let mut local: Vec<RaExecWorker<'_>> = match workers {
+            Workers::Local(injector) => {
+                let run = self.worker_run(injector, master, round_base);
+                let starts = self.envs.iter_mut().zip(&policies).zip(&worker_state);
+                starts
+                    .enumerate()
+                    .map(|(j, ((env, policy), ws))| {
+                        RaExecWorker::new(RaId(j), env, policy.clone().into(), ws.was_down, run)
+                    })
+                    .collect()
+            }
+            Workers::Remote(_) => Vec::new(),
+        };
         let mut exec = SystemExecCoordinator::new(
             &mut self.coordinator,
             &mut self.monitor,
             &self.config.slices,
             n_ras,
-            period,
+            self.config.reward.period,
             round_base,
         )
         .with_state(worker_state, panic_counts.clone(), policies, prefix)
@@ -280,35 +254,53 @@ impl EdgeSliceSystem {
         if let Some(store) = &self.store {
             exec = exec.with_sink(store, self.checkpoint_every, master);
         }
-        Engine::new(self.scheduler)
-            .with_deadline(self.round_deadline)
-            .with_supervisor(self.supervision)
-            .with_prior_panics(panic_counts)
-            .run_from(&mut workers, &mut exec, first_round, max_rounds);
+        match workers {
+            Workers::Local(_) => Engine::new(self.scheduler)
+                .with_deadline(self.round_deadline)
+                .with_supervisor(self.supervision)
+                .with_prior_panics(panic_counts)
+                .run_from(&mut local, &mut exec, first_round, max_rounds),
+            Workers::Remote(net) => {
+                let mut decoded = DecodedReports {
+                    net,
+                    round_base,
+                    n_slices: self.config.slices.len(),
+                };
+                round_loop(&mut decoded, &mut exec, first_round, max_rounds)
+            }
+        };
         let mut report = exec.report;
-        drop(workers);
+        drop(local);
         if let Some(lc) = &self.workload {
             report.slice_lifetimes = lc.lifetimes().to_vec();
         }
-        // Leave the substrates healthy for subsequent runs.
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
+        self.heal_substrates();
         report
     }
 
-    /// The effective policy per RA — what a fresh process re-installs
-    /// instead of retraining (`None` for TARO).
-    fn effective_policies(&self) -> Vec<Option<PolicyCheckpoint>> {
-        match self.kind {
-            OrchestratorKind::Learned(_) => (0..self.config.n_ras)
-                .map(|j| {
-                    self.policy_overrides[j]
-                        .clone()
-                        .or_else(|| Some(PolicyCheckpoint::from_agent(&self.agents[j])))
-                })
-                .collect(),
-            OrchestratorKind::Taro => vec![None; self.config.n_ras],
+    /// The run-wide constants RA workers are built from, here and in a
+    /// `serve_ra` peer alike.
+    fn worker_run<'a>(
+        &self,
+        injector: &'a FaultInjector,
+        master: u64,
+        round_base: usize,
+    ) -> WorkerRun<'a> {
+        WorkerRun {
+            injector,
+            master,
+            period: self.config.reward.period,
+            project_actions: self.config.project_actions,
+            round_base,
+            straggle_sleep: self.straggle_sleep,
+        }
+    }
+
+    /// Undoes whatever capacity degradation a run's last rounds left
+    /// behind, so the next run starts on healthy substrates.
+    fn heal_substrates(&mut self) {
+        for env in &mut self.envs {
+            env.set_capacity_scale([1.0; 3]);
         }
     }
 
@@ -324,7 +316,7 @@ impl EdgeSliceSystem {
     /// Failure semantics differ from in-process in one deliberate way: a
     /// vanished peer is detected by its *lapsed lease*
     /// ([`edgeslice_runtime::DownCause::LeaseExpired`], folded into
-    /// [`SupervisionStats::leases_expired`] and the per-round `downed`
+    /// [`crate::SupervisionStats::leases_expired`] and the per-round `downed`
     /// set), never by the broken socket, and a degraded round completes
     /// through the same stale-report/frozen-dual ADMM path a scripted
     /// outage takes.
@@ -332,6 +324,12 @@ impl EdgeSliceSystem {
     /// One seed draw is consumed from `rng`, exactly like
     /// `run_with_faults`, so workers constructed from the same seed derive
     /// the identical master seed in [`EdgeSliceSystem::serve_ra`].
+    ///
+    /// The fault plan acts on the worker side — panics, outages,
+    /// stragglers and silences happen where the RA runs — so give it to
+    /// the `serve_ra` peers; the coordinator side has nothing to inject
+    /// and takes `_injector` only so both halves of a deployment are
+    /// called alike.
     ///
     /// # Errors
     ///
@@ -343,106 +341,17 @@ impl EdgeSliceSystem {
         &mut self,
         max_rounds: usize,
         rng: &mut StdRng,
-        injector: &FaultInjector,
+        _injector: &FaultInjector,
         net: &mut NetCoordinator<T>,
     ) -> Result<RunReport, EdgeSliceError> {
-        let _ = injector; // the fault plan acts on the worker side
         let master = rng.gen::<u64>();
-        let n_ras = self.config.n_ras;
-        let period = self.config.reward.period;
-        for env in &mut self.envs {
-            env.set_randomize_coord(false);
-        }
-        let round_base = self.monitor.rounds();
-        self.sync_lifecycle_into_substrate();
-        let worker_state: Vec<WorkerSnapshot> = self
-            .envs
-            .iter()
-            .enumerate()
-            .map(|(j, env)| WorkerSnapshot {
-                ra: RaId(j),
-                queues: env.queues().to_vec(),
-                coordination: env.coordination().to_vec(),
-                global_t: env.global_t(),
-                was_down: false,
-                active: env.slice_active().to_vec(),
-                rates: env.rate_overrides().to_vec(),
-            })
-            .collect();
-        let policies = self.effective_policies();
         net.wait_registered(0).map_err(EdgeSliceError::Transport)?;
-        let mut exec = SystemExecCoordinator::new(
-            &mut self.coordinator,
-            &mut self.monitor,
-            &self.config.slices,
-            n_ras,
-            period,
-            round_base,
-        )
-        .with_state(worker_state, vec![0; n_ras], policies, RunReport::default())
-        .with_workload(self.workload.as_mut());
-        if let Some(store) = &self.store {
-            exec = exec.with_sink(store, self.checkpoint_every, master);
-        }
-        for round in 0..max_rounds {
-            let zys = exec.broadcast(round);
-            let lifecycle = exec.lifecycle_delta(round);
-            let (raw, mut telemetry) = net.run_round(round, &zys, &lifecycle);
-            let mut slots: Vec<Option<RaReport<crate::exec::RaRoundBody>>> =
-                Vec::with_capacity(n_ras);
-            for slot in raw {
-                let Some(rep) = slot else {
-                    slots.push(None);
-                    continue;
-                };
-                let body = match rep.body {
-                    None => None,
-                    Some(bytes) => match crate::exec::decode_body(
-                        &bytes,
-                        RaId(rep.ra),
-                        round_base + round,
-                        self.config.slices.len(),
-                    ) {
-                        Ok(body) => Some(body),
-                        Err(err) => {
-                            // Framed correctly but undecodable: a foreign
-                            // or buggy peer. Drop the report, count it,
-                            // keep the round going.
-                            eprintln!(
-                                "edgeslice: dropping undecodable report body from ra {}: {err}",
-                                rep.ra
-                            );
-                            telemetry.discarded_reports += 1;
-                            slots.push(None);
-                            continue;
-                        }
-                    },
-                };
-                slots.push(Some(RaReport {
-                    ra: rep.ra,
-                    round: rep.round,
-                    deadline_missed: rep.deadline_missed,
-                    body,
-                }));
-            }
-            let converged = exec.collect(round, slots, &telemetry);
-            if converged {
-                break;
-            }
-        }
-        net.shutdown();
-        let mut report = exec.report;
+        let mut report = self.run_rounds(max_rounds, master, Workers::Remote(net), None);
         let stats = net.stats();
         report.supervision.send_retries += stats.send_retries;
         report.supervision.sends_abandoned += stats.sends_abandoned;
         report.supervision.leases_expired += stats.leases_expired;
         report.supervision.rejoins += stats.rejoins;
-        if let Some(lc) = &self.workload {
-            report.slice_lifetimes = lc.lifetimes().to_vec();
-        }
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
         Ok(report)
     }
 
@@ -492,7 +401,6 @@ impl EdgeSliceSystem {
         let n_ras = self.config.n_ras;
         assert!(ra.0 < n_ras, "serve_ra: ra {} out of range {n_ras}", ra.0);
         let master = rng.gen::<u64>();
-        let period = self.config.reward.period;
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
@@ -501,33 +409,19 @@ impl EdgeSliceSystem {
         let mut resynced_from = None;
         let mut round_base = self.monitor.rounds();
         let mut panic_count = 0usize;
-        let mut policy_override = self.policy_overrides[ra.0].clone();
+        let mut restored_policy = None;
         let mut was_down = false;
         if let Some(store) = &self.store {
-            let latest = store.latest_run()?;
-            for (path, err) in &latest.rejected {
-                eprintln!(
-                    "edgeslice: skipping unreadable snapshot {}: {err}",
-                    path.display()
-                );
-            }
-            if let Some(snap) = latest.snapshot {
-                if snap.master_seed == master && snap.workers.len() == n_ras {
-                    let ws = &snap.workers[ra.0];
-                    self.envs[ra.0].restore_round_state(
-                        ws.queues.clone(),
-                        &ws.coordination,
-                        ws.global_t,
-                    );
-                    if !ws.active.is_empty() {
-                        self.envs[ra.0].restore_lifecycle(&ws.active, &ws.rates);
-                    }
-                    was_down = ws.was_down;
-                    panic_count = snap.panic_counts[ra.0];
-                    policy_override = snap.policies[ra.0].clone().or(policy_override);
-                    round_base = snap.round_base;
-                    resynced_from = Some(snap.next_round);
-                }
+            if let Some(snap) = newest_valid_run(store)?
+                .filter(|snap| snap.master_seed == master && snap.workers.len() == n_ras)
+            {
+                let ws = &snap.workers[ra.0];
+                ws.rewind(&mut self.envs[ra.0]);
+                was_down = ws.was_down;
+                panic_count = snap.panic_counts[ra.0];
+                restored_policy = snap.policies[ra.0].clone();
+                round_base = snap.round_base;
+                resynced_from = Some(snap.next_round);
             }
         }
         // A fresh (non-resynced) dynamic worker starts from the workload
@@ -540,25 +434,9 @@ impl EdgeSliceSystem {
                 );
             }
         }
-        let stream_seed = derive_stream_seed(master, DOMAIN_ORCH, ra.0 as u64);
-        let policy = match self.kind {
-            OrchestratorKind::Learned(_) => WorkerPolicy::Learned(
-                policy_override.unwrap_or_else(|| PolicyCheckpoint::from_agent(&self.agents[ra.0])),
-            ),
-            OrchestratorKind::Taro => WorkerPolicy::Taro(crate::Taro::new()),
-        };
-        let mut worker = RaExecWorker::new(
-            ra,
-            &mut self.envs[ra.0],
-            policy,
-            injector,
-            stream_seed,
-            period,
-            self.config.project_actions,
-            round_base,
-            self.straggle_sleep,
-        )
-        .with_down_state(was_down);
+        let policy = self.effective_policy(ra.0, restored_policy).into();
+        let run = self.worker_run(injector, master, round_base);
+        let mut worker = RaExecWorker::new(ra, &mut self.envs[ra.0], policy, was_down, run);
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
             | match self.kind {
@@ -570,74 +448,171 @@ impl EdgeSliceSystem {
             capabilities,
             capacity: 1.0,
         };
-        let (mut session, _ack) = WorkerSession::establish(
-            transport,
+        let served = serve_rounds(
+            &mut worker,
+            &mut supervisor,
+            injector,
             node,
-            opts.lease,
-            opts.establish_timeout,
-            opts.refresh_interval,
-        )
-        .map_err(EdgeSliceError::Transport)?;
-        let mut rounds_served = 0usize;
-        let mut frozen = false;
-        loop {
-            match session.next_command(opts.idle_budget) {
-                Ok(WorkerCommand::Round(info)) => {
-                    let view = injector.view(ra, info.round);
-                    if view.silent {
-                        if !frozen {
-                            // Freeze: checkpoint the effective policy and
-                            // mark the worker down so the round it thaws
-                            // on takes the rejoin path — the same
-                            // make-before-break an outage performs.
-                            worker.handle_control(&Control::Checkpoint);
-                            let _ = worker.recover();
-                            frozen = true;
-                        }
-                        session.set_auto_refresh(false);
-                        continue;
-                    }
-                    frozen = false;
-                    session.set_auto_refresh(true);
-                    match supervisor.guard(0, &mut worker, &info) {
-                        Ok(report) => {
-                            let body = match &report.body {
-                                Some(b) => Some(crate::exec::encode_body(b)?),
-                                None => None,
-                            };
-                            session
-                                .report(report.round, report.deadline_missed, body)
-                                .map_err(EdgeSliceError::Transport)?;
-                            rounds_served += 1;
-                        }
-                        Err(down) => {
-                            // A real caught panic (or an exhausted restart
-                            // budget), shipped as a typed Down frame.
-                            session
-                                .down(info.round, down.cause.to_string())
-                                .map_err(EdgeSliceError::Transport)?;
-                        }
-                    }
-                }
-                Ok(WorkerCommand::Control(Control::Shutdown)) => break,
-                Ok(WorkerCommand::Control(ctl)) => worker.handle_control(&ctl),
-                // The coordinator is gone: an orderly end of service, not
-                // a worker failure.
-                Err(TransportError::Disconnected) => break,
-                Err(e) => return Err(EdgeSliceError::Transport(e)),
-            }
-        }
+            transport,
+            opts,
+        );
         let caught_panics = supervisor.restarts(0);
         drop(worker);
-        for env in &mut self.envs {
-            env.set_capacity_scale([1.0; 3]);
-        }
+        // Whether the service ended in order or on a dead link.
+        self.heal_substrates();
         Ok(ServeOutcome {
-            rounds_served,
+            rounds_served: served?,
             resynced_from,
             caught_panics,
         })
     }
+}
+
+/// A `serve_ra` peer's session: registers `node` over `transport`, then
+/// serves rounds on `worker` until `Shutdown` or disconnect. Returns the
+/// number of rounds served.
+fn serve_rounds<T: Transport>(
+    worker: &mut RaExecWorker<'_>,
+    supervisor: &mut Supervisor,
+    injector: &FaultInjector,
+    node: NodeInfo,
+    transport: T,
+    opts: &WorkerNetOptions,
+) -> Result<usize, EdgeSliceError> {
+    let ra = RaId(node.ra);
+    let (mut session, _ack) = WorkerSession::establish(
+        transport,
+        node,
+        opts.lease,
+        opts.establish_timeout,
+        opts.refresh_interval,
+    )
+    .map_err(EdgeSliceError::Transport)?;
+    let mut rounds_served = 0usize;
+    let mut frozen = false;
+    loop {
+        match session.next_command(opts.idle_budget) {
+            Ok(WorkerCommand::Round(info)) => {
+                if injector.view(ra, info.round).silent {
+                    if !frozen {
+                        // Freeze: checkpoint the effective policy and
+                        // mark the worker down so the round it thaws
+                        // on takes the rejoin path — the same
+                        // make-before-break an outage performs.
+                        worker.handle_control(&Control::Checkpoint);
+                        let _ = worker.recover();
+                        frozen = true;
+                    }
+                    session.set_auto_refresh(false);
+                    continue;
+                }
+                frozen = false;
+                session.set_auto_refresh(true);
+                match supervisor.guard(0, worker, &info) {
+                    Ok(report) => {
+                        let body = report.body.as_ref().map(encode_body).transpose()?;
+                        session
+                            .report(report.round, report.deadline_missed, body)
+                            .map_err(EdgeSliceError::Transport)?;
+                        rounds_served += 1;
+                    }
+                    // A real caught panic (or an exhausted restart
+                    // budget), shipped as a typed Down frame.
+                    Err(down) => session
+                        .down(info.round, &down.cause)
+                        .map_err(EdgeSliceError::Transport)?,
+                }
+            }
+            Ok(WorkerCommand::Control(Control::Shutdown)) => return Ok(rounds_served),
+            Ok(WorkerCommand::Control(ctl)) => worker.handle_control(&ctl),
+            // The coordinator is gone: an orderly end of service, not
+            // a worker failure.
+            Err(TransportError::Disconnected) => return Ok(rounds_served),
+            Err(e) => return Err(EdgeSliceError::Transport(e)),
+        }
+    }
+}
+
+/// Where a run's RA workers live — all that differs between the run
+/// paths, and all that picks the gather under the round loop.
+enum Workers<'a> {
+    /// In this process, on the system's scheduler, under this fault plan.
+    Local(&'a FaultInjector),
+    /// In [`EdgeSliceSystem::serve_ra`] peers behind this networked
+    /// gather, each under its own copy of the fault plan.
+    Remote(&'a mut dyn RoundGather<Body = Vec<u8>>),
+}
+
+/// The networked gather as the round loop sees it: `net`'s raw report
+/// payloads decoded into round bodies, so the loop's telemetry — what
+/// `EngineReport` absorbs and the coordinator task collects — already
+/// counts what would not decode.
+struct DecodedReports<'a> {
+    net: &'a mut dyn RoundGather<Body = Vec<u8>>,
+    /// Global round index of this run's round 0.
+    round_base: usize,
+    n_slices: usize,
+}
+
+impl RoundGather for DecodedReports<'_> {
+    type Body = RaRoundBody;
+
+    fn gather(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<RaRoundBody>>>, RoundTelemetry) {
+        let (raw, mut telemetry) = self.net.gather(round, zys, lifecycle);
+        let global_round = self.round_base + round;
+        let decoded = raw
+            .into_iter()
+            .map(|slot| {
+                let rep = slot?;
+                let body = rep
+                    .body
+                    .map(|bytes| decode_body(&bytes, RaId(rep.ra), global_round, self.n_slices))
+                    .transpose();
+                match body {
+                    Ok(body) => Some(RaReport {
+                        ra: rep.ra,
+                        round: rep.round,
+                        deadline_missed: rep.deadline_missed,
+                        body,
+                    }),
+                    // Framed correctly but undecodable: a foreign or buggy
+                    // peer. Drop the report, count it, keep the round
+                    // going.
+                    Err(err) => {
+                        eprintln!(
+                            "edgeslice: dropping undecodable report body from ra {}: {err}",
+                            rep.ra
+                        );
+                        telemetry.discarded_reports += 1;
+                        None
+                    }
+                }
+            })
+            .collect();
+        (decoded, telemetry)
+    }
+
+    fn shutdown(&mut self) {
+        self.net.shutdown();
+    }
+}
+
+/// The newest snapshot in `store` that validates, reporting on stderr
+/// every newer file it had to skip.
+fn newest_valid_run(store: &CheckpointStore) -> Result<Option<RunSnapshot>, EdgeSliceError> {
+    let latest = store.latest_run()?;
+    for (path, err) in &latest.rejected {
+        eprintln!(
+            "edgeslice: skipping unreadable snapshot {}: {err}",
+            path.display()
+        );
+    }
+    Ok(latest.snapshot)
 }
 
 /// Knobs for a [`EdgeSliceSystem::serve_ra`] worker peer.
@@ -678,17 +653,17 @@ pub struct ServeOutcome {
     pub caught_panics: usize,
 }
 
-/// The state a resumed run re-enters the round loop with.
-struct ResumeState {
+/// The state a run enters the round loop with: the system as it stands
+/// for a fresh run, a snapshot's for a resumed one.
+struct RunStart {
     /// First engine-local round to execute.
     first_round: usize,
-    /// Global round index of the interrupted run's round 0.
+    /// Global round index of the run's round 0.
     round_base: usize,
-    /// Per-RA round-boundary state from the snapshot.
+    /// Per-RA round-boundary state.
     worker_state: Vec<WorkerSnapshot>,
-    /// Caught panics per RA before the snapshot (restart budgets).
+    /// Caught panics per RA so far (restart budgets).
     panic_counts: Vec<usize>,
-    /// The rounds (and supervision telemetry) completed before the
-    /// snapshot.
+    /// The rounds (and supervision telemetry) already completed.
     prefix: RunReport,
 }

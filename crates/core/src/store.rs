@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::coordinator::CoordinatorState;
 use crate::orchestrator::{RoundRecord, SupervisionStats};
 use crate::workload::LifecycleSnapshot;
-use crate::{EdgeSliceError, PolicyCheckpoint, RaId, SliceSpec};
+use crate::{EdgeSliceError, PolicyCheckpoint, RaId, RaSliceEnv, SliceSpec};
 use edgeslice_netsim::ServiceQueue;
 
 /// The envelope format version this build reads and writes.
@@ -69,6 +69,32 @@ pub struct WorkerSnapshot {
     /// Per-slot traffic-rate overrides installed by lifecycle events
     /// (empty means "no overrides").
     pub rates: Vec<Option<f64>>,
+}
+
+impl WorkerSnapshot {
+    /// `env`'s state as it stands at a round boundary, for an RA that is
+    /// up.
+    pub(crate) fn capture(ra: RaId, env: &RaSliceEnv) -> Self {
+        Self {
+            ra,
+            queues: env.queues().to_vec(),
+            coordination: env.coordination().to_vec(),
+            global_t: env.global_t(),
+            was_down: false,
+            active: env.slice_active().to_vec(),
+            rates: env.rate_overrides().to_vec(),
+        }
+    }
+
+    /// Rewinds `env` to this boundary, including its slot activity and
+    /// rate overrides (absent on pre-churn snapshots, which leave the
+    /// environment's present lifecycle state alone).
+    pub(crate) fn rewind(&self, env: &mut RaSliceEnv) {
+        env.restore_round_state(self.queues.clone(), &self.coordination, self.global_t);
+        if !self.active.is_empty() {
+            env.restore_lifecycle(&self.active, &self.rates);
+        }
+    }
 }
 
 /// A complete, resumable picture of an interrupted `run`/`run_with_faults`

@@ -1,5 +1,6 @@
-//! The round-based executor: a coordinator task driving RA workers either
-//! inline (sequential) or across worker threads with typed `mpsc`
+//! The in-process executor: the worker and coordinator traits, and the
+//! [`Engine`] that runs the one [`round_loop`] over RA workers gathered
+//! either inline (sequential) or across worker threads with typed `mpsc`
 //! channels, per-round deadlines, and panic supervision.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -7,8 +8,9 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 use crate::clock::RoundDeadline;
+use crate::gather::{round_loop, RoundGather, SettleLedger};
 use crate::msg::{Control, CoordInfo, RaReport};
-use crate::supervisor::{DownCause, Supervisor, SupervisorConfig, WorkerDown};
+use crate::supervisor::{Supervisor, SupervisorConfig, WorkerDown};
 use crate::Scheduler;
 
 /// One resource autonomy's execution state: everything the RA needs to run
@@ -34,7 +36,7 @@ pub trait RoundWorker: Send {
     /// [`RoundWorker::run_round`], before this worker is driven again.
     /// Restore internal invariants to a servable state and return `true`
     /// to accept further rounds; the default declines, which marks the
-    /// worker permanently dead ([`DownCause::RestartsExhausted`]).
+    /// worker permanently dead ([`crate::DownCause::RestartsExhausted`]).
     fn recover(&mut self) -> bool {
         false
     }
@@ -81,7 +83,7 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    fn absorb(&mut self, telemetry: &RoundTelemetry) {
+    pub(crate) fn absorb(&mut self, telemetry: &RoundTelemetry) {
         self.deadline_timeouts += usize::from(telemetry.deadline_expired);
         self.disconnects += usize::from(telemetry.channel_disconnected);
         self.discarded_reports += telemetry.discarded_reports;
@@ -119,22 +121,6 @@ pub trait RoundCoordinator {
         reports: Vec<Option<RaReport<Self::Body>>>,
         telemetry: &RoundTelemetry,
     ) -> bool;
-}
-
-/// Commands sent to a worker thread.
-enum ToWorker {
-    /// Run one round for each addressed RA on this thread.
-    Round(Vec<CoordInfo>),
-    /// A control message for every RA on this thread.
-    Control(Control),
-}
-
-/// Messages flowing back from worker threads: a healthy (or dark /
-/// straggling) report, or a typed supervision event for a worker that
-/// panicked and could not report at all.
-enum FromWorker<B> {
-    Report(RaReport<B>),
-    Down(WorkerDown),
 }
 
 /// The round-based execution engine. See the crate docs for the
@@ -190,11 +176,6 @@ impl Engine {
         self
     }
 
-    /// The prior panic count for worker slot `j`.
-    fn prior_panics_for(&self, j: usize) -> usize {
-        self.prior_panics.get(j).copied().unwrap_or(0)
-    }
-
     /// The scheduler in effect.
     pub fn scheduler(&self) -> Scheduler {
         self.scheduler
@@ -241,244 +222,187 @@ impl Engine {
         if workers.is_empty() || first_round >= end_round {
             return EngineReport::default();
         }
-        match self.scheduler {
-            Scheduler::Sequential => self.run_sequential(workers, coord, first_round, end_round),
-            // On a single-core host the threaded topology still pays the
-            // full channel round-trip per report while the OS interleaves
-            // the shard threads — strictly slower than inline execution.
-            // The determinism contract makes the two paths bit-identical,
-            // so fall back to the inline loop; `Threaded(1)`'s channel-
-            // debugging value only exists where threads can actually run
-            // concurrently.
-            Scheduler::Threaded(_) if host_parallelism() == 1 => {
-                self.run_sequential(workers, coord, first_round, end_round)
-            }
-            Scheduler::Threaded(_) => self.run_threaded(workers, coord, first_round, end_round),
-        }
-    }
-
-    /// The reference topology: every worker inline, in RA order, each
-    /// round guarded by the supervisor so a panic downs one RA instead of
-    /// unwinding through the whole run.
-    fn run_sequential<W, C>(
-        &self,
-        workers: &mut [W],
-        coord: &mut C,
-        first_round: usize,
-        end_round: usize,
-    ) -> EngineReport
-    where
-        W: RoundWorker,
-        C: RoundCoordinator<Body = W::Body>,
-    {
-        let counts: Vec<usize> = (0..workers.len())
-            .map(|j| self.prior_panics_for(j))
+        let prior: Vec<usize> = (0..workers.len())
+            .map(|j| self.prior_panics.get(j).copied().unwrap_or(0))
             .collect();
-        let mut supervisor = Supervisor::with_panic_counts(self.supervision, &counts);
-        let mut report = EngineReport::default();
-        for round in first_round..end_round {
-            let zys = coord.broadcast(round);
-            let lifecycle = coord.lifecycle_delta(round);
-            let mut telemetry = RoundTelemetry::default();
-            let reports = workers
-                .iter_mut()
-                .enumerate()
-                .map(|(j, w)| {
-                    let info = CoordInfo {
-                        round,
-                        ra: j,
-                        zy: zys[j].clone(),
-                        lifecycle: lifecycle.clone(),
-                    };
-                    match supervisor.guard(j, w, &info) {
-                        Ok(rep) => Some(rep),
-                        Err(down) => {
-                            telemetry.downs.push(down);
-                            None
-                        }
-                    }
-                })
-                .collect();
-            report.rounds = round - first_round + 1;
-            report.absorb(&telemetry);
-            if coord.collect(round, reports, &telemetry) {
-                break;
-            }
+        let n_threads = self.scheduler.threads(workers.len());
+        // On a single-core host the threaded topology still pays the full
+        // channel round-trip per report while the OS interleaves the shard
+        // threads — strictly slower than inline execution. The determinism
+        // contract makes the two gathers bit-identical, so fall back to
+        // the inline one; `Threaded(1)`'s channel-debugging value only
+        // exists where threads can actually run concurrently.
+        if n_threads == 0 || host_parallelism() == 1 {
+            let mut inline = InlineGather {
+                workers,
+                supervisor: Supervisor::with_panic_counts(self.supervision, &prior),
+            };
+            return round_loop(&mut inline, coord, first_round, end_round);
         }
-        for w in workers.iter_mut() {
-            let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
-        }
-        report
-    }
-
-    /// The decentralized topology: worker threads own contiguous RA
-    /// shards; the coordinator broadcasts, then gathers reports from a
-    /// shared channel under the per-round deadline. Each shard thread
-    /// runs its own supervisor with the same per-slot policy as the
-    /// sequential path, so panic semantics are scheduler-invariant.
-    fn run_threaded<W, C>(
-        &self,
-        workers: &mut [W],
-        coord: &mut C,
-        first_round: usize,
-        end_round: usize,
-    ) -> EngineReport
-    where
-        W: RoundWorker,
-        C: RoundCoordinator<Body = W::Body>,
-    {
-        let n = workers.len();
-        let n_threads = self.scheduler.threads(n);
-        let chunk_size = n.div_ceil(n_threads.max(1));
-        let supervision = self.supervision;
         std::thread::scope(|s| {
-            let (rep_tx, rep_rx) = mpsc::channel::<FromWorker<W::Body>>();
-            let mut cmd_txs = Vec::with_capacity(n_threads);
-            for (ci, shard) in workers.chunks_mut(chunk_size).enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker>();
-                cmd_txs.push(cmd_tx);
-                let rep_tx = rep_tx.clone();
-                let prior: Vec<usize> = (0..shard.len())
-                    .map(|k| self.prior_panics_for(ci * chunk_size + k))
-                    .collect();
-                s.spawn(move || worker_loop(shard, &cmd_rx, &rep_tx, supervision, prior));
-            }
-            drop(rep_tx);
-
-            let mut report = EngineReport::default();
-            for round in first_round..end_round {
-                let zys = coord.broadcast(round);
-                let lifecycle = coord.lifecycle_delta(round);
-                for (ci, cmd_tx) in cmd_txs.iter().enumerate() {
-                    let lo = ci * chunk_size;
-                    let hi = (lo + chunk_size).min(n);
-                    let infos = (lo..hi)
-                        .map(|j| CoordInfo {
-                            round,
-                            ra: j,
-                            zy: zys[j].clone(),
-                            lifecycle: lifecycle.clone(),
-                        })
-                        .collect();
-                    // A dead thread surfaces as a disconnect below.
-                    let _ = cmd_tx.send(ToWorker::Round(infos));
-                }
-
-                let mut slots: Vec<Option<RaReport<W::Body>>> = (0..n).map(|_| None).collect();
-                let mut down_marked = vec![false; n];
-                let mut telemetry = RoundTelemetry::default();
-                // A slot settles on its report *or* its down event; the
-                // round ends when all slots settle, the deadline expires,
-                // or every worker thread is gone.
-                let mut settled = 0;
-                let deadline = RoundDeadline::after(self.deadline);
-                while settled < n {
-                    match rep_rx.recv_timeout(deadline.remaining()) {
-                        Ok(FromWorker::Report(rep))
-                            if rep.round == round
-                                && rep.ra < n
-                                && slots[rep.ra].is_none()
-                                && !down_marked[rep.ra] =>
-                        {
-                            let ra = rep.ra;
-                            slots[ra] = Some(rep);
-                            settled += 1;
-                        }
-                        Ok(FromWorker::Down(down))
-                            if down.round == round
-                                && down.ra < n
-                                && slots[down.ra].is_none()
-                                && !down_marked[down.ra] =>
-                        {
-                            down_marked[down.ra] = true;
-                            settled += 1;
-                            telemetry.downs.push(down);
-                        }
-                        // A stale report from a worker that missed an
-                        // earlier deadline, an out-of-range RA, or a
-                        // duplicate for a settled slot: dropped, but
-                        // counted — never a silent discard.
-                        Ok(_) => telemetry.discarded_reports += 1,
-                        Err(RecvTimeoutError::Timeout) => {
-                            telemetry.deadline_expired = true;
-                            break;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Every sender hung up: the unsettled workers
-                            // are not late, they are *gone*. Report each
-                            // one down instead of conflating this with a
-                            // deadline miss.
-                            telemetry.channel_disconnected = true;
-                            for (ra, slot) in slots.iter().enumerate() {
-                                if slot.is_none() && !down_marked[ra] {
-                                    telemetry.downs.push(WorkerDown {
-                                        ra,
-                                        round,
-                                        cause: DownCause::Disconnected,
-                                    });
-                                }
-                            }
-                            break;
-                        }
-                    }
-                }
-                // Down events from different shards interleave in arrival
-                // order; sort by RA so the telemetry sequence is identical
-                // to the sequential path's.
-                telemetry.downs.sort_by_key(|d| d.ra);
-                report.rounds = round - first_round + 1;
-                report.absorb(&telemetry);
-                if coord.collect(round, slots, &telemetry) {
-                    break;
-                }
-            }
-            for cmd_tx in &cmd_txs {
-                let _ = cmd_tx.send(ToWorker::Control(Control::Shutdown));
-            }
-            report
+            let mut shards = ShardGather::spawn(
+                s,
+                workers,
+                n_threads,
+                self.supervision,
+                &prior,
+                self.deadline,
+            );
+            round_loop(&mut shards, coord, first_round, end_round)
         })
     }
 }
 
-/// The per-thread worker loop: serve round commands for this thread's RA
-/// shard until shutdown (explicit, or the command channel closing). Every
-/// `run_round` and control delivery is guarded, so one panicking worker
-/// downs only its own RA — the shard thread and its channel stay alive.
-fn worker_loop<W: RoundWorker>(
-    shard: &mut [W],
-    cmd_rx: &Receiver<ToWorker>,
-    rep_tx: &Sender<FromWorker<W::Body>>,
-    supervision: SupervisorConfig,
-    prior_panics: Vec<usize>,
-) {
-    let base = shard.first().map_or(0, RoundWorker::ra);
-    let mut supervisor = Supervisor::with_panic_counts(supervision, &prior_panics);
-    loop {
-        match cmd_rx.recv() {
-            Ok(ToWorker::Round(infos)) => {
-                for info in infos {
-                    let slot = info.ra - base;
-                    let msg = match supervisor.guard(slot, &mut shard[slot], &info) {
-                        Ok(rep) => FromWorker::Report(rep),
-                        Err(down) => FromWorker::Down(down),
-                    };
-                    if rep_tx.send(msg).is_err() {
-                        return; // Coordinator gone; nothing left to serve.
-                    }
+/// The reference gather: every worker inline, in RA order, each round
+/// guarded by one supervisor so a panic downs one RA instead of unwinding
+/// through the whole run.
+struct InlineGather<'a, W> {
+    workers: &'a mut [W],
+    supervisor: Supervisor,
+}
+
+impl<W: RoundWorker> RoundGather for InlineGather<'_, W> {
+    type Body = W::Body;
+
+    fn gather(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<W::Body>>>, RoundTelemetry) {
+        let mut ledger = SettleLedger::new(round, self.workers.len());
+        for (j, w) in self.workers.iter_mut().enumerate() {
+            let info = CoordInfo::addressed(round, j, zys, lifecycle);
+            ledger.settle(self.supervisor.guard(j, w, &info));
+        }
+        ledger.finish()
+    }
+
+    fn shutdown(&mut self) {
+        shut_down(self.workers);
+    }
+}
+
+/// The decentralized gather: worker threads own contiguous RA shards; the
+/// coordinator sends each shard its round commands, then settles what
+/// comes back on a shared channel under the per-round deadline. Each
+/// shard thread runs its own supervisor with the same per-slot policy as
+/// the inline gather, so panic semantics are scheduler-invariant.
+struct ShardGather<B> {
+    n: usize,
+    chunk_size: usize,
+    /// One command channel per shard thread. Hanging up *is* the shutdown
+    /// command: a shard serves until its channel closes.
+    cmd_txs: Vec<Sender<Vec<CoordInfo>>>,
+    /// What `Supervisor::guard` returned for each addressed RA.
+    rep_rx: Receiver<Result<RaReport<B>, WorkerDown>>,
+    deadline: Duration,
+}
+
+impl<B: Send> ShardGather<B> {
+    /// Shards `workers` across `n_threads` threads of scope `s`.
+    fn spawn<'scope, W: RoundWorker<Body = B>>(
+        s: &'scope std::thread::Scope<'scope, '_>,
+        workers: &'scope mut [W],
+        n_threads: usize,
+        supervision: SupervisorConfig,
+        prior_panics: &[usize],
+        deadline: Duration,
+    ) -> Self
+    where
+        B: 'scope,
+    {
+        let n = workers.len();
+        let chunk_size = n.div_ceil(n_threads);
+        let (rep_tx, rep_rx) = mpsc::channel();
+        let cmd_txs = workers
+            .chunks_mut(chunk_size)
+            .zip(prior_panics.chunks(chunk_size))
+            .map(|(shard, prior)| {
+                let (cmd_tx, cmd_rx) = mpsc::channel();
+                let rep_tx = rep_tx.clone();
+                let supervisor = Supervisor::with_panic_counts(supervision, prior);
+                s.spawn(move || worker_loop(shard, &cmd_rx, &rep_tx, supervisor));
+                cmd_tx
+            })
+            .collect();
+        Self {
+            n,
+            chunk_size,
+            cmd_txs,
+            rep_rx,
+            deadline,
+        }
+    }
+}
+
+impl<B> RoundGather for ShardGather<B> {
+    type Body = B;
+
+    fn gather(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<B>>>, RoundTelemetry) {
+        for (ci, cmd_tx) in self.cmd_txs.iter().enumerate() {
+            let lo = ci * self.chunk_size;
+            let hi = (lo + self.chunk_size).min(self.n);
+            let infos = (lo..hi)
+                .map(|j| CoordInfo::addressed(round, j, zys, lifecycle))
+                .collect();
+            // A dead thread surfaces as a disconnect below.
+            let _ = cmd_tx.send(infos);
+        }
+        let mut ledger = SettleLedger::new(round, self.n);
+        let deadline = RoundDeadline::after(self.deadline);
+        while !ledger.all_settled() {
+            match self.rep_rx.recv_timeout(deadline.remaining()) {
+                Ok(outcome) => ledger.settle(outcome),
+                Err(RecvTimeoutError::Timeout) => {
+                    ledger.expire();
+                    break;
                 }
-            }
-            Ok(ToWorker::Control(Control::Shutdown)) | Err(_) => {
-                for w in shard.iter_mut() {
-                    let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
-                }
-                return;
-            }
-            Ok(ToWorker::Control(ctl)) => {
-                for w in shard.iter_mut() {
-                    let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&ctl)));
-                }
+                // Every sender hung up: all worker threads are gone.
+                Err(RecvTimeoutError::Disconnected) => ledger.disconnect(),
             }
         }
+        ledger.finish()
+    }
+
+    fn shutdown(&mut self) {
+        self.cmd_txs.clear();
+    }
+}
+
+/// The per-thread worker loop: serve round commands for this thread's RA
+/// shard until the coordinator hangs up. Every `run_round` and control
+/// delivery is guarded, so one panicking worker downs only its own RA —
+/// the shard thread and its channel stay alive.
+fn worker_loop<W: RoundWorker>(
+    shard: &mut [W],
+    cmd_rx: &Receiver<Vec<CoordInfo>>,
+    rep_tx: &Sender<Result<RaReport<W::Body>, WorkerDown>>,
+    mut supervisor: Supervisor,
+) {
+    let base = shard.first().map_or(0, RoundWorker::ra);
+    while let Ok(infos) = cmd_rx.recv() {
+        for info in infos {
+            let slot = info.ra - base;
+            let outcome = supervisor.guard(slot, &mut shard[slot], &info);
+            if rep_tx.send(outcome).is_err() {
+                return; // Coordinator gone; nothing left to serve.
+            }
+        }
+    }
+    shut_down(shard);
+}
+
+/// Delivers `Shutdown` to every worker, guarded like everything else a
+/// worker runs.
+fn shut_down<W: RoundWorker>(workers: &mut [W]) {
+    for w in workers {
+        let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
     }
 }
 
@@ -525,6 +449,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DownCause;
 
     /// A deterministic toy worker: echoes a transform of the broadcast.
     struct EchoWorker {

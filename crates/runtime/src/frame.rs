@@ -159,14 +159,17 @@ pub enum WireMsg {
     },
     /// Coordinator → worker: a control message.
     Ctl(Control),
-    /// Worker → coordinator: the worker caught a panic and cannot report
-    /// this round; mirrors the in-process supervisor's down event.
+    /// Worker → coordinator: the worker's supervisor downed it and it
+    /// cannot report this round; mirrors the in-process supervisor's down
+    /// event.
     Down {
         /// The downed RA.
         ra: u64,
         /// The round the failure was observed in.
         round: u64,
-        /// The panic message.
+        /// The [`crate::DownCause`] as its `Display` text (`"panic: …"`,
+        /// `"restart budget exhausted"`); the coordinator reads it back
+        /// typed, and a foreign peer's free text as a panic message.
         cause: String,
     },
 }

@@ -11,17 +11,21 @@
 //! The engine is deliberately generic: it knows nothing about ADMM, DDPG
 //! or network slicing. It owns three concerns and nothing else:
 //!
-//! 1. **Topology** — a [`Scheduler`] picks between a single-threaded
-//!    in-process loop ([`Scheduler::Sequential`]) and `n` worker threads
-//!    ([`Scheduler::Threaded`]) multiplexing the RA workers. Both drive
-//!    the *same* round protocol, so a parallel run is bit-identical to a
-//!    sequential one whenever workers draw randomness from their own
-//!    [`derive_stream_seed`]-derived streams.
+//! 1. **Topology** — a [`Scheduler`] picks between workers inline on the
+//!    caller's thread ([`Scheduler::Sequential`]) and `n` worker threads
+//!    ([`Scheduler::Threaded`]) multiplexing the RA workers. Either is
+//!    only a [`RoundGather`] — one way of delivering a round to every RA
+//!    and settling what comes back — under the *same* [`round_loop`], so
+//!    a parallel run is bit-identical to a sequential one whenever workers
+//!    draw randomness from their own [`derive_stream_seed`]-derived
+//!    streams.
 //! 2. **The round protocol** — per round the coordinator broadcasts one
 //!    [`CoordInfo`] per RA, every worker runs its round and answers with a
 //!    [`RaReport`], and the coordinator folds the reports into its next
-//!    update. [`Control`] messages handle checkpointing, rejoin re-sync
-//!    and shutdown.
+//!    update. [`round_loop`] is the one place that sequence is written;
+//!    one slot-settle ledger decides, for every gather, which arrival
+//!    fills a slot and which is dropped and counted. [`Control`] messages
+//!    handle checkpointing, rejoin re-sync and shutdown.
 //! 3. **Deadlines** — the coordinator waits at most
 //!    [`Engine::with_deadline`] per round for the report channel. A report
 //!    that misses the wall-clock deadline (a hung or genuinely slow
@@ -43,17 +47,17 @@
 //! contract that extends to deterministic (injected) panics, because both
 //! schedulers run the same supervisor policy per worker slot.
 //!
-//! **Networked mode.** The same round protocol also runs across process
+//! **Networked mode.** The same round loop also runs across process
 //! boundaries: a [`Transport`] carries length-prefixed [`WireMsg`] frames
 //! (deterministic in-memory [`LoopbackTransport`], or [`FramedTransport`]
 //! over UDS/TCP with a versioned handshake and bounded send retries), a
 //! [`RegistrationPlane`] tracks ε-ORC-style worker registrations with
-//! round-based leases, and a [`NetCoordinator`]/[`WorkerSession`] pair
-//! drives rounds over those links. A vanished process is detected by its
-//! *lapsed lease* — surfaced as [`DownCause::LeaseExpired`] through the
-//! same [`WorkerDown`] telemetry as an in-process panic — never by a mere
-//! socket disconnect, so the degraded-coordination path is identical in
-//! and out of process.
+//! round-based leases, and [`NetCoordinator`] — the third [`RoundGather`]
+//! — gathers rounds over those links from [`WorkerSession`] peers. A
+//! vanished process is detected by its *lapsed lease* — surfaced as
+//! [`DownCause::LeaseExpired`] through the same [`WorkerDown`] telemetry
+//! as an in-process panic — never by a mere socket disconnect, so the
+//! degraded-coordination path is identical in and out of process.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -61,6 +65,7 @@
 pub mod clock;
 mod engine;
 pub mod frame;
+mod gather;
 mod msg;
 mod net;
 mod registration;
@@ -71,6 +76,7 @@ mod transport;
 pub use clock::{Clock, MockClock, RoundDeadline, TimePoint};
 pub use engine::{par_map, Engine, EngineReport, RoundCoordinator, RoundTelemetry, RoundWorker};
 pub use frame::{FrameError, WireMsg, PROTOCOL_VERSION};
+pub use gather::{round_loop, RoundGather};
 pub use msg::{Control, CoordInfo, RaReport};
 pub use net::{
     channel_acceptor, Acceptor, ChannelAcceptor, ListenerAcceptor, NetConfig, NetCoordinator,

@@ -21,6 +21,20 @@ pub struct CoordInfo {
     pub lifecycle: Vec<u8>,
 }
 
+impl CoordInfo {
+    /// RA `ra`'s message for `round`, cut from the coordinator's per-RA
+    /// `z − y` rows and the lifecycle payload every RA shares. A broadcast
+    /// with no row for `ra` addresses it an empty `z − y`.
+    pub(crate) fn addressed(round: usize, ra: usize, zys: &[Vec<f64>], lifecycle: &[u8]) -> Self {
+        Self {
+            round,
+            ra,
+            zy: zys.get(ra).cloned().unwrap_or_default(),
+            lifecycle: lifecycle.to_vec(),
+        }
+    }
+}
+
 /// Upstream, worker → coordinator: one RA's round outcome.
 ///
 /// The payload `B` is opaque to the engine (the orchestration layer puts

@@ -3,11 +3,13 @@
 //! lease-based failure detection, and the [`WorkerSession`] its peers
 //! run.
 //!
-//! This is the multi-process counterpart of [`crate::Engine`]'s threaded
-//! path. The round protocol is identical — broadcast [`CoordInfo`],
-//! gather [`RaReport`]s under a deadline, hand the orchestration layer a
-//! [`RoundTelemetry`] — but peers are *processes*: they register, hold a
-//! lease, and can vanish without unwinding anything on the coordinator.
+//! [`NetCoordinator`] is the multi-process [`RoundGather`], driven by the
+//! same [`crate::round_loop`] as [`crate::Engine`]'s inline and threaded
+//! gathers and settling its slots through the same ledger — broadcast
+//! [`CoordInfo`], gather [`RaReport`]s under a deadline, hand the
+//! orchestration layer a [`RoundTelemetry`] — but peers are *processes*:
+//! they register, hold a lease, and can vanish without unwinding anything
+//! on the coordinator.
 //!
 //! Failure taxonomy (the acceptance contract of the lease design):
 //!
@@ -35,6 +37,7 @@ use std::time::Duration;
 
 use crate::clock::{Clock, RoundDeadline};
 use crate::frame::{WireMsg, PROTOCOL_VERSION, REJECT_UNKNOWN_RA, REJECT_VERSION};
+use crate::gather::{RoundGather, SettleLedger};
 use crate::msg::{Control, CoordInfo, RaReport};
 use crate::registration::{Lease, NodeInfo, RegStats, RegistrationPlane};
 use crate::supervisor::{DownCause, WorkerDown};
@@ -149,9 +152,9 @@ struct Link<T> {
     broken: bool,
 }
 
-/// The coordinator side of the networked round protocol: one link per RA,
-/// a [`RegistrationPlane`], and gather/broadcast primitives producing the
-/// same `(slots, telemetry)` shape as the in-process engine.
+/// The coordinator side of the networked round protocol: one link per RA
+/// and a [`RegistrationPlane`], gathered through [`RoundGather`] like the
+/// in-process engine's workers.
 pub struct NetCoordinator<T: Transport> {
     links: Vec<Option<Link<T>>>,
     plane: RegistrationPlane,
@@ -253,13 +256,16 @@ impl<T: Transport> NetCoordinator<T> {
     /// echoed in the `RegisterAck` so workers know where the run starts.
     pub fn wait_registered(&mut self, first_round: usize) -> Result<(), TransportError> {
         let deadline = RoundDeadline::after(self.config.registration_timeout);
+        // No round is open yet: a ledger without slots settles nothing and
+        // is dropped with whatever it counted.
+        let mut nothing = SettleLedger::new(first_round, 0);
         loop {
             self.pump_joins();
             for ra in 0..self.links.len() {
                 if self.plane.is_registered(ra) {
                     continue;
                 }
-                self.poll_link(ra, first_round, first_round, None);
+                self.poll_link(ra, first_round, &mut nothing);
             }
             if self.plane.all_registered() {
                 return Ok(());
@@ -282,20 +288,11 @@ impl<T: Transport> NetCoordinator<T> {
     /// break the link (and count), but the lease — not the broken pipe —
     /// decides when the worker is down.
     fn send_round(&mut self, round: usize, zys: &[Vec<f64>], lifecycle: &[u8]) {
-        for ra in 0..self.links.len() {
-            let zy = zys.get(ra).cloned().unwrap_or_default();
-            let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) else {
+        for (ra, link) in self.links.iter_mut().enumerate() {
+            let Some(link) = link.as_mut().filter(|l| !l.broken) else {
                 continue;
             };
-            if link.broken {
-                continue;
-            }
-            let msg = WireMsg::Round(CoordInfo {
-                round,
-                ra,
-                zy,
-                lifecycle: lifecycle.to_vec(),
-            });
+            let msg = WireMsg::Round(CoordInfo::addressed(round, ra, zys, lifecycle));
             if link.t.send(&msg).is_err() {
                 link.broken = true;
                 self.stats.links_broken += 1;
@@ -303,38 +300,31 @@ impl<T: Transport> NetCoordinator<T> {
         }
     }
 
-    /// Polls link `ra` once and absorbs whatever arrives. Reports for
-    /// `round` settle into `gather` (when given); registrations are
-    /// acked with `next_round`. Returns `true` if a frame was absorbed.
-    fn poll_link(
-        &mut self,
-        ra: usize,
-        round: usize,
-        next_round: usize,
-        gather: Option<&mut GatherState>,
-    ) -> bool {
+    /// Polls link `ra` once and absorbs whatever arrives: round outcomes
+    /// settle into `ledger`, registrations are acked with `next_round`.
+    fn poll_link(&mut self, ra: usize, next_round: usize, ledger: &mut SettleLedger<Vec<u8>>) {
         let poll = self.config.poll_interval;
-        let msg = {
-            let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) else {
-                return false;
-            };
-            if link.broken {
-                return false;
-            }
-            match link.t.recv_timeout(poll) {
-                Ok(msg) => msg,
-                Err(TransportError::Timeout) => return false,
-                Err(_) => {
-                    // EOF, reset, or garbage bytes: the peer is gone or
-                    // babbling. Break the link; the lease keeps running.
-                    link.broken = true;
-                    self.stats.links_broken += 1;
-                    return false;
-                }
-            }
+        let Some(link) = self.connected(ra) else {
+            return;
         };
-        self.absorb(ra, msg, round, next_round, gather);
-        true
+        match link.t.recv_timeout(poll) {
+            Ok(msg) => self.absorb(ra, msg, next_round, ledger),
+            Err(TransportError::Timeout) => {}
+            Err(_) => {
+                // EOF, reset, or garbage bytes: the peer is gone or
+                // babbling. Break the link; the lease keeps running.
+                link.broken = true;
+                self.stats.links_broken += 1;
+            }
+        }
+    }
+
+    /// RA `ra`'s link, if it has one that has not broken.
+    fn connected(&mut self, ra: usize) -> Option<&mut Link<T>> {
+        self.links
+            .get_mut(ra)
+            .and_then(Option::as_mut)
+            .filter(|l| !l.broken)
     }
 
     /// Absorbs one frame from link `ra`.
@@ -342,11 +332,19 @@ impl<T: Transport> NetCoordinator<T> {
         &mut self,
         ra: usize,
         msg: WireMsg,
-        round: usize,
         next_round: usize,
-        gather: Option<&mut GatherState>,
+        ledger: &mut SettleLedger<Vec<u8>>,
     ) {
         let now = self.clock.now();
+        // A round outcome counts only on its sender's own link: the round
+        // it is for, if the frame names that link's RA.
+        let own = |frame_ra: u64, frame_round: u64| match (
+            usize::try_from(frame_ra),
+            usize::try_from(frame_round),
+        ) {
+            (Ok(frame_ra), Ok(round)) if frame_ra == ra => Some(round),
+            _ => None,
+        };
         match msg {
             WireMsg::Register {
                 ra: mra,
@@ -355,9 +353,7 @@ impl<T: Transport> NetCoordinator<T> {
                 lease_rounds,
             } => {
                 if usize::try_from(mra) != Ok(ra) {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
+                    ledger.discard();
                     return;
                 }
                 let info = NodeInfo {
@@ -370,18 +366,15 @@ impl<T: Transport> NetCoordinator<T> {
                     wall_backstop: self.config.wall_backstop,
                 };
                 let rejoin = matches!(
-                    self.plane.register(info, lease, round, now),
+                    self.plane.register(info, lease, ledger.round(), now),
                     Ok(crate::registration::Registration::Rejoin)
                 );
-                if let Some(link) = self.links.get_mut(ra).and_then(Option::as_mut) {
-                    if link
-                        .t
-                        .send(&WireMsg::RegisterAck {
-                            next_round: next_round as u64,
-                            rejoin,
-                        })
-                        .is_err()
-                    {
+                let ack = WireMsg::RegisterAck {
+                    next_round: next_round as u64,
+                    rejoin,
+                };
+                if let Some(link) = self.connected(ra) {
+                    if link.t.send(&ack).is_err() {
                         link.broken = true;
                         self.stats.links_broken += 1;
                     }
@@ -399,71 +392,36 @@ impl<T: Transport> NetCoordinator<T> {
                 deadline_missed,
                 body,
             } => {
-                let (Ok(mra), Ok(r)) = (usize::try_from(mra), usize::try_from(r)) else {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
+                let Some(round) = own(mra, r) else {
+                    ledger.discard();
                     return;
                 };
-                if mra != ra {
-                    if let Some(g) = gather {
-                        g.telemetry.discarded_reports += 1;
-                    }
-                    return;
-                }
-                let _ = self.plane.note_alive(ra, r, now);
-                let Some(g) = gather else {
-                    return;
-                };
-                let open = g.slots.get(ra).is_some_and(Option::is_none)
-                    && !g.down_marked.get(ra).copied().unwrap_or(true);
-                if r == round && open {
-                    if let Some(slot) = g.slots.get_mut(ra) {
-                        *slot = Some(RaReport {
-                            ra,
-                            round: r,
-                            deadline_missed,
-                            body,
-                        });
-                    }
-                } else {
-                    // Stale (an earlier round's straggler) or duplicate:
-                    // dropped but counted, mirroring the engine.
-                    g.telemetry.discarded_reports += 1;
-                }
+                let _ = self.plane.note_alive(ra, round, now);
+                ledger.settle(Ok(RaReport {
+                    ra,
+                    round,
+                    deadline_missed,
+                    body,
+                }));
             }
             WireMsg::Down {
                 ra: mra,
                 round: r,
                 cause,
             } => {
-                let (Ok(mra), Ok(r)) = (usize::try_from(mra), usize::try_from(r)) else {
+                let Some(round) = own(mra, r) else {
+                    ledger.discard();
                     return;
                 };
-                if mra != ra {
-                    return;
-                }
                 // The process is alive (it caught its own panic): the
                 // lease stays fresh, the round is a typed down — exactly
                 // the in-process supervisor's semantics across the wire.
-                let _ = self.plane.note_alive(ra, r, now);
-                let Some(g) = gather else {
-                    return;
-                };
-                let open = g.slots.get(ra).is_some_and(Option::is_none)
-                    && !g.down_marked.get(ra).copied().unwrap_or(true);
-                if r == round && open {
-                    if let Some(m) = g.down_marked.get_mut(ra) {
-                        *m = true;
-                    }
-                    g.telemetry.downs.push(WorkerDown {
-                        ra,
-                        round: r,
-                        cause: DownCause::Panic(cause),
-                    });
-                } else {
-                    g.telemetry.discarded_reports += 1;
-                }
+                let _ = self.plane.note_alive(ra, round, now);
+                ledger.settle(Err(WorkerDown {
+                    ra,
+                    round,
+                    cause: DownCause::from_wire(cause),
+                }));
             }
             // Anything else on an established link is protocol noise.
             WireMsg::Hello { .. }
@@ -471,65 +429,8 @@ impl<T: Transport> NetCoordinator<T> {
             | WireMsg::Reject { .. }
             | WireMsg::RegisterAck { .. }
             | WireMsg::Round(_)
-            | WireMsg::Ctl(_) => {
-                if let Some(g) = gather {
-                    g.telemetry.discarded_reports += 1;
-                }
-            }
+            | WireMsg::Ctl(_) => ledger.discard(),
         }
-    }
-
-    /// Runs one full round: broadcast, gather under the round deadline,
-    /// close the lease ledger. Returns the per-RA report slots and the
-    /// round telemetry — the same shape [`crate::RoundCoordinator::collect`]
-    /// consumes.
-    pub fn run_round(
-        &mut self,
-        round: usize,
-        zys: &[Vec<f64>],
-        lifecycle: &[u8],
-    ) -> (Vec<Option<RaReport<Vec<u8>>>>, RoundTelemetry) {
-        let n = self.links.len();
-        self.pump_joins();
-        self.send_round(round, zys, lifecycle);
-        let mut g = GatherState {
-            slots: (0..n).map(|_| None).collect(),
-            down_marked: vec![false; n],
-            telemetry: RoundTelemetry::default(),
-        };
-        let deadline = RoundDeadline::after(self.config.round_deadline);
-        loop {
-            // Waits on every *connected* peer, lease state notwithstanding:
-            // silence costs the deadline (observable, deterministic),
-            // never a silent skip.
-            let open: Vec<usize> = (0..n)
-                .filter(|&ra| {
-                    self.links
-                        .get(ra)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|l| !l.broken)
-                        && g.slots.get(ra).is_some_and(Option::is_none)
-                        && !g.down_marked.get(ra).copied().unwrap_or(true)
-                })
-                .collect();
-            if open.is_empty() {
-                break;
-            }
-            if deadline.remaining().is_zero() {
-                g.telemetry.deadline_expired = true;
-                break;
-            }
-            self.pump_joins();
-            for ra in open {
-                self.poll_link(ra, round, round + 1, Some(&mut g));
-            }
-        }
-        let mut telemetry = g.telemetry;
-        let mut lease_downs = self.plane.end_round(round, self.clock.now());
-        telemetry.downs.append(&mut lease_downs);
-        telemetry.downs.sort_by_key(|d| d.ra);
-        self.harvest_link_stats();
-        (g.slots, telemetry)
     }
 
     /// Sends `Shutdown` to every connected peer (best-effort).
@@ -565,10 +466,49 @@ impl<T: Transport> NetCoordinator<T> {
     }
 }
 
-struct GatherState {
-    slots: Vec<Option<RaReport<Vec<u8>>>>,
-    down_marked: Vec<bool>,
-    telemetry: RoundTelemetry,
+/// The networked gather: broadcast over every connected link, settle what
+/// comes back under the round deadline, close the lease ledger.
+impl<T: Transport> RoundGather for NetCoordinator<T> {
+    type Body = Vec<u8>;
+
+    fn gather(
+        &mut self,
+        round: usize,
+        zys: &[Vec<f64>],
+        lifecycle: &[u8],
+    ) -> (Vec<Option<RaReport<Vec<u8>>>>, RoundTelemetry) {
+        let n = self.links.len();
+        self.pump_joins();
+        self.send_round(round, zys, lifecycle);
+        let mut ledger = SettleLedger::new(round, n);
+        let deadline = RoundDeadline::after(self.config.round_deadline);
+        loop {
+            // Waits on every *connected* peer, lease state notwithstanding:
+            // silence costs the deadline (observable, deterministic),
+            // never a silent skip.
+            let open: Vec<usize> = (0..n)
+                .filter(|&ra| ledger.is_open(ra) && self.connected(ra).is_some())
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            if deadline.remaining().is_zero() {
+                ledger.expire();
+                break;
+            }
+            self.pump_joins();
+            for ra in open {
+                self.poll_link(ra, round + 1, &mut ledger);
+            }
+        }
+        ledger.lapse(self.plane.end_round(round, self.clock.now()));
+        self.harvest_link_stats();
+        ledger.finish()
+    }
+
+    fn shutdown(&mut self) {
+        NetCoordinator::shutdown(self);
+    }
 }
 
 /// What a worker's serve loop receives from the coordinator.
@@ -718,13 +658,14 @@ impl<T: Transport> WorkerSession<T> {
         })
     }
 
-    /// Reports a caught panic for `round` — the wire form of the
-    /// supervisor's down event.
-    pub fn down(&mut self, round: usize, cause: String) -> Result<(), TransportError> {
+    /// Reports that this worker's supervisor downed it for `round` — the
+    /// wire form of the supervisor's down event. `cause` travels as its
+    /// `Display` text; the coordinator reads it back typed.
+    pub fn down(&mut self, round: usize, cause: &DownCause) -> Result<(), TransportError> {
         self.t.send(&WireMsg::Down {
             ra: self.ra as u64,
             round: round as u64,
-            cause,
+            cause: cause.to_string(),
         })
     }
 }
@@ -808,7 +749,7 @@ mod tests {
         net.wait_registered(0).expect("registered");
         for round in 0..4 {
             let zys: Vec<Vec<f64>> = (0..2).map(|j| vec![round as f64, j as f64]).collect();
-            let (slots, telemetry) = net.run_round(round, &zys, &[]);
+            let (slots, telemetry) = net.gather(round, &zys, &[]);
             assert!(telemetry.downs.is_empty(), "round {round}: {telemetry:?}");
             assert!(!telemetry.deadline_expired);
             for (ra, slot) in slots.iter().enumerate() {
@@ -843,7 +784,7 @@ mod tests {
         let mut lease_downs = Vec::new();
         for round in 0..5 {
             let zys: Vec<Vec<f64>> = (0..2).map(|_| vec![0.0]).collect();
-            let (slots, telemetry) = net.run_round(round, &zys, &[]);
+            let (slots, telemetry) = net.gather(round, &zys, &[]);
             for d in &telemetry.downs {
                 if matches!(d.cause, DownCause::LeaseExpired { .. }) {
                     lease_downs.push((d.ra, d.round));
@@ -902,7 +843,7 @@ mod tests {
         let mut downs = Vec::new();
         for round in 0..4 {
             let zys: Vec<Vec<f64>> = (0..2).map(|_| vec![0.0]).collect();
-            let (_slots, telemetry) = net.run_round(round, &zys, &[]);
+            let (_slots, telemetry) = net.gather(round, &zys, &[]);
             downs.extend(telemetry.downs);
         }
         net.shutdown();
@@ -953,11 +894,11 @@ mod tests {
         net.adopt(coord0).expect("adopt");
         net.wait_registered(0).expect("registered");
         let zys = vec![vec![0.0]];
-        let (_s, t0) = net.run_round(0, &zys, &[]);
+        let (_s, t0) = net.gather(0, &zys, &[]);
         assert!(t0.downs.is_empty());
         h0.join().expect("join 0");
         // Round 1: the peer is gone; its lease (deadline 0) expires.
-        let (_s, t1) = net.run_round(1, &zys, &[]);
+        let (_s, t1) = net.gather(1, &zys, &[]);
         assert!(t1
             .downs
             .iter()
@@ -991,10 +932,10 @@ mod tests {
             }
         });
         join_tx.send(coord_new).expect("inject rejoiner");
-        let (slots, _t2) = net.run_round(2, &zys, &[]);
+        let (slots, _t2) = net.gather(2, &zys, &[]);
         // The rejoiner registered during round 2's gather; it serves
         // from round 3 on.
-        let (slots3, t3) = net.run_round(3, &zys, &[]);
+        let (slots3, t3) = net.gather(3, &zys, &[]);
         assert!(t3.downs.is_empty(), "rejoined: no more lease downs: {t3:?}");
         assert!(slots3.first().is_some_and(Option::is_some));
         drop(slots);

@@ -51,11 +51,17 @@ pub enum DownCause {
     },
 }
 
+/// How [`DownCause::Panic`] and [`DownCause::RestartsExhausted`] render —
+/// and, because a networked worker ships its cause as that rendering in a
+/// `Down` frame, what [`DownCause::from_wire`] recognises on the way back.
+const PANIC_PREFIX: &str = "panic: ";
+const RESTARTS_EXHAUSTED: &str = "restart budget exhausted";
+
 impl std::fmt::Display for DownCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DownCause::Panic(msg) => write!(f, "panic: {msg}"),
-            DownCause::RestartsExhausted => write!(f, "restart budget exhausted"),
+            DownCause::Panic(msg) => write!(f, "{PANIC_PREFIX}{msg}"),
+            DownCause::RestartsExhausted => write!(f, "{RESTARTS_EXHAUSTED}"),
             DownCause::Disconnected => write!(f, "worker channel disconnected"),
             DownCause::LeaseExpired {
                 missed_rounds,
@@ -64,6 +70,23 @@ impl std::fmt::Display for DownCause {
                 f,
                 "lease expired: {missed_rounds} rounds without refresh (budget {budget_rounds})"
             ),
+        }
+    }
+}
+
+impl DownCause {
+    /// The inverse of `Display` for the two causes a worker's own
+    /// supervisor can raise, applied to the text of a `Down` frame. Total:
+    /// anything else — a foreign peer's free text, or a cause only the
+    /// coordinator side may decide (`Disconnected`, `LeaseExpired`) — is
+    /// kept verbatim as a panic message, never an error.
+    pub(crate) fn from_wire(text: String) -> Self {
+        if text == RESTARTS_EXHAUSTED {
+            DownCause::RestartsExhausted
+        } else if let Some(msg) = text.strip_prefix(PANIC_PREFIX) {
+            DownCause::Panic(msg.to_string())
+        } else {
+            DownCause::Panic(text)
         }
     }
 }
@@ -367,6 +390,30 @@ mod tests {
         let dead = Supervisor::with_panic_counts(config, &[4]);
         assert!(dead.is_dead(0));
         assert_eq!(dead.restarts(0), config.max_restarts);
+    }
+
+    #[test]
+    fn wire_causes_round_trip_typed_and_foreign_text_is_a_panic() {
+        for cause in [
+            DownCause::Panic("injected worker panic: ra 1 round 2".into()),
+            DownCause::Panic(String::new()),
+            DownCause::RestartsExhausted,
+        ] {
+            assert_eq!(DownCause::from_wire(cause.to_string()), cause);
+        }
+        // Verdicts only the coordinator side reaches, and free text: a
+        // peer cannot claim them, and nothing is an error.
+        let lease = DownCause::LeaseExpired {
+            missed_rounds: 2,
+            budget_rounds: 1,
+        };
+        for text in [
+            DownCause::Disconnected.to_string(),
+            lease.to_string(),
+            "gremlins".to_string(),
+        ] {
+            assert_eq!(DownCause::from_wire(text.clone()), DownCause::Panic(text));
+        }
     }
 
     #[test]

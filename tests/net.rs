@@ -10,17 +10,27 @@
 //!   path, and the resulting [`RunReport`] is byte-identical between the
 //!   in-memory loopback transport and a real Unix-domain socket;
 //! * a replacement peer connecting mid-run re-syncs from the latest
-//!   checkpoint snapshot and serves the remaining rounds.
+//!   checkpoint snapshot and serves the remaining rounds;
+//! * under the same scripted fault plan a networked run's report is
+//!   byte-identical to the in-process run's — a caught worker panic's cause
+//!   included;
+//! * a peer whose report bodies do not decode is counted, folded as
+//!   missing, and cannot stop the run;
+//! * a peer whose link dies mid-round still leaves its substrate healthy.
 
 use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use edgeslice::{
-    channel_acceptor, connect_uds, loopback_pair, AgentConfig, Clock, EdgeSliceSystem, FaultEvent,
-    FaultInjector, FaultPlan, Lease, ListenerAcceptor, LoopbackTransport, NetConfig,
-    NetCoordinator, NetListener, OrchestratorKind, RaId, RetryPolicy, RunReport, ServeOutcome,
-    SystemConfig, Transport, WorkerNetOptions,
+    channel_acceptor, connect_uds, loopback_pair, AgentConfig, Clock, EdgeSliceError,
+    EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, Lease, ListenerAcceptor,
+    LoopbackTransport, NetConfig, NetCoordinator, NetListener, OrchestratorKind, RaId,
+    ResourceKind, RetryPolicy, RunReport, ServeOutcome, SystemConfig, Transport, TransportError,
+    WorkerNetOptions,
+};
+use edgeslice_runtime::{
+    caps, Control, CoordInfo, NodeInfo, WireMsg, WorkerCommand, WorkerSession, PROTOCOL_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,8 +132,9 @@ fn run_coordinator<T: Transport + 'static>(
         .unwrap()
 }
 
-/// The silence scenario over the in-memory loopback transport.
-fn degraded_run_loopback(seed: u64) -> RunReport {
+/// A networked run over the in-memory loopback transport, every peer
+/// under `events`.
+fn loopback_run(seed: u64, events: &[FaultEvent]) -> RunReport {
     let (tx, acceptor) = channel_acceptor::<LoopbackTransport>();
     let mut net = NetCoordinator::new(N_RAS, net_config(), Clock::wall());
     net.set_acceptor(Box::new(acceptor));
@@ -134,7 +145,7 @@ fn degraded_run_loopback(seed: u64) -> RunReport {
         handles.push(spawn_worker(
             seed,
             ra,
-            silence_events(),
+            events.to_vec(),
             ROUNDS,
             worker_end,
             worker_opts(),
@@ -146,6 +157,11 @@ fn degraded_run_loopback(seed: u64) -> RunReport {
         h.join().unwrap();
     }
     report
+}
+
+/// The silence scenario over the in-memory loopback transport.
+fn degraded_run_loopback(seed: u64) -> RunReport {
+    loopback_run(seed, &silence_events())
 }
 
 /// The identical scenario over a real Unix-domain socket.
@@ -300,4 +316,217 @@ fn respawned_worker_resyncs_from_checkpoint_and_finishes_the_run() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where the RA workers run is a property of the link, not of the
+/// protocol: the same scripted fault plan, given to `run_with_faults` and
+/// to the `serve_ra` peers of a loopback `run_networked`, yields the same
+/// report byte for byte — supervision telemetry and a caught panic's cause
+/// included.
+#[test]
+fn networked_run_equals_in_process_run_under_the_same_fault_plan() {
+    let table: [(&str, Vec<FaultEvent>); 4] = [
+        ("no faults", vec![]),
+        (
+            "outage",
+            vec![FaultEvent::RaOutage {
+                ra: RaId(1),
+                start_round: 2,
+                rounds: 2,
+            }],
+        ),
+        (
+            "straggler + capacity degradation",
+            vec![
+                FaultEvent::Straggler {
+                    ra: RaId(0),
+                    round: 1,
+                },
+                FaultEvent::CapacityDegradation {
+                    ra: RaId(1),
+                    domain: ResourceKind::Transport,
+                    start_round: 3,
+                    rounds: 2,
+                    factor: 0.5,
+                },
+            ],
+        ),
+        (
+            "worker panic",
+            vec![FaultEvent::WorkerPanic {
+                ra: RaId(1),
+                round: 2,
+            }],
+        ),
+    ];
+    for (name, events) in table {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut sys = taro_system(&mut rng);
+        let injector =
+            FaultInjector::new(FaultPlan::scripted(N_RAS, ROUNDS, events.clone()).unwrap());
+        let in_process = sys.run_with_faults(ROUNDS, &mut rng, &injector);
+        assert_eq!(in_process.rounds.len(), ROUNDS, "{name}");
+
+        let networked = loopback_run(SEED, &events);
+        assert_eq!(
+            serde_json::to_string(&networked).unwrap(),
+            serde_json::to_string(&in_process).unwrap(),
+            "{name}: the networked report must equal the in-process one"
+        );
+    }
+}
+
+/// A peer that registers and answers every round — with a body that is
+/// not a round body. Each such report is dropped and counted, its RA is
+/// folded as missing (it did report: no down event, no lease expiry, and
+/// no monitor rows of its own), and the run completes.
+#[test]
+fn undecodable_report_bodies_are_counted_and_cannot_stop_the_run() {
+    let (tx, acceptor) = channel_acceptor::<LoopbackTransport>();
+    let mut net = NetCoordinator::new(N_RAS, net_config(), Clock::wall());
+    net.set_acceptor(Box::new(acceptor));
+
+    let (c0, w0) = loopback_pair();
+    tx.send(c0).unwrap();
+    let healthy = spawn_worker(SEED, 0, vec![], ROUNDS, w0, worker_opts(), None);
+
+    let (c1, w1) = loopback_pair();
+    tx.send(c1).unwrap();
+    let hostile = thread::spawn(move || {
+        let node = NodeInfo {
+            ra: 1,
+            capabilities: caps::TARO,
+            capacity: 1.0,
+        };
+        let (mut session, _ack) = WorkerSession::establish(
+            w1,
+            node,
+            worker_opts().lease,
+            Duration::from_secs(10),
+            Duration::from_millis(100),
+        )
+        .unwrap();
+        let mut answered = 0usize;
+        loop {
+            match session.next_command(Duration::from_secs(30)) {
+                Ok(WorkerCommand::Round(info)) => {
+                    session
+                        .report(info.round, false, Some(b"not a round body".to_vec()))
+                        .unwrap();
+                    answered += 1;
+                }
+                Ok(WorkerCommand::Control(Control::Shutdown))
+                | Err(TransportError::Disconnected) => return answered,
+                Ok(WorkerCommand::Control(_)) => {}
+                Err(e) => panic!("hostile peer: {e}"),
+            }
+        }
+    });
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut sys = taro_system(&mut rng);
+    let injector = FaultInjector::none(N_RAS, ROUNDS);
+    let report = sys
+        .run_networked(ROUNDS, &mut rng, &injector, &mut net)
+        .unwrap();
+    assert_eq!(healthy.join().unwrap().rounds_served, ROUNDS);
+    assert_eq!(hostile.join().unwrap(), ROUNDS, "one answer per round");
+
+    assert_eq!(report.rounds.len(), ROUNDS, "the run must complete");
+    let sup = &report.supervision;
+    assert_eq!(sup.discarded_reports, report.rounds.len(), "{sup:?}");
+    assert!(sup.worker_downs.is_empty(), "{sup:?}");
+    assert_eq!(
+        (sup.leases_expired, sup.deadline_timeouts),
+        (0, 0),
+        "{sup:?}"
+    );
+    for round in &report.rounds {
+        assert_eq!(round.discarded_reports, 1, "{round:?}");
+        assert!(
+            round.downed.is_empty() && round.outages.is_empty(),
+            "{round:?}"
+        );
+        assert_eq!(
+            round.load[1], 0.0,
+            "a missing RA reports no load: {round:?}"
+        );
+    }
+    let rows = sys.monitor().records();
+    assert!(!rows.is_empty() && rows.iter().all(|r| r.ra == RaId(0)));
+}
+
+/// A coordinator link that dies with a round in flight: the far end is
+/// dropped the moment the worker takes the round off the wire, so the
+/// report it then sends has nowhere to go.
+struct CutAfterRound {
+    link: LoopbackTransport,
+    far_end: Option<LoopbackTransport>,
+}
+
+impl Transport for CutAfterRound {
+    fn send(&mut self, msg: &WireMsg) -> Result<(), TransportError> {
+        self.link.send(msg)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<WireMsg, TransportError> {
+        let msg = self.link.recv_timeout(timeout)?;
+        if matches!(msg, WireMsg::Round(_)) {
+            self.far_end = None;
+        }
+        Ok(msg)
+    }
+
+    fn kind(&self) -> &'static str {
+        "loopback, cut mid-round"
+    }
+}
+
+/// `serve_ra` ends on a typed transport error when its link dies
+/// mid-round — and still leaves the substrate as it found it: a capacity
+/// degradation in force for that round must not leak into the system's
+/// next run.
+#[test]
+fn serve_ra_heals_the_substrate_when_its_link_dies_mid_round() {
+    let (mut coord_end, worker_end) = loopback_pair();
+    // Everything the coordinator would say up to and including round 0,
+    // queued ahead of time; it never reads the answers.
+    for msg in [
+        WireMsg::HelloAck {
+            version: PROTOCOL_VERSION,
+        },
+        WireMsg::RegisterAck {
+            next_round: 0,
+            rejoin: false,
+        },
+        WireMsg::Round(CoordInfo {
+            round: 0,
+            ra: 0,
+            zy: vec![0.0; 2],
+            lifecycle: Vec::new(),
+        }),
+    ] {
+        coord_end.send(&msg).unwrap();
+    }
+    let link = CutAfterRound {
+        link: worker_end,
+        far_end: Some(coord_end),
+    };
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut sys = taro_system(&mut rng);
+    let degraded = FaultEvent::CapacityDegradation {
+        ra: RaId(0),
+        domain: ResourceKind::Radio,
+        start_round: 0,
+        rounds: 1,
+        factor: 0.5,
+    };
+    let injector = FaultInjector::new(FaultPlan::scripted(N_RAS, ROUNDS, vec![degraded]).unwrap());
+    let served = sys.serve_ra(RaId(0), &mut rng, &injector, link, &worker_opts());
+    assert!(
+        matches!(served, Err(EdgeSliceError::Transport(_))),
+        "{served:?}"
+    );
+    assert_eq!(sys.env0_mut().capacity_scale(), [1.0; 3]);
 }
