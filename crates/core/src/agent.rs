@@ -2,6 +2,8 @@
 //! maps the state (Eq. 13) to an end-to-end resource orchestration
 //! (Eq. 14) under the coordinator's supervision.
 
+use std::sync::Arc;
+
 use edgeslice_rl::{
     Ddpg, DdpgConfig, Environment, Ppo, PpoConfig, Sac, SacConfig, Technique, Trpo, TrpoConfig,
     Vpg, VpgConfig,
@@ -13,8 +15,8 @@ use crate::{RaId, RaSliceEnv};
 /// The learning backend of an orchestration agent. DDPG is the paper's
 /// technique; the others are the Fig. 10b comparators.
 // `Ddpg` carries its scratch arena and reusable sample batch inline, so the
-// variant is big — but there is exactly one backend per RA (never arrays of
-// them), and boxing would put an indirection on the training hot path.
+// variant is big — but a backend only ever lives behind its agent's `Arc`
+// (never in arrays), so boxing the variant would buy nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AgentBackend {
@@ -46,10 +48,16 @@ pub struct AgentConfig {
 }
 
 /// A per-RA orchestration agent.
+///
+/// Cloning is a handle copy: replicas of one trained agent share its
+/// learner (replay memory, critic, targets, optimiser state) and only
+/// [`OrchestrationAgent::train`] takes a private copy, so deploying a
+/// policy on `n` RAs costs `n` pointers while each agent still behaves as
+/// a value of its own.
 #[derive(Debug, Clone)]
 pub struct OrchestrationAgent {
     ra: RaId,
-    backend: AgentBackend,
+    backend: Arc<AgentBackend>,
 }
 
 impl OrchestrationAgent {
@@ -70,7 +78,10 @@ impl OrchestrationAgent {
             Technique::Trpo => AgentBackend::Trpo(Trpo::new(sd, ad, config.trpo, rng)),
             Technique::Vpg => AgentBackend::Vpg(Vpg::new(sd, ad, config.vpg, rng)),
         };
-        Self { ra, backend }
+        Self {
+            ra,
+            backend: Arc::new(backend),
+        }
     }
 
     /// Wraps an already-trained DDPG learner as the agent for RA `ra` —
@@ -79,7 +90,7 @@ impl OrchestrationAgent {
     pub fn from_ddpg(ra: RaId, ddpg: Ddpg) -> Self {
         Self {
             ra,
-            backend: AgentBackend::Ddpg(ddpg),
+            backend: Arc::new(AgentBackend::Ddpg(ddpg)),
         }
     }
 
@@ -88,11 +99,12 @@ impl OrchestrationAgent {
         self.ra
     }
 
-    /// Clones this agent (including its learned parameters) for another RA.
+    /// This agent (including its learned parameters) as the agent of
+    /// another RA; the two share one learner until either is trained.
     pub fn clone_for_ra(&self, ra: RaId) -> OrchestrationAgent {
         OrchestrationAgent {
             ra,
-            backend: self.backend.clone(),
+            backend: Arc::clone(&self.backend),
         }
     }
 
@@ -103,7 +115,7 @@ impl OrchestrationAgent {
 
     /// The technique in use.
     pub fn technique(&self) -> Technique {
-        match &self.backend {
+        match &*self.backend {
             AgentBackend::Ddpg(_) => Technique::Ddpg,
             AgentBackend::Sac(_) => Technique::Sac,
             AgentBackend::Ppo(_) => Technique::Ppo,
@@ -113,10 +125,12 @@ impl OrchestrationAgent {
     }
 
     /// Trains the agent offline for approximately `env_steps` environment
-    /// interactions (on-policy backends round to whole rollouts).
+    /// interactions (on-policy backends round to whole rollouts). An agent
+    /// that shares its learner with replicas first takes its own copy, so
+    /// the replicas keep the policy they had.
     pub fn train(&mut self, env: &mut RaSliceEnv, env_steps: usize, rng: &mut StdRng) {
         env.set_randomize_coord(true);
-        match &mut self.backend {
+        match Arc::make_mut(&mut self.backend) {
             AgentBackend::Ddpg(a) => {
                 a.train(env, env_steps, rng);
             }
@@ -141,7 +155,7 @@ impl OrchestrationAgent {
 
     /// The greedy orchestration action for a state (Eq. 14).
     pub fn decide(&self, state: &[f64]) -> Vec<f64> {
-        match &self.backend {
+        match &*self.backend {
             AgentBackend::Ddpg(a) => a.policy(state),
             AgentBackend::Sac(a) => a.policy(state),
             AgentBackend::Ppo(a) => a.policy(state),

@@ -280,6 +280,10 @@ impl EdgeSliceSystem {
     /// speed-up when all RAs are statistically identical (used by the
     /// scalability sweeps; the paper trains each agent, which is
     /// embarrassingly parallel on their testbed).
+    ///
+    /// Deployment shares, training copies: the replicas are handles to the
+    /// one trained learner, and an RA pays for a learner of its own only
+    /// if it is trained further (a later [`EdgeSliceSystem::train`]).
     pub fn train_shared(&mut self, env_steps: usize, rng: &mut StdRng) {
         if self.agents.is_empty() {
             return;
@@ -291,24 +295,21 @@ impl EdgeSliceSystem {
         if let (Some(agent), Some(env)) = (self.agents.first_mut(), self.envs.first_mut()) {
             agent.train(env, env_steps, &mut rng0);
         }
-        // Re-decide the remaining agents from the trained one's policy by
-        // round-tripping through its backend clone.
-        let trained = self.agents.remove(0);
-        let mut replicas = trained.replicate(self.config.n_ras);
+        let trained = self.agent0();
+        self.deploy(&trained);
         for env in &mut self.envs {
-            env.set_randomize_coord(false);
             // Deployment starts from an operational baseline, not whatever
             // backlog the final training episode left behind.
             env.clear_queues();
         }
-        self.agents.clear();
-        self.agents.append(&mut replicas);
     }
 
     /// Installs replicas of a pre-trained agent on every RA (the
     /// counterpart of [`EdgeSliceSystem::train_shared`] when the agent was
     /// trained elsewhere, e.g. reused across a scalability sweep whose RA
-    /// count varies but whose slice set does not).
+    /// count varies but whose slice set does not). The replicas share
+    /// `trained`'s learner, so this costs one handle per RA whatever the
+    /// replay capacity.
     ///
     /// # Panics
     ///
@@ -318,13 +319,21 @@ impl EdgeSliceSystem {
             matches!(self.kind, OrchestratorKind::Learned(_)),
             "cannot install agents on a TARO system"
         );
+        self.deploy(trained);
+    }
+
+    /// Makes every RA decide with `trained`'s policy from here on: live
+    /// replicas of it, and no policy restored earlier from a snapshot left
+    /// standing in front of them.
+    fn deploy(&mut self, trained: &OrchestrationAgent) {
         self.agents = trained.replicate(self.config.n_ras);
+        self.policy_overrides.fill(None);
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
     }
 
-    /// A clone of RA 0's (trained) agent, for installation into another
+    /// A replica of RA 0's (trained) agent, for installation into another
     /// system of the same slice set (e.g. a different network size in a
     /// scalability sweep).
     ///
@@ -468,7 +477,7 @@ pub fn project_action_per_resource(action: &mut [f64], n_slices: usize) {
 }
 
 impl OrchestrationAgent {
-    /// Clones this trained agent into `n` per-RA replicas (see
+    /// This trained agent as `n` per-RA replicas sharing its learner (see
     /// [`EdgeSliceSystem::train_shared`]).
     pub fn replicate(&self, n: usize) -> Vec<OrchestrationAgent> {
         (0..n).map(|j| self.clone_for_ra(RaId(j))).collect()

@@ -6,15 +6,19 @@
 //! 5-slice dataset environment and a DDPG-shaped policy, under the same
 //! per-thread counting allocator as `crates/rl/tests/zero_alloc.rs`: after
 //! one warm-up step (which sizes every buffer), a thousand more must not
-//! touch the heap. The lint's `hot-path-alloc` / `transitive-alloc` rules
-//! are the static half of this guarantee; this is the half that runs.
+//! touch the heap — including the steps that land in a grid cell for the
+//! first time and fit it. The lint's `hot-path-alloc` / `transitive-alloc`
+//! rules are the static half of this guarantee; this is the half that runs.
+//!
+//! The same allocator counts deployment: installing a trained agent on
+//! every RA is a handful of allocations whatever its replay capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edgeslice::{
-    project_action_per_resource, AgentConfig, EdgeSliceSystem, FleetScratch, OrchestratorKind,
-    PolicyCheckpoint, RaSliceEnv, SystemConfig, Taro,
+    project_action_per_resource, AgentConfig, EdgeSliceSystem, FleetScratch, OrchestrationAgent,
+    OrchestratorKind, PolicyCheckpoint, RaId, RaSliceEnv, SystemConfig, Taro,
 };
 use edgeslice_rl::Technique;
 use rand::rngs::StdRng;
@@ -70,16 +74,16 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 const N_SLICES: usize = 5;
 const STEPS: usize = 1_000;
 
-/// A one-RA deployment on the simulation configuration (5 slices, dataset
-/// service model, diurnal traffic, `project_actions` on) with an untrained
-/// DDPG agent: the shapes are the deployed ones, and an untrained actor's
+/// A deployment on the simulation configuration (5 slices, dataset
+/// service model, diurnal traffic, `project_actions` on) with untrained
+/// DDPG agents: the shapes are the deployed ones, and an untrained actor's
 /// near-0.5 outputs project to shares off the 10 % grid, so every step
 /// takes `GridDataset::predict`'s fitting path.
-fn deployment(rng: &mut StdRng) -> EdgeSliceSystem {
+fn deployment(n_ras: usize, rng: &mut StdRng) -> EdgeSliceSystem {
     let mut agent_config = AgentConfig::default();
     agent_config.ddpg.replay_capacity = 64;
     EdgeSliceSystem::new(
-        SystemConfig::simulation(N_SLICES, 1, rng),
+        SystemConfig::simulation(N_SLICES, n_ras, rng),
         OrchestratorKind::Learned(Technique::Ddpg),
         &agent_config,
         rng,
@@ -94,31 +98,68 @@ fn every_slice_is_off_grid(env: &RaSliceEnv) -> bool {
     })
 }
 
+/// The interior cells of each slice's 10 % grid that applied shares have
+/// landed in, on the stack so that keeping it costs the step no allocation.
+struct CellsSeen([[bool; 1_000]; N_SLICES]);
+
+impl CellsSeen {
+    /// Notes the cells of `env`'s last applied shares; returns how many were
+    /// first touches — steps on which `GridDataset::predict` had to fit.
+    fn note(&mut self, env: &RaSliceEnv) -> usize {
+        let mut first_touches = 0;
+        for (seen, sh) in self.0.iter_mut().zip(env.last_shares()) {
+            let g = sh.as_array().map(|s| s / 0.1);
+            if g.iter().any(|g| g.floor() == g.ceil()) {
+                continue; // on a cell face: fitted every time, never kept
+            }
+            let [r, t, c] = g.map(|g| g as usize);
+            let cell = &mut seen[(r * 10 + t) * 10 + c];
+            first_touches += usize::from(!*cell);
+            *cell = true;
+        }
+        first_touches
+    }
+}
+
 #[test]
 fn learned_agent_step_is_allocation_free_after_warm_up() {
     let mut rng = StdRng::seed_from_u64(17);
-    let mut system = deployment(&mut rng);
+    let mut system = deployment(1, &mut rng);
     let policy = PolicyCheckpoint::from_agent(&system.agent0());
     let env = system.env0_mut();
     env.set_randomize_coord(false);
     env.set_coordination(&[-30.0; N_SLICES]);
     let (mut state, mut action, mut scratch) = (Vec::new(), Vec::new(), FleetScratch::new());
-    let mut step = |env: &mut RaSliceEnv, rng: &mut StdRng| {
+    // An untrained actor barely moves, so `i` drifts its action across the
+    // grid: the counted steps hold first touches (a cell fitted and
+    // remembered) as well as revisits.
+    let mut step = |env: &mut RaSliceEnv, rng: &mut StdRng, i: usize| {
         env.observe_into(&mut state);
         policy.decide_into(&state, &mut scratch, &mut action);
+        for (k, a) in action.iter_mut().enumerate() {
+            *a = (*a + (i * (k + 1) % 89) as f64 / 89.0) % 1.0;
+        }
         project_action_per_resource(&mut action, N_SLICES);
         env.advance_scratch(&action, rng)
     };
-    step(env, &mut rng);
+    step(env, &mut rng, 0);
+    let mut cells = CellsSeen([[false; 1_000]; N_SLICES]);
+    cells.note(env);
+    let mut first_touches = 0;
     let allocations = count_allocations(|| {
-        for _ in 0..STEPS {
-            assert!(step(env, &mut rng).is_finite());
+        for i in 0..STEPS {
+            assert!(step(env, &mut rng, i).is_finite());
+            first_touches += cells.note(env);
         }
     });
     assert!(
         every_slice_is_off_grid(env),
         "the step must exercise the off-grid fit, got {:?}",
         env.last_shares()
+    );
+    assert!(
+        (100..STEPS).contains(&first_touches),
+        "the counted steps must hold first touches and revisits, got {first_touches}"
     );
     assert_eq!(
         allocations, 0,
@@ -127,9 +168,33 @@ fn learned_agent_step_is_allocation_free_after_warm_up() {
 }
 
 #[test]
+fn installing_agents_allocates_the_same_handful_whatever_the_replay_capacity() {
+    let installs_at = |replay_capacity: usize| {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut system = deployment(10, &mut rng);
+        let mut agent_config = AgentConfig::default();
+        agent_config.ddpg.replay_capacity = replay_capacity;
+        let trained = OrchestrationAgent::new(
+            RaId(0),
+            Technique::Ddpg,
+            system.env0_mut(),
+            &agent_config,
+            &mut rng,
+        );
+        count_allocations(|| system.install_agents(&trained))
+    };
+    let (small, large) = (installs_at(8_192), installs_at(100_000));
+    assert_eq!(
+        small, large,
+        "deployment cost depends on the replay capacity"
+    );
+    assert!(small <= 8, "install_agents allocated {small} times");
+}
+
+#[test]
 fn taro_agent_step_is_allocation_free_after_warm_up() {
     let mut rng = StdRng::seed_from_u64(18);
-    let mut system = deployment(&mut rng);
+    let mut system = deployment(1, &mut rng);
     let env = system.env0_mut();
     env.set_randomize_coord(false);
     let taro = Taro::new();

@@ -6,7 +6,10 @@
 //! actions to predict service time for off-grid actions. This module is
 //! that pipeline: [`GridDataset::generate`] runs the grid search against
 //! the physical RA model, and [`GridDataset::predict`] interpolates with a
-//! locally-fitted [`LinearModel`].
+//! locally-fitted [`LinearModel`]. The fit is a function of the cell alone,
+//! so each interior cell is fitted once, on first use, and remembered.
+
+use std::sync::OnceLock;
 
 use edgeslice_optim::LinearModel;
 use serde::{Deserialize, Serialize};
@@ -52,8 +55,26 @@ impl RaCapacities {
     }
 }
 
+/// What fitting one cell's corners yields: everything an off-grid
+/// prediction in that cell needs besides the point itself.
+#[derive(Debug, Clone, Copy)]
+enum CellFit {
+    /// The least-squares plane, `[w_radio, w_transport, w_compute, intercept]`.
+    Plane([f64; 4]),
+    /// Degenerate corner set (e.g. all identical): the corners' mean.
+    Mean(f64),
+}
+
+/// The lower and upper grid index bracketing a share on each axis
+/// (`lo == hi` when the share sits on a grid plane).
+type CellPlanes = [[usize; 2]; 3];
+
 /// The grid-search dataset for one application profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Not serialisable, and equality compares the generating inputs only: the
+/// per-cell memo is derived state a warmed dataset has and a fresh one does
+/// not.
+#[derive(Debug, Clone)]
 pub struct GridDataset {
     app: AppProfile,
     capacities: RaCapacities,
@@ -63,6 +84,19 @@ pub struct GridDataset {
     axis: usize,
     /// Service time per grid point, indexed `r * axis² + t * axis + c`.
     times: Vec<f64>,
+    /// The fit of each interior cell (8 distinct corners), indexed by its
+    /// low corner over `axis − 1` cells per axis and filled on first use:
+    /// a run's off-grid predictions revisit a few hundred cells, so fitting
+    /// all `(axis − 1)³` up front would mostly be wasted set-up.
+    fits: Vec<OnceLock<CellFit>>,
+}
+
+impl PartialEq for GridDataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.app == other.app
+            && self.capacities == other.capacities
+            && self.granularity == other.granularity
+    }
 }
 
 impl GridDataset {
@@ -105,6 +139,9 @@ impl GridDataset {
             granularity,
             axis,
             times,
+            fits: std::iter::repeat_with(OnceLock::new)
+                .take((axis - 1).pow(3))
+                .collect(),
         }
     }
 
@@ -147,7 +184,8 @@ impl GridDataset {
     ///
     /// On-grid actions return their recorded value exactly. Off-grid, the
     /// corner set, the 4 × 4 normal equations and their solve all live in
-    /// fixed stack arrays: this never touches the heap.
+    /// fixed stack arrays, and an interior cell is fitted once: this never
+    /// touches the heap.
     pub fn predict(&self, shares: [f64; 3]) -> f64 {
         let clamped = [
             shares[0].clamp(0.0, 1.0),
@@ -156,35 +194,54 @@ impl GridDataset {
         ];
         match self.lookup(clamped) {
             Some(exact) => exact,
-            None => self.fit_cell(clamped),
+            None => self.predict_in_cell(clamped),
         }
     }
 
     /// The off-grid half of [`GridDataset::predict`], kept out of line so
-    /// the exact-lookup path does not carry its stack frame: fits the
+    /// the exact-lookup path does not carry its stack frame: locates the
     /// cell around `clamped` (shares already in `[0, 1]`) and evaluates
-    /// the fit there.
+    /// that cell's fit there.
     #[inline(never)]
-    fn fit_cell(&self, clamped: [f64; 3]) -> f64 {
-        // Collect the surrounding cell's distinct corners: at most 8 × 3,
-        // so the whole fit lives in fixed stack arrays. An axis whose share
-        // sits on a grid plane (`lo == hi`) contributes that plane once —
-        // the same corners, in the same order, as visiting all eight
-        // `(lo | hi)³` combinations and dropping the repeats.
-        let mut planes = [([0usize; 2], 0usize); 3];
+    fn predict_in_cell(&self, clamped: [f64; 3]) -> f64 {
+        let mut planes: CellPlanes = [[0; 2]; 3];
         for (p, &s) in planes.iter_mut().zip(&clamped) {
             let g = s / self.granularity;
             let lo = (g.floor() as usize).min(self.axis - 1);
             let hi = (g.ceil() as usize).min(self.axis - 1);
-            *p = ([lo, hi], if lo == hi { 1 } else { 2 });
+            *p = [lo, hi];
         }
-        let [(rs, nr), (ts, nt), (cs, nc)] = planes;
+        let [[r, r_hi], [t, t_hi], [c, c_hi]] = planes;
+        // A point on a cell face (`lo == hi` on some axis) has fewer than 8
+        // corners and a fit of its own; only whole cells are remembered.
+        let fit = if r < r_hi && t < t_hi && c < c_hi {
+            let cells = self.axis - 1;
+            *self.fits[(r * cells + t) * cells + c].get_or_init(|| self.cell_fit(&planes))
+        } else {
+            self.cell_fit(&planes)
+        };
+        match fit {
+            CellFit::Plane(coef) => {
+                LinearModel::predict_coef(&coef, &clamped).clamp(0.0, SERVICE_TIME_CAP_S)
+            }
+            CellFit::Mean(mean) => mean,
+        }
+    }
+
+    /// Fits the linear model over the distinct corners `planes` spans: at
+    /// most 8 × 3, so the whole fit lives in fixed stack arrays. An axis
+    /// whose share sits on a grid plane (`lo == hi`) contributes that plane
+    /// once — the same corners, in the same order, as visiting all eight
+    /// `(lo | hi)³` combinations and dropping the repeats.
+    fn cell_fit(&self, planes: &CellPlanes) -> CellFit {
+        let distinct = |p: &[usize; 2]| if p[0] == p[1] { 1 } else { 2 };
+        let [rs, ts, cs] = planes;
         let mut corners = [[0.0f64; 3]; 8];
         let mut ys = [0.0f64; 8];
         let mut n = 0;
-        for &r in &rs[..nr] {
-            for &t in &ts[..nt] {
-                for &c in &cs[..nc] {
+        for &r in &rs[..distinct(rs)] {
+            for &t in &ts[..distinct(ts)] {
+                for &c in &cs[..distinct(cs)] {
                     corners[n] = [
                         r as f64 * self.granularity,
                         t as f64 * self.granularity,
@@ -198,9 +255,8 @@ impl GridDataset {
         let (corners, ys) = (&corners[..n], &ys[..n]);
         let (mut ata, mut coef) = ([0.0f64; 16], [0.0f64; 4]);
         match LinearModel::fit_into(corners, ys, 1e-8, &mut ata, &mut coef) {
-            Ok(()) => LinearModel::predict_coef(&coef, &clamped).clamp(0.0, SERVICE_TIME_CAP_S),
-            // Degenerate corner set (e.g. all identical): average.
-            Err(_) => ys.iter().sum::<f64>() / ys.len().max(1) as f64,
+            Ok(()) => CellFit::Plane(coef),
+            Err(_) => CellFit::Mean(ys.iter().sum::<f64>() / ys.len().max(1) as f64),
         }
     }
 }
@@ -209,8 +265,16 @@ impl GridDataset {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     impl GridDataset {
+        /// How many interior cells have been fitted so far.
+        fn remembered_cells(&self) -> usize {
+            self.fits.iter().filter(|f| f.get().is_some()).count()
+        }
+
         /// `predict` as it stood before the stack-array rewrite (`Vec` of
         /// `vec!` corner rows, a `collect()`ed bounds list, the allocating
         /// `LinearModel::fit`), kept verbatim as the differential oracle.
@@ -355,6 +419,84 @@ mod tests {
         ] {
             assert_matches_reference(&d, shares);
         }
+    }
+
+    // The proptests above build a fresh dataset per case, so every off-grid
+    // query there is a first touch. Here one dataset answers everything —
+    // each query twice in a row (fit, then remembered fit), then the whole
+    // set again in a shuffled order — and every answer is held to the
+    // reference, which knows no memo.
+    #[test]
+    fn one_dataset_answers_first_touches_and_revisits_like_the_reference() {
+        for d in [dataset(), coarse_dataset()] {
+            let g = d.granularity;
+            // By hand: cell faces (one and two coordinates on a grid plane:
+            // 4 and 2 corners), a hair off a plane, points clamped from
+            // outside onto the boundary planes, the first and the last cell.
+            let faces = [
+                [g, 2.5 * g, 0.2 * g],
+                [g, 2.0 * g, 0.2 * g],
+                [1.7, -0.4, 1.0 - 0.5 * g],
+                [1.3, 0.5 * g, 0.5 * g],
+            ];
+            for q in faces {
+                assert_matches_reference(&d, q);
+                assert_matches_reference(&d, q);
+            }
+            assert_eq!(d.remembered_cells(), 0, "a face has a fit of its own");
+            let mut queries = vec![
+                [2.0 * g + 1e-7, 1.5 * g, 0.5 * g],
+                [0.5 * g, 0.5 * g, 0.5 * g],
+                [1.0 - 0.5 * g, 1.0 - 0.5 * g, 1.0 - 0.5 * g],
+            ];
+            queries.extend(faces);
+            let mut rng = StdRng::seed_from_u64(0xCE11);
+            queries.extend((0..1_000).map(|_| [(); 3].map(|()| rng.gen_range(-0.2..1.2))));
+            for &q in &queries {
+                assert_matches_reference(&d, q);
+                assert_matches_reference(&d, q);
+            }
+            let remembered = d.remembered_cells();
+            let cells = (d.axis - 1).pow(3);
+            assert!(
+                remembered > cells / 4 && remembered <= cells,
+                "{remembered} of {cells} cells remembered"
+            );
+            queries.shuffle(&mut rng);
+            for &q in &queries {
+                assert_matches_reference(&d, q);
+            }
+            assert_eq!(d.remembered_cells(), remembered, "a revisit fitted again");
+        }
+    }
+
+    #[test]
+    fn a_remembered_degenerate_cell_answers_with_its_mean() {
+        // No generated grid reaches `CellFit::Mean` — the ridge keeps every
+        // corner set's normal equations positive definite — so plant one in
+        // the cell around the query and leave its neighbour to be fitted.
+        let d = coarse_dataset();
+        let cells = d.axis - 1;
+        d.fits[(cells + 2) * cells + 3]
+            .set(CellFit::Mean(7.25))
+            .expect("a fresh dataset has fitted nothing");
+        assert_eq!(d.predict([0.3, 0.6, 0.9]).to_bits(), 7.25f64.to_bits());
+        assert_matches_reference(&d, [0.3, 0.6, 0.7]);
+    }
+
+    #[test]
+    fn a_warmed_dataset_equals_a_cold_one_and_its_clone() {
+        let (warm, cold) = (dataset(), dataset());
+        let q = [0.12, 0.38, 0.22];
+        let first = warm.predict(q);
+        assert_eq!(warm.remembered_cells(), 1);
+        assert_eq!(warm, cold);
+        let clone = warm.clone();
+        assert_eq!(clone, warm);
+        assert_eq!(clone, cold);
+        assert_eq!(clone.predict(q).to_bits(), first.to_bits());
+        assert_eq!(cold.predict(q).to_bits(), first.to_bits());
+        assert_ne!(warm, coarse_dataset());
     }
 
     #[test]
