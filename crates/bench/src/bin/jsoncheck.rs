@@ -2,7 +2,6 @@
 //! that a top-level numeric field clears a minimum.
 //!
 //! Usage: `jsoncheck <path> [<field> [<min>]]`
-//!    or: `jsoncheck --train-perf <path> [<min-kernel-speedup>]`
 //!    or: `jsoncheck --runtime <path>`
 //!    or: `jsoncheck --churn <path>`
 //!
@@ -10,11 +9,6 @@
 //! - With `<field>`: the document must be an object with that top-level
 //!   field, and the field must be a finite number.
 //! - With `<min>`: additionally `field >= min` (default 1.0).
-//! - With `--train-perf`: the document must match the `trainperf` schema —
-//!   `host_parallelism` / `tile_k` / `tile_n` / `threads` present and ≥ 1,
-//!   `params_bit_identical` true, and **every** row of `kernels[]` showing
-//!   `speedup >= <min-kernel-speedup>` (default 1.0). This gates the
-//!   committed `results/BENCH_train.json` without re-timing in CI.
 //! - With `--runtime`: the document must match the runtime-scaling schema —
 //!   worker counts ≥ 1, finite positive timings in both the `sequential`
 //!   and `threaded` sub-objects, finite positive speedups, and
@@ -30,7 +24,6 @@
 use serde::Value;
 
 const USAGE: &str = "usage: jsoncheck <path> [<field> [<min>]]\n\
-       jsoncheck --train-perf <path> [<min-kernel-speedup>]\n\
        jsoncheck --runtime <path>\n\
        jsoncheck --churn <path>";
 
@@ -59,52 +52,6 @@ fn require_numeric(path: &str, doc: &Value, field: &str) -> f64 {
     let n = numeric(v).unwrap_or_else(|| panic!("{path}: field {field:?} is not numeric"));
     assert!(n.is_finite(), "{path}: field {field:?} is not finite");
     n
-}
-
-/// Validates the `trainperf` artifact schema (see module docs).
-fn check_train_perf(path: &str, doc: &Value, min_kernel_speedup: f64) {
-    for field in ["host_parallelism", "tile_k", "tile_n", "threads"] {
-        let n = require_numeric(path, doc, field);
-        assert!(n >= 1.0, "{path}: {field} = {n} must be >= 1");
-    }
-    let identical = doc
-        .get_field("params_bit_identical")
-        .unwrap_or_else(|| panic!("{path}: missing field \"params_bit_identical\""));
-    assert!(
-        matches!(identical, Value::Bool(true)),
-        "{path}: params_bit_identical must be true, got {identical:?}"
-    );
-    let end_to_end = require_numeric(path, doc, "speedup");
-
-    let kernels = doc
-        .get_field("kernels")
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing or non-array field \"kernels\""));
-    assert!(!kernels.is_empty(), "{path}: kernels[] is empty");
-    for (i, row) in kernels.iter().enumerate() {
-        let name = match row.get_field("kernel") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => panic!("{path}: kernels[{i}] has no string \"kernel\" field"),
-        };
-        for field in ["before_s", "after_s", "speedup"] {
-            let n = require_numeric(path, row, field);
-            assert!(
-                n > 0.0,
-                "{path}: kernels[{i}] ({name}): {field} = {n} must be positive"
-            );
-        }
-        let speedup = require_numeric(path, row, "speedup");
-        assert!(
-            speedup >= min_kernel_speedup,
-            "{path}: kernel {name:?} speedup {speedup:.4} is below the \
-             required minimum {min_kernel_speedup}"
-        );
-    }
-    println!(
-        "{path}: train-perf schema ok — {} kernel rows all >= x{min_kernel_speedup}, \
-         end-to-end x{end_to_end:.2}, params bit-identical",
-        kernels.len()
-    );
 }
 
 /// Validates the runtime-scaling artifact schema (see module docs).
@@ -200,7 +147,6 @@ fn check_churn(path: &str, doc: &Value) {
 /// Which structural schema a flag selects.
 enum Mode {
     Plain,
-    TrainPerf,
     Runtime,
     Churn,
 }
@@ -212,9 +158,8 @@ fn main() {
         None => usage_exit("missing arguments"),
     };
     let (mode, path) = match first.as_str() {
-        "--train-perf" | "--runtime" | "--churn" => {
+        "--runtime" | "--churn" => {
             let mode = match first.as_str() {
-                "--train-perf" => Mode::TrainPerf,
                 "--runtime" => Mode::Runtime,
                 _ => Mode::Churn,
             };
@@ -244,19 +189,6 @@ fn main() {
     println!("{path}: parses");
 
     match mode {
-        Mode::TrainPerf => {
-            let min_kernel = match field {
-                Some(m) => match m.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        usage_exit(&format!("<min-kernel-speedup> must be a number, got {m:?}"))
-                    }
-                },
-                None => 1.0,
-            };
-            check_train_perf(&path, &value, min_kernel);
-            return;
-        }
         Mode::Runtime => {
             if field.is_some() {
                 usage_exit("--runtime takes no extra arguments");

@@ -3,12 +3,12 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, Init, Matrix, Parallelism};
+use crate::{Activation, GemmOp, Init, Matrix, Parallelism};
 
 /// A dense layer computing `act(x Wᵀ + b)` over a batch of row-vector inputs.
 ///
 /// Weights are stored `out × in` so a batch forward pass is a single
-/// [`Matrix::matmul_nt`].
+/// [`GemmOp::ABt`] product.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
@@ -123,7 +123,7 @@ impl Dense {
 
     /// Computes the pre-activation `x Wᵀ + b` for a batch (`batch × in`).
     pub fn pre_activation(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul_nt(&self.weights);
+        let mut z = Matrix::gemm(GemmOp::ABt, x, &self.weights);
         z.add_row_broadcast(&self.bias);
         z
     }
@@ -144,10 +144,10 @@ impl Dense {
         // dZ = d_out ⊙ act'(z)
         let dz = d_out.hadamard(&self.activation.backward(z));
         // dW = dZᵀ X  → (out × batch)(batch × in) = out × in
-        let dw = dz.matmul_tn(x);
+        let dw = Matrix::gemm(GemmOp::AtB, &dz, x);
         let db = dz.sum_rows();
         // dX = dZ W  → (batch × out)(out × in) = batch × in
-        let dx = dz.matmul(&self.weights);
+        let dx = Matrix::gemm(GemmOp::AB, &dz, &self.weights);
         (
             DenseGrad {
                 weights: dw,
@@ -158,24 +158,15 @@ impl Dense {
     }
 
     /// Fused forward pass writing the pre-activation into `z` and the
-    /// activated output into `out` (both resized as needed).
+    /// activated output into `out` (both resized as needed), the batch's
+    /// rows split across up to the requested number of worker threads.
     ///
-    /// Bit-identical to [`Dense::pre_activation`] + [`Dense::forward`]: the
-    /// product runs through [`Matrix::matmul_a_bt_into`], which preserves
-    /// the per-element accumulation order of [`Matrix::matmul_nt`].
-    pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix) {
-        x.matmul_a_bt_into(&self.weights, z);
-        z.add_row_broadcast(&self.bias);
-        self.activation.forward_into(z, out);
-    }
-
-    /// [`Dense::forward_into`] with the batch's rows split across up to the
-    /// requested number of worker threads ([`Matrix::matmul_a_bt_par_into`]).
-    /// Byte-identical to [`Dense::forward_into`] for any thread count: the
-    /// GEMM is row-split-invariant and the bias/activation steps are
+    /// Bit-identical to [`Dense::pre_activation`] + [`Dense::forward`] for
+    /// any thread count: the product is row-split-invariant
+    /// ([`Matrix::gemm_into`]) and the bias/activation steps are
     /// element-wise.
-    pub fn forward_par_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix, par: Parallelism) {
-        x.matmul_a_bt_par_into(&self.weights, z, par);
+    pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix, par: Parallelism) {
+        Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z, par);
         z.add_row_broadcast(&self.bias);
         self.activation.forward_into(z, out);
     }
@@ -195,9 +186,10 @@ impl Dense {
     ) {
         self.activation.backward_weighted_into(z, d_out, dz);
         grad.resize_like(self);
-        dz.matmul_at_b_into(x, &mut grad.weights);
+        let seq = Parallelism::Sequential;
+        Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights, seq);
         dz.sum_rows_into(&mut grad.bias);
-        dz.matmul_into(&self.weights, dx);
+        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, seq);
     }
 
     /// Input-gradient-only backward pass: like [`Dense::backward_into`] but
@@ -214,7 +206,7 @@ impl Dense {
         dx: &mut Matrix,
     ) {
         self.activation.backward_weighted_into(z, d_out, dz);
-        dz.matmul_into(&self.weights, dx);
+        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, Parallelism::Sequential);
     }
 
     /// `self ← (1 - tau) * self + tau * source` (Polyak/soft target update).

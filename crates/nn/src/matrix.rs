@@ -3,9 +3,9 @@
 //! This is deliberately a small, allocation-explicit matrix type rather than
 //! a general tensor library: everything EdgeSlice needs is 2-D (batches of
 //! states/actions flowing through fully-connected layers) and small (layer
-//! widths of 64–256), so a cache-friendly `ikj` matmul over a contiguous
-//! `Vec<f64>` is both simple and fast enough to train the paper's 2×128
-//! networks on a laptop.
+//! widths of 64–256), so one register-tiled, cache-blocked product over a
+//! contiguous `Vec<f64>` ([`Matrix::gemm_into`]) is both simple and fast
+//! enough to train the paper's 2×128 networks on a laptop.
 
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
@@ -33,17 +33,32 @@ const PANEL_LEN: usize = TILE_K * TILE_N;
 /// # Examples
 ///
 /// ```
-/// use edgeslice_nn::Matrix;
+/// use edgeslice_nn::{GemmOp, Matrix};
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// assert_eq!(Matrix::gemm(GemmOp::AB, &a, &b), a);
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Which product of its two operands [`Matrix::gemm_into`] computes — the
+/// three a dense layer's update is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmOp {
+    /// `A·B` with `A` `m × k` and `B` `k × n`: a layer's input gradient
+    /// `dz·W`.
+    AB,
+    /// `Aᵀ·B` with `A` `k × m` and `B` `k × n`, the transpose never
+    /// materialized: a layer's weight gradient `dzᵀ·x`.
+    AtB,
+    /// `A·Bᵀ` with `A` `m × k` and `B` `n × k`, the transpose never
+    /// materialized: a layer's forward product `x·Wᵀ`.
+    ABt,
 }
 
 impl Matrix {
@@ -202,95 +217,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Uses the `ikj` loop order so the inner loop walks both operands
-    /// contiguously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                // lint:allow(float-eq): bit-exact zero-skip — part of the kernels' bit-identity contract (DESIGN.md §10)
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `selfᵀ * rhs` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    // lint:allow(transitive-alloc): allocating reference form by design — the `*_into` kernels are the hot-path variants
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_tn dimension mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a_ki) in a_row.iter().enumerate() {
-                // lint:allow(float-eq): bit-exact zero-skip — part of the kernels' bit-identity contract (DESIGN.md §10)
-                if a_ki == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ki * b_kj;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhsᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    // lint:allow(transitive-alloc): allocating reference form by design — the `*_into` kernels are the hot-path variants
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt dimension mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
-        out
-    }
-
     /// The transpose of this matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -324,221 +250,65 @@ impl Matrix {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Matrix product `self * rhs` written into `out` (resized as needed).
+    /// The one matrix product: `op` of `a` and `b` written into `out`
+    /// (resized as needed), output rows split across up to the requested
+    /// number of scoped worker threads.
     ///
-    /// Register-tiled via [`accumulate_row`], and cache-blocked via
-    /// [`Matrix::matmul_blocked_into`] once both the inner dimension and
-    /// the output width exceed the [`TILE_K`]/[`TILE_N`] tiles: every
-    /// output element keeps the `k`-ascending accumulation of
-    /// [`Matrix::matmul`], so results are bit-identical on either path for
-    /// finite operands (DESIGN.md §14 covers the zero-skip elision) — only
-    /// the allocation and the memory-bound accumulator are gone.
+    /// `op` only picks the row body. Every body computes each output element
+    /// as one accumulator seeded from `+0.0` running over the contraction
+    /// index ascending — the sum a naive triple loop produces, bit for bit
+    /// (the property suite holds every body to that loop by `to_bits`) —
+    /// whichever schedule the operand shape selects:
     ///
-    /// # Panics
+    /// * `A·B` is register-tiled two output rows at a time, and cache-blocked
+    ///   once `B` is at least 32 × [`TILE_N`];
+    /// * `Aᵀ·B` streams the operands for outputs narrower than one 8-column
+    ///   sliver and is cache-blocked, with a transpose-packed `A` block,
+    ///   from there up;
+    /// * `A·Bᵀ` runs a 2×4 dot tile (eight independent accumulator chains
+    ///   hide the floating-point add latency of a single dot product), a 1×8
+    ///   tile on an odd last row — a one-row product is nothing else — and
+    ///   is cache-blocked from [`A_BT_BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`].
     ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_into dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_for(m, n);
-        matmul_rows(&self.data, k, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_into`] with the cache-blocked schedule forced
-    /// regardless of shape (the plain entry point picks it automatically
-    /// for large shapes). Bit-identical to [`Matrix::matmul`]: `k`-tiles
-    /// are visited in ascending order and partial sums round-trip through
-    /// `out` unchanged, so every output element still accumulates its
-    /// terms in ascending `k`.
+    /// The schedules only reorder *which* outputs are in flight, never the
+    /// sum inside one output, and the choice reads the global shape, never a
+    /// thread's row range: the result is byte-identical for every `par`.
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_blocked_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// Panics if the contraction lengths of `a` and `b` under `op` differ.
+    pub fn gemm_into(op: GemmOp, a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
+        // `out` is `m × n`; `k` and `kb` are the contraction length as each
+        // operand has it.
+        let (m, k, kb, n) = match op {
+            GemmOp::AB => (a.rows, a.cols, b.rows, b.cols),
+            GemmOp::AtB => (a.cols, a.rows, b.rows, b.cols),
+            GemmOp::ABt => (a.rows, a.cols, b.cols, b.rows),
+        };
         assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_blocked_into dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
+            k, kb,
+            "gemm dimension mismatch: {op:?} of {}x{} and {}x{}",
+            a.rows, a.cols, b.rows, b.cols
         );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize_for(m, n);
-        matmul_rows_blocked(&self.data, k, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_into`] with output rows split across up to the
-    /// requested number of scoped worker threads. Every row is a pure
-    /// function of the global operands, so the result is byte-identical
-    /// to [`Parallelism::Sequential`] for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_par_into(&self, rhs: &Matrix, out: &mut Matrix, par: Parallelism) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_par_into dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_for(m, n);
-        let (a, b) = (&self.data, &rhs.data);
-        crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| {
-            matmul_rows(a, k, i0, nr, b, n, rows);
+        let (a, b) = (&a.data, &b.data);
+        crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| match op {
+            GemmOp::AB => matmul_rows(a, k, i0, nr, b, n, rows),
+            GemmOp::AtB => matmul_at_b_rows(a, m, k, i0, nr, b, n, rows),
+            GemmOp::ABt => matmul_a_bt_rows(a, m, k, i0, nr, b, n, rows),
         });
     }
 
-    /// Matrix product `selfᵀ * rhs` written into `out` (resized as needed),
-    /// without materializing the transpose.
-    ///
-    /// Streamed `t`-outer like [`Matrix::matmul_tn`] (cache-blocked with a
-    /// transpose-packed A block for large shapes): every output element
-    /// keeps the `k`-ascending accumulation, so results are bit-identical
-    /// for finite operands (DESIGN.md §14 covers the zero-skip elision) —
-    /// only the allocation is gone.
+    /// The product `op` names, as a new matrix: [`Matrix::gemm_into`] on a
+    /// fresh output, for callers off the training hot path.
     ///
     /// # Panics
     ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn matmul_at_b_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_at_b_into dimension mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (r, m, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_for(m, n);
-        // Sub-sliver outputs (< 8 columns) re-walk the strided `self`
-        // column once per register tile, which costs more than it saves;
-        // stream the operands with the memory-accumulator `kij` loop
-        // instead. The two loop structures are bit-identical, so the
-        // cutover is purely a performance choice.
-        if r == 0 || n < 8 {
-            out.data.fill(0.0);
-            for t in 0..r {
-                let a_row = &self.data[t * m..(t + 1) * m];
-                let b_row = &rhs.data[t * n..(t + 1) * n];
-                for (i, &a_ti) in a_row.iter().enumerate() {
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    for (o, &b_tj) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ti * b_tj;
-                    }
-                }
-            }
-            return;
-        }
-        at_b_rows(&self.data, m, r, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_at_b_into`] with the cache-blocked schedule forced
-    /// regardless of shape. Bit-identical to [`Matrix::matmul_tn`] for the
-    /// same reason as [`Matrix::matmul_blocked_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn matmul_at_b_blocked_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_at_b_blocked_into dimension mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (r, m, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_for(m, n);
-        at_b_rows_blocked(&self.data, m, r, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_at_b_into`] with output rows (columns of `self`)
-    /// split across up to the requested number of scoped worker threads;
-    /// byte-identical to [`Parallelism::Sequential`] for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn matmul_at_b_par_into(&self, rhs: &Matrix, out: &mut Matrix, par: Parallelism) {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_at_b_par_into dimension mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (r, m, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_for(m, n);
-        let (a, b) = (&self.data, &rhs.data);
-        crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| {
-            at_b_rows(a, m, r, i0, nr, b, n, rows);
-        });
-    }
-
-    /// Matrix product `self * rhsᵀ` written into `out` (resized as needed),
-    /// without materializing the transpose.
-    ///
-    /// The kernel is blocked 2×4: two rows of `self` against four rows of
-    /// `rhs` give eight independent accumulator chains, which hides the
-    /// floating-point add latency that serializes the single-accumulator
-    /// dot product in [`Matrix::matmul_nt`]; an odd last row (a one-row
-    /// product is nothing else) runs a 1×8 dot tile with the same eight
-    /// chains, and shapes at least [`A_BT_BLOCKED_MIN_ROWS`] × 32 ×
-    /// [`TILE_N`] take the cache-blocked schedule. Every output element is
-    /// still one accumulator running over `k` in ascending order, so
-    /// results are bit-identical to `matmul_nt` — the blocking only
-    /// reorders *which* outputs are in flight, never the sum inside one
-    /// output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_a_bt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_a_bt_into dimension mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize_for(m, n);
-        a_bt_rows(&self.data, m, k, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_a_bt_into`] with the cache-blocked schedule forced
-    /// regardless of shape. Bit-identical to [`Matrix::matmul_nt`]: every
-    /// output is still one accumulator running over `k` ascending (partial
-    /// sums round-trip through `out` between `k`-tiles unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_a_bt_blocked_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_a_bt_blocked_into dimension mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize_for(m, n);
-        a_bt_rows_blocked(&self.data, k, 0, m, &rhs.data, n, &mut out.data);
-    }
-
-    /// [`Matrix::matmul_a_bt_into`] with output rows split across up to
-    /// the requested number of scoped worker threads; byte-identical to
-    /// [`Parallelism::Sequential`] for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_a_bt_par_into(&self, rhs: &Matrix, out: &mut Matrix, par: Parallelism) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_a_bt_par_into dimension mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize_for(m, n);
-        let (a, b) = (&self.data, &rhs.data);
-        crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| {
-            a_bt_rows(a, m, k, i0, nr, b, n, rows);
-        });
+    /// Panics if the contraction lengths of `a` and `b` under `op` differ.
+    pub fn gemm(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        Matrix::gemm_into(op, a, b, &mut out, Parallelism::Sequential);
+        out
     }
 
     /// Element-wise (Hadamard) product.
@@ -746,7 +516,7 @@ impl Matrix {
 }
 
 /// Single-accumulator dot product, `k` ascending — the scalar tail of
-/// [`Matrix::matmul_a_bt_into`], matching [`Matrix::matmul_nt`] bit for bit.
+/// [`matmul_a_bt_rows`].
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -757,13 +527,11 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Computes one output row `out[j] = Σ_t a[t] · b[t·n + j]` with every
-/// output's accumulation running over `t` ascending — the same per-output
-/// term order as the memory-accumulator loops of [`Matrix::matmul`] and
-/// [`Matrix::matmul_tn`], so results are bit-identical on finite operands
-/// (see DESIGN.md §14 on why the references' zero-skip is elided here:
-/// adding a `±0.0` product is exact, and a partial sum seeded from `+0.0`
-/// can never itself be `-0.0`, so skip and no-skip produce the same bits —
-/// while a branch-free inner loop is what lets the compiler vectorize it).
+/// output's accumulation seeded from `+0.0` and running over `t` ascending
+/// — the per-output term order of a naive triple loop, so results are
+/// bit-identical to it. No term is skipped for an exact-zero `a[t]`: a
+/// branch-free inner loop is what lets the compiler vectorize it
+/// (DESIGN.md §14).
 ///
 /// Outputs are tiled 8 wide into register accumulators, with one
 /// variable-width tail tile (< 8 outputs) that still runs a single pass
@@ -947,8 +715,8 @@ fn pack_bt_panel(
 /// [`accumulate_row_pair`] against a packed panel, resuming partial sums
 /// from `out0`/`out1` exactly as [`accumulate_row_panel`] does: a 2×8
 /// register microkernel (sixteen independent accumulator chains) whose two
-/// `a` operands are contiguous term slices — an A row for `matmul`, a
-/// transpose-packed A column for `matmul_at_b`.
+/// `a` operands are contiguous term slices — an A row for `A·B` and
+/// `A·Bᵀ`, a transpose-packed A column for `Aᵀ·B`.
 #[inline]
 fn accumulate_pair_panel(
     a0: &[f64],
@@ -997,11 +765,11 @@ fn accumulate_pair_panel(
     }
 }
 
-/// Row-range body of [`Matrix::matmul_into`]: computes output rows
-/// `i0..i0 + nr` of `A·B` into `out_rows` (`nr × n`, row-major). Dispatch
-/// to the blocked schedule depends only on the *global* shape, never on
-/// the row range, so splitting rows across threads cannot change which
-/// kernel a row sees. The blocked path engages once `B` is at least
+/// Row-range body of `A·B` under [`Matrix::gemm_into`]: computes output
+/// rows `i0..i0 + nr` into `out_rows` (`nr × n`, row-major). Dispatch to
+/// the blocked schedule depends only on the *global* shape, never on the
+/// row range, so splitting rows across threads cannot change which kernel
+/// a row sees. The blocked path engages once `B` is at least
 /// 32×[`TILE_N`] — the panel microkernel beats streaming `B` per row pair
 /// well before the operands overflow cache (the paper's 128×128 hidden
 /// shapes included), while narrow outputs keep the register path.
@@ -1015,7 +783,8 @@ fn matmul_rows(
     out_rows: &mut [f64],
 ) {
     if k >= 32 && n >= TILE_N {
-        matmul_rows_blocked(a, k, i0, nr, b, n, out_rows);
+        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
+        matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
         return;
     }
     let mut rr = 0;
@@ -1032,77 +801,23 @@ fn matmul_rows(
     }
 }
 
-/// Cache-blocked row-range body of [`Matrix::matmul_into`]: `k`- and
-/// `n`-tiles with a packed B panel feeding the [`accumulate_pair_panel`]
-/// microkernel (row pairs, [`accumulate_row_panel`] for the odd tail),
-/// partial sums resumed from `out_rows` between `k`-tiles. `k`-tiles
-/// ascend, so each output element's accumulation order is exactly the
-/// unblocked one.
-fn matmul_rows_blocked(
-    a: &[f64],
-    k: usize,
-    i0: usize,
-    nr: usize,
-    b: &[f64],
-    n: usize,
-    out_rows: &mut [f64],
-) {
-    out_rows.fill(0.0);
-    let mut panel = [0.0f64; PANEL_LEN];
-    let mut kt = 0;
-    while kt < k {
-        let kc = (k - kt).min(TILE_K);
-        let mut jt = 0;
-        while jt < n {
-            let nc = (n - jt).min(TILE_N);
-            pack_b_panel(b, n, kt, kc, jt, nc, &mut panel);
-            let mut rr = 0;
-            while rr + 2 <= nr {
-                let a0 = &a[(i0 + rr) * k + kt..][..kc];
-                let a1 = &a[(i0 + rr + 1) * k + kt..][..kc];
-                let (lo, hi) = out_rows.split_at_mut((rr + 1) * n);
-                accumulate_pair_panel(
-                    a0,
-                    a1,
-                    &panel,
-                    nc,
-                    &mut lo[rr * n + jt..rr * n + jt + nc],
-                    &mut hi[jt..jt + nc],
-                );
-                rr += 2;
-            }
-            if rr < nr {
-                let row = (i0 + rr) * k + kt;
-                accumulate_row_panel(
-                    &a[row..row + kc],
-                    &panel,
-                    nc,
-                    &mut out_rows[rr * n + jt..rr * n + jt + nc],
-                );
-            }
-            jt += nc;
-        }
-        kt += kc;
-    }
-}
-
-/// Row-range body of [`Matrix::matmul_at_b_into`]: computes output rows
-/// `i0..i0 + nr` of `AᵀB` (`a` is `r × m` row-major, output row `i` is
-/// column `i0 + i` of `a` against `b`). The contraction runs as a
-/// branch-free `t`-outer stream — both operand rows and the output walk
-/// forward contiguously, never striding across `a` — which is the same
-/// loop structure (and therefore the same per-element `t`-ascending
-/// accumulation) as [`Matrix::matmul_tn`]. Every output element is a pure
-/// function of its column and the global operands, so chunk boundaries
-/// (and hence thread counts) cannot change results.
+/// Row-range body of `Aᵀ·B` under [`Matrix::gemm_into`]: computes output
+/// rows `i0..i0 + nr` (`a` is `r × m` row-major, output row `i` is column
+/// `i0 + i` of `a` against `b`). Every output element is a pure function
+/// of its column and the global operands, so chunk boundaries (and hence
+/// thread counts) cannot change results.
 ///
 /// Outputs at least one full sliver (8 columns) wide dispatch to the
 /// blocked schedule — its register accumulators touch each output element
-/// once per `k`-tile where the stream pays an `out` load/store per term,
-/// which wins even for the narrow 12/18-column weight-gradient shapes;
-/// only sub-sliver outputs keep the stream.
+/// once per `k`-tile where a stream pays an `out` load/store per term,
+/// which wins even for the narrow 12/18-column weight-gradient shapes.
+/// Sub-sliver outputs would re-walk the strided `a` column once per
+/// register tile, which costs more than it saves; they run a branch-free
+/// `t`-outer stream instead — both operand rows and the output walk
+/// forward contiguously, never striding across `a`, each output
+/// accumulating in memory from `+0.0` over `t` ascending.
 #[allow(clippy::too_many_arguments)]
-fn at_b_rows(
+fn matmul_at_b_rows(
     a: &[f64],
     m: usize,
     r: usize,
@@ -1113,7 +828,8 @@ fn at_b_rows(
     out_rows: &mut [f64],
 ) {
     if n >= 8 {
-        at_b_rows_blocked(a, m, r, i0, nr, b, n, out_rows);
+        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
+        matmul_rows_blocked::<true>(pack, a, m, r, i0, nr, n, out_rows);
         return;
     }
     out_rows.fill(0.0);
@@ -1129,85 +845,6 @@ fn at_b_rows(
     }
 }
 
-/// Column count of the transpose-packed A block in [`at_b_rows_blocked`]:
-/// eight columns of `a` re-laid term-contiguous (8 KiB on the stack) so
-/// the 2×8 microkernel reads its `a` operands forward instead of striding
-/// across `a`'s full width per term.
-const AT_B_IBLOCK: usize = 8;
-
-/// Cache-blocked row-range body of [`Matrix::matmul_at_b_into`]: per
-/// `k`/`n` tile, a packed B panel plus a transpose-packed block of
-/// [`AT_B_IBLOCK`] A columns feed the [`accumulate_pair_panel`]
-/// microkernel; partial sums resume from `out_rows` between `k`-tiles.
-/// Packing only copies operands — each output element still accumulates
-/// its terms in ascending `t`, so results match [`at_b_rows`] bit for bit
-/// regardless of block or chunk boundaries.
-#[allow(clippy::too_many_arguments)]
-fn at_b_rows_blocked(
-    a: &[f64],
-    m: usize,
-    r: usize,
-    i0: usize,
-    nr: usize,
-    b: &[f64],
-    n: usize,
-    out_rows: &mut [f64],
-) {
-    out_rows.fill(0.0);
-    let mut panel = [0.0f64; PANEL_LEN];
-    let mut ablock = [0.0f64; TILE_K * AT_B_IBLOCK];
-    let mut kt = 0;
-    while kt < r {
-        let kc = (r - kt).min(TILE_K);
-        let mut jt = 0;
-        while jt < n {
-            let nc = (n - jt).min(TILE_N);
-            pack_b_panel(b, n, kt, kc, jt, nc, &mut panel);
-            let mut ib = 0;
-            while ib < nr {
-                let bc = (nr - ib).min(AT_B_IBLOCK);
-                // Packed row `c` holds column `i0 + ib + c` of `a`,
-                // contiguous over the tile's terms.
-                for t in 0..kc {
-                    let src = (kt + t) * m + i0 + ib;
-                    for (c, &v) in a[src..src + bc].iter().enumerate() {
-                        ablock[c * kc + t] = v;
-                    }
-                }
-                let mut rr = 0;
-                while rr + 2 <= bc {
-                    let a0 = &ablock[rr * kc..(rr + 1) * kc];
-                    let a1 = &ablock[(rr + 1) * kc..(rr + 2) * kc];
-                    let row = ib + rr;
-                    let (lo, hi) = out_rows.split_at_mut((row + 1) * n);
-                    accumulate_pair_panel(
-                        a0,
-                        a1,
-                        &panel,
-                        nc,
-                        &mut lo[row * n + jt..row * n + jt + nc],
-                        &mut hi[jt..jt + nc],
-                    );
-                    rr += 2;
-                }
-                if rr < bc {
-                    let a0 = &ablock[rr * kc..(rr + 1) * kc];
-                    let row = ib + rr;
-                    accumulate_row_panel(
-                        a0,
-                        &panel,
-                        nc,
-                        &mut out_rows[row * n + jt..row * n + jt + nc],
-                    );
-                }
-                ib += bc;
-            }
-            jt += nc;
-        }
-        kt += kc;
-    }
-}
-
 /// Fewest rows of `A` (the *global* row count, not a thread's chunk) for
 /// which `A·Bᵀ` takes the cache-blocked schedule. Every blocked call
 /// zero-fills a 64 KiB stack panel and transpose-packs each `B` tile once
@@ -1218,23 +855,23 @@ fn at_b_rows_blocked(
 /// `B` in place.
 pub const A_BT_BLOCKED_MIN_ROWS: usize = 8;
 
-/// Row-range body of [`Matrix::matmul_a_bt_into`]: computes output rows
-/// `i0..i0 + nr` of `A·Bᵀ` (`m` is the global row count of `A`) with the
-/// 2×4 register kernel (eight independent accumulator chains) and, for the
-/// odd last row, a 1×8 dot tile — the same eight chains, so a single row
-/// is not latency-bound on one accumulator either. Every output is one
-/// accumulator over `k` ascending — bit-identical to [`Matrix::matmul_nt`]
-/// — and per-row math never depends on which rows share a chunk.
+/// Row-range body of `A·Bᵀ` under [`Matrix::gemm_into`]: computes output
+/// rows `i0..i0 + nr` (`m` is the global row count of `A`) with the 2×4
+/// register kernel (eight independent accumulator chains) and, for the odd
+/// last row, a 1×8 dot tile — the same eight chains, so a single row is
+/// not latency-bound on one accumulator either. Every output is one
+/// accumulator over `k` ascending, and per-row math never depends on
+/// which rows share a chunk.
 ///
 /// Operands at least 32 deep, [`TILE_N`] wide and
-/// [`A_BT_BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: its
-/// transpose-packed panel feeds the 2×8 microkernel, which sustains a
-/// higher madd rate than the dot kernels once the panel pack amortizes
-/// (the paper's 128×128 hidden forwards at batch 128 included). All three
-/// terms are functions of the global shape, so row-split threading cannot
-/// change which kernel a row sees.
+/// [`A_BT_BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: once
+/// its panel holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the
+/// 2×8 microkernel sustains a higher madd rate than the dot kernels once
+/// the panel pack amortizes (the paper's 128×128 hidden forwards at batch
+/// 128 included). All three terms are functions of the global shape, so
+/// row-split threading cannot change which kernel a row sees.
 #[allow(clippy::too_many_arguments)]
-fn a_bt_rows(
+fn matmul_a_bt_rows(
     a: &[f64],
     m: usize,
     k: usize,
@@ -1245,7 +882,8 @@ fn a_bt_rows(
     out_rows: &mut [f64],
 ) {
     if m >= A_BT_BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
-        a_bt_rows_blocked(a, k, i0, nr, b, n, out_rows);
+        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
+        matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
         return;
     }
     let mut i = 0;
@@ -1319,55 +957,94 @@ fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
     acc
 }
 
-/// Cache-blocked row-range body of [`Matrix::matmul_a_bt_into`]:
-/// `k`- and `n`-tiles with a *transpose-packed* B panel
-/// ([`pack_bt_panel`]) feeding the same [`accumulate_pair_panel`]
-/// microkernel as `matmul` — once the panel holds `bᵀ`, `A·Bᵀ` *is*
-/// `A·B'`. Partial sums resume from `out_rows` between ascending
-/// `k`-tiles, so each output element's accumulation order is exactly the
-/// 2×4 register kernel's (and [`Matrix::matmul_nt`]'s): `k` ascending,
-/// one chain per element. No zero-skip.
-fn a_bt_rows_blocked(
+/// Rows of the left operand staged together by [`matmul_rows_blocked`]. For
+/// `Aᵀ·B` it is the column count of the transpose-packed A block: eight
+/// columns of `a` re-laid term-contiguous (8 KiB on the stack) so the 2×8
+/// microkernel reads its `a` operands forward instead of striding across
+/// `a`'s full width per term.
+const AT_B_IBLOCK: usize = 8;
+
+/// The cache-blocked schedule of all three products: computes output rows
+/// `i0..i0 + nr` over `terms` contraction terms. Per `k`/`n` tile,
+/// `pack_panel(kt, kc, jt, nc, panel)` lays the right operand's sub-block
+/// out sliver-major ([`pack_b_panel`], or [`pack_bt_panel`] for `A·Bᵀ`) and
+/// the [`accumulate_pair_panel`] microkernel runs over it in row pairs
+/// ([`accumulate_row_panel`] for an odd tail), resuming partial sums from
+/// `out_rows` between `k`-tiles. `k`-tiles ascend and packing only copies
+/// operands, so each output element still accumulates its terms in
+/// ascending order from `+0.0` — bit for bit what the unblocked bodies
+/// compute, regardless of tile, block or chunk boundaries.
+///
+/// `a` has row stride `lda`. With `A_COLS` unset an output row's terms are
+/// a row of `a`, read in place (`A·B`, `A·Bᵀ`); with it set they are a
+/// *column* of `a` (`Aᵀ·B`), and each block of [`AT_B_IBLOCK`] columns is
+/// transpose-packed per tile first.
+///
+/// Kept out of line so the register paths — the one-row policy forward of
+/// every agent step above all — do not carry, and stack-probe, this 64 KiB
+/// frame on every call.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_rows_blocked<const A_COLS: bool>(
+    pack_panel: impl Fn(usize, usize, usize, usize, &mut [f64]),
     a: &[f64],
-    k: usize,
+    lda: usize,
+    terms: usize,
     i0: usize,
     nr: usize,
-    b: &[f64],
     n: usize,
     out_rows: &mut [f64],
 ) {
     out_rows.fill(0.0);
     let mut panel = [0.0f64; PANEL_LEN];
+    let mut ablock = [0.0f64; TILE_K * AT_B_IBLOCK];
     let mut kt = 0;
-    while kt < k {
-        let kc = (k - kt).min(TILE_K);
+    while kt < terms {
+        let kc = (terms - kt).min(TILE_K);
         let mut jt = 0;
         while jt < n {
             let nc = (n - jt).min(TILE_N);
-            pack_bt_panel(b, k, kt, kc, jt, nc, &mut panel);
-            let mut rr = 0;
-            while rr + 2 <= nr {
-                let a0 = &a[(i0 + rr) * k + kt..][..kc];
-                let a1 = &a[(i0 + rr + 1) * k + kt..][..kc];
-                let (lo, hi) = out_rows.split_at_mut((rr + 1) * n);
-                accumulate_pair_panel(
-                    a0,
-                    a1,
-                    &panel,
-                    nc,
-                    &mut lo[rr * n + jt..rr * n + jt + nc],
-                    &mut hi[jt..jt + nc],
-                );
-                rr += 2;
-            }
-            if rr < nr {
-                let row = (i0 + rr) * k + kt;
-                accumulate_row_panel(
-                    &a[row..row + kc],
-                    &panel,
-                    nc,
-                    &mut out_rows[rr * n + jt..rr * n + jt + nc],
-                );
+            pack_panel(kt, kc, jt, nc, &mut panel);
+            let mut ib = 0;
+            while ib < nr {
+                let bc = (nr - ib).min(AT_B_IBLOCK);
+                // `lhs[c * stride..][..kc]` holds this tile's terms of
+                // output row `ib + c`.
+                let (lhs, stride): (&[f64], usize) = if A_COLS {
+                    for t in 0..kc {
+                        let src = (kt + t) * lda + i0 + ib;
+                        for (c, &v) in a[src..src + bc].iter().enumerate() {
+                            ablock[c * kc + t] = v;
+                        }
+                    }
+                    (&ablock, kc)
+                } else {
+                    (&a[(i0 + ib) * lda + kt..], lda)
+                };
+                let mut rr = 0;
+                while rr + 2 <= bc {
+                    let row = ib + rr;
+                    let (lo, hi) = out_rows.split_at_mut((row + 1) * n);
+                    accumulate_pair_panel(
+                        &lhs[rr * stride..][..kc],
+                        &lhs[(rr + 1) * stride..][..kc],
+                        &panel,
+                        nc,
+                        &mut lo[row * n + jt..row * n + jt + nc],
+                        &mut hi[jt..jt + nc],
+                    );
+                    rr += 2;
+                }
+                if rr < bc {
+                    let row = ib + rr;
+                    accumulate_row_panel(
+                        &lhs[rr * stride..][..kc],
+                        &panel,
+                        nc,
+                        &mut out_rows[row * n + jt..row * n + jt + nc],
+                    );
+                }
+                ib += bc;
             }
             jt += nc;
         }
@@ -1462,18 +1139,22 @@ impl Default for Matrix {
 mod tests {
     use super::*;
 
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::gemm(GemmOp::AB, a, b)
+    }
+
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
-        assert_eq!(Matrix::identity(2).matmul(&a), a);
+        assert_eq!(matmul(&a, &Matrix::identity(3)), a);
+        assert_eq!(matmul(&Matrix::identity(2), &a), a);
     }
 
     #[test]
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -1481,14 +1162,20 @@ mod tests {
     fn matmul_tn_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0], &[0.0, 3.0]]);
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
+        assert_eq!(
+            Matrix::gemm(GemmOp::AtB, &a, &b),
+            matmul(&a.transpose(), &b)
+        );
     }
 
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[-1.0, 1.0, 0.5]]);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
+        assert_eq!(
+            Matrix::gemm(GemmOp::ABt, &a, &b),
+            matmul(&a, &b.transpose())
+        );
     }
 
     #[test]
@@ -1549,10 +1236,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matmul dimension mismatch")]
+    #[should_panic(expected = "gemm dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 }

@@ -354,9 +354,9 @@ impl Mlp {
             s.x.cols(),
             self.in_dim()
         );
-        self.layers[0].forward_par_into(&s.x, &mut s.z, &mut s.cur, par);
+        self.layers[0].forward_into(&s.x, &mut s.z, &mut s.cur, par);
         for layer in &self.layers[1..] {
-            layer.forward_par_into(&s.cur, &mut s.z, &mut s.next, par);
+            layer.forward_into(&s.cur, &mut s.z, &mut s.next, par);
             std::mem::swap(&mut s.cur, &mut s.next);
         }
         &s.cur
@@ -411,12 +411,13 @@ impl Mlp {
         s.pre.resize_with(n, Matrix::default);
         s.dx.resize_with(n, Matrix::default);
         s.inputs[0].copy_from(x);
+        let seq = Parallelism::Sequential;
         for (idx, layer) in self.layers.iter().enumerate() {
             if idx + 1 < n {
                 let (lo, hi) = s.inputs.split_at_mut(idx + 1);
-                layer.forward_into(&lo[idx], &mut s.pre[idx], &mut hi[0]);
+                layer.forward_into(&lo[idx], &mut s.pre[idx], &mut hi[0], seq);
             } else {
-                layer.forward_into(&s.inputs[idx], &mut s.pre[idx], &mut s.output);
+                layer.forward_into(&s.inputs[idx], &mut s.pre[idx], &mut s.output, seq);
             }
         }
     }

@@ -85,8 +85,8 @@ impl Adam {
     }
 
     /// The pre-fusion Adam step (flatten → update → scatter), kept as the
-    /// baseline for the `trainperf` benchmark and the kernel-equivalence
-    /// tests. Numerically identical to [`Adam::step`].
+    /// reference the equivalence tests hold [`Adam::step`] to. Numerically
+    /// identical to it.
     ///
     /// # Panics
     ///
@@ -129,42 +129,6 @@ impl Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
         off + params.len()
-    }
-}
-
-/// Plain stochastic gradient descent, used in tests and as an ablation
-/// against Adam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(lr: f64) -> Self {
-        Self { lr }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Applies `θ ← θ - lr * g`, axpy-style in place (no flattened copies).
-    pub fn step(&self, net: &mut Mlp, grads: &Gradients) {
-        for (layer, g) in net.layers_mut().iter_mut().zip(&grads.layers) {
-            for (p, gi) in layer
-                .weights_mut()
-                .as_mut_slice()
-                .iter_mut()
-                .zip(g.weights.as_slice())
-            {
-                *p -= self.lr * gi;
-            }
-            for (p, gi) in layer.bias_mut().iter_mut().zip(&g.bias) {
-                *p -= self.lr * gi;
-            }
-        }
     }
 }
 
@@ -217,8 +181,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Fits y = sin-like target with a tiny net; loss must drop sharply.
-    fn fit_with<F: FnMut(&mut Mlp, &Gradients)>(mut stepper: F) -> (f64, f64) {
+    /// Fits a quadratic target with a tiny net; loss must drop sharply.
+    #[test]
+    fn adam_reduces_regression_loss() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = Mlp::new(
             &[1, 16, 1],
@@ -226,6 +191,7 @@ mod tests {
             Activation::Identity,
             &mut rng,
         );
+        let mut adam = Adam::new(&net, 1e-2);
         let xs = Matrix::from_fn(32, 1, |i, _| i as f64 / 16.0 - 1.0);
         let ys = xs.map(|x| 0.5 * x * x - 0.2 * x);
         let (first, _) = mse_loss(&net.forward(&xs), &ys);
@@ -235,30 +201,9 @@ mod tests {
             let (loss, d) = mse_loss(cache.output(), &ys);
             last = loss;
             let (grads, _) = net.backward(&cache, &d);
-            stepper(&mut net, &grads);
+            adam.step(&mut net, &grads);
         }
-        (first, last)
-    }
-
-    #[test]
-    fn adam_reduces_regression_loss() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = Mlp::new(
-            &[1, 16, 1],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
-        let mut adam = Adam::new(&net, 1e-2);
-        let (first, last) = fit_with(|n, g| adam.step(n, g));
         assert!(last < first * 0.05, "Adam failed to fit: {first} -> {last}");
-    }
-
-    #[test]
-    fn sgd_reduces_regression_loss() {
-        let sgd = Sgd::new(0.05);
-        let (first, last) = fit_with(|n, g| sgd.step(n, g));
-        assert!(last < first * 0.5, "SGD failed to fit: {first} -> {last}");
     }
 
     #[test]

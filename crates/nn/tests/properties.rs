@@ -1,58 +1,115 @@
 //! Property-based tests for the linear-algebra core.
+//!
+//! The three matrix products have one reference, [`naive`]: a triple loop
+//! with a single accumulator per output, seeded from `+0.0`, running over
+//! the contraction index ascending. [`Matrix::gemm_into`] — every row
+//! body, both schedules, every thread count — is held to it by `to_bits`,
+//! on operands that carry exact `±0.0`, a subnormal and large magnitudes
+//! (the values under which a skipped term, a re-seeded accumulator or a
+//! reordered sum would show).
 
-use edgeslice_nn::{Activation, Matrix, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS, TILE_K, TILE_N};
+use edgeslice_nn::{
+    Activation, GemmOp, Matrix, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS, TILE_K, TILE_N,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const OPS: [GemmOp; 3] = [GemmOp::AB, GemmOp::AtB, GemmOp::ABt];
+
+const PARS: [Parallelism; 4] = [
+    Parallelism::Sequential,
+    Parallelism::Threaded(1),
+    Parallelism::Threaded(2),
+    Parallelism::Threaded(4),
+];
+
+/// The GEMM oracle: output `(i, j)` is one accumulator from `+0.0` over
+/// the contraction index ascending, no term skipped.
+fn naive(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = match op {
+        GemmOp::AB => (a.rows(), a.cols(), b.cols()),
+        GemmOp::AtB => (a.cols(), a.rows(), b.cols()),
+        GemmOp::ABt => (a.rows(), a.cols(), b.rows()),
+    };
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0;
+        for t in 0..k {
+            acc += match op {
+                GemmOp::AB => a[(i, t)] * b[(t, j)],
+                GemmOp::AtB => a[(t, i)] * b[(t, j)],
+                GemmOp::ABt => a[(i, t)] * b[(j, t)],
+            };
+        }
+        acc
+    })
+}
+
+fn bits(m: &Matrix) -> ((usize, usize), Vec<u64>) {
+    let data = m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (m.shape(), data)
+}
+
+/// `gemm_into(op, a, b, out, par)` equals [`naive`] bit for bit under every
+/// `par`, whatever `out` held before.
+fn assert_gemm_is_naive(op: GemmOp, a: &Matrix, b: &Matrix, out: &mut Matrix, what: &str) {
+    let want = bits(&naive(op, a, b));
+    for par in PARS {
+        Matrix::gemm_into(op, a, b, out, par);
+        assert_eq!(bits(out), want, "{op:?} {what} {par:?}");
+    }
+}
+
+fn mul(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::gemm(GemmOp::AB, a, b)
+}
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f64..10.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
-fn rand_dim(rng: &mut StdRng) -> usize {
-    rng.gen_range(0..5)
+/// Mostly ordinary magnitudes, with the values a kernel could mishandle
+/// mixed in: both exact zeros, the smallest subnormal, and magnitudes that
+/// absorb every ordinary term beside them (their products stay finite).
+fn rand_value(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..12) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(1),
+        3 => rng.gen_range(-1e100f64..1e100),
+        _ => rng.gen_range(-10.0f64..10.0),
+    }
 }
 
 fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-10.0f64..10.0))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
+    Matrix::from_fn(rows, cols, |_, _| rand_value(rng))
 }
 
-/// A randomly-shaped `(A, B, dirty_out)` case for one of the `_into`
-/// kernels. Dimensions are drawn from `0..=4`, so empty-batch (0-row),
-/// row-vector (1×N) and column-vector (N×1) operands all occur many times
-/// across the 48 cases. `dirty_out` arrives with an unrelated shape and
-/// garbage contents to prove the kernels fully overwrite reused buffers.
-struct IntoKernelCase {
-    kind: KernelKind,
+/// Operands of `op` whose product is `m × n` over `k` terms.
+fn rand_operands(rng: &mut StdRng, op: GemmOp, m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+    match op {
+        GemmOp::AB => (rand_matrix(rng, m, k), rand_matrix(rng, k, n)),
+        GemmOp::AtB => (rand_matrix(rng, k, m), rand_matrix(rng, k, n)),
+        GemmOp::ABt => (rand_matrix(rng, m, k), rand_matrix(rng, n, k)),
+    }
 }
 
-#[derive(Clone, Copy)]
-enum KernelKind {
-    /// `A (m×k) * B (k×n)`.
-    Plain,
-    /// `Aᵀ B` with `A (r×m)`, `B (r×n)`.
-    AtB,
-    /// `A Bᵀ` with `A (m×k)`, `B (n×k)`.
-    ABt,
-}
+/// A randomly-shaped `(A, B)` pair per `op` plus one `dirty_out`.
+/// Dimensions are drawn from `0..=4`, so empty-batch (0-row), row-vector
+/// (1×N) and column-vector (N×1) operands all occur many times across the
+/// 48 cases. `dirty_out` arrives with an unrelated shape and garbage
+/// contents to prove the product fully overwrites a reused buffer.
+struct SmallGemmCase;
 
-impl Strategy for IntoKernelCase {
-    type Value = (Matrix, Matrix, Matrix);
+impl Strategy for SmallGemmCase {
+    type Value = ([(Matrix, Matrix); 3], Matrix);
 
-    fn generate(&self, rng: &mut StdRng) -> (Matrix, Matrix, Matrix) {
-        let (d0, d1, d2) = (rand_dim(rng), rand_dim(rng), rand_dim(rng));
-        let (a, b) = match self.kind {
-            KernelKind::Plain => (rand_matrix(rng, d0, d1), rand_matrix(rng, d1, d2)),
-            KernelKind::AtB => (rand_matrix(rng, d0, d1), rand_matrix(rng, d0, d2)),
-            KernelKind::ABt => (rand_matrix(rng, d0, d1), rand_matrix(rng, d2, d1)),
-        };
-        let (dr, dc) = (rand_dim(rng), rand_dim(rng));
-        let dirty = rand_matrix(rng, dr, dc);
-        (a, b, dirty)
+    fn generate(&self, rng: &mut StdRng) -> Self::Value {
+        let mut dim = || rng.gen_range(0..5);
+        let (m, k, n, dr, dc) = (dim(), dim(), dim(), dim(), dim());
+        let operands = OPS.map(|op| rand_operands(rng, op, m, k, n));
+        (operands, rand_matrix(rng, dr, dc))
     }
 }
 
@@ -63,8 +120,8 @@ proptest! {
         b in small_matrix(4, 2),
         c in small_matrix(2, 5),
     ) {
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = mul(&mul(&a, &b), &c);
+        let right = mul(&a, &mul(&b, &c));
         let diff = (&left - &right).norm();
         prop_assert!(diff < 1e-9, "associativity violated by {diff}");
     }
@@ -75,21 +132,22 @@ proptest! {
         b in small_matrix(4, 2),
         c in small_matrix(4, 2),
     ) {
-        let left = a.matmul(&(&b + &c));
-        let right = &a.matmul(&b) + &a.matmul(&c);
+        let left = mul(&a, &(&b + &c));
+        let right = &mul(&a, &b) + &mul(&a, &c);
         prop_assert!((&left - &right).norm() < 1e-9);
     }
 
     #[test]
     fn transpose_reverses_product(a in small_matrix(3, 4), b in small_matrix(4, 2)) {
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
+        let left = mul(&a, &b).transpose();
+        let right = mul(&b.transpose(), &a.transpose());
         prop_assert!((&left - &right).norm() < 1e-9);
     }
 
     #[test]
     fn fused_transpose_products_agree(a in small_matrix(4, 3), b in small_matrix(4, 2)) {
-        prop_assert!((&a.matmul_tn(&b) - &a.transpose().matmul(&b)).norm() < 1e-9);
+        let fused = Matrix::gemm(GemmOp::AtB, &a, &b);
+        prop_assert!((&fused - &mul(&a.transpose(), &b)).norm() < 1e-9);
     }
 
     #[test]
@@ -107,32 +165,21 @@ proptest! {
     }
 
     #[test]
-    fn matmul_into_matches_matmul_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::Plain },
+    fn gemm_into_bit_identical_to_naive_and_explicit_transpose_on_random_shapes(
+        case in SmallGemmCase,
     ) {
-        let (a, b, mut out) = case;
-        a.matmul_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.matmul(&b));
-    }
-
-    #[test]
-    fn matmul_at_b_into_matches_explicit_transpose_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::AtB },
-    ) {
-        let (a, b, mut out) = case;
-        a.matmul_at_b_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.transpose().matmul(&b));
-        prop_assert_eq!(&out, &a.matmul_tn(&b));
-    }
-
-    #[test]
-    fn matmul_a_bt_into_matches_explicit_transpose_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::ABt },
-    ) {
-        let (a, b, mut out) = case;
-        a.matmul_a_bt_into(&b, &mut out);
-        prop_assert_eq!(&out, &a.matmul(&b.transpose()));
-        prop_assert_eq!(&out, &a.matmul_nt(&b));
+        let (operands, mut out) = case;
+        for (op, (a, b)) in OPS.into_iter().zip(&operands) {
+            assert_gemm_is_naive(op, a, b, &mut out, "random shape");
+            // The transpose-free products equal `A·B` on the materialized
+            // transpose: the same terms in the same order.
+            let explicit = match op {
+                GemmOp::AB => continue,
+                GemmOp::AtB => mul(&a.transpose(), b),
+                GemmOp::ABt => mul(a, &b.transpose()),
+            };
+            prop_assert_eq!(bits(&out), bits(&explicit), "{:?} vs explicit transpose", op);
+        }
     }
 
     #[test]
@@ -147,183 +194,64 @@ proptest! {
     }
 }
 
-proptest! {
-    #[test]
-    fn blocked_matmul_bit_identical_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::Plain },
-    ) {
-        let (a, b, mut out) = case;
-        let mut blocked = Matrix::zeros(1, 7);
-        a.matmul_into(&b, &mut out);
-        a.matmul_blocked_into(&b, &mut blocked);
-        prop_assert_eq!(&blocked, &out);
-    }
-
-    #[test]
-    fn blocked_at_b_bit_identical_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::AtB },
-    ) {
-        let (a, b, mut out) = case;
-        let mut blocked = Matrix::zeros(1, 7);
-        a.matmul_at_b_into(&b, &mut out);
-        a.matmul_at_b_blocked_into(&b, &mut blocked);
-        prop_assert_eq!(&blocked, &out);
-    }
-
-    #[test]
-    fn blocked_a_bt_bit_identical_on_random_shapes(
-        case in IntoKernelCase { kind: KernelKind::ABt },
-    ) {
-        let (a, b, mut out) = case;
-        let mut blocked = Matrix::zeros(1, 7);
-        a.matmul_a_bt_into(&b, &mut out);
-        a.matmul_a_bt_blocked_into(&b, &mut blocked);
-        prop_assert_eq!(&blocked, &out);
-    }
-
-    #[test]
-    fn par_kernels_invariant_across_thread_counts_on_random_shapes(
-        plain in IntoKernelCase { kind: KernelKind::Plain },
-        at_b in IntoKernelCase { kind: KernelKind::AtB },
-        a_bt in IntoKernelCase { kind: KernelKind::ABt },
-    ) {
-        for par in [Parallelism::Sequential, Parallelism::Threaded(2), Parallelism::Threaded(4)] {
-            let (a, b, mut out) = (plain.0.clone(), plain.1.clone(), plain.2.clone());
-            let mut seq = Matrix::zeros(1, 7);
-            a.matmul_into(&b, &mut seq);
-            a.matmul_par_into(&b, &mut out, par);
-            prop_assert_eq!(&out, &seq, "matmul_par {:?}", par);
-
-            let (a, b, mut out) = (at_b.0.clone(), at_b.1.clone(), at_b.2.clone());
-            a.matmul_at_b_into(&b, &mut seq);
-            a.matmul_at_b_par_into(&b, &mut out, par);
-            prop_assert_eq!(&out, &seq, "at_b_par {:?}", par);
-
-            let (a, b, mut out) = (a_bt.0.clone(), a_bt.1.clone(), a_bt.2.clone());
-            a.matmul_a_bt_into(&b, &mut seq);
-            a.matmul_a_bt_par_into(&b, &mut out, par);
-            prop_assert_eq!(&out, &seq, "a_bt_par {:?}", par);
-        }
-    }
-}
-
-/// Shapes straddling the `TILE_K`/`TILE_N` boundaries, where the plain
-/// entry points auto-dispatch to the blocked schedule: exact tile
-/// multiples, one-past-the-tile, and ragged tails in both `k` and `n`.
-/// Pinned bitwise against the reference kernels, with thread counts
-/// 1/2/4 on top.
+/// Every product on every side of every dispatch term and tile edge, under
+/// every thread count: output rows around the row pairing (1, 2, odd), the
+/// 8-row blocks of the cache-blocked driver and [`A_BT_BLOCKED_MIN_ROWS`]
+/// (one row is the per-RA policy forward); widths around the 4- and 8-wide
+/// register tiles, the `Aᵀ·B` stream's 8-column cutover and [`TILE_N`];
+/// depths around empty, the blocked schedule's 32 and [`TILE_K`]. The
+/// largest of each crosses two full tiles with a ragged tail, so the
+/// blocked driver's partial `k`-tiles, partial `n`-tiles and sub-sliver
+/// tails are all reached through the shapes that select it. Row-split
+/// threading changes nothing: dispatch reads the global shape, never a
+/// thread's chunk.
 #[test]
-fn blocked_dispatch_bit_identical_on_tile_crossing_shapes() {
-    let mut rng = StdRng::seed_from_u64(77);
-    let shapes = [
-        (3, TILE_K + 2, TILE_N + 3),
-        (2, TILE_K, TILE_N),
-        (5, 2 * TILE_K + 1, TILE_N + 1),
-        (1, TILE_K + 77, 2 * TILE_N + 13),
-        (4, TILE_K + 1, TILE_N + 9),
-    ];
-    for &(m, k, n) in &shapes {
-        let a = rand_matrix(&mut rng, m, k);
-        let b = rand_matrix(&mut rng, k, n);
-        let mut out = Matrix::zeros(1, 1);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b), "matmul {m}x{k}x{n}");
-
-        let at = rand_matrix(&mut rng, k, m); // r=k terms, m outputs — needs n to cross tiles
-        let bt = rand_matrix(&mut rng, k, n);
-        at.matmul_at_b_into(&bt, &mut out);
-        assert_eq!(out, at.matmul_tn(&bt), "at_b {m}x{k}x{n}");
-
-        let ar = rand_matrix(&mut rng, m, k);
-        let br = rand_matrix(&mut rng, n, k);
-        ar.matmul_a_bt_into(&br, &mut out);
-        assert_eq!(out, ar.matmul_nt(&br), "a_bt {m}x{k}x{n}");
-
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::Threaded(2),
-            Parallelism::Threaded(4),
-        ] {
-            let mut pout = Matrix::zeros(1, 1);
-            a.matmul_par_into(&b, &mut pout, par);
-            assert_eq!(pout, a.matmul(&b), "matmul_par {par:?} {m}x{k}x{n}");
-            at.matmul_at_b_par_into(&bt, &mut pout, par);
-            assert_eq!(pout, at.matmul_tn(&bt), "at_b_par {par:?} {m}x{k}x{n}");
-            ar.matmul_a_bt_par_into(&br, &mut pout, par);
-            assert_eq!(pout, ar.matmul_nt(&br), "a_bt_par {par:?} {m}x{k}x{n}");
-        }
-    }
-}
-
-/// The degenerate shapes through the forced-blocked and parallel entry
-/// points: 1×N, N×1, and empty-batch operands must match the reference
-/// kernels bitwise even though no tile is ever full.
-#[test]
-fn blocked_and_par_handle_degenerate_shapes() {
-    let row = Matrix::row_vector(&[1.0, -2.0, 3.0]); // 1×N
-    let col = Matrix::col_vector(&[0.5, 1.5, -0.5]); // N×1
-    let empty_batch = Matrix::zeros(0, 3); // 0-row batch
-    let mut out = Matrix::zeros(2, 2);
-
-    row.matmul_blocked_into(&col, &mut out);
-    assert_eq!(out, row.matmul(&col));
-    col.matmul_blocked_into(&row, &mut out);
-    assert_eq!(out, col.matmul(&row));
-    row.matmul_at_b_blocked_into(&row, &mut out);
-    assert_eq!(out, row.transpose().matmul(&row));
-    row.matmul_a_bt_blocked_into(&row, &mut out);
-    assert_eq!(out, row.matmul(&row.transpose()));
-    empty_batch.matmul_blocked_into(&col, &mut out);
-    assert_eq!(out.shape(), (0, 1));
-    empty_batch.matmul_at_b_blocked_into(&empty_batch, &mut out);
-    assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
-    empty_batch.matmul_a_bt_blocked_into(&empty_batch, &mut out);
-    assert_eq!(out.shape(), (0, 0));
-
-    for par in [Parallelism::Threaded(2), Parallelism::Threaded(4)] {
-        row.matmul_par_into(&col, &mut out, par);
-        assert_eq!(out, row.matmul(&col));
-        col.matmul_par_into(&row, &mut out, par);
-        assert_eq!(out, col.matmul(&row));
-        row.matmul_at_b_par_into(&row, &mut out, par);
-        assert_eq!(out, row.transpose().matmul(&row));
-        row.matmul_a_bt_par_into(&row, &mut out, par);
-        assert_eq!(out, row.matmul(&row.transpose()));
-        empty_batch.matmul_par_into(&col, &mut out, par);
-        assert_eq!(out.shape(), (0, 1));
-        empty_batch.matmul_at_b_par_into(&empty_batch, &mut out, par);
-        assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
-        empty_batch.matmul_a_bt_par_into(&empty_batch, &mut out, par);
-        assert_eq!(out.shape(), (0, 0));
-    }
-}
-
-fn bits(m: &Matrix) -> Vec<u64> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// `A·Bᵀ` on every side of its three dispatch terms — rows around
-/// [`A_BT_BLOCKED_MIN_ROWS`] (one row is the per-RA policy forward), widths
-/// around the 8- and 4-wide dot tiles and [`TILE_N`], depths around the
-/// blocked schedule's 32 — equals the single-accumulator reference
-/// `matmul_nt` by `to_bits`, and row-split threading changes nothing: the
-/// dispatch reads the global row count, never a thread's chunk.
-#[test]
-fn a_bt_dispatch_bit_identical_to_matmul_nt_around_every_threshold() {
+fn dispatch_bit_identical_to_naive_around_every_threshold() {
     let mut rng = StdRng::seed_from_u64(1717);
-    let t = A_BT_BLOCKED_MIN_ROWS;
+    let (t, tn, tk) = (A_BT_BLOCKED_MIN_ROWS, TILE_N, TILE_K);
+    let rows = [1, 2, 3, t - 1, t, t + 1];
+    let widths = [1, 3, 4, 5, 7, 8, 9, 15, tn - 1, tn, tn + 1, 2 * tn + 13];
+    let depths = [0, 1, 2, 31, 32, 33, tk - 1, tk, tk + 1, 2 * tk + 5];
     let mut out = Matrix::zeros(1, 1);
-    for m in [1, 2, 3, t - 1, t, t + 1] {
-        for n in [1, 7, 8, 9, 15, 63, 64, 65, 128] {
-            for k in [1, 10, 31, 32, 64, 128] {
-                let a = rand_matrix(&mut rng, m, k);
-                let b = rand_matrix(&mut rng, n, k);
-                let want = bits(&a.matmul_nt(&b));
-                a.matmul_a_bt_into(&b, &mut out);
-                assert_eq!(bits(&out), want, "a_bt {m}x{k}x{n}");
-                for threads in [1, 2, 4] {
-                    a.matmul_a_bt_par_into(&b, &mut out, Parallelism::Threaded(threads));
-                    assert_eq!(bits(&out), want, "a_bt_par({threads}) {m}x{k}x{n}");
+    for op in OPS {
+        for m in rows {
+            for n in widths {
+                for k in depths {
+                    let (a, b) = rand_operands(&mut rng, op, m, k, n);
+                    assert_gemm_is_naive(op, &a, &b, &mut out, &format!("{m}x{k}x{n}"));
+                }
+            }
+        }
+    }
+}
+
+/// The products one DDPG update actually makes: per layer `in → out` at
+/// batch `B`, the forward `x·Wᵀ` (`B × in × out`), the weight gradient
+/// `dzᵀ·x` (`out × B × in`) and the input gradient `dz·W` (`B × out × in`),
+/// for actor (`s → h → h → a`) and critic (`s + a → h → h → 1`) at the
+/// benchmark's `train-paper` configuration, at `DdpgConfig::paper()` on the
+/// same 5-slice environment, and at `tests/train_equivalence.rs`'s 2-slice
+/// one (whose 4-wide state is the only caller of the `Aᵀ·B` stream) — plus
+/// the one-row forward every agent step decides through.
+#[test]
+fn training_layer_shapes_bit_identical_to_naive() {
+    let mut rng = StdRng::seed_from_u64(2020);
+    let mut out = Matrix::zeros(1, 1);
+    // (batch, hidden, state, action)
+    for (batch, h, s, a) in [(128, 64, 10, 15), (512, 128, 10, 15), (32, 24, 4, 6)] {
+        for dims in [[s, h, h, a], [s + a, h, h, 1]] {
+            for layer in dims.windows(2) {
+                let (i, o) = (layer[0], layer[1]);
+                let products = [
+                    (GemmOp::ABt, batch, i, o),
+                    (GemmOp::AtB, o, batch, i),
+                    (GemmOp::AB, batch, o, i),
+                    (GemmOp::ABt, 1, i, o),
+                ];
+                for (op, m, k, n) in products {
+                    let (x, y) = rand_operands(&mut rng, op, m, k, n);
+                    let what = format!("batch {batch} layer {i}->{o}: {m}x{k}x{n}");
+                    assert_gemm_is_naive(op, &x, &y, &mut out, &what);
                 }
             }
         }
@@ -331,8 +259,8 @@ fn a_bt_dispatch_bit_identical_to_matmul_nt_around_every_threshold() {
 }
 
 /// `forward_one` (one row through the batched scratch forward) against row
-/// 0 of the allocating `forward` (`matmul_nt` + `Activation::forward`, the
-/// reference pair), bit for bit, with every activation in the hidden and
+/// 0 of the allocating `forward` (`Matrix::gemm` + `Activation::forward` at
+/// three rows), bit for bit, with every activation in the hidden and
 /// in the output position, on a narrow net and on one whose layers cross
 /// the blocked schedule's depth and width thresholds.
 #[test]
@@ -399,33 +327,23 @@ fn fleet_forward_rows_bit_identical_to_solo_forwards() {
 /// The degenerate shapes the replay/training path actually produces —
 /// pinned explicitly rather than left to the random-shape generator.
 #[test]
-fn into_kernels_handle_degenerate_shapes() {
+fn gemm_into_handles_degenerate_shapes() {
     let row = Matrix::row_vector(&[1.0, -2.0, 3.0]); // 1×N
     let col = Matrix::col_vector(&[0.5, 1.5, -0.5]); // N×1
     let empty_batch = Matrix::zeros(0, 3); // 0-row batch
     let mut out = Matrix::zeros(2, 2);
 
-    row.matmul_into(&col, &mut out);
-    assert_eq!(out, row.matmul(&col));
-    assert_eq!(out.shape(), (1, 1));
-
-    col.matmul_into(&row, &mut out);
-    assert_eq!(out, col.matmul(&row));
-    assert_eq!(out.shape(), (3, 3));
-
-    row.matmul_at_b_into(&row, &mut out);
-    assert_eq!(out, row.transpose().matmul(&row));
-
-    row.matmul_a_bt_into(&row, &mut out);
-    assert_eq!(out, row.matmul(&row.transpose()));
-
-    empty_batch.matmul_into(&col, &mut out);
-    assert_eq!(out.shape(), (0, 1));
-
-    empty_batch.matmul_at_b_into(&empty_batch, &mut out);
-    assert_eq!(out, empty_batch.transpose().matmul(&empty_batch));
-    assert_eq!(out.shape(), (3, 3));
-
-    empty_batch.matmul_a_bt_into(&empty_batch, &mut out);
-    assert_eq!(out.shape(), (0, 0));
+    let cases = [
+        (GemmOp::AB, &row, &col, (1, 1)),
+        (GemmOp::AB, &col, &row, (3, 3)),
+        (GemmOp::AtB, &row, &row, (3, 3)),
+        (GemmOp::ABt, &row, &row, (1, 1)),
+        (GemmOp::AB, &empty_batch, &col, (0, 1)),
+        (GemmOp::AtB, &empty_batch, &empty_batch, (3, 3)),
+        (GemmOp::ABt, &empty_batch, &empty_batch, (0, 0)),
+    ];
+    for (op, a, b, shape) in cases {
+        assert_gemm_is_naive(op, a, b, &mut out, "degenerate");
+        assert_eq!(out.shape(), shape, "{op:?}");
+    }
 }

@@ -306,10 +306,14 @@ impl Ddpg {
         })
     }
 
-    /// The pre-fusion update step (allocating kernels, flat-vector Adam),
-    /// kept as the baseline for the `trainperf` benchmark and the
-    /// kernel-equivalence tests. For the same RNG state this produces
-    /// bit-identical networks to [`Ddpg::update`].
+    /// The pre-fusion update step (allocating layer passes, flat-vector
+    /// Adam), kept as the reference the equivalence tests hold
+    /// [`Ddpg::update`] to: for the same RNG state the two produce
+    /// bit-identical networks. Both run on the one product
+    /// (`Matrix::gemm_into`), so what this pins is everything above it —
+    /// the in-place Adam walk, the fused activation backward, the scratch
+    /// stacking and sampling; the product's own term order is held by
+    /// `crates/nn/tests/properties.rs` against a naive triple loop.
     pub fn update_reference(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
         let batch = self.replay.sample(self.config.batch_size, rng).ok()?;
         let n = batch.rewards.len();
@@ -379,9 +383,8 @@ impl Ddpg {
     }
 
     /// [`Ddpg::train`] through [`Ddpg::update_reference`] instead of the
-    /// fused update — the baseline half of the kernel-equivalence tests and
-    /// the `trainperf` benchmark. Identical RNG schedule, bit-identical
-    /// resulting networks.
+    /// fused update — the reference half of the equivalence tests.
+    /// Identical RNG schedule, bit-identical resulting networks.
     pub fn train_reference<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,

@@ -115,23 +115,30 @@ fn ddpg_update_is_allocation_free_at_steady_state() {
 
 #[test]
 fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
-    use edgeslice_nn::{Activation, FleetScratch, Matrix, Mlp, Parallelism, TILE_K, TILE_N};
+    use edgeslice_nn::{
+        Activation, FleetScratch, GemmOp, Matrix, Mlp, Parallelism, TILE_K, TILE_N,
+    };
 
     let mut rng = StdRng::seed_from_u64(13);
 
-    // Shapes past TILE_K/TILE_N so the plain entry points auto-dispatch to
-    // the cache-blocked schedule (the packed B panel lives on the stack).
+    // Shapes past TILE_K/TILE_N so every product dispatches to the
+    // cache-blocked schedule (the packed B panel lives on the stack).
     let (m, k, n) = (8, TILE_K + 5, TILE_N + 3);
     let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0f64..1.0));
     let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f64..1.0));
     let at = Matrix::from_fn(k, m, |_, _| rng.gen_range(-1.0f64..1.0));
     let br = Matrix::from_fn(n, k, |_, _| rng.gen_range(-1.0f64..1.0));
+    let products = [
+        (GemmOp::AB, &a, &b),
+        (GemmOp::AtB, &at, &b),
+        (GemmOp::ABt, &a, &br),
+    ];
     let mut out = Matrix::zeros(1, 1);
 
     // Warm-up sizes the output buffer once per largest shape.
-    a.matmul_into(&b, &mut out);
-    at.matmul_at_b_into(&b, &mut out);
-    a.matmul_a_bt_into(&br, &mut out);
+    for (op, x, y) in products {
+        Matrix::gemm_into(op, x, y, &mut out, Parallelism::Sequential);
+    }
 
     // `Threaded(1)` degrades to the inline path — the row-chunk seam itself
     // must be free. (`Threaded(2+)` spawns scoped OS threads, whose control
@@ -139,19 +146,13 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
     // property suite instead.)
     for par in [Parallelism::Sequential, Parallelism::Threaded(1)] {
         let allocations = count_allocations(|| {
-            a.matmul_into(&b, &mut out);
-            a.matmul_blocked_into(&b, &mut out);
-            a.matmul_par_into(&b, &mut out, par);
-            at.matmul_at_b_into(&b, &mut out);
-            at.matmul_at_b_blocked_into(&b, &mut out);
-            at.matmul_at_b_par_into(&b, &mut out, par);
-            a.matmul_a_bt_into(&br, &mut out);
-            a.matmul_a_bt_blocked_into(&br, &mut out);
-            a.matmul_a_bt_par_into(&br, &mut out, par);
+            for (op, x, y) in products {
+                Matrix::gemm_into(op, x, y, &mut out, par);
+            }
         });
         assert_eq!(
             allocations, 0,
-            "steady-state blocked/parallel kernels ({par:?}) performed {allocations} heap allocations"
+            "steady-state blocked kernels ({par:?}) performed {allocations} heap allocations"
         );
     }
 

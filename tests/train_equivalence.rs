@@ -1,11 +1,19 @@
-//! Kernel-equivalence gate for the zero-allocation training hot path.
+//! Equivalence gate for the zero-allocation training hot path.
 //!
 //! Trains two DDPG agents on the paper's RA slicing environment from the
-//! same seed — one through the fused `_into`-kernel update, one through the
+//! same seed — one through the fused scratch-arena update, one through the
 //! preserved pre-fusion reference update — and requires their serialized
 //! [`PolicyCheckpoint`]s to be **byte-identical**. Any reordering of
-//! floating-point operations inside the new kernels would show up here as a
+//! floating-point operations between the two paths would show up here as a
 //! JSON diff.
+//!
+//! Both paths multiply through the one `Matrix::gemm_into` (the reference
+//! on a fresh output per call), so what this pins is everything *above*
+//! the product: the in-place Adam walk against flatten → scatter,
+//! `backward_weighted_into` against `hadamard ∘ backward`, `mse_loss_into`,
+//! `hstack_into`, `sample_into`, the input-only backward. The product's own
+//! term order is held where it is computed, by
+//! `crates/nn/tests/properties.rs` against a naive triple loop.
 
 use edgeslice::{OrchestrationAgent, PolicyCheckpoint, RaEnvConfig, RaId, RaSliceEnv, SliceSpec};
 use edgeslice_netsim::PoissonTraffic;
