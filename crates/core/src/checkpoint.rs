@@ -307,6 +307,28 @@ mod tests {
     }
 
     #[test]
+    fn deciding_leaves_the_checkpoint_json_and_value_unchanged() {
+        // The first decide fills the policy network's output-major weight
+        // memo; it must not show in the checkpoint's JSON or equality.
+        let mut rng = StdRng::seed_from_u64(3);
+        let e = env();
+        let agent = OrchestrationAgent::new(
+            RaId(0),
+            Technique::Ddpg,
+            &e,
+            &AgentConfig::default(),
+            &mut rng,
+        );
+        let ckpt = PolicyCheckpoint::from_agent(&agent);
+        let (cold, json) = (ckpt.clone(), ckpt.to_json().unwrap());
+        let action = ckpt.decide(&vec![0.3; e.state_dim()]);
+        assert_eq!(ckpt.to_json().unwrap(), json);
+        assert_eq!(ckpt, cold);
+        assert!(ckpt.policy_bit_identical(&cold));
+        assert_eq!(cold.decide(&vec![0.3; e.state_dim()]), action);
+    }
+
+    #[test]
     fn frozen_policy_binds_an_ra() {
         let mut rng = StdRng::seed_from_u64(1);
         let e = env();

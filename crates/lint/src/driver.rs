@@ -13,7 +13,7 @@
 //!    catch). Diagnostics leave in stable `(file, line, rule, message)`
 //!    order.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -151,22 +151,25 @@ pub struct FileSpec {
     pub crate_name: String,
     /// Whether this file is the package's primary crate root.
     pub is_crate_root: bool,
+    /// The workspace crates `crate_name` depends on, transitively (short
+    /// names, sorted) — where the call graph may follow this file's calls
+    /// besides its own crate. `None` when unknown (explicit files), which
+    /// leaves cross-crate resolution unconstrained.
+    pub deps: Option<Vec<String>>,
 }
 
 /// Collects every non-test source file of the workspace: `src/**/*.rs` of
-/// the root package and of each `crates/*` member. Integration tests,
-/// examples, and vendored stand-ins are intentionally out of scope — the
-/// rules guard shipping code, and in-file `#[cfg(test)]` regions are
-/// excluded during analysis.
+/// the root package and of each `crates/*` member, each with its crate's
+/// workspace dependencies. Integration tests, examples, and vendored
+/// stand-ins are intentionally out of scope — the rules guard shipping
+/// code, and in-file `#[cfg(test)]` regions are excluded during analysis.
 ///
 /// # Errors
 ///
 /// [`LintError::Io`] when a source directory cannot be enumerated.
 pub fn workspace_files(root: &Path) -> Result<Vec<FileSpec>, LintError> {
-    let mut out = Vec::new();
-    collect_package(root, &root.join("src"), "repro", &mut out)?;
-    let crates_dir = root.join("crates");
-    let mut members: Vec<PathBuf> = read_dir(&crates_dir)?
+    let mut packages = vec![(root.to_path_buf(), "repro".to_string())];
+    let mut members: Vec<PathBuf> = read_dir(&root.join("crates"))?
         .into_iter()
         .filter(|p| p.is_dir())
         .collect();
@@ -176,9 +179,84 @@ pub fn workspace_files(root: &Path) -> Result<Vec<FileSpec>, LintError> {
             .file_name()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        collect_package(root, &member.join("src"), &name, &mut out)?;
+        packages.push((member, name));
+    }
+    let deps = crate_deps(&packages);
+    let mut out = Vec::new();
+    for (dir, name) in &packages {
+        collect_package(root, &dir.join("src"), name, deps.get(name), &mut out)?;
     }
     Ok(out)
+}
+
+/// A manifest's `[package]` name and `[dependencies]` keys.
+type Manifest = (Option<String>, Vec<String>);
+
+/// The `[package]` name and the `[dependencies]` keys of a `Cargo.toml`: a
+/// line-level read covering the manifest shapes this workspace writes
+/// (`key = ..` / `key.workspace = ..` lines under `[dependencies]`, and
+/// `[dependencies.key]` tables). Dev- and build-dependencies are skipped,
+/// as the passes skip test code.
+fn manifest_deps(text: &str) -> Manifest {
+    let (mut name, mut deps, mut section) = (None, Vec::new(), "");
+    for line in text.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = header.trim();
+            if let Some(dep) = section.strip_prefix("dependencies.") {
+                deps.push(dep.trim().to_string());
+            }
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim().split('.').next().unwrap_or("").trim_matches('"');
+        match section {
+            "package" if key == "name" => name = Some(value.trim().trim_matches('"').to_string()),
+            "dependencies" => deps.push(key.to_string()),
+            _ => {}
+        }
+    }
+    (name, deps)
+}
+
+/// Each package's workspace dependencies, transitively, by short crate
+/// name. A package whose manifest cannot be read is left out (its files
+/// resolve unconstrained).
+fn crate_deps(packages: &[(PathBuf, String)]) -> BTreeMap<String, Vec<String>> {
+    let manifests: Vec<(&String, Manifest)> = packages
+        .iter()
+        .filter_map(|(dir, short)| {
+            let text = fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            Some((short, manifest_deps(&text)))
+        })
+        .collect();
+    let short_of: BTreeMap<&str, &String> = manifests
+        .iter()
+        .filter_map(|(short, (name, _))| Some((name.as_deref()?, *short)))
+        .collect();
+    let direct: BTreeMap<&String, Vec<&String>> = manifests
+        .iter()
+        .map(|(short, (_, deps))| {
+            let ws = deps
+                .iter()
+                .filter_map(|d| short_of.get(d.as_str()).copied());
+            (*short, ws.collect())
+        })
+        .collect();
+    direct
+        .keys()
+        .map(|&start| {
+            let mut seen = BTreeSet::new();
+            let mut stack = direct[start].clone();
+            while let Some(d) = stack.pop() {
+                if seen.insert(d.clone()) {
+                    stack.extend(direct.get(d).into_iter().flatten());
+                }
+            }
+            (start.clone(), seen.into_iter().collect())
+        })
+        .collect()
 }
 
 fn read_dir(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
@@ -195,6 +273,7 @@ fn collect_package(
     root: &Path,
     src: &Path,
     crate_name: &str,
+    deps: Option<&Vec<String>>,
     out: &mut Vec<FileSpec>,
 ) -> Result<(), LintError> {
     if !src.is_dir() {
@@ -232,6 +311,7 @@ fn collect_package(
             rel_path: rel,
             crate_name: crate_name.to_string(),
             path,
+            deps: deps.cloned(),
         });
     }
     Ok(())
@@ -245,6 +325,8 @@ struct FileAnalysis {
     sups: Vec<Suppression>,
     /// Local-rule findings, unfiltered (suppressions apply in phase 3).
     raw: Vec<Diagnostic>,
+    /// The spec's crate dependencies (see [`FileSpec::deps`]).
+    deps: Option<Vec<String>>,
 }
 
 /// Phase 1 for one file: lex, parse suppressions, run the local rules,
@@ -268,6 +350,7 @@ fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
         parsed,
         sups,
         raw,
+        deps: spec.deps.clone(),
     }
 }
 
@@ -284,6 +367,7 @@ fn finish(mut analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
         .map(|a| Unit {
             file: &a.file,
             parsed: &a.parsed,
+            deps: a.deps.as_deref(),
         })
         .collect();
     let mut cross = Vec::new();
@@ -299,7 +383,7 @@ fn finish(mut analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
     }
     raw.extend(cross);
     let mut used: Vec<Vec<bool>> = analyses.iter().map(|a| vec![false; a.sups.len()]).collect();
-    let by_file: std::collections::BTreeMap<&str, usize> = analyses
+    let by_file: BTreeMap<&str, usize> = analyses
         .iter()
         .enumerate()
         .map(|(i, a)| (a.file.rel_path.as_str(), i))
@@ -477,6 +561,7 @@ mod tests {
             rel_path: rel.into(),
             crate_name: crate_name.into(),
             is_crate_root: false,
+            deps: None,
         }
     }
 
@@ -527,6 +612,17 @@ mod tests {
         let src = "// lint:allow(frame-protocol): declaration lives in frame.rs\nfn f() {}";
         let (diags, _) = analyze_source(&spec("runtime", "crates/runtime/src/x.rs"), src);
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn manifest_deps_reads_dependencies_but_not_dev_dependencies() {
+        let toml = "[package]\nname = \"edgeslice-rl\"\n\n\
+                    [dependencies]\nedgeslice-nn = { workspace = true }\nrand.workspace = true\n\n\
+                    [dev-dependencies]\nproptest = { workspace = true }\n\n\
+                    [dependencies.serde]\nworkspace = true\n";
+        let (name, deps) = manifest_deps(toml);
+        assert_eq!(name.as_deref(), Some("edgeslice-rl"));
+        assert_eq!(deps, ["edgeslice-nn", "rand", "serde"]);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! them — `rng-stream-separation`, `frame-protocol`, and
 //! `transitive-alloc`.
 //!
-//! The call graph is *name-based* (no type inference): free and
-//! `Qualifier::`-path calls resolve same-file → same-crate → workspace,
-//! path calls filter by the callee's `impl` type, and method calls
-//! conservatively follow every same-crate impl fn with that name. The
-//! soundness caveats of this approximation are documented executable
-//! facts in the unit tests below and in DESIGN.md §15.
+//! The call graph is *name-based* (no type inference): a call only lands
+//! in the caller's crate or a crate it depends on; free calls resolve
+//! nested-fn-in-scope → same-file → same-crate → dependencies, path calls
+//! filter by the callee's `impl` type, and method calls conservatively
+//! follow every same-crate impl fn with that name. Turbofish calls
+//! (`name::<T>(..)`) are calls like any other. The soundness caveats of
+//! this approximation are documented executable facts in the unit tests
+//! below and in DESIGN.md §15.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -26,6 +28,20 @@ pub struct Unit<'a> {
     pub file: &'a SourceFile,
     /// The item-level parse of the same tokens.
     pub parsed: &'a ParsedFile,
+    /// The workspace crates the file's crate depends on, transitively —
+    /// the only other crates its calls can land in. `None` when unknown
+    /// (a file analyzed on its own), which leaves cross-crate resolution
+    /// unconstrained.
+    pub deps: Option<&'a [String]>,
+}
+
+impl Unit<'_> {
+    /// Whether code in this unit can call into `callee`'s crate: its own,
+    /// or one it depends on.
+    fn sees(&self, callee: &Unit<'_>) -> bool {
+        let target = &callee.file.crate_name;
+        *target == self.file.crate_name || self.deps.is_none_or(|d| d.contains(target))
+    }
 }
 
 fn diag(unit: &Unit<'_>, rule: &'static str, line: usize, message: String) -> Diagnostic {
@@ -45,10 +61,9 @@ fn is_stream_tag_name(name: &str) -> bool {
     name.ends_with("_STREAM_TAG") || (name.starts_with("DOMAIN_") && name.len() > "DOMAIN_".len())
 }
 
-/// The argument token range `(open, close)` of the call at `name_tok`
-/// (exclusive of the parens).
+/// The argument tokens of `call` (exclusive of the parens).
 fn call_args<'t>(toks: &'t [Tok], call: &CallSite) -> &'t [Tok] {
-    let open = call.name_tok + 1;
+    let open = call.open_paren;
     match matching(toks, open, "(", ")") {
         Some(close) => &toks[open + 1..close],
         None => &[],
@@ -479,21 +494,37 @@ pub fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
         (&units[ui], &units[ui].parsed.fns[fi])
     };
     // Per-fn local allocation scan (first banned construct in the body).
+    // A `.get_or_init(..)` initializer builds a memo once per memo, not
+    // once per call, so neither its allocations nor its calls count.
     let allocs: Vec<Option<(usize, &'static str)>> = (0..fns.len())
         .map(|id| {
             let (u, f) = item(id);
             let (open, close) = f.body?;
-            (open..=close).find_map(|k| {
-                alloc_construct(&u.file.toks, k).map(|what| (u.file.toks[k].line, what))
-            })
+            (open..=close)
+                .filter(|&k| !f.in_once_init(k))
+                .find_map(|k| {
+                    alloc_construct(&u.file.toks, k).map(|what| (u.file.toks[k].line, what))
+                })
         })
         .collect();
 
     let resolve = |call: &CallSite, caller: usize| -> Vec<usize> {
+        let (cu, cf) = item(caller);
         let Some(cands) = by_name.get(call.name.as_str()) else {
             return Vec::new();
         };
-        let (cu, cf) = item(caller);
+        if cf.in_once_init(call.name_tok) {
+            return Vec::new();
+        }
+        // A call can only land in the caller's own crate or one it
+        // depends on.
+        let cands: Vec<usize> = cands
+            .iter()
+            .copied()
+            .filter(|&id| cu.sees(item(id).0))
+            .collect();
+        // Items callable by path: not methods, not fns nested in a body.
+        let is_item_fn = |id: usize| item(id).1.impl_type.is_none() && item(id).1.scope.is_none();
         if call.is_method {
             // Method calls: every same-crate impl fn with that name
             // (conservative — no receiver types). Names shared with the
@@ -502,8 +533,7 @@ pub fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
                 return Vec::new();
             }
             return cands
-                .iter()
-                .copied()
+                .into_iter()
                 .filter(|&id| {
                     let (u, f) = item(id);
                     f.impl_type.is_some() && u.file.crate_name == cu.file.crate_name
@@ -526,37 +556,38 @@ pub fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
             if !typed.is_empty() {
                 return typed;
             }
-            return cands
-                .iter()
-                .copied()
-                .filter(|&id| item(id).1.impl_type.is_none())
-                .collect();
+            return cands.into_iter().filter(|&id| is_item_fn(id)).collect();
         }
-        // Free calls: the innermost visible `fn` wins — same file, then
-        // same crate, then anywhere.
-        let same_file: Vec<usize> = cands
+        // Free calls: the innermost visible `fn` wins — one nested in a
+        // body enclosing the call, then an item of the same file, of the
+        // same crate, then of any crate the caller's depends on.
+        let same_file = |id: usize| fns[id].0 == fns[caller].0;
+        if let Some(local) = cands
             .iter()
             .copied()
-            .filter(|&id| fns[id].0 == fns[caller].0 && item(id).1.impl_type.is_none())
-            .collect();
-        if !same_file.is_empty() {
-            return same_file;
-        }
-        let same_crate: Vec<usize> = cands
-            .iter()
-            .copied()
-            .filter(|&id| {
-                item(id).0.file.crate_name == cu.file.crate_name && item(id).1.impl_type.is_none()
+            .filter(|&id| same_file(id))
+            .filter_map(|id| {
+                let (o, c) = item(id).1.scope?;
+                (o..c).contains(&call.name_tok).then_some((c - o, id))
             })
-            .collect();
-        if !same_crate.is_empty() {
-            return same_crate;
+            .min()
+        {
+            return vec![local.1];
         }
-        cands
+        let items: Vec<usize> = cands.into_iter().filter(|&id| is_item_fn(id)).collect();
+        let in_file: Vec<usize> = items.iter().copied().filter(|&id| same_file(id)).collect();
+        if !in_file.is_empty() {
+            return in_file;
+        }
+        let in_crate: Vec<usize> = items
             .iter()
             .copied()
-            .filter(|&id| item(id).1.impl_type.is_none())
-            .collect()
+            .filter(|&id| item(id).0.file.crate_name == cu.file.crate_name)
+            .collect();
+        if !in_crate.is_empty() {
+            return in_crate;
+        }
+        items
     };
 
     // BFS from every hot-path fn; report the first (shortest) allocating
@@ -645,7 +676,11 @@ mod tests {
         let built = build(files);
         let units: Vec<Unit<'_>> = built
             .iter()
-            .map(|(file, parsed)| Unit { file, parsed })
+            .map(|(file, parsed)| Unit {
+                file,
+                parsed,
+                deps: None,
+            })
             .collect();
         let mut out = Vec::new();
         pass(&units, &mut out);
@@ -824,6 +859,84 @@ mod tests {
             "the two-hop path is reported: {}",
             out[0].message
         );
+    }
+
+    #[test]
+    fn a_nested_fn_is_invisible_outside_its_body() {
+        // `helper` nested in `other` is not what `fill_into`'s free call
+        // names — that resolves to the file's item `helper`, which
+        // allocates.
+        let out = run_pass(
+            &[(
+                "nn",
+                "crates/nn/src/a.rs",
+                "fn other() { fn helper(out: &mut [f64]) {} }\n\
+                 fn helper(out: &mut [f64]) { let v = vec![0.0]; }\n\
+                 fn fill_into(out: &mut [f64]) { helper(out); }",
+            )],
+            transitive_alloc,
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("fill_into"));
+    }
+
+    #[test]
+    fn only_the_once_init_argument_is_exempt() {
+        // The memo's initializer allocates once per memo; the per-call
+        // `to_vec` beside it still counts.
+        let out = run_pass(
+            &[(
+                "nn",
+                "crates/nn/src/a.rs",
+                "struct M;\n\
+                 impl M { fn memo(&self, x: &[f64]) -> Vec<f64> { \
+                   self.m.get_or_init(|| build()); x.to_vec() } }\n\
+                 fn build() -> Vec<f64> { Vec::new() }\n\
+                 fn read_into(m: &M, x: &[f64]) { m.memo(x); }",
+            )],
+            transitive_alloc,
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("`.to_vec()`"), "{}", out[0].message);
+    }
+
+    #[test]
+    fn calls_stay_inside_the_dependency_graph() {
+        // With crate dependencies known, an `rl` free call reaches `nn`
+        // (a dependency) but a `bench` fn of the same name is out of
+        // reach — and the `nn` one is clean.
+        let files = [
+            (
+                "rl",
+                "crates/rl/src/a.rs",
+                "fn sample_into(out: &mut [f64]) { stage(out); }",
+            ),
+            ("nn", "crates/nn/src/b.rs", "fn stage(out: &mut [f64]) {}"),
+            (
+                "bench",
+                "crates/bench/src/c.rs",
+                "fn stage(out: &mut [f64]) { let v = vec![0.0]; }",
+            ),
+        ];
+        let built = build(&files);
+        let nn = ["nn".to_string()];
+        let units: Vec<Unit<'_>> = built
+            .iter()
+            .map(|(file, parsed)| Unit {
+                file,
+                parsed,
+                deps: Some(if file.crate_name == "rl" {
+                    &nn[..]
+                } else {
+                    &[]
+                }),
+            })
+            .collect();
+        let mut out = Vec::new();
+        transitive_alloc(&units, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Unknown dependencies leave resolution unconstrained.
+        assert_eq!(run_pass(&files, transitive_alloc).len(), 1);
     }
 
     #[test]

@@ -143,6 +143,7 @@ fn main() -> ExitCode {
             is_crate_root: rel.ends_with("src/lib.rs"),
             rel_path: rel,
             crate_name,
+            deps: None,
         });
     }
 

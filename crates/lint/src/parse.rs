@@ -61,7 +61,8 @@ pub struct EnumItem {
 }
 
 /// One call expression inside a function body: `name(...)`,
-/// `Qualifier::name(...)`, or `.name(...)`.
+/// `Qualifier::name(...)`, or `.name(...)` — each also through a turbofish
+/// (`name::<T>(...)`).
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// The called name.
@@ -74,6 +75,8 @@ pub struct CallSite {
     pub line: usize,
     /// Token index of the called name.
     pub name_tok: usize,
+    /// Token index of the `(` opening the argument list.
+    pub open_paren: usize,
 }
 
 /// A `fn` item: name, owning `impl` type (if any), body token range, and
@@ -87,13 +90,31 @@ pub struct FnItem {
     /// Token index of the name.
     pub name_tok: usize,
     /// The surrounding `impl` block's type name, when the fn is a method
-    /// or associated fn (`impl Foo { fn bar ... }` → `Some("Foo")`).
+    /// or associated fn (`impl Foo { fn bar ... }` → `Some("Foo")`). A fn
+    /// nested in another fn's body is never a method, whatever `impl` the
+    /// outer fn sits in.
     pub impl_type: Option<String>,
+    /// For a fn nested in another fn's body, that body's token range: the
+    /// only place the nested fn can be called from (and where it shadows
+    /// every same-named item outside). `None` for items.
+    pub scope: Option<(usize, usize)>,
     /// Half-open token range of the body braces (`{` .. `}` inclusive of
     /// both delimiters); `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
     /// Calls inside the body, attributed to the *innermost* enclosing fn.
     pub calls: Vec<CallSite>,
+    /// Argument token ranges (exclusive of the parens) of the
+    /// `.get_or_init(..)` calls in the body: a memo's initializer, which
+    /// runs once per memo rather than once per call.
+    pub once_inits: Vec<(usize, usize)>,
+}
+
+impl FnItem {
+    /// Whether token index `k` lies inside one of this fn's
+    /// `.get_or_init(..)` initializers.
+    pub fn in_once_init(&self, k: usize) -> bool {
+        self.once_inits.iter().any(|&(o, c)| (o..c).contains(&k))
+    }
 }
 
 /// One arm of a `match`: the pattern's token range (guard included).
@@ -375,7 +396,9 @@ fn collect_enums(toks: &[Tok]) -> Vec<EnumItem> {
 
 /// `fn name(...) { ... }` items (free fns, methods, nested fns). The body
 /// is the first `{` after the signature at paren/bracket depth 0; a `;`
-/// first means a bodyless trait declaration.
+/// first means a bodyless trait declaration. A fn's innermost container —
+/// an `impl` block or another fn's body — decides what it is: a method of
+/// that `impl`, or a nested fn scoped to that body.
 fn collect_fns(toks: &[Tok], impls: &[(usize, usize, String)]) -> Vec<FnItem> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -401,19 +424,34 @@ fn collect_fns(toks: &[Tok], impls: &[(usize, usize, String)]) -> Vec<FnItem> {
             }
             j += 1;
         }
-        let impl_type = impls
-            .iter()
-            .filter(|(o, c, _)| (*o..*c).contains(&(i + 1)))
-            .min_by_key(|(o, c, _)| c - o)
-            .map(|(_, _, n)| n.clone());
         out.push(FnItem {
             name: name_t.text.clone(),
             line: name_t.line,
             name_tok: i + 1,
-            impl_type,
+            impl_type: None,
+            scope: None,
             body,
             calls: Vec::new(),
+            once_inits: Vec::new(),
         });
+    }
+    let bodies: Vec<(usize, usize)> = out.iter().filter_map(|f| f.body).collect();
+    for f in &mut out {
+        let k = f.name_tok;
+        let imp = impls
+            .iter()
+            .filter(|(o, c, _)| (*o..*c).contains(&k))
+            .min_by_key(|(o, c, _)| c - o);
+        let outer = bodies
+            .iter()
+            .copied()
+            .filter(|&(o, c)| (o..c).contains(&k))
+            .min_by_key(|(o, c)| c - o);
+        match (imp, outer) {
+            (Some((o, c, _)), Some((bo, bc))) if bc - bo < c - o => f.scope = outer,
+            (Some((_, _, name)), _) => f.impl_type = Some(name.clone()),
+            (None, outer) => f.scope = outer,
+        }
     }
     out
 }
@@ -516,18 +554,32 @@ fn collect_matches(toks: &[Tok]) -> Vec<MatchExpr> {
     out
 }
 
-/// Finds every call expression (`name(` with a non-keyword name that is
-/// not a declaration or macro) and attributes it to the innermost
-/// enclosing fn body.
+/// The `(` opening the argument list when the ident at `k` is called:
+/// `name(`, or `name::<..>(` through a turbofish.
+fn call_paren(toks: &[Tok], k: usize) -> Option<usize> {
+    match toks.get(k + 1)?.text.as_str() {
+        "(" => Some(k + 1),
+        "::" if toks.get(k + 2)?.text == "<" => {
+            let close = matching(toks, k + 2, "<", ">")?;
+            (toks.get(close + 1)?.text == "(").then_some(close + 1)
+        }
+        _ => None,
+    }
+}
+
+/// Finds every call expression (`name(` or `name::<..>(` with a
+/// non-keyword name that is not a declaration or macro) and attributes it
+/// to the innermost enclosing fn body, recording the argument range of
+/// each `.get_or_init(..)` there too.
 fn attach_calls(toks: &[Tok], fns: &mut [FnItem]) {
     for k in 0..toks.len() {
         let t = &toks[k];
-        if t.kind != TokKind::Ident
-            || toks.get(k + 1).is_none_or(|n| n.text != "(")
-            || NON_CALL_KEYWORDS.contains(&t.text.as_str())
-        {
+        if t.kind != TokKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             continue;
         }
+        let Some(open_paren) = call_paren(toks, k) else {
+            continue;
+        };
         if k > 0 && toks[k - 1].text == "fn" {
             continue; // the declaration itself
         }
@@ -548,12 +600,18 @@ fn attach_calls(toks: &[Tok], fns: &mut [FnItem]) {
         else {
             continue; // top-level const/static initializer etc.
         };
+        if is_method && t.text == "get_or_init" {
+            if let Some(close) = matching(toks, open_paren, "(", ")") {
+                owner.once_inits.push((open_paren + 1, close));
+            }
+        }
         owner.calls.push(CallSite {
             name: t.text.clone(),
             qualifier,
             is_method,
             line: t.line,
             name_tok: k,
+            open_paren,
         });
     }
 }
@@ -656,6 +714,54 @@ mod tests {
             inner.calls.iter().map(|c| &c.name).collect::<Vec<_>>(),
             ["deep"]
         );
+    }
+
+    #[test]
+    fn a_fn_nested_in_a_method_is_scoped_not_a_method() {
+        let p = parsed(
+            "impl Act {\n  fn apply(&self) {\n    fn run() {}\n    run();\n  }\n}\n\
+             fn outer() { struct S; impl S { fn m(&self) {} } }",
+        );
+        let by_name = |n: &str| p.fns.iter().find(|f| f.name == n).expect("fn parsed");
+        let (apply, run) = (by_name("apply"), by_name("run"));
+        assert_eq!(apply.impl_type.as_deref(), Some("Act"));
+        assert_eq!(apply.scope, None);
+        assert_eq!(run.impl_type, None, "a nested fn is not a method");
+        assert_eq!(run.scope, apply.body);
+        // An `impl` inside a body is the innermost container of its fns.
+        assert_eq!(by_name("m").impl_type.as_deref(), Some("S"));
+        assert_eq!(by_name("m").scope, None);
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let p = parsed(
+            "fn f(a: &[f64]) { tile::<8>(a); Self::g::<u8, Vec<u8>>(a); let x: T = y::<T>; }",
+        );
+        let calls = &p.fns[0].calls;
+        let names: Vec<&str> = calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["tile", "g"], "{calls:?}");
+        assert_eq!(calls[1].qualifier.as_deref(), Some("Self"));
+        let toks = lex("fn f(a: &[f64]) { tile::<8>(a); }").0;
+        let call = &parse(&toks).fns[0].calls[0];
+        assert_eq!(toks[call.open_paren].text, "(");
+        assert_eq!(call.open_paren, call.name_tok + 5);
+    }
+
+    #[test]
+    fn get_or_init_arguments_are_once_inits() {
+        let p = parsed("fn f(&self) -> &[u8] { let n = len(); self.m.get_or_init(|| build()) }");
+        let f = &p.fns[0];
+        let tok = |name: &str| {
+            f.calls
+                .iter()
+                .find(|c| c.name == name)
+                .expect("call")
+                .name_tok
+        };
+        assert!(f.in_once_init(tok("build")));
+        assert!(!f.in_once_init(tok("len")));
+        assert!(!f.in_once_init(tok("get_or_init")));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use edgeslice_lint::{analyze_source, Diagnostic, FileSpec};
+use edgeslice_lint::{analyze_source, run, Diagnostic, FileSpec};
 
 /// Reads `tests/fixtures/<name>` and analyzes it under the given crate
 /// identity, returning `(unsuppressed diagnostics, suppression count)`.
@@ -20,6 +20,7 @@ fn analyze_fixture(name: &str, crate_name: &str, is_crate_root: bool) -> (Vec<Di
         rel_path: format!("crates/{crate_name}/src/{name}"),
         crate_name: crate_name.into(),
         is_crate_root,
+        deps: None,
     };
     analyze_source(&spec, &source)
 }
@@ -83,6 +84,7 @@ fn determinism_covers_the_core_workload_module() {
         rel_path: "crates/core/src/workload.rs".into(),
         crate_name: "core".into(),
         is_crate_root: false,
+        deps: None,
     };
     let (diags, _) = analyze_source(&spec, &source);
     assert_all_rule(&diags, "determinism", 4);
@@ -260,6 +262,51 @@ fn transitive_alloc_clean_is_silent() {
 fn transitive_alloc_is_scoped_to_the_hot_crates() {
     let (diags, _) = analyze_fixture("transitive_alloc_bad.rs", "bench", false);
     assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
+fn transitive_alloc_resolves_a_nested_helper_in_its_scope() {
+    // A helper `fn run` nested in a method's body used to be indexed as a
+    // method of the surrounding `impl`, so the free call `run(..)` fell
+    // through to the same-named, allocating module-level item.
+    let (diags, _) = analyze_fixture("transitive_alloc_nested_fn_clean.rs", "nn", false);
+    assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
+fn transitive_alloc_follows_turbofish_calls() {
+    let (diags, _) = analyze_fixture("transitive_alloc_turbofish_bad.rs", "nn", false);
+    assert_all_rule(&diags, "transitive-alloc", 1);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert!(diags[0].message.contains("accumulate_into"));
+    assert!(diags[0].message.contains("`tile` does `.to_vec()`"));
+}
+
+#[test]
+fn transitive_alloc_exempts_a_once_per_memo_initializer() {
+    let (diags, _) = analyze_fixture("transitive_alloc_once_init_clean.rs", "nn", false);
+    assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
+fn transitive_alloc_never_resolves_into_a_crate_outside_the_dependency_graph() {
+    // Analyzed together, as the workspace walk would: `nn` depends on no
+    // workspace crate, so its free call cannot land in `lint`.
+    let spec = |name: &str, crate_name: &str| FileSpec {
+        path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name),
+        rel_path: format!("crates/{crate_name}/src/{name}"),
+        crate_name: crate_name.into(),
+        is_crate_root: false,
+        deps: Some(Vec::new()),
+    };
+    let specs = [
+        spec("transitive_alloc_dep_graph_clean.rs", "nn"),
+        spec("transitive_alloc_dep_graph_other.rs", "lint"),
+    ];
+    let report = run(&specs).expect("fixtures readable");
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
 }
 
 #[test]

@@ -55,6 +55,24 @@ fn workspace_walk_covers_the_workload_module() {
 }
 
 #[test]
+fn workspace_walk_knows_the_crate_graph() {
+    // The call graph only follows a call into a crate the caller's crate
+    // depends on (transitively), read from the members' manifests.
+    let specs = workspace_files(&workspace_root()).expect("workspace sources enumerable");
+    let deps_of = |name: &str| {
+        specs
+            .iter()
+            .find(|s| s.crate_name == name)
+            .and_then(|s| s.deps.clone())
+            .unwrap_or_else(|| panic!("no dependency list for crate {name}"))
+    };
+    assert!(deps_of("nn").is_empty());
+    assert!(deps_of("lint").is_empty());
+    assert_eq!(deps_of("rl"), ["nn", "optim"]);
+    assert_eq!(deps_of("core"), ["netsim", "nn", "optim", "rl", "runtime"]);
+}
+
+#[test]
 fn binary_exits_zero_on_the_workspace() {
     let out = Command::new(env!("CARGO_BIN_EXE_edgeslice-lint"))
         .args(["--workspace", "--format", "json"])
@@ -132,6 +150,7 @@ fn synth_spec(name: &str, rel: &str, crate_name: &str, source: &str) -> FileSpec
         rel_path: rel.into(),
         crate_name: crate_name.into(),
         is_crate_root: false,
+        deps: None,
     }
 }
 

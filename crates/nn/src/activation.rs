@@ -96,41 +96,74 @@ impl Activation {
 
     /// Applies the activation element-wise, writing into `out` (resized as
     /// needed). Bit-identical to [`Activation::forward`], allocation-free.
+    ///
+    /// The variant is matched once per call, not per element: each arm runs
+    /// its own monomorphised loop over [`Activation::eval`] of a constant
+    /// variant, so the loop body is branch-free wherever the activation is
+    /// (Leaky ReLU's select, say) and every element's expression is
+    /// unchanged.
     pub fn forward_into(self, z: &Matrix, out: &mut Matrix) {
+        fn run(out: &mut [f64], z: &[f64], f: impl Fn(f64) -> f64) {
+            for (o, &x) in out.iter_mut().zip(z) {
+                *o = f(x);
+            }
+        }
         out.resize_for(z.rows(), z.cols());
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(z.as_slice()) {
-            *o = self.eval(x);
+        let (out, z) = (out.as_mut_slice(), z.as_slice());
+        match self {
+            Activation::Identity => run(out, z, |x| Activation::Identity.eval(x)),
+            Activation::Relu => run(out, z, |x| Activation::Relu.eval(x)),
+            Activation::LeakyRelu(a) => run(out, z, |x| Activation::LeakyRelu(a).eval(x)),
+            Activation::Sigmoid => run(out, z, |x| Activation::Sigmoid.eval(x)),
+            Activation::Tanh => run(out, z, |x| Activation::Tanh.eval(x)),
+            Activation::Softplus => run(out, z, |x| Activation::Softplus.eval(x)),
         }
     }
 
     /// Writes `d_out ⊙ act'(z)` into `dz` (resized as needed): the fused
     /// form of `d_out.hadamard(&act.backward(z))` with the same per-element
-    /// multiply order, so results are bit-identical.
+    /// multiply order, so results are bit-identical. One loop per variant,
+    /// as in [`Activation::forward_into`].
     ///
     /// # Panics
     ///
     /// Panics if `z` and `d_out` shapes differ.
     pub fn backward_weighted_into(self, z: &Matrix, d_out: &Matrix, dz: &mut Matrix) {
+        fn run(dz: &mut [f64], d_out: &[f64], z: &[f64], df: impl Fn(f64) -> f64) {
+            for ((o, &d), &x) in dz.iter_mut().zip(d_out).zip(z) {
+                *o = d * df(x);
+            }
+        }
         assert_eq!(z.shape(), d_out.shape(), "backward_weighted shape mismatch");
         dz.resize_for(z.rows(), z.cols());
-        for ((o, &d), &x) in dz
-            .as_mut_slice()
-            .iter_mut()
-            .zip(d_out.as_slice())
-            .zip(z.as_slice())
-        {
-            *o = d * self.derivative(x);
+        let (dz, d_out, z) = (dz.as_mut_slice(), d_out.as_slice(), z.as_slice());
+        match self {
+            Activation::Identity => run(dz, d_out, z, |x| Activation::Identity.derivative(x)),
+            Activation::Relu => run(dz, d_out, z, |x| Activation::Relu.derivative(x)),
+            Activation::LeakyRelu(a) => {
+                run(dz, d_out, z, |x| Activation::LeakyRelu(a).derivative(x))
+            }
+            Activation::Sigmoid => run(dz, d_out, z, |x| Activation::Sigmoid.derivative(x)),
+            Activation::Tanh => run(dz, d_out, z, |x| Activation::Tanh.derivative(x)),
+            Activation::Softplus => run(dz, d_out, z, |x| Activation::Softplus.derivative(x)),
         }
     }
 }
 
 /// Numerically stable logistic sigmoid.
+///
+/// Both halves share one exponential, `e = exp(-|x|)`, and the sign only
+/// selects the quotient — no branch around a libm call. This is
+/// bit-identical to evaluating `exp(-x)` for `x ≥ 0` and `exp(x)` for
+/// `x < 0` at every non-NaN `x`: `-|x| == -x` for `x ≥ 0` (`-0.0` included)
+/// and `-|x| == x` exactly for `x < 0`. Only a NaN input's sign bit can come
+/// out differently.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
+    let e = (-x.abs()).exp();
     if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+        1.0 / (1.0 + e)
     } else {
-        let e = x.exp();
         e / (1.0 + e)
     }
 }

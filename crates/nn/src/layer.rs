@@ -8,7 +8,8 @@ use crate::{Activation, GemmOp, Init, Matrix, Parallelism};
 /// A dense layer computing `act(x Wᵀ + b)` over a batch of row-vector inputs.
 ///
 /// Weights are stored `out × in` so a batch forward pass is a single
-/// [`GemmOp::ABt`] product.
+/// [`GemmOp::ABt`] product. (The batch-1 forward runs as [`GemmOp::AB`]
+/// against an output-major copy that the owning [`crate::Mlp`] memoises.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
@@ -167,13 +168,38 @@ impl Dense {
     /// element-wise.
     pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix, par: Parallelism) {
         Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z, par);
+        self.bias_activation_into(z, out);
+    }
+
+    /// [`Dense::forward_into`] against `weights_t`, this layer's weights laid
+    /// out output-major (`in × out`, i.e. `Wᵀ`): the product runs as `A·B`,
+    /// whose one-row kernel vectorises across outputs where `A·Bᵀ`'s dot
+    /// tiles cannot. Each output is the same `k`-ascending sum of the same
+    /// terms, so the result is bit-identical to [`Dense::forward_into`].
+    pub(crate) fn forward_output_major_into(
+        &self,
+        x: &Matrix,
+        weights_t: &Matrix,
+        z: &mut Matrix,
+        out: &mut Matrix,
+        par: Parallelism,
+    ) {
+        Matrix::gemm_into(GemmOp::AB, x, weights_t, z, par);
+        self.bias_activation_into(z, out);
+    }
+
+    /// The element-wise half of a forward pass: adds the bias to the
+    /// pre-activation product in `z` and writes the activation into `out`.
+    fn bias_activation_into(&self, z: &mut Matrix, out: &mut Matrix) {
         z.add_row_broadcast(&self.bias);
         self.activation.forward_into(z, out);
     }
 
     /// Backward pass into caller-owned buffers: parameter gradients into
     /// `grad`, the activation-weighted delta into `dz`, and `∂L/∂x` into
-    /// `dx`. Bit-identical to [`Dense::backward`], allocation-free once the
+    /// `dx` — or, with `dx = None`, no input gradient at all (a network's
+    /// first layer, whose input gradient a parameter update never reads).
+    /// Bit-identical to [`Dense::backward`], allocation-free once the
     /// buffers have warmed up.
     pub fn backward_into(
         &self,
@@ -182,14 +208,16 @@ impl Dense {
         d_out: &Matrix,
         grad: &mut DenseGrad,
         dz: &mut Matrix,
-        dx: &mut Matrix,
+        dx: Option<&mut Matrix>,
     ) {
         self.activation.backward_weighted_into(z, d_out, dz);
         grad.resize_like(self);
         let seq = Parallelism::Sequential;
         Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights, seq);
         dz.sum_rows_into(&mut grad.bias);
-        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, seq);
+        if let Some(dx) = dx {
+            Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, seq);
+        }
     }
 
     /// Input-gradient-only backward pass: like [`Dense::backward_into`] but

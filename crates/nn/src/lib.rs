@@ -48,7 +48,7 @@ mod par;
 pub use activation::{sigmoid, softplus, Activation};
 pub use init::Init;
 pub use layer::{Dense, DenseGrad};
-pub use matrix::{GemmOp, Matrix, A_BT_BLOCKED_MIN_ROWS, TILE_K, TILE_N};
+pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};
 pub use network::{FleetScratch, ForwardCache, Gradients, Mlp, TrainScratch};
 pub use optimizer::{mse_loss, mse_loss_into, Adam};
 pub use par::Parallelism;

@@ -217,9 +217,19 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// The transpose of this matrix.
+    /// The transpose of this matrix. Written one output row at a time (a
+    /// column of `self`): it fills an `Mlp`'s output-major weight memo
+    /// after every weight change, so its speed shows in training.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        if self.rows > 0 {
+            for (j, out) in t.data.chunks_exact_mut(self.rows).enumerate() {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = self.data[i * self.cols + j];
+                }
+            }
+        }
+        t
     }
 
     /// Reshapes this matrix to `rows × cols` in place, reusing the existing
@@ -260,15 +270,17 @@ impl Matrix {
     /// (the property suite holds every body to that loop by `to_bits`) —
     /// whichever schedule the operand shape selects:
     ///
-    /// * `A·B` is register-tiled two output rows at a time, and cache-blocked
-    ///   once `B` is at least 32 × [`TILE_N`];
+    /// * `A·B` is register-tiled two output rows at a time (a lone row — the
+    ///   batch-1 policy forward against an output-major `Wᵀ` — in fixed
+    ///   16/8/4/2/1-wide tiles), and cache-blocked from
+    ///   [`BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`];
     /// * `Aᵀ·B` streams the operands for outputs narrower than one 8-column
     ///   sliver and is cache-blocked, with a transpose-packed `A` block,
     ///   from there up;
     /// * `A·Bᵀ` runs a 2×4 dot tile (eight independent accumulator chains
     ///   hide the floating-point add latency of a single dot product), a 1×8
     ///   tile on an odd last row — a one-row product is nothing else — and
-    ///   is cache-blocked from [`A_BT_BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`].
+    ///   is cache-blocked from [`BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`].
     ///
     /// The schedules only reorder *which* outputs are in flight, never the
     /// sum inside one output, and the choice reads the global shape, never a
@@ -293,7 +305,7 @@ impl Matrix {
         out.resize_for(m, n);
         let (a, b) = (&a.data, &b.data);
         crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| match op {
-            GemmOp::AB => matmul_rows(a, k, i0, nr, b, n, rows),
+            GemmOp::AB => matmul_rows(a, m, k, i0, nr, b, n, rows),
             GemmOp::AtB => matmul_at_b_rows(a, m, k, i0, nr, b, n, rows),
             GemmOp::ABt => matmul_a_bt_rows(a, m, k, i0, nr, b, n, rows),
         });
@@ -533,38 +545,52 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// branch-free inner loop is what lets the compiler vectorize it
 /// (DESIGN.md §14).
 ///
-/// Outputs are tiled 8 wide into register accumulators, with one
-/// variable-width tail tile (< 8 outputs) that still runs a single pass
-/// over `t`: eight independent FP-add chains hide the add latency that
-/// serializes a load-add-store accumulator in memory, the `b` reads stay
-/// contiguous per term, and narrow trailing columns never fall back to a
-/// one-column-at-a-time scalar loop (the cause of PR 4's `matmul` 0.91×
-/// regression at `n = 18`).
+/// This is the batch-1 policy forward's kernel (`x·Wᵀ` as `A·B` against the
+/// output-major `Wᵀ` an `Mlp` memoises). Outputs run in fixed-width register
+/// tiles — 16 wide, then at most one each of 8, 4, 2 and 1 for the rest — so
+/// every tile is one pass over `t` whose inner step is a fully unrolled
+/// multiply-add across `W` adjacent outputs of one contiguous `b` row:
+/// independent FP-add chains hide the add latency, and narrow trailing
+/// columns never fall back to a one-column-at-a-time scalar loop (which
+/// once cost `matmul` 0.91× at `n = 18`). The widths are fixed
+/// because a variable-width tail loop cost the 64 → 15 output layer all of
+/// its gain over the dot tiles.
 #[inline]
 fn accumulate_row(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
     let mut j = 0;
-    while j + 8 <= n {
-        let mut acc = [0.0f64; 8];
-        for (t, &a_t) in a.iter().enumerate() {
-            let b_row = &b[t * n + j..t * n + j + 8];
-            for (o, &bv) in acc.iter_mut().zip(b_row) {
-                *o += a_t * bv;
-            }
-        }
-        out[j..j + 8].copy_from_slice(&acc);
+    while j + 16 <= n {
+        row_tile::<16>(a, b, n, j, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        row_tile::<8>(a, b, n, j, out);
         j += 8;
     }
-    if j < n {
-        let w = n - j;
-        let mut acc = [0.0f64; 8];
-        for (t, &a_t) in a.iter().enumerate() {
-            let b_row = &b[t * n + j..t * n + j + w];
-            for (o, &bv) in acc[..w].iter_mut().zip(b_row) {
-                *o += a_t * bv;
-            }
-        }
-        out[j..j + w].copy_from_slice(&acc[..w]);
+    if j + 4 <= n {
+        row_tile::<4>(a, b, n, j, out);
+        j += 4;
     }
+    if j + 2 <= n {
+        row_tile::<2>(a, b, n, j, out);
+        j += 2;
+    }
+    if j < n {
+        row_tile::<1>(a, b, n, j, out);
+    }
+}
+
+/// `W` adjacent outputs of [`accumulate_row`] from column `j`: `W` register
+/// accumulators seeded from `+0.0`, one pass over the rows of `b` (`n`
+/// wide) in ascending `t`.
+#[inline]
+fn row_tile<const W: usize>(a: &[f64], b: &[f64], n: usize, j: usize, out: &mut [f64]) {
+    let mut acc = [0.0f64; W];
+    for (&a_t, b_row) in a.iter().zip(b.chunks_exact(n)) {
+        for (o, &bv) in acc.iter_mut().zip(&b_row[j..j + W]) {
+            *o += a_t * bv;
+        }
+    }
+    out[j..j + W].copy_from_slice(&acc);
 }
 
 /// Like [`accumulate_row`] but for **two output rows** at once: `out0[j] =
@@ -766,15 +792,18 @@ fn accumulate_pair_panel(
 }
 
 /// Row-range body of `A·B` under [`Matrix::gemm_into`]: computes output
-/// rows `i0..i0 + nr` into `out_rows` (`nr × n`, row-major). Dispatch to
-/// the blocked schedule depends only on the *global* shape, never on the
-/// row range, so splitting rows across threads cannot change which kernel
-/// a row sees. The blocked path engages once `B` is at least
-/// 32×[`TILE_N`] — the panel microkernel beats streaming `B` per row pair
-/// well before the operands overflow cache (the paper's 128×128 hidden
-/// shapes included), while narrow outputs keep the register path.
+/// rows `i0..i0 + nr` (`m` is the global row count of `A`) into `out_rows`
+/// (`nr × n`, row-major). Dispatch to the blocked schedule depends only on
+/// the *global* shape, never on the row range, so splitting rows across
+/// threads cannot change which kernel a row sees. The blocked path engages
+/// once `A` is [`BLOCKED_MIN_ROWS`] tall and `B` at least 32×[`TILE_N`] —
+/// the panel microkernel beats streaming `B` per row pair well before the
+/// operands overflow cache (the paper's 128×128 hidden shapes included),
+/// while narrow outputs and short batches keep the register path.
+#[allow(clippy::too_many_arguments)]
 fn matmul_rows(
     a: &[f64],
+    m: usize,
     k: usize,
     i0: usize,
     nr: usize,
@@ -782,7 +811,7 @@ fn matmul_rows(
     n: usize,
     out_rows: &mut [f64],
 ) {
-    if k >= 32 && n >= TILE_N {
+    if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
         matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
         return;
@@ -846,14 +875,13 @@ fn matmul_at_b_rows(
 }
 
 /// Fewest rows of `A` (the *global* row count, not a thread's chunk) for
-/// which `A·Bᵀ` takes the cache-blocked schedule. Every blocked call
-/// zero-fills a 64 KiB stack panel and transpose-packs each `B` tile once
-/// — a fixed cost worth a few rows of multiply-adds, repaid only when
-/// several rows reuse the packed panel (measured crossover: 8–16 rows at
-/// hidden widths 128 and 64, DESIGN.md §14). Below it — the one-row policy
-/// forward of every agent step above all — the register dot tiles read
-/// `B` in place.
-pub const A_BT_BLOCKED_MIN_ROWS: usize = 8;
+/// which `A·B` and `A·Bᵀ` take the cache-blocked schedule. Every blocked
+/// call zero-fills a 64 KiB stack panel and packs each `B` tile once — a
+/// fixed cost worth a few rows of multiply-adds, repaid only when several
+/// rows reuse the packed panel (measured crossover: 8–16 rows at hidden
+/// widths 128 and 64, DESIGN.md §14). Below it — the one-row policy forward
+/// of every agent step above all — the register tiles read `B` in place.
+pub const BLOCKED_MIN_ROWS: usize = 8;
 
 /// Row-range body of `A·Bᵀ` under [`Matrix::gemm_into`]: computes output
 /// rows `i0..i0 + nr` (`m` is the global row count of `A`) with the 2×4
@@ -864,7 +892,7 @@ pub const A_BT_BLOCKED_MIN_ROWS: usize = 8;
 /// which rows share a chunk.
 ///
 /// Operands at least 32 deep, [`TILE_N`] wide and
-/// [`A_BT_BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: once
+/// [`BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: once
 /// its panel holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the
 /// 2×8 microkernel sustains a higher madd rate than the dot kernels once
 /// the panel pack amortizes (the paper's 128×128 hidden forwards at batch
@@ -881,7 +909,7 @@ fn matmul_a_bt_rows(
     n: usize,
     out_rows: &mut [f64],
 ) {
-    if m >= A_BT_BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
+    if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
         matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
         return;

@@ -1,7 +1,10 @@
 //! Multi-layer perceptrons with manual backpropagation.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{Activation, Dense, DenseGrad, Init, Matrix, Parallelism};
 
@@ -24,9 +27,45 @@ use crate::{Activation, Dense, DenseGrad, Init, Matrix, Parallelism};
 /// assert_eq!(out.shape(), (1, 6));
 /// assert!(out.as_slice().iter().all(|&a| (0.0..=1.0).contains(&a)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// Each layer's weights laid out output-major (`in × out`, i.e. `Wᵀ`)
+    /// for the batch-1 / fleet forward, filled on its first call and
+    /// dropped by every `&mut self` method, so it never outlives the
+    /// weights it copies. Not part of the network's value: equality,
+    /// `Debug` and serialization see `layers` only.
+    weights_t: OnceLock<Vec<Matrix>>,
+}
+
+impl PartialEq for Mlp {
+    fn eq(&self, other: &Self) -> bool {
+        self.layers == other.layers
+    }
+}
+
+impl fmt::Debug for Mlp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mlp").field("layers", &self.layers).finish()
+    }
+}
+
+impl Serialize for Mlp {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("layers".to_string(), self.layers.to_value())])
+    }
+}
+
+impl Deserialize for Mlp {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let layers = v
+            .get_field("layers")
+            .ok_or_else(|| DeError::missing_field("Mlp", "layers"))?;
+        Ok(Self {
+            layers: Vec::from_value(layers)?,
+            weights_t: OnceLock::new(),
+        })
+    }
 }
 
 /// Cached intermediate values from [`Mlp::forward_cached`], consumed by
@@ -72,7 +111,8 @@ pub struct TrainScratch {
     output: Matrix,
     /// Activation-weighted delta buffer, reused across layers.
     dz: Matrix,
-    /// `∂L/∂(layer input)` per layer; `dx[0]` is `∂L/∂(network input)`.
+    /// `∂L/∂(layer input)` per layer; `dx[0]` is `∂L/∂(network input)`,
+    /// written by [`Mlp::backward_input_scratch`] only.
     dx: Vec<Matrix>,
     /// Parameter gradients of the last backward pass.
     grads: Gradients,
@@ -90,8 +130,8 @@ impl TrainScratch {
         &self.output
     }
 
-    /// `∂L/∂(network input)` from the last [`Mlp::backward_scratch`] (or
-    /// [`Mlp::backward_input_scratch`]).
+    /// `∂L/∂(network input)` from the last [`Mlp::backward_input_scratch`]
+    /// ([`Mlp::backward_scratch`] does not compute it).
     pub fn d_input(&self) -> &Matrix {
         &self.dx[0]
     }
@@ -249,7 +289,10 @@ impl Mlp {
             };
             layers.push(Dense::new(w[0], w[1], act, init, rng));
         }
-        Self { layers }
+        Self {
+            layers,
+            weights_t: OnceLock::new(),
+        }
     }
 
     /// The paper's actor network: two 128-unit Leaky-ReLU hidden layers and
@@ -281,7 +324,20 @@ impl Mlp {
 
     /// Mutable access to the layers.
     pub fn layers_mut(&mut self) -> &mut [Dense] {
+        self.weights_t.take();
         &mut self.layers
+    }
+
+    /// The output-major weights of every layer, transposed from the live
+    /// weights on first use after construction or a mutation. One fill per
+    /// weight state: the steady-state forward reads it allocation-free.
+    fn weights_t(&self) -> &[Matrix] {
+        self.weights_t.get_or_init(|| {
+            self.layers
+                .iter()
+                .map(|l| l.weights().transpose())
+                .collect()
+        })
     }
 
     /// Input dimensionality.
@@ -332,12 +388,16 @@ impl Mlp {
     /// batch staged in `s` (one row per (agent, batch) pair), replacing N
     /// per-agent [`Mlp::forward`] calls against shared-shape weights.
     ///
-    /// Output row `i` is **bit-identical** to `forward` on input row `i`
-    /// alone: every GEMM output row is one accumulator over `k` ascending,
-    /// a pure function of that input row and the weights — stacking rows
-    /// (and splitting them across threads via `par`) never changes a
-    /// row's arithmetic. Returns the stacked output, also readable via
-    /// [`FleetScratch::output`]. Allocation-free at steady state.
+    /// Each layer runs as `x·Wᵀ` = `A·B` against the network's memoised
+    /// output-major weights, so a one-row product vectorises across
+    /// outputs. Output row `i` is **bit-identical** to `forward` on input
+    /// row `i` alone: every GEMM output element is one accumulator over `k`
+    /// ascending, a pure function of that input row and the weights —
+    /// operand layout, stacking rows and splitting them across threads via
+    /// `par` never change an element's arithmetic. Returns the stacked
+    /// output, also readable via [`FleetScratch::output`]. Allocation-free
+    /// at steady state (the first call after construction or a weight
+    /// mutation fills the memo).
     ///
     /// # Panics
     ///
@@ -354,9 +414,10 @@ impl Mlp {
             s.x.cols(),
             self.in_dim()
         );
-        self.layers[0].forward_into(&s.x, &mut s.z, &mut s.cur, par);
-        for layer in &self.layers[1..] {
-            layer.forward_into(&s.cur, &mut s.z, &mut s.next, par);
+        let weights_t = self.weights_t();
+        self.layers[0].forward_output_major_into(&s.x, &weights_t[0], &mut s.z, &mut s.cur, par);
+        for (layer, wt) in self.layers[1..].iter().zip(&weights_t[1..]) {
+            layer.forward_output_major_into(&s.cur, wt, &mut s.z, &mut s.next, par);
             std::mem::swap(&mut s.cur, &mut s.next);
         }
         &s.cur
@@ -424,8 +485,10 @@ impl Mlp {
 
     /// Backpropagates `d_output` through the pass recorded by
     /// [`Mlp::forward_scratch`], leaving the parameter gradients in
-    /// [`TrainScratch::grads`] and `∂L/∂input` in
-    /// [`TrainScratch::d_input`]. Bit-identical to [`Mlp::backward`].
+    /// [`TrainScratch::grads`], bit-identical to [`Mlp::backward`]'s. The
+    /// first layer's input gradient (`∂L/∂input`) is not computed: a
+    /// parameter update never reads it, and [`TrainScratch::d_input`] comes
+    /// from [`Mlp::backward_input_scratch`] only.
     pub fn backward_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
         s.grads.resize_like(self);
         let n = self.layers.len();
@@ -438,7 +501,7 @@ impl Mlp {
                 upstream,
                 &mut s.grads.layers[idx],
                 &mut s.dz,
-                &mut lo[idx],
+                (idx > 0).then_some(&mut lo[idx]),
             );
         }
     }
@@ -447,7 +510,7 @@ impl Mlp {
     /// chain, skipping every layer's parameter gradients. Used when the
     /// network is differentiated purely for `∂L/∂input` (DDPG's
     /// `∇_a Q(s, μ(s))`); the resulting [`TrainScratch::d_input`] is
-    /// bit-identical to the full backward pass.
+    /// bit-identical to the input gradient [`Mlp::backward`] returns.
     pub fn backward_input_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
         let n = self.layers.len();
         for (idx, layer) in self.layers.iter().enumerate().rev() {
@@ -481,7 +544,7 @@ impl Mlp {
             "flat parameter length mismatch"
         );
         let mut off = 0;
-        for l in &mut self.layers {
+        for l in self.layers_mut() {
             let wlen = l.weights().rows() * l.weights().cols();
             l.weights_mut()
                 .as_mut_slice()
@@ -516,7 +579,7 @@ impl Mlp {
             source.layers.len(),
             "layer count mismatch"
         );
-        for (a, b) in self.layers.iter_mut().zip(&source.layers) {
+        for (a, b) in self.layers_mut().iter_mut().zip(&source.layers) {
             a.soft_update_from(b, tau);
         }
     }

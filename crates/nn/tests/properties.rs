@@ -9,7 +9,8 @@
 //! reordered sum would show).
 
 use edgeslice_nn::{
-    Activation, GemmOp, Matrix, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS, TILE_K, TILE_N,
+    Activation, Adam, GemmOp, Matrix, Mlp, Parallelism, TrainScratch, BLOCKED_MIN_ROWS, TILE_K,
+    TILE_N,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -196,9 +197,11 @@ proptest! {
 
 /// Every product on every side of every dispatch term and tile edge, under
 /// every thread count: output rows around the row pairing (1, 2, odd), the
-/// 8-row blocks of the cache-blocked driver and [`A_BT_BLOCKED_MIN_ROWS`]
-/// (one row is the per-RA policy forward); widths around the 4- and 8-wide
-/// register tiles, the `Aᵀ·B` stream's 8-column cutover and [`TILE_N`];
+/// 8-row blocks of the cache-blocked driver and [`BLOCKED_MIN_ROWS`]
+/// (one row is the per-RA policy forward); widths around the one-row
+/// `A·B` kernel's 16/8/4/2/1-wide tiles and every combination of its
+/// tails, the 4- and 8-wide register tiles, the `Aᵀ·B` stream's 8-column
+/// cutover and [`TILE_N`];
 /// depths around empty, the blocked schedule's 32 and [`TILE_K`]. The
 /// largest of each crosses two full tiles with a ragged tail, so the
 /// blocked driver's partial `k`-tiles, partial `n`-tiles and sub-sliver
@@ -208,9 +211,29 @@ proptest! {
 #[test]
 fn dispatch_bit_identical_to_naive_around_every_threshold() {
     let mut rng = StdRng::seed_from_u64(1717);
-    let (t, tn, tk) = (A_BT_BLOCKED_MIN_ROWS, TILE_N, TILE_K);
+    let (t, tn, tk) = (BLOCKED_MIN_ROWS, TILE_N, TILE_K);
     let rows = [1, 2, 3, t - 1, t, t + 1];
-    let widths = [1, 3, 4, 5, 7, 8, 9, 15, tn - 1, tn, tn + 1, 2 * tn + 13];
+    let widths = [
+        1,
+        2,
+        3,
+        4,
+        5,
+        6,
+        7,
+        8,
+        9,
+        15,
+        16,
+        17,
+        31,
+        32,
+        33,
+        tn - 1,
+        tn,
+        tn + 1,
+        2 * tn + 13,
+    ];
     let depths = [0, 1, 2, 31, 32, 33, tk - 1, tk, tk + 1, 2 * tk + 5];
     let mut out = Matrix::zeros(1, 1);
     for op in OPS {
@@ -232,7 +255,9 @@ fn dispatch_bit_identical_to_naive_around_every_threshold() {
 /// benchmark's `train-paper` configuration, at `DdpgConfig::paper()` on the
 /// same 5-slice environment, and at `tests/train_equivalence.rs`'s 2-slice
 /// one (whose 4-wide state is the only caller of the `Aᵀ·B` stream) — plus
-/// the one-row forward every agent step decides through.
+/// the one-row forward every agent step decides through, in both layouts:
+/// `A·Bᵀ` against `W` (the allocating `Mlp::forward` on one row) and `A·B`
+/// against `Wᵀ` (the memoised batch-1 forward).
 #[test]
 fn training_layer_shapes_bit_identical_to_naive() {
     let mut rng = StdRng::seed_from_u64(2020);
@@ -247,6 +272,7 @@ fn training_layer_shapes_bit_identical_to_naive() {
                     (GemmOp::AtB, o, batch, i),
                     (GemmOp::AB, batch, o, i),
                     (GemmOp::ABt, 1, i, o),
+                    (GemmOp::AB, 1, i, o),
                 ];
                 for (op, m, k, n) in products {
                     let (x, y) = rand_operands(&mut rng, op, m, k, n);
@@ -346,4 +372,103 @@ fn gemm_into_handles_degenerate_shapes() {
         assert_gemm_is_naive(op, a, b, &mut out, "degenerate");
         assert_eq!(out.shape(), shape, "{op:?}");
     }
+}
+
+fn row_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The batch-1 forward (against the memoised `Wᵀ`) equals row 0 of the
+/// allocating `forward` (against the live `W`), bit for bit, and differs
+/// from `before` — so a stale memo could not pass unnoticed.
+fn assert_batch1_tracks_weights(net: &Mlp, x: &Matrix, before: &[f64], what: &str) {
+    let got = net.forward_one(x.row(0));
+    assert_eq!(row_bits(&got), row_bits(net.forward(x).row(0)), "{what}");
+    assert_ne!(
+        row_bits(&got),
+        row_bits(before),
+        "{what} left the output unchanged"
+    );
+}
+
+/// The output-major weights `forward_one` runs against are a memo of the
+/// live weights: every way to change a network's weights — `Adam::step`
+/// (through `layers_mut`), `soft_update_from`, `set_flat_params`, a direct
+/// `layers_mut` edit, mutating a clone, and deserializing — leaves a net
+/// whose memo was warm before the change deciding on the new weights.
+#[test]
+fn batch1_forward_tracks_every_weight_mutation() {
+    let mut rng = StdRng::seed_from_u64(2121);
+    let dims = [10, 64, 64, 15];
+    let mut new_net = || {
+        Mlp::new(
+            &dims,
+            Activation::leaky_default(),
+            Activation::Sigmoid,
+            &mut rng,
+        )
+    };
+    let (mut net, other) = (new_net(), new_net());
+    let x = Matrix::from_fn(3, 10, |i, j| ((i * 10 + j) as f64 * 0.37).sin());
+
+    let before = net.forward_one(x.row(0));
+    let mut opt = Adam::new(&net, 1e-2);
+    let mut s = TrainScratch::new();
+    net.forward_scratch(&x, &mut s);
+    net.backward_scratch(&mut s, &Matrix::filled(3, 15, 1.0));
+    opt.step(&mut net, s.grads());
+    assert_batch1_tracks_weights(&net, &x, &before, "Adam::step");
+
+    let before = net.forward_one(x.row(0));
+    net.soft_update_from(&other, 0.5);
+    assert_batch1_tracks_weights(&net, &x, &before, "soft_update_from");
+
+    let before = net.forward_one(x.row(0));
+    net.set_flat_params(&other.flat_params());
+    assert_batch1_tracks_weights(&net, &x, &before, "set_flat_params");
+
+    let before = net.forward_one(x.row(0));
+    net.layers_mut()[1].weights_mut()[(3, 5)] += 1.0;
+    assert_batch1_tracks_weights(&net, &x, &before, "layers_mut");
+
+    let before = net.forward_one(x.row(0));
+    let mut copy = net.clone();
+    copy.layers_mut()[2].bias_mut()[0] -= 1.0;
+    assert_batch1_tracks_weights(&copy, &x, &before, "clone, then mutate the clone");
+    assert_eq!(
+        row_bits(&net.forward_one(x.row(0))),
+        row_bits(&before),
+        "mutating a clone reached the original"
+    );
+
+    let json = serde_json::to_string(&other).expect("serializable");
+    net = serde_json::from_str(&json).expect("deserializable");
+    assert_batch1_tracks_weights(&net, &x, &before, "deserialize");
+}
+
+/// The memo is not part of a network's value: serializing, `Debug`
+/// printing and comparing a net give the same answers before and after a
+/// batch-1 forward has filled it, and the JSON is the bare `{"layers":[..]}`
+/// checkpoints and snapshots have always held.
+#[test]
+fn memo_is_invisible_to_serialization_debug_and_equality() {
+    let mut rng = StdRng::seed_from_u64(2222);
+    let net = Mlp::new(
+        &[4, 8, 3],
+        Activation::leaky_default(),
+        Activation::Sigmoid,
+        &mut rng,
+    );
+    let cold = net.clone();
+    let (json, debug) = (
+        serde_json::to_string(&net).expect("serializable"),
+        format!("{net:?}"),
+    );
+    assert!(json.starts_with("{\"layers\":[{\"weights\":"), "{json}");
+    net.forward_one(&[0.1, -0.2, 0.3, -0.4]);
+    assert_eq!(serde_json::to_string(&net).expect("serializable"), json);
+    assert_eq!(format!("{net:?}"), debug);
+    assert_eq!(net, cold);
+    let back: Mlp = serde_json::from_str(&json).expect("deserializable");
+    assert_eq!(back, net);
 }

@@ -191,13 +191,13 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
 
 #[test]
 fn one_row_fleet_forward_is_allocation_free() {
-    use edgeslice_nn::{Activation, FleetScratch, Mlp, Parallelism, A_BT_BLOCKED_MIN_ROWS};
+    use edgeslice_nn::{Activation, FleetScratch, Mlp, Parallelism, BLOCKED_MIN_ROWS};
 
     // The per-RA decide of every agent step: one state row through the
     // batched forward. Hidden 64 and 128 are both past the blocked
     // schedule's depth and width thresholds, so it is the row-count term of
-    // the dispatch that keeps this on the register dot tiles.
-    const { assert!(A_BT_BLOCKED_MIN_ROWS > 1) };
+    // the dispatch that keeps this on the one-row register tiles.
+    const { assert!(BLOCKED_MIN_ROWS > 1) };
     let mut rng = StdRng::seed_from_u64(14);
     for hidden in [64, 128] {
         let net = Mlp::new(
