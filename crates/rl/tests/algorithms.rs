@@ -2,9 +2,10 @@
 //! learn the same continuous-control task through the common
 //! [`Environment`] interface — the property Fig. 10b relies on.
 
+use edgeslice_nn::Matrix;
 use edgeslice_rl::{
-    evaluate, Ddpg, DdpgConfig, Environment, Ppo, PpoConfig, Sac, SacConfig, Step, Trpo,
-    TrpoConfig, Vpg, VpgConfig,
+    evaluate, Ddpg, DdpgConfig, Environment, GaussianPolicy, Ppo, PpoConfig, Sac, SacConfig, Step,
+    Trpo, TrpoConfig, ValueNet, Vpg, VpgConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,4 +173,125 @@ fn all_policies_emit_unit_box_actions() {
         assert_eq!(action.len(), 2);
         assert!(action.iter().all(|a| (0.0..=1.0).contains(a)), "{action:?}");
     }
+}
+
+/// FNV-1a over the IEEE bit patterns of `values`: one flipped bit anywhere
+/// changes the digest.
+fn bits_digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn policy_digest(policy: &GaussianPolicy) -> u64 {
+    let mut values = policy.mean_net().flat_params();
+    values.extend_from_slice(policy.log_std());
+    bits_digest(&values)
+}
+
+/// Pins every float of the Fig. 10b comparators' training: SAC, PPO, TRPO
+/// and VPG each train a few fixed-seed updates on the mirror task, and a
+/// standalone `ValueNet` fits a fixed regression. The digests were recorded
+/// before the comparators moved onto the scratch-arena training pass; any
+/// reordered add, skipped term or changed RNG draw in their updates shows
+/// here as a different digest, in about a second instead of a full `fig10`
+/// run.
+#[test]
+fn comparator_training_is_bit_pinned() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut env = MirrorEnv::new(HORIZON);
+    let mut sac = Sac::new(
+        2,
+        2,
+        SacConfig {
+            hidden: 12,
+            batch_size: 16,
+            warmup: 40,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    sac.train(&mut env, 160, &mut rng);
+    let sac_digest = bits_digest(&sac.actor().flat_params());
+
+    let mut ppo = Ppo::new(
+        2,
+        2,
+        PpoConfig {
+            hidden: 12,
+            rollout_len: 96,
+            epochs: 3,
+            minibatch: 32,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    ppo.train(&mut env, 3, &mut rng);
+    let ppo_digest = policy_digest(ppo.gaussian_policy());
+
+    let mut trpo = Trpo::new(
+        2,
+        2,
+        TrpoConfig {
+            hidden: 12,
+            rollout_len: 96,
+            value_epochs: 3,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    // At least one accepted trust-region step, so the digest covers the
+    // Fisher-vector products and not only the initial weights.
+    let accepted = (0..3)
+        .filter(|_| trpo.update(&mut env, &mut rng).accepted)
+        .count();
+    assert!(accepted > 0, "no TRPO step was accepted");
+    let trpo_digest = policy_digest(trpo.gaussian_policy());
+
+    let mut vpg = Vpg::new(
+        2,
+        2,
+        VpgConfig {
+            hidden: 12,
+            rollout_len: 96,
+            value_epochs: 3,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    vpg.train(&mut env, 3, &mut rng);
+    let vpg_digest = policy_digest(vpg.gaussian_policy());
+
+    let mut value = ValueNet::new(2, 12, 1e-2, &mut rng);
+    let states = Matrix::from_fn(40, 2, |i, j| ((3 * i + j) as f64 * 0.37).sin());
+    let targets: Vec<f64> = (0..40)
+        .map(|i| states[(i, 0)] - 0.5 * states[(i, 1)])
+        .collect();
+    value.fit(&states, &targets, 4, 16, &mut rng);
+    let probe = Matrix::from_fn(5, 2, |i, j| (i as f64 - 2.0) * 0.3 + j as f64 * 0.1);
+    let value_digest = bits_digest(&value.predict(&probe));
+
+    let got = [
+        sac_digest,
+        ppo_digest,
+        trpo_digest,
+        vpg_digest,
+        value_digest,
+    ];
+    let want = [
+        0x3ed4_13a0_4526_6022,
+        0x48ab_ad58_9601_0d0f,
+        0xb3d9_8dc8_bd97_1ba4,
+        0x86e0_a6a7_89ed_78e1,
+        0xe2c1_c4b6_4130_74a2,
+    ];
+    assert_eq!(
+        got.map(|d| format!("{d:016x}")),
+        want.map(|d: u64| format!("{d:016x}")),
+        "[SAC, PPO, TRPO, VPG, ValueNet] parameter digests moved"
+    );
 }
