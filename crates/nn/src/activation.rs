@@ -84,18 +84,8 @@ impl Activation {
         }
     }
 
-    /// Applies the activation element-wise to a matrix.
-    pub fn forward(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.eval(x))
-    }
-
-    /// Element-wise derivative matrix evaluated at the pre-activations `m`.
-    pub fn backward(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.derivative(x))
-    }
-
-    /// Applies the activation element-wise, writing into `out` (resized as
-    /// needed). Bit-identical to [`Activation::forward`], allocation-free.
+    /// Applies the activation element-wise, writing [`Activation::eval`] of
+    /// each element of `z` into `out` (resized as needed); allocation-free.
     ///
     /// The variant is matched once per call, not per element: each arm runs
     /// its own monomorphised loop over [`Activation::eval`] of a constant
@@ -120,10 +110,9 @@ impl Activation {
         }
     }
 
-    /// Writes `d_out ⊙ act'(z)` into `dz` (resized as needed): the fused
-    /// form of `d_out.hadamard(&act.backward(z))` with the same per-element
-    /// multiply order, so results are bit-identical. One loop per variant,
-    /// as in [`Activation::forward_into`].
+    /// Writes `d_out ⊙ act'(z)` into `dz` (resized as needed): each element
+    /// is `d * act.derivative(x)`, upstream gradient first. One loop per
+    /// variant, as in [`Activation::forward_into`].
     ///
     /// # Panics
     ///
@@ -234,11 +223,23 @@ mod tests {
     }
 
     #[test]
-    fn matrix_forward_backward_shapes() {
-        let m = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
+    fn matrix_passes_apply_the_scalar_functions() {
+        let z = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
+        let d_out = Matrix::from_rows(&[&[0.5, -2.0, 3.0]]);
+        let (mut out, mut dz) = (Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         for act in ACTS {
-            assert_eq!(act.forward(&m).shape(), (1, 3));
-            assert_eq!(act.backward(&m).shape(), (1, 3));
+            act.forward_into(&z, &mut out);
+            act.backward_weighted_into(&z, &d_out, &mut dz);
+            assert_eq!(out.shape(), (1, 3));
+            assert_eq!(dz.shape(), (1, 3));
+            for j in 0..3 {
+                let x = z[(0, j)];
+                assert_eq!(out[(0, j)].to_bits(), act.eval(x).to_bits());
+                assert_eq!(
+                    dz[(0, j)].to_bits(),
+                    (d_out[(0, j)] * act.derivative(x)).to_bits()
+                );
+            }
         }
     }
 }

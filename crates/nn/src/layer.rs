@@ -122,50 +122,14 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Computes the pre-activation `x Wᵀ + b` for a batch (`batch × in`).
-    pub fn pre_activation(&self, x: &Matrix) -> Matrix {
-        let mut z = Matrix::gemm(GemmOp::ABt, x, &self.weights);
-        z.add_row_broadcast(&self.bias);
-        z
-    }
-
-    /// Forward pass; returns the activated output (`batch × out`).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.activation.forward(&self.pre_activation(x))
-    }
-
-    /// Backward pass.
+    /// Forward pass for a batch (`batch × in`): the pre-activation
+    /// `z = x Wᵀ + b` into `z` and the activated output `act(z)` into `out`
+    /// (both resized as needed), the batch's rows split across up to the
+    /// requested number of worker threads.
     ///
-    /// Given the layer input `x`, the cached pre-activation `z`, and the
-    /// upstream gradient `d_out = ∂L/∂(activated output)`, returns the
-    /// parameter gradient and `∂L/∂x` for the previous layer. Gradients are
-    /// **sums** over the batch; callers divide by the batch size if they
-    /// want means.
-    pub fn backward(&self, x: &Matrix, z: &Matrix, d_out: &Matrix) -> (DenseGrad, Matrix) {
-        // dZ = d_out ⊙ act'(z)
-        let dz = d_out.hadamard(&self.activation.backward(z));
-        // dW = dZᵀ X  → (out × batch)(batch × in) = out × in
-        let dw = Matrix::gemm(GemmOp::AtB, &dz, x);
-        let db = dz.sum_rows();
-        // dX = dZ W  → (batch × out)(out × in) = batch × in
-        let dx = Matrix::gemm(GemmOp::AB, &dz, &self.weights);
-        (
-            DenseGrad {
-                weights: dw,
-                bias: db,
-            },
-            dx,
-        )
-    }
-
-    /// Fused forward pass writing the pre-activation into `z` and the
-    /// activated output into `out` (both resized as needed), the batch's
-    /// rows split across up to the requested number of worker threads.
-    ///
-    /// Bit-identical to [`Dense::pre_activation`] + [`Dense::forward`] for
-    /// any thread count: the product is row-split-invariant
-    /// ([`Matrix::gemm_into`]) and the bias/activation steps are
-    /// element-wise.
+    /// Bit-identical for any thread count: the product is
+    /// row-split-invariant ([`Matrix::gemm_into`]) and the bias/activation
+    /// steps are element-wise.
     pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix, par: Parallelism) {
         Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z, par);
         self.bias_activation_into(z, out);
@@ -195,11 +159,15 @@ impl Dense {
         self.activation.forward_into(z, out);
     }
 
-    /// Backward pass into caller-owned buffers: parameter gradients into
-    /// `grad`, the activation-weighted delta into `dz`, and `∂L/∂x` into
-    /// `dx` — or, with `dx = None`, no input gradient at all (a network's
-    /// first layer, whose input gradient a parameter update never reads).
-    /// Bit-identical to [`Dense::backward`], allocation-free once the
+    /// Backward pass into caller-owned buffers.
+    ///
+    /// Given the layer input `x`, the recorded pre-activation `z` and the
+    /// upstream gradient `d_out = ∂L/∂(activated output)`, writes the delta
+    /// `dz = d_out ⊙ act'(z)`, the parameter gradients `dW = dzᵀ·x` and
+    /// `db` (column sums of `dz`) into `grad`, and `∂L/∂x = dz·W` into `dx`
+    /// — or, with `dx = None`, no input gradient at all (a network's first
+    /// layer, whose input gradient a parameter update never reads).
+    /// Gradients are **sums** over the batch. Allocation-free once the
     /// buffers have warmed up.
     pub fn backward_into(
         &self,
@@ -267,22 +235,38 @@ mod tests {
         Dense::new(3, 2, Activation::Tanh, Init::XavierUniform, &mut rng)
     }
 
+    /// `(pre-activation, activated output)` of one forward pass.
+    fn forward(l: &Dense, x: &Matrix) -> (Matrix, Matrix) {
+        let (mut z, mut out) = (Matrix::default(), Matrix::default());
+        l.forward_into(x, &mut z, &mut out, Parallelism::Sequential);
+        (z, out)
+    }
+
     #[test]
     fn forward_shape() {
         let l = layer();
-        let x = Matrix::zeros(5, 3);
-        assert_eq!(l.forward(&x).shape(), (5, 2));
+        let (z, out) = forward(&l, &Matrix::zeros(5, 3));
+        assert_eq!(z.shape(), (5, 2));
+        assert_eq!(out.shape(), (5, 2));
     }
 
+    /// `backward_into`'s parameter and input gradients against central
+    /// differences of the forward pass; `backward_input_into` must produce
+    /// the same input gradient bit for bit.
     #[test]
     fn backward_gradients_match_finite_difference() {
         let mut l = layer();
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.8], &[1.0, 0.3, -0.7]]);
         // Loss = sum of outputs, so d_out = ones.
-        let loss = |l: &Dense, x: &Matrix| l.forward(x).sum();
-        let z = l.pre_activation(&x);
+        let loss = |l: &Dense, x: &Matrix| forward(l, x).1.sum();
+        let (z, _) = forward(&l, &x);
         let d_out = Matrix::filled(2, 2, 1.0);
-        let (grad, dx) = l.backward(&x, &z, &d_out);
+        let (mut grad, mut dz, mut dx) =
+            (DenseGrad::default(), Matrix::default(), Matrix::default());
+        l.backward_into(&x, &z, &d_out, &mut grad, &mut dz, Some(&mut dx));
+        let mut dx_only = Matrix::default();
+        l.backward_input_into(&z, &d_out, &mut dz, &mut dx_only);
+        assert_eq!(dx_only, dx);
 
         let eps = 1e-6;
         for i in 0..2 {

@@ -16,21 +16,24 @@
 //! Train a tiny regression:
 //!
 //! ```
-//! use edgeslice_nn::{Activation, Adam, Matrix, Mlp, mse_loss};
+//! use edgeslice_nn::{mse_loss_into, Activation, Adam, Matrix, Mlp, TrainScratch};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
 //! let mut opt = Adam::new(&net, 1e-2);
 //! let xs = Matrix::from_fn(16, 1, |i, _| i as f64 / 8.0 - 1.0);
-//! let ys = xs.map(|x| x * x);
+//! let ys = Matrix::from_fn(16, 1, |i, _| xs[(i, 0)] * xs[(i, 0)]);
+//! // One scratch per (network, role): it keeps the forward's per-layer
+//! // inputs for the backward, and all of its buffers are reused.
+//! let (mut scratch, mut d_pred) = (TrainScratch::new(), Matrix::default());
 //! for _ in 0..200 {
-//!     let cache = net.forward_cached(&xs);
-//!     let (_, d) = mse_loss(cache.output(), &ys);
-//!     let (grads, _) = net.backward(&cache, &d);
-//!     opt.step(&mut net, &grads);
+//!     net.forward_scratch(&xs, &mut scratch);
+//!     mse_loss_into(scratch.output(), &ys, &mut d_pred);
+//!     net.backward_scratch(&mut scratch, &d_pred);
+//!     opt.step(&mut net, scratch.grads());
 //! }
-//! let (loss, _) = mse_loss(&net.forward(&xs), &ys);
+//! let loss = mse_loss_into(&net.forward(&xs), &ys, &mut d_pred);
 //! assert!(loss < 0.05);
 //! ```
 
@@ -49,6 +52,6 @@ pub use activation::{sigmoid, softplus, Activation};
 pub use init::Init;
 pub use layer::{Dense, DenseGrad};
 pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};
-pub use network::{FleetScratch, ForwardCache, Gradients, Mlp, TrainScratch};
-pub use optimizer::{mse_loss, mse_loss_into, Adam};
+pub use network::{FleetScratch, Gradients, Mlp, TrainScratch};
+pub use optimizer::{mse_loss_into, Adam};
 pub use par::Parallelism;

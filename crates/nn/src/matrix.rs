@@ -323,35 +323,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Returns a new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn apply(&mut self, f: impl Fn(f64) -> f64) {
         for x in &mut self.data {
@@ -392,16 +363,8 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sum, returned as a vector of length `cols`.
-    pub fn sum_rows(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Column-wise sum written into `out` (resized to `cols` as needed).
-    ///
-    /// Same accumulation order as [`Matrix::sum_rows`], bit-identical.
+    /// Column-wise sum written into `out` (resized to `cols` as needed):
+    /// each column accumulates from `+0.0` over the rows top to bottom.
     pub fn sum_rows_into(&self, out: &mut Vec<f64>) {
         out.resize(self.cols, 0.0);
         out.fill(0.0);
@@ -478,30 +441,9 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Concatenates matrices horizontally (same number of rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ or `mats` is empty.
-    pub fn hstack(mats: &[&Matrix]) -> Matrix {
-        assert!(!mats.is_empty(), "hstack requires at least one matrix");
-        let rows = mats[0].rows;
-        let cols: usize = mats.iter().map(|m| m.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            let mut off = 0;
-            for m in mats {
-                assert_eq!(m.rows, rows, "hstack row mismatch");
-                out.data[i * cols + off..i * cols + off + m.cols].copy_from_slice(m.row(i));
-                off += m.cols;
-            }
-        }
-        out
-    }
-
-    /// Concatenates matrices horizontally into `out` (resized as needed).
-    ///
-    /// Same layout as [`Matrix::hstack`], without the allocation.
+    /// Concatenates matrices horizontally (same number of rows) into `out`
+    /// (resized as needed): row `i` of `out` is row `i` of each input in
+    /// turn.
     ///
     /// # Panics
     ///
@@ -1140,7 +1082,9 @@ impl Mul<f64> for &Matrix {
     type Output = Matrix;
 
     fn mul(self, alpha: f64) -> Matrix {
-        self.map(|x| x * alpha)
+        let mut out = self.clone();
+        out.scale(alpha);
+        out
     }
 }
 
@@ -1213,13 +1157,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_axpy() {
+    fn axpy_accumulates_scaled_rhs() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[2.0, 0.5], &[1.0, -1.0]]);
-        assert_eq!(
-            a.hadamard(&b),
-            Matrix::from_rows(&[&[2.0, 1.0], &[3.0, -4.0]])
-        );
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c, Matrix::from_rows(&[&[5.0, 3.0], &[5.0, 2.0]]));
@@ -1229,7 +1169,9 @@ mod tests {
     fn broadcast_and_sums() {
         let mut a = Matrix::zeros(3, 2);
         a.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(a.sum_rows(), vec![3.0, 6.0]);
+        let mut col_sums = vec![9.0; 5];
+        a.sum_rows_into(&mut col_sums);
+        assert_eq!(col_sums, vec![3.0, 6.0]);
         assert_eq!(a.sum(), 9.0);
         assert!((a.mean() - 1.5).abs() < 1e-12);
     }
@@ -1249,10 +1191,9 @@ mod tests {
             Matrix::vstack(&[&a, &b]),
             Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
         );
-        assert_eq!(
-            Matrix::hstack(&[&a, &b]),
-            Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]])
-        );
+        let mut wide = Matrix::zeros(3, 3);
+        Matrix::hstack_into(&[&a, &b], &mut wide);
+        assert_eq!(wide, Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]));
     }
 
     #[test]

@@ -68,25 +68,6 @@ impl Deserialize for Mlp {
     }
 }
 
-/// Cached intermediate values from [`Mlp::forward_cached`], consumed by
-/// [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Matrix>,
-    /// Pre-activation of each layer.
-    pre: Vec<Matrix>,
-    /// Final activated output.
-    output: Matrix,
-}
-
-impl ForwardCache {
-    /// The network output for this pass.
-    pub fn output(&self) -> &Matrix {
-        &self.output
-    }
-}
-
 /// A reusable scratch arena for one network's training pass.
 ///
 /// Holds the forward caches (per-layer inputs and pre-activations), the
@@ -358,13 +339,14 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Inference-only forward pass for a batch (`batch × in_dim`).
+    /// Convenience forward pass for a batch (`batch × in_dim`): one
+    /// [`Mlp::forward_scratch`] on a throw-away scratch, so the batch forward
+    /// has one implementation. Callers that train keep a [`TrainScratch`]
+    /// and call that directly.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward(x);
-        for layer in &self.layers[1..] {
-            h = layer.forward(&h);
-        }
-        h
+        let mut s = TrainScratch::new();
+        self.forward_scratch(x, &mut s);
+        s.output
     }
 
     /// Convenience forward pass for a single input vector: one row through
@@ -423,49 +405,10 @@ impl Mlp {
         &s.cur
     }
 
-    /// Forward pass that records everything needed for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for layer in &self.layers {
-            let z = layer.pre_activation(&h);
-            let out = layer.activation().forward(&z);
-            inputs.push(h);
-            pre.push(z);
-            h = out;
-        }
-        ForwardCache {
-            inputs,
-            pre,
-            output: h,
-        }
-    }
-
-    /// Backpropagates `d_output = ∂L/∂output` through the cached pass.
-    ///
-    /// Returns the parameter gradients (summed over the batch) and
-    /// `∂L/∂input`, which DDPG uses to push the deterministic-policy
-    /// gradient `∇_a Q` back into the actor.
-    pub fn backward(&self, cache: &ForwardCache, d_output: &Matrix) -> (Gradients, Matrix) {
-        let mut grads = vec![None; self.layers.len()];
-        let mut d = d_output.clone();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (g, dx) = layer.backward(&cache.inputs[idx], &cache.pre[idx], &d);
-            grads[idx] = Some(g);
-            d = dx;
-        }
-        let layers = grads
-            .into_iter()
-            .map(|g| g.expect("every layer visited"))
-            .collect();
-        (Gradients { layers }, d)
-    }
-
-    /// Forward pass through a [`TrainScratch`], recording everything needed
-    /// for [`Mlp::backward_scratch`]. Bit-identical to
-    /// [`Mlp::forward_cached`], allocation-free once the scratch has warmed
-    /// up. The output stays readable via [`TrainScratch::output`].
+    /// Forward pass through a [`TrainScratch`], recording each layer's input
+    /// and pre-activation for [`Mlp::backward_scratch`] /
+    /// [`Mlp::backward_input_scratch`]. Allocation-free once the scratch has
+    /// warmed up. The output stays readable via [`TrainScratch::output`].
     pub fn forward_scratch(&self, x: &Matrix, s: &mut TrainScratch) {
         let n = self.layers.len();
         s.inputs.resize_with(n, Matrix::default);
@@ -483,12 +426,14 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates `d_output` through the pass recorded by
-    /// [`Mlp::forward_scratch`], leaving the parameter gradients in
-    /// [`TrainScratch::grads`], bit-identical to [`Mlp::backward`]'s. The
-    /// first layer's input gradient (`∂L/∂input`) is not computed: a
-    /// parameter update never reads it, and [`TrainScratch::d_input`] comes
-    /// from [`Mlp::backward_input_scratch`] only.
+    /// Backpropagates `d_output = ∂L/∂output` through the pass recorded by
+    /// [`Mlp::forward_scratch`], leaving the parameter gradients (sums over
+    /// the batch) in [`TrainScratch::grads`]. The first layer's input
+    /// gradient (`∂L/∂input`) is not computed: a parameter update never
+    /// reads it, and [`TrainScratch::d_input`] comes from
+    /// [`Mlp::backward_input_scratch`] only. The recorded pass is left
+    /// intact, so one forward can be backpropagated many times (TRPO's
+    /// Fisher-vector products do).
     pub fn backward_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
         s.grads.resize_like(self);
         let n = self.layers.len();
@@ -508,9 +453,10 @@ impl Mlp {
 
     /// Like [`Mlp::backward_scratch`] but computes only the input-gradient
     /// chain, skipping every layer's parameter gradients. Used when the
-    /// network is differentiated purely for `∂L/∂input` (DDPG's
-    /// `∇_a Q(s, μ(s))`); the resulting [`TrainScratch::d_input`] is
-    /// bit-identical to the input gradient [`Mlp::backward`] returns.
+    /// network is differentiated purely for `∂L/∂input` (DDPG's and SAC's
+    /// `∇_a Q(s, μ(s))`), leaving it in [`TrainScratch::d_input`]. Each
+    /// layer's input gradient depends only on its delta and weights, so the
+    /// chain is the one a full backward pass would compute.
     pub fn backward_input_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
         let n = self.layers.len();
         for (idx, layer) in self.layers.iter().enumerate().rev() {
@@ -610,23 +556,21 @@ mod tests {
         assert_eq!(n.forward(&Matrix::zeros(4, 3)).shape(), (4, 2));
     }
 
-    #[test]
-    fn forward_cached_matches_forward() {
-        let n = net();
-        let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.5, -0.5]]);
-        let cache = n.forward_cached(&x);
-        assert_eq!(cache.output(), &n.forward(&x));
-    }
-
+    /// The shipped training pass against central differences:
+    /// `backward_scratch`'s parameter gradients and
+    /// `backward_input_scratch`'s `d_input`, through every layer.
     #[test]
     fn backward_matches_finite_difference_on_all_params() {
         let mut n = net();
         let x = Matrix::from_rows(&[&[0.4, -0.1, 0.9], &[-0.3, 0.7, 0.2]]);
         // Scalar loss: sum of all outputs.
-        let cache = n.forward_cached(&x);
         let d_out = Matrix::filled(2, 2, 1.0);
-        let (grads, d_in) = n.backward(&cache, &d_out);
-        let flat_grad = n.flat_grads(&grads);
+        let mut s = TrainScratch::new();
+        n.forward_scratch(&x, &mut s);
+        n.backward_scratch(&mut s, &d_out);
+        let flat_grad = n.flat_grads(s.grads());
+        n.backward_input_scratch(&mut s, &d_out);
+        let d_in = s.d_input().clone();
 
         let eps = 1e-6;
         let mut params = n.flat_params();
@@ -692,9 +636,10 @@ mod tests {
     #[test]
     fn gradient_clipping_caps_global_norm() {
         let n = net();
-        let x = Matrix::filled(1, 3, 1.0);
-        let cache = n.forward_cached(&x);
-        let (mut g, _) = n.backward(&cache, &Matrix::filled(1, 2, 100.0));
+        let mut s = TrainScratch::new();
+        n.forward_scratch(&Matrix::filled(1, 3, 1.0), &mut s);
+        n.backward_scratch(&mut s, &Matrix::filled(1, 2, 100.0));
+        let g = s.grads_mut();
         let before = g.global_norm();
         assert!(before > 1.0);
         g.clip_global_norm(1.0);

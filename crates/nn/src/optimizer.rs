@@ -55,9 +55,10 @@ impl Adam {
     ///
     /// The update walks each layer's parameter slices in place, zipped with
     /// the matching offsets into the flat moment vectors — no flattened
-    /// parameter or gradient copies. The per-parameter arithmetic (and the
-    /// parameter ↦ moment-slot mapping) is unchanged from
-    /// [`Adam::step_reference`], so results are bit-identical.
+    /// parameter or gradient copies. Moment slot `i` belongs to parameter
+    /// `i` of [`Mlp::flat_params`], so the step is the textbook update over
+    /// that flat vector, bit for bit (the test-side DDPG oracle runs exactly
+    /// that and compares).
     ///
     /// # Panics
     ///
@@ -82,30 +83,6 @@ impl Adam {
             );
             off = self.apply_slice(layer.bias_mut(), &g.bias, b1t, b2t, off);
         }
-    }
-
-    /// The pre-fusion Adam step (flatten → update → scatter), kept as the
-    /// reference the equivalence tests hold [`Adam::step`] to. Numerically
-    /// identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the optimizer was sized for a different architecture.
-    pub fn step_reference(&mut self, net: &mut Mlp, grads: &Gradients) {
-        let g = net.flat_grads(grads);
-        assert_eq!(g.len(), self.m.len(), "optimizer/network size mismatch");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let mut params = net.flat_params();
-        for i in 0..g.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g[i] * g[i];
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        net.set_flat_params(&params);
     }
 
     /// Adam-updates one contiguous parameter slice against the moment
@@ -135,23 +112,9 @@ impl Adam {
 /// Mean-squared-error loss over a batch and its gradient with respect to
 /// the predictions.
 ///
-/// Returns `(loss, d_pred)` where `loss = mean((pred - target)^2)` and
-/// `d_pred = 2 (pred - target) / n`.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = (pred.rows() * pred.cols()).max(1) as f64;
-    let diff = pred - target;
-    let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = diff.map(|d| 2.0 * d / n);
-    (loss, grad)
-}
-
-/// [`mse_loss`] writing the gradient into `d_pred` (resized as needed)
-/// instead of allocating. Same accumulation order, bit-identical results.
+/// Returns `loss = mean((pred - target)^2)` (squares summed in row-major
+/// order) and writes `d_pred = 2 (pred - target) / n` into `d_pred`
+/// (resized as needed); allocation-free.
 ///
 /// # Panics
 ///
@@ -177,11 +140,12 @@ pub fn mse_loss_into(pred: &Matrix, target: &Matrix, d_pred: &mut Matrix) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Activation;
+    use crate::{Activation, TrainScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Fits a quadratic target with a tiny net; loss must drop sharply.
+    /// Fits a quadratic target with a tiny net through the scratch-arena
+    /// training pass; loss must drop sharply.
     #[test]
     fn adam_reduces_regression_loss() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -193,15 +157,17 @@ mod tests {
         );
         let mut adam = Adam::new(&net, 1e-2);
         let xs = Matrix::from_fn(32, 1, |i, _| i as f64 / 16.0 - 1.0);
-        let ys = xs.map(|x| 0.5 * x * x - 0.2 * x);
-        let (first, _) = mse_loss(&net.forward(&xs), &ys);
+        let ys = Matrix::from_fn(32, 1, |i, _| {
+            0.5 * xs[(i, 0)] * xs[(i, 0)] - 0.2 * xs[(i, 0)]
+        });
+        let (mut s, mut d) = (TrainScratch::new(), Matrix::default());
+        let first = mse_loss_into(&net.forward(&xs), &ys, &mut d);
         let mut last = first;
         for _ in 0..500 {
-            let cache = net.forward_cached(&xs);
-            let (loss, d) = mse_loss(cache.output(), &ys);
-            last = loss;
-            let (grads, _) = net.backward(&cache, &d);
-            adam.step(&mut net, &grads);
+            net.forward_scratch(&xs, &mut s);
+            last = mse_loss_into(s.output(), &ys, &mut d);
+            net.backward_scratch(&mut s, &d);
+            adam.step(&mut net, s.grads());
         }
         assert!(last < first * 0.05, "Adam failed to fit: {first} -> {last}");
     }
@@ -209,8 +175,8 @@ mod tests {
     #[test]
     fn mse_loss_zero_for_identical() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let (l, g) = mse_loss(&a, &a);
-        assert_eq!(l, 0.0);
+        let mut g = Matrix::filled(3, 3, 7.0);
+        assert_eq!(mse_loss_into(&a, &a, &mut g), 0.0);
         assert_eq!(g, Matrix::zeros(1, 2));
     }
 
@@ -218,7 +184,8 @@ mod tests {
     fn mse_gradient_direction() {
         let pred = Matrix::from_rows(&[&[2.0]]);
         let target = Matrix::from_rows(&[&[0.0]]);
-        let (l, g) = mse_loss(&pred, &target);
+        let mut g = Matrix::default();
+        let l = mse_loss_into(&pred, &target, &mut g);
         assert!((l - 4.0).abs() < 1e-12);
         assert!(g[(0, 0)] > 0.0); // pushing pred down reduces loss
     }

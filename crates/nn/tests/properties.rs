@@ -256,8 +256,8 @@ fn dispatch_bit_identical_to_naive_around_every_threshold() {
 /// same 5-slice environment, and at `tests/train_equivalence.rs`'s 2-slice
 /// one (whose 4-wide state is the only caller of the `Aᵀ·B` stream) — plus
 /// the one-row forward every agent step decides through, in both layouts:
-/// `A·Bᵀ` against `W` (the allocating `Mlp::forward` on one row) and `A·B`
-/// against `Wᵀ` (the memoised batch-1 forward).
+/// `A·Bᵀ` against `W` (the batch forward `Mlp::forward` / `forward_scratch`
+/// on one row) and `A·B` against `Wᵀ` (the memoised batch-1 forward).
 #[test]
 fn training_layer_shapes_bit_identical_to_naive() {
     let mut rng = StdRng::seed_from_u64(2020);
@@ -284,9 +284,10 @@ fn training_layer_shapes_bit_identical_to_naive() {
     }
 }
 
-/// `forward_one` (one row through the batched scratch forward) against row
-/// 0 of the allocating `forward` (`Matrix::gemm` + `Activation::forward` at
-/// three rows), bit for bit, with every activation in the hidden and
+/// `forward_one` (one row through the fleet forward, `A·B` against `Wᵀ`)
+/// against row 0 of the batch `forward` (the training pass's
+/// `forward_scratch`, `A·Bᵀ` against `W`, at three rows), bit for bit, with
+/// every activation in the hidden and
 /// in the output position, on a narrow net and on one whose layers cross
 /// the blocked schedule's depth and width thresholds.
 #[test]
@@ -379,7 +380,7 @@ fn row_bits(values: &[f64]) -> Vec<u64> {
 }
 
 /// The batch-1 forward (against the memoised `Wᵀ`) equals row 0 of the
-/// allocating `forward` (against the live `W`), bit for bit, and differs
+/// batch `forward` (against the live `W`), bit for bit, and differs
 /// from `before` — so a stale memo could not pass unnoticed.
 fn assert_batch1_tracks_weights(net: &Mlp, x: &Matrix, before: &[f64], what: &str) {
     let got = net.forward_one(x.row(0));

@@ -7,11 +7,13 @@
 
 /// Solves `A x = b` by conjugate gradient, given only the matvec
 /// `matvec(v) = A v`. `A` must be symmetric positive (semi-)definite.
+/// The matvec may keep state between calls (TRPO's Fisher-vector product
+/// reuses one training scratch), and is called once per iteration.
 ///
 /// Returns the approximate solution after at most `max_iters` iterations or
 /// once the residual norm falls under `tol`.
 pub fn conjugate_gradient(
-    matvec: impl Fn(&[f64]) -> Vec<f64>,
+    mut matvec: impl FnMut(&[f64]) -> Vec<f64>,
     b: &[f64],
     max_iters: usize,
     tol: f64,

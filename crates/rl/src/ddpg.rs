@@ -217,8 +217,10 @@ impl Ddpg {
     /// buffer can fill a batch).
     ///
     /// The step runs entirely through the `_into` kernels and this agent's
-    /// scratch arena — zero heap allocations at steady state — and is
-    /// bit-identical to [`Ddpg::update_reference`] for the same RNG state.
+    /// scratch arena — zero heap allocations at steady state. For the same
+    /// RNG state it is bit-identical to the textbook, allocating update
+    /// (cached forward, `Matrix::gemm` backward, flat-vector Adam) that the
+    /// test-side oracle `crates/rl/tests/support/ddpg_oracle.rs` runs.
     pub fn update(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
         // Move the scratch out so its buffers and `self`'s networks can be
         // borrowed independently; moving is allocation-free.
@@ -306,70 +308,6 @@ impl Ddpg {
         })
     }
 
-    /// The pre-fusion update step (allocating layer passes, flat-vector
-    /// Adam), kept as the reference the equivalence tests hold
-    /// [`Ddpg::update`] to: for the same RNG state the two produce
-    /// bit-identical networks. Both run on the one product
-    /// (`Matrix::gemm_into`), so what this pins is everything above it —
-    /// the in-place Adam walk, the fused activation backward, the scratch
-    /// stacking and sampling; the product's own term order is held by
-    /// `crates/nn/tests/properties.rs` against a naive triple loop.
-    pub fn update_reference(&mut self, rng: &mut StdRng) -> Option<DdpgUpdate> {
-        let batch = self.replay.sample(self.config.batch_size, rng).ok()?;
-        let n = batch.rewards.len();
-
-        // ---- Critic: minimize (Q(s,a) - g)² with g = r + γ Q'(s', μ'(s')).
-        let next_actions = self.target_actor.forward(&batch.next_states);
-        let next_sa = Matrix::hstack(&[&batch.next_states, &next_actions]);
-        let next_q = self.target_critic.forward(&next_sa);
-        let mut targets = Matrix::zeros(n, 1);
-        for i in 0..n {
-            let bootstrap = if batch.dones[i] {
-                0.0
-            } else {
-                self.config.gamma * next_q[(i, 0)]
-            };
-            targets[(i, 0)] = batch.rewards[i] + bootstrap;
-        }
-        let sa = Matrix::hstack(&[&batch.states, &batch.actions]);
-        let cache = self.critic.forward_cached(&sa);
-        let (critic_loss, d_pred) = edgeslice_nn::mse_loss(cache.output(), &targets);
-        let (mut critic_grads, _) = self.critic.backward(&cache, &d_pred);
-        critic_grads.clip_global_norm(10.0);
-        self.critic_opt
-            .step_reference(&mut self.critic, &critic_grads);
-
-        // ---- Actor: ascend Q(s, μ(s)).
-        let actor_cache = self.actor.forward_cached(&batch.states);
-        let mu = actor_cache.output().clone();
-        let sa_mu = Matrix::hstack(&[&batch.states, &mu]);
-        let critic_cache = self.critic.forward_cached(&sa_mu);
-        let actor_objective = critic_cache.output().mean();
-        // d(-mean Q)/dQ = -1/n; backprop through the critic to get ∇_a Q.
-        let d_q = Matrix::filled(n, 1, -1.0 / n as f64);
-        let (_, d_input) = self.critic.backward(&critic_cache, &d_q);
-        // Slice out the action part of the critic input gradient.
-        let sd = batch.states.cols();
-        let ad = mu.cols();
-        let d_action = Matrix::from_fn(n, ad, |i, j| d_input[(i, sd + j)]);
-        let (mut actor_grads, _) = self.actor.backward(&actor_cache, &d_action);
-        actor_grads.clip_global_norm(10.0);
-        self.actor_opt.step_reference(&mut self.actor, &actor_grads);
-
-        // ---- Soft target updates.
-        self.target_actor
-            .soft_update_from(&self.actor, self.config.tau);
-        self.target_critic
-            .soft_update_from(&self.critic, self.config.tau);
-        self.updates += 1;
-
-        Some(DdpgUpdate {
-            critic_loss,
-            actor_objective,
-            noise_sigma: self.noise.sigma(),
-        })
-    }
-
     /// Convenience training loop: interacts with `env` for `steps`
     /// environment steps, updating once per step after warm-up. Returns the
     /// per-episode returns observed during training.
@@ -378,28 +316,6 @@ impl Ddpg {
         env: &mut E,
         steps: usize,
         rng: &mut StdRng,
-    ) -> Vec<f64> {
-        self.train_impl(env, steps, rng, false)
-    }
-
-    /// [`Ddpg::train`] through [`Ddpg::update_reference`] instead of the
-    /// fused update — the reference half of the equivalence tests.
-    /// Identical RNG schedule, bit-identical resulting networks.
-    pub fn train_reference<E: Environment + ?Sized>(
-        &mut self,
-        env: &mut E,
-        steps: usize,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        self.train_impl(env, steps, rng, true)
-    }
-
-    fn train_impl<E: Environment + ?Sized>(
-        &mut self,
-        env: &mut E,
-        steps: usize,
-        rng: &mut StdRng,
-        reference: bool,
     ) -> Vec<f64> {
         let mut returns = Vec::new();
         let mut state = env.reset(rng);
@@ -431,11 +347,7 @@ impl Ddpg {
                 out.next_state
             };
             if step >= self.config.warmup {
-                if reference {
-                    self.update_reference(rng);
-                } else {
-                    self.update(rng);
-                }
+                self.update(rng);
             }
         }
         returns
@@ -445,6 +357,7 @@ impl Ddpg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ddpg_oracle::DdpgOracle;
     use crate::env::test_env::TrackingEnv;
     use crate::evaluate;
     use rand::SeedableRng;
@@ -485,12 +398,15 @@ mod tests {
         let actor_before = agent.actor.flat_params();
         let critic_before = agent.critic.flat_params();
         assert!(agent.update(&mut rng).is_none());
-        assert!(agent.update_reference(&mut rng).is_none());
         assert_eq!(agent.actor.flat_params(), actor_before);
         assert_eq!(agent.critic.flat_params(), critic_before);
         assert_eq!(agent.updates(), 0);
     }
 
+    /// The shipped update against the test-side oracle's textbook one
+    /// (`crates/rl/tests/support/ddpg_oracle.rs`), from the same seed and
+    /// the same initial weights: all four networks bit for bit after 400
+    /// training steps (300 updates).
     #[test]
     fn fused_update_is_bit_identical_to_reference() {
         let mut env_a = TrackingEnv::new(20);
@@ -498,25 +414,22 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
         let mut fused = Ddpg::new(1, 1, small_config(), &mut rng_a);
-        let mut reference = Ddpg::new(1, 1, small_config(), &mut rng_b);
+        let mut oracle = DdpgOracle::new(&Ddpg::new(1, 1, small_config(), &mut rng_b));
         fused.train(&mut env_a, 400, &mut rng_a);
-        reference.train_reference(&mut env_b, 400, &mut rng_b);
+        oracle.train(&mut env_b, 400, &mut rng_b);
+        assert_eq!(fused.updates(), 300);
         let bits =
             |net: &Mlp| -> Vec<u64> { net.flat_params().iter().map(|p| p.to_bits()).collect() };
-        assert_eq!(bits(&fused.actor), bits(&reference.actor), "actor diverged");
-        assert_eq!(
-            bits(&fused.critic),
-            bits(&reference.critic),
-            "critic diverged"
-        );
+        assert_eq!(bits(&fused.actor), bits(&oracle.actor), "actor diverged");
+        assert_eq!(bits(&fused.critic), bits(&oracle.critic), "critic diverged");
         assert_eq!(
             bits(&fused.target_actor),
-            bits(&reference.target_actor),
+            bits(&oracle.target_actor),
             "target actor diverged"
         );
         assert_eq!(
             bits(&fused.target_critic),
-            bits(&reference.target_critic),
+            bits(&oracle.target_critic),
             "target critic diverged"
         );
     }

@@ -27,6 +27,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+// The DDPG oracle is shared with the root package's integration tests,
+// where this crate is `edgeslice_rl`; the alias lets it name it the same
+// way from the unit tests.
+#[cfg(test)]
+extern crate self as edgeslice_rl;
+#[cfg(test)]
+#[path = "../tests/support/ddpg_oracle.rs"]
+mod ddpg_oracle;
+
 mod common;
 mod ddpg;
 mod env;

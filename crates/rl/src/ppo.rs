@@ -1,7 +1,7 @@
 //! Proximal policy optimization (Schulman et al. 2017) with a clipped
 //! surrogate objective — a comparator training technique in Fig. 10b.
 
-use edgeslice_nn::{Adam, Matrix};
+use edgeslice_nn::{Adam, Matrix, TrainScratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -72,6 +72,8 @@ pub struct Ppo {
     policy_opt: Adam,
     value: ValueNet,
     config: PpoConfig,
+    /// The mean network's forward/backward pass over a minibatch.
+    scratch: TrainScratch,
 }
 
 impl Ppo {
@@ -91,6 +93,7 @@ impl Ppo {
             policy_opt,
             value,
             config,
+            scratch: TrainScratch::new(),
         }
     }
 
@@ -135,10 +138,10 @@ impl Ppo {
                 let old_lp: Vec<f64> = chunk.iter().map(|&i| rollout.log_probs[i]).collect();
                 let batch_adv: Vec<f64> = chunk.iter().map(|&i| adv[i]).collect();
 
-                let cache = self.policy.mean_net().forward_cached(&states);
-                let means = cache.output().clone();
-                let new_lp = self.policy.log_prob_batch(&means, &raws);
-                let dlogp = self.policy.dlogp_dmean(&means, &raws);
+                let s = &mut self.scratch;
+                self.policy.mean_net().forward_scratch(&states, s);
+                let new_lp = self.policy.log_prob_batch(s.output(), &raws);
+                let dlogp = self.policy.dlogp_dmean(s.output(), &raws);
                 let m = chunk.len() as f64;
 
                 // Clipped-surrogate gradient wrt the mean head. For sample i
@@ -162,12 +165,13 @@ impl Ppo {
                         d_mean[(row, j)] = -ratio * a * dlogp[(row, j)] / m;
                     }
                 }
-                let (mut grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-                grads.clip_global_norm(5.0);
-                self.policy_opt.step(self.policy.mean_net_mut(), &grads);
+                self.policy.mean_net().backward_scratch(s, &d_mean);
+                s.grads_mut().clip_global_norm(5.0);
+                self.policy_opt.step(self.policy.mean_net_mut(), s.grads());
 
-                // log-std update: surrogate + entropy bonus.
-                let dls = self.policy.dlogp_dlogstd(&means, &raws);
+                // log-std update: surrogate + entropy bonus, at the pre-step
+                // means.
+                let dls = self.policy.dlogp_dlogstd(s.output(), &raws);
                 for j in 0..self.policy.action_dim() {
                     let mut g = 0.0;
                     for (row, (&lp_new, &lp_old)) in new_lp.iter().zip(&old_lp).enumerate() {

@@ -7,7 +7,7 @@
 //! sigmoid rather than the conventional tanh; the change-of-variables
 //! correction uses `log σ'(u) = log a(1−a)` accordingly.
 
-use edgeslice_nn::{Activation, Adam, Matrix, Mlp};
+use edgeslice_nn::{mse_loss_into, Activation, Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,31 @@ pub struct Sac {
     replay: ReplayBuffer,
     config: SacConfig,
     action_dim: usize,
+    scratch: SacScratch,
+}
+
+/// Reusable buffers for one [`Sac::update`]: the sampled batch, the
+/// training passes and the stacked critic inputs. Each phase of the update
+/// consumes its passes' outputs before the next phase overwrites them, so
+/// one actor pass and one pass per twin critic serve all three phases.
+#[derive(Debug, Clone, Default)]
+struct SacScratch {
     batch: Batch,
+    /// Actor forward: at `s'` for the target's next actions, then at `s`
+    /// (with its backward) for the policy objective.
+    actor: TrainScratch,
+    /// Per twin critic: the target forward at `(s', a')`, then the TD
+    /// forward/backward at `(s, a)`, then the input-gradient pass at
+    /// `(s, a~π)`.
+    critics: [TrainScratch; 2],
+    next_sa: Matrix,
+    /// `(s, a)` for the TD step, then `(s, a~π)` for the policy objective.
+    sa: Matrix,
+    targets: Matrix,
+    d_pred: Matrix,
+    /// `∂(−min Q)/∂Q_k` per twin.
+    d_q: [Matrix; 2],
+    d_head: Matrix,
 }
 
 /// A batch of squashed-Gaussian samples with everything needed for the
@@ -89,8 +113,6 @@ pub struct Sac {
 struct PolicySample {
     /// Squashed actions `a = σ(u)`, `n × ad`.
     actions: Matrix,
-    /// Pre-squash draws `u`, `n × ad`.
-    u: Matrix,
     /// The standard-normal noise `ε` used, `n × ad`.
     eps: Matrix,
     /// Clamped log standard deviations, `n × ad`.
@@ -140,7 +162,7 @@ impl Sac {
             replay,
             config,
             action_dim,
-            batch: Batch::new(),
+            scratch: SacScratch::default(),
         }
     }
 
@@ -169,7 +191,6 @@ impl Sac {
         let (mean, log_std, mask) = self.split_heads(head);
         let n = mean.rows();
         let ad = self.action_dim;
-        let mut u = Matrix::zeros(n, ad);
         let mut eps = Matrix::zeros(n, ad);
         let mut actions = Matrix::zeros(n, ad);
         let mut log_prob = vec![0.0; n];
@@ -180,7 +201,6 @@ impl Sac {
                 let ui = mean[(i, j)] + sigma * e;
                 let a = edgeslice_nn::sigmoid(ui);
                 eps[(i, j)] = e;
-                u[(i, j)] = ui;
                 actions[(i, j)] = a;
                 // log N(u; μ, σ) − log |da/du|
                 log_prob[i] += -0.5 * e * e
@@ -191,7 +211,6 @@ impl Sac {
         }
         PolicySample {
             actions,
-            u,
             eps,
             log_std,
             log_prob,
@@ -230,69 +249,77 @@ impl Sac {
     /// Returns `None` (leaving every network untouched) until a full batch
     /// is available.
     pub fn update(&mut self, rng: &mut StdRng) -> Option<SacUpdate> {
-        // Reuse the persistent batch buffer across updates. SAC keeps the
-        // allocating reference kernels for the rest of its update — it is a
-        // Fig. 10b comparator, not the paper's DDPG hot path.
-        let mut batch = std::mem::take(&mut self.batch);
-        if self
-            .replay
-            .sample_into(self.config.batch_size, rng, &mut batch)
-            .is_err()
-        {
-            self.batch = batch;
-            return None;
-        }
-        let result = self.update_with(&batch, rng);
-        self.batch = batch;
-        Some(result)
+        // Move the scratch out so its buffers and `self`'s networks can be
+        // borrowed independently; moving is allocation-free.
+        let mut s = std::mem::take(&mut self.scratch);
+        let result = self.update_with(&mut s, rng);
+        self.scratch = s;
+        result
     }
 
-    fn update_with(&mut self, batch: &Batch, rng: &mut StdRng) -> SacUpdate {
-        let n = batch.rewards.len();
+    fn update_with(&mut self, s: &mut SacScratch, rng: &mut StdRng) -> Option<SacUpdate> {
+        if self
+            .replay
+            .sample_into(self.config.batch_size, rng, &mut s.batch)
+            .is_err()
+        {
+            return None;
+        }
+        let n = s.batch.rewards.len();
         let alpha = self.config.alpha;
 
         // ---- Critic targets: y = r + γ (min Q'(s',a') − α log π(a'|s')).
-        let next_head = self.actor.forward(&batch.next_states);
-        let next_sample = self.sample_from_heads(&next_head, rng);
-        let next_sa = Matrix::hstack(&[&batch.next_states, &next_sample.actions]);
-        let q1n = self.q1_target.forward(&next_sa);
-        let q2n = self.q2_target.forward(&next_sa);
-        let mut targets = Matrix::zeros(n, 1);
+        self.actor
+            .forward_scratch(&s.batch.next_states, &mut s.actor);
+        let next_sample = self.sample_from_heads(s.actor.output(), rng);
+        Matrix::hstack_into(
+            &[&s.batch.next_states, &next_sample.actions],
+            &mut s.next_sa,
+        );
+        let [c1, c2] = &mut s.critics;
+        self.q1_target.forward_scratch(&s.next_sa, c1);
+        self.q2_target.forward_scratch(&s.next_sa, c2);
+        s.targets.resize_for(n, 1);
         for i in 0..n {
-            let minq = q1n[(i, 0)].min(q2n[(i, 0)]);
+            let minq = c1.output()[(i, 0)].min(c2.output()[(i, 0)]);
             let soft = minq - alpha * next_sample.log_prob[i];
-            let bootstrap = if batch.dones[i] {
+            let bootstrap = if s.batch.dones[i] {
                 0.0
             } else {
                 self.config.gamma * soft
             };
-            targets[(i, 0)] = batch.rewards[i] + bootstrap;
+            s.targets[(i, 0)] = s.batch.rewards[i] + bootstrap;
         }
 
-        let sa = Matrix::hstack(&[&batch.states, &batch.actions]);
+        Matrix::hstack_into(&[&s.batch.states, &s.batch.actions], &mut s.sa);
         let mut critic_loss = 0.0;
-        for (q, opt) in [
+        let twins = [
             (&mut self.q1, &mut self.q1_opt),
             (&mut self.q2, &mut self.q2_opt),
-        ] {
-            let cache = q.forward_cached(&sa);
-            let (loss, d) = edgeslice_nn::mse_loss(cache.output(), &targets);
-            let (mut grads, _) = q.backward(&cache, &d);
-            grads.clip_global_norm(10.0);
-            opt.step(q, &grads);
+        ];
+        for ((q, opt), cs) in twins.into_iter().zip(&mut s.critics) {
+            q.forward_scratch(&s.sa, cs);
+            let loss = mse_loss_into(cs.output(), &s.targets, &mut s.d_pred);
+            q.backward_scratch(cs, &s.d_pred);
+            cs.grads_mut().clip_global_norm(10.0);
+            opt.step(q, cs.grads());
             critic_loss += 0.5 * loss;
         }
 
         // ---- Actor: minimize E[α log π(a|s) − min Q(s, a)] (reparameterized).
-        let actor_cache = self.actor.forward_cached(&batch.states);
-        let sample = self.sample_from_heads(actor_cache.output(), rng);
-        let sa_pi = Matrix::hstack(&[&batch.states, &sample.actions]);
-        let c1 = self.q1.forward_cached(&sa_pi);
-        let c2 = self.q2.forward_cached(&sa_pi);
+        self.actor.forward_scratch(&s.batch.states, &mut s.actor);
+        let sample = self.sample_from_heads(s.actor.output(), rng);
+        Matrix::hstack_into(&[&s.batch.states, &sample.actions], &mut s.sa);
+        let [c1, c2] = &mut s.critics;
+        self.q1.forward_scratch(&s.sa, c1);
+        self.q2.forward_scratch(&s.sa, c2);
         let mut actor_loss = 0.0;
         // Per-row masks selecting the minimum critic.
-        let mut d1 = Matrix::zeros(n, 1);
-        let mut d2 = Matrix::zeros(n, 1);
+        let [d1, d2] = &mut s.d_q;
+        for d in [&mut *d1, &mut *d2] {
+            d.resize_for(n, 1);
+            d.fill(0.0);
+        }
         for i in 0..n {
             let (v1, v2) = (c1.output()[(i, 0)], c2.output()[(i, 0)]);
             actor_loss += (alpha * sample.log_prob[i] - v1.min(v2)) / n as f64;
@@ -303,43 +330,45 @@ impl Sac {
                 d2[(i, 0)] = -1.0 / n as f64;
             }
         }
-        let (_, din1) = self.q1.backward(&c1, &d1);
-        let (_, din2) = self.q2.backward(&c2, &d2);
-        let sd = batch.states.cols();
+        // Only ∇_a Q is needed: the critics' parameter gradients would be
+        // discarded, so they are never computed.
+        self.q1.backward_input_scratch(c1, d1);
+        self.q2.backward_input_scratch(c2, d2);
+        let (din1, din2) = (c1.d_input(), c2.d_input());
+        let sd = s.batch.states.cols();
         let ad = self.action_dim;
-        // ∂L/∂a from the −Qmin path (already includes the 1/n factor).
-        let dl_da = Matrix::from_fn(n, ad, |i, j| din1[(i, sd + j)] + din2[(i, sd + j)]);
 
         // Assemble head gradients.
-        let mut d_head = Matrix::zeros(n, 2 * ad);
+        s.d_head.resize_for(n, 2 * ad);
         for i in 0..n {
             for j in 0..ad {
+                // ∂L/∂a from the −Qmin path (already includes the 1/n factor).
+                let dl_da = din1[(i, sd + j)] + din2[(i, sd + j)];
                 let a = sample.actions[(i, j)];
                 let da_du = (a * (1.0 - a)).max(1e-12);
                 // ∂L/∂u = (∂L/∂a)·σ'(u) + (α/n)·∂(−log σ'(u))/∂u.
-                let dl_du = dl_da[(i, j)] * da_du + alpha / n as f64 * -(1.0 - 2.0 * a);
-                d_head[(i, j)] = dl_du; // μ head
+                let dl_du = dl_da * da_du + alpha / n as f64 * -(1.0 - 2.0 * a);
+                s.d_head[(i, j)] = dl_du; // μ head
                 let sigma = sample.log_std[(i, j)].exp();
                 // log-σ head: via u = μ + σ ε, plus the −log σ term of log π.
                 let dls = dl_du * sigma * sample.eps[(i, j)] - alpha / n as f64;
-                d_head[(i, ad + j)] = dls * sample.std_grad_mask[(i, j)];
+                s.d_head[(i, ad + j)] = dls * sample.std_grad_mask[(i, j)];
             }
         }
-        let (mut actor_grads, _) = self.actor.backward(&actor_cache, &d_head);
-        actor_grads.clip_global_norm(10.0);
-        self.actor_opt.step(&mut self.actor, &actor_grads);
+        self.actor.backward_scratch(&mut s.actor, &s.d_head);
+        s.actor.grads_mut().clip_global_norm(10.0);
+        self.actor_opt.step(&mut self.actor, s.actor.grads());
 
         // ---- Soft target updates.
         self.q1_target.soft_update_from(&self.q1, self.config.tau);
         self.q2_target.soft_update_from(&self.q2, self.config.tau);
 
         let entropy = -sample.log_prob.iter().sum::<f64>() / n as f64;
-        let _ = &sample.u; // u retained for debugging/inspection parity
-        SacUpdate {
+        Some(SacUpdate {
             critic_loss,
             actor_loss,
             entropy,
-        }
+        })
     }
 
     /// Convenience training loop mirroring [`crate::Ddpg::train`].

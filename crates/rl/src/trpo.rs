@@ -9,7 +9,7 @@
 //! by a transposed-Jacobian product (backpropagation). The log-std is held
 //! fixed during the trust-region step, the usual simplification.
 
-use edgeslice_nn::Matrix;
+use edgeslice_nn::{Matrix, TrainScratch};
 use edgeslice_optim::conjugate_gradient;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -83,6 +83,10 @@ pub struct Trpo {
     policy: GaussianPolicy,
     value: ValueNet,
     config: TrpoConfig,
+    /// The mean network's pass at `θ_old`: one forward per update,
+    /// backpropagated for the gradient and again for every Fisher-vector
+    /// product.
+    scratch: TrainScratch,
 }
 
 impl Trpo {
@@ -100,6 +104,7 @@ impl Trpo {
             policy,
             value,
             config,
+            scratch: TrainScratch::new(),
         }
     }
 
@@ -153,43 +158,49 @@ impl Trpo {
         let n = rollout.rewards.len();
 
         // Policy gradient g = ∇_θ mean(logπ · A) at θ_old.
-        let cache = self.policy.mean_net().forward_cached(&rollout.states);
-        let means = cache.output().clone();
-        let dlogp = self.policy.dlogp_dmean(&means, &rollout.raw_actions);
+        let mean_net = self.policy.mean_net();
+        let scratch = &mut self.scratch;
+        mean_net.forward_scratch(&rollout.states, scratch);
+        let dlogp = self
+            .policy
+            .dlogp_dmean(scratch.output(), &rollout.raw_actions);
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
             adv[i] * dlogp[(i, j)] / n as f64
         });
-        let (grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-        let g = self.policy.mean_net().flat_grads(&grads);
+        mean_net.backward_scratch(scratch, &d_mean);
+        let g = mean_net.flat_grads(scratch.grads());
 
         // Fisher-vector product via JVP (forward difference) + VJP
-        // (backprop): F v = (1/n) Jᵀ diag(1/σ²) J v + damping v.
-        let theta = self.policy.mean_net().flat_params();
+        // (backprop through the θ_old pass still in `scratch`):
+        // F v = (1/n) Jᵀ diag(1/σ²) J v + damping v.
+        let theta = mean_net.flat_params();
         let sigma_inv2: Vec<f64> = self
             .policy
             .log_std()
             .iter()
             .map(|ls| (-2.0 * ls).exp())
             .collect();
-        let fvp = |v: &[f64]| -> Vec<f64> {
+        let damping = self.config.cg_damping;
+        let mut fvp = |v: &[f64]| -> Vec<f64> {
             let eps = 1e-5 / v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
-            let mut net = self.policy.mean_net().clone();
+            let mut net = mean_net.clone();
             let perturbed: Vec<f64> = theta.iter().zip(v).map(|(t, vi)| t + eps * vi).collect();
             net.set_flat_params(&perturbed);
             let mu_eps = net.forward(&rollout.states);
             // Jv, weighted by 1/σ² and 1/n.
+            let means = scratch.output();
             let weighted = Matrix::from_fn(n, means.cols(), |i, j| {
                 (mu_eps[(i, j)] - means[(i, j)]) / eps * sigma_inv2[j] / n as f64
             });
-            let (jt, _) = self.policy.mean_net().backward(&cache, &weighted);
-            let mut out = self.policy.mean_net().flat_grads(&jt);
+            mean_net.backward_scratch(scratch, &weighted);
+            let mut out = mean_net.flat_grads(scratch.grads());
             for (o, vi) in out.iter_mut().zip(v) {
-                *o += self.config.cg_damping * vi;
+                *o += damping * vi;
             }
             out
         };
 
-        let s = conjugate_gradient(fvp, &g, self.config.cg_iters, 1e-10);
+        let s = conjugate_gradient(&mut fvp, &g, self.config.cg_iters, 1e-10);
         let s_fs: f64 = s.iter().zip(fvp(&s)).map(|(a, b)| a * b).sum();
         if s_fs <= 1e-12 || !s_fs.is_finite() {
             // Degenerate direction; skip the policy step but keep learning V.

@@ -1,6 +1,6 @@
 //! State-value function fitting shared by the on-policy algorithms.
 
-use edgeslice_nn::{mse_loss, Activation, Adam, Matrix, Mlp};
+use edgeslice_nn::{mse_loss_into, Activation, Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -9,6 +9,10 @@ use rand::seq::SliceRandom;
 pub struct ValueNet {
     net: Mlp,
     opt: Adam,
+    /// The regression's forward/backward pass.
+    scratch: TrainScratch,
+    /// `∂loss/∂V` of the current minibatch.
+    d_pred: Matrix,
 }
 
 impl ValueNet {
@@ -21,7 +25,12 @@ impl ValueNet {
             rng,
         );
         let opt = Adam::new(&net, lr);
-        Self { net, opt }
+        Self {
+            net,
+            opt,
+            scratch: TrainScratch::new(),
+            d_pred: Matrix::default(),
+        }
     }
 
     /// Predicted values for a batch of states, one per row.
@@ -56,10 +65,10 @@ impl ValueNet {
                 let xs = states.select_rows(chunk);
                 let ys =
                     Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| targets[i]).collect());
-                let cache = self.net.forward_cached(&xs);
-                let (loss, d) = mse_loss(cache.output(), &ys);
-                let (grads, _) = self.net.backward(&cache, &d);
-                self.opt.step(&mut self.net, &grads);
+                self.net.forward_scratch(&xs, &mut self.scratch);
+                let loss = mse_loss_into(self.scratch.output(), &ys, &mut self.d_pred);
+                self.net.backward_scratch(&mut self.scratch, &self.d_pred);
+                self.opt.step(&mut self.net, self.scratch.grads());
                 epoch_loss += loss;
                 batches += 1;
             }

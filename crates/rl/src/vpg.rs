@@ -1,7 +1,7 @@
 //! Vanilla policy gradient (REINFORCE with a learned baseline), one of the
 //! comparator training techniques in Fig. 10b (Sutton et al. 2000).
 
-use edgeslice_nn::{Adam, Matrix};
+use edgeslice_nn::{Adam, Matrix, TrainScratch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +61,8 @@ pub struct Vpg {
     policy_opt: Adam,
     value: ValueNet,
     config: VpgConfig,
+    /// The mean network's forward/backward pass over a rollout.
+    scratch: TrainScratch,
 }
 
 impl Vpg {
@@ -80,6 +82,7 @@ impl Vpg {
             policy_opt,
             value,
             config,
+            scratch: TrainScratch::new(),
         }
     }
 
@@ -114,19 +117,19 @@ impl Vpg {
 
         // Policy gradient of -E[log π(a|s) A]: upstream gradient on the
         // mean head is -A_i * ∂logπ/∂μ for each sample.
-        let cache = self.policy.mean_net().forward_cached(&rollout.states);
-        let means = cache.output().clone();
-        let dlogp = self.policy.dlogp_dmean(&means, &rollout.raw_actions);
+        let s = &mut self.scratch;
+        self.policy.mean_net().forward_scratch(&rollout.states, s);
+        let dlogp = self.policy.dlogp_dmean(s.output(), &rollout.raw_actions);
         let n = rollout.rewards.len() as f64;
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
             -adv[i] * dlogp[(i, j)] / n
         });
-        let (mut grads, _) = self.policy.mean_net().backward(&cache, &d_mean);
-        grads.clip_global_norm(5.0);
-        self.policy_opt.step(self.policy.mean_net_mut(), &grads);
+        self.policy.mean_net().backward_scratch(s, &d_mean);
+        s.grads_mut().clip_global_norm(5.0);
+        self.policy_opt.step(self.policy.mean_net_mut(), s.grads());
 
-        // log-std gradient (ascend E[logπ A]).
-        let dls = self.policy.dlogp_dlogstd(&means, &rollout.raw_actions);
+        // log-std gradient (ascend E[logπ A]), at the pre-step means.
+        let dls = self.policy.dlogp_dlogstd(s.output(), &rollout.raw_actions);
         for j in 0..self.policy.action_dim() {
             let mut g = 0.0;
             for i in 0..dls.rows() {
