@@ -114,26 +114,39 @@ impl Activation {
     /// is `d * act.derivative(x)`, upstream gradient first. One loop per
     /// variant, as in [`Activation::forward_into`].
     ///
+    /// `y` is the forward pass's activated output, `act(z)` as
+    /// [`Activation::forward_into`] wrote it. Sigmoid and tanh read their
+    /// derivative from it (`s·(1 − s)`, `1 − t·t`) instead of recomputing
+    /// `exp` / `tanh` of `z`: `y` holds exactly the `s` / `t` that
+    /// [`Activation::derivative`] would recompute, so every element keeps
+    /// its bits.
+    ///
     /// # Panics
     ///
-    /// Panics if `z` and `d_out` shapes differ.
-    pub fn backward_weighted_into(self, z: &Matrix, d_out: &Matrix, dz: &mut Matrix) {
-        fn run(dz: &mut [f64], d_out: &[f64], z: &[f64], df: impl Fn(f64) -> f64) {
-            for ((o, &d), &x) in dz.iter_mut().zip(d_out).zip(z) {
+    /// Panics if the shapes of `z`, `y` and `d_out` differ.
+    pub fn backward_weighted_into(self, z: &Matrix, y: &Matrix, d_out: &Matrix, dz: &mut Matrix) {
+        fn run(dz: &mut [f64], d_out: &[f64], v: &[f64], df: impl Fn(f64) -> f64) {
+            for ((o, &d), &x) in dz.iter_mut().zip(d_out).zip(v) {
                 *o = d * df(x);
             }
         }
         assert_eq!(z.shape(), d_out.shape(), "backward_weighted shape mismatch");
+        assert_eq!(y.shape(), d_out.shape(), "backward_weighted shape mismatch");
         dz.resize_for(z.rows(), z.cols());
-        let (dz, d_out, z) = (dz.as_mut_slice(), d_out.as_slice(), z.as_slice());
+        let (dz, d_out, z, y) = (
+            dz.as_mut_slice(),
+            d_out.as_slice(),
+            z.as_slice(),
+            y.as_slice(),
+        );
         match self {
             Activation::Identity => run(dz, d_out, z, |x| Activation::Identity.derivative(x)),
             Activation::Relu => run(dz, d_out, z, |x| Activation::Relu.derivative(x)),
             Activation::LeakyRelu(a) => {
                 run(dz, d_out, z, |x| Activation::LeakyRelu(a).derivative(x))
             }
-            Activation::Sigmoid => run(dz, d_out, z, |x| Activation::Sigmoid.derivative(x)),
-            Activation::Tanh => run(dz, d_out, z, |x| Activation::Tanh.derivative(x)),
+            Activation::Sigmoid => run(dz, d_out, y, |s| s * (1.0 - s)),
+            Activation::Tanh => run(dz, d_out, y, |t| 1.0 - t * t),
             Activation::Softplus => run(dz, d_out, z, |x| Activation::Softplus.derivative(x)),
         }
     }
@@ -222,23 +235,38 @@ mod tests {
         assert!((a.eval(10.0) - 10.0).abs() < 1e-12);
     }
 
+    /// Both matrix passes against the scalar functions, bit for bit — the
+    /// backward given the forward's own output, as a training pass gives it
+    /// (sigmoid and tanh read their derivative from it). The grid spans
+    /// both saturated tails, zero and signed zero, where `s·(1 − s)` and
+    /// `1 − t·t` underflow or round to their limits.
     #[test]
     fn matrix_passes_apply_the_scalar_functions() {
-        let z = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        let d_out = Matrix::from_rows(&[&[0.5, -2.0, 3.0]]);
+        let xs = [
+            -800.0, -40.0, -19.5, -2.0, -1.0, -1e-9, -0.0, 0.0, 1e-9, 0.3, 2.0, 19.5, 40.0, 800.0,
+        ];
+        let z = Matrix::from_fn(
+            2,
+            xs.len(),
+            |i, j| if i == 0 { xs[j] } else { -xs[j] / 3.0 },
+        );
+        let d_out = Matrix::from_fn(2, xs.len(), |i, j| (j as f64 - 6.5) * (1.0 + i as f64));
         let (mut out, mut dz) = (Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         for act in ACTS {
             act.forward_into(&z, &mut out);
-            act.backward_weighted_into(&z, &d_out, &mut dz);
-            assert_eq!(out.shape(), (1, 3));
-            assert_eq!(dz.shape(), (1, 3));
-            for j in 0..3 {
-                let x = z[(0, j)];
-                assert_eq!(out[(0, j)].to_bits(), act.eval(x).to_bits());
-                assert_eq!(
-                    dz[(0, j)].to_bits(),
-                    (d_out[(0, j)] * act.derivative(x)).to_bits()
-                );
+            act.backward_weighted_into(&z, &out, &d_out, &mut dz);
+            assert_eq!(out.shape(), z.shape());
+            assert_eq!(dz.shape(), z.shape());
+            for i in 0..z.rows() {
+                for j in 0..z.cols() {
+                    let x = z[(i, j)];
+                    assert_eq!(out[(i, j)].to_bits(), act.eval(x).to_bits());
+                    assert_eq!(
+                        dz[(i, j)].to_bits(),
+                        (d_out[(i, j)] * act.derivative(x)).to_bits(),
+                        "{act:?} at {x}"
+                    );
+                }
             }
         }
     }

@@ -161,24 +161,28 @@ impl Dense {
 
     /// Backward pass into caller-owned buffers.
     ///
-    /// Given the layer input `x`, the recorded pre-activation `z` and the
-    /// upstream gradient `d_out = ∂L/∂(activated output)`, writes the delta
-    /// `dz = d_out ⊙ act'(z)`, the parameter gradients `dW = dzᵀ·x` and
-    /// `db` (column sums of `dz`) into `grad`, and `∂L/∂x = dz·W` into `dx`
+    /// Given the layer input `x`, the recorded pre-activation `z` and
+    /// activated output `y`, and the upstream gradient
+    /// `d_out = ∂L/∂(activated output)`, writes the delta
+    /// `dz = d_out ⊙ act'(z)` ([`Activation::backward_weighted_into`]), the
+    /// parameter gradients `dW = dzᵀ·x` and `db` (column sums of `dz`) into
+    /// `grad`, and `∂L/∂x = dz·W` into `dx`
     /// — or, with `dx = None`, no input gradient at all (a network's first
     /// layer, whose input gradient a parameter update never reads).
     /// Gradients are **sums** over the batch. Allocation-free once the
     /// buffers have warmed up.
+    #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &self,
         x: &Matrix,
         z: &Matrix,
+        y: &Matrix,
         d_out: &Matrix,
         grad: &mut DenseGrad,
         dz: &mut Matrix,
         dx: Option<&mut Matrix>,
     ) {
-        self.activation.backward_weighted_into(z, d_out, dz);
+        self.activation.backward_weighted_into(z, y, d_out, dz);
         grad.resize_like(self);
         let seq = Parallelism::Sequential;
         Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights, seq);
@@ -197,11 +201,12 @@ impl Dense {
     pub fn backward_input_into(
         &self,
         z: &Matrix,
+        y: &Matrix,
         d_out: &Matrix,
         dz: &mut Matrix,
         dx: &mut Matrix,
     ) {
-        self.activation.backward_weighted_into(z, d_out, dz);
+        self.activation.backward_weighted_into(z, y, d_out, dz);
         Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, Parallelism::Sequential);
     }
 
@@ -252,20 +257,28 @@ mod tests {
 
     /// `backward_into`'s parameter and input gradients against central
     /// differences of the forward pass; `backward_input_into` must produce
-    /// the same input gradient bit for bit.
+    /// the same input gradient bit for bit. Tanh and sigmoid, the two
+    /// activations whose backward reads the recorded output.
     #[test]
     fn backward_gradients_match_finite_difference() {
-        let mut l = layer();
+        for act in [Activation::Tanh, Activation::Sigmoid] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let l = Dense::new(3, 2, act, Init::XavierUniform, &mut rng);
+            check_backward_against_finite_difference(l);
+        }
+    }
+
+    fn check_backward_against_finite_difference(mut l: Dense) {
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.8], &[1.0, 0.3, -0.7]]);
         // Loss = sum of outputs, so d_out = ones.
         let loss = |l: &Dense, x: &Matrix| forward(l, x).1.sum();
-        let (z, _) = forward(&l, &x);
+        let (z, y) = forward(&l, &x);
         let d_out = Matrix::filled(2, 2, 1.0);
         let (mut grad, mut dz, mut dx) =
             (DenseGrad::default(), Matrix::default(), Matrix::default());
-        l.backward_into(&x, &z, &d_out, &mut grad, &mut dz, Some(&mut dx));
+        l.backward_into(&x, &z, &y, &d_out, &mut grad, &mut dz, Some(&mut dx));
         let mut dx_only = Matrix::default();
-        l.backward_input_into(&z, &d_out, &mut dz, &mut dx_only);
+        l.backward_input_into(&z, &y, &d_out, &mut dz, &mut dx_only);
         assert_eq!(dx_only, dx);
 
         let eps = 1e-6;

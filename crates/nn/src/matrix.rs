@@ -24,8 +24,9 @@ pub const TILE_K: usize = 128;
 /// packed B panel.
 pub const TILE_N: usize = 64;
 
-/// Length of one packed B panel (`TILE_K × TILE_N`), held in a stack array
-/// so the blocked kernels never touch the allocator.
+/// Length of one packed B panel (`TILE_K × TILE_N`), held in a per-thread
+/// array ([`BLOCKED_BUFFERS`]) so the blocked kernels never touch the
+/// allocator.
 const PANEL_LEN: usize = TILE_K * TILE_N;
 
 /// A dense, row-major matrix of `f64` values.
@@ -818,7 +819,7 @@ fn matmul_at_b_rows(
 
 /// Fewest rows of `A` (the *global* row count, not a thread's chunk) for
 /// which `A·B` and `A·Bᵀ` take the cache-blocked schedule. Every blocked
-/// call zero-fills a 64 KiB stack panel and packs each `B` tile once — a
+/// call packs each `B` tile into a 64 KiB panel once — a
 /// fixed cost worth a few rows of multiply-adds, repaid only when several
 /// rows reuse the packed panel (measured crossover: 8–16 rows at hidden
 /// widths 128 and 64, DESIGN.md §14). Below it — the one-row policy forward
@@ -929,10 +930,27 @@ fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
 
 /// Rows of the left operand staged together by [`matmul_rows_blocked`]. For
 /// `Aᵀ·B` it is the column count of the transpose-packed A block: eight
-/// columns of `a` re-laid term-contiguous (8 KiB on the stack) so the 2×8
-/// microkernel reads its `a` operands forward instead of striding across
-/// `a`'s full width per term.
+/// columns of `a` re-laid term-contiguous (8 KiB) so the 2×8 microkernel
+/// reads its `a` operands forward instead of striding across `a`'s full
+/// width per term.
 const AT_B_IBLOCK: usize = 8;
+
+/// The blocked schedule's working set: a packed `B` panel and a
+/// transpose-packed `A` block.
+type BlockedBuffers = ([f64; PANEL_LEN], [f64; TILE_K * AT_B_IBLOCK]);
+
+thread_local! {
+    /// One [`BlockedBuffers`] per thread, reused by every blocked call on
+    /// it. `const`-initialised and without a destructor, so it lives in the
+    /// thread's static TLS block (72 KiB, zeroed once when the thread
+    /// starts): no allocation, no registration on first use. Nothing is
+    /// read before it is packed — every panel and block element a
+    /// microkernel reads was written by the same call's packing — so a
+    /// previous call's leftovers never reach an output and the buffers
+    /// need no zero-fill.
+    static BLOCKED_BUFFERS: std::cell::RefCell<BlockedBuffers> =
+        const { std::cell::RefCell::new(([0.0; PANEL_LEN], [0.0; TILE_K * AT_B_IBLOCK])) };
+}
 
 /// The cache-blocked schedule of all three products: computes output rows
 /// `i0..i0 + nr` over `terms` contraction terms. Per `k`/`n` tile,
@@ -950,9 +968,10 @@ const AT_B_IBLOCK: usize = 8;
 /// *column* of `a` (`Aᵀ·B`), and each block of [`AT_B_IBLOCK`] columns is
 /// transpose-packed per tile first.
 ///
-/// Kept out of line so the register paths — the one-row policy forward of
-/// every agent step above all — do not carry, and stack-probe, this 64 KiB
-/// frame on every call.
+/// The panel and the `A` block are this thread's [`BLOCKED_BUFFERS`]. Kept
+/// out of line so the register paths — the one-row policy forward of every
+/// agent step above all — do not carry the blocked schedule's frame on
+/// every call.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_rows_blocked<const A_COLS: bool>(
@@ -965,61 +984,61 @@ fn matmul_rows_blocked<const A_COLS: bool>(
     n: usize,
     out_rows: &mut [f64],
 ) {
-    out_rows.fill(0.0);
-    let mut panel = [0.0f64; PANEL_LEN];
-    let mut ablock = [0.0f64; TILE_K * AT_B_IBLOCK];
-    let mut kt = 0;
-    while kt < terms {
-        let kc = (terms - kt).min(TILE_K);
-        let mut jt = 0;
-        while jt < n {
-            let nc = (n - jt).min(TILE_N);
-            pack_panel(kt, kc, jt, nc, &mut panel);
-            let mut ib = 0;
-            while ib < nr {
-                let bc = (nr - ib).min(AT_B_IBLOCK);
-                // `lhs[c * stride..][..kc]` holds this tile's terms of
-                // output row `ib + c`.
-                let (lhs, stride): (&[f64], usize) = if A_COLS {
-                    for t in 0..kc {
-                        let src = (kt + t) * lda + i0 + ib;
-                        for (c, &v) in a[src..src + bc].iter().enumerate() {
-                            ablock[c * kc + t] = v;
+    BLOCKED_BUFFERS.with_borrow_mut(|(panel, ablock)| {
+        out_rows.fill(0.0);
+        let mut kt = 0;
+        while kt < terms {
+            let kc = (terms - kt).min(TILE_K);
+            let mut jt = 0;
+            while jt < n {
+                let nc = (n - jt).min(TILE_N);
+                pack_panel(kt, kc, jt, nc, panel);
+                let mut ib = 0;
+                while ib < nr {
+                    let bc = (nr - ib).min(AT_B_IBLOCK);
+                    // `lhs[c * stride..][..kc]` holds this tile's terms of
+                    // output row `ib + c`.
+                    let (lhs, stride): (&[f64], usize) = if A_COLS {
+                        for t in 0..kc {
+                            let src = (kt + t) * lda + i0 + ib;
+                            for (c, &v) in a[src..src + bc].iter().enumerate() {
+                                ablock[c * kc + t] = v;
+                            }
                         }
+                        (&ablock[..], kc)
+                    } else {
+                        (&a[(i0 + ib) * lda + kt..], lda)
+                    };
+                    let mut rr = 0;
+                    while rr + 2 <= bc {
+                        let row = ib + rr;
+                        let (lo, hi) = out_rows.split_at_mut((row + 1) * n);
+                        accumulate_pair_panel(
+                            &lhs[rr * stride..][..kc],
+                            &lhs[(rr + 1) * stride..][..kc],
+                            &panel[..],
+                            nc,
+                            &mut lo[row * n + jt..row * n + jt + nc],
+                            &mut hi[jt..jt + nc],
+                        );
+                        rr += 2;
                     }
-                    (&ablock, kc)
-                } else {
-                    (&a[(i0 + ib) * lda + kt..], lda)
-                };
-                let mut rr = 0;
-                while rr + 2 <= bc {
-                    let row = ib + rr;
-                    let (lo, hi) = out_rows.split_at_mut((row + 1) * n);
-                    accumulate_pair_panel(
-                        &lhs[rr * stride..][..kc],
-                        &lhs[(rr + 1) * stride..][..kc],
-                        &panel,
-                        nc,
-                        &mut lo[row * n + jt..row * n + jt + nc],
-                        &mut hi[jt..jt + nc],
-                    );
-                    rr += 2;
+                    if rr < bc {
+                        let row = ib + rr;
+                        accumulate_row_panel(
+                            &lhs[rr * stride..][..kc],
+                            &panel[..],
+                            nc,
+                            &mut out_rows[row * n + jt..row * n + jt + nc],
+                        );
+                    }
+                    ib += bc;
                 }
-                if rr < bc {
-                    let row = ib + rr;
-                    accumulate_row_panel(
-                        &lhs[rr * stride..][..kc],
-                        &panel,
-                        nc,
-                        &mut out_rows[row * n + jt..row * n + jt + nc],
-                    );
-                }
-                ib += bc;
+                jt += nc;
             }
-            jt += nc;
+            kt += kc;
         }
-        kt += kc;
-    }
+    });
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

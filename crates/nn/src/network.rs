@@ -84,7 +84,9 @@ impl Deserialize for Mlp {
 /// alias network parameters; they only ever hold activations and gradients.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
-    /// Input to each layer (`inputs[0]` is a copy of the network input).
+    /// Input to each layer (`inputs[0]` is a copy of the network input);
+    /// `inputs[i + 1]` is layer `i`'s activated output, which its backward
+    /// reads for sigmoid and tanh.
     inputs: Vec<Matrix>,
     /// Pre-activation of each layer.
     pre: Vec<Matrix>,
@@ -443,6 +445,7 @@ impl Mlp {
             layer.backward_into(
                 &s.inputs[idx],
                 &s.pre[idx],
+                s.inputs.get(idx + 1).unwrap_or(&s.output),
                 upstream,
                 &mut s.grads.layers[idx],
                 &mut s.dz,
@@ -462,7 +465,8 @@ impl Mlp {
         for (idx, layer) in self.layers.iter().enumerate().rev() {
             let (lo, hi) = s.dx.split_at_mut(idx + 1);
             let upstream: &Matrix = if idx + 1 == n { d_output } else { &hi[0] };
-            layer.backward_input_into(&s.pre[idx], upstream, &mut s.dz, &mut lo[idx]);
+            let output = s.inputs.get(idx + 1).unwrap_or(&s.output);
+            layer.backward_input_into(&s.pre[idx], output, upstream, &mut s.dz, &mut lo[idx]);
         }
     }
 
@@ -558,10 +562,19 @@ mod tests {
 
     /// The shipped training pass against central differences:
     /// `backward_scratch`'s parameter gradients and
-    /// `backward_input_scratch`'s `d_input`, through every layer.
+    /// `backward_input_scratch`'s `d_input`, through every layer — with a
+    /// tanh and a sigmoid output layer, whose backward reads the recorded
+    /// output instead of the pre-activation.
     #[test]
     fn backward_matches_finite_difference_on_all_params() {
-        let mut n = net();
+        for output in [Activation::Tanh, Activation::Sigmoid] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let n = Mlp::new(&[3, 8, 8, 2], Activation::leaky_default(), output, &mut rng);
+            check_backward_against_finite_difference(n);
+        }
+    }
+
+    fn check_backward_against_finite_difference(mut n: Mlp) {
         let x = Matrix::from_rows(&[&[0.4, -0.1, 0.9], &[-0.3, 0.7, 0.2]]);
         // Scalar loss: sum of all outputs.
         let d_out = Matrix::filled(2, 2, 1.0);

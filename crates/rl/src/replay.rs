@@ -99,11 +99,11 @@ impl ReplayBuffer {
             capacity,
             state_dim,
             action_dim,
-            states: vec![0.0; capacity * state_dim],
-            actions: vec![0.0; capacity * action_dim],
-            rewards: vec![0.0; capacity],
-            next_states: vec![0.0; capacity * state_dim],
-            dones: vec![false; capacity],
+            states: Vec::with_capacity(capacity * state_dim),
+            actions: Vec::with_capacity(capacity * action_dim),
+            rewards: Vec::with_capacity(capacity),
+            next_states: Vec::with_capacity(capacity * state_dim),
+            dones: Vec::with_capacity(capacity),
             len: 0,
             head: 0,
         }
@@ -137,15 +137,29 @@ impl ReplayBuffer {
             self.state_dim,
             "next state dim mismatch"
         );
-        let i = self.head;
-        self.states[i * self.state_dim..(i + 1) * self.state_dim].copy_from_slice(&t.state);
-        self.actions[i * self.action_dim..(i + 1) * self.action_dim].copy_from_slice(&t.action);
-        self.rewards[i] = t.reward;
-        self.next_states[i * self.state_dim..(i + 1) * self.state_dim]
-            .copy_from_slice(&t.next_state);
-        self.dones[i] = t.done;
+        if self.len < self.capacity {
+            // Still filling: append. The stores are reserved at full size
+            // up front but written only as transitions arrive, so a
+            // part-filled memory keeps only its filled pages resident —
+            // wherever the allocator places it (a zero-filled store is
+            // wholly resident as soon as it lands on recycled memory).
+            let cap = self.capacity;
+            append(&mut self.states, &t.state, cap * self.state_dim);
+            append(&mut self.actions, &t.action, cap * self.action_dim);
+            append(&mut self.rewards, &[t.reward], cap);
+            append(&mut self.next_states, &t.next_state, cap * self.state_dim);
+            append(&mut self.dones, &[t.done], cap);
+            self.len += 1;
+        } else {
+            let i = self.head;
+            self.states[i * self.state_dim..(i + 1) * self.state_dim].copy_from_slice(&t.state);
+            self.actions[i * self.action_dim..(i + 1) * self.action_dim].copy_from_slice(&t.action);
+            self.rewards[i] = t.reward;
+            self.next_states[i * self.state_dim..(i + 1) * self.state_dim]
+                .copy_from_slice(&t.next_state);
+            self.dones[i] = t.done;
+        }
         self.head = (self.head + 1) % self.capacity;
-        self.len = (self.len + 1).min(self.capacity);
     }
 
     /// Uniformly samples `batch_size` transitions (with replacement) into a
@@ -213,6 +227,14 @@ impl ReplayBuffer {
     }
 }
 
+/// Appends `row` to a store that never holds more than `full` values,
+/// reserving all of it on the first append: a clone of a part-filled store
+/// starts at its length, and amortised growth would overshoot.
+fn append<T: Copy>(store: &mut Vec<T>, row: &[T], full: usize) {
+    store.reserve_exact(full - store.len());
+    store.extend_from_slice(row);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +259,26 @@ mod tests {
         assert_eq!(b.len(), 3);
         // Oldest two (0, 1) evicted: all stored rewards are in {2,3,4}.
         assert!(b.rewards.iter().all(|&r| (2.0..=4.0).contains(&r)));
+    }
+
+    /// A clone taken mid-fill keeps filling, then wraps, exactly like the
+    /// buffer it was cloned from, and stays at its capacity.
+    #[test]
+    fn part_filled_clone_fills_and_wraps_like_the_original() {
+        let mut a = ReplayBuffer::new(4, 2, 1);
+        a.push(&t(0.0));
+        a.push(&t(1.0));
+        let mut b = a.clone();
+        for i in 2..7 {
+            a.push(&t(i as f64));
+            b.push(&t(i as f64));
+        }
+        assert_eq!((a.len(), a.head), (b.len(), b.head));
+        assert_eq!(a.rewards, vec![4.0, 5.0, 6.0, 3.0]);
+        assert_eq!(b.rewards, a.rewards);
+        assert_eq!(b.states, a.states);
+        assert_eq!(b.next_states, a.next_states);
+        assert_eq!(b.states.capacity(), 4 * 2);
     }
 
     #[test]
