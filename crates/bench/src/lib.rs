@@ -20,6 +20,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::str::FromStr;
+
 use edgeslice::{AgentConfig, EdgeSliceSystem, OrchestratorKind, RunReport, SystemConfig};
 use edgeslice_rl::Technique;
 use rand::rngs::StdRng;
@@ -36,21 +38,38 @@ pub struct Knobs {
 
 impl Knobs {
     /// Reads `EDGESLICE_TRAIN_STEPS` and `EDGESLICE_SEED` with defaults.
+    /// A set variable that is not a plain non-negative integer (`1e6`,
+    /// `-5`, the empty string) is an error: it is printed and the process
+    /// exits with status 2.
     pub fn from_env() -> Self {
-        let train_steps = std::env::var("EDGESLICE_TRAIN_STEPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8_000);
-        let seed = std::env::var("EDGESLICE_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(7);
-        Self { train_steps, seed }
+        fn read<T: FromStr>(name: &str, default: T) -> T {
+            let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+            parse_knob(name, raw.as_deref(), default).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
+        }
+        Self {
+            train_steps: read("EDGESLICE_TRAIN_STEPS", 8_000),
+            seed: read("EDGESLICE_SEED", 7),
+        }
     }
 
     /// A seeded RNG offset by `stream` so parallel arms decorrelate.
     pub fn rng(&self, stream: u64) -> StdRng {
         StdRng::seed_from_u64(self.seed.wrapping_add(stream.wrapping_mul(0x9E37_79B9)))
+    }
+}
+
+/// The value of knob `name` given its raw environment value: `default`
+/// when unset, the parsed value when it parses, otherwise an error naming
+/// the variable and the raw value.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
     }
 }
 
@@ -227,5 +246,17 @@ mod tests {
         let mut b = k.rng(1);
         use rand::Rng;
         assert_ne!(a.gen::<u64>(), b.gen::<u64>(), "streams must decorrelate");
+    }
+
+    #[test]
+    fn knob_parsing_rejects_what_it_cannot_read() {
+        let steps = |raw| parse_knob::<usize>("EDGESLICE_TRAIN_STEPS", raw, 8_000);
+        assert_eq!(steps(None), Ok(8_000));
+        assert_eq!(steps(Some("1000000")), Ok(1_000_000));
+        for bad in ["1e6", "-5", ""] {
+            let err = steps(Some(bad)).unwrap_err();
+            assert!(err.contains("EDGESLICE_TRAIN_STEPS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! mean network and its decoding rule), not optimizer or replay state —
 //! the unit an operator ships from the training cluster to the RAs.
 
-use edgeslice_nn::{FleetScratch, Mlp, Parallelism};
+use edgeslice_nn::{FleetScratch, Mlp};
 use serde::{Deserialize, Serialize};
 
 use crate::{AgentBackend, OrchestrationAgent, RaId};
@@ -159,9 +159,7 @@ impl PolicyCheckpoint {
     pub fn decide_into(&self, state: &[f64], scratch: &mut FleetScratch, action: &mut Vec<f64>) {
         scratch.begin(1, state.len());
         scratch.set_input_row(0, state);
-        let out = self
-            .network
-            .forward_fleet_scratch(scratch, Parallelism::Sequential);
+        let out = self.network.forward_fleet_scratch(scratch);
         self.decode_row(out.row(0), action);
     }
 

@@ -210,12 +210,6 @@ impl PerformanceCoordinator {
         self.slas[slice.0].umin
     }
 
-    /// Adjusts the dual safeguard bound (default 50).
-    pub fn set_dual_clamp(&mut self, bound: f64) {
-        assert!(bound > 0.0, "dual clamp must be positive");
-        self.dual_clamp = bound;
-    }
-
     /// Number of slices.
     pub fn n_slices(&self) -> usize {
         self.slas.len()

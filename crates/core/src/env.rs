@@ -361,20 +361,6 @@ impl RaSliceEnv {
         lengths.extend(self.queues.iter().map(ServiceQueue::backlog));
     }
 
-    /// Replaces the traffic sources (e.g. to sweep loads in an experiment).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    pub fn set_traffic(&mut self, traffic: Vec<Box<dyn TrafficSource + Send>>) {
-        assert_eq!(
-            traffic.len(),
-            self.n_slices(),
-            "one traffic source per slice"
-        );
-        self.traffic = traffic;
-    }
-
     /// Sets the coordinating information `z − y` (one value per slice) —
     /// the RC-L message from the performance coordinator.
     ///

@@ -8,13 +8,25 @@
 //! and serves each group with **one** fused `(n_ra × state_dim)` batched
 //! forward ([`edgeslice_nn::Mlp::forward_fleet_scratch`]) instead of N
 //! per-agent forwards. Per-RA actions are bit-identical to calling
-//! [`crate::PolicyCheckpoint::decide`] one RA at a time — batching (and
-//! any thread count) never changes a row's arithmetic — so the fleet is
-//! purely a wall-clock optimization.
+//! [`crate::PolicyCheckpoint::decide`] one RA at a time — batching never
+//! changes a row's arithmetic — so the fleet is purely a wall-clock
+//! optimization.
 
-use edgeslice_nn::{FleetScratch, Parallelism};
+use edgeslice_nn::FleetScratch;
 
 use crate::PolicyCheckpoint;
+
+/// The schedule argument of [`PolicyFleet::new`] and
+/// [`crate::EdgeSliceSystem::policy_fleet`]. It carries no choice: the
+/// fleet's forward runs on the caller's thread, and parallelism across RAs
+/// belongs to the runtime's `Scheduler`. It remains only because the
+/// benchmark's two fleet probes still pass it, and goes with this module
+/// once they stop (ROADMAP.md item 3(c)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parallelism {
+    /// Run on the caller's thread.
+    Sequential,
+}
 
 /// A set of per-RA frozen policies served by fused batched inference.
 ///
@@ -33,14 +45,12 @@ pub struct PolicyFleet {
     groups: Vec<Vec<usize>>,
     /// One inference scratch per group.
     scratches: Vec<FleetScratch>,
-    /// Worker-thread budget for the batched GEMMs.
-    par: Parallelism,
 }
 
 impl PolicyFleet {
     /// Builds a fleet from one frozen policy per RA, grouping RAs whose
     /// policies are bit-identical.
-    pub fn new(policies: Vec<PolicyCheckpoint>, par: Parallelism) -> Self {
+    pub fn new(policies: Vec<PolicyCheckpoint>, _par: Parallelism) -> Self {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, p) in policies.iter().enumerate() {
             let existing = groups.iter().position(|g| {
@@ -57,7 +67,6 @@ impl PolicyFleet {
             policies,
             groups,
             scratches,
-            par,
         }
     }
 
@@ -75,11 +84,6 @@ impl PolicyFleet {
     /// system: a single fused GEMM serves every RA).
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The worker-thread budget used for the batched GEMMs.
-    pub fn par(&self) -> Parallelism {
-        self.par
     }
 
     /// The per-RA policies, in RA order.
@@ -114,7 +118,7 @@ impl PolicyFleet {
             for (slot, &member) in group.iter().enumerate() {
                 scratch.set_input_row(slot, &states[member]);
             }
-            let out = policy.network().forward_fleet_scratch(scratch, self.par);
+            let out = policy.network().forward_fleet_scratch(scratch);
             for (slot, &member) in group.iter().enumerate() {
                 policy.decode_row(out.row(slot), &mut actions[member]);
             }

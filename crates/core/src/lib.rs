@@ -76,7 +76,7 @@ pub use coordinator::{CoordinationInfo, CoordinatorState, PerformanceCoordinator
 pub use env::{RaEnvConfig, RaSliceEnv, ServiceModel, StateSpec};
 pub use error::EdgeSliceError;
 pub use faults::{FaultConfig, FaultEvent, FaultInjector, FaultPlan, RaFaultView};
-pub use fleet::PolicyFleet;
+pub use fleet::{Parallelism, PolicyFleet};
 pub use ids::{RaId, ResourceKind, SliceId};
 pub use managers::{ManagerError, ResourceManagers, SliceAllocation};
 pub use monitor::{IntervalStatus, LifecycleChange, LifecycleRecord, MonitorRecord, SystemMonitor};
@@ -98,10 +98,9 @@ pub use edgeslice_runtime::{
     NetCoordinator, NetListener, NetStats, RetryPolicy, Scheduler, SupervisorConfig, Transport,
     TransportError,
 };
-// The batched-inference knobs (`PolicyFleet::new`, fleet scratch staging)
-// are part of the system API; re-export them so downstream users don't
-// need a direct `edgeslice-nn` dependency.
-pub use edgeslice_nn::{FleetScratch, Parallelism};
+// Fleet scratch staging is part of the system API; re-export it so
+// downstream users don't need a direct `edgeslice-nn` dependency.
+pub use edgeslice_nn::FleetScratch;
 pub use perf::{NegServiceTime, PerformanceFunction, QueuePenalty};
 pub use reward::{reward, RewardParams};
 pub use sla::{Sla, SliceSpec};

@@ -157,11 +157,6 @@ impl EdgeSliceSystem {
         Ok(())
     }
 
-    /// The attached checkpoint store, if any.
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.store.as_ref()
-    }
-
     /// How many of this system's RAs currently decide with a
     /// snapshot-restored policy instead of a live agent.
     pub fn restored_policy_count(&self) -> usize {
@@ -356,7 +351,7 @@ impl EdgeSliceSystem {
     /// bit-identical across RAs, so the fleet collapses to one group and
     /// one fused GEMM chain per decision round; per-RA actions stay
     /// bit-identical to [`OrchestrationAgent::decide`].
-    pub fn policy_fleet(&self, par: edgeslice_nn::Parallelism) -> crate::PolicyFleet {
+    pub fn policy_fleet(&self, par: crate::Parallelism) -> crate::PolicyFleet {
         let policies = (0..self.config.n_ras)
             .filter_map(|j| self.effective_policy(j, None))
             .collect();

@@ -583,11 +583,6 @@ impl WorkloadPlan {
         self.horizon_rounds
     }
 
-    /// Number of initial slices.
-    pub fn n_initial(&self) -> usize {
-        self.initial.len()
-    }
-
     /// Total slot count: initial slices plus every planned arrival. This
     /// is the slice dimension the system must be constructed with.
     pub fn capacity(&self) -> usize {
@@ -927,14 +922,6 @@ impl SliceLifecycle {
     /// Slots whose arrival was rejected.
     pub fn rejected_count(&self) -> usize {
         self.lifetimes.iter().filter(|l| l.reject.is_some()).count()
-    }
-
-    /// Slots admitted and later torn down.
-    pub fn departed_count(&self) -> usize {
-        self.lifetimes
-            .iter()
-            .filter(|l| l.depart_round.is_some())
-            .count()
     }
 
     /// Slots currently serving.

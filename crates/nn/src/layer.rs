@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, GemmOp, Init, Matrix, Parallelism};
+use crate::{Activation, GemmOp, Init, Matrix};
 
 /// A dense layer computing `act(x Wᵀ + b)` over a batch of row-vector inputs.
 ///
@@ -124,14 +124,9 @@ impl Dense {
 
     /// Forward pass for a batch (`batch × in`): the pre-activation
     /// `z = x Wᵀ + b` into `z` and the activated output `act(z)` into `out`
-    /// (both resized as needed), the batch's rows split across up to the
-    /// requested number of worker threads.
-    ///
-    /// Bit-identical for any thread count: the product is
-    /// row-split-invariant ([`Matrix::gemm_into`]) and the bias/activation
-    /// steps are element-wise.
-    pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix, par: Parallelism) {
-        Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z, par);
+    /// (both resized as needed).
+    pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix) {
+        Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z);
         self.bias_activation_into(z, out);
     }
 
@@ -146,9 +141,8 @@ impl Dense {
         weights_t: &Matrix,
         z: &mut Matrix,
         out: &mut Matrix,
-        par: Parallelism,
     ) {
-        Matrix::gemm_into(GemmOp::AB, x, weights_t, z, par);
+        Matrix::gemm_into(GemmOp::AB, x, weights_t, z);
         self.bias_activation_into(z, out);
     }
 
@@ -184,11 +178,10 @@ impl Dense {
     ) {
         self.activation.backward_weighted_into(z, y, d_out, dz);
         grad.resize_like(self);
-        let seq = Parallelism::Sequential;
-        Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights, seq);
+        Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights);
         dz.sum_rows_into(&mut grad.bias);
         if let Some(dx) = dx {
-            Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, seq);
+            Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx);
         }
     }
 
@@ -207,7 +200,7 @@ impl Dense {
         dx: &mut Matrix,
     ) {
         self.activation.backward_weighted_into(z, y, d_out, dz);
-        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx, Parallelism::Sequential);
+        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx);
     }
 
     /// `self ← (1 - tau) * self + tau * source` (Polyak/soft target update).
@@ -243,7 +236,7 @@ mod tests {
     /// `(pre-activation, activated output)` of one forward pass.
     fn forward(l: &Dense, x: &Matrix) -> (Matrix, Matrix) {
         let (mut z, mut out) = (Matrix::default(), Matrix::default());
-        l.forward_into(x, &mut z, &mut out, Parallelism::Sequential);
+        l.forward_into(x, &mut z, &mut out);
         (z, out)
     }
 

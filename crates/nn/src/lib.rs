@@ -46,7 +46,6 @@ mod layer;
 mod matrix;
 mod network;
 mod optimizer;
-mod par;
 
 pub use activation::{sigmoid, softplus, Activation};
 pub use init::Init;
@@ -54,4 +53,3 @@ pub use layer::{Dense, DenseGrad};
 pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};
 pub use network::{FleetScratch, Gradients, Mlp, TrainScratch};
 pub use optimizer::{mse_loss_into, Adam};
-pub use par::Parallelism;

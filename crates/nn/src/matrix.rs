@@ -12,8 +12,6 @@ use std::ops::{Add, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::par::Parallelism;
-
 /// Inner-dimension (`k`) tile for the cache-blocked GEMM kernels: terms per
 /// packed B panel. `TILE_K × TILE_N` f64 values are 64 KiB — sized so one
 /// panel plus the active A rows stay resident in L1/L2 while every output
@@ -262,8 +260,7 @@ impl Matrix {
     }
 
     /// The one matrix product: `op` of `a` and `b` written into `out`
-    /// (resized as needed), output rows split across up to the requested
-    /// number of scoped worker threads.
+    /// (resized as needed), on the caller's thread.
     ///
     /// `op` only picks the row body. Every body computes each output element
     /// as one accumulator seeded from `+0.0` running over the contraction
@@ -284,13 +281,12 @@ impl Matrix {
     ///   is cache-blocked from [`BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`].
     ///
     /// The schedules only reorder *which* outputs are in flight, never the
-    /// sum inside one output, and the choice reads the global shape, never a
-    /// thread's row range: the result is byte-identical for every `par`.
+    /// sum inside one output.
     ///
     /// # Panics
     ///
     /// Panics if the contraction lengths of `a` and `b` under `op` differ.
-    pub fn gemm_into(op: GemmOp, a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
+    pub fn gemm_into(op: GemmOp, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         // `out` is `m × n`; `k` and `kb` are the contraction length as each
         // operand has it.
         let (m, k, kb, n) = match op {
@@ -304,12 +300,12 @@ impl Matrix {
             a.rows, a.cols, b.rows, b.cols
         );
         out.resize_for(m, n);
-        let (a, b) = (&a.data, &b.data);
-        crate::par::run_row_chunks(par, m, n, &mut out.data, |i0, nr, rows| match op {
-            GemmOp::AB => matmul_rows(a, m, k, i0, nr, b, n, rows),
-            GemmOp::AtB => matmul_at_b_rows(a, m, k, i0, nr, b, n, rows),
-            GemmOp::ABt => matmul_a_bt_rows(a, m, k, i0, nr, b, n, rows),
-        });
+        let (a, b, out) = (&a.data, &b.data, &mut out.data);
+        match op {
+            GemmOp::AB => matmul_rows(a, m, k, b, n, out),
+            GemmOp::AtB => matmul_at_b_rows(a, m, k, b, n, out),
+            GemmOp::ABt => matmul_a_bt_rows(a, m, k, b, n, out),
+        }
     }
 
     /// The product `op` names, as a new matrix: [`Matrix::gemm_into`] on a
@@ -320,7 +316,7 @@ impl Matrix {
     /// Panics if the contraction lengths of `a` and `b` under `op` differ.
     pub fn gemm(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::default();
-        Matrix::gemm_into(op, a, b, &mut out, Parallelism::Sequential);
+        Matrix::gemm_into(op, a, b, &mut out);
         out
     }
 
@@ -734,50 +730,33 @@ fn accumulate_pair_panel(
     }
 }
 
-/// Row-range body of `A·B` under [`Matrix::gemm_into`]: computes output
-/// rows `i0..i0 + nr` (`m` is the global row count of `A`) into `out_rows`
-/// (`nr × n`, row-major). Dispatch to the blocked schedule depends only on
-/// the *global* shape, never on the row range, so splitting rows across
-/// threads cannot change which kernel a row sees. The blocked path engages
-/// once `A` is [`BLOCKED_MIN_ROWS`] tall and `B` at least 32×[`TILE_N`] —
-/// the panel microkernel beats streaming `B` per row pair well before the
-/// operands overflow cache (the paper's 128×128 hidden shapes included),
-/// while narrow outputs and short batches keep the register path.
-#[allow(clippy::too_many_arguments)]
-fn matmul_rows(
-    a: &[f64],
-    m: usize,
-    k: usize,
-    i0: usize,
-    nr: usize,
-    b: &[f64],
-    n: usize,
-    out_rows: &mut [f64],
-) {
+/// `A·B` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `k × n` and
+/// `out` is `m × n`, all row-major. The blocked path engages once `A` is
+/// [`BLOCKED_MIN_ROWS`] tall and `B` at least 32×[`TILE_N`] — the panel
+/// microkernel beats streaming `B` per row pair well before the operands
+/// overflow cache (the paper's 128×128 hidden shapes included), while
+/// narrow outputs and short batches keep the register path.
+fn matmul_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
+        matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
         return;
     }
-    let mut rr = 0;
-    while rr + 2 <= nr {
-        let a0 = &a[(i0 + rr) * k..(i0 + rr + 1) * k];
-        let a1 = &a[(i0 + rr + 1) * k..(i0 + rr + 2) * k];
-        let (lo, hi) = out_rows.split_at_mut((rr + 1) * n);
-        accumulate_row_pair(a0, a1, b, n, &mut lo[rr * n..], &mut hi[..n]);
-        rr += 2;
+    let mut i = 0;
+    while i + 2 <= m {
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
+        let (lo, hi) = out.split_at_mut((i + 1) * n);
+        accumulate_row_pair(a0, a1, b, n, &mut lo[i * n..], &mut hi[..n]);
+        i += 2;
     }
-    if rr < nr {
-        let row = (i0 + rr) * k;
-        accumulate_row(&a[row..row + k], b, n, &mut out_rows[rr * n..(rr + 1) * n]);
+    if i < m {
+        accumulate_row(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
     }
 }
 
-/// Row-range body of `Aᵀ·B` under [`Matrix::gemm_into`]: computes output
-/// rows `i0..i0 + nr` (`a` is `r × m` row-major, output row `i` is column
-/// `i0 + i` of `a` against `b`). Every output element is a pure function
-/// of its column and the global operands, so chunk boundaries (and hence
-/// thread counts) cannot change results.
+/// `Aᵀ·B` under [`Matrix::gemm_into`]: `a` is `r × m` and `b` is `r × n`,
+/// row-major; output row `i` is column `i` of `a` against `b`.
 ///
 /// Outputs at least one full sliver (8 columns) wide dispatch to the
 /// blocked schedule — its register accumulators touch each output element
@@ -788,28 +767,18 @@ fn matmul_rows(
 /// `t`-outer stream instead — both operand rows and the output walk
 /// forward contiguously, never striding across `a`, each output
 /// accumulating in memory from `+0.0` over `t` ascending.
-#[allow(clippy::too_many_arguments)]
-fn matmul_at_b_rows(
-    a: &[f64],
-    m: usize,
-    r: usize,
-    i0: usize,
-    nr: usize,
-    b: &[f64],
-    n: usize,
-    out_rows: &mut [f64],
-) {
+fn matmul_at_b_rows(a: &[f64], m: usize, r: usize, b: &[f64], n: usize, out: &mut [f64]) {
     if n >= 8 {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<true>(pack, a, m, r, i0, nr, n, out_rows);
+        matmul_rows_blocked::<true>(pack, a, m, r, m, n, out);
         return;
     }
-    out_rows.fill(0.0);
+    out.fill(0.0);
     for t in 0..r {
-        let a_seg = &a[t * m + i0..t * m + i0 + nr];
+        let a_row = &a[t * m..(t + 1) * m];
         let b_row = &b[t * n..(t + 1) * n];
-        for (i, &x) in a_seg.iter().enumerate() {
-            let out_row = &mut out_rows[i * n..(i + 1) * n];
+        for (i, &x) in a_row.iter().enumerate() {
+            let out_row = &mut out[i * n..(i + 1) * n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += x * bv;
             }
@@ -817,50 +786,37 @@ fn matmul_at_b_rows(
     }
 }
 
-/// Fewest rows of `A` (the *global* row count, not a thread's chunk) for
-/// which `A·B` and `A·Bᵀ` take the cache-blocked schedule. Every blocked
-/// call packs each `B` tile into a 64 KiB panel once — a
-/// fixed cost worth a few rows of multiply-adds, repaid only when several
-/// rows reuse the packed panel (measured crossover: 8–16 rows at hidden
+/// Fewest rows of `A` for which `A·B` and `A·Bᵀ` take the cache-blocked
+/// schedule. Every blocked call packs each `B` tile into a 64 KiB panel
+/// once — a fixed cost worth a few rows of multiply-adds, repaid only when
+/// several rows reuse the packed panel (measured crossover: 8–16 rows at hidden
 /// widths 128 and 64, DESIGN.md §14). Below it — the one-row policy forward
 /// of every agent step above all — the register tiles read `B` in place.
 pub const BLOCKED_MIN_ROWS: usize = 8;
 
-/// Row-range body of `A·Bᵀ` under [`Matrix::gemm_into`]: computes output
-/// rows `i0..i0 + nr` (`m` is the global row count of `A`) with the 2×4
-/// register kernel (eight independent accumulator chains) and, for the odd
-/// last row, a 1×8 dot tile — the same eight chains, so a single row is
-/// not latency-bound on one accumulator either. Every output is one
-/// accumulator over `k` ascending, and per-row math never depends on
-/// which rows share a chunk.
+/// `A·Bᵀ` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `n × k` and
+/// `out` is `m × n`, all row-major. Row pairs run the 2×4 register kernel
+/// (eight independent accumulator chains) and an odd last row a 1×8 dot
+/// tile — the same eight chains, so a single row is not latency-bound on
+/// one accumulator either. Every output is one accumulator over `k`
+/// ascending.
 ///
 /// Operands at least 32 deep, [`TILE_N`] wide and
 /// [`BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: once
 /// its panel holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the
 /// 2×8 microkernel sustains a higher madd rate than the dot kernels once
 /// the panel pack amortizes (the paper's 128×128 hidden forwards at batch
-/// 128 included). All three terms are functions of the global shape, so
-/// row-split threading cannot change which kernel a row sees.
-#[allow(clippy::too_many_arguments)]
-fn matmul_a_bt_rows(
-    a: &[f64],
-    m: usize,
-    k: usize,
-    i0: usize,
-    nr: usize,
-    b: &[f64],
-    n: usize,
-    out_rows: &mut [f64],
-) {
+/// 128 included).
+fn matmul_a_bt_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<false>(pack, a, k, k, i0, nr, n, out_rows);
+        matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
         return;
     }
     let mut i = 0;
-    while i + 2 <= nr {
-        let a0 = &a[(i0 + i) * k..(i0 + i + 1) * k];
-        let a1 = &a[(i0 + i + 1) * k..(i0 + i + 2) * k];
+    while i + 2 <= m {
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
         let mut j = 0;
         while j + 4 <= n {
             let b0 = &b[j * k..(j + 1) * k];
@@ -880,21 +836,21 @@ fn matmul_a_bt_rows(
                 acc[6] += x1 * b2[t];
                 acc[7] += x1 * b3[t];
             }
-            out_rows[i * n + j..i * n + j + 4].copy_from_slice(&acc[..4]);
-            out_rows[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&acc[4..]);
+            out[i * n + j..i * n + j + 4].copy_from_slice(&acc[..4]);
+            out[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&acc[4..]);
             j += 4;
         }
         while j < n {
             let bj = &b[j * k..(j + 1) * k];
-            out_rows[i * n + j] = dot(a0, bj);
-            out_rows[(i + 1) * n + j] = dot(a1, bj);
+            out[i * n + j] = dot(a0, bj);
+            out[(i + 1) * n + j] = dot(a1, bj);
             j += 1;
         }
         i += 2;
     }
-    if i < nr {
-        let a0 = &a[(i0 + i) * k..(i0 + i + 1) * k];
-        let out = &mut out_rows[i * n..(i + 1) * n];
+    if i < m {
+        let a0 = &a[i * k..(i + 1) * k];
+        let out = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
         while j + 8 <= n {
             out[j..j + 8].copy_from_slice(&dot_tile::<8>(a0, &b[j * k..(j + 8) * k]));
@@ -952,16 +908,16 @@ thread_local! {
         const { std::cell::RefCell::new(([0.0; PANEL_LEN], [0.0; TILE_K * AT_B_IBLOCK])) };
 }
 
-/// The cache-blocked schedule of all three products: computes output rows
-/// `i0..i0 + nr` over `terms` contraction terms. Per `k`/`n` tile,
+/// The cache-blocked schedule of all three products: computes the `m × n`
+/// output `out` over `terms` contraction terms. Per `k`/`n` tile,
 /// `pack_panel(kt, kc, jt, nc, panel)` lays the right operand's sub-block
 /// out sliver-major ([`pack_b_panel`], or [`pack_bt_panel`] for `A·Bᵀ`) and
 /// the [`accumulate_pair_panel`] microkernel runs over it in row pairs
 /// ([`accumulate_row_panel`] for an odd tail), resuming partial sums from
-/// `out_rows` between `k`-tiles. `k`-tiles ascend and packing only copies
+/// `out` between `k`-tiles. `k`-tiles ascend and packing only copies
 /// operands, so each output element still accumulates its terms in
 /// ascending order from `+0.0` — bit for bit what the unblocked bodies
-/// compute, regardless of tile, block or chunk boundaries.
+/// compute, regardless of tile or block boundaries.
 ///
 /// `a` has row stride `lda`. With `A_COLS` unset an output row's terms are
 /// a row of `a`, read in place (`A·B`, `A·Bᵀ`); with it set they are a
@@ -973,19 +929,17 @@ thread_local! {
 /// agent step above all — do not carry the blocked schedule's frame on
 /// every call.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
 fn matmul_rows_blocked<const A_COLS: bool>(
     pack_panel: impl Fn(usize, usize, usize, usize, &mut [f64]),
     a: &[f64],
     lda: usize,
     terms: usize,
-    i0: usize,
-    nr: usize,
+    m: usize,
     n: usize,
-    out_rows: &mut [f64],
+    out: &mut [f64],
 ) {
     BLOCKED_BUFFERS.with_borrow_mut(|(panel, ablock)| {
-        out_rows.fill(0.0);
+        out.fill(0.0);
         let mut kt = 0;
         while kt < terms {
             let kc = (terms - kt).min(TILE_K);
@@ -994,25 +948,25 @@ fn matmul_rows_blocked<const A_COLS: bool>(
                 let nc = (n - jt).min(TILE_N);
                 pack_panel(kt, kc, jt, nc, panel);
                 let mut ib = 0;
-                while ib < nr {
-                    let bc = (nr - ib).min(AT_B_IBLOCK);
+                while ib < m {
+                    let bc = (m - ib).min(AT_B_IBLOCK);
                     // `lhs[c * stride..][..kc]` holds this tile's terms of
                     // output row `ib + c`.
                     let (lhs, stride): (&[f64], usize) = if A_COLS {
                         for t in 0..kc {
-                            let src = (kt + t) * lda + i0 + ib;
+                            let src = (kt + t) * lda + ib;
                             for (c, &v) in a[src..src + bc].iter().enumerate() {
                                 ablock[c * kc + t] = v;
                             }
                         }
                         (&ablock[..], kc)
                     } else {
-                        (&a[(i0 + ib) * lda + kt..], lda)
+                        (&a[ib * lda + kt..], lda)
                     };
                     let mut rr = 0;
                     while rr + 2 <= bc {
                         let row = ib + rr;
-                        let (lo, hi) = out_rows.split_at_mut((row + 1) * n);
+                        let (lo, hi) = out.split_at_mut((row + 1) * n);
                         accumulate_pair_panel(
                             &lhs[rr * stride..][..kc],
                             &lhs[(rr + 1) * stride..][..kc],
@@ -1029,7 +983,7 @@ fn matmul_rows_blocked<const A_COLS: bool>(
                             &lhs[rr * stride..][..kc],
                             &panel[..],
                             nc,
-                            &mut out_rows[row * n + jt..row * n + jt + nc],
+                            &mut out[row * n + jt..row * n + jt + nc],
                         );
                     }
                     ib += bc;

@@ -6,27 +6,14 @@ use std::sync::OnceLock;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::{Activation, Dense, DenseGrad, Init, Matrix, Parallelism};
+use crate::{Activation, Dense, DenseGrad, Init, Matrix};
 
 /// A feed-forward network of [`Dense`] layers.
 ///
 /// The paper's actor and critic are both `Mlp`s with two 128-unit
 /// Leaky-ReLU hidden layers; the actor ends in a sigmoid so the action lands
 /// in `[0, 1]^d` before being scaled to the RA's resource capacities
-/// (Sec. VI-A).
-///
-/// # Examples
-///
-/// ```
-/// use edgeslice_nn::{Mlp, Matrix};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let net = Mlp::paper_actor(4, 6, &mut rng);
-/// let out = net.forward(&Matrix::zeros(1, 4));
-/// assert_eq!(out.shape(), (1, 6));
-/// assert!(out.as_slice().iter().all(|&a| (0.0..=1.0).contains(&a)));
-/// ```
+/// (Sec. VI-A); `edgeslice_rl::DdpgConfig::paper()` holds those shapes.
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
@@ -253,6 +240,26 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `dims.len() < 2`.
+    ///
+    /// # Examples
+    ///
+    /// The paper's actor shape on a 4-wide state and a 6-wide action:
+    ///
+    /// ```
+    /// use edgeslice_nn::{Activation, Matrix, Mlp};
+    /// use rand::SeedableRng;
+    ///
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    /// let net = Mlp::new(
+    ///     &[4, 128, 128, 6],
+    ///     Activation::leaky_default(),
+    ///     Activation::Sigmoid,
+    ///     &mut rng,
+    /// );
+    /// let out = net.forward(&Matrix::zeros(1, 4));
+    /// assert_eq!(out.shape(), (1, 6));
+    /// assert!(out.as_slice().iter().all(|&a| (0.0..=1.0).contains(&a)));
+    /// ```
     pub fn new(dims: &[usize], hidden: Activation, output: Activation, rng: &mut impl Rng) -> Self {
         assert!(
             dims.len() >= 2,
@@ -276,28 +283,6 @@ impl Mlp {
             layers,
             weights_t: OnceLock::new(),
         }
-    }
-
-    /// The paper's actor network: two 128-unit Leaky-ReLU hidden layers and
-    /// a sigmoid output (Sec. VI-A).
-    pub fn paper_actor(state_dim: usize, action_dim: usize, rng: &mut impl Rng) -> Self {
-        Self::new(
-            &[state_dim, 128, 128, action_dim],
-            Activation::leaky_default(),
-            Activation::Sigmoid,
-            rng,
-        )
-    }
-
-    /// The paper's critic network: state–action input, two 128-unit
-    /// Leaky-ReLU hidden layers, linear scalar output.
-    pub fn paper_critic(state_dim: usize, action_dim: usize, rng: &mut impl Rng) -> Self {
-        Self::new(
-            &[state_dim + action_dim, 128, 128, 1],
-            Activation::leaky_default(),
-            Activation::Identity,
-            rng,
-        )
     }
 
     /// The layers of this network, in forward order.
@@ -364,7 +349,7 @@ impl Mlp {
         let mut s = FleetScratch::new();
         s.begin(1, x.len());
         s.set_input_row(0, x);
-        self.forward_fleet_scratch(&mut s, Parallelism::Sequential);
+        self.forward_fleet_scratch(&mut s);
         s.cur.into_vec()
     }
 
@@ -377,20 +362,15 @@ impl Mlp {
     /// outputs. Output row `i` is **bit-identical** to `forward` on input
     /// row `i` alone: every GEMM output element is one accumulator over `k`
     /// ascending, a pure function of that input row and the weights —
-    /// operand layout, stacking rows and splitting them across threads via
-    /// `par` never change an element's arithmetic. Returns the stacked
-    /// output, also readable via [`FleetScratch::output`]. Allocation-free
-    /// at steady state (the first call after construction or a weight
-    /// mutation fills the memo).
+    /// neither operand layout nor stacking rows changes an element's
+    /// arithmetic. Returns the stacked output, also readable via
+    /// [`FleetScratch::output`]. Allocation-free at steady state (the first
+    /// call after construction or a weight mutation fills the memo).
     ///
     /// # Panics
     ///
     /// Panics if the staged input width differs from `in_dim`.
-    pub fn forward_fleet_scratch<'s>(
-        &self,
-        s: &'s mut FleetScratch,
-        par: Parallelism,
-    ) -> &'s Matrix {
+    pub fn forward_fleet_scratch<'s>(&self, s: &'s mut FleetScratch) -> &'s Matrix {
         assert_eq!(
             s.x.cols(),
             self.in_dim(),
@@ -399,9 +379,9 @@ impl Mlp {
             self.in_dim()
         );
         let weights_t = self.weights_t();
-        self.layers[0].forward_output_major_into(&s.x, &weights_t[0], &mut s.z, &mut s.cur, par);
+        self.layers[0].forward_output_major_into(&s.x, &weights_t[0], &mut s.z, &mut s.cur);
         for (layer, wt) in self.layers[1..].iter().zip(&weights_t[1..]) {
-            layer.forward_output_major_into(&s.cur, wt, &mut s.z, &mut s.next, par);
+            layer.forward_output_major_into(&s.cur, wt, &mut s.z, &mut s.next);
             std::mem::swap(&mut s.cur, &mut s.next);
         }
         &s.cur
@@ -417,13 +397,12 @@ impl Mlp {
         s.pre.resize_with(n, Matrix::default);
         s.dx.resize_with(n, Matrix::default);
         s.inputs[0].copy_from(x);
-        let seq = Parallelism::Sequential;
         for (idx, layer) in self.layers.iter().enumerate() {
             if idx + 1 < n {
                 let (lo, hi) = s.inputs.split_at_mut(idx + 1);
-                layer.forward_into(&lo[idx], &mut s.pre[idx], &mut hi[0], seq);
+                layer.forward_into(&lo[idx], &mut s.pre[idx], &mut hi[0]);
             } else {
-                layer.forward_into(&s.inputs[idx], &mut s.pre[idx], &mut s.output, seq);
+                layer.forward_into(&s.inputs[idx], &mut s.pre[idx], &mut s.output);
             }
         }
     }
@@ -635,15 +614,6 @@ mod tests {
         };
         a.set_flat_params(&b.flat_params());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn paper_actor_outputs_in_unit_interval() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let actor = Mlp::paper_actor(4, 6, &mut rng);
-        let x = Matrix::from_fn(16, 4, |_, _| rng.gen_range(-5.0..5.0));
-        let y = actor.forward(&x);
-        assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

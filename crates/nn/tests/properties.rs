@@ -3,27 +3,19 @@
 //! The three matrix products have one reference, [`naive`]: a triple loop
 //! with a single accumulator per output, seeded from `+0.0`, running over
 //! the contraction index ascending. [`Matrix::gemm_into`] — every row
-//! body, both schedules, every thread count — is held to it by `to_bits`,
+//! body, both schedules — is held to it by `to_bits`,
 //! on operands that carry exact `±0.0`, a subnormal and large magnitudes
 //! (the values under which a skipped term, a re-seeded accumulator or a
 //! reordered sum would show).
 
 use edgeslice_nn::{
-    Activation, Adam, GemmOp, Matrix, Mlp, Parallelism, TrainScratch, BLOCKED_MIN_ROWS, TILE_K,
-    TILE_N,
+    Activation, Adam, GemmOp, Matrix, Mlp, TrainScratch, BLOCKED_MIN_ROWS, TILE_K, TILE_N,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const OPS: [GemmOp; 3] = [GemmOp::AB, GemmOp::AtB, GemmOp::ABt];
-
-const PARS: [Parallelism; 4] = [
-    Parallelism::Sequential,
-    Parallelism::Threaded(1),
-    Parallelism::Threaded(2),
-    Parallelism::Threaded(4),
-];
 
 /// The GEMM oracle: output `(i, j)` is one accumulator from `+0.0` over
 /// the contraction index ascending, no term skipped.
@@ -51,14 +43,11 @@ fn bits(m: &Matrix) -> ((usize, usize), Vec<u64>) {
     (m.shape(), data)
 }
 
-/// `gemm_into(op, a, b, out, par)` equals [`naive`] bit for bit under every
-/// `par`, whatever `out` held before.
+/// `gemm_into(op, a, b, out)` equals [`naive`] bit for bit, whatever `out`
+/// held before.
 fn assert_gemm_is_naive(op: GemmOp, a: &Matrix, b: &Matrix, out: &mut Matrix, what: &str) {
-    let want = bits(&naive(op, a, b));
-    for par in PARS {
-        Matrix::gemm_into(op, a, b, out, par);
-        assert_eq!(bits(out), want, "{op:?} {what} {par:?}");
-    }
+    Matrix::gemm_into(op, a, b, out);
+    assert_eq!(bits(out), bits(&naive(op, a, b)), "{op:?} {what}");
 }
 
 fn mul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -195,8 +184,8 @@ proptest! {
     }
 }
 
-/// Every product on every side of every dispatch term and tile edge, under
-/// every thread count: output rows around the row pairing (1, 2, odd), the
+/// Every product on every side of every dispatch term and tile edge: output
+/// rows around the row pairing (1, 2, odd), the
 /// 8-row blocks of the cache-blocked driver and [`BLOCKED_MIN_ROWS`]
 /// (one row is the per-RA policy forward); widths around the one-row
 /// `A·B` kernel's 16/8/4/2/1-wide tiles and every combination of its
@@ -205,9 +194,7 @@ proptest! {
 /// depths around empty, the blocked schedule's 32 and [`TILE_K`]. The
 /// largest of each crosses two full tiles with a ragged tail, so the
 /// blocked driver's partial `k`-tiles, partial `n`-tiles and sub-sliver
-/// tails are all reached through the shapes that select it. Row-split
-/// threading changes nothing: dispatch reads the global shape, never a
-/// thread's chunk.
+/// tails are all reached through the shapes that select it.
 #[test]
 fn dispatch_bit_identical_to_naive_around_every_threshold() {
     let mut rng = StdRng::seed_from_u64(1717);
@@ -319,8 +306,7 @@ fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
 }
 
 /// Fleet (batched multi-network) forward: each stacked output row is
-/// bit-identical to a solo 1-row forward of the same input, for any
-/// thread count.
+/// bit-identical to a solo 1-row forward of the same input.
 #[test]
 fn fleet_forward_rows_bit_identical_to_solo_forwards() {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -333,21 +319,15 @@ fn fleet_forward_rows_bit_identical_to_solo_forwards() {
     let inputs: Vec<Vec<f64>> = (0..17)
         .map(|_| (0..6).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
         .collect();
-    for par in [
-        Parallelism::Sequential,
-        Parallelism::Threaded(2),
-        Parallelism::Threaded(4),
-    ] {
-        let mut scratch = edgeslice_nn::FleetScratch::new();
-        scratch.begin(inputs.len(), 6);
-        for (i, x) in inputs.iter().enumerate() {
-            scratch.set_input_row(i, x);
-        }
-        let out = net.forward_fleet_scratch(&mut scratch, par);
-        assert_eq!(out.shape(), (17, 4));
-        for (i, x) in inputs.iter().enumerate() {
-            assert_eq!(out.row(i), net.forward_one(x).as_slice(), "row {i} {par:?}");
-        }
+    let mut scratch = edgeslice_nn::FleetScratch::new();
+    scratch.begin(inputs.len(), 6);
+    for (i, x) in inputs.iter().enumerate() {
+        scratch.set_input_row(i, x);
+    }
+    let out = net.forward_fleet_scratch(&mut scratch);
+    assert_eq!(out.shape(), (17, 4));
+    for (i, x) in inputs.iter().enumerate() {
+        assert_eq!(out.row(i), net.forward_one(x).as_slice(), "row {i}");
     }
 }
 

@@ -192,6 +192,12 @@ mod tests {
         }
     }
 
+    /// Agreement only, not an independent oracle: [`solve_projection_qp`]
+    /// starts at `project_sum_halfspace(c, bound)` and re-projects every
+    /// step through it, so an error in the projection can show up in both
+    /// answers. The closed form is pinned by its KKT conditions instead
+    /// (`halfspace_projection_is_feasible_and_idempotent` in
+    /// `tests/substrate_properties.rs`).
     #[test]
     fn iterative_qp_matches_closed_form() {
         let c = [-5.0, 1.0, 2.0, -0.5];

@@ -26,7 +26,7 @@
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
-use edgeslice_nn::{Adam, FleetScratch, Matrix, Mlp, Parallelism, TrainScratch};
+use edgeslice_nn::{Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -592,18 +592,6 @@ impl Ddpg {
     /// The greedy (noise-free) policy action for `state`.
     pub fn policy(&self, state: &[f64]) -> Vec<f64> {
         self.online.actor.forward_one(state)
-    }
-
-    /// Batched greedy policy: the actor's fused multi-row forward over the
-    /// input batch staged in `s` ([`Mlp::forward_fleet_scratch`]). Row `i`
-    /// of the returned matrix is bit-identical to [`Ddpg::policy`] on input
-    /// row `i`, for any `par`; allocation-free at steady state.
-    pub fn policy_batch_scratch<'s>(
-        &self,
-        s: &'s mut FleetScratch,
-        par: Parallelism,
-    ) -> &'s Matrix {
-        self.online.actor.forward_fleet_scratch(s, par)
     }
 
     /// Immutable access to the actor network (e.g. for checkpointing).

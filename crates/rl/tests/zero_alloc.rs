@@ -114,10 +114,8 @@ fn ddpg_update_is_allocation_free_at_steady_state() {
 }
 
 #[test]
-fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
-    use edgeslice_nn::{
-        Activation, FleetScratch, GemmOp, Matrix, Mlp, Parallelism, TILE_K, TILE_N,
-    };
+fn blocked_kernels_and_fleet_forward_are_allocation_free() {
+    use edgeslice_nn::{Activation, FleetScratch, GemmOp, Matrix, Mlp, TILE_K, TILE_N};
 
     let mut rng = StdRng::seed_from_u64(13);
 
@@ -137,24 +135,18 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
 
     // Warm-up sizes the output buffer once per largest shape.
     for (op, x, y) in products {
-        Matrix::gemm_into(op, x, y, &mut out, Parallelism::Sequential);
+        Matrix::gemm_into(op, x, y, &mut out);
     }
 
-    // `Threaded(1)` degrades to the inline path — the row-chunk seam itself
-    // must be free. (`Threaded(2+)` spawns scoped OS threads, whose control
-    // blocks allocate by construction; its byte-identity is pinned by the
-    // property suite instead.)
-    for par in [Parallelism::Sequential, Parallelism::Threaded(1)] {
-        let allocations = count_allocations(|| {
-            for (op, x, y) in products {
-                Matrix::gemm_into(op, x, y, &mut out, par);
-            }
-        });
-        assert_eq!(
-            allocations, 0,
-            "steady-state blocked kernels ({par:?}) performed {allocations} heap allocations"
-        );
-    }
+    let allocations = count_allocations(|| {
+        for (op, x, y) in products {
+            Matrix::gemm_into(op, x, y, &mut out);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "steady-state blocked kernels performed {allocations} heap allocations"
+    );
 
     // Batched multi-network forward: stage once, then steady-state passes
     // (restage + forward) must never touch the heap.
@@ -172,14 +164,14 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
     for (i, x) in inputs.iter().enumerate() {
         scratch.set_input_row(i, x);
     }
-    net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+    net.forward_fleet_scratch(&mut scratch);
     let allocations = count_allocations(|| {
         for _ in 0..8 {
             scratch.begin(inputs.len(), 12);
             for (i, x) in inputs.iter().enumerate() {
                 scratch.set_input_row(i, x);
             }
-            let out = net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+            let out = net.forward_fleet_scratch(&mut scratch);
             assert_eq!(out.shape(), (64, 6));
         }
     });
@@ -191,7 +183,7 @@ fn blocked_parallel_kernels_and_fleet_forward_are_allocation_free() {
 
 #[test]
 fn one_row_fleet_forward_is_allocation_free() {
-    use edgeslice_nn::{Activation, FleetScratch, Mlp, Parallelism, BLOCKED_MIN_ROWS};
+    use edgeslice_nn::{Activation, FleetScratch, Mlp, BLOCKED_MIN_ROWS};
 
     // The per-RA decide of every agent step: one state row through the
     // batched forward. Hidden 64 and 128 are both past the blocked
@@ -210,12 +202,12 @@ fn one_row_fleet_forward_is_allocation_free() {
         let mut scratch = FleetScratch::new();
         scratch.begin(1, 10);
         scratch.set_input_row(0, &state);
-        net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+        net.forward_fleet_scratch(&mut scratch);
         let allocations = count_allocations(|| {
             for _ in 0..32 {
                 scratch.begin(1, 10);
                 scratch.set_input_row(0, &state);
-                let out = net.forward_fleet_scratch(&mut scratch, Parallelism::Sequential);
+                let out = net.forward_fleet_scratch(&mut scratch);
                 assert_eq!(out.shape(), (1, 15));
             }
         });

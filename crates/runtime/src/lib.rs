@@ -107,15 +107,6 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// A threaded scheduler sized to the host's available parallelism
-    /// (falling back to `Sequential` on single-core hosts).
-    pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Scheduler::Threaded(n.get()),
-            _ => Scheduler::Sequential,
-        }
-    }
-
     /// The number of worker threads this scheduler would spawn for
     /// `n_workers` RAs (0 for `Sequential`).
     pub fn threads(&self, n_workers: usize) -> usize {

@@ -79,6 +79,22 @@ proptest! {
         for (a, b) in z.iter().zip(&z2) {
             prop_assert!((a - b).abs() < 1e-9, "projection must be idempotent");
         }
+        // KKT conditions of P2, `min ‖c − z‖² s.t. Σz ≥ bound`: every
+        // `z − c` is one common `λ ≥ 0` (stationarity, dual feasibility),
+        // and `λ > 0` only on a tight constraint (complementary slackness).
+        let lambda = z[0] - c[0];
+        prop_assert!(lambda >= 0.0, "negative multiplier {lambda}");
+        for (zj, cj) in z.iter().zip(&c) {
+            prop_assert!(((zj - cj) - lambda).abs() < 1e-9, "z − c is not one common λ");
+        }
+        if lambda > 0.0 {
+            let slack = z.iter().sum::<f64>() - bound;
+            prop_assert!(slack.abs() < 1e-9, "λ = {lambda} > 0 with slack {slack}");
+        }
+        if c.iter().sum::<f64>() >= bound {
+            let unchanged = z.iter().zip(&c).all(|(a, b)| a.to_bits() == b.to_bits());
+            prop_assert!(unchanged, "a feasible c must come back bit for bit");
+        }
     }
 
     #[test]
