@@ -119,11 +119,13 @@ impl Activation {
     /// derivative from it (`s·(1 − s)`, `1 − t·t`) instead of recomputing
     /// `exp` / `tanh` of `z`: `y` holds exactly the `s` / `t` that
     /// [`Activation::derivative`] would recompute, so every element keeps
-    /// its bits.
+    /// its bits. The other variants never read `y`, which may then be any
+    /// matrix — an empty one included.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes of `z`, `y` and `d_out` differ.
+    /// Panics if the shapes of `z` and `d_out` differ, or, for sigmoid and
+    /// tanh, if `y`'s does.
     pub fn backward_weighted_into(self, z: &Matrix, y: &Matrix, d_out: &Matrix, dz: &mut Matrix) {
         fn run(dz: &mut [f64], d_out: &[f64], v: &[f64], df: impl Fn(f64) -> f64) {
             for ((o, &d), &x) in dz.iter_mut().zip(d_out).zip(v) {
@@ -131,22 +133,20 @@ impl Activation {
             }
         }
         assert_eq!(z.shape(), d_out.shape(), "backward_weighted shape mismatch");
-        assert_eq!(y.shape(), d_out.shape(), "backward_weighted shape mismatch");
+        let output = || {
+            assert_eq!(y.shape(), d_out.shape(), "backward_weighted shape mismatch");
+            y.as_slice()
+        };
         dz.resize_for(z.rows(), z.cols());
-        let (dz, d_out, z, y) = (
-            dz.as_mut_slice(),
-            d_out.as_slice(),
-            z.as_slice(),
-            y.as_slice(),
-        );
+        let (dz, d_out, z) = (dz.as_mut_slice(), d_out.as_slice(), z.as_slice());
         match self {
             Activation::Identity => run(dz, d_out, z, |x| Activation::Identity.derivative(x)),
             Activation::Relu => run(dz, d_out, z, |x| Activation::Relu.derivative(x)),
             Activation::LeakyRelu(a) => {
                 run(dz, d_out, z, |x| Activation::LeakyRelu(a).derivative(x))
             }
-            Activation::Sigmoid => run(dz, d_out, y, |s| s * (1.0 - s)),
-            Activation::Tanh => run(dz, d_out, y, |t| 1.0 - t * t),
+            Activation::Sigmoid => run(dz, d_out, output(), |s| s * (1.0 - s)),
+            Activation::Tanh => run(dz, d_out, output(), |t| 1.0 - t * t),
             Activation::Softplus => run(dz, d_out, z, |x| Activation::Softplus.derivative(x)),
         }
     }

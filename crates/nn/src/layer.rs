@@ -42,6 +42,17 @@ impl DenseGrad {
         self.bias.resize(layer.out_dim(), 0.0);
     }
 
+    /// The weight-gradient step of a backward pass: the gradients of a layer
+    /// whose delta over a batch is `dz = ∂L/∂(pre-activation)` (`batch × out`)
+    /// and whose recorded input is `x` (`batch × in`) — `dW = dzᵀ·x` and
+    /// `db` the column sums of `dz`, both **sums** over the batch — written
+    /// over this gradient (resized as needed). It reads no weights, so it
+    /// can run on any thread that holds `dz` and `x`.
+    pub fn compute(&mut self, dz: &Matrix, x: &Matrix) {
+        Matrix::gemm_into(GemmOp::AtB, dz, x, &mut self.weights);
+        dz.sum_rows_into(&mut self.bias);
+    }
+
     /// `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f64, other: &DenseGrad) {
         self.weights.axpy(alpha, &other.weights);
@@ -153,56 +164,6 @@ impl Dense {
         self.activation.forward_into(z, out);
     }
 
-    /// Backward pass into caller-owned buffers.
-    ///
-    /// Given the layer input `x`, the recorded pre-activation `z` and
-    /// activated output `y`, and the upstream gradient
-    /// `d_out = ∂L/∂(activated output)`, writes the delta
-    /// `dz = d_out ⊙ act'(z)` ([`Activation::backward_weighted_into`]), the
-    /// parameter gradients `dW = dzᵀ·x` and `db` (column sums of `dz`) into
-    /// `grad`, and `∂L/∂x = dz·W` into `dx`
-    /// — or, with `dx = None`, no input gradient at all (a network's first
-    /// layer, whose input gradient a parameter update never reads).
-    /// Gradients are **sums** over the batch. Allocation-free once the
-    /// buffers have warmed up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_into(
-        &self,
-        x: &Matrix,
-        z: &Matrix,
-        y: &Matrix,
-        d_out: &Matrix,
-        grad: &mut DenseGrad,
-        dz: &mut Matrix,
-        dx: Option<&mut Matrix>,
-    ) {
-        self.activation.backward_weighted_into(z, y, d_out, dz);
-        grad.resize_like(self);
-        Matrix::gemm_into(GemmOp::AtB, dz, x, &mut grad.weights);
-        dz.sum_rows_into(&mut grad.bias);
-        if let Some(dx) = dx {
-            Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx);
-        }
-    }
-
-    /// Input-gradient-only backward pass: like [`Dense::backward_into`] but
-    /// skips the parameter gradients (`dW`, `db`). Used when a network is
-    /// differentiated purely to obtain `∂L/∂input` — e.g. backing the DDPG
-    /// actor objective through a frozen critic — where computing `dW` would
-    /// be wasted work. `dx` is bit-identical to the full backward pass
-    /// because it depends only on `dz` and the weights.
-    pub fn backward_input_into(
-        &self,
-        z: &Matrix,
-        y: &Matrix,
-        d_out: &Matrix,
-        dz: &mut Matrix,
-        dx: &mut Matrix,
-    ) {
-        self.activation.backward_weighted_into(z, y, d_out, dz);
-        Matrix::gemm_into(GemmOp::AB, dz, &self.weights, dx);
-    }
-
     /// `self ← (1 - tau) * self + tau * source` (Polyak/soft target update).
     ///
     /// # Panics
@@ -248,9 +209,9 @@ mod tests {
         assert_eq!(out.shape(), (5, 2));
     }
 
-    /// `backward_into`'s parameter and input gradients against central
-    /// differences of the forward pass; `backward_input_into` must produce
-    /// the same input gradient bit for bit. Tanh and sigmoid, the two
+    /// One layer's backward pass from its pieces — the activation's delta,
+    /// [`DenseGrad::compute`] and the input gradient `dz·W` — against central
+    /// differences of the forward pass. Tanh and sigmoid, the two
     /// activations whose backward reads the recorded output.
     #[test]
     fn backward_gradients_match_finite_difference() {
@@ -267,12 +228,11 @@ mod tests {
         let loss = |l: &Dense, x: &Matrix| forward(l, x).1.sum();
         let (z, y) = forward(&l, &x);
         let d_out = Matrix::filled(2, 2, 1.0);
-        let (mut grad, mut dz, mut dx) =
-            (DenseGrad::default(), Matrix::default(), Matrix::default());
-        l.backward_into(&x, &z, &y, &d_out, &mut grad, &mut dz, Some(&mut dx));
-        let mut dx_only = Matrix::default();
-        l.backward_input_into(&z, &y, &d_out, &mut dz, &mut dx_only);
-        assert_eq!(dx_only, dx);
+        let (mut grad, mut dz) = (DenseGrad::default(), Matrix::default());
+        l.activation()
+            .backward_weighted_into(&z, &y, &d_out, &mut dz);
+        grad.compute(&dz, &x);
+        let dx = Matrix::gemm(GemmOp::AB, &dz, l.weights());
 
         let eps = 1e-6;
         for i in 0..2 {

@@ -1,12 +1,13 @@
 //! Multi-layer perceptrons with manual backpropagation.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::{Activation, Dense, DenseGrad, Init, Matrix};
+use crate::{Activation, Dense, DenseGrad, GemmOp, Init, Matrix};
 
 /// A feed-forward network of [`Dense`] layers.
 ///
@@ -58,11 +59,11 @@ impl Deserialize for Mlp {
 /// A reusable scratch arena for one network's training pass.
 ///
 /// Holds the forward caches (per-layer inputs and pre-activations), the
-/// backward buffers (activation deltas and per-layer input gradients) and
-/// the parameter [`Gradients`] for one [`Mlp`]. All buffers are grown on
-/// first use and reshaped in place afterwards, so a steady-state
-/// `forward_scratch` + `backward_scratch` pair performs zero heap
-/// allocations.
+/// backward buffers (each layer's delta and the input gradient the chain
+/// carries down) and the parameter [`Gradients`] for one [`Mlp`]. All
+/// buffers are grown on first use and reshaped in place afterwards, so a
+/// steady-state `forward_scratch` + `backward_scratch` pair performs zero
+/// heap allocations.
 ///
 /// Ownership rules: one scratch belongs to exactly one (network, role)
 /// pair — e.g. the DDPG critic's TD update and the critic re-forward for
@@ -79,11 +80,13 @@ pub struct TrainScratch {
     pre: Vec<Matrix>,
     /// Final activated output.
     output: Matrix,
-    /// Activation-weighted delta buffer, reused across layers.
-    dz: Matrix,
-    /// `∂L/∂(layer input)` per layer; `dx[0]` is `∂L/∂(network input)`,
-    /// written by [`Mlp::backward_input_scratch`] only.
-    dx: Vec<Matrix>,
+    /// Each layer's delta `∂L/∂(pre-activation)` from the last
+    /// [`Mlp::backward_deltas`].
+    dz: Vec<Matrix>,
+    /// The input gradient the delta chain carries down, `dz[l + 1]·W[l + 1]`
+    /// while it runs; after [`Mlp::backward_input_scratch`],
+    /// `∂L/∂(network input)`.
+    dx: Matrix,
     /// Parameter gradients of the last backward pass.
     grads: Gradients,
 }
@@ -103,7 +106,33 @@ impl TrainScratch {
     /// `∂L/∂(network input)` from the last [`Mlp::backward_input_scratch`]
     /// ([`Mlp::backward_scratch`] does not compute it).
     pub fn d_input(&self) -> &Matrix {
-        &self.dx[0]
+        &self.dx
+    }
+
+    /// Layer `l`'s recorded input, its delta from [`Mlp::backward_deltas`]
+    /// and its gradient slot: the operands and the output of its
+    /// weight-gradient step ([`DenseGrad::compute`]), for running that step
+    /// elsewhere. Whatever is moved out must be moved back before the
+    /// scratch's next backward pass reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is not a layer of the last [`Mlp::forward_scratch`].
+    pub fn layer_mut(&mut self, l: usize) -> (&mut Matrix, &mut Matrix, &mut DenseGrad) {
+        (
+            &mut self.inputs[l],
+            &mut self.dz[l],
+            &mut self.grads.layers[l],
+        )
+    }
+
+    /// The weight-gradient step of `layers`: each one's gradients from its
+    /// recorded input and its delta ([`DenseGrad::compute`]) into
+    /// [`TrainScratch::grads`].
+    pub fn weight_grads(&mut self, layers: Range<usize>) {
+        for l in layers {
+            self.grads.layers[l].compute(&self.dz[l], &self.inputs[l]);
+        }
     }
 
     /// Parameter gradients from the last [`Mlp::backward_scratch`].
@@ -395,7 +424,8 @@ impl Mlp {
         let n = self.layers.len();
         s.inputs.resize_with(n, Matrix::default);
         s.pre.resize_with(n, Matrix::default);
-        s.dx.resize_with(n, Matrix::default);
+        s.dz.resize_with(n, Matrix::default);
+        s.grads.layers.resize_with(n, DenseGrad::default);
         s.inputs[0].copy_from(x);
         for (idx, layer) in self.layers.iter().enumerate() {
             if idx + 1 < n {
@@ -409,44 +439,65 @@ impl Mlp {
 
     /// Backpropagates `d_output = ∂L/∂output` through the pass recorded by
     /// [`Mlp::forward_scratch`], leaving the parameter gradients (sums over
-    /// the batch) in [`TrainScratch::grads`]. The first layer's input
-    /// gradient (`∂L/∂input`) is not computed: a parameter update never
-    /// reads it, and [`TrainScratch::d_input`] comes from
+    /// the batch) in [`TrainScratch::grads`]: the delta chain
+    /// ([`Mlp::backward_deltas`]) over every layer, then every layer's
+    /// weight-gradient step ([`TrainScratch::weight_grads`]). The first
+    /// layer's input gradient (`∂L/∂input`) is not computed: a parameter
+    /// update never reads it, and [`TrainScratch::d_input`] comes from
     /// [`Mlp::backward_input_scratch`] only. The recorded pass is left
     /// intact, so one forward can be backpropagated many times (TRPO's
     /// Fisher-vector products do).
     pub fn backward_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
-        s.grads.resize_like(self);
         let n = self.layers.len();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (lo, hi) = s.dx.split_at_mut(idx + 1);
-            let upstream: &Matrix = if idx + 1 == n { d_output } else { &hi[0] };
-            layer.backward_into(
-                &s.inputs[idx],
-                &s.pre[idx],
-                s.inputs.get(idx + 1).unwrap_or(&s.output),
+        self.backward_deltas(s, d_output, 0..n);
+        s.weight_grads(0..n);
+    }
+
+    /// The delta chain of a backward pass, over `layers` from the top down:
+    /// each layer's delta `dz = ∂L/∂(activated output) ⊙ act'(pre)`, kept
+    /// per layer for its weight-gradient step, where the last layer's
+    /// upstream gradient is `d_output` and every other layer's is the input
+    /// gradient `dz·W` of the layer above it.
+    ///
+    /// The chain may be run in pieces, top piece first: a range that ends
+    /// below the last layer resumes from the delta of the layer at its end,
+    /// and only the piece holding the last layer reads `d_output`. Once
+    /// layer `l`'s delta is out, its pieces ([`TrainScratch::layer_mut`])
+    /// have few readers left: its gradient slot only its own weight-gradient
+    /// step; its delta that step and layer `l − 1`'s upstream `dz·W`; its
+    /// recorded input that step and — under a sigmoid or tanh only, which
+    /// read their output ([`Activation::backward_weighted_into`]) — layer
+    /// `l − 1`'s delta. Allocation-free once the scratch has warmed up.
+    pub fn backward_deltas(&self, s: &mut TrainScratch, d_output: &Matrix, layers: Range<usize>) {
+        let n = self.layers.len();
+        for l in layers.rev() {
+            let upstream = if l + 1 == n {
+                d_output
+            } else {
+                let above = self.layers[l + 1].weights();
+                Matrix::gemm_into(GemmOp::AB, &s.dz[l + 1], above, &mut s.dx);
+                &s.dx
+            };
+            let y = s.inputs.get(l + 1).unwrap_or(&s.output);
+            self.layers[l].activation().backward_weighted_into(
+                &s.pre[l],
+                y,
                 upstream,
-                &mut s.grads.layers[idx],
-                &mut s.dz,
-                (idx > 0).then_some(&mut lo[idx]),
+                &mut s.dz[l],
             );
         }
     }
 
     /// Like [`Mlp::backward_scratch`] but computes only the input-gradient
-    /// chain, skipping every layer's parameter gradients. Used when the
-    /// network is differentiated purely for `∂L/∂input` (DDPG's and SAC's
+    /// chain, skipping every layer's parameter gradients: the delta chain
+    /// and then the first layer's `dz·W`. Used when the network is
+    /// differentiated purely for `∂L/∂input` (DDPG's and SAC's
     /// `∇_a Q(s, μ(s))`), leaving it in [`TrainScratch::d_input`]. Each
     /// layer's input gradient depends only on its delta and weights, so the
     /// chain is the one a full backward pass would compute.
     pub fn backward_input_scratch(&self, s: &mut TrainScratch, d_output: &Matrix) {
-        let n = self.layers.len();
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (lo, hi) = s.dx.split_at_mut(idx + 1);
-            let upstream: &Matrix = if idx + 1 == n { d_output } else { &hi[0] };
-            let output = s.inputs.get(idx + 1).unwrap_or(&s.output);
-            layer.backward_input_into(&s.pre[idx], output, upstream, &mut s.dz, &mut lo[idx]);
-        }
+        self.backward_deltas(s, d_output, 0..self.layers.len());
+        Matrix::gemm_into(GemmOp::AB, &s.dz[0], self.layers[0].weights(), &mut s.dx);
     }
 
     /// Flattens all parameters into a single vector (weights row-major, then

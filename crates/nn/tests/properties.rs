@@ -9,7 +9,8 @@
 //! reordered sum would show).
 
 use edgeslice_nn::{
-    Activation, Adam, GemmOp, Matrix, Mlp, TrainScratch, BLOCKED_MIN_ROWS, TILE_K, TILE_N,
+    Activation, Adam, DenseGrad, GemmOp, Gradients, Matrix, Mlp, TrainScratch, BLOCKED_MIN_ROWS,
+    TILE_K, TILE_N,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -300,6 +301,120 @@ fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
                     want.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "{dims:?} {hidden:?} → {output:?}"
                 );
+            }
+        }
+    }
+}
+
+/// Per layer: the weight gradient's shape, then the bits of its weights
+/// and of its bias.
+fn grad_bits(layers: &[DenseGrad]) -> Vec<Vec<u64>> {
+    layers
+        .iter()
+        .map(|g| {
+            let (rows, cols) = g.weights.shape();
+            let values = g.weights.as_slice().iter().chain(&g.bias);
+            [rows as u64, cols as u64]
+                .into_iter()
+                .chain(values.map(|v| v.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A textbook backward pass built from public pieces: a cached forward,
+/// then per layer, top down, the activation's delta, `dW = dzᵀ·x` and the
+/// column sums through [`naive`], and `dz·W` for the layer below —
+/// delta, weight gradient and input gradient interleaved layer by layer.
+fn textbook_grads(net: &Mlp, x: &Matrix, d_output: &Matrix) -> Vec<DenseGrad> {
+    let mut inputs = vec![x.clone()];
+    let mut pres = Vec::new();
+    for layer in net.layers() {
+        let (mut z, mut y) = (Matrix::default(), Matrix::default());
+        layer.forward_into(inputs.last().expect("an input"), &mut z, &mut y);
+        pres.push(z);
+        inputs.push(y);
+    }
+    let mut grads = vec![DenseGrad::default(); net.layers().len()];
+    let mut upstream = d_output.clone();
+    for (l, layer) in net.layers().iter().enumerate().rev() {
+        let mut dz = Matrix::default();
+        layer
+            .activation()
+            .backward_weighted_into(&pres[l], &inputs[l + 1], &upstream, &mut dz);
+        grads[l].weights = naive(GemmOp::AtB, &dz, &inputs[l]);
+        grads[l].bias = (0..dz.cols())
+            .map(|j| (0..dz.rows()).fold(0.0, |acc, i| acc + dz[(i, j)]))
+            .collect();
+        upstream = naive(GemmOp::AB, &dz, layer.weights());
+    }
+    grads
+}
+
+/// The delta chain run in two pieces, top piece first, with the weight
+/// gradients of the layers above the split computed apart from the
+/// scratch ([`DenseGrad::compute`] on moved-out copies of each layer's
+/// input and delta, as a helper thread does) and the rest by
+/// [`TrainScratch::weight_grads`] — at every split point — against
+/// `backward_scratch`, and both against [`textbook_grads`]: every gradient
+/// by `to_bits`. Batch 1, an odd batch and 128 rows (tall enough for the
+/// cache-blocked products), through networks of 2, 3 and 4 layers, one
+/// with tanh hidden layers, whose deltas read the recorded outputs.
+#[test]
+fn split_backward_bit_identical_to_backward_scratch() {
+    let mut rng = StdRng::seed_from_u64(2626);
+    let nets: [(&[usize], Activation, Activation); 3] = [
+        (
+            &[7, 16, 3],
+            Activation::leaky_default(),
+            Activation::Identity,
+        ),
+        (
+            &[10, 64, 64, 15],
+            Activation::leaky_default(),
+            Activation::Sigmoid,
+        ),
+        (&[6, 40, 24, 16, 1], Activation::Tanh, Activation::Tanh),
+    ];
+    for (dims, hidden, output) in nets {
+        let net = Mlp::new(dims, hidden, output, &mut rng);
+        let depth = net.layers().len();
+        let out_dim = net.out_dim();
+        for batch in [1, 33, 128] {
+            let mut value = || match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0f64..2.0),
+            };
+            let x = Matrix::from_fn(batch, dims[0], |_, _| value());
+            let d_out = Matrix::from_fn(batch, out_dim, |_, _| value());
+            let what = format!("{dims:?} at batch {batch}");
+
+            let want = grad_bits(&textbook_grads(&net, &x, &d_out));
+            let mut whole = TrainScratch::new();
+            net.forward_scratch(&x, &mut whole);
+            net.backward_scratch(&mut whole, &d_out);
+            assert_eq!(grad_bits(&whole.grads().layers), want, "whole, {what}");
+
+            for split in 1..depth {
+                let mut s = TrainScratch::new();
+                net.forward_scratch(&x, &mut s);
+                net.backward_deltas(&mut s, &d_out, split..depth);
+                let apart: Vec<DenseGrad> = (split..depth)
+                    .map(|l| {
+                        let (input, dz, _) = s.layer_mut(l);
+                        let (input, dz) = (input.clone(), dz.clone());
+                        let mut g = DenseGrad::default();
+                        g.compute(&dz, &input);
+                        g
+                    })
+                    .collect();
+                net.backward_deltas(&mut s, &d_out, 0..split);
+                s.weight_grads(0..split);
+                let mut got: Gradients = s.grads().clone();
+                got.layers.truncate(split);
+                got.layers.extend(apart);
+                assert_eq!(grad_bits(&got.layers), want, "split at {split}, {what}");
             }
         }
     }

@@ -13,20 +13,24 @@
 //! target side (the Polyak steps and the TD targets, [`TargetLane`]) and
 //! the online side. [`Ddpg::update`] runs both on the caller's thread.
 //! [`Ddpg::train`] lends the target side to one scoped helper thread, the
-//! *lane*, for the whole call, and meets it twice per update:
+//! *lane*, for the whole call, and meets it four times per update:
 //!
 //! 1. the lane pays the previous update's Polyak steps and computes the TD
 //!    targets while the caller runs `Q(s, a)` and `μ(s)`;
-//! 2. after the critic step, each side runs the critic re-forward and its
-//!    input gradient on half of the rows of `(s, μ(s))`.
+//! 2. in the critic's backward pass, the lane computes the weight
+//!    gradients of the layers above the first while the caller runs the
+//!    rest of the delta chain and the first layer's;
+//! 3. after the critic step, each side runs the critic re-forward and its
+//!    input gradient on half of the rows of `(s, μ(s))`;
+//! 4. in the actor's backward pass, the same split as in 2.
 //!
 //! Every output element is the same arithmetic on the same operands in
 //! both placements, so the two are bit-identical.
 
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use edgeslice_nn::{Adam, Matrix, Mlp, TrainScratch};
+use edgeslice_nn::{mse_loss_into, Adam, DenseGrad, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -105,10 +109,14 @@ pub struct DdpgUpdate {
 
 /// Reusable buffers for the online side of an update: the sampled batch,
 /// one [`TrainScratch`] per network, and every intermediate matrix the
-/// update touches. After the first update everything here sits at its
-/// steady-state capacity and the step is allocation-free.
+/// update touches — plus the one-row pass exploration runs the actor in.
+/// After the first update everything here sits at its steady-state
+/// capacity and the step is allocation-free.
 #[derive(Debug, Clone, Default)]
 struct DdpgScratch {
+    /// The explored state as a one-row batch, and the actor's pass on it.
+    state_row: Matrix,
+    explore: TrainScratch,
     batch: Batch,
     /// Critic forward/backward for the TD loss; once the critic has
     /// stepped, the re-forward (and input-gradient backward) at this
@@ -152,16 +160,18 @@ struct Online {
 /// an update that read them: the TD targets and the Polyak steps.
 /// [`Ddpg::update`] calls these methods inline; under [`Ddpg::train`] the
 /// lane thread calls the same methods ([`TargetLane::serve`]), plus its
-/// share of the critic re-forward ([`TargetLane::policy_rows`]).
+/// share of the critic re-forward ([`TargetLane::policy_rows`]) and the
+/// upper layers' weight gradients of both backward passes.
 #[derive(Debug, Clone)]
 struct TargetLane {
     target_actor: Mlp,
     target_critic: Mlp,
-    /// Target-actor forward for `μ'(s')`.
-    ta_fwd: TrainScratch,
-    /// Target-critic forward for `Q'(s', μ'(s'))`; at rendezvous 2, the
-    /// online critic's re-forward at the lane's rows of `(s, μ(s))`.
-    tc_fwd: TrainScratch,
+    /// The target forwards: `μ'(s')`, then — once it is stacked into
+    /// `next_sa` — `Q'(s', μ'(s'))`.
+    target_fwd: TrainScratch,
+    /// At rendezvous 3, the online critic's re-forward and input gradient
+    /// at the lane's rows of `(s, μ(s))`.
+    policy_fwd: TrainScratch,
     next_sa: Matrix,
     d_q: Matrix,
 }
@@ -172,8 +182,8 @@ impl TargetLane {
         Self {
             target_actor: actor.clone(),
             target_critic: critic.clone(),
-            ta_fwd: TrainScratch::default(),
-            tc_fwd: TrainScratch::default(),
+            target_fwd: TrainScratch::default(),
+            policy_fwd: TrainScratch::default(),
             next_sa: Matrix::default(),
             d_q: Matrix::default(),
         }
@@ -184,16 +194,16 @@ impl TargetLane {
     /// states and actions are not read.
     fn td_targets(&mut self, batch: &Batch, gamma: f64, targets: &mut Matrix) {
         self.target_actor
-            .forward_scratch(&batch.next_states, &mut self.ta_fwd);
+            .forward_scratch(&batch.next_states, &mut self.target_fwd);
         Matrix::hstack_into(
-            &[&batch.next_states, self.ta_fwd.output()],
+            &[&batch.next_states, self.target_fwd.output()],
             &mut self.next_sa,
         );
         self.target_critic
-            .forward_scratch(&self.next_sa, &mut self.tc_fwd);
+            .forward_scratch(&self.next_sa, &mut self.target_fwd);
         let n = batch.len();
         targets.resize_for(n, 1);
-        let next_q = self.tc_fwd.output();
+        let next_q = self.target_fwd.output();
         for i in 0..n {
             let bootstrap = if batch.dones[i] {
                 0.0
@@ -211,22 +221,51 @@ impl TargetLane {
         self.target_critic.soft_update_from(critic, tau);
     }
 
-    /// Rendezvous 2's lane half: the stepped critic at the lane's rows of
-    /// `(s, μ(s))` and their actor-loss gradient, run in the target
-    /// critic's forward scratch (its rendezvous-1 pass is spent), with the
-    /// `Q` values and the action gradients copied out into the packet.
-    fn policy_rows(&mut self, p: &mut Packet, n: usize) {
-        critic_at_policy(&p.critic, &p.sa_mu, n, &mut self.tc_fwd, &mut self.d_q);
-        p.q.copy_from(self.tc_fwd.output());
-        let ad = p.actor.out_dim();
-        p.d_action.resize_for(p.sa_mu.rows(), ad);
-        action_grads(&self.tc_fwd, ad, p.d_action.as_mut_slice());
+    /// Grows every buffer the lane writes — its scratches, `next_sa`, `d_q`
+    /// and the packet's — to the size an `n`-row batch gives it, on the
+    /// calling thread, by running the lane's passes once on zeros through
+    /// the packet's mirrors (shaped as the targets are; the targets are not
+    /// read). The lane then never allocates: glibc would serve it from an
+    /// arena of its own, whose growth varies from run to run.
+    fn reserve(&mut self, p: &mut Packet, n: usize) {
+        let (sd, ad) = (p.actor.in_dim(), p.actor.out_dim());
+        p.batch.next_states.resize_for(n, sd);
+        p.batch.rewards.resize(n, 0.0);
+        p.batch.dones.resize(n, false);
+        p.targets.resize_for(n, 1);
+        p.actor
+            .forward_scratch(&p.batch.next_states, &mut self.target_fwd);
+        self.next_sa.resize_for(n, sd + ad);
+        p.critic
+            .forward_scratch(&self.next_sa, &mut self.target_fwd);
+        p.sa_mu.resize_for(n - n / 2, sd + ad);
+        self.policy_rows(p, n);
     }
 
-    /// The lane thread's loop: runs each job that arrives on `jobs` and
-    /// hands its packet back on `done`, until the caller hangs up.
-    fn serve(&mut self, jobs: Receiver<Packet>, done: SyncSender<Packet>, gamma: f64, tau: f64) {
-        for mut p in jobs {
+    /// Frees the buffers the passes above grow; the next pass grows them
+    /// again.
+    fn free_buffers(&mut self) {
+        self.target_fwd = TrainScratch::default();
+        self.policy_fwd = TrainScratch::default();
+        self.next_sa = Matrix::default();
+        self.d_q = Matrix::default();
+    }
+
+    /// Rendezvous 3's lane half: the stepped critic at the lane's rows of
+    /// `(s, μ(s))` and their actor-loss gradient, with the `Q` values and
+    /// the action gradients copied out into the packet.
+    fn policy_rows(&mut self, p: &mut Packet, n: usize) {
+        critic_at_policy(&p.critic, &p.sa_mu, n, &mut self.policy_fwd, &mut self.d_q);
+        p.q.copy_from(self.policy_fwd.output());
+        let ad = p.actor.out_dim();
+        p.d_action.resize_for(p.sa_mu.rows(), ad);
+        action_grads(&self.policy_fwd, ad, p.d_action.as_mut_slice());
+    }
+
+    /// The lane thread's loop: runs each job the caller posts and hands
+    /// its packet back, until the caller hangs up.
+    fn serve(&mut self, end: End<'_>, gamma: f64, tau: f64) {
+        while let Some(mut p) = end.0.wait(true) {
             match p.job {
                 Job::Targets => {
                     if std::mem::take(&mut p.polyak_pending) {
@@ -234,9 +273,14 @@ impl TargetLane {
                     }
                     self.td_targets(&p.batch, gamma, &mut p.targets);
                 }
+                Job::UpperGrads => {
+                    for lent in &mut p.upper {
+                        lent.grad.compute(&lent.dz, &lent.x);
+                    }
+                }
                 Job::PolicyRows { n } => self.policy_rows(&mut p, n),
             }
-            if done.send(p).is_err() {
+            if end.0.put(Slot::Done(p)).is_err() {
                 return;
             }
         }
@@ -249,14 +293,29 @@ enum Job {
     /// Rendezvous 1: the Polyak steps the last update owes, then the TD
     /// targets of `batch`.
     Targets,
-    /// Rendezvous 2: the critic at `sa_mu` and its input gradient under the
+    /// Rendezvous 2 and 4: the weight gradients of the `upper` layers.
+    UpperGrads,
+    /// Rendezvous 3: the critic at `sa_mu` and its input gradient under the
     /// actor loss over `n` rows in all.
     PolicyRows { n: usize },
 }
 
+/// One layer above the first of a backward pass, lent to the lane for its
+/// weight-gradient step at rendezvous 2 or 4.
+#[derive(Debug, Default)]
+struct LentLayer {
+    /// The layer's recorded input.
+    x: Matrix,
+    /// Its delta: for layer 1, a copy in the packet's own buffer (the
+    /// caller's delta chain reads on from it); above, the scratch's.
+    dz: Matrix,
+    /// Its gradient slot, the scratch's, which the lane writes.
+    grad: DenseGrad,
+}
+
 /// The buffers one laned update hands between the caller and the lane.
-/// Whichever side holds the packet owns them, so nothing is locked, and
-/// after the first update nothing is allocated.
+/// Whichever side holds the packet owns them, so no buffer is locked; the
+/// caller grows them before the lane starts.
 struct Packet {
     job: Job,
     /// The batch's successor half `(s', r, done)`, lent by the caller for
@@ -272,7 +331,10 @@ struct Packet {
     /// A mirror of the online critic after the last critic step (the actor
     /// step does not move it).
     critic: Mlp,
-    /// The lane's rows of `(s, μ(s))` at rendezvous 2.
+    /// The layers `1..` of the backward pass at rendezvous 2 (the critic's)
+    /// or 4 (the actor's); both networks have the same depth.
+    upper: Vec<LentLayer>,
+    /// The lane's rows of `(s, μ(s))` at rendezvous 3.
     sa_mu: Matrix,
     /// `Q(s, μ(s))` at those rows.
     q: Matrix,
@@ -282,7 +344,14 @@ struct Packet {
 
 impl Packet {
     fn new(actor: &Mlp, critic: &Mlp) -> Self {
+        let depth = critic.layers().len();
+        assert_eq!(
+            actor.layers().len(),
+            depth,
+            "actor and critic differ in depth"
+        );
         Self {
+            upper: (1..depth).map(|_| LentLayer::default()).collect(),
             job: Job::Targets,
             batch: Batch::default(),
             targets: Matrix::default(),
@@ -296,24 +365,170 @@ impl Packet {
     }
 }
 
-/// The caller's ends of the two channels to the lane.
-struct LaneLink {
-    jobs: SyncSender<Packet>,
-    done: Receiver<Packet>,
+/// The one hand-off point between the caller and the lane: the slot the
+/// packet crosses in, and the condition variable a side waits on for its
+/// turn. Each side holds an [`End`]; dropping one — at hang-up, or while
+/// unwinding from a panic — closes the slot, so the other side's next wait
+/// or hand-off fails instead of blocking forever. A mutex and a condition
+/// variable rather than a channel: a blocking channel operation allocates
+/// on a thread's first use, and the lane allocates nothing.
+struct Handoff {
+    slot: Mutex<Slot>,
+    turn: Condvar,
 }
 
-/// The lane hung up before answering: it panicked, and joining it says why.
+/// What the [`Handoff`] holds.
+enum Slot {
+    /// Nothing: a side holds the packet.
+    Empty,
+    /// A job for the lane.
+    Job(Packet),
+    /// A finished job for the caller.
+    Done(Packet),
+    /// A side has gone.
+    Closed,
+}
+
+/// The other side has gone: for the caller, the lane panicked, and joining
+/// it says why.
 #[derive(Debug)]
 struct LaneDown;
 
-impl LaneLink {
-    fn post(&self, p: Packet) -> Result<(), LaneDown> {
-        self.jobs.send(p).map_err(|_| LaneDown)
+impl Handoff {
+    fn new() -> Self {
+        Self {
+            slot: Mutex::new(Slot::Empty),
+            turn: Condvar::new(),
+        }
     }
 
-    fn collect(&self) -> Result<Packet, LaneDown> {
-        self.done.recv().map_err(|_| LaneDown)
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        // Nothing panics under the lock, and a poisoned one still guards a
+        // whole slot.
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Leaves `next` in the slot for the other side.
+    fn put(&self, next: Slot) -> Result<(), LaneDown> {
+        let mut slot = self.lock();
+        if matches!(*slot, Slot::Closed) {
+            return Err(LaneDown);
+        }
+        *slot = next;
+        self.turn.notify_one();
+        Ok(())
+    }
+
+    /// Waits for a job (`for_lane`) or a finished one; `None` once a side
+    /// has gone.
+    fn wait(&self, for_lane: bool) -> Option<Packet> {
+        let mut slot = self.lock();
+        loop {
+            match std::mem::replace(&mut *slot, Slot::Empty) {
+                Slot::Job(p) if for_lane => return Some(p),
+                Slot::Done(p) if !for_lane => return Some(p),
+                Slot::Closed => {
+                    *slot = Slot::Closed;
+                    return None;
+                }
+                other => *slot = other,
+            }
+            slot = self.turn.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One side's hold on the [`Handoff`]; dropping it closes the hand-off.
+struct End<'a>(&'a Handoff);
+
+impl End<'_> {
+    /// The caller hands the packet to the lane for `p.job`.
+    fn post(&self, p: Packet) -> Result<(), LaneDown> {
+        self.0.put(Slot::Job(p))
+    }
+
+    /// The caller waits for the lane to hand the packet back.
+    fn collect(&self) -> Result<Packet, LaneDown> {
+        self.0.wait(false).ok_or(LaneDown)
+    }
+}
+
+impl Drop for End<'_> {
+    fn drop(&mut self) {
+        *self.0.lock() = Slot::Closed;
+        self.0.turn.notify_all();
+    }
+}
+
+/// Runs `caller` on this thread while the lane serves `lane` on a scoped
+/// helper thread, then hangs up and joins it. A lane panic resurfaces here
+/// with its own payload.
+fn with_lane<R>(
+    lane: &mut TargetLane,
+    gamma: f64,
+    tau: f64,
+    caller: impl FnOnce(&End<'_>) -> Result<R, LaneDown>,
+) -> R {
+    let handoff = &Handoff::new();
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || lane.serve(End(handoff), gamma, tau));
+        let link = End(handoff);
+        let done = caller(&link);
+        // Hang up: the lane's next wait comes back empty and it returns.
+        drop(link);
+        match worker.join() {
+            Ok(()) => done.expect("the lane stops early only by panicking"),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// A backward pass through `net` from `d_output` with the lane (rendezvous
+/// 2 and 4): once this thread has the delta of layer 1, the lane computes
+/// the weight gradients of layers `1..` while this thread runs the rest of
+/// the delta chain and layer 0's. The gradients land in `s`, as
+/// [`Mlp::backward_scratch`] leaves them.
+fn backward_laned(
+    net: &Mlp,
+    s: &mut TrainScratch,
+    d_output: &Matrix,
+    mut p: Packet,
+    link: &End<'_>,
+) -> Result<Packet, LaneDown> {
+    let depth = net.layers().len();
+    net.backward_deltas(s, d_output, 1..depth);
+    exchange_upper(s, &mut p.upper[..depth - 1]);
+    p.upper[0].dz.copy_from(s.layer_mut(1).1);
+    p.job = Job::UpperGrads;
+    link.post(p)?;
+    // Layer 0's delta would read layer 1's input, now lent, only under a
+    // sigmoid or tanh; the hidden layers here are Leaky ReLU.
+    net.backward_deltas(s, d_output, 0..1);
+    s.weight_grads(0..1);
+    let mut p = link.collect()?;
+    exchange_upper(s, &mut p.upper[..depth - 1]);
+    Ok(p)
+}
+
+/// Swaps the inputs, gradient slots and — above layer 1 — deltas of layers
+/// `1..` between `s` and the packet: lending them to the lane, and taking
+/// them back with the gradients written. Nothing is copied.
+fn exchange_upper(s: &mut TrainScratch, upper: &mut [LentLayer]) {
+    for (l, lent) in (1..).zip(upper) {
+        let (x, dz, grad) = s.layer_mut(l);
+        std::mem::swap(x, &mut lent.x);
+        std::mem::swap(grad, &mut lent.grad);
+        if l > 1 {
+            std::mem::swap(dz, &mut lent.dz);
+        }
+    }
+}
+
+/// Clips a backward pass's gradients, left in `s`, and takes `opt`'s step
+/// on `net`.
+fn descend(net: &mut Mlp, opt: &mut Adam, s: &mut TrainScratch) {
+    s.grads_mut().clip_global_norm(MAX_GRAD_NORM);
+    opt.step(net, s.grads());
 }
 
 /// `Q(s, μ(s))` at the rows staged in `sa_mu` and its input gradient under
@@ -373,8 +588,15 @@ fn swap_successors(a: &mut Batch, b: &mut Batch) {
 }
 
 impl Online {
-    fn explore(&mut self, state: &[f64], rng: &mut StdRng) -> Vec<f64> {
-        let mut a = self.actor.forward_one(state);
+    /// The actor's action at `state` plus exploration noise. The actor runs
+    /// as a one-row batch pass in `s`, whose buffers stay warm across the
+    /// weight updates that drop the batch-1 forward's memoised `Wᵀ`; both
+    /// forwards give the same bits.
+    fn explore(&mut self, s: &mut DdpgScratch, state: &[f64], rng: &mut StdRng) -> Vec<f64> {
+        s.state_row.resize_for(1, state.len());
+        s.state_row.as_mut_slice().copy_from_slice(state);
+        self.actor.forward_scratch(&s.state_row, &mut s.explore);
+        let mut a = s.explore.output().as_slice().to_vec();
         self.noise.perturb(&mut a, rng);
         a
     }
@@ -395,40 +617,26 @@ impl Online {
         self.actor.forward_scratch(&s.batch.states, &mut s.actor);
     }
 
-    /// The critic step: minimize `(Q(s, a) − g)²` against `targets` through
-    /// the forward recorded in `td`. Returns the loss.
-    fn critic_step(&mut self, td: &mut TrainScratch, targets: &Matrix, d_pred: &mut Matrix) -> f64 {
-        let loss = edgeslice_nn::mse_loss_into(td.output(), targets, d_pred);
-        self.critic.backward_scratch(td, d_pred);
-        td.grads_mut().clip_global_norm(MAX_GRAD_NORM);
-        self.critic_opt.step(&mut self.critic, td.grads());
-        loss
-    }
-
-    /// The actor step: ascend `Q(s, μ(s))` through the critic's input
-    /// gradient, read from this thread's re-forward (in `s.critic`, the
-    /// first rows) and the lane's (`far`: its `Q` values and action
-    /// gradients, the rest). Returns the actor objective, `mean Q(s, μ(s))`
-    /// summed in row order.
-    fn actor_step(
-        &mut self,
+    /// The actor loss's gradient with respect to the actions, into
+    /// `s.d_action`, read from this thread's critic re-forward (in
+    /// `s.critic`, the first rows) and the lane's (`far`: its `Q` values and
+    /// action gradients, the rest). Returns the actor objective,
+    /// `mean Q(s, μ(s))` summed in row order.
+    fn actor_loss(
         s: &mut DdpgScratch,
         far: Option<(&Matrix, &Matrix)>,
         n: usize,
+        ad: usize,
     ) -> f64 {
         let near_q = s.critic.output().as_slice();
         let far_q = far.map_or(&[][..], |(q, _)| q.as_slice());
         let objective = near_q.iter().chain(far_q).sum::<f64>() / n as f64;
-        let ad = self.actor.out_dim();
         s.d_action.resize_for(n, ad);
         let (near, rest) = s.d_action.as_mut_slice().split_at_mut(near_q.len() * ad);
         action_grads(&s.critic, ad, near);
         if let Some((_, d_action)) = far {
             rest.copy_from_slice(d_action.as_slice());
         }
-        self.actor.backward_scratch(&mut s.actor, &s.d_action);
-        s.actor.grads_mut().clip_global_norm(MAX_GRAD_NORM);
-        self.actor_opt.step(&mut self.actor, s.actor.grads());
         objective
     }
 
@@ -451,10 +659,16 @@ impl Online {
         let n = self.sample(s, rng)?;
         lane.td_targets(&s.batch, self.config.gamma, &mut s.targets);
         self.forward_online(s);
-        let critic_loss = self.critic_step(&mut s.critic, &s.targets, &mut s.d_pred);
+        // The critic minimizes (Q(s, a) − g)².
+        let critic_loss = mse_loss_into(s.critic.output(), &s.targets, &mut s.d_pred);
+        self.critic.backward_scratch(&mut s.critic, &s.d_pred);
+        descend(&mut self.critic, &mut self.critic_opt, &mut s.critic);
+        // The actor ascends Q(s, μ(s)) through the critic's input gradient.
         stack_rows(&s.batch.states, s.actor.output(), 0..n, &mut s.sa_mu);
         critic_at_policy(&self.critic, &s.sa_mu, n, &mut s.critic, &mut s.d_q);
-        let actor_objective = self.actor_step(s, None, n);
+        let actor_objective = Self::actor_loss(s, None, n, self.actor.out_dim());
+        self.actor.backward_scratch(&mut s.actor, &s.d_action);
+        descend(&mut self.actor, &mut self.actor_opt, &mut s.actor);
         lane.track(&self.actor, &self.critic, self.config.tau);
         Some(self.finish(critic_loss, actor_objective))
     }
@@ -466,7 +680,7 @@ impl Online {
         &mut self,
         s: &mut DdpgScratch,
         mut p: Packet,
-        link: &LaneLink,
+        link: &End<'_>,
         rng: &mut StdRng,
     ) -> Result<(Packet, Option<DdpgUpdate>), LaneDown> {
         let Some(n) = self.sample(s, rng) else {
@@ -485,9 +699,13 @@ impl Online {
         self.forward_online(s);
         let mut p = link.collect()?;
         swap_successors(&mut s.batch, &mut p.batch);
-        let critic_loss = self.critic_step(&mut s.critic, &p.targets, &mut s.d_pred);
+        let critic_loss = mse_loss_into(s.critic.output(), &p.targets, &mut s.d_pred);
 
-        // Rendezvous 2: each side runs the stepped critic at half of the
+        // Rendezvous 2: the critic's backward pass.
+        let mut p = backward_laned(&self.critic, &mut s.critic, &s.d_pred, p, link)?;
+        descend(&mut self.critic, &mut self.critic_opt, &mut s.critic);
+
+        // Rendezvous 3: each side runs the stepped critic at half of the
         // rows of (s, μ(s)).
         let half = n / 2;
         copy_weights(&mut p.critic, &self.critic);
@@ -496,8 +714,13 @@ impl Online {
         link.post(p)?;
         stack_rows(&s.batch.states, s.actor.output(), 0..half, &mut s.sa_mu);
         critic_at_policy(&self.critic, &s.sa_mu, n, &mut s.critic, &mut s.d_q);
-        let mut p = link.collect()?;
-        let actor_objective = self.actor_step(s, Some((&p.q, &p.d_action)), n);
+        let p = link.collect()?;
+        let ad = self.actor.out_dim();
+        let actor_objective = Self::actor_loss(s, Some((&p.q, &p.d_action)), n, ad);
+
+        // Rendezvous 4: the actor's backward pass.
+        let mut p = backward_laned(&self.actor, &mut s.actor, &s.d_action, p, link)?;
+        descend(&mut self.actor, &mut self.actor_opt, &mut s.actor);
         p.polyak_pending = true;
         Ok((p, Some(self.finish(critic_loss, actor_objective))))
     }
@@ -511,7 +734,7 @@ impl Online {
         env: &mut E,
         steps: usize,
         rng: &mut StdRng,
-        link: &LaneLink,
+        link: &End<'_>,
         mut packet: Packet,
     ) -> Result<(Vec<f64>, Packet), LaneDown> {
         let mut returns = Vec::new();
@@ -525,23 +748,24 @@ impl Online {
                     .map(|_| rng.gen_range(0.0..1.0))
                     .collect()
             } else {
-                self.explore(&state, rng)
+                self.explore(s, &state, rng)
             };
             let out = env.step(&action, rng);
             episode_return += out.reward;
-            self.replay.push(&Transition {
-                state: state.clone(),
+            let transition = Transition {
+                state,
                 action,
                 reward: out.reward,
-                next_state: out.next_state.clone(),
+                next_state: out.next_state,
                 done: out.done,
-            });
-            state = if out.done {
+            };
+            self.replay.push(&transition);
+            state = if transition.done {
                 returns.push(episode_return);
                 episode_return = 0.0;
                 env.reset(rng)
             } else {
-                out.next_state
+                transition.next_state
             };
             if step >= self.config.warmup {
                 packet = self.update_laned(s, packet, link, rng)?.0;
@@ -612,7 +836,7 @@ impl Ddpg {
     /// Exploration action: policy output plus decaying Gaussian noise,
     /// clamped to `[0, 1]`.
     pub fn explore(&mut self, state: &[f64], rng: &mut StdRng) -> Vec<f64> {
-        self.online.explore(state, rng)
+        self.online.explore(&mut self.scratch, state, rng)
     }
 
     /// Stores a transition in the replay memory.
@@ -646,10 +870,12 @@ impl Ddpg {
     /// environment steps, updating once per step after warm-up. Returns the
     /// per-episode returns observed during training.
     ///
-    /// The target networks train on a scoped helper thread (the module's
-    /// "two-lane training") for the whole call, so a call runs on two
-    /// threads; the resulting learner is bit-identical to the same loop
-    /// over [`Ddpg::update`]. A panic on the helper thread resurfaces here.
+    /// The target networks and part of each backward pass run on a scoped
+    /// helper thread (the module's "two-lane training") for the whole call,
+    /// so a call runs on two threads; the resulting learner is
+    /// bit-identical to the same loop over [`Ddpg::update`]. A panic on the
+    /// helper thread resurfaces here. The update buffers are freed on
+    /// return, so the next update allocates them afresh.
     pub fn train<E: Environment + ?Sized>(
         &mut self,
         env: &mut E,
@@ -662,24 +888,24 @@ impl Ddpg {
             lane,
         } = self;
         let (gamma, tau) = (online.config.gamma, online.config.tau);
-        let packet = Packet::new(&online.actor, &online.critic);
-        let (returns, packet) = std::thread::scope(|scope| {
-            let (jobs, lane_jobs) = mpsc::sync_channel(1);
-            let (lane_done, done) = mpsc::sync_channel(1);
-            let worker = scope.spawn(move || lane.serve(lane_jobs, lane_done, gamma, tau));
-            let link = LaneLink { jobs, done };
-            let trained = online.run(scratch, env, steps, rng, &link, packet);
-            // Hang up: the lane's job stream ends and it returns.
-            drop(link);
-            match worker.join() {
-                Ok(()) => trained.expect("the lane stops early only by panicking"),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+        // Everything the lane writes is grown here, on this thread: the
+        // packet, the lane's own buffers, and the gradient slots it fills.
+        let mut packet = Packet::new(&online.actor, &online.critic);
+        lane.reserve(&mut packet, online.config.batch_size);
+        scratch.critic.grads_mut().resize_like(&online.critic);
+        scratch.actor.grads_mut().resize_like(&online.actor);
+        let (returns, packet) = with_lane(lane, gamma, tau, |link| {
+            online.run(scratch, env, steps, rng, link, packet)
         });
         if packet.polyak_pending {
             self.lane
                 .track(&self.online.actor, &self.online.critic, tau);
         }
+        // The scratches are an update's working set, not the learner's
+        // state: a trained agent is deployed for inference, so they go with
+        // the call and the next update grows them again.
+        self.scratch = DdpgScratch::default();
+        self.lane.free_buffers();
         returns
     }
 }
@@ -940,6 +1166,50 @@ mod tests {
         let mut env = TrackingEnv::new(20);
         let payload = catch_unwind(AssertUnwindSafe(|| agent.train(&mut env, 200, &mut rng)))
             .expect_err("the lane's panic must reach the caller");
+        let message = panic_message(payload.as_ref());
+        assert!(
+            message.contains("gemm dimension mismatch"),
+            "unexpected panic: {message:?}"
+        );
+    }
+
+    /// A panic inside a backward-pass job (rendezvous 2) reaches the caller
+    /// with its own payload too, through the same hang-up and join as
+    /// `train`'s: a laned update whose packet carries one more lent layer
+    /// than the critic has, whose delta and input disagree in rows, so the
+    /// lane's weight-gradient product fails its shape check.
+    #[test]
+    fn lane_panic_in_a_backward_job_resurfaces_in_the_caller() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut agent = Ddpg::new(1, 1, small_config(), &mut rng);
+        for i in 0..small_config().batch_size {
+            agent.observe(&Transition {
+                state: vec![i as f64 / 32.0],
+                action: vec![0.5],
+                reward: 1.0,
+                next_state: vec![0.5],
+                done: false,
+            });
+        }
+        let Ddpg {
+            online,
+            scratch,
+            lane,
+        } = &mut agent;
+        let mut packet = Packet::new(&online.actor, &online.critic);
+        packet.upper.push(LentLayer {
+            x: Matrix::zeros(4, 3),
+            dz: Matrix::zeros(5, 2),
+            grad: DenseGrad::default(),
+        });
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            with_lane(lane, 0.99, 0.005, |link| {
+                online
+                    .update_laned(scratch, packet, link, &mut rng)
+                    .map(drop)
+            })
+        }))
+        .expect_err("the lane's panic must reach the caller");
         let message = panic_message(payload.as_ref());
         assert!(
             message.contains("gemm dimension mismatch"),
