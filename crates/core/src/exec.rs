@@ -110,26 +110,42 @@ pub(crate) fn encode_body(body: &RaRoundBody) -> Result<Vec<u8>, crate::EdgeSlic
 /// Decodes the wire round body RA `ra` reported for global round `round`.
 /// A payload that framed correctly but fails to decode is a protocol bug
 /// or a foreign peer — a typed error, never a panic. So is a body whose
-/// monitor rows are not the reporter's own for that round and a known
-/// slice: the monitor sizes its per-round aggregates by those three ids,
-/// and a peer must not get to pick them.
+/// monitor rows are not the grid a worker emits: `period × n_slices`
+/// served rows of the reporter's own for that round, row `k` at interval
+/// `k / n_slices` and slice `k % n_slices`. The monitor sizes its
+/// per-round aggregates by the row ids, prorates SLAs by the outage rows
+/// and sums usage over every row, so a peer must not get to pick any of
+/// them, leave cells out or repeat one.
 pub(crate) fn decode_body(
     bytes: &[u8],
     ra: RaId,
     round: usize,
+    period: usize,
     n_slices: usize,
 ) -> Result<RaRoundBody, crate::EdgeSliceError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| crate::EdgeSliceError::Serialization(format!("non-UTF-8 body: {e}")))?;
     let body: RaRoundBody = serde_json::from_str(text)?;
-    if let Some(r) = body
-        .records
-        .iter()
-        .find(|r| r.round != round || r.ra != ra || r.slice.0 >= n_slices)
-    {
+    if Some(body.records.len()) != period.checked_mul(n_slices) {
         return Err(crate::EdgeSliceError::Serialization(format!(
-            "monitor row for (round {}, {}, {}) in {ra}'s report for round {round}",
-            r.round, r.ra, r.slice
+            "{} monitor rows in {ra}'s report for round {round}, not {period} × {n_slices}",
+            body.records.len()
+        )));
+    }
+    let foreign = body.records.iter().enumerate().find(|(k, r)| {
+        (r.round, r.ra, r.interval, r.slice.0, r.status)
+            != (
+                round,
+                ra,
+                k / n_slices,
+                k % n_slices,
+                IntervalStatus::Served,
+            )
+    });
+    if let Some((k, r)) = foreign {
+        return Err(crate::EdgeSliceError::Serialization(format!(
+            "monitor row {k} is ({:?}, round {}, interval {}, {}, {}) in {ra}'s report for round {round}",
+            r.status, r.round, r.interval, r.ra, r.slice
         )));
     }
     Ok(body)
@@ -683,25 +699,73 @@ mod tests {
         assert_sync::<crate::CheckpointStore>();
     }
 
-    /// A peer's report may only carry its own rows for the round being
-    /// collected: anything else is rejected before it reaches the monitor.
+    /// A peer's report may only carry the grid a worker emits — its own
+    /// served rows for the round being collected, every (interval, slice)
+    /// once, in order: anything else is rejected before it reaches the
+    /// monitor.
     #[test]
     fn decode_body_rejects_rows_that_are_not_the_reporters() {
-        let body = |record: MonitorRecord| RaRoundBody {
+        const PERIOD: usize = 3;
+        let grid: Vec<MonitorRecord> = (0..PERIOD * 2)
+            .map(|k| MonitorRecord {
+                status: IntervalStatus::Served,
+                ..MonitorRecord::outage(7, k / 2, RaId(1), SliceId(k % 2))
+            })
+            .collect();
+        let body = |records: Vec<MonitorRecord>| RaRoundBody {
             u: vec![0.0],
             queues: Vec::new(),
             coordination: Vec::new(),
             global_t: 0,
-            records: vec![record],
+            records,
             active: Vec::new(),
             rates: Vec::new(),
         };
-        let decode = |record| decode_body(&encode_body(&body(record)).unwrap(), RaId(1), 7, 2);
-        assert!(decode(MonitorRecord::outage(7, 0, RaId(1), SliceId(1))).is_ok());
+        let decode =
+            |records| decode_body(&encode_body(&body(records)).unwrap(), RaId(1), 7, PERIOD, 2);
+        assert!(decode(grid.clone()).is_ok());
+        let with_row = |k: usize, r: MonitorRecord| {
+            let mut rows = grid.clone();
+            rows[k] = r;
+            rows
+        };
+        let last = grid.len() - 1;
         for foreign in [
-            MonitorRecord::outage(usize::MAX, 0, RaId(1), SliceId(1)),
-            MonitorRecord::outage(7, 0, RaId(0), SliceId(1)),
-            MonitorRecord::outage(7, 0, RaId(1), SliceId(2)),
+            with_row(
+                3,
+                MonitorRecord {
+                    round: usize::MAX,
+                    ..grid[3]
+                },
+            ),
+            with_row(
+                3,
+                MonitorRecord {
+                    ra: RaId(0),
+                    ..grid[3]
+                },
+            ),
+            with_row(
+                3,
+                MonitorRecord {
+                    slice: SliceId(2),
+                    ..grid[3]
+                },
+            ),
+            with_row(
+                last,
+                MonitorRecord {
+                    interval: PERIOD,
+                    ..grid[last]
+                },
+            ),
+            with_row(3, MonitorRecord::outage(7, 1, RaId(1), SliceId(1))),
+            // A duplicate cell in place of the next one.
+            with_row(4, grid[3]),
+            // A short body, and one row too many.
+            grid[..last].to_vec(),
+            [&grid[..], &grid[last..]].concat(),
+            Vec::new(),
         ] {
             assert!(matches!(
                 decode(foreign),

@@ -79,7 +79,9 @@ pub use faults::{FaultConfig, FaultEvent, FaultInjector, FaultPlan, RaFaultView}
 pub use fleet::{Parallelism, PolicyFleet};
 pub use ids::{RaId, ResourceKind, SliceId};
 pub use managers::{ManagerError, ResourceManagers, SliceAllocation};
-pub use monitor::{IntervalStatus, LifecycleChange, LifecycleRecord, MonitorRecord, SystemMonitor};
+pub use monitor::{
+    IntervalStatus, LifecycleChange, LifecycleRecord, MonitorRecord, Records, SystemMonitor,
+};
 pub use orchestrator::{
     project_action_per_resource, DownEvent, EdgeSliceSystem, OrchestratorKind, RoundRecord,
     RunReport, ServeOutcome, SupervisionStats, SystemConfig, TrafficKind, WorkerNetOptions,

@@ -159,12 +159,206 @@ fn empty_sum() -> f64 {
     std::iter::empty::<f64>().sum()
 }
 
+/// Bytes per history chunk: 80 KiB, under glibc's 128 KiB mmap threshold,
+/// so chunks come from the heap and go back to it.
+const CHUNK_BYTES: usize = 80 * 1024;
+
+/// An append-only sequence kept in fixed-size chunks of [`CHUNK_BYTES`]:
+/// a chunk is never filled past its capacity, so nothing stored moves and
+/// no allocation grows with the sequence but the chunk table (one pointer
+/// per chunk). A clone's chunks are exactly full; pushes onto it open new
+/// ones.
+#[derive(Debug, Clone)]
+struct Chunked<T> {
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Chunked<T> {
+    fn push(&mut self, value: T) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(value),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_BYTES / std::mem::size_of::<T>());
+                chunk.push(value);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn last_mut(&mut self) -> Option<&mut T> {
+        self.chunks.last_mut()?.last_mut()
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl<T> Default for Chunked<T> {
+    fn default() -> Self {
+        Self { chunks: Vec::new() }
+    }
+}
+
+/// What a row carries besides its run's header: `queue`, `performance`
+/// and `shares`, 40 bytes.
+type Payload = [f64; 5];
+
+/// The header of one run of the history: a maximal sequence of rows with
+/// one `(round, ra, status)` whose `(interval, slice)` step through the
+/// interval-major grid in order. A worker's report and an outage's rows
+/// are one grid each, so one header stands for a whole report.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    round: usize,
+    ra: RaId,
+    status: IntervalStatus,
+    /// `(interval, slice)` of the run's first row.
+    first: (usize, usize),
+    /// Slices per interval: open (`None`) until the run first wraps to
+    /// slice 0 of the next interval, which fixes it.
+    width: Option<usize>,
+    len: usize,
+}
+
+impl Run {
+    fn open(r: &MonitorRecord) -> Self {
+        Self {
+            round: r.round,
+            ra: r.ra,
+            status: r.status,
+            first: (r.interval, r.slice.0),
+            width: None,
+            len: 1,
+        }
+    }
+
+    /// Takes `r` into the run if it is the grid cell after `last`, the
+    /// run's last row (a first wrap fixes the width); `false` otherwise.
+    fn try_extend(&mut self, r: &MonitorRecord, (interval, slice): (usize, usize)) -> bool {
+        if (r.round, r.ra, r.status) != (self.round, self.ra, self.status) {
+            return false;
+        }
+        let Some(next) = slice.checked_add(1) else {
+            return false;
+        };
+        let wraps = r.slice.0 == 0 && interval.checked_add(1) == Some(r.interval);
+        let steps = r.interval == interval && r.slice.0 == next;
+        let extends = match self.width {
+            Some(width) if next == width => wraps,
+            Some(_) => steps,
+            None if wraps => {
+                self.width = Some(next);
+                true
+            }
+            None => steps,
+        };
+        self.len += usize::from(extends);
+        extends
+    }
+
+    /// `(interval, slice)` of each of the run's rows, in order.
+    fn cells(self) -> impl Iterator<Item = (usize, usize)> {
+        std::iter::successors(Some(self.first), move |&(interval, slice)| {
+            let next = slice.checked_add(1)?;
+            if Some(next) == self.width {
+                Some((interval.checked_add(1)?, 0))
+            } else {
+                Some((interval, next))
+            }
+        })
+        .take(self.len)
+    }
+}
+
+/// The row history: run headers, and every row's [`Payload`] in arrival
+/// order (a run's payload starts where the previous run's ends).
+#[derive(Debug, Clone, Default)]
+struct History {
+    runs: Chunked<Run>,
+    payloads: Chunked<Payload>,
+    /// `(interval, slice)` of the last row recorded.
+    last: (usize, usize),
+}
+
+impl History {
+    fn push(&mut self, r: &MonitorRecord) {
+        let last = self.last;
+        if !self
+            .runs
+            .last_mut()
+            .is_some_and(|run| run.try_extend(r, last))
+        {
+            self.runs.push(Run::open(r));
+        }
+        self.last = (r.interval, r.slice.0);
+        let [radio, transport, compute] = r.shares;
+        self.payloads
+            .push([r.queue, r.performance, radio, transport, compute]);
+    }
+}
+
+/// A view of the monitor's row history, in arrival order.
+#[derive(Clone, Copy)]
+pub struct Records<'a>(&'a History);
+
+impl<'a> Records<'a> {
+    /// Number of rows recorded.
+    pub fn len(&self) -> usize {
+        self.0.payloads.len()
+    }
+
+    /// Whether no row was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every row, in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = MonitorRecord> + 'a {
+        let History { runs, payloads, .. } = self.0;
+        let cells = runs
+            .iter()
+            .flat_map(|run| run.cells().map(move |cell| (run, cell)));
+        cells
+            .zip(payloads.iter())
+            .map(|((run, (interval, slice)), payload)| {
+                let &[queue, performance, radio, transport, compute] = payload;
+                MonitorRecord {
+                    round: run.round,
+                    interval,
+                    ra: run.ra,
+                    slice: SliceId(slice),
+                    queue,
+                    performance,
+                    shares: [radio, transport, compute],
+                    status: run.status,
+                }
+            })
+    }
+}
+
+impl std::fmt::Debug for Records<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<&[MonitorRecord]> for Records<'_> {
+    fn eq(&self, other: &&[MonitorRecord]) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
 /// The monitor database: the row history plus one [`RoundAggregate`] per
 /// round, which is what every per-round query reads. Not serialisable —
 /// the aggregates are derived state that only `record` keeps in step.
 #[derive(Debug, Clone, Default)]
 pub struct SystemMonitor {
-    records: Vec<MonitorRecord>,
+    history: History,
     /// Indexed by round; its length is "max recorded round + 1". Rounds
     /// arrive in any order (a same-process resume re-appends replayed
     /// rounds), so rows fold into their round's slot wherever they arrive.
@@ -207,12 +401,12 @@ impl SystemMonitor {
     /// into its round's aggregate.
     pub fn record(&mut self, record: MonitorRecord) {
         cell(&mut self.aggregates, record.round).fold(&record);
-        self.records.push(record);
+        self.history.push(&record);
     }
 
     /// All records, in arrival order.
-    pub fn records(&self) -> &[MonitorRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records(&self.history)
     }
 
     /// Appends a slice lifecycle transition.
@@ -294,7 +488,7 @@ impl SystemMonitor {
     pub fn interval_system_series(&self, period: usize) -> Vec<f64> {
         let n = self.rounds() * period;
         let mut out = vec![0.0; n];
-        for r in &self.records {
+        for r in self.records().iter() {
             let idx = r.round * period + r.interval;
             if idx < n {
                 out[idx] += r.performance;
@@ -308,7 +502,7 @@ impl SystemMonitor {
     pub fn slice_interval_series(&self, slice: SliceId, period: usize) -> Vec<f64> {
         let n = self.rounds() * period;
         let mut out = vec![0.0; n];
-        for r in self.records.iter().filter(|r| r.slice == slice) {
+        for r in self.records().iter().filter(|r| r.slice == slice) {
             let idx = r.round * period + r.interval;
             if idx < n {
                 out[idx] += r.performance;
@@ -328,7 +522,7 @@ impl SystemMonitor {
     ) -> Vec<f64> {
         let n = self.rounds() * period;
         let mut out = vec![0.0; n];
-        for r in self.records.iter().filter(|r| r.slice == slice) {
+        for r in self.records().iter().filter(|r| r.slice == slice) {
             let idx = r.round * period + r.interval;
             if idx < n {
                 out[idx] += r.shares[resource.index()] / n_ras.max(1) as f64;
@@ -446,6 +640,57 @@ mod tests {
         assert_eq!(m.round_outage_intervals(0, RaId(0)), 0);
         // 2 RAs × 2 intervals, 2 lost ⇒ half served.
         assert!((m.round_served_fraction(0, 2, 2) - 0.5).abs() < 1e-12);
+    }
+
+    /// One worker report's grid: `period × n_slices` rows, interval-major.
+    fn grid(round: usize, ra: usize, period: usize, n_slices: usize) -> Vec<MonitorRecord> {
+        (0..period * n_slices)
+            .map(|k| MonitorRecord {
+                interval: k / n_slices,
+                slice: SliceId(k % n_slices),
+                performance: -(k as f64),
+                ..rec(round, ra, 0, 0.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_report_grid_is_one_run() {
+        let mut stream = Vec::new();
+        for round in 0..3 {
+            for ra in 0..4 {
+                stream.extend(grid(round, ra, 6, 5));
+            }
+        }
+        stream.extend((0..6 * 5).map(|k| MonitorRecord::outage(3, k / 5, RaId(1), SliceId(k % 5))));
+        // A replayed round, then a grid whose first interval is partial.
+        stream.extend(grid(1, 2, 6, 5));
+        stream.extend(grid(4, 0, 3, 4).split_off(2));
+        let mut m = SystemMonitor::new();
+        for r in &stream {
+            m.record(*r);
+        }
+        assert_eq!(m.records(), &stream[..]);
+        assert_eq!(m.history.runs.len(), 3 * 4 + 1 + 1 + 1);
+        let widths: Vec<Option<usize>> = m.history.runs.iter().map(|run| run.width).collect();
+        assert_eq!(widths, [vec![Some(5); 14], vec![Some(4)]].concat());
+    }
+
+    #[test]
+    fn a_row_off_the_grid_starts_a_new_run() {
+        let mut stream = grid(0, 0, 4, 3);
+        // A skipped cell, a repeated cell, another RA's row, an outage row:
+        // each breaks the run it lands in, and nothing is lost.
+        stream.remove(4);
+        stream.insert(7, stream[6]);
+        stream[9].ra = RaId(1);
+        stream[10].status = IntervalStatus::Outage;
+        let mut m = SystemMonitor::new();
+        for r in &stream {
+            m.record(*r);
+        }
+        assert_eq!(m.records(), &stream[..]);
+        assert_eq!(m.history.runs.len(), 6);
     }
 
     /// The full-history scans the folded aggregates replaced, verbatim:
@@ -632,6 +877,43 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// Lossless on streams of grid pieces — runs that wrap, open
+        /// widths, pieces that continue or break the run before them, a
+        /// cell nudged off its grid: `records()` is the stream, in order.
+        #[test]
+        fn history_is_lossless_on_grid_streams(
+            pieces in proptest::collection::vec(
+                (
+                    (0usize..3, 0usize..3, 0usize..2),
+                    (0usize..3, 0usize..5, 1usize..5),
+                    (0usize..14, 0usize..20),
+                ),
+                0..12,
+            ),
+        ) {
+            let mut stream = Vec::new();
+            for ((round, ra, outage), (interval, slice, width), (len, nudge)) in pieces {
+                let first = interval * width + slice;
+                let start = stream.len();
+                stream.extend((first..first + len).map(|p| MonitorRecord {
+                    interval: p / width,
+                    slice: SliceId(p % width),
+                    status: if outage == 1 { IntervalStatus::Outage } else { IntervalStatus::Served },
+                    performance: p as f64,
+                    ..rec(round, ra, 0, 0.0)
+                }));
+                if let Some(r) = stream[start..].get_mut(nudge) {
+                    r.slice.0 += 1;
+                }
+            }
+            let mut m = SystemMonitor::new();
+            for r in &stream {
+                m.record(*r);
+            }
+            proptest::prop_assert_eq!(m.records(), &stream[..]);
+            proptest::prop_assert!(m.history.runs.len() <= stream.len());
         }
     }
 }

@@ -264,6 +264,7 @@ impl EdgeSliceSystem {
                 let mut decoded = DecodedReports {
                     net,
                     round_base,
+                    period: self.config.reward.period,
                     n_slices: self.config.slices.len(),
                 };
                 round_loop(&mut decoded, &mut exec, first_round, max_rounds)
@@ -551,6 +552,8 @@ struct DecodedReports<'a> {
     net: &'a mut dyn RoundGather<Body = Vec<u8>>,
     /// Global round index of this run's round 0.
     round_base: usize,
+    /// The shape of the row grid every report must carry.
+    period: usize,
     n_slices: usize,
 }
 
@@ -571,7 +574,15 @@ impl RoundGather for DecodedReports<'_> {
                 let rep = slot?;
                 let body = rep
                     .body
-                    .map(|bytes| decode_body(&bytes, RaId(rep.ra), global_round, self.n_slices))
+                    .map(|bytes| {
+                        decode_body(
+                            &bytes,
+                            RaId(rep.ra),
+                            global_round,
+                            self.period,
+                            self.n_slices,
+                        )
+                    })
                     .transpose();
                 match body {
                     Ok(body) => Some(RaReport {
