@@ -11,67 +11,36 @@
 //! qualitative shape. Override with `EDGESLICE_TRAIN_STEPS` (the top grid
 //! point).
 
-use edgeslice::{AgentConfig, EdgeSliceSystem, OrchestratorKind, SystemConfig, TrafficKind};
-use edgeslice_bench::{print_row, Knobs};
+use edgeslice_bench::{print_row, run_arm, simulation, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;
 
-const BASE_RATE: f64 = 4.0;
-const N_SLICES: usize = 5;
-const N_RAS: usize = 10;
 const ROUNDS: usize = 4;
-
-fn config(knobs: &Knobs, nt: bool) -> SystemConfig {
-    // Same slice set as fig9's validated configuration.
-    let mut cfg_rng = knobs.rng(10 + N_SLICES as u64);
-    let mut c = SystemConfig::simulation(N_SLICES, N_RAS, &mut cfg_rng);
-    c.traffic = TrafficKind::Diurnal { base: BASE_RATE };
-    if nt {
-        c = c.without_traffic_state();
-    }
-    c
-}
-
-/// Trains a shared agent with `technique` for `steps` on the 10-RA system
-/// and returns its tail system performance.
-fn point(technique: Technique, nt: bool, steps: usize, knobs: &Knobs, stream: u64) -> f64 {
-    let mut rng = knobs.rng(stream);
-    let mut sys = EdgeSliceSystem::new(
-        config(knobs, nt),
-        OrchestratorKind::Learned(technique),
-        &AgentConfig::default(),
-        &mut rng,
-    );
-    sys.train_shared(steps, &mut rng);
-    sys.run(ROUNDS, &mut rng).tail_system_performance(2)
-}
-
-fn taro_reference(knobs: &Knobs) -> f64 {
-    let mut rng = knobs.rng(2);
-    let mut sys = EdgeSliceSystem::new(
-        config(knobs, false),
-        OrchestratorKind::Taro,
-        &AgentConfig::default(),
-        &mut rng,
-    );
-    sys.run(ROUNDS, &mut rng).tail_system_performance(2)
-}
 
 fn main() {
     let knobs = Knobs::from_env();
     let top = knobs.train_steps.max(60_000);
+    // The 5-slice, 10-RA set-up of fig9's 10-RA points.
+    let config = simulation(&knobs, 5, 10);
+    // Trains a shared agent with `technique` for `steps` (TARO: none) and
+    // returns the run's tail system performance.
+    let point = |arm: Arm, technique: Technique, steps: usize, stream: u64| {
+        let policy = Policy::Train(steps);
+        let (_, report) = run_arm(&config, arm, technique, policy, ROUNDS, knobs.rng(stream));
+        report.tail_system_performance(2)
+    };
 
     println!("=== Fig. 10 (a): system performance vs training steps ===");
-    let taro = taro_reference(&knobs);
+    let taro = point(Arm::Taro, Technique::Ddpg, 0, 2);
     let grid = [top / 10, top * 3 / 10, top * 6 / 10, top];
     let mut ddpg_top = 0.0;
     for (i, steps) in grid.iter().enumerate() {
-        let es = point(Technique::Ddpg, false, *steps, &knobs, 100 + i as u64);
+        let es = point(Arm::EdgeSlice, Technique::Ddpg, *steps, 100 + i as u64);
         if i == grid.len() - 1 {
             ddpg_top = es;
             // EdgeSlice-NT needs far more training than the CPU budget
             // allows in this setting (see EXPERIMENTS.md); report it at the
             // top point only.
-            let nt = point(Technique::Ddpg, true, *steps, &knobs, 200 + i as u64);
+            let nt = point(Arm::EdgeSliceNt, Technique::Ddpg, *steps, 200 + i as u64);
             print_row(
                 &format!("{steps} steps"),
                 &[("EdgeSlice", es), ("EdgeSlice-NT", nt), ("TARO", taro)],
@@ -90,7 +59,7 @@ fn main() {
     for (k, technique) in Technique::ALL.iter().skip(1).enumerate() {
         // The comparators run a reduced schedule; DDPG reuses its top-grid
         // agent from (a).
-        let perf = point(*technique, false, top * 2 / 3, &knobs, 500 + k as u64);
+        let perf = point(Arm::EdgeSlice, *technique, top * 2 / 3, 500 + k as u64);
         print_row(technique.label(), &[("system performance", perf)]);
     }
     println!("(paper: DDPG performs best among DDPG/SAC/PPO/TRPO/VPG in this setting)");

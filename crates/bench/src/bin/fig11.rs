@@ -9,74 +9,30 @@
 
 use std::sync::Arc;
 
-use edgeslice::{
-    AgentConfig, EdgeSliceSystem, NegServiceTime, OrchestratorKind, QueuePenalty, SystemConfig,
-    TrafficKind,
-};
-use edgeslice_bench::{cdf, print_row, Arm, Knobs};
+use edgeslice::{NegServiceTime, PerformanceFunction, QueuePenalty};
+use edgeslice_bench::{cdf, print_row, run_arm, simulation, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;
-
-const BASE_RATE: f64 = 4.0;
-
-fn config(knobs: &Knobs, arm: Arm, n_ras: usize) -> SystemConfig {
-    let mut cfg_rng = knobs.rng(10 + 5);
-    let mut c = SystemConfig::simulation(5, n_ras, &mut cfg_rng);
-    c.traffic = TrafficKind::Diurnal { base: BASE_RATE };
-    if arm == Arm::EdgeSliceNt {
-        c = c.without_traffic_state();
-    }
-    c
-}
-
-/// Trains (if learned) a shared agent on the full 10-RA system, runs it,
-/// and returns the per-round system performance.
-fn run_arm_with(
-    mut make: impl FnMut(&mut SystemConfig),
-    arm: Arm,
-    steps: usize,
-    knobs: &Knobs,
-    stream: u64,
-) -> Vec<f64> {
-    let mut rng = knobs.rng(stream);
-    let kind = match arm {
-        Arm::Taro => OrchestratorKind::Taro,
-        _ => OrchestratorKind::Learned(Technique::Ddpg),
-    };
-    let mut run_cfg = config(knobs, arm, 10);
-    make(&mut run_cfg);
-    let mut sys = EdgeSliceSystem::new(run_cfg, kind, &AgentConfig::default(), &mut rng);
-    if arm != Arm::Taro {
-        sys.train_shared(steps, &mut rng);
-    }
-    sys.run(4, &mut rng)
-        .rounds
-        .iter()
-        .map(|r| r.system_performance)
-        .collect()
-}
-
-fn tail(xs: &[f64]) -> f64 {
-    let n = xs.len().min(2);
-    xs[xs.len() - n..].iter().sum::<f64>() / n as f64
-}
 
 fn main() {
     let knobs = Knobs::from_env();
     let steps = knobs.train_steps.max(50_000);
+    // Trains (if learned) a shared agent on the 10-RA system whose slices
+    // all use `perf`, and runs it for 4 rounds.
+    let run = |perf: Arc<dyn PerformanceFunction>, arm: Arm, stream: u64| {
+        let mut config = simulation(&knobs, 5, 10);
+        config.perf = perf;
+        let policy = Policy::Train(steps);
+        run_arm(&config, arm, Technique::Ddpg, policy, 4, knobs.rng(stream)).1
+    };
 
     println!("=== Fig. 11 (a): system performance vs alpha in U = -l^alpha ===");
     println!("(EdgeSlice-NT omitted from this sweep: it needs the paper's full 1e6-step budget in the simulation setting; see EXPERIMENTS.md)");
     for alpha in [1.0, 1.5, 2.0, 2.5] {
         let mut vals = Vec::new();
         for (k, arm) in [Arm::EdgeSlice, Arm::Taro].iter().enumerate() {
-            let rounds = run_arm_with(
-                |c| c.perf = Arc::new(QueuePenalty::new(alpha)),
-                *arm,
-                steps,
-                &knobs,
-                (alpha * 100.0) as u64 + k as u64,
-            );
-            vals.push((arm.label(), tail(&rounds)));
+            let perf = Arc::new(QueuePenalty::new(alpha));
+            let report = run(perf, *arm, (alpha * 100.0) as u64 + k as u64);
+            vals.push((arm.label(), report.tail_system_performance(2)));
         }
         print_row(&format!("alpha = {alpha}"), &vals);
     }
@@ -84,15 +40,13 @@ fn main() {
 
     println!("\n=== Fig. 11 (b): CDF of normalized system performance, U = -service_time ===");
     for (k, arm) in Arm::ALL.iter().enumerate() {
-        let rounds = run_arm_with(
-            |c| c.perf = Arc::new(NegServiceTime::paper()),
-            *arm,
-            steps,
-            &knobs,
-            700 + k as u64,
-        );
+        let report = run(Arc::new(NegServiceTime::paper()), *arm, 700 + k as u64);
         let norm = (5 * 10 * 24) as f64;
-        let samples: Vec<f64> = rounds.iter().map(|r| r / norm).collect();
+        let samples: Vec<f64> = report
+            .rounds
+            .iter()
+            .map(|r| r.system_performance / norm)
+            .collect();
         print!("{:>14}: ", arm.label());
         for (v, p) in cdf(&samples) {
             print!("({v:.3},{p:.2}) ");

@@ -6,7 +6,8 @@
 //! Poisson(10) traffic, `t = 1 s`, `T = 10`.
 
 use edgeslice::{SliceId, SystemConfig};
-use edgeslice_bench::{downsample, print_row, print_series, run_arm, Arm, Knobs};
+use edgeslice_bench::{downsample, print_row, print_series, run_arm, Arm, Knobs, Policy};
+use edgeslice_rl::Technique;
 
 fn main() {
     let knobs = Knobs::from_env();
@@ -20,7 +21,15 @@ fn main() {
     let mut systems = Vec::new();
     for (k, arm) in Arm::ALL.iter().enumerate() {
         eprintln!("running {} ...", arm.label());
-        let (system, report) = run_arm(&config, *arm, rounds, &knobs, k as u64);
+        let policy = Policy::Train(knobs.train_steps);
+        let (system, report) = run_arm(
+            &config,
+            *arm,
+            Technique::Ddpg,
+            policy,
+            rounds,
+            knobs.rng(k as u64),
+        );
         columns.push(system.monitor().interval_system_series(period));
         systems.push(system);
         reports.push(report);
@@ -45,19 +54,10 @@ fn main() {
     println!("(paper: 3.69x over TARO, 2.74x over EdgeSlice-NT)");
 
     println!("\n=== Fig. 6 (b): EdgeSlice per-slice performance vs time interval ===");
-    let s1 = downsample(
-        &systems[0]
-            .monitor()
-            .slice_interval_series(SliceId(0), period),
-        5,
-    );
-    let s2 = downsample(
-        &systems[0]
-            .monitor()
-            .slice_interval_series(SliceId(1), period),
-        5,
-    );
-    print_series("interval/5", &["Slice 1", "Slice 2"], &[s1, s2]);
+    let monitor = systems[0].monitor();
+    let series = |slice| downsample(&monitor.slice_interval_series(slice, period), 5);
+    let slices = [series(SliceId(0)), series(SliceId(1))];
+    print_series("interval/5", &["Slice 1", "Slice 2"], &slices);
     if let Some(last) = reports[0].rounds.last() {
         println!("\nfinal-round per-slice performance (SLA Umin = -50 per period):");
         for (i, (p, met)) in last.slice_performance.iter().zip(&last.sla_met).enumerate() {

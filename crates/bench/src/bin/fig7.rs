@@ -7,7 +7,8 @@
 //! resources; allocations stabilize within ~6 coordination rounds.
 
 use edgeslice::{ResourceKind, SliceId, SystemConfig};
-use edgeslice_bench::{downsample, print_series, run_arm, Arm, Knobs};
+use edgeslice_bench::{downsample, print_series, run_arm, Arm, Knobs, Policy};
+use edgeslice_rl::Technique;
 
 fn main() {
     let knobs = Knobs::from_env();
@@ -17,20 +18,27 @@ fn main() {
     let n_ras = config.n_ras;
 
     eprintln!("training + running EdgeSlice ...");
-    let (system, _) = run_arm(&config, Arm::EdgeSlice, rounds, &knobs, 0);
+    let policy = Policy::Train(knobs.train_steps);
+    let (system, _) = run_arm(
+        &config,
+        Arm::EdgeSlice,
+        Technique::Ddpg,
+        policy,
+        rounds,
+        knobs.rng(0),
+    );
     let monitor = system.monitor();
 
     for kind in ResourceKind::ALL {
         println!("\n=== Fig. 7: normalized {kind} usage vs time interval ===");
-        let s1 = downsample(
-            &monitor.usage_interval_series(SliceId(0), kind, period, n_ras),
-            5,
-        );
-        let s2 = downsample(
-            &monitor.usage_interval_series(SliceId(1), kind, period, n_ras),
-            5,
-        );
-        print_series("interval/5", &["Slice 1", "Slice 2"], &[s1, s2]);
+        let series = |slice| {
+            downsample(
+                &monitor.usage_interval_series(slice, kind, period, n_ras),
+                5,
+            )
+        };
+        let slices = [series(SliceId(0)), series(SliceId(1))];
+        print_series("interval/5", &["Slice 1", "Slice 2"], &slices);
     }
 
     println!("\nmean usage over the final 3 rounds:");

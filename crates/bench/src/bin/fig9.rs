@@ -10,92 +10,50 @@
 //! replicated across every RA-count point (the paper trains per-RA agents
 //! in parallel on its testbed).
 
-use edgeslice::{
-    AgentConfig, EdgeSliceSystem, OrchestrationAgent, OrchestratorKind, SystemConfig, TrafficKind,
-};
-use edgeslice_bench::{print_row, Arm, Knobs};
+use edgeslice_bench::{print_row, run_arm, simulation, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;
-
-const BASE_RATE: f64 = 4.0;
-
-fn config_for(n_slices: usize, n_ras: usize, knobs: &Knobs) -> SystemConfig {
-    // The slice set must be identical across sizes for agent reuse: seed
-    // the app draw by slice count only.
-    let mut cfg_rng = knobs.rng(10 + n_slices as u64);
-    let mut config = SystemConfig::simulation(n_slices, n_ras, &mut cfg_rng);
-    config.traffic = TrafficKind::Diurnal { base: BASE_RATE };
-    config
-}
-
-/// Trains one shared agent for `arm` on the 10-RA system and returns it
-/// together with that system's own run result.
-fn train_and_run_10(
-    arm: Arm,
-    n_slices: usize,
-    knobs: &Knobs,
-    steps: usize,
-    rounds: usize,
-) -> (OrchestrationAgent, f64) {
-    let mut config = config_for(n_slices, 10, knobs);
-    if arm == Arm::EdgeSliceNt {
-        config = config.without_traffic_state();
-    }
-    let mut rng = knobs.rng(100 + n_slices as u64 * 7 + (arm as usize as u64));
-    let mut sys = EdgeSliceSystem::new(
-        config,
-        OrchestratorKind::Learned(Technique::Ddpg),
-        &AgentConfig::default(),
-        &mut rng,
-    );
-    sys.train_shared(steps, &mut rng);
-    let perf = sys.run(rounds, &mut rng).tail_system_performance(2);
-    (sys.agent0(), perf)
-}
-
-fn run_point(
-    arm: Arm,
-    agent: Option<&OrchestrationAgent>,
-    n_slices: usize,
-    n_ras: usize,
-    rounds: usize,
-    knobs: &Knobs,
-) -> f64 {
-    let mut config = config_for(n_slices, n_ras, knobs);
-    if arm == Arm::EdgeSliceNt {
-        config = config.without_traffic_state();
-    }
-    let kind = match arm {
-        Arm::Taro => OrchestratorKind::Taro,
-        _ => OrchestratorKind::Learned(Technique::Ddpg),
-    };
-    let mut rng = knobs.rng(500 + (n_slices * 100 + n_ras * 3 + arm as usize) as u64);
-    let mut sys = EdgeSliceSystem::new(config, kind, &AgentConfig::default(), &mut rng);
-    if let Some(a) = agent {
-        sys.install_agents(a);
-    }
-    sys.run(rounds, &mut rng).tail_system_performance(2)
-}
 
 fn main() {
     let knobs = Knobs::from_env();
     // Simulation envs (5 slices) need a longer schedule than the prototype.
     let steps = knobs.train_steps.max(60_000);
     let rounds = 5;
+    // Trains one shared agent for `arm` on the 10-RA system and returns it
+    // together with that system's own tail performance.
+    let train_and_run_10 = |arm: Arm, n_slices: usize| {
+        let config = simulation(&knobs, n_slices, 10);
+        let rng = knobs.rng(100 + n_slices as u64 * 7 + (arm as usize as u64));
+        let (sys, report) = run_arm(
+            &config,
+            arm,
+            Technique::Ddpg,
+            Policy::Train(steps),
+            rounds,
+            rng,
+        );
+        (sys.agent0(), report.tail_system_performance(2))
+    };
+    let run_point = |arm: Arm, policy: Policy, n_slices: usize, n_ras: usize| {
+        let config = simulation(&knobs, n_slices, n_ras);
+        let rng = knobs.rng(500 + (n_slices * 100 + n_ras * 3 + arm as usize) as u64);
+        let (_, report) = run_arm(&config, arm, Technique::Ddpg, policy, rounds, rng);
+        report.tail_system_performance(2)
+    };
 
     println!("=== Fig. 9 (a): performance per RA vs number of RAs (5 slices) ===");
     eprintln!("training shared agents (reused across sizes)...");
-    let (es5, es10_perf) = train_and_run_10(Arm::EdgeSlice, 5, &knobs, steps, rounds);
-    let (nt5, nt10_perf) = train_and_run_10(Arm::EdgeSliceNt, 5, &knobs, steps, rounds);
+    let (es5, es10_perf) = train_and_run_10(Arm::EdgeSlice, 5);
+    let (nt5, nt10_perf) = train_and_run_10(Arm::EdgeSliceNt, 5);
     for n_ras in [5usize, 10, 15, 20] {
         let (es, nt) = if n_ras == 10 {
             (es10_perf, nt10_perf)
         } else {
             (
-                run_point(Arm::EdgeSlice, Some(&es5), 5, n_ras, rounds, &knobs),
-                run_point(Arm::EdgeSliceNt, Some(&nt5), 5, n_ras, rounds, &knobs),
+                run_point(Arm::EdgeSlice, Policy::Install(&es5), 5, n_ras),
+                run_point(Arm::EdgeSliceNt, Policy::Install(&nt5), 5, n_ras),
             )
         };
-        let ta = run_point(Arm::Taro, None, 5, n_ras, rounds, &knobs);
+        let ta = run_point(Arm::Taro, Policy::Train(steps), 5, n_ras);
         print_row(
             &format!("{n_ras} RAs"),
             &[
@@ -113,27 +71,16 @@ fn main() {
         let es = if n_slices == 5 {
             es10_perf
         } else {
-            train_and_run_10(Arm::EdgeSlice, n_slices, &knobs, steps, rounds).1
+            train_and_run_10(Arm::EdgeSlice, n_slices).1
         };
-        let ta = run_point(Arm::Taro, None, n_slices, 10, rounds, &knobs);
+        let ta = run_point(Arm::Taro, Policy::Train(steps), n_slices, 10);
+        let n = n_slices as f64;
+        let mut row = vec![("EdgeSlice", es / n)];
         if n_slices == 5 {
-            print_row(
-                &format!("{n_slices} slices"),
-                &[
-                    ("EdgeSlice", es / 5.0),
-                    ("EdgeSlice-NT", nt10_perf / 5.0),
-                    ("TARO", ta / 5.0),
-                ],
-            );
-        } else {
-            print_row(
-                &format!("{n_slices} slices"),
-                &[
-                    ("EdgeSlice", es / n_slices as f64),
-                    ("TARO", ta / n_slices as f64),
-                ],
-            );
+            row.push(("EdgeSlice-NT", nt10_perf / n));
         }
+        row.push(("TARO", ta / n));
+        print_row(&format!("{n_slices} slices"), &row);
     }
     println!("(paper: per-slice performance degrades as slices contend; EdgeSlice stays best)");
 }

@@ -13,6 +13,13 @@
 //! | `fig11` | performance-function compatibility (α sweep, CDF) |
 //! | `prototype` | Table II inventory + manager-mechanism demos |
 //!
+//! The experiment set-up every system-level figure (6, 7, 9, 10, 11)
+//! shares lives here, once: [`simulation`] is the trace-driven simulation
+//! setting, [`Arm`] says what each compared system is, and [`run_arm`]
+//! builds an arm, gives it its [`Policy`] and runs it. `fig8` evaluates
+//! single-RA environments, and `churn` runs workload-plan systems, so
+//! neither goes through it.
+//!
 //! Figures train scaled-down agents by default so each binary finishes in
 //! minutes; set `EDGESLICE_TRAIN_STEPS` / `EDGESLICE_SEED` to change the
 //! schedule (EXPERIMENTS.md records the schedules used).
@@ -22,7 +29,10 @@
 
 use std::str::FromStr;
 
-use edgeslice::{AgentConfig, EdgeSliceSystem, OrchestratorKind, RunReport, SystemConfig};
+use edgeslice::{
+    AgentConfig, EdgeSliceSystem, OrchestrationAgent, OrchestratorKind, RunReport, SystemConfig,
+    TrafficKind,
+};
 use edgeslice_rl::Technique;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,40 +108,52 @@ impl Arm {
     }
 }
 
-/// Builds, trains (for learned arms, sharing one trained agent across RAs)
-/// and returns a ready-to-run system for `arm` on `config`.
-pub fn build_arm(
-    config: &SystemConfig,
-    arm: Arm,
-    technique: Technique,
-    knobs: &Knobs,
-    rng: &mut StdRng,
-) -> EdgeSliceSystem {
-    let cfg = match arm {
-        Arm::EdgeSliceNt => config.clone().without_traffic_state(),
-        _ => config.clone(),
-    };
-    let kind = match arm {
-        Arm::Taro => OrchestratorKind::Taro,
-        _ => OrchestratorKind::Learned(technique),
-    };
-    let mut system = EdgeSliceSystem::new(cfg, kind, &AgentConfig::default(), rng);
-    if arm != Arm::Taro {
-        system.train_shared(knobs.train_steps, rng);
-    }
-    system
+/// The paper's trace-driven simulation setting (Sec. VII-D): `n_slices`
+/// slices on `n_ras` RAs under diurnal traffic, `T = 24`. The slice set
+/// is drawn from a stream seeded by the slice count only, so an agent
+/// trained at one RA count installs at another.
+pub fn simulation(knobs: &Knobs, n_slices: usize, n_ras: usize) -> SystemConfig {
+    let mut config =
+        SystemConfig::simulation(n_slices, n_ras, &mut knobs.rng(10 + n_slices as u64));
+    config.traffic = TrafficKind::Diurnal { base: 4.0 };
+    config
 }
 
-/// Trains and runs one arm, returning `(system, report)`.
+/// How a learned arm gets its policy before it runs. [`Arm::Taro`] needs
+/// none and ignores it.
+#[derive(Debug, Clone, Copy)]
+pub enum Policy<'a> {
+    /// Train one agent, shared by every RA, for this many steps.
+    Train(usize),
+    /// Install copies of an agent trained on another system.
+    Install(&'a OrchestrationAgent),
+}
+
+/// Builds `arm` on `config` (with `technique` for a learned arm), gives it
+/// its `policy` and runs it for `rounds`. Construction, training and the
+/// run draw from `rng` in that order.
 pub fn run_arm(
     config: &SystemConfig,
     arm: Arm,
+    technique: Technique,
+    policy: Policy<'_>,
     rounds: usize,
-    knobs: &Knobs,
-    stream: u64,
+    mut rng: StdRng,
 ) -> (EdgeSliceSystem, RunReport) {
-    let mut rng = knobs.rng(stream);
-    let mut system = build_arm(config, arm, Technique::Ddpg, knobs, &mut rng);
+    let (config, kind) = match arm {
+        Arm::EdgeSlice => (config.clone(), OrchestratorKind::Learned(technique)),
+        Arm::EdgeSliceNt => (
+            config.clone().without_traffic_state(),
+            OrchestratorKind::Learned(technique),
+        ),
+        Arm::Taro => (config.clone(), OrchestratorKind::Taro),
+    };
+    let mut system = EdgeSliceSystem::new(config, kind, &AgentConfig::default(), &mut rng);
+    match (arm, policy) {
+        (Arm::Taro, _) => {}
+        (_, Policy::Train(steps)) => system.train_shared(steps, &mut rng),
+        (_, Policy::Install(agent)) => system.install_agents(agent),
+    }
     let report = system.run(rounds, &mut rng);
     (system, report)
 }

@@ -205,7 +205,11 @@ mod tests {
         assert!(std::error::Error::source(&err).is_some());
         assert!(err.to_string().contains("resource-manager rejection"));
 
-        let err: EdgeSliceError = OptimError::Singular { column: 2 }.into();
+        let err: EdgeSliceError = OptimError::DimensionMismatch {
+            expected: 4,
+            found: 3,
+        }
+        .into();
         assert!(matches!(err, EdgeSliceError::Optim(_)));
 
         let err = EdgeSliceError::RaUnavailable {

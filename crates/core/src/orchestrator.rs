@@ -42,7 +42,6 @@ pub struct EdgeSliceSystem {
     coordinator: PerformanceCoordinator,
     monitor: SystemMonitor,
     scheduler: Scheduler,
-    round_deadline: Duration,
     straggle_sleep: Duration,
     /// Supervision policy for worker panics (restart budget + backoff).
     supervision: SupervisorConfig,
@@ -94,7 +93,6 @@ impl EdgeSliceSystem {
             coordinator,
             monitor: SystemMonitor::new(),
             scheduler: Scheduler::Sequential,
-            round_deadline: Duration::from_secs(30),
             straggle_sleep: Duration::ZERO,
             supervision: SupervisorConfig::default(),
             store: None,
@@ -115,14 +113,6 @@ impl EdgeSliceSystem {
     /// The execution topology in effect.
     pub fn scheduler(&self) -> Scheduler {
         self.scheduler
-    }
-
-    /// Sets the per-round wall-clock report deadline (default 30 s — a
-    /// liveness backstop that only a hung worker ever misses; injected
-    /// stragglers miss their deadline *logically* via the fault plan, so
-    /// determinism is unaffected).
-    pub fn set_round_deadline(&mut self, deadline: Duration) {
-        self.round_deadline = deadline;
     }
 
     /// Makes injected stragglers also sleep for `delay` before reporting,

@@ -256,7 +256,6 @@ impl EdgeSliceSystem {
         }
         match workers {
             Workers::Local(_) => Engine::new(self.scheduler)
-                .with_deadline(self.round_deadline)
                 .with_supervisor(self.supervision)
                 .with_prior_panics(panic_counts)
                 .run_from(&mut local, &mut exec, first_round, max_rounds),

@@ -87,12 +87,6 @@ pub fn dual_update(y: &mut [f64], achieved: &[f64], z: &[f64]) {
     }
 }
 
-/// The augmented-Lagrangian penalty `−(ρ/2) ‖u − z + y‖²` that appears in
-/// both the agent objective `P3` (Eq. 12) and the reward (Eq. 15).
-pub fn augmented_penalty(u: f64, z: f64, y: f64, rho: f64) -> f64 {
-    -(rho / 2.0) * (u - z + y).powi(2)
-}
-
 /// Tracks a rolling window of residuals to detect convergence of the
 /// coordinator/agent interaction (Alg. 1, "if convergence").
 #[derive(Debug, Clone, Default)]
@@ -159,21 +153,6 @@ mod tests {
         assert_eq!(y, vec![2.0, 0.0]);
         dual_update(&mut y, &[3.0, 1.0], &[1.0, 1.0]);
         assert_eq!(y, vec![4.0, 0.0]);
-    }
-
-    #[test]
-    fn penalty_is_zero_when_consensus_holds() {
-        assert_eq!(augmented_penalty(5.0, 5.0, 0.0, 1.0), 0.0);
-        // With scaled dual y, consensus means u - z + y = 0.
-        assert_eq!(augmented_penalty(4.0, 5.0, 1.0, 2.0), 0.0);
-    }
-
-    #[test]
-    fn penalty_is_negative_and_quadratic() {
-        let p1 = augmented_penalty(1.0, 0.0, 0.0, 1.0);
-        let p2 = augmented_penalty(2.0, 0.0, 0.0, 1.0);
-        assert!(p1 < 0.0);
-        assert!((p2 / p1 - 4.0).abs() < 1e-12, "quadratic growth expected");
     }
 
     #[test]

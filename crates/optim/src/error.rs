@@ -21,11 +21,6 @@ pub enum OptimError {
         /// Its value.
         value: f64,
     },
-    /// Gaussian elimination found no usable pivot.
-    Singular {
-        /// Column where elimination failed.
-        column: usize,
-    },
 }
 
 impl fmt::Display for OptimError {
@@ -42,9 +37,6 @@ impl fmt::Display for OptimError {
                     f,
                     "matrix is not positive definite (pivot {pivot} = {value})"
                 )
-            }
-            OptimError::Singular { column } => {
-                write!(f, "matrix is singular at column {column}")
             }
         }
     }
@@ -68,8 +60,6 @@ mod tests {
             value: -0.5,
         };
         assert!(e.to_string().contains("positive definite"));
-        let e = OptimError::Singular { column: 2 };
-        assert!(e.to_string().contains("singular"));
     }
 
     #[test]

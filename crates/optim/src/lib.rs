@@ -2,15 +2,16 @@
 //!
 //! Convex-optimization building blocks for the EdgeSlice reproduction:
 //!
-//! * [`project_sum_halfspace`] / [`solve_projection_qp`] — the coordinator's
-//!   `P2` quadratic program (paper Eq. 11), exactly and iteratively.
+//! * [`project_sum_halfspace`] — the coordinator's `P2` quadratic program
+//!   (paper Eq. 11) in closed form.
+//! * [`project_capacity_strided`] — one resource's column of an action
+//!   projected onto the RA's capacity.
 //! * [`dual_update`], [`AdmmResiduals`], [`ConvergenceTracker`] — the ADMM
 //!   machinery of Sec. IV-A / Alg. 1.
 //! * [`LinearModel`] — the local linear regression that the simulated
 //!   environment fits over grid-search neighbours (Sec. VI-B; the paper used
 //!   scikit-learn).
-//! * [`solve_spd`] / [`solve_spd_in_place`] / [`solve_general`] — small dense
-//!   direct solvers.
+//! * [`solve_spd`] / [`solve_spd_in_place`] — small dense SPD solvers.
 //! * [`conjugate_gradient`] — implicit-system solver used by TRPO.
 //!
 //! # Examples
@@ -37,12 +38,9 @@ mod linreg;
 mod qp;
 mod solve;
 
-pub use admm::{augmented_penalty, dual_update, AdmmConfig, AdmmResiduals, ConvergenceTracker};
+pub use admm::{dual_update, AdmmConfig, AdmmResiduals, ConvergenceTracker};
 pub use cg::conjugate_gradient;
 pub use error::OptimError;
 pub use linreg::LinearModel;
-pub use qp::{
-    clamp_box, project_capacity, project_capacity_strided, project_sum_halfspace,
-    solve_projection_qp, QpConfig, QpSolution,
-};
-pub use solve::{solve_general, solve_spd, solve_spd_in_place};
+pub use qp::{project_capacity_strided, project_sum_halfspace};
+pub use solve::{solve_spd, solve_spd_in_place};

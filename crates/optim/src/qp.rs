@@ -8,11 +8,8 @@
 //!
 //! with `c_j = Σ_t U_{i,j}^{(t)} + y_{i,j}`. This is the Euclidean
 //! projection of `c` onto a half-space, which has a closed form; the paper
-//! solved it with CVXPY. We provide both the exact projection and a
-//! projected-gradient solver that cross-validates it (and generalizes to
-//! additional constraints).
-
-use serde::{Deserialize, Serialize};
+//! solved it with CVXPY. The closed form ships; a projected-gradient
+//! solver that cross-validates it lives in the tests.
 
 /// Projects `c` onto the half-space `{ z : Σ z_j ≥ bound }`.
 ///
@@ -33,98 +30,15 @@ pub fn project_sum_halfspace(c: &[f64], bound: f64) -> Vec<f64> {
     c.iter().map(|&x| x + lift).collect()
 }
 
-/// Configuration for the iterative projected-gradient QP solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QpConfig {
-    /// Gradient step size.
-    pub step: f64,
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on the iterate displacement.
-    pub tol: f64,
-}
-
-impl Default for QpConfig {
-    fn default() -> Self {
-        Self {
-            step: 0.25,
-            max_iters: 10_000,
-            tol: 1e-10,
-        }
-    }
-}
-
-/// Result of a [`solve_projection_qp`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QpSolution {
-    /// The minimizer.
-    pub z: Vec<f64>,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Whether the tolerance was reached before `max_iters`.
-    pub converged: bool,
-}
-
-/// Solves `min_z ‖c − z‖²  s.t. Σ z ≥ bound` by projected gradient descent.
-///
-/// Exists to cross-check [`project_sum_halfspace`] and to serve as the
-/// template for QPs with extra constraints; for the plain half-space case
-/// prefer the closed form.
-///
-/// # Panics
-///
-/// Panics if `c` is empty.
-pub fn solve_projection_qp(c: &[f64], bound: f64, config: QpConfig) -> QpSolution {
-    assert!(!c.is_empty(), "cannot solve an empty QP");
-    let mut z = project_sum_halfspace(c, bound);
-    let mut iterations = 0;
-    let mut converged = false;
-    for it in 0..config.max_iters {
-        iterations = it + 1;
-        // ∇ = 2 (z − c); step then re-project onto the feasible set.
-        let mut next: Vec<f64> = z
-            .iter()
-            .zip(c)
-            .map(|(&zi, &ci)| zi - config.step * 2.0 * (zi - ci))
-            .collect();
-        next = project_sum_halfspace(&next, bound);
-        let delta: f64 = next.iter().zip(&z).map(|(a, b)| (a - b).powi(2)).sum();
-        z = next;
-        if delta.sqrt() < config.tol {
-            converged = true;
-            break;
-        }
-    }
-    QpSolution {
-        z,
-        iterations,
-        converged,
-    }
-}
-
-/// Projects `x` onto the box `[lo, hi]^n` element-wise.
-pub fn clamp_box(x: &mut [f64], lo: f64, hi: f64) {
-    for v in x.iter_mut() {
-        *v = v.clamp(lo, hi);
-    }
-}
-
-/// Projects `x` onto the scaled simplex `{ x ≥ 0, Σ x ≤ cap }`.
+/// Projects the strided column `x[offset], x[offset + stride], …` — one
+/// resource's column of a flat slice-major action — onto the scaled
+/// simplex `{ x ≥ 0, Σ x ≤ cap }`, in place.
 ///
 /// Used when normalizing resource orchestration actions that overshoot an
-/// RA's capacity. Nonnegative entries are kept; if their sum exceeds `cap`
-/// the vector is rescaled proportionally (the multiplicative projection used
-/// for resource shares, not the Euclidean one, so zero allocations stay
-/// zero).
-pub fn project_capacity(x: &mut [f64], cap: f64) {
-    project_capacity_strided(x, 0, 1, cap);
-}
-
-/// [`project_capacity`] applied in place to the strided column
-/// `x[offset], x[offset + stride], …` — one resource's column of a flat
-/// slice-major action, without gathering it into its own vector. Same
-/// order of operations (clamp, sequential sum, scale), so a column
-/// projected here is bit-identical to the gathered one.
+/// RA's capacity. Negative entries are clipped to zero; if the column's
+/// sum then exceeds `cap` it is rescaled proportionally (the
+/// multiplicative projection used for resource shares, not the Euclidean
+/// one, so zero allocations stay zero).
 ///
 /// # Panics
 ///
@@ -147,6 +61,59 @@ pub fn project_capacity_strided(x: &mut [f64], offset: usize, stride: usize, cap
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Configuration for the iterative projected-gradient QP solver.
+    #[derive(Debug, Clone, Copy)]
+    struct QpConfig {
+        step: f64,
+        max_iters: usize,
+        tol: f64,
+    }
+
+    impl Default for QpConfig {
+        fn default() -> Self {
+            Self {
+                step: 0.25,
+                max_iters: 10_000,
+                tol: 1e-10,
+            }
+        }
+    }
+
+    /// Result of a [`solve_projection_qp`] run.
+    struct QpSolution {
+        z: Vec<f64>,
+        converged: bool,
+    }
+
+    /// Solves `min_z ‖c − z‖²  s.t. Σ z ≥ bound` by projected gradient
+    /// descent: the iterative cross-check of [`project_sum_halfspace`].
+    fn solve_projection_qp(c: &[f64], bound: f64, config: QpConfig) -> QpSolution {
+        let mut z = project_sum_halfspace(c, bound);
+        let mut converged = false;
+        for _ in 0..config.max_iters {
+            // ∇ = 2 (z − c); step then re-project onto the feasible set.
+            let mut next: Vec<f64> = z
+                .iter()
+                .zip(c)
+                .map(|(&zi, &ci)| zi - config.step * 2.0 * (zi - ci))
+                .collect();
+            next = project_sum_halfspace(&next, bound);
+            let delta: f64 = next.iter().zip(&z).map(|(a, b)| (a - b).powi(2)).sum();
+            z = next;
+            if delta.sqrt() < config.tol {
+                converged = true;
+                break;
+            }
+        }
+        QpSolution { z, converged }
+    }
+
+    /// The unstrided capacity projection: the reference the strided one
+    /// is compared with, one gathered column at a time.
+    fn project_capacity(x: &mut [f64], cap: f64) {
+        project_capacity_strided(x, 0, 1, cap);
+    }
 
     #[test]
     fn projection_identity_when_feasible() {
@@ -242,12 +209,5 @@ mod tests {
                 assert_eq!(strided[i * 3 + kind].to_bits(), want.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn clamp_box_bounds() {
-        let mut x = vec![-2.0, 0.5, 7.0];
-        clamp_box(&mut x, 0.0, 1.0);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
     }
 }

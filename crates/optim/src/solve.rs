@@ -75,63 +75,6 @@ pub fn solve_spd_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), OptimError
     Ok(())
 }
 
-/// Solves a general square system `A x = b` via Gaussian elimination with
-/// partial pivoting.
-///
-/// # Errors
-///
-/// Returns [`OptimError::Singular`] if no usable pivot exists, and
-/// [`OptimError::DimensionMismatch`] if shapes disagree.
-pub fn solve_general(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
-    let n = b.len();
-    if a.len() != n * n {
-        return Err(OptimError::DimensionMismatch {
-            expected: n * n,
-            found: a.len(),
-        });
-    }
-    let mut m = a.to_vec();
-    let mut x = b.to_vec();
-    for col in 0..n {
-        // Partial pivot.
-        let mut best = col;
-        for row in col + 1..n {
-            if m[row * n + col].abs() > m[best * n + col].abs() {
-                best = row;
-            }
-        }
-        if m[best * n + col].abs() < 1e-12 {
-            return Err(OptimError::Singular { column: col });
-        }
-        if best != col {
-            for k in 0..n {
-                m.swap(col * n + k, best * n + k);
-            }
-            x.swap(col, best);
-        }
-        let pivot = m[col * n + col];
-        for row in col + 1..n {
-            let f = m[row * n + col] / pivot;
-            // lint:allow(float-eq): exact-zero multiplier skip; a tolerance would change the factorization
-            if f == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                m[row * n + k] -= f * m[col * n + k];
-            }
-            x[row] -= f * x[col];
-        }
-    }
-    for i in (0..n).rev() {
-        let mut sum = x[i];
-        for k in i + 1..n {
-            sum -= m[i * n + k] * x[k];
-        }
-        x[i] = sum / m[i * n + i];
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,39 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn general_solve_with_pivoting() {
-        // Requires a row swap: first pivot is 0.
-        let a = [0.0, 1.0, 1.0, 0.0];
-        let x = solve_general(&a, &[3.0, 5.0]).unwrap();
-        assert!((x[0] - 5.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn general_detects_singular() {
-        let a = [1.0, 2.0, 2.0, 4.0];
-        assert!(matches!(
-            solve_general(&a, &[1.0, 2.0]),
-            Err(OptimError::Singular { .. })
-        ));
-    }
-
-    #[test]
     fn dimension_mismatch_is_reported() {
         assert!(matches!(
             solve_spd(&[1.0, 2.0, 3.0], &[1.0, 2.0]),
             Err(OptimError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn solvers_agree_on_spd_system() {
-        let a = [5.0, 1.0, 0.5, 1.0, 4.0, 1.0, 0.5, 1.0, 3.0];
-        let b = [1.0, -2.0, 0.5];
-        let x1 = solve_spd(&a, &b).unwrap();
-        let x2 = solve_general(&a, &b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
     }
 }

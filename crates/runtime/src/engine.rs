@@ -123,12 +123,18 @@ pub trait RoundCoordinator {
     ) -> bool;
 }
 
+/// How long the in-process coordinator waits for one round's reports
+/// before handing the missing RAs on as *missing*: a liveness backstop
+/// generous enough that only a hung worker ever misses it, which keeps
+/// healthy runs deterministic across schedulers. Injected stragglers miss
+/// their deadline *logically*, through the fault plan.
+pub(crate) const ROUND_DEADLINE: Duration = Duration::from_secs(30);
+
 /// The round-based execution engine. See the crate docs for the
 /// determinism contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Engine {
     scheduler: Scheduler,
-    deadline: Duration,
     supervision: SupervisorConfig,
     /// Panics each worker slot suffered in an earlier interrupted run;
     /// seeds the supervisors on resume (empty for fresh runs).
@@ -136,26 +142,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine on `scheduler` with the default 30 s per-round deadline —
-    /// generous enough that only a hung worker ever misses it, which keeps
-    /// healthy runs deterministic across schedulers — and the default
-    /// supervision policy.
+    /// An engine on `scheduler` with the default supervision policy. Each
+    /// round waits at most [`ROUND_DEADLINE`] for its reports.
     pub fn new(scheduler: Scheduler) -> Self {
         Self {
             scheduler,
-            deadline: Duration::from_secs(30),
             supervision: SupervisorConfig::default(),
             prior_panics: Vec::new(),
         }
-    }
-
-    /// Sets the per-round report deadline. Reports not received within it
-    /// are handed to the coordinator as missing; tighten it to make slow
-    /// workers *actually* lose rounds instead of stalling the system.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     /// Sets the panic-supervision policy (restart budget and backoff).
@@ -240,14 +234,7 @@ impl Engine {
             return round_loop(&mut inline, coord, first_round, end_round);
         }
         std::thread::scope(|s| {
-            let mut shards = ShardGather::spawn(
-                s,
-                workers,
-                n_threads,
-                self.supervision,
-                &prior,
-                self.deadline,
-            );
+            let mut shards = ShardGather::spawn(s, workers, n_threads, self.supervision, &prior);
             round_loop(&mut shards, coord, first_round, end_round)
         })
     }
@@ -296,7 +283,6 @@ struct ShardGather<B> {
     cmd_txs: Vec<Sender<Vec<CoordInfo>>>,
     /// What `Supervisor::guard` returned for each addressed RA.
     rep_rx: Receiver<Result<RaReport<B>, WorkerDown>>,
-    deadline: Duration,
 }
 
 impl<B: Send> ShardGather<B> {
@@ -307,7 +293,6 @@ impl<B: Send> ShardGather<B> {
         n_threads: usize,
         supervision: SupervisorConfig,
         prior_panics: &[usize],
-        deadline: Duration,
     ) -> Self
     where
         B: 'scope,
@@ -331,7 +316,6 @@ impl<B: Send> ShardGather<B> {
             chunk_size,
             cmd_txs,
             rep_rx,
-            deadline,
         }
     }
 }
@@ -355,7 +339,7 @@ impl<B> RoundGather for ShardGather<B> {
             let _ = cmd_tx.send(infos);
         }
         let mut ledger = SettleLedger::new(round, self.n);
-        let deadline = RoundDeadline::after(self.deadline);
+        let deadline = RoundDeadline::after(ROUND_DEADLINE);
         while !ledger.all_settled() {
             match self.rep_rx.recv_timeout(deadline.remaining()) {
                 Ok(outcome) => ledger.settle(outcome),

@@ -26,8 +26,8 @@
 //!    one slot-settle ledger decides, for every gather, which arrival
 //!    fills a slot and which is dropped and counted. [`Control`] messages
 //!    handle checkpointing, rejoin re-sync and shutdown.
-//! 3. **Deadlines** — the coordinator waits at most
-//!    [`Engine::with_deadline`] per round for the report channel. A report
+//! 3. **Deadlines** — the coordinator waits at most 30 s per round for
+//!    the report channel. A report
 //!    that misses the wall-clock deadline (a hung or genuinely slow
 //!    worker) is dropped as stale when it finally arrives, and the RA is
 //!    handed to the caller as *missing* — the degraded-coordination path

@@ -36,18 +36,18 @@
 use std::time::Duration;
 
 use crate::clock::{Clock, RoundDeadline};
-use crate::frame::{WireMsg, PROTOCOL_VERSION, REJECT_UNKNOWN_RA, REJECT_VERSION};
+use crate::frame::WireMsg;
 use crate::gather::{RoundGather, SettleLedger};
 use crate::msg::{Control, CoordInfo, RaReport};
 use crate::registration::{Lease, NodeInfo, RegStats, RegistrationPlane};
 use crate::supervisor::{DownCause, WorkerDown};
-use crate::transport::{LinkStats, Transport, TransportError};
+use crate::transport::{server_handshake, LinkStats, Transport, TransportError};
 use crate::RoundTelemetry;
 
 /// Knobs for the networked coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Gather budget per round (the analogue of `Engine::with_deadline`).
+    /// Gather budget per round (the in-process engine's is a fixed 30 s).
     pub round_deadline: Duration,
     /// How long to wait for all workers to register before a run starts.
     pub registration_timeout: Duration,
@@ -182,50 +182,18 @@ impl<T: Transport> NetCoordinator<T> {
         self.acceptor = Some(acceptor);
     }
 
-    /// Adopts a freshly connected peer: serves its `Hello` (bounded by
-    /// [`NetConfig::handshake_timeout`]), validates version and RA range,
-    /// and installs the link — replacing any previous (dead) link for the
-    /// same RA. Registration itself arrives as the peer's next frame and
-    /// is absorbed during the normal message pump.
+    /// Adopts a freshly connected peer: serves its handshake
+    /// ([`crate::server_handshake`], bounded by
+    /// [`NetConfig::handshake_timeout`], which rejects a wrong version or
+    /// an RA out of range) and installs the link — replacing any previous
+    /// (dead) link for the same RA. Registration itself arrives as the
+    /// peer's next frame and is absorbed during the normal message pump.
     pub fn adopt(&mut self, mut t: T) -> Result<usize, TransportError> {
-        match t.recv_timeout(self.config.handshake_timeout)? {
-            WireMsg::Hello { version, ra } if version == PROTOCOL_VERSION => {
-                let ra = match usize::try_from(ra) {
-                    Ok(ra) if ra < self.links.len() => ra,
-                    _ => {
-                        let _ = t.send(&WireMsg::Reject {
-                            code: REJECT_UNKNOWN_RA,
-                        });
-                        return Err(TransportError::HandshakeProtocol("ra out of range"));
-                    }
-                };
-                t.send(&WireMsg::HelloAck {
-                    version: PROTOCOL_VERSION,
-                })?;
-                if let Some(slot) = self.links.get_mut(ra) {
-                    *slot = Some(Link { t, broken: false });
-                }
-                Ok(ra)
-            }
-            WireMsg::Hello { version, .. } => {
-                let _ = t.send(&WireMsg::Reject {
-                    code: REJECT_VERSION,
-                });
-                Err(TransportError::VersionMismatch {
-                    ours: PROTOCOL_VERSION,
-                    theirs: version,
-                })
-            }
-            WireMsg::HelloAck { .. }
-            | WireMsg::Reject { .. }
-            | WireMsg::Register { .. }
-            | WireMsg::RegisterAck { .. }
-            | WireMsg::Refresh { .. }
-            | WireMsg::Round(_)
-            | WireMsg::Report { .. }
-            | WireMsg::Ctl(_)
-            | WireMsg::Down { .. } => Err(TransportError::HandshakeProtocol("expected Hello")),
+        let ra = server_handshake(&mut t, self.links.len(), self.config.handshake_timeout)?;
+        if let Some(slot) = self.links.get_mut(ra) {
+            *slot = Some(Link { t, broken: false });
         }
+        Ok(ra)
     }
 
     /// Drains the acceptor, adopting every pending peer. Handshake
@@ -673,6 +641,7 @@ impl<T: Transport> WorkerSession<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::REJECT_UNKNOWN_RA;
     use crate::registration::caps;
     use crate::transport::{loopback_pair, LoopbackTransport};
 
@@ -944,5 +913,26 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.leases_expired, 1);
         assert!(stats.rejoins >= 1);
+    }
+
+    #[test]
+    fn out_of_range_ra_is_rejected_before_any_ack_and_counted() {
+        let mut net = NetCoordinator::new(2, test_config(), Clock::wall());
+        let (join_tx, acceptor) = channel_acceptor::<LoopbackTransport>();
+        net.set_acceptor(Box::new(acceptor));
+        let (coord_side, mut worker_side) = loopback_pair();
+        let peer = std::thread::spawn(move || {
+            crate::transport::client_handshake(&mut worker_side, 2, Duration::from_secs(5))
+        });
+        join_tx.send(coord_side).expect("inject peer");
+        net.pump_joins();
+        assert_eq!(
+            peer.join().expect("join peer"),
+            Err(TransportError::Rejected {
+                code: REJECT_UNKNOWN_RA
+            })
+        );
+        assert_eq!(net.stats().handshake_failures, 1);
+        assert!(net.links.iter().all(Option::is_none), "nothing was adopted");
     }
 }

@@ -31,7 +31,9 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crate::frame::{self, FrameError, WireMsg, PROTOCOL_VERSION, REJECT_VERSION};
+use crate::frame::{
+    self, FrameError, WireMsg, PROTOCOL_VERSION, REJECT_UNKNOWN_RA, REJECT_VERSION,
+};
 
 /// A typed transport failure. `Timeout` and `Disconnected` are ordinary
 /// protocol observations (the registration plane turns sustained silence
@@ -561,19 +563,30 @@ pub fn client_handshake<T: Transport>(
 }
 
 /// The server half of the versioned handshake: await `Hello`, answer
-/// `HelloAck` (or `Reject` on a version mismatch). Returns the RA the
-/// connection announces. Bounded by `timeout`: a connecting-but-silent
-/// client cannot stall the coordinator.
+/// `HelloAck` — or `Reject`, before any ack, on a version mismatch or an
+/// RA outside `0..n_ras`. Returns the RA the connection announces.
+/// Bounded by `timeout`: a connecting-but-silent client cannot stall the
+/// coordinator.
 pub fn server_handshake<T: Transport>(
     t: &mut T,
+    n_ras: usize,
     timeout: Duration,
 ) -> Result<usize, TransportError> {
     match t.recv_timeout(timeout)? {
         WireMsg::Hello { version, ra } if version == PROTOCOL_VERSION => {
+            let ra = match usize::try_from(ra) {
+                Ok(ra) if ra < n_ras => ra,
+                _ => {
+                    let _ = t.send(&WireMsg::Reject {
+                        code: REJECT_UNKNOWN_RA,
+                    });
+                    return Err(TransportError::HandshakeProtocol("ra out of range"));
+                }
+            };
             t.send(&WireMsg::HelloAck {
                 version: PROTOCOL_VERSION,
             })?;
-            usize::try_from(ra).map_err(|_| TransportError::Frame(FrameError::BadValue("ra width")))
+            Ok(ra)
         }
         WireMsg::Hello { version, .. } => {
             let _ = t.send(&WireMsg::Reject {
@@ -799,7 +812,7 @@ mod tests {
     fn handshake_happy_path_and_version_mismatch() {
         let (mut client, mut server) = loopback_pair();
         let t = std::thread::spawn(move || {
-            let ra = server_handshake(&mut server, Duration::from_secs(1)).unwrap();
+            let ra = server_handshake(&mut server, 8, Duration::from_secs(1)).unwrap();
             assert_eq!(ra, 5);
         });
         client_handshake(&mut client, 5, Duration::from_secs(1)).unwrap();
@@ -830,7 +843,7 @@ mod tests {
         // Server side: client connects then goes silent — bounded wait.
         let (client, mut server) = loopback_pair();
         let start = Instant::now();
-        let err = server_handshake(&mut server, Duration::from_millis(30)).unwrap_err();
+        let err = server_handshake(&mut server, 1, Duration::from_millis(30)).unwrap_err();
         assert_eq!(err, TransportError::Timeout);
         assert!(start.elapsed() < Duration::from_secs(5));
         drop(client);
@@ -862,7 +875,7 @@ mod tests {
                 }
                 std::thread::sleep(Duration::from_millis(5));
             };
-            let ra = server_handshake(&mut server, Duration::from_secs(2)).unwrap();
+            let ra = server_handshake(&mut server, 4, Duration::from_secs(2)).unwrap();
             assert_eq!(ra, 3);
             assert_eq!(
                 server.recv_timeout(Duration::from_secs(2)).unwrap(),
@@ -878,5 +891,47 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_dir(&dir);
         }
+    }
+
+    #[test]
+    fn tcp_sockets_carry_frames_both_ways_and_report_hang_up() {
+        let listener = NetListener::bind_tcp("127.0.0.1:0").unwrap();
+        let addr = listener.tcp_addr().expect("a TCP listener has an address");
+        let clientside = std::thread::spawn(move || {
+            let mut t = connect_tcp(
+                &addr.to_string(),
+                RetryPolicy::default(),
+                Duration::from_secs(2),
+            )
+            .unwrap();
+            client_handshake(&mut t, 3, Duration::from_secs(2)).unwrap();
+            t.send(&WireMsg::Refresh { ra: 3, round: 1 }).unwrap();
+            assert_eq!(
+                t.recv_timeout(Duration::from_secs(2)).unwrap(),
+                WireMsg::Refresh { ra: 3, round: 2 }
+            );
+            // Dropping the transport hangs up.
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut server = loop {
+            if let Some(t) = listener.poll_accept(RetryPolicy::default()).unwrap() {
+                break t;
+            }
+            assert!(Instant::now() < deadline, "no peer connected");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(server.kind(), "tcp");
+        let ra = server_handshake(&mut server, 4, Duration::from_secs(2)).unwrap();
+        assert_eq!(ra, 3);
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(2)).unwrap(),
+            WireMsg::Refresh { ra: 3, round: 1 }
+        );
+        server.send(&WireMsg::Refresh { ra: 3, round: 2 }).unwrap();
+        clientside.join().unwrap();
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(2)),
+            Err(TransportError::Disconnected)
+        );
     }
 }
