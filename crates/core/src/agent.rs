@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use edgeslice_rl::{
-    Ddpg, DdpgConfig, Environment, Ppo, PpoConfig, Sac, SacConfig, Technique, Trpo, TrpoConfig,
-    Vpg, VpgConfig,
+    Ddpg, DdpgConfig, Environment, OnPolicy, OnPolicyConfig, Sac, SacConfig, Technique,
 };
 use rand::rngs::StdRng;
 
@@ -24,27 +23,35 @@ pub enum AgentBackend {
     Ddpg(Ddpg),
     /// Soft actor-critic.
     Sac(Sac),
-    /// Proximal policy optimization.
-    Ppo(Ppo),
-    /// Trust region policy optimization.
-    Trpo(Trpo),
-    /// Vanilla policy gradient.
-    Vpg(Vpg),
+    /// PPO, TRPO or VPG: its update rule says which.
+    OnPolicy(OnPolicy),
 }
 
 /// Hyper-parameter bundle used when constructing any backend.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct AgentConfig {
     /// DDPG hyper-parameters.
     pub ddpg: DdpgConfig,
     /// SAC hyper-parameters.
     pub sac: SacConfig,
-    /// PPO hyper-parameters.
-    pub ppo: PpoConfig,
-    /// TRPO hyper-parameters.
-    pub trpo: TrpoConfig,
-    /// VPG hyper-parameters.
-    pub vpg: VpgConfig,
+    /// PPO hyper-parameters (an [`edgeslice_rl::UpdateRule::Ppo`] rule).
+    pub ppo: OnPolicyConfig,
+    /// TRPO hyper-parameters (an [`edgeslice_rl::UpdateRule::Trpo`] rule).
+    pub trpo: OnPolicyConfig,
+    /// VPG hyper-parameters (an [`edgeslice_rl::UpdateRule::Vpg`] rule).
+    pub vpg: OnPolicyConfig,
+}
+
+impl Default for AgentConfig {
+    fn default() -> Self {
+        Self {
+            ddpg: DdpgConfig::default(),
+            sac: SacConfig::default(),
+            ppo: OnPolicyConfig::PPO,
+            trpo: OnPolicyConfig::TRPO,
+            vpg: OnPolicyConfig::VPG,
+        }
+    }
 }
 
 /// A per-RA orchestration agent.
@@ -74,9 +81,9 @@ impl OrchestrationAgent {
         let backend = match technique {
             Technique::Ddpg => AgentBackend::Ddpg(Ddpg::new(sd, ad, config.ddpg, rng)),
             Technique::Sac => AgentBackend::Sac(Sac::new(sd, ad, config.sac, rng)),
-            Technique::Ppo => AgentBackend::Ppo(Ppo::new(sd, ad, config.ppo, rng)),
-            Technique::Trpo => AgentBackend::Trpo(Trpo::new(sd, ad, config.trpo, rng)),
-            Technique::Vpg => AgentBackend::Vpg(Vpg::new(sd, ad, config.vpg, rng)),
+            Technique::Ppo => AgentBackend::OnPolicy(OnPolicy::new(sd, ad, config.ppo, rng)),
+            Technique::Trpo => AgentBackend::OnPolicy(OnPolicy::new(sd, ad, config.trpo, rng)),
+            Technique::Vpg => AgentBackend::OnPolicy(OnPolicy::new(sd, ad, config.vpg, rng)),
         };
         Self {
             ra,
@@ -118,9 +125,7 @@ impl OrchestrationAgent {
         match &*self.backend {
             AgentBackend::Ddpg(_) => Technique::Ddpg,
             AgentBackend::Sac(_) => Technique::Sac,
-            AgentBackend::Ppo(_) => Technique::Ppo,
-            AgentBackend::Trpo(_) => Technique::Trpo,
-            AgentBackend::Vpg(_) => Technique::Vpg,
+            AgentBackend::OnPolicy(a) => a.config().rule.into(),
         }
     }
 
@@ -137,16 +142,8 @@ impl OrchestrationAgent {
             AgentBackend::Sac(a) => {
                 a.train(env, env_steps, rng);
             }
-            AgentBackend::Ppo(a) => {
-                let iters = (env_steps / PpoConfig::default().rollout_len).max(1);
-                a.train(env, iters, rng);
-            }
-            AgentBackend::Trpo(a) => {
-                let iters = (env_steps / TrpoConfig::default().rollout_len).max(1);
-                a.train(env, iters, rng);
-            }
-            AgentBackend::Vpg(a) => {
-                let iters = (env_steps / VpgConfig::default().rollout_len).max(1);
+            AgentBackend::OnPolicy(a) => {
+                let iters = (env_steps / a.config().rollout_len).max(1);
                 a.train(env, iters, rng);
             }
         }
@@ -158,9 +155,7 @@ impl OrchestrationAgent {
         match &*self.backend {
             AgentBackend::Ddpg(a) => a.policy(state),
             AgentBackend::Sac(a) => a.policy(state),
-            AgentBackend::Ppo(a) => a.policy(state),
-            AgentBackend::Trpo(a) => a.policy(state),
-            AgentBackend::Vpg(a) => a.policy(state),
+            AgentBackend::OnPolicy(a) => a.gaussian_policy().act_deterministic(state),
         }
     }
 }
@@ -220,6 +215,34 @@ mod tests {
         env.set_coordination(&[-7.0, -3.0]);
         env.reset(&mut rng);
         assert_eq!(env.coordination(), &[-7.0, -3.0]);
+    }
+
+    #[test]
+    fn on_policy_training_budgets_whole_rollouts_of_the_agents_own_length() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut env = small_env();
+        let cfg = AgentConfig {
+            ppo: OnPolicyConfig {
+                hidden: 8,
+                rollout_len: 32,
+                ..OnPolicyConfig::PPO
+            },
+            ..Default::default()
+        };
+        let mut agent = OrchestrationAgent::new(RaId(0), Technique::Ppo, &env, &cfg, &mut rng);
+        let start = env.global_t();
+        agent.train(&mut env, 320, &mut rng);
+        assert_eq!(env.global_t() - start, 320);
+    }
+
+    /// Replicas share their learner behind an `Arc`, so the backend's size
+    /// is what every `install_agents` allocation costs: the DDPG learner
+    /// must stay its largest variant.
+    #[test]
+    fn ddpg_is_the_largest_backend() {
+        use std::mem::size_of;
+        assert!(size_of::<Sac>() <= size_of::<Ddpg>());
+        assert!(size_of::<OnPolicy>() <= size_of::<Ddpg>());
     }
 
     #[test]

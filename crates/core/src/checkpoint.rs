@@ -89,17 +89,7 @@ impl PolicyCheckpoint {
                 let ad = net.out_dim() / 2;
                 (net, Decode::SigmoidMeanHead, ad)
             }
-            AgentBackend::Ppo(a) => {
-                let net = a.gaussian_policy().mean_net().clone();
-                let ad = net.out_dim();
-                (net, Decode::Direct, ad)
-            }
-            AgentBackend::Trpo(a) => {
-                let net = a.gaussian_policy().mean_net().clone();
-                let ad = net.out_dim();
-                (net, Decode::Direct, ad)
-            }
-            AgentBackend::Vpg(a) => {
+            AgentBackend::OnPolicy(a) => {
                 let net = a.gaussian_policy().mean_net().clone();
                 let ad = net.out_dim();
                 (net, Decode::Direct, ad)

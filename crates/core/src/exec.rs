@@ -92,8 +92,7 @@ pub(crate) struct RaRoundBody {
     pub global_t: usize,
     /// The round's per-(interval, slice) monitor rows.
     pub records: Vec<MonitorRecord>,
-    /// Per-slice activity flags after this round (dynamic workloads;
-    /// empty — e.g. from a pre-churn peer — means all slots active).
+    /// Per-slice activity flags after this round (dynamic workloads).
     pub active: Vec<bool>,
     /// Per-slice negotiated rate overrides after this round.
     pub rates: Vec<Option<f64>>,
@@ -110,6 +109,10 @@ pub(crate) fn encode_body(body: &RaRoundBody) -> Result<Vec<u8>, crate::EdgeSlic
 /// Decodes the wire round body RA `ra` reported for global round `round`.
 /// A payload that framed correctly but fails to decode is a protocol bug
 /// or a foreign peer — a typed error, never a panic. So is a body whose
+/// per-slice state (`u`, `queues`, `coordination`, `active`, `rates`) is
+/// not `n_slices` long, or whose rate overrides are not finite and
+/// non-negative: the coordinator folds that state into the next snapshot,
+/// which a resume restores into the environments. So, too, is a body whose
 /// monitor rows are not the grid a worker emits: `period × n_slices`
 /// served rows of the reporter's own for that round, row `k` at interval
 /// `k / n_slices` and slice `k % n_slices`. The monitor sizes its
@@ -126,6 +129,28 @@ pub(crate) fn decode_body(
     let text = std::str::from_utf8(bytes)
         .map_err(|e| crate::EdgeSliceError::Serialization(format!("non-UTF-8 body: {e}")))?;
     let body: RaRoundBody = serde_json::from_str(text)?;
+    let lengths = [
+        ("u", body.u.len()),
+        ("queues", body.queues.len()),
+        ("coordination", body.coordination.len()),
+        ("active", body.active.len()),
+        ("rates", body.rates.len()),
+    ];
+    if let Some((field, len)) = lengths.into_iter().find(|&(_, len)| len != n_slices) {
+        return Err(crate::EdgeSliceError::Serialization(format!(
+            "{len} `{field}` entries in {ra}'s report for round {round}, not {n_slices}"
+        )));
+    }
+    if let Some(rate) = body
+        .rates
+        .iter()
+        .flatten()
+        .find(|r| !(r.is_finite() && **r >= 0.0))
+    {
+        return Err(crate::EdgeSliceError::Serialization(format!(
+            "rate {rate} in {ra}'s report for round {round} is not finite and non-negative"
+        )));
+    }
     if Some(body.records.len()) != period.checked_mul(n_slices) {
         return Err(crate::EdgeSliceError::Serialization(format!(
             "{} monitor rows in {ra}'s report for round {round}, not {period} × {n_slices}",
@@ -701,8 +726,8 @@ mod tests {
 
     /// A peer's report may only carry the grid a worker emits — its own
     /// served rows for the round being collected, every (interval, slice)
-    /// once, in order: anything else is rejected before it reaches the
-    /// monitor.
+    /// once, in order — and one entry of valid state per slice: anything
+    /// else is rejected before it reaches the monitor or a snapshot.
     #[test]
     fn decode_body_rejects_rows_that_are_not_the_reporters() {
         const PERIOD: usize = 3;
@@ -713,17 +738,59 @@ mod tests {
             })
             .collect();
         let body = |records: Vec<MonitorRecord>| RaRoundBody {
-            u: vec![0.0],
-            queues: Vec::new(),
-            coordination: Vec::new(),
+            u: vec![0.0; 2],
+            queues: vec![edgeslice_netsim::ServiceQueue::new(); 2],
+            coordination: vec![0.0; 2],
             global_t: 0,
             records,
-            active: Vec::new(),
-            rates: Vec::new(),
+            active: vec![true; 2],
+            rates: vec![None, Some(1.5)],
         };
-        let decode =
-            |records| decode_body(&encode_body(&body(records)).unwrap(), RaId(1), 7, PERIOD, 2);
+        let decode_text =
+            |text: &str| decode_body(text.as_bytes(), RaId(1), 7, PERIOD, 2).map(|_| ());
+        let encode = |body: RaRoundBody| String::from_utf8(encode_body(&body).unwrap()).unwrap();
+        let decode = |records| decode_text(&encode(body(records)));
         assert!(decode(grid.clone()).is_ok());
+        let served = || body(grid.clone());
+        let short = vec![0.0];
+        for hostile in [
+            RaRoundBody {
+                u: short.clone(),
+                ..served()
+            },
+            RaRoundBody {
+                queues: vec![edgeslice_netsim::ServiceQueue::new(); 3],
+                ..served()
+            },
+            RaRoundBody {
+                coordination: short,
+                ..served()
+            },
+            RaRoundBody {
+                active: Vec::new(),
+                ..served()
+            },
+            RaRoundBody {
+                rates: vec![None],
+                ..served()
+            },
+            RaRoundBody {
+                rates: vec![None, Some(-1.0)],
+                ..served()
+            },
+        ] {
+            assert!(matches!(
+                decode_text(&encode(hostile)),
+                Err(crate::EdgeSliceError::Serialization(_))
+            ));
+        }
+        // JSON has no non-finite numbers; an overflowing one is refused too.
+        let text = encode(served());
+        assert!(text.contains("\"rates\":[null,1.5]"), "{text}");
+        assert!(matches!(
+            decode_text(&text.replace("\"rates\":[null,1.5]", "\"rates\":[null,1e999]")),
+            Err(crate::EdgeSliceError::Serialization(_))
+        ));
         let with_row = |k: usize, r: MonitorRecord| {
             let mut rows = grid.clone();
             rows[k] = r;

@@ -208,11 +208,6 @@ impl EnodeB {
         self.associations.insert(imsi, slice);
     }
 
-    /// The slice associated with `imsi`, if known.
-    pub fn slice_of(&self, imsi: Imsi) -> Option<usize> {
-        self.associations.get(&imsi).copied()
-    }
-
     /// Records a UE's reported channel quality (default CQI 15).
     pub fn report_cqi(&mut self, imsi: Imsi, cqi: Cqi) {
         self.cqi.insert(imsi, cqi);

@@ -1,6 +1,5 @@
-//! Shared machinery for the policy-gradient family (VPG, PPO, TRPO, SAC):
-//! diagonal-Gaussian policies, discounted returns and generalized advantage
-//! estimation.
+//! The on-policy learner's machinery: the diagonal-Gaussian policy,
+//! rollout collection and generalized advantage estimation.
 
 use edgeslice_nn::{Matrix, Mlp};
 use rand::rngs::StdRng;
@@ -28,7 +27,7 @@ impl GaussianPolicy {
     /// # Panics
     ///
     /// Panics if the network output width is zero.
-    pub fn new(mean: Mlp, initial_log_std: f64) -> Self {
+    pub(crate) fn new(mean: Mlp, initial_log_std: f64) -> Self {
         let dim = mean.out_dim();
         assert!(dim > 0, "policy needs at least one action dimension");
         Self {
@@ -43,7 +42,7 @@ impl GaussianPolicy {
     }
 
     /// Mutable access to the mean network.
-    pub fn mean_net_mut(&mut self) -> &mut Mlp {
+    pub(crate) fn mean_net_mut(&mut self) -> &mut Mlp {
         &mut self.mean
     }
 
@@ -53,12 +52,12 @@ impl GaussianPolicy {
     }
 
     /// Mutable access to the log standard deviations.
-    pub fn log_std_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn log_std_mut(&mut self) -> &mut [f64] {
         &mut self.log_std
     }
 
     /// Action dimensionality.
-    pub fn action_dim(&self) -> usize {
+    pub(crate) fn action_dim(&self) -> usize {
         self.log_std.len()
     }
 
@@ -71,7 +70,7 @@ impl GaussianPolicy {
     ///
     /// The raw action is what gradients are computed against; callers clamp
     /// a copy into `[0, 1]` before handing it to the environment.
-    pub fn sample(&self, state: &[f64], rng: &mut StdRng) -> (Vec<f64>, f64) {
+    pub(crate) fn sample(&self, state: &[f64], rng: &mut StdRng) -> (Vec<f64>, f64) {
         let mean = self.mean.forward_one(state);
         let mut raw = Vec::with_capacity(mean.len());
         for (m, ls) in mean.iter().zip(&self.log_std) {
@@ -82,7 +81,7 @@ impl GaussianPolicy {
     }
 
     /// Log-probability of `raw` under `N(mean, diag(σ²))`.
-    pub fn log_prob(&self, mean: &[f64], raw: &[f64]) -> f64 {
+    pub(crate) fn log_prob(&self, mean: &[f64], raw: &[f64]) -> f64 {
         let mut lp = 0.0;
         for ((m, a), ls) in mean.iter().zip(raw).zip(&self.log_std) {
             let sigma = ls.exp();
@@ -97,7 +96,7 @@ impl GaussianPolicy {
     /// # Panics
     ///
     /// Panics if shapes disagree.
-    pub fn log_prob_batch(&self, means: &Matrix, raws: &Matrix) -> Vec<f64> {
+    pub(crate) fn log_prob_batch(&self, means: &Matrix, raws: &Matrix) -> Vec<f64> {
         assert_eq!(means.shape(), raws.shape(), "log_prob_batch shape mismatch");
         (0..means.rows())
             .map(|i| self.log_prob(means.row(i), raws.row(i)))
@@ -105,7 +104,7 @@ impl GaussianPolicy {
     }
 
     /// `∂ log p / ∂ mean` for each sample/dimension: `(a − μ)/σ²`.
-    pub fn dlogp_dmean(&self, means: &Matrix, raws: &Matrix) -> Matrix {
+    pub(crate) fn dlogp_dmean(&self, means: &Matrix, raws: &Matrix) -> Matrix {
         assert_eq!(means.shape(), raws.shape(), "dlogp shape mismatch");
         Matrix::from_fn(means.rows(), means.cols(), |i, j| {
             let sigma = self.log_std[j].exp();
@@ -115,7 +114,7 @@ impl GaussianPolicy {
 
     /// `∂ log p / ∂ log_std_j` for each sample/dimension:
     /// `((a − μ)/σ)² − 1`.
-    pub fn dlogp_dlogstd(&self, means: &Matrix, raws: &Matrix) -> Matrix {
+    pub(crate) fn dlogp_dlogstd(&self, means: &Matrix, raws: &Matrix) -> Matrix {
         Matrix::from_fn(means.rows(), means.cols(), |i, j| {
             let sigma = self.log_std[j].exp();
             let z = (raws[(i, j)] - means[(i, j)]) / sigma;
@@ -123,18 +122,10 @@ impl GaussianPolicy {
         })
     }
 
-    /// Differential entropy of the Gaussian, `Σ_j (log σ_j + ½ log 2πe)`.
-    pub fn entropy(&self) -> f64 {
-        self.log_std
-            .iter()
-            .map(|ls| ls + 0.5 * (LOG_2PI + 1.0))
-            .sum()
-    }
-
     /// Mean KL divergence `KL(old ‖ self)` over a batch of states, for two
     /// policies sharing the same `log_std` treatment (used by TRPO's line
     /// search).
-    pub fn mean_kl_from(&self, old: &GaussianPolicy, states: &Matrix) -> f64 {
+    pub(crate) fn mean_kl_from(&self, old: &GaussianPolicy, states: &Matrix) -> f64 {
         let mu_new = self.mean.forward(states);
         let mu_old = old.mean.forward(states);
         let mut total = 0.0;
@@ -152,22 +143,6 @@ impl GaussianPolicy {
     }
 }
 
-/// Discounted reward-to-go: `G_t = r_t + γ G_{t+1}`, resetting at episode
-/// boundaries.
-pub fn discounted_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f64> {
-    assert_eq!(rewards.len(), dones.len(), "returns length mismatch");
-    let mut out = vec![0.0; rewards.len()];
-    let mut acc = 0.0;
-    for i in (0..rewards.len()).rev() {
-        if dones[i] {
-            acc = 0.0;
-        }
-        acc = rewards[i] + gamma * acc;
-        out[i] = acc;
-    }
-    out
-}
-
 /// Generalized advantage estimation (Schulman et al.).
 ///
 /// Returns `(advantages, value_targets)` where
@@ -176,7 +151,7 @@ pub fn discounted_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f6
 ///
 /// `last_value` bootstraps the value of the state following the final
 /// transition (ignored when that transition terminated an episode).
-pub fn gae(
+pub(crate) fn gae(
     rewards: &[f64],
     values: &[f64],
     dones: &[bool],
@@ -207,7 +182,7 @@ pub fn gae(
 
 /// Normalizes a vector to zero mean and unit standard deviation (no-op for
 /// constant input).
-pub fn normalize_advantages(adv: &mut [f64]) {
+pub(crate) fn normalize_advantages(adv: &mut [f64]) {
     if adv.is_empty() {
         return;
     }
@@ -225,7 +200,7 @@ pub fn normalize_advantages(adv: &mut [f64]) {
 
 /// One on-policy rollout: flat arrays of length `steps`.
 #[derive(Debug, Clone)]
-pub struct Rollout {
+pub(crate) struct Rollout {
     /// Visited states, `steps × state_dim`.
     pub states: Matrix,
     /// Raw (pre-clamp) sampled actions, `steps × action_dim`.
@@ -242,7 +217,7 @@ pub struct Rollout {
 
 /// Collects `steps` transitions from `env` under the stochastic `policy`,
 /// resetting at episode ends.
-pub fn collect_rollout<E: Environment + ?Sized>(
+pub(crate) fn collect_rollout<E: Environment + ?Sized>(
     env: &mut E,
     policy: &GaussianPolicy,
     steps: usize,
@@ -290,6 +265,22 @@ mod tests {
     use super::*;
     use edgeslice_nn::Activation;
     use rand::SeedableRng;
+
+    /// Monte-Carlo reward-to-go `G_t = r_t + γ G_{t+1}`, resetting at
+    /// episode boundaries: what GAE must equal at λ = 1.
+    fn discounted_returns(rewards: &[f64], dones: &[bool], gamma: f64) -> Vec<f64> {
+        assert_eq!(rewards.len(), dones.len(), "returns length mismatch");
+        let mut out = vec![0.0; rewards.len()];
+        let mut acc = 0.0;
+        for i in (0..rewards.len()).rev() {
+            if dones[i] {
+                acc = 0.0;
+            }
+            acc = rewards[i] + gamma * acc;
+            out[i] = acc;
+        }
+        out
+    }
 
     fn policy() -> GaussianPolicy {
         let mut rng = StdRng::seed_from_u64(0);

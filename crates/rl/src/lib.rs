@@ -4,10 +4,13 @@
 //!
 //! The paper's orchestration agents are trained with **DDPG** (Sec. IV-B2,
 //! Fig. 3); Fig. 10b additionally compares **SAC**, **PPO**, **TRPO** and
-//! **VPG**. All five are implemented here over a common [`Environment`]
-//! abstraction with actions normalized to `[0, 1]` per dimension — exactly
-//! the range of the paper's sigmoid actor output — so any learner can drive
-//! any slicing environment.
+//! **VPG**. DDPG and SAC are learners of their own; PPO, TRPO and VPG are
+//! three [`UpdateRule`]s of one Gaussian actor-critic, [`OnPolicy`], which
+//! shares the rollout, advantage estimation and value baseline between
+//! them. All of them drive a common [`Environment`] abstraction with
+//! actions normalized to `[0, 1]` per dimension — exactly the range of the
+//! paper's sigmoid actor output — so any learner can drive any slicing
+//! environment.
 //!
 //! # Examples
 //!
@@ -40,25 +43,19 @@ mod common;
 mod ddpg;
 mod env;
 mod noise;
-mod ppo;
+mod on_policy;
 mod replay;
 mod sac;
-mod trpo;
 mod value;
-mod vpg;
 
-pub use common::{
-    collect_rollout, discounted_returns, gae, normalize_advantages, GaussianPolicy, Rollout,
-};
+pub use common::GaussianPolicy;
 pub use ddpg::{Ddpg, DdpgConfig, DdpgUpdate};
 pub use env::{evaluate, Environment, Step, Transition};
 pub use noise::{sample_standard_normal, DecayingGaussian};
-pub use ppo::{Ppo, PpoConfig, PpoUpdate};
+pub use on_policy::{OnPolicy, OnPolicyConfig, OnPolicyUpdate, UpdateRule};
 pub use replay::{Batch, ReplayBuffer, SampleError};
 pub use sac::{Sac, SacConfig, SacUpdate};
-pub use trpo::{Trpo, TrpoConfig, TrpoUpdate};
 pub use value::ValueNet;
-pub use vpg::{Vpg, VpgConfig, VpgUpdate};
 
 /// The training technique used by an orchestration agent, enumerating
 /// Fig. 10b's comparison axis.

@@ -4,8 +4,8 @@
 
 use edgeslice_nn::Matrix;
 use edgeslice_rl::{
-    evaluate, Ddpg, DdpgConfig, Environment, GaussianPolicy, Ppo, PpoConfig, Sac, SacConfig, Step,
-    Trpo, TrpoConfig, ValueNet, Vpg, VpgConfig,
+    evaluate, Ddpg, DdpgConfig, Environment, GaussianPolicy, OnPolicy, OnPolicyConfig, Sac,
+    SacConfig, Step, UpdateRule, ValueNet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,15 +110,21 @@ fn sac_learns_mirror() {
 fn ppo_learns_mirror() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut env = MirrorEnv::new(HORIZON);
-    let cfg = PpoConfig {
+    let cfg = OnPolicyConfig {
         hidden: 16,
         rollout_len: 256,
-        policy_lr: 1e-3,
-        ..Default::default()
+        rule: UpdateRule::Ppo {
+            clip: 0.2,
+            policy_lr: 1e-3,
+            epochs: 8,
+            minibatch: 64,
+            entropy_coef: 1e-3,
+        },
+        ..OnPolicyConfig::PPO
     };
-    let mut agent = Ppo::new(2, 2, cfg, &mut rng);
+    let mut agent = OnPolicy::new(2, 2, cfg, &mut rng);
     agent.train(&mut env, 25, &mut rng);
-    let s = score(|st| agent.policy(st), &mut rng);
+    let s = score(|st| agent.gaussian_policy().act_deterministic(st), &mut rng);
     assert!(s > TARGET - 0.7, "PPO score {s:.2}");
 }
 
@@ -126,14 +132,14 @@ fn ppo_learns_mirror() {
 fn trpo_learns_mirror() {
     let mut rng = StdRng::seed_from_u64(4);
     let mut env = MirrorEnv::new(HORIZON);
-    let cfg = TrpoConfig {
+    let cfg = OnPolicyConfig {
         hidden: 16,
         rollout_len: 256,
-        ..Default::default()
+        ..OnPolicyConfig::TRPO
     };
-    let mut agent = Trpo::new(2, 2, cfg, &mut rng);
+    let mut agent = OnPolicy::new(2, 2, cfg, &mut rng);
     agent.train(&mut env, 25, &mut rng);
-    let s = score(|st| agent.policy(st), &mut rng);
+    let s = score(|st| agent.gaussian_policy().act_deterministic(st), &mut rng);
     assert!(s > TARGET - 1.0, "TRPO score {s:.2}");
 }
 
@@ -141,14 +147,14 @@ fn trpo_learns_mirror() {
 fn vpg_learns_mirror() {
     let mut rng = StdRng::seed_from_u64(5);
     let mut env = MirrorEnv::new(HORIZON);
-    let cfg = VpgConfig {
+    let cfg = OnPolicyConfig {
         hidden: 16,
         rollout_len: 256,
-        ..Default::default()
+        ..OnPolicyConfig::VPG
     };
-    let mut agent = Vpg::new(2, 2, cfg, &mut rng);
+    let mut agent = OnPolicy::new(2, 2, cfg, &mut rng);
     agent.train(&mut env, 35, &mut rng);
-    let s = score(|st| agent.policy(st), &mut rng);
+    let s = score(|st| agent.gaussian_policy().act_deterministic(st), &mut rng);
     assert!(s > TARGET - 1.5, "VPG score {s:.2}");
 }
 
@@ -160,15 +166,15 @@ fn all_policies_emit_unit_box_actions() {
     let state = [0.25, 0.75];
     let ddpg = Ddpg::new(2, 2, DdpgConfig::default(), &mut rng);
     let sac = Sac::new(2, 2, SacConfig::default(), &mut rng);
-    let ppo = Ppo::new(2, 2, PpoConfig::default(), &mut rng);
-    let trpo = Trpo::new(2, 2, TrpoConfig::default(), &mut rng);
-    let vpg = Vpg::new(2, 2, VpgConfig::default(), &mut rng);
+    let ppo = OnPolicy::new(2, 2, OnPolicyConfig::PPO, &mut rng);
+    let trpo = OnPolicy::new(2, 2, OnPolicyConfig::TRPO, &mut rng);
+    let vpg = OnPolicy::new(2, 2, OnPolicyConfig::VPG, &mut rng);
     for action in [
         ddpg.policy(&state),
         sac.policy(&state),
-        ppo.policy(&state),
-        trpo.policy(&state),
-        vpg.policy(&state),
+        ppo.gaussian_policy().act_deterministic(&state),
+        trpo.gaussian_policy().act_deterministic(&state),
+        vpg.gaussian_policy().act_deterministic(&state),
     ] {
         assert_eq!(action.len(), 2);
         assert!(action.iter().all(|a| (0.0..=1.0).contains(a)), "{action:?}");
@@ -218,29 +224,41 @@ fn comparator_training_is_bit_pinned() {
     sac.train(&mut env, 160, &mut rng);
     let sac_digest = bits_digest(&sac.actor().flat_params());
 
-    let mut ppo = Ppo::new(
+    let mut ppo = OnPolicy::new(
         2,
         2,
-        PpoConfig {
+        OnPolicyConfig {
             hidden: 12,
             rollout_len: 96,
-            epochs: 3,
-            minibatch: 32,
-            ..Default::default()
+            rule: UpdateRule::Ppo {
+                clip: 0.2,
+                policy_lr: 3e-4,
+                epochs: 3,
+                minibatch: 32,
+                entropy_coef: 1e-3,
+            },
+            ..OnPolicyConfig::PPO
         },
         &mut rng,
     );
     ppo.train(&mut env, 3, &mut rng);
     let ppo_digest = policy_digest(ppo.gaussian_policy());
 
-    let mut trpo = Trpo::new(
+    let mut trpo = OnPolicy::new(
         2,
         2,
-        TrpoConfig {
+        OnPolicyConfig {
             hidden: 12,
             rollout_len: 96,
-            value_epochs: 3,
-            ..Default::default()
+            rule: UpdateRule::Trpo {
+                max_kl: 0.01,
+                cg_iters: 10,
+                cg_damping: 0.1,
+                backtrack_coef: 0.8,
+                backtrack_iters: 10,
+                value_epochs: 3,
+            },
+            ..OnPolicyConfig::TRPO
         },
         &mut rng,
     );
@@ -252,14 +270,17 @@ fn comparator_training_is_bit_pinned() {
     assert!(accepted > 0, "no TRPO step was accepted");
     let trpo_digest = policy_digest(trpo.gaussian_policy());
 
-    let mut vpg = Vpg::new(
+    let mut vpg = OnPolicy::new(
         2,
         2,
-        VpgConfig {
+        OnPolicyConfig {
             hidden: 12,
             rollout_len: 96,
-            value_epochs: 3,
-            ..Default::default()
+            rule: UpdateRule::Vpg {
+                policy_lr: 3e-3,
+                value_epochs: 3,
+            },
+            ..OnPolicyConfig::VPG
         },
         &mut rng,
     );
