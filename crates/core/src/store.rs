@@ -563,6 +563,34 @@ mod tests {
         let _ = (p2, fs::remove_dir_all(&dir));
     }
 
+    /// A write cut short at any byte — header, length, CRC or payload — is
+    /// a typed rejection, and the scan falls back to the older snapshot.
+    #[test]
+    fn newest_snapshot_truncated_at_every_offset_falls_back_to_the_older() {
+        let dir = tmp_dir("truncate-every");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let old = snapshot(2);
+        store.save_run(&old).unwrap();
+        let newest = store.save_run(&snapshot(4)).unwrap();
+        let bytes = fs::read(&newest).unwrap();
+        for len in 0..bytes.len() {
+            fs::write(&newest, &bytes[..len]).unwrap();
+            assert!(
+                matches!(
+                    store.load_run(&newest),
+                    Err(EdgeSliceError::CorruptSnapshot { .. })
+                ),
+                "truncated to {len} of {} bytes",
+                bytes.len()
+            );
+            let latest = store.latest_run().unwrap();
+            assert_eq!(latest.snapshot.as_ref(), Some(&old), "truncated to {len}");
+            assert_eq!(latest.rejected.len(), 1, "truncated to {len}");
+            assert_eq!(latest.rejected[0].0, newest, "truncated to {len}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn foreign_versions_and_bad_magic_are_typed_errors() {
         let dir = tmp_dir("version");

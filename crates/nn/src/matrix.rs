@@ -268,17 +268,14 @@ impl Matrix {
     /// (the property suite holds every body to that loop by `to_bits`) —
     /// whichever schedule the operand shape selects:
     ///
-    /// * `A·B` is register-tiled two output rows at a time (a lone row — the
-    ///   batch-1 policy forward against an output-major `Wᵀ` — in fixed
-    ///   16/8/4/2/1-wide tiles), and cache-blocked from
-    ///   [`BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`];
-    /// * `Aᵀ·B` streams the operands for outputs narrower than one 8-column
-    ///   sliver and is cache-blocked, with a transpose-packed `A` block,
-    ///   from there up;
-    /// * `A·Bᵀ` runs a 2×4 dot tile (eight independent accumulator chains
-    ///   hide the floating-point add latency of a single dot product), a 1×8
-    ///   tile on an odd last row — a one-row product is nothing else — and
-    ///   is cache-blocked from [`BLOCKED_MIN_ROWS`] × 32 × [`TILE_N`].
+    /// * `A·B` reads `B` in place in register tiles four output rows × 8
+    ///   columns at a time (a lone row — the batch-1 policy forward against
+    ///   an output-major `Wᵀ` — 16 columns wide), narrower tiles for the
+    ///   last columns and 2- and 1-row groups for the last rows;
+    /// * `Aᵀ·B` is cache-blocked, with a transpose-packed `A` block;
+    /// * `A·Bᵀ` is cache-blocked from [`BLOCKED_MIN_ROWS`] rows and 8
+    ///   columns, at any depth; below that it runs dot tiles (2×4, a 1×8
+    ///   tile on an odd last row, 8×1 for outputs under 4 columns wide).
     ///
     /// The schedules only reorder *which* outputs are in flight, never the
     /// sum inside one output.
@@ -448,12 +445,12 @@ impl Matrix {
     pub fn hstack_into(mats: &[&Matrix], out: &mut Matrix) {
         assert!(!mats.is_empty(), "hstack requires at least one matrix");
         let rows = mats[0].rows;
+        assert!(mats.iter().all(|m| m.rows == rows), "hstack row mismatch");
         let cols: usize = mats.iter().map(|m| m.cols).sum();
         out.resize_for(rows, cols);
         for i in 0..rows {
             let mut off = 0;
             for m in mats {
-                assert_eq!(m.rows, rows, "hstack row mismatch");
                 out.data[i * cols + off..i * cols + off + m.cols].copy_from_slice(m.row(i));
                 off += m.cols;
             }
@@ -477,112 +474,91 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Computes one output row `out[j] = Σ_t a[t] · b[t·n + j]` with every
-/// output's accumulation seeded from `+0.0` and running over `t` ascending
-/// — the per-output term order of a naive triple loop, so results are
-/// bit-identical to it. No term is skipped for an exact-zero `a[t]`: a
+/// The register tile every `A·B`-shaped schedule runs: `R` output rows ×
+/// `W` adjacent output columns. Row `r`'s terms are `a[r]`, `k` long;
+/// term `t`'s `W` right-operand values are `b[t * ldb + j..][..W]` — a row
+/// of `B` read in place, or one row of a packed panel sliver (`ldb = 8`,
+/// `j = 0`). Every accumulator starts from `+0.0` — or, with `RESUME`,
+/// from `out`: an `f64` load/store round-trip is exact, so chaining calls
+/// over ascending `k`-tiles reproduces one pass bit for bit — then runs
+/// over `t` ascending, the per-output term order of a naive triple loop.
+/// Row `r`'s first `w ≤ W` outputs are `out[r * ldo..][..w]`; the rest of
+/// a zero-padded panel sliver is computed and dropped. The inner step is a
+/// fully unrolled multiply-add of `R` broadcast terms across `W` lanes:
+/// `R × W / 4` independent 256-bit add chains, 8 at 4 × 8, which is what
+/// hides the add latency. No term is skipped for an exact-zero `a[t]`: a
 /// branch-free inner loop is what lets the compiler vectorize it
 /// (DESIGN.md §14).
-///
-/// This is the batch-1 policy forward's kernel (`x·Wᵀ` as `A·B` against the
-/// output-major `Wᵀ` an `Mlp` memoises). Outputs run in fixed-width register
-/// tiles — 16 wide, then at most one each of 8, 4, 2 and 1 for the rest — so
-/// every tile is one pass over `t` whose inner step is a fully unrolled
-/// multiply-add across `W` adjacent outputs of one contiguous `b` row:
-/// independent FP-add chains hide the add latency, and narrow trailing
-/// columns never fall back to a one-column-at-a-time scalar loop (which
-/// once cost `matmul` 0.91× at `n = 18`). The widths are fixed
-/// because a variable-width tail loop cost the 64 → 15 output layer all of
-/// its gain over the dot tiles.
 #[inline]
-fn accumulate_row(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+fn accumulate_tile<const R: usize, const W: usize, const RESUME: bool>(
+    a: [&[f64]; R],
+    b: &[f64],
+    ldb: usize,
+    j: usize,
+    out: &mut [f64],
+    ldo: usize,
+    w: usize,
+) {
+    let mut acc = [[0.0f64; W]; R];
+    if RESUME {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc[..w].copy_from_slice(&out[r * ldo..][..w]);
+        }
+    }
+    let k = a[0].len();
+    let a = a.map(|row| &row[..k]);
+    assert!(j + W <= ldb, "tile past the end of its row");
+    // Row 0's terms come from its iterator, so a lone row's loop carries no
+    // bounds check: indexed, it ran the 64 → 15 decide layer ≈ 1.4× slower.
+    for ((t, b_row), &x0) in b.chunks_exact(ldb).enumerate().zip(a[0]) {
+        let b_t = &b_row[j..j + W];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let x = if r == 0 { x0 } else { a[r][t] };
+            for (o, &bv) in acc.iter_mut().zip(b_t) {
+                *o += x * bv;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * ldo..][..w].copy_from_slice(&acc[..w]);
+    }
+}
+
+/// `R` output rows of `A·B` against `b` (`k × n`) read in place, each
+/// seeded from `+0.0`: [`accumulate_tile`]s 8 columns wide, then at most
+/// one each of 4, 2 and 1 — fixed widths, because a variable-width tail
+/// loop cost the 64 → 15 output layer all of its gain. A lone row (the
+/// batch-1 policy forward against an output-major `Wᵀ`) first runs
+/// 16-wide tiles. `out` starts at the group's first output row.
+#[inline]
+fn accumulate_rows<const R: usize>(a: [&[f64]; R], b: &[f64], n: usize, out: &mut [f64]) {
     let mut j = 0;
-    while j + 16 <= n {
-        row_tile::<16>(a, b, n, j, out);
+    while R == 1 && j + 16 <= n {
+        accumulate_tile::<R, 16, false>(a, b, n, j, &mut out[j..], n, 16);
         j += 16;
     }
-    if j + 8 <= n {
-        row_tile::<8>(a, b, n, j, out);
+    while j + 8 <= n {
+        accumulate_tile::<R, 8, false>(a, b, n, j, &mut out[j..], n, 8);
         j += 8;
     }
     if j + 4 <= n {
-        row_tile::<4>(a, b, n, j, out);
+        accumulate_tile::<R, 4, false>(a, b, n, j, &mut out[j..], n, 4);
         j += 4;
     }
     if j + 2 <= n {
-        row_tile::<2>(a, b, n, j, out);
+        accumulate_tile::<R, 2, false>(a, b, n, j, &mut out[j..], n, 2);
         j += 2;
     }
     if j < n {
-        row_tile::<1>(a, b, n, j, out);
-    }
-}
-
-/// `W` adjacent outputs of [`accumulate_row`] from column `j`: `W` register
-/// accumulators seeded from `+0.0`, one pass over the rows of `b` (`n`
-/// wide) in ascending `t`.
-#[inline]
-fn row_tile<const W: usize>(a: &[f64], b: &[f64], n: usize, j: usize, out: &mut [f64]) {
-    let mut acc = [0.0f64; W];
-    for (&a_t, b_row) in a.iter().zip(b.chunks_exact(n)) {
-        for (o, &bv) in acc.iter_mut().zip(&b_row[j..j + W]) {
-            *o += a_t * bv;
-        }
-    }
-    out[j..j + W].copy_from_slice(&acc);
-}
-
-/// Like [`accumulate_row`] but for **two output rows** at once: `out0[j] =
-/// Σ_t a0[t] · b[t·n + j]` and likewise for `a1`/`out1`. Each output keeps
-/// its own accumulator and its own `t`-ascending order, so results are
-/// bit-identical to two independent [`accumulate_row`] calls — the pairing
-/// only halves the passes over `b` (the cause of PR 4's `matmul` 0.91×
-/// regression: every row re-streamed the full `b`).
-#[inline]
-fn accumulate_row_pair(
-    a0: &[f64],
-    a1: &[f64],
-    b: &[f64],
-    n: usize,
-    out0: &mut [f64],
-    out1: &mut [f64],
-) {
-    let mut j = 0;
-    while j + 8 <= n {
-        let mut acc0 = [0.0f64; 8];
-        let mut acc1 = [0.0f64; 8];
-        for (t, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-            let b_row = &b[t * n + j..t * n + j + 8];
-            for i in 0..8 {
-                acc0[i] += x0 * b_row[i];
-                acc1[i] += x1 * b_row[i];
-            }
-        }
-        out0[j..j + 8].copy_from_slice(&acc0);
-        out1[j..j + 8].copy_from_slice(&acc1);
-        j += 8;
-    }
-    if j < n {
-        let w = n - j;
-        let mut acc0 = [0.0f64; 8];
-        let mut acc1 = [0.0f64; 8];
-        for (t, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-            let b_row = &b[t * n + j..t * n + j + w];
-            for ((o0, o1), &bv) in acc0[..w].iter_mut().zip(&mut acc1[..w]).zip(b_row) {
-                *o0 += x0 * bv;
-                *o1 += x1 * bv;
-            }
-        }
-        out0[j..j + w].copy_from_slice(&acc0[..w]);
-        out1[j..j + w].copy_from_slice(&acc1[..w]);
+        accumulate_tile::<R, 1, false>(a, b, n, j, &mut out[j..], n, 1);
     }
 }
 
 /// Packs the `kc × nc` sub-panel of row-major `b` (terms `kt..kt+kc`,
 /// columns `jt..jt+nc`) into `panel`, sliver-major: 8-wide column slivers
-/// (one variable-width tail sliver) laid out term-contiguous, so the
-/// accumulate loops read the panel strictly forward in 64-byte lines
-/// instead of striding across `b`'s full width per term.
+/// laid out term-contiguous, the last one zero-padded to 8, so
+/// [`accumulate_panel`] reads the panel strictly forward in 64-byte lines
+/// and runs every sliver at one compile-time width.
 #[inline]
 fn pack_b_panel(
     b: &[f64],
@@ -593,65 +569,31 @@ fn pack_b_panel(
     nc: usize,
     panel: &mut [f64],
 ) {
-    let mut js = 0;
-    let mut off = 0;
-    while js < nc {
-        let w = (nc - js).min(8);
-        for t in 0..kc {
-            let src = (kt + t) * n + jt + js;
-            panel[off + t * w..off + t * w + w].copy_from_slice(&b[src..src + w]);
+    let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
+    for (s, sliver) in slivers.enumerate() {
+        let w = (nc - s * 8).min(8);
+        if w < 8 {
+            sliver.fill(0.0);
         }
-        off += kc * w;
-        js += w;
-    }
-}
-
-/// [`accumulate_row`] against a packed panel, *resuming* partial sums: the
-/// accumulators are loaded from `out`, run over this panel's terms in
-/// ascending order, and stored back. An `f64` load/store round-trip is
-/// exact, so chaining these calls over ascending `k`-tiles reproduces the
-/// unblocked kernel's accumulation sequence bit for bit. The 8-wide
-/// slivers are a fixed-width fast path so the inner loop stays fully
-/// unrolled; only the one tail sliver (< 8 columns) runs variable-width.
-#[inline]
-fn accumulate_row_panel(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    let terms = a.len();
-    let mut js = 0;
-    let mut off = 0;
-    while js < nc {
-        let w = (nc - js).min(8);
-        if w == 8 {
-            let mut acc = [0.0f64; 8];
-            acc.copy_from_slice(&out[js..js + 8]);
-            for (t, &a_t) in a.iter().enumerate() {
-                let b_row = &panel[off + t * 8..off + t * 8 + 8];
-                for i in 0..8 {
-                    acc[i] += a_t * b_row[i];
-                }
+        let src_rows = b[kt * n + jt + s * 8..].chunks(n);
+        for (dst, src) in sliver.chunks_exact_mut(8).zip(src_rows) {
+            // A fixed-length copy is two vector moves, a `w`-long one a
+            // `memcpy` call.
+            if w == 8 {
+                dst.copy_from_slice(&src[..8]);
+            } else {
+                dst[..w].copy_from_slice(&src[..w]);
             }
-            out[js..js + 8].copy_from_slice(&acc);
-        } else {
-            let mut acc = [0.0f64; 8];
-            acc[..w].copy_from_slice(&out[js..js + w]);
-            for (t, &a_t) in a.iter().enumerate() {
-                let b_row = &panel[off + t * w..off + t * w + w];
-                for (o, &bv) in acc[..w].iter_mut().zip(b_row) {
-                    *o += a_t * bv;
-                }
-            }
-            out[js..js + w].copy_from_slice(&acc[..w]);
         }
-        off += terms * w;
-        js += w;
     }
 }
 
 /// [`pack_b_panel`]'s transposed sibling for `A·Bᵀ`: packs the
 /// `kc × nc` sub-panel of `bᵀ` (terms `kt..kt+kc` of B rows
-/// `jt..jt+nc`) into the same sliver-major layout. Reads of `b` stay
-/// row-contiguous (one B row per output column); the transpose happens
-/// in the strided panel *writes*, paid once per tile and amortized over
-/// every A row that reuses the panel.
+/// `jt..jt+nc`) into the same zero-padded sliver-major layout. Reads of
+/// `b` stay row-contiguous (one B row per output column); the transpose
+/// happens in the strided panel *writes*, paid once per tile and
+/// amortized over every A row that reuses the panel.
 #[inline]
 fn pack_bt_panel(
     b: &[f64],
@@ -662,158 +604,112 @@ fn pack_bt_panel(
     nc: usize,
     panel: &mut [f64],
 ) {
-    let mut js = 0;
-    let mut off = 0;
-    while js < nc {
-        let w = (nc - js).min(8);
+    let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
+    for (s, sliver) in slivers.enumerate() {
+        let w = (nc - s * 8).min(8);
+        if w < 8 {
+            sliver.fill(0.0);
+        }
         for c in 0..w {
-            let src = (jt + js + c) * k + kt;
+            let src = (jt + s * 8 + c) * k + kt;
             for (t, &v) in b[src..src + kc].iter().enumerate() {
-                panel[off + t * w + c] = v;
+                sliver[t * 8 + c] = v;
             }
         }
-        off += kc * w;
-        js += w;
     }
 }
 
-/// [`accumulate_row_pair`] against a packed panel, resuming partial sums
-/// from `out0`/`out1` exactly as [`accumulate_row_panel`] does: a 2×8
-/// register microkernel (sixteen independent accumulator chains) whose two
-/// `a` operands are contiguous term slices — an A row for `A·B` and
-/// `A·Bᵀ`, a transpose-packed A column for `Aᵀ·B`.
+/// `R` output rows against a packed panel `nc` columns wide: one
+/// [`accumulate_tile`] per 8-wide sliver into `out` (`n`-strided, starting
+/// at the group's first output of the tile), seeded from `+0.0` on the
+/// first `k`-tile and resuming partial sums from `out` on later ones. `a`
+/// are contiguous term slices — an A row for `A·Bᵀ`, a transpose-packed A
+/// column for `Aᵀ·B`.
 #[inline]
-fn accumulate_pair_panel(
-    a0: &[f64],
-    a1: &[f64],
+fn accumulate_panel<const R: usize>(
+    a: [&[f64]; R],
     panel: &[f64],
     nc: usize,
-    out0: &mut [f64],
-    out1: &mut [f64],
+    out: &mut [f64],
+    n: usize,
+    resume: bool,
 ) {
-    let terms = a0.len();
-    let mut js = 0;
-    let mut off = 0;
-    while js < nc {
-        let w = (nc - js).min(8);
-        if w == 8 {
-            let mut acc0 = [0.0f64; 8];
-            let mut acc1 = [0.0f64; 8];
-            acc0.copy_from_slice(&out0[js..js + 8]);
-            acc1.copy_from_slice(&out1[js..js + 8]);
-            for (t, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-                let b_row = &panel[off + t * 8..off + t * 8 + 8];
-                for i in 0..8 {
-                    acc0[i] += x0 * b_row[i];
-                    acc1[i] += x1 * b_row[i];
-                }
-            }
-            out0[js..js + 8].copy_from_slice(&acc0);
-            out1[js..js + 8].copy_from_slice(&acc1);
+    let kc = a[0].len();
+    for (s, sliver) in panel.chunks_exact(kc * 8).take(nc.div_ceil(8)).enumerate() {
+        let (w, out) = ((nc - s * 8).min(8), &mut out[s * 8..]);
+        if resume {
+            accumulate_tile::<R, 8, true>(a, sliver, 8, 0, out, n, w);
         } else {
-            let mut acc0 = [0.0f64; 8];
-            let mut acc1 = [0.0f64; 8];
-            acc0[..w].copy_from_slice(&out0[js..js + w]);
-            acc1[..w].copy_from_slice(&out1[js..js + w]);
-            for (t, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-                let b_row = &panel[off + t * w..off + t * w + w];
-                for ((o0, o1), &bv) in acc0[..w].iter_mut().zip(&mut acc1[..w]).zip(b_row) {
-                    *o0 += x0 * bv;
-                    *o1 += x1 * bv;
-                }
-            }
-            out0[js..js + w].copy_from_slice(&acc0[..w]);
-            out1[js..js + w].copy_from_slice(&acc1[..w]);
+            accumulate_tile::<R, 8, false>(a, sliver, 8, 0, out, n, w);
         }
-        off += terms * w;
-        js += w;
     }
 }
 
 /// `A·B` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `k × n` and
-/// `out` is `m × n`, all row-major. The blocked path engages once `A` is
-/// [`BLOCKED_MIN_ROWS`] tall and `B` at least 32×[`TILE_N`] — the panel
-/// microkernel beats streaming `B` per row pair well before the operands
-/// overflow cache (the paper's 128×128 hidden shapes included), while
-/// narrow outputs and short batches keep the register path.
+/// `out` is `m × n`, all row-major: [`accumulate_rows`] four output rows at
+/// a time, reading `b` in place. `A·B` has no blocked schedule: at every
+/// measured shape, training's input gradients and the paper's 128-wide
+/// layers included, packing `b` cost more than it saved (DESIGN.md §14).
 fn matmul_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
-        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
-        return;
-    }
+    let rows = |i: usize| -> &[f64] { &a[i * k..(i + 1) * k] };
     let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let (lo, hi) = out.split_at_mut((i + 1) * n);
-        accumulate_row_pair(a0, a1, b, n, &mut lo[i * n..], &mut hi[..n]);
+    while i + 4 <= m {
+        let group = std::array::from_fn(|r| rows(i + r));
+        accumulate_rows::<4>(group, b, n, &mut out[i * n..]);
+        i += 4;
+    }
+    if i + 2 <= m {
+        accumulate_rows::<2>([rows(i), rows(i + 1)], b, n, &mut out[i * n..]);
         i += 2;
     }
     if i < m {
-        accumulate_row(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
+        accumulate_rows::<1>([rows(i)], b, n, &mut out[i * n..]);
     }
 }
 
 /// `Aᵀ·B` under [`Matrix::gemm_into`]: `a` is `r × m` and `b` is `r × n`,
-/// row-major; output row `i` is column `i` of `a` against `b`.
-///
-/// Outputs at least one full sliver (8 columns) wide dispatch to the
-/// blocked schedule — its register accumulators touch each output element
-/// once per `k`-tile where a stream pays an `out` load/store per term,
-/// which wins even for the narrow 12/18-column weight-gradient shapes.
-/// Sub-sliver outputs would re-walk the strided `a` column once per
-/// register tile, which costs more than it saves; they run a branch-free
-/// `t`-outer stream instead — both operand rows and the output walk
-/// forward contiguously, never striding across `a`, each output
-/// accumulating in memory from `+0.0` over `t` ascending.
+/// row-major; output row `i` is column `i` of `a` against `b`. Always the
+/// blocked schedule: each block of output rows is a block of `a` columns,
+/// transpose-packed once per tile so the tiles read their terms forward.
 fn matmul_at_b_rows(a: &[f64], m: usize, r: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    if n >= 8 {
-        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<true>(pack, a, m, r, m, n, out);
-        return;
-    }
-    out.fill(0.0);
-    for t in 0..r {
-        let a_row = &a[t * m..(t + 1) * m];
-        let b_row = &b[t * n..(t + 1) * n];
-        for (i, &x) in a_row.iter().enumerate() {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += x * bv;
-            }
-        }
-    }
+    let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
+    matmul_rows_blocked::<true>(pack, a, m, r, m, n, out);
 }
 
-/// Fewest rows of `A` for which `A·B` and `A·Bᵀ` take the cache-blocked
-/// schedule. Every blocked call packs each `B` tile into a 64 KiB panel
-/// once — a fixed cost worth a few rows of multiply-adds, repaid only when
-/// several rows reuse the packed panel (measured crossover: 8–16 rows at hidden
-/// widths 128 and 64, DESIGN.md §14). Below it — the one-row policy forward
-/// of every agent step above all — the register tiles read `B` in place.
+/// Fewest rows of `A` for which `A·Bᵀ` takes the cache-blocked schedule.
+/// Every blocked call packs each `Bᵀ` tile into a panel once — a fixed
+/// cost worth a few rows of multiply-adds, repaid only when several rows
+/// reuse the packed panel (DESIGN.md §14). Below it the dot tiles read `B`
+/// in place.
 pub const BLOCKED_MIN_ROWS: usize = 8;
 
 /// `A·Bᵀ` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `n × k` and
-/// `out` is `m × n`, all row-major. Row pairs run the 2×4 register kernel
-/// (eight independent accumulator chains) and an odd last row a 1×8 dot
-/// tile — the same eight chains, so a single row is not latency-bound on
-/// one accumulator either. Every output is one accumulator over `k`
-/// ascending.
+/// `out` is `m × n`, all row-major. Every output is one accumulator over
+/// `k` ascending.
 ///
-/// Operands at least 32 deep, [`TILE_N`] wide and
-/// [`BLOCKED_MIN_ROWS`] tall dispatch to the blocked schedule: once
-/// its panel holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the
-/// 2×8 microkernel sustains a higher madd rate than the dot kernels once
-/// the panel pack amortizes (the paper's 128×128 hidden forwards at batch
-/// 128 included).
+/// From [`BLOCKED_MIN_ROWS`] rows and one full sliver (8 columns) of
+/// output, at any depth, it takes the blocked schedule: once its panel
+/// holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the 4×8 tile
+/// runs across outputs at full vector width where a dot product cannot.
+/// Below that, row pairs run a 2×4 dot tile (eight independent
+/// accumulator chains hide the floating-point add latency of a single
+/// dot product) and an odd last row a 1×8 dot tile.
 fn matmul_a_bt_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    if m >= BLOCKED_MIN_ROWS && k >= 32 && n >= TILE_N {
+    if m >= BLOCKED_MIN_ROWS && n >= 8 {
         let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
         matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
         return;
     }
     let mut i = 0;
+    while n < 4 && i + 8 <= m {
+        for j in 0..n {
+            let col = dot_tile::<8>(&b[j * k..(j + 1) * k], &a[i * k..(i + 8) * k]);
+            for (r, v) in col.into_iter().enumerate() {
+                out[(i + r) * n + j] = v;
+            }
+        }
+        i += 8;
+    }
     while i + 2 <= m {
         let a0 = &a[i * k..(i + 1) * k];
         let a1 = &a[(i + 1) * k..(i + 2) * k];
@@ -886,9 +782,9 @@ fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
 
 /// Rows of the left operand staged together by [`matmul_rows_blocked`]. For
 /// `Aᵀ·B` it is the column count of the transpose-packed A block: eight
-/// columns of `a` re-laid term-contiguous (8 KiB) so the 2×8 microkernel
-/// reads its `a` operands forward instead of striding across `a`'s full
-/// width per term.
+/// columns of `a` re-laid term-contiguous (8 KiB) so the tiles read their
+/// `a` operands forward instead of striding across `a`'s full width per
+/// term.
 const AT_B_IBLOCK: usize = 8;
 
 /// The blocked schedule's working set: a packed `B` panel and a
@@ -900,27 +796,27 @@ thread_local! {
     /// it. `const`-initialised and without a destructor, so it lives in the
     /// thread's static TLS block (72 KiB, zeroed once when the thread
     /// starts): no allocation, no registration on first use. Nothing is
-    /// read before it is packed — every panel and block element a
-    /// microkernel reads was written by the same call's packing — so a
-    /// previous call's leftovers never reach an output and the buffers
-    /// need no zero-fill.
+    /// read before it is written — every panel element (padding included)
+    /// and block element a tile reads was written by the same call's
+    /// packing — so a previous call's leftovers never reach an output and
+    /// the buffers need no zero-fill.
     static BLOCKED_BUFFERS: std::cell::RefCell<BlockedBuffers> =
         const { std::cell::RefCell::new(([0.0; PANEL_LEN], [0.0; TILE_K * AT_B_IBLOCK])) };
 }
 
-/// The cache-blocked schedule of all three products: computes the `m × n`
+/// The cache-blocked schedule of `Aᵀ·B` and `A·Bᵀ`: computes the `m × n`
 /// output `out` over `terms` contraction terms. Per `k`/`n` tile,
 /// `pack_panel(kt, kc, jt, nc, panel)` lays the right operand's sub-block
 /// out sliver-major ([`pack_b_panel`], or [`pack_bt_panel`] for `A·Bᵀ`) and
-/// the [`accumulate_pair_panel`] microkernel runs over it in row pairs
-/// ([`accumulate_row_panel`] for an odd tail), resuming partial sums from
-/// `out` between `k`-tiles. `k`-tiles ascend and packing only copies
-/// operands, so each output element still accumulates its terms in
-/// ascending order from `+0.0` — bit for bit what the unblocked bodies
-/// compute, regardless of tile or block boundaries.
+/// [`accumulate_panel`] runs over it four output rows at a time (then at
+/// most one pair and one single row), resuming partial sums from `out`
+/// between `k`-tiles. `k`-tiles ascend and packing only copies operands,
+/// so each output element still accumulates its terms in ascending order
+/// from `+0.0` — bit for bit what the unblocked bodies compute,
+/// regardless of tile or block boundaries.
 ///
 /// `a` has row stride `lda`. With `A_COLS` unset an output row's terms are
-/// a row of `a`, read in place (`A·B`, `A·Bᵀ`); with it set they are a
+/// a row of `a`, read in place (`A·Bᵀ`); with it set they are a
 /// *column* of `a` (`Aᵀ·B`), and each block of [`AT_B_IBLOCK`] columns is
 /// transpose-packed per tile first.
 ///
@@ -939,7 +835,9 @@ fn matmul_rows_blocked<const A_COLS: bool>(
     out: &mut [f64],
 ) {
     BLOCKED_BUFFERS.with_borrow_mut(|(panel, ablock)| {
-        out.fill(0.0);
+        if terms == 0 {
+            out.fill(0.0);
+        }
         let mut kt = 0;
         while kt < terms {
             let kc = (terms - kt).min(TILE_K);
@@ -963,28 +861,24 @@ fn matmul_rows_blocked<const A_COLS: bool>(
                     } else {
                         (&a[ib * lda + kt..], lda)
                     };
+                    let rows = |c: usize| -> &[f64] { &lhs[c * stride..][..kc] };
+                    let (panel, resume) = (&panel[..], kt > 0);
                     let mut rr = 0;
-                    while rr + 2 <= bc {
-                        let row = ib + rr;
-                        let (lo, hi) = out.split_at_mut((row + 1) * n);
-                        accumulate_pair_panel(
-                            &lhs[rr * stride..][..kc],
-                            &lhs[(rr + 1) * stride..][..kc],
-                            &panel[..],
-                            nc,
-                            &mut lo[row * n + jt..row * n + jt + nc],
-                            &mut hi[jt..jt + nc],
-                        );
+                    while rr + 4 <= bc {
+                        let group = std::array::from_fn(|r| rows(rr + r));
+                        let out = &mut out[(ib + rr) * n + jt..];
+                        accumulate_panel::<4>(group, panel, nc, out, n, resume);
+                        rr += 4;
+                    }
+                    if rr + 2 <= bc {
+                        let (pair, out) =
+                            ([rows(rr), rows(rr + 1)], &mut out[(ib + rr) * n + jt..]);
+                        accumulate_panel::<2>(pair, panel, nc, out, n, resume);
                         rr += 2;
                     }
                     if rr < bc {
-                        let row = ib + rr;
-                        accumulate_row_panel(
-                            &lhs[rr * stride..][..kc],
-                            &panel[..],
-                            nc,
-                            &mut out[row * n + jt..row * n + jt + nc],
-                        );
+                        let out = &mut out[(ib + rr) * n + jt..];
+                        accumulate_panel::<1>([rows(rr)], panel, nc, out, n, resume);
                     }
                     ib += bc;
                 }
@@ -1167,6 +1061,12 @@ mod tests {
         let mut wide = Matrix::zeros(3, 3);
         Matrix::hstack_into(&[&a, &b], &mut wide);
         assert_eq!(wide, Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]));
+        // Row counts are checked even when the first operand has no rows.
+        let (empty, tall) = (Matrix::zeros(0, 2), Matrix::zeros(2, 2));
+        let mismatched = std::panic::catch_unwind(|| {
+            Matrix::hstack_into(&[&empty, &tall], &mut Matrix::default());
+        });
+        assert!(mismatched.is_err(), "0-row beside 2-row operand must panic");
     }
 
     #[test]
@@ -1175,6 +1075,15 @@ mod tests {
         assert!((a.norm() - 5.0).abs() < 1e-12);
         let b = Matrix::from_rows(&[&[1.0, 2.0]]);
         assert!((a.dot(&b) - 11.0).abs() < 1e-12);
+    }
+
+    /// The kernels are tiled for 256-bit registers, and `.cargo/config.toml`
+    /// is what builds them for AVX2: without it this test does not compile,
+    /// instead of the products silently running 2-wide.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn x86_64_builds_target_avx2() {
+        const { assert!(cfg!(target_feature = "avx2"), "built without AVX2") };
     }
 
     #[test]

@@ -70,8 +70,11 @@ impl Adam {
             "optimizer/network size mismatch"
         );
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        // β^t underflows to 0 long before `t` leaves `i32`, so saturating
+        // the exponent changes no float; wrapping it would flip its sign.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let b1t = 1.0 - self.beta1.powi(t);
+        let b2t = 1.0 - self.beta2.powi(t);
         let mut off = 0;
         for (layer, g) in net.layers_mut().iter_mut().zip(&grads.layers) {
             off = self.apply_slice(
@@ -188,6 +191,29 @@ mod tests {
         let l = mse_loss_into(&pred, &target, &mut g);
         assert!((l - 4.0).abs() < 1e-12);
         assert!(g[(0, 0)] > 0.0); // pushing pred down reduces loss
+    }
+
+    /// A step count past `i32::MAX` must still move the parameters: a
+    /// wrapped exponent made the bias corrections `−∞` and every later
+    /// step a silent no-op.
+    #[test]
+    fn adam_steps_past_i32_max_still_move_parameters() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = Mlp::new(&[1, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
+        let mut adam = Adam::new(&net, 1e-2);
+        adam.t = i32::MAX as u64;
+        let (xs, ys) = (Matrix::from_rows(&[&[0.5]]), Matrix::from_rows(&[&[2.0]]));
+        let (mut s, mut d) = (TrainScratch::new(), Matrix::default());
+        for _ in 0..2 {
+            let before = net.flat_params();
+            net.forward_scratch(&xs, &mut s);
+            mse_loss_into(s.output(), &ys, &mut d);
+            net.backward_scratch(&mut s, &d);
+            adam.step(&mut net, s.grads());
+            let after = net.flat_params();
+            assert!(after.iter().all(|p| p.is_finite()), "step {}", adam.t);
+            assert_ne!(before, after, "step {} left the parameters", adam.t);
+        }
     }
 
     #[test]

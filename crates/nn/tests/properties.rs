@@ -186,21 +186,21 @@ proptest! {
 }
 
 /// Every product on every side of every dispatch term and tile edge: output
-/// rows around the row pairing (1, 2, odd), the
-/// 8-row blocks of the cache-blocked driver and [`BLOCKED_MIN_ROWS`]
-/// (one row is the per-RA policy forward); widths around the one-row
-/// `A·B` kernel's 16/8/4/2/1-wide tiles and every combination of its
-/// tails, the 4- and 8-wide register tiles, the `Aᵀ·B` stream's 8-column
-/// cutover and [`TILE_N`];
-/// depths around empty, the blocked schedule's 32 and [`TILE_K`]. The
+/// rows at every remainder of the 4-row groups (4, 2 and 1 rows) inside
+/// one 8-row block of the cache-blocked driver and across it, and around
+/// [`BLOCKED_MIN_ROWS`] (one row is the per-RA policy forward); widths
+/// around the one-row `A·B` tiles' 16/8/4/2/1 widths and every
+/// combination of their tails, the 4- and 8-wide register tiles, the
+/// `A·Bᵀ` 8-column cutover and [`TILE_N`]; depths around empty (1–3 reach
+/// the blocked `A·Bᵀ`, which takes any depth), 32 and [`TILE_K`]. The
 /// largest of each crosses two full tiles with a ragged tail, so the
-/// blocked driver's partial `k`-tiles, partial `n`-tiles and sub-sliver
-/// tails are all reached through the shapes that select it.
+/// blocked driver's partial `k`-tiles, partial `n`-tiles and zero-padded
+/// tail slivers are all reached through the shapes that select it.
 #[test]
 fn dispatch_bit_identical_to_naive_around_every_threshold() {
     let mut rng = StdRng::seed_from_u64(1717);
     let (t, tn, tk) = (BLOCKED_MIN_ROWS, TILE_N, TILE_K);
-    let rows = [1, 2, 3, t - 1, t, t + 1];
+    let rows = [1, 2, 3, 4, 5, 6, t - 1, t, t + 1, 10, 11, 12, 13, 16, 17];
     let widths = [
         1,
         2,
@@ -222,7 +222,7 @@ fn dispatch_bit_identical_to_naive_around_every_threshold() {
         tn + 1,
         2 * tn + 13,
     ];
-    let depths = [0, 1, 2, 31, 32, 33, tk - 1, tk, tk + 1, 2 * tk + 5];
+    let depths = [0, 1, 2, 3, 31, 32, 33, tk - 1, tk, tk + 1, 2 * tk + 5];
     let mut out = Matrix::zeros(1, 1);
     for op in OPS {
         for m in rows {

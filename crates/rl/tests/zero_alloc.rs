@@ -186,9 +186,9 @@ fn one_row_fleet_forward_is_allocation_free() {
     use edgeslice_nn::{Activation, FleetScratch, Mlp, BLOCKED_MIN_ROWS};
 
     // The per-RA decide of every agent step: one state row through the
-    // batched forward. Hidden 64 and 128 are both past the blocked
-    // schedule's depth and width thresholds, so it is the row-count term of
-    // the dispatch that keeps this on the one-row register tiles.
+    // batched forward, `A·B` against the memoised `Wᵀ`, which reads `B` in
+    // place at any size. One row of the `A·Bᵀ` batch forward stays off the
+    // blocked schedule by its row-count term.
     const { assert!(BLOCKED_MIN_ROWS > 1) };
     let mut rng = StdRng::seed_from_u64(14);
     for hidden in [64, 128] {
