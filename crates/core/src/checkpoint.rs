@@ -48,7 +48,12 @@ pub struct PolicyCheckpoint {
 }
 
 /// The checkpoint format version this build reads and writes.
-pub const POLICY_CHECKPOINT_VERSION: u32 = 1;
+///
+/// Version history:
+/// * 1 — `f64` network weights.
+/// * 2 — `f32` network weights. A version-1 file is rejected rather than
+///   narrowed into a network: its policy was trained in another precision.
+pub const POLICY_CHECKPOINT_VERSION: u32 = 2;
 
 /// Errors from checkpoint (de)serialization.
 #[derive(Debug)]
@@ -170,19 +175,18 @@ impl PolicyCheckpoint {
         &self.network
     }
 
-    /// Decodes one raw network-output row into `action` (cleared and
-    /// refilled in place; allocation-free once capacity has warmed up).
-    /// Element-for-element the same arithmetic as [`PolicyCheckpoint::decide`].
-    pub(crate) fn decode_row(&self, row: &[f64], action: &mut Vec<f64>) {
+    /// Decodes one raw `f32` network-output row into `action` (cleared and
+    /// refilled in place; allocation-free once capacity has warmed up),
+    /// widening each share to `f64`: the seam where an action leaves the
+    /// network. Element-for-element the same arithmetic as
+    /// [`PolicyCheckpoint::decide`].
+    pub(crate) fn decode_row(&self, row: &[f32], action: &mut Vec<f64>) {
         action.clear();
-        match self.decode {
-            Decode::Direct => action.extend(row.iter().map(|v| v.clamp(0.0, 1.0))),
-            Decode::SigmoidMeanHead => action.extend(
-                row[..self.action_dim]
-                    .iter()
-                    .map(|&v| edgeslice_nn::sigmoid(v)),
-            ),
-        }
+        let decoded = row[..self.action_dim].iter().map(|&v| match self.decode {
+            Decode::Direct => v.clamp(0.0, 1.0),
+            Decode::SigmoidMeanHead => edgeslice_nn::sigmoid(v),
+        });
+        action.extend(decoded.map(f64::from));
     }
 
     /// Serializes to JSON.
@@ -282,12 +286,17 @@ mod tests {
             let json = ckpt.to_json().unwrap();
             let restored = PolicyCheckpoint::from_json(&json).unwrap();
             let state = vec![0.4; e.state_dim()];
-            for (a, b) in agent.decide(&state).iter().zip(restored.decide(&state)) {
-                assert!(
-                    (a - b).abs() <= 1e-12,
-                    "{t}: checkpoint must reproduce the policy ({a} vs {b})"
-                );
-            }
+            assert_eq!(
+                bits(&agent.decide(&state)),
+                bits(&restored.decide(&state)),
+                "{t}: checkpoint must reproduce the policy"
+            );
+            // The f32 weights survive the JSON round trip bit for bit.
+            let weights = |c: &PolicyCheckpoint| -> Vec<u32> {
+                let params = c.network().flat_params();
+                params.iter().map(|w| w.to_bits()).collect()
+            };
+            assert_eq!(weights(&restored), weights(&ckpt), "{t}");
             assert_eq!(restored.technique(), t.label());
             assert_eq!(restored.state_dim(), e.state_dim());
             assert_eq!(restored.action_dim(), e.action_dim());
@@ -333,6 +342,46 @@ mod tests {
         assert!(a.iter().all(|v| (0.0..=1.0).contains(v)));
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The three decide paths — the agent's own, a checkpoint's
+    /// `decide_into` on a reused scratch, and a fleet's fused forward —
+    /// narrow the same states into the same f32 network and widen the same
+    /// actions: bit for bit, for every technique, on random states.
+    #[test]
+    fn decide_paths_agree_bit_for_bit_on_random_states() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(4);
+        let e = env();
+        let cfg = AgentConfig::default();
+        for t in Technique::ALL {
+            let agent = OrchestrationAgent::new(RaId(0), t, &e, &cfg, &mut rng);
+            let ckpt = PolicyCheckpoint::from_agent(&agent);
+            let mut fleet =
+                crate::PolicyFleet::new(vec![ckpt.clone(); 3], crate::Parallelism::Sequential);
+            let (mut scratch, mut action, mut actions) =
+                (FleetScratch::new(), Vec::new(), Vec::new());
+            for _ in 0..20 {
+                let states: Vec<Vec<f64>> = (0..3)
+                    .map(|_| {
+                        (0..e.state_dim())
+                            .map(|_| rng.gen_range(-4.0..4.0))
+                            .collect()
+                    })
+                    .collect();
+                fleet.decide_into(&states, &mut actions);
+                for (state, fleet_action) in states.iter().zip(&actions) {
+                    let want = bits(&agent.decide(state));
+                    ckpt.decide_into(state, &mut scratch, &mut action);
+                    assert_eq!(bits(&action), want, "{t}: checkpoint decide_into");
+                    assert_eq!(bits(fleet_action), want, "{t}: fleet decide_into");
+                }
+            }
+        }
+    }
+
     #[test]
     fn malformed_json_is_an_error() {
         assert!(matches!(
@@ -364,6 +413,17 @@ mod tests {
             CheckpointError::UnsupportedVersion { found, supported }
                 if found == POLICY_CHECKPOINT_VERSION + 1
                     && supported == POLICY_CHECKPOINT_VERSION
+        ));
+
+        // A version-1 (f64-weight) checkpoint is rejected, never narrowed
+        // into a network.
+        let v1 = json.replacen(&current, "\"version\":1", 1);
+        assert!(matches!(
+            PolicyCheckpoint::from_json(&v1),
+            Err(CheckpointError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
         ));
 
         // Pre-versioned JSON (no `version` field) is rejected too.

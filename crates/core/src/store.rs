@@ -39,7 +39,10 @@ use edgeslice_netsim::ServiceQueue;
 ///   dynamic-workload lifecycle state (admission ledger, slot status,
 ///   negotiated rates), so kill-and-resume stays byte-identical under
 ///   slice churn.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// * 3 — the policies in run and train snapshots hold `f32` weights
+///   ([`crate::POLICY_CHECKPOINT_VERSION`] 2); a version-2 file is
+///   rejected rather than narrowed.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Envelope magic: **E**dge**S**lice **C**hec**K**point.
 const MAGIC: &[u8; 4] = b"ESCK";
@@ -612,6 +615,53 @@ mod tests {
         let latest = store.latest_run().unwrap();
         assert!(latest.snapshot.is_none());
         assert_eq!(latest.rejected.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A version-2 snapshot (its policies in f64) is a typed rejection,
+    /// never narrowed into a run; a version-3 one carries its policy's f32
+    /// weights through the envelope bit for bit.
+    #[test]
+    fn v2_snapshots_are_rejected_and_f32_policies_round_trip() {
+        use crate::{AgentConfig, OrchestrationAgent, RaEnvConfig};
+        use edgeslice_netsim::PoissonTraffic;
+        use edgeslice_rl::Technique;
+        use rand::SeedableRng;
+        let dir = tmp_dir("f32-policy");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let env = RaSliceEnv::with_dataset(
+            RaEnvConfig::experiment(vec![SliceSpec::experiment_slice1()]),
+            vec![Box::new(PoissonTraffic::paper())],
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let agent = OrchestrationAgent::new(
+            RaId(0),
+            Technique::Ddpg,
+            &env,
+            &AgentConfig::default(),
+            &mut rng,
+        );
+        let mut snap = snapshot(2);
+        snap.policies = vec![Some(PolicyCheckpoint::from_agent(&agent))];
+        let path = store.save_run(&snap).unwrap();
+        let weights = |s: &RunSnapshot| -> Vec<u32> {
+            let policy = s.policies[0].as_ref().expect("a policy");
+            let params = policy.network().flat_params();
+            params.iter().map(|w| w.to_bits()).collect()
+        };
+        assert_eq!(weights(&store.load_run(&path).unwrap()), weights(&snap));
+
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            store.load_run(&path),
+            Err(EdgeSliceError::UnsupportedSnapshotVersion {
+                found: 2,
+                supported: 3,
+                ..
+            })
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

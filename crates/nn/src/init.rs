@@ -23,7 +23,8 @@ pub enum Init {
 }
 
 impl Init {
-    /// Samples a `fan_out × fan_in` weight matrix.
+    /// Samples a `fan_out × fan_in` weight matrix: each weight is drawn in
+    /// `f64` and narrowed to `f32`.
     pub fn sample(self, fan_out: usize, fan_in: usize, rng: &mut impl Rng) -> Matrix {
         let bound = match self {
             Init::XavierUniform => (6.0 / (fan_in + fan_out) as f64).sqrt(),
@@ -45,7 +46,7 @@ mod tests {
     fn xavier_bound_is_respected() {
         let mut rng = StdRng::seed_from_u64(1);
         let w = Init::XavierUniform.sample(64, 64, &mut rng);
-        let b = (6.0 / 128.0f64).sqrt();
+        let b = (6.0 / 128.0f64).sqrt() as f32;
         assert!(w.as_slice().iter().all(|x| x.abs() <= b));
         // Not all zero.
         assert!(w.norm() > 0.0);
@@ -55,7 +56,7 @@ mod tests {
     fn he_bound_is_respected() {
         let mut rng = StdRng::seed_from_u64(2);
         let w = Init::HeUniform.sample(16, 8, &mut rng);
-        let b = (6.0 / 8.0f64).sqrt();
+        let b = (6.0 / 8.0f64).sqrt() as f32;
         assert!(w.as_slice().iter().all(|x| x.abs() <= b));
     }
 

@@ -8,8 +8,10 @@
 //! gradient machinery.
 //!
 //! It intentionally does **not** try to be a general tensor framework:
-//! everything is 2-D `f64`, batch-major, and CPU-only, which is plenty for
-//! the paper's 2×128 networks.
+//! everything is 2-D `f32` (the paper's GPU working precision), batch-major,
+//! and CPU-only, which is plenty for the paper's 2×128 networks. Callers
+//! stay in `f64`: states, actions and hyper-parameters narrow on the way in
+//! and actions and reductions widen on the way out.
 //!
 //! # Examples
 //!
@@ -23,7 +25,7 @@
 //! let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
 //! let mut opt = Adam::new(&net, 1e-2);
 //! let xs = Matrix::from_fn(16, 1, |i, _| i as f64 / 8.0 - 1.0);
-//! let ys = Matrix::from_fn(16, 1, |i, _| xs[(i, 0)] * xs[(i, 0)]);
+//! let ys = Matrix::from_fn(16, 1, |i, _| f64::from(xs[(i, 0)]).powi(2));
 //! // One scratch per (network, role): it keeps the forward's per-layer
 //! // inputs for the backward, and all of its buffers are reused.
 //! let (mut scratch, mut d_pred) = (TrainScratch::new(), Matrix::default());

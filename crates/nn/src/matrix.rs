@@ -1,19 +1,23 @@
-//! Dense row-major matrices over `f64`.
+//! Dense row-major matrices over `f32`.
 //!
 //! This is deliberately a small, allocation-explicit matrix type rather than
 //! a general tensor library: everything EdgeSlice needs is 2-D (batches of
 //! states/actions flowing through fully-connected layers) and small (layer
 //! widths of 64–256), so one register-tiled, cache-blocked product over a
-//! contiguous `Vec<f64>` ([`Matrix::gemm_into`]) is both simple and fast
-//! enough to train the paper's 2×128 networks on a laptop.
+//! contiguous `Vec<f32>` ([`Matrix::gemm_into`]) is both simple and fast
+//! enough to train the paper's 2×128 networks on a laptop. Single precision
+//! is the paper's GPU working precision; values built from `f64` callers
+//! ([`Matrix::filled`], [`Matrix::from_fn`]) are narrowed once on the way
+//! in, and the reductions ([`Matrix::sum`], [`Matrix::norm`], …) accumulate
+//! and return `f64`.
 
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Sub};
 
 use serde::{Deserialize, Serialize};
 
 /// Inner-dimension (`k`) tile for the cache-blocked GEMM kernels: terms per
-/// packed B panel. `TILE_K × TILE_N` f64 values are 64 KiB — sized so one
+/// packed B panel. `TILE_K × TILE_N` f32 values are 32 KiB — sized so one
 /// panel plus the active A rows stay resident in L1/L2 while every output
 /// tile is visited.
 pub const TILE_K: usize = 128;
@@ -27,7 +31,7 @@ pub const TILE_N: usize = 64;
 /// allocator.
 const PANEL_LEN: usize = TILE_K * TILE_N;
 
-/// A dense, row-major matrix of `f64` values.
+/// A dense, row-major matrix of `f32` values.
 ///
 /// # Examples
 ///
@@ -42,7 +46,7 @@ const PANEL_LEN: usize = TILE_K * TILE_N;
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<f32>,
 }
 
 /// Which product of its two operands [`Matrix::gemm_into`] computes — the
@@ -70,12 +74,13 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows × cols` matrix filled with `value`.
+    /// Creates a `rows × cols` matrix filled with `value`, narrowed to
+    /// `f32`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value as f32; rows * cols],
         }
     }
 
@@ -88,29 +93,12 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "matrix data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Self { rows, cols, data }
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty(), "from_rows requires at least one row");
         let cols = rows[0].len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -125,22 +113,13 @@ impl Matrix {
         }
     }
 
-    /// Creates a single-row matrix from a slice (a row vector).
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
-    /// Creates a single-column matrix from a slice (a column vector).
-    pub fn col_vector(values: &[f64]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
-    /// Creates a matrix by evaluating `f(row, col)` at every position.
+    /// Creates a matrix by evaluating `f(row, col)` at every position, each
+    /// value narrowed to `f32`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for i in 0..rows {
             for j in 0..cols {
-                data.push(f(i, j));
+                data.push(f(i, j) as f32);
             }
         }
         Self { rows, cols, data }
@@ -166,18 +145,18 @@ impl Matrix {
 
     /// Borrow the underlying row-major data.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutably borrow the underlying row-major data.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// Consume the matrix and return its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -187,7 +166,7 @@ impl Matrix {
     ///
     /// Panics if `i >= rows`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[f32] {
         assert!(
             i < self.rows,
             "row {i} out of bounds for {} rows",
@@ -202,7 +181,7 @@ impl Matrix {
     ///
     /// Panics if `i >= rows`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert!(
             i < self.rows,
             "row {i} out of bounds for {} rows",
@@ -212,7 +191,7 @@ impl Matrix {
     }
 
     /// Iterate over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
+    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)
     }
 
@@ -247,7 +226,7 @@ impl Matrix {
 
     /// Sets every element to `value` in place.
     #[inline]
-    pub fn fill(&mut self, value: f64) {
+    pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
     }
 
@@ -317,19 +296,12 @@ impl Matrix {
         out
     }
 
-    /// Applies `f` to every element in place.
-    pub fn apply(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// `self += alpha * rhs` in place.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) {
+    pub fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
@@ -337,7 +309,7 @@ impl Matrix {
     }
 
     /// Multiplies every element by `alpha` in place.
-    pub fn scale(&mut self, alpha: f64) {
+    pub fn scale(&mut self, alpha: f32) {
         for x in &mut self.data {
             *x *= alpha;
         }
@@ -348,7 +320,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `row.len() != cols`.
-    pub fn add_row_broadcast(&mut self, row: &[f64]) {
+    pub fn add_row_broadcast(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "broadcast row length mismatch");
         for r in self.data.chunks_exact_mut(self.cols) {
             for (x, &b) in r.iter_mut().zip(row) {
@@ -359,7 +331,7 @@ impl Matrix {
 
     /// Column-wise sum written into `out` (resized to `cols` as needed):
     /// each column accumulates from `+0.0` over the rows top to bottom.
-    pub fn sum_rows_into(&self, out: &mut Vec<f64>) {
+    pub fn sum_rows_into(&self, out: &mut Vec<f32>) {
         out.resize(self.cols, 0.0);
         out.fill(0.0);
         for r in self.data.chunks_exact(self.cols) {
@@ -369,35 +341,25 @@ impl Matrix {
         }
     }
 
-    /// Sum of all elements.
+    /// Sum of all elements, accumulated in `f64`.
     pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
+        self.data.iter().map(|&x| f64::from(x)).sum()
     }
 
-    /// Mean of all elements.
-    ///
-    /// Returns 0 for an empty matrix.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
-    /// Frobenius norm.
+    /// Frobenius norm, accumulated in `f64`.
     pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+        self.dot(self).sqrt()
     }
 
-    /// Dot product of the flattened matrices.
+    /// Dot product of the flattened matrices, accumulated in `f64`
+    /// ([`dot_f64`]).
     ///
     /// # Panics
     ///
     /// Panics if the element counts differ.
     pub fn dot(&self, rhs: &Matrix) -> f64 {
         assert_eq!(self.data.len(), rhs.data.len(), "dot length mismatch");
-        self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum()
+        dot_f64(&self.data, &rhs.data)
     }
 
     /// Selects the given rows into a new matrix (used for minibatch
@@ -416,23 +378,6 @@ impl Matrix {
             cols: self.cols,
             data,
         }
-    }
-
-    /// Stacks matrices vertically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ or `mats` is empty.
-    pub fn vstack(mats: &[&Matrix]) -> Matrix {
-        assert!(!mats.is_empty(), "vstack requires at least one matrix");
-        let cols = mats[0].cols;
-        let rows: usize = mats.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in mats {
-            assert_eq!(m.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
     }
 
     /// Concatenates matrices horizontally (same number of rows) into `out`
@@ -456,17 +401,31 @@ impl Matrix {
             }
         }
     }
+}
 
-    /// True if all elements are finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+/// `Σ a[i]·b[i]` in `f64` over eight interleaved lanes — element `i` into
+/// lane `i % 8`, the lanes summed in order — so the reduction vectorises
+/// instead of running one add chain per element (gradient clipping takes
+/// two per update).
+pub(crate) fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail = a8.remainder().iter().zip(b8.remainder());
+    for (a, b) in a8.zip(b8) {
+        for (l, (&x, &y)) in lanes.iter_mut().zip(a.iter().zip(b)) {
+            *l += f64::from(x) * f64::from(y);
+        }
     }
+    for (l, (&x, &y)) in lanes.iter_mut().zip(tail) {
+        *l += f64::from(x) * f64::from(y);
+    }
+    lanes.iter().sum()
 }
 
 /// Single-accumulator dot product, `k` ascending — the scalar tail of
 /// [`matmul_a_bt_rows`].
 #[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0;
     for (&x, &y) in a.iter().zip(b) {
         acc += x * y;
@@ -479,27 +438,27 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// term `t`'s `W` right-operand values are `b[t * ldb + j..][..W]` — a row
 /// of `B` read in place, or one row of a packed panel sliver (`ldb = 8`,
 /// `j = 0`). Every accumulator starts from `+0.0` — or, with `RESUME`,
-/// from `out`: an `f64` load/store round-trip is exact, so chaining calls
+/// from `out`: an `f32` load/store round-trip is exact, so chaining calls
 /// over ascending `k`-tiles reproduces one pass bit for bit — then runs
 /// over `t` ascending, the per-output term order of a naive triple loop.
 /// Row `r`'s first `w ≤ W` outputs are `out[r * ldo..][..w]`; the rest of
 /// a zero-padded panel sliver is computed and dropped. The inner step is a
 /// fully unrolled multiply-add of `R` broadcast terms across `W` lanes:
-/// `R × W / 4` independent 256-bit add chains, 8 at 4 × 8, which is what
-/// hides the add latency. No term is skipped for an exact-zero `a[t]`: a
+/// `R × W / 8` independent 256-bit add chains, 4 at 4 × 8; a 16-wide
+/// sliver (eight chains) measured no faster (DESIGN.md §14). No term is skipped for an exact-zero `a[t]`: a
 /// branch-free inner loop is what lets the compiler vectorize it
 /// (DESIGN.md §14).
 #[inline]
 fn accumulate_tile<const R: usize, const W: usize, const RESUME: bool>(
-    a: [&[f64]; R],
-    b: &[f64],
+    a: [&[f32]; R],
+    b: &[f32],
     ldb: usize,
     j: usize,
-    out: &mut [f64],
+    out: &mut [f32],
     ldo: usize,
     w: usize,
 ) {
-    let mut acc = [[0.0f64; W]; R];
+    let mut acc = [[0.0f32; W]; R];
     if RESUME {
         for (r, acc) in acc.iter_mut().enumerate() {
             acc[..w].copy_from_slice(&out[r * ldo..][..w]);
@@ -531,7 +490,7 @@ fn accumulate_tile<const R: usize, const W: usize, const RESUME: bool>(
 /// batch-1 policy forward against an output-major `Wᵀ`) first runs
 /// 16-wide tiles. `out` starts at the group's first output row.
 #[inline]
-fn accumulate_rows<const R: usize>(a: [&[f64]; R], b: &[f64], n: usize, out: &mut [f64]) {
+fn accumulate_rows<const R: usize>(a: [&[f32]; R], b: &[f32], n: usize, out: &mut [f32]) {
     let mut j = 0;
     while R == 1 && j + 16 <= n {
         accumulate_tile::<R, 16, false>(a, b, n, j, &mut out[j..], n, 16);
@@ -561,13 +520,13 @@ fn accumulate_rows<const R: usize>(a: [&[f64]; R], b: &[f64], n: usize, out: &mu
 /// and runs every sliver at one compile-time width.
 #[inline]
 fn pack_b_panel(
-    b: &[f64],
+    b: &[f32],
     n: usize,
     kt: usize,
     kc: usize,
     jt: usize,
     nc: usize,
-    panel: &mut [f64],
+    panel: &mut [f32],
 ) {
     let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
     for (s, sliver) in slivers.enumerate() {
@@ -596,13 +555,13 @@ fn pack_b_panel(
 /// amortized over every A row that reuses the panel.
 #[inline]
 fn pack_bt_panel(
-    b: &[f64],
+    b: &[f32],
     k: usize,
     kt: usize,
     kc: usize,
     jt: usize,
     nc: usize,
-    panel: &mut [f64],
+    panel: &mut [f32],
 ) {
     let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
     for (s, sliver) in slivers.enumerate() {
@@ -627,10 +586,10 @@ fn pack_bt_panel(
 /// column for `Aᵀ·B`.
 #[inline]
 fn accumulate_panel<const R: usize>(
-    a: [&[f64]; R],
-    panel: &[f64],
+    a: [&[f32]; R],
+    panel: &[f32],
     nc: usize,
-    out: &mut [f64],
+    out: &mut [f32],
     n: usize,
     resume: bool,
 ) {
@@ -650,8 +609,8 @@ fn accumulate_panel<const R: usize>(
 /// a time, reading `b` in place. `A·B` has no blocked schedule: at every
 /// measured shape, training's input gradients and the paper's 128-wide
 /// layers included, packing `b` cost more than it saved (DESIGN.md §14).
-fn matmul_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    let rows = |i: usize| -> &[f64] { &a[i * k..(i + 1) * k] };
+fn matmul_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let rows = |i: usize| -> &[f32] { &a[i * k..(i + 1) * k] };
     let mut i = 0;
     while i + 4 <= m {
         let group = std::array::from_fn(|r| rows(i + r));
@@ -671,8 +630,8 @@ fn matmul_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f6
 /// row-major; output row `i` is column `i` of `a` against `b`. Always the
 /// blocked schedule: each block of output rows is a block of `a` columns,
 /// transpose-packed once per tile so the tiles read their terms forward.
-fn matmul_at_b_rows(a: &[f64], m: usize, r: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
+fn matmul_at_b_rows(a: &[f32], m: usize, r: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let pack = |kt, kc, jt, nc, panel: &mut [f32]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
     matmul_rows_blocked::<true>(pack, a, m, r, m, n, out);
 }
 
@@ -694,9 +653,9 @@ pub const BLOCKED_MIN_ROWS: usize = 8;
 /// Below that, row pairs run a 2×4 dot tile (eight independent
 /// accumulator chains hide the floating-point add latency of a single
 /// dot product) and an odd last row a 1×8 dot tile.
-fn matmul_a_bt_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+fn matmul_a_bt_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if m >= BLOCKED_MIN_ROWS && n >= 8 {
-        let pack = |kt, kc, jt, nc, panel: &mut [f64]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
+        let pack = |kt, kc, jt, nc, panel: &mut [f32]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
         matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
         return;
     }
@@ -719,7 +678,7 @@ fn matmul_a_bt_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mu
             let b1 = &b[(j + 1) * k..(j + 2) * k];
             let b2 = &b[(j + 2) * k..(j + 3) * k];
             let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut acc = [0.0f64; 8];
+            let mut acc = [0.0f32; 8];
             for t in 0..k {
                 let x0 = a0[t];
                 let x1 = a1[t];
@@ -767,10 +726,10 @@ fn matmul_a_bt_rows(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mu
 /// row-major): `W` independent accumulator chains, each running over `k`
 /// ascending exactly like [`dot`].
 #[inline]
-fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
+fn dot_tile<const W: usize>(a0: &[f32], b_rows: &[f32]) -> [f32; W] {
     let k = a0.len();
-    let rows: [&[f64]; W] = std::array::from_fn(|c| &b_rows[c * k..(c + 1) * k]);
-    let mut acc = [0.0f64; W];
+    let rows: [&[f32]; W] = std::array::from_fn(|c| &b_rows[c * k..(c + 1) * k]);
+    let mut acc = [0.0f32; W];
     for t in 0..k {
         let x = a0[t];
         for c in 0..W {
@@ -782,19 +741,19 @@ fn dot_tile<const W: usize>(a0: &[f64], b_rows: &[f64]) -> [f64; W] {
 
 /// Rows of the left operand staged together by [`matmul_rows_blocked`]. For
 /// `Aᵀ·B` it is the column count of the transpose-packed A block: eight
-/// columns of `a` re-laid term-contiguous (8 KiB) so the tiles read their
+/// columns of `a` re-laid term-contiguous (4 KiB) so the tiles read their
 /// `a` operands forward instead of striding across `a`'s full width per
 /// term.
 const AT_B_IBLOCK: usize = 8;
 
 /// The blocked schedule's working set: a packed `B` panel and a
 /// transpose-packed `A` block.
-type BlockedBuffers = ([f64; PANEL_LEN], [f64; TILE_K * AT_B_IBLOCK]);
+type BlockedBuffers = ([f32; PANEL_LEN], [f32; TILE_K * AT_B_IBLOCK]);
 
 thread_local! {
     /// One [`BlockedBuffers`] per thread, reused by every blocked call on
     /// it. `const`-initialised and without a destructor, so it lives in the
-    /// thread's static TLS block (72 KiB, zeroed once when the thread
+    /// thread's static TLS block (36 KiB, zeroed once when the thread
     /// starts): no allocation, no registration on first use. Nothing is
     /// read before it is written — every panel element (padding included)
     /// and block element a tile reads was written by the same call's
@@ -826,13 +785,13 @@ thread_local! {
 /// every call.
 #[inline(never)]
 fn matmul_rows_blocked<const A_COLS: bool>(
-    pack_panel: impl Fn(usize, usize, usize, usize, &mut [f64]),
-    a: &[f64],
+    pack_panel: impl Fn(usize, usize, usize, usize, &mut [f32]),
+    a: &[f32],
     lda: usize,
     terms: usize,
     m: usize,
     n: usize,
-    out: &mut [f64],
+    out: &mut [f32],
 ) {
     BLOCKED_BUFFERS.with_borrow_mut(|(panel, ablock)| {
         if terms == 0 {
@@ -850,7 +809,7 @@ fn matmul_rows_blocked<const A_COLS: bool>(
                     let bc = (m - ib).min(AT_B_IBLOCK);
                     // `lhs[c * stride..][..kc]` holds this tile's terms of
                     // output row `ib + c`.
-                    let (lhs, stride): (&[f64], usize) = if A_COLS {
+                    let (lhs, stride): (&[f32], usize) = if A_COLS {
                         for t in 0..kc {
                             let src = (kt + t) * lda + ib;
                             for (c, &v) in a[src..src + bc].iter().enumerate() {
@@ -861,7 +820,7 @@ fn matmul_rows_blocked<const A_COLS: bool>(
                     } else {
                         (&a[ib * lda + kt..], lda)
                     };
-                    let rows = |c: usize| -> &[f64] { &lhs[c * stride..][..kc] };
+                    let rows = |c: usize| -> &[f32] { &lhs[c * stride..][..kc] };
                     let (panel, resume) = (&panel[..], kt > 0);
                     let mut rr = 0;
                     while rr + 4 <= bc {
@@ -890,10 +849,10 @@ fn matmul_rows_blocked<const A_COLS: bool>(
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
-    type Output = f64;
+    type Output = f32;
 
     #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+    fn index(&self, (i, j): (usize, usize)) -> &f32 {
         debug_assert!(i < self.rows && j < self.cols);
         &self.data[i * self.cols + j]
     }
@@ -901,7 +860,7 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f32 {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]
     }
@@ -942,16 +901,6 @@ impl Sub<&Matrix> for &Matrix {
             cols: self.cols,
             data,
         }
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, alpha: f64) -> Matrix {
-        let mut out = self.clone();
-        out.scale(alpha);
-        out
     }
 }
 
@@ -1040,7 +989,6 @@ mod tests {
         a.sum_rows_into(&mut col_sums);
         assert_eq!(col_sums, vec![3.0, 6.0]);
         assert_eq!(a.sum(), 9.0);
-        assert!((a.mean() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1054,10 +1002,6 @@ mod tests {
     fn stacks() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(
-            Matrix::vstack(&[&a, &b]),
-            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
-        );
         let mut wide = Matrix::zeros(3, 3);
         Matrix::hstack_into(&[&a, &b], &mut wide);
         assert_eq!(wide, Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]));

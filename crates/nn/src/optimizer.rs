@@ -7,7 +7,9 @@ use crate::{Gradients, Matrix, Mlp};
 /// Adam optimizer (Kingma & Ba) with per-parameter first/second moments.
 ///
 /// The paper trains both actor and critic with learning rate `0.001`
-/// (Sec. VI-A); [`Adam::paper`] uses exactly that.
+/// (Sec. VI-A); [`Adam::paper`] uses exactly that. The hyper-parameters are
+/// `f64`; a step narrows them, and its bias corrections, to `f32` once, and
+/// the moments and the element-wise update are `f32`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     lr: f64,
@@ -15,8 +17,8 @@ pub struct Adam {
     beta2: f64,
     eps: f64,
     t: u64,
-    m: Vec<f64>,
-    v: Vec<f64>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -73,8 +75,8 @@ impl Adam {
         // β^t underflows to 0 long before `t` leaves `i32`, so saturating
         // the exponent changes no float; wrapping it would flip its sign.
         let t = i32::try_from(self.t).unwrap_or(i32::MAX);
-        let b1t = 1.0 - self.beta1.powi(t);
-        let b2t = 1.0 - self.beta2.powi(t);
+        let b1t = (1.0 - self.beta1.powi(t)) as f32;
+        let b2t = (1.0 - self.beta2.powi(t)) as f32;
         let mut off = 0;
         for (layer, g) in net.layers_mut().iter_mut().zip(&grads.layers) {
             off = self.apply_slice(
@@ -92,21 +94,24 @@ impl Adam {
     /// vectors at `off`, returning the offset past the slice.
     fn apply_slice(
         &mut self,
-        params: &mut [f64],
-        g: &[f64],
-        b1t: f64,
-        b2t: f64,
+        params: &mut [f32],
+        g: &[f32],
+        b1t: f32,
+        b2t: f32,
         off: usize,
     ) -> usize {
         assert_eq!(params.len(), g.len(), "gradient/parameter shape mismatch");
+        let (b1, b2) = (self.beta1 as f32, self.beta2 as f32);
+        let (c1, c2) = ((1.0 - self.beta1) as f32, (1.0 - self.beta2) as f32);
+        let (lr, eps) = (self.lr as f32, self.eps as f32);
         let m = &mut self.m[off..off + params.len()];
         let v = &mut self.v[off..off + params.len()];
         for i in 0..params.len() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
+            m[i] = b1 * m[i] + c1 * g[i];
+            v[i] = b2 * v[i] + c2 * g[i] * g[i];
             let m_hat = m[i] / b1t;
             let v_hat = v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
         }
         off + params.len()
     }
@@ -115,16 +120,16 @@ impl Adam {
 /// Mean-squared-error loss over a batch and its gradient with respect to
 /// the predictions.
 ///
-/// Returns `loss = mean((pred - target)^2)` (squares summed in row-major
-/// order) and writes `d_pred = 2 (pred - target) / n` into `d_pred`
-/// (resized as needed); allocation-free.
+/// Returns `loss = mean((pred - target)^2)` (squares summed in `f64`, in
+/// row-major order) and writes `d_pred = 2 (pred - target) / n` into
+/// `d_pred` (resized as needed, in `f32`); allocation-free.
 ///
 /// # Panics
 ///
 /// Panics if shapes differ.
 pub fn mse_loss_into(pred: &Matrix, target: &Matrix, d_pred: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = (pred.rows() * pred.cols()).max(1) as f64;
+    let n = (pred.rows() * pred.cols()).max(1);
     d_pred.resize_for(pred.rows(), pred.cols());
     let mut loss = 0.0;
     for ((o, &p), &t) in d_pred
@@ -134,10 +139,10 @@ pub fn mse_loss_into(pred: &Matrix, target: &Matrix, d_pred: &mut Matrix) -> f64
         .zip(target.as_slice())
     {
         let d = p - t;
-        loss += d * d;
-        *o = 2.0 * d / n;
+        loss += f64::from(d) * f64::from(d);
+        *o = 2.0 * d / n as f32;
     }
-    loss / n
+    loss / n as f64
 }
 
 #[cfg(test)]
@@ -161,7 +166,8 @@ mod tests {
         let mut adam = Adam::new(&net, 1e-2);
         let xs = Matrix::from_fn(32, 1, |i, _| i as f64 / 16.0 - 1.0);
         let ys = Matrix::from_fn(32, 1, |i, _| {
-            0.5 * xs[(i, 0)] * xs[(i, 0)] - 0.2 * xs[(i, 0)]
+            let x = f64::from(xs[(i, 0)]);
+            0.5 * x * x - 0.2 * x
         });
         let (mut s, mut d) = (TrainScratch::new(), Matrix::default());
         let first = mse_loss_into(&net.forward(&xs), &ys, &mut d);

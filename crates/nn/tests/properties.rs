@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra core.
 //!
 //! The three matrix products have one reference, [`naive`]: a triple loop
-//! with a single accumulator per output, seeded from `+0.0`, running over
-//! the contraction index ascending. [`Matrix::gemm_into`] — every row
+//! with a single `f32` accumulator per output, seeded from `+0.0`, running
+//! over the contraction index ascending. [`Matrix::gemm_into`] — every row
 //! body, both schedules — is held to it by `to_bits`,
 //! on operands that carry exact `±0.0`, a subnormal and large magnitudes
 //! (the values under which a skipped term, a re-seeded accumulator or a
@@ -18,8 +18,9 @@ use rand::{Rng, SeedableRng};
 
 const OPS: [GemmOp; 3] = [GemmOp::AB, GemmOp::AtB, GemmOp::ABt];
 
-/// The GEMM oracle: output `(i, j)` is one accumulator from `+0.0` over
-/// the contraction index ascending, no term skipped.
+/// The GEMM oracle: output `(i, j)` is one `f32` accumulator from `+0.0`
+/// over the contraction index ascending, no term skipped (widened for
+/// `from_fn`, which narrows it back exactly).
 fn naive(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = match op {
         GemmOp::AB => (a.rows(), a.cols(), b.cols()),
@@ -27,7 +28,7 @@ fn naive(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
         GemmOp::ABt => (a.rows(), a.cols(), b.rows()),
     };
     Matrix::from_fn(m, n, |i, j| {
-        let mut acc = 0.0;
+        let mut acc = 0.0f32;
         for t in 0..k {
             acc += match op {
                 GemmOp::AB => a[(i, t)] * b[(t, j)],
@@ -35,11 +36,11 @@ fn naive(op: GemmOp, a: &Matrix, b: &Matrix) -> Matrix {
                 GemmOp::ABt => a[(i, t)] * b[(j, t)],
             };
         }
-        acc
+        f64::from(acc)
     })
 }
 
-fn bits(m: &Matrix) -> ((usize, usize), Vec<u64>) {
+fn bits(m: &Matrix) -> ((usize, usize), Vec<u32>) {
     let data = m.as_slice().iter().map(|v| v.to_bits()).collect();
     (m.shape(), data)
 }
@@ -57,20 +58,26 @@ fn mul(a: &Matrix, b: &Matrix) -> Matrix {
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f64..10.0, rows * cols)
-        .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+        .prop_map(move |v| Matrix::from_fn(rows, cols, |i, j| v[i * cols + j]))
 }
 
 /// Mostly ordinary magnitudes, with the values a kernel could mishandle
-/// mixed in: both exact zeros, the smallest subnormal, and magnitudes that
-/// absorb every ordinary term beside them (their products stay finite).
+/// mixed in: both exact zeros, the smallest `f32` subnormal, and magnitudes
+/// that absorb every ordinary term beside them (their products and sums
+/// stay finite in `f32`). Drawn in `f64`; the matrices narrow them.
 fn rand_value(rng: &mut StdRng) -> f64 {
     match rng.gen_range(0..12) {
         0 => 0.0,
         1 => -0.0,
-        2 => f64::from_bits(1),
-        3 => rng.gen_range(-1e100f64..1e100),
+        2 => f64::from(f32::from_bits(1)),
+        3 => rng.gen_range(-1e15f64..1e15),
         _ => rng.gen_range(-10.0f64..10.0),
     }
+}
+
+/// A row of `f32` values widened to `f64`, exactly.
+fn widen(row: &[f32]) -> Vec<f64> {
+    row.iter().map(|&v| f64::from(v)).collect()
 }
 
 fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -114,7 +121,7 @@ proptest! {
         let left = mul(&mul(&a, &b), &c);
         let right = mul(&a, &mul(&b, &c));
         let diff = (&left - &right).norm();
-        prop_assert!(diff < 1e-9, "associativity violated by {diff}");
+        prop_assert!(diff < 1e-2, "associativity violated by {diff}");
     }
 
     #[test]
@@ -125,20 +132,20 @@ proptest! {
     ) {
         let left = mul(&a, &(&b + &c));
         let right = &mul(&a, &b) + &mul(&a, &c);
-        prop_assert!((&left - &right).norm() < 1e-9);
+        prop_assert!((&left - &right).norm() < 1e-3);
     }
 
     #[test]
     fn transpose_reverses_product(a in small_matrix(3, 4), b in small_matrix(4, 2)) {
         let left = mul(&a, &b).transpose();
         let right = mul(&b.transpose(), &a.transpose());
-        prop_assert!((&left - &right).norm() < 1e-9);
+        prop_assert!((&left - &right).norm() < 1e-3);
     }
 
     #[test]
     fn fused_transpose_products_agree(a in small_matrix(4, 3), b in small_matrix(4, 2)) {
         let fused = Matrix::gemm(GemmOp::AtB, &a, &b);
-        prop_assert!((&fused - &mul(&a.transpose(), &b)).norm() < 1e-9);
+        prop_assert!((&fused - &mul(&a.transpose(), &b)).norm() < 1e-3);
     }
 
     #[test]
@@ -272,12 +279,12 @@ fn training_layer_shapes_bit_identical_to_naive() {
     }
 }
 
-/// `forward_one` (one row through the fleet forward, `A·B` against `Wᵀ`)
-/// against row 0 of the batch `forward` (the training pass's
-/// `forward_scratch`, `A·Bᵀ` against `W`, at three rows), bit for bit, with
-/// every activation in the hidden and
-/// in the output position, on a narrow net and on one whose layers cross
-/// the blocked schedule's depth and width thresholds.
+/// `forward_one` on an `f64` row (narrowed into the fleet forward, `A·B`
+/// against `Wᵀ`, and widened out) against row 0 of the batch `forward` on
+/// the narrowed rows (the training pass's `forward_scratch`, `A·Bᵀ`
+/// against `W`, at three rows), bit for bit, with every activation in the
+/// hidden and in the output position, on a narrow net and on one whose
+/// layers cross the blocked schedule's depth and width thresholds.
 #[test]
 fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
     const ACTS: [Activation; 6] = [
@@ -293,12 +300,14 @@ fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
         for hidden in ACTS {
             for output in ACTS {
                 let net = Mlp::new(dims, hidden, output, &mut rng);
-                let x = rand_matrix(&mut rng, 3, dims[0]);
-                let want = net.forward(&x);
-                let got = net.forward_one(x.row(0));
+                let rows: Vec<Vec<f64>> = (0..3)
+                    .map(|_| (0..dims[0]).map(|_| rng.gen_range(-3.0..3.0)).collect())
+                    .collect();
+                let want = net.forward(&Matrix::from_fn(3, dims[0], |i, j| rows[i][j]));
+                let got = net.forward_one(&rows[0]);
                 assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    row_bits(&got),
+                    row_bits(&widen(want.row(0))),
                     "{dims:?} {hidden:?} → {output:?}"
                 );
             }
@@ -316,7 +325,7 @@ fn grad_bits(layers: &[DenseGrad]) -> Vec<Vec<u64>> {
             let values = g.weights.as_slice().iter().chain(&g.bias);
             [rows as u64, cols as u64]
                 .into_iter()
-                .chain(values.map(|v| v.to_bits()))
+                .chain(values.map(|v| u64::from(v.to_bits())))
                 .collect()
         })
         .collect()
@@ -442,7 +451,7 @@ fn fleet_forward_rows_bit_identical_to_solo_forwards() {
     let out = net.forward_fleet_scratch(&mut scratch);
     assert_eq!(out.shape(), (17, 4));
     for (i, x) in inputs.iter().enumerate() {
-        assert_eq!(out.row(i), net.forward_one(x).as_slice(), "row {i}");
+        assert_eq!(widen(out.row(i)), net.forward_one(x), "row {i}");
     }
 }
 
@@ -450,8 +459,8 @@ fn fleet_forward_rows_bit_identical_to_solo_forwards() {
 /// pinned explicitly rather than left to the random-shape generator.
 #[test]
 fn gemm_into_handles_degenerate_shapes() {
-    let row = Matrix::row_vector(&[1.0, -2.0, 3.0]); // 1×N
-    let col = Matrix::col_vector(&[0.5, 1.5, -0.5]); // N×1
+    let row = Matrix::from_rows(&[&[1.0, -2.0, 3.0]]); // 1×N
+    let col = Matrix::from_rows(&[&[0.5], &[1.5], &[-0.5]]); // N×1
     let empty_batch = Matrix::zeros(0, 3); // 0-row batch
     let mut out = Matrix::zeros(2, 2);
 
@@ -478,8 +487,9 @@ fn row_bits(values: &[f64]) -> Vec<u64> {
 /// batch `forward` (against the live `W`), bit for bit, and differs
 /// from `before` — so a stale memo could not pass unnoticed.
 fn assert_batch1_tracks_weights(net: &Mlp, x: &Matrix, before: &[f64], what: &str) {
-    let got = net.forward_one(x.row(0));
-    assert_eq!(row_bits(&got), row_bits(net.forward(x).row(0)), "{what}");
+    let got = net.forward_one(&widen(x.row(0)));
+    let want = widen(net.forward(x).row(0));
+    assert_eq!(row_bits(&got), row_bits(&want), "{what}");
     assert_ne!(
         row_bits(&got),
         row_bits(before),
@@ -507,7 +517,7 @@ fn batch1_forward_tracks_every_weight_mutation() {
     let (mut net, other) = (new_net(), new_net());
     let x = Matrix::from_fn(3, 10, |i, j| ((i * 10 + j) as f64 * 0.37).sin());
 
-    let before = net.forward_one(x.row(0));
+    let before = net.forward_one(&widen(x.row(0)));
     let mut opt = Adam::new(&net, 1e-2);
     let mut s = TrainScratch::new();
     net.forward_scratch(&x, &mut s);
@@ -515,24 +525,24 @@ fn batch1_forward_tracks_every_weight_mutation() {
     opt.step(&mut net, s.grads());
     assert_batch1_tracks_weights(&net, &x, &before, "Adam::step");
 
-    let before = net.forward_one(x.row(0));
+    let before = net.forward_one(&widen(x.row(0)));
     net.soft_update_from(&other, 0.5);
     assert_batch1_tracks_weights(&net, &x, &before, "soft_update_from");
 
-    let before = net.forward_one(x.row(0));
+    let before = net.forward_one(&widen(x.row(0)));
     net.set_flat_params(&other.flat_params());
     assert_batch1_tracks_weights(&net, &x, &before, "set_flat_params");
 
-    let before = net.forward_one(x.row(0));
+    let before = net.forward_one(&widen(x.row(0)));
     net.layers_mut()[1].weights_mut()[(3, 5)] += 1.0;
     assert_batch1_tracks_weights(&net, &x, &before, "layers_mut");
 
-    let before = net.forward_one(x.row(0));
+    let before = net.forward_one(&widen(x.row(0)));
     let mut copy = net.clone();
     copy.layers_mut()[2].bias_mut()[0] -= 1.0;
     assert_batch1_tracks_weights(&copy, &x, &before, "clone, then mutate the clone");
     assert_eq!(
-        row_bits(&net.forward_one(x.row(0))),
+        row_bits(&net.forward_one(&widen(x.row(0)))),
         row_bits(&before),
         "mutating a clone reached the original"
     );

@@ -13,7 +13,8 @@ const LOG_2PI: f64 = 1.837_877_066_409_345_5;
 /// sigmoid (so it lands in the normalized action box), and the per-dimension
 /// log standard deviation is a free, state-independent parameter vector —
 /// the standard parameterization for continuous-control policy-gradient
-/// methods.
+/// methods. The mean network is `f32`; the log standard deviations and
+/// every log-probability are `f64` bookkeeping.
 #[derive(Debug, Clone)]
 pub struct GaussianPolicy {
     mean: Mlp,
@@ -69,23 +70,26 @@ impl GaussianPolicy {
     /// Samples a raw (unclamped) action and its log-probability.
     ///
     /// The raw action is what gradients are computed against; callers clamp
-    /// a copy into `[0, 1]` before handing it to the environment.
+    /// a copy into `[0, 1]` before handing it to the environment. Each
+    /// component is drawn in `f64` and narrowed to the rollout's `f32`
+    /// store here, so the log-probability is that of the stored action.
     pub(crate) fn sample(&self, state: &[f64], rng: &mut StdRng) -> (Vec<f64>, f64) {
         let mean = self.mean.forward_one(state);
         let mut raw = Vec::with_capacity(mean.len());
         for (m, ls) in mean.iter().zip(&self.log_std) {
-            raw.push(m + ls.exp() * sample_standard_normal(rng));
+            let a = m + ls.exp() * sample_standard_normal(rng);
+            raw.push(f64::from(a as f32));
         }
         let logp = self.log_prob(&mean, &raw);
         (raw, logp)
     }
 
-    /// Log-probability of `raw` under `N(mean, diag(σ²))`.
-    pub(crate) fn log_prob(&self, mean: &[f64], raw: &[f64]) -> f64 {
+    /// Log-probability of `raw` under `N(mean, diag(σ²))`, in `f64`.
+    pub(crate) fn log_prob<T: Copy + Into<f64>>(&self, mean: &[T], raw: &[T]) -> f64 {
         let mut lp = 0.0;
-        for ((m, a), ls) in mean.iter().zip(raw).zip(&self.log_std) {
+        for ((&m, &a), ls) in mean.iter().zip(raw).zip(&self.log_std) {
             let sigma = ls.exp();
-            let z = (a - m) / sigma;
+            let z = (a.into() - m.into()) / sigma;
             lp += -0.5 * z * z - ls - 0.5 * LOG_2PI;
         }
         lp
@@ -108,7 +112,7 @@ impl GaussianPolicy {
         assert_eq!(means.shape(), raws.shape(), "dlogp shape mismatch");
         Matrix::from_fn(means.rows(), means.cols(), |i, j| {
             let sigma = self.log_std[j].exp();
-            (raws[(i, j)] - means[(i, j)]) / (sigma * sigma)
+            (f64::from(raws[(i, j)]) - f64::from(means[(i, j)])) / (sigma * sigma)
         })
     }
 
@@ -117,7 +121,7 @@ impl GaussianPolicy {
     pub(crate) fn dlogp_dlogstd(&self, means: &Matrix, raws: &Matrix) -> Matrix {
         Matrix::from_fn(means.rows(), means.cols(), |i, j| {
             let sigma = self.log_std[j].exp();
-            let z = (raws[(i, j)] - means[(i, j)]) / sigma;
+            let z = (f64::from(raws[(i, j)]) - f64::from(means[(i, j)])) / sigma;
             z * z - 1.0
         })
     }
@@ -133,7 +137,7 @@ impl GaussianPolicy {
             for j in 0..self.log_std.len() {
                 let s_new = self.log_std[j].exp();
                 let s_old = old.log_std[j].exp();
-                let d = mu_old[(i, j)] - mu_new[(i, j)];
+                let d = f64::from(mu_old[(i, j)]) - f64::from(mu_new[(i, j)]);
                 total += (s_new / s_old).ln().max(-1e9)
                     + (s_old * s_old + d * d) / (2.0 * s_new * s_new)
                     - 0.5;
@@ -251,8 +255,8 @@ pub(crate) fn collect_rollout<E: Environment + ?Sized>(
         state = if done { env.reset(rng) } else { next_state };
     }
     Rollout {
-        states: Matrix::from_vec(steps, sd, states),
-        raw_actions: Matrix::from_vec(steps, ad, raw_actions),
+        states: Matrix::from_fn(steps, sd, |i, j| states[i * sd + j]),
+        raw_actions: Matrix::from_fn(steps, ad, |i, j| raw_actions[i * ad + j]),
         rewards,
         dones,
         log_probs,
@@ -315,18 +319,17 @@ mod tests {
     #[test]
     fn dlogp_dmean_matches_finite_difference() {
         let p = policy();
-        let means = Matrix::from_rows(&[&[0.4, 0.6]]);
-        let raws = Matrix::from_rows(&[&[0.7, 0.2]]);
-        let grad = p.dlogp_dmean(&means, &raws);
+        // Exact in f32, so the matrices and the f64 differences agree.
+        let (means, raws) = ([0.375, 0.625], [0.75, 0.25]);
+        let row = |v: &[f64; 2]| Matrix::from_fn(1, 2, |_, j| v[j]);
+        let grad = p.dlogp_dmean(&row(&means), &row(&raws));
         let eps = 1e-6;
         for j in 0..2 {
-            let mut up = means.clone();
-            up[(0, j)] += eps;
-            let mut dn = means.clone();
-            dn[(0, j)] -= eps;
-            let fd = (p.log_prob(up.row(0), raws.row(0)) - p.log_prob(dn.row(0), raws.row(0)))
-                / (2.0 * eps);
-            assert!((fd - grad[(0, j)]).abs() < 1e-5, "dim {j}");
+            let (mut up, mut dn) = (means, means);
+            up[j] += eps;
+            dn[j] -= eps;
+            let fd = (p.log_prob(&up, &raws) - p.log_prob(&dn, &raws)) / (2.0 * eps);
+            assert!((fd - f64::from(grad[(0, j)])).abs() < 1e-5, "dim {j}");
         }
     }
 
@@ -345,11 +348,8 @@ mod tests {
             let dn = p.log_prob(means.row(0), raws.row(0));
             p.log_std_mut()[j] = orig;
             let fd = (up - dn) / (2.0 * eps);
-            assert!(
-                (fd - grad[(0, j)]).abs() < 1e-5,
-                "dim {j}: fd={fd} an={}",
-                grad[(0, j)]
-            );
+            let an = f64::from(grad[(0, j)]);
+            assert!((fd - an).abs() < 1e-5, "dim {j}: fd={fd} an={an}");
         }
     }
 

@@ -190,9 +190,10 @@ impl TargetLane {
     }
 
     /// `g = r + γ Q'(s', μ'(s'))`, with no bootstrap past an episode's end,
-    /// for the batch's `(s', r, done)` into `targets` (`n × 1`). The batch's
-    /// states and actions are not read.
+    /// for the batch's `(s', r, done)` into `targets` (`n × 1`), in `f32`
+    /// with `γ` narrowed. The batch's states and actions are not read.
     fn td_targets(&mut self, batch: &Batch, gamma: f64, targets: &mut Matrix) {
+        let gamma = gamma as f32;
         self.target_actor
             .forward_scratch(&batch.next_states, &mut self.target_fwd);
         Matrix::hstack_into(
@@ -545,14 +546,14 @@ fn critic_at_policy(
 ) {
     critic.forward_scratch(sa_mu, pi);
     d_q.resize_for(sa_mu.rows(), 1);
-    d_q.fill(-1.0 / n as f64);
+    d_q.fill((-1.0 / n as f64) as f32);
     critic.backward_input_scratch(pi, d_q);
 }
 
 /// The action columns of the critic's input gradient left in `pi` by
 /// [`critic_at_policy`] — the actor loss's gradient with respect to each
 /// row's action — into `out` (`rows × ad`, row-major).
-fn action_grads(pi: &TrainScratch, ad: usize, out: &mut [f64]) {
+fn action_grads(pi: &TrainScratch, ad: usize, out: &mut [f32]) {
     let d_input = pi.d_input();
     let sd = d_input.cols() - ad;
     for (dst, row) in out.chunks_exact_mut(ad).zip(d_input.rows_iter()) {
@@ -591,12 +592,16 @@ impl Online {
     /// The actor's action at `state` plus exploration noise. The actor runs
     /// as a one-row batch pass in `s`, whose buffers stay warm across the
     /// weight updates that drop the batch-1 forward's memoised `Wᵀ`; both
-    /// forwards give the same bits.
+    /// forwards give the same bits. The state is narrowed on the way in;
+    /// the action is widened, and the noise added in `f64`.
     fn explore(&mut self, s: &mut DdpgScratch, state: &[f64], rng: &mut StdRng) -> Vec<f64> {
         s.state_row.resize_for(1, state.len());
-        s.state_row.as_mut_slice().copy_from_slice(state);
+        for (x, &v) in s.state_row.as_mut_slice().iter_mut().zip(state) {
+            *x = v as f32;
+        }
         self.actor.forward_scratch(&s.state_row, &mut s.explore);
-        let mut a = s.explore.output().as_slice().to_vec();
+        let out = s.explore.output().as_slice();
+        let mut a: Vec<f64> = out.iter().map(|&y| f64::from(y)).collect();
         self.noise.perturb(&mut a, rng);
         a
     }
@@ -621,7 +626,7 @@ impl Online {
     /// `s.d_action`, read from this thread's critic re-forward (in
     /// `s.critic`, the first rows) and the lane's (`far`: its `Q` values and
     /// action gradients, the rest). Returns the actor objective,
-    /// `mean Q(s, μ(s))` summed in row order.
+    /// `mean Q(s, μ(s))` summed in `f64` in row order.
     fn actor_loss(
         s: &mut DdpgScratch,
         far: Option<(&Matrix, &Matrix)>,
@@ -630,7 +635,12 @@ impl Online {
     ) -> f64 {
         let near_q = s.critic.output().as_slice();
         let far_q = far.map_or(&[][..], |(q, _)| q.as_slice());
-        let objective = near_q.iter().chain(far_q).sum::<f64>() / n as f64;
+        let objective = near_q
+            .iter()
+            .chain(far_q)
+            .map(|&q| f64::from(q))
+            .sum::<f64>()
+            / n as f64;
         s.d_action.resize_for(n, ad);
         let (near, rest) = s.d_action.as_mut_slice().split_at_mut(near_q.len() * ad);
         action_grads(&s.critic, ad, near);
@@ -932,7 +942,7 @@ mod tests {
         }
     }
 
-    fn bits(net: &Mlp) -> Vec<u64> {
+    fn bits(net: &Mlp) -> Vec<u32> {
         net.flat_params().iter().map(|p| p.to_bits()).collect()
     }
 

@@ -290,7 +290,7 @@ impl OnPolicy {
         let dlogp = self.policy.dlogp_dmean(s.output(), &rollout.raw_actions);
         let n = rollout.rewards.len() as f64;
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
-            -adv[i] * dlogp[(i, j)] / n
+            -adv[i] * f64::from(dlogp[(i, j)]) / n
         });
         self.policy.mean_net().backward_scratch(s, &d_mean);
         s.grads_mut().clip_global_norm(5.0);
@@ -304,7 +304,7 @@ impl OnPolicy {
         for j in 0..self.policy.action_dim() {
             let mut g = 0.0;
             for i in 0..dls.rows() {
-                g += -adv[i] * dls[(i, j)] / n;
+                g += -adv[i] * f64::from(dls[(i, j)]) / n;
             }
             let ls = &mut self.policy.log_std_mut()[j];
             *ls = (*ls - policy_lr * g).clamp(-3.0, 1.0);
@@ -362,7 +362,8 @@ impl OnPolicy {
                 for (row, (&i, ratio)) in chunk.iter().zip(&ratios).enumerate() {
                     if let Some(ratio) = ratio {
                         for j in 0..dlogp.cols() {
-                            d_mean[(row, j)] = -ratio * adv[i] * dlogp[(row, j)] / m;
+                            let d = -ratio * adv[i] * f64::from(dlogp[(row, j)]) / m;
+                            d_mean[(row, j)] = d as f32;
                         }
                     }
                 }
@@ -380,7 +381,7 @@ impl OnPolicy {
                     let mut g = 0.0;
                     for (row, (&i, ratio)) in chunk.iter().zip(&ratios).enumerate() {
                         if let Some(ratio) = ratio {
-                            g += -ratio * adv[i] * dls[(row, j)] / m;
+                            g += -ratio * adv[i] * f64::from(dls[(row, j)]) / m;
                         }
                     }
                     // Entropy bonus gradient: ∂H/∂logσ = 1.
@@ -420,15 +421,17 @@ impl OnPolicy {
             .policy
             .dlogp_dmean(scratch.output(), &rollout.raw_actions);
         let d_mean = Matrix::from_fn(dlogp.rows(), dlogp.cols(), |i, j| {
-            adv[i] * dlogp[(i, j)] / n as f64
+            adv[i] * f64::from(dlogp[(i, j)]) / n as f64
         });
         mean_net.backward_scratch(scratch, &d_mean);
-        let g = mean_net.flat_grads(scratch.grads());
+        // The conjugate-gradient solve runs in f64 over the widened f32
+        // parameters and gradients; candidates are narrowed back.
+        let g = widen(&mean_net.flat_grads(scratch.grads()));
 
         // Fisher-vector product via JVP (forward difference) + VJP
         // (backprop through the θ_old pass still in `scratch`):
         // F v = (1/n) Jᵀ diag(1/σ²) J v + damping v.
-        let theta = mean_net.flat_params();
+        let theta = widen(&mean_net.flat_params());
         let sigma_inv2: Vec<f64> = self
             .policy
             .log_std()
@@ -436,18 +439,25 @@ impl OnPolicy {
             .map(|ls| (-2.0 * ls).exp())
             .collect();
         let mut fvp = |v: &[f64]| -> Vec<f64> {
-            let eps = 1e-5 / v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+            // A step of 1e-3 in parameter space: the f32 network's rounding
+            // (≈ 1e-7 relative) would swamp the difference at a smaller one.
+            let eps = 1e-3 / v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
             let mut net = mean_net.clone();
-            let perturbed: Vec<f64> = theta.iter().zip(v).map(|(t, vi)| t + eps * vi).collect();
+            let perturbed: Vec<f32> = theta
+                .iter()
+                .zip(v)
+                .map(|(t, vi)| (t + eps * vi) as f32)
+                .collect();
             net.set_flat_params(&perturbed);
             let mu_eps = net.forward(&rollout.states);
             // Jv, weighted by 1/σ² and 1/n.
             let means = scratch.output();
             let weighted = Matrix::from_fn(n, means.cols(), |i, j| {
-                (mu_eps[(i, j)] - means[(i, j)]) / eps * sigma_inv2[j] / n as f64
+                let d = f64::from(mu_eps[(i, j)]) - f64::from(means[(i, j)]);
+                d / eps * sigma_inv2[j] / n as f64
             });
             mean_net.backward_scratch(scratch, &weighted);
-            let mut out = mean_net.flat_grads(scratch.grads());
+            let mut out = widen(&mean_net.flat_grads(scratch.grads()));
             for (o, vi) in out.iter_mut().zip(v) {
                 *o += cg_damping * vi;
             }
@@ -467,10 +477,10 @@ impl OnPolicy {
         let old_policy = self.policy.clone();
         let mut alpha = 1.0;
         for _ in 0..backtrack_iters {
-            let candidate: Vec<f64> = theta
+            let candidate: Vec<f32> = theta
                 .iter()
                 .zip(&s)
-                .map(|(t, si)| t + alpha * beta * si)
+                .map(|(t, si)| (t + alpha * beta * si) as f32)
                 .collect();
             self.policy.mean_net_mut().set_flat_params(&candidate);
             let new_surrogate = surrogate(&self.policy, rollout, adv);
@@ -483,6 +493,11 @@ impl OnPolicy {
         self.policy = old_policy;
         None
     }
+}
+
+/// `values` widened to `f64`, exactly.
+fn widen(values: &[f32]) -> Vec<f64> {
+    values.iter().map(|&v| f64::from(v)).collect()
 }
 
 /// Surrogate objective `mean(exp(logπ_new − logπ_old) · A)` of `policy` on

@@ -6,16 +6,18 @@ use rand::Rng;
 
 use crate::Transition;
 
-/// A fixed-capacity ring buffer of transitions with uniform sampling.
+/// A fixed-capacity ring buffer of transitions with uniform sampling. It
+/// stores in `f32`, the networks' precision: [`ReplayBuffer::push`] narrows
+/// each `f64` [`Transition`] once.
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,
     state_dim: usize,
     action_dim: usize,
-    states: Vec<f64>,
-    actions: Vec<f64>,
-    rewards: Vec<f64>,
-    next_states: Vec<f64>,
+    states: Vec<f32>,
+    actions: Vec<f32>,
+    rewards: Vec<f32>,
+    next_states: Vec<f32>,
     dones: Vec<bool>,
     len: usize,
     head: usize,
@@ -33,7 +35,7 @@ pub struct Batch {
     /// `batch × action_dim` actions.
     pub actions: Matrix,
     /// Rewards, one per row.
-    pub rewards: Vec<f64>,
+    pub rewards: Vec<f32>,
     /// `batch × state_dim` successor states.
     pub next_states: Matrix,
     /// Termination flags, one per row.
@@ -124,7 +126,8 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// Appends a transition, overwriting the oldest when full.
+    /// Appends a transition, narrowed to `f32`, overwriting the oldest when
+    /// full.
     ///
     /// # Panics
     ///
@@ -144,19 +147,23 @@ impl ReplayBuffer {
             // wherever the allocator places it (a zero-filled store is
             // wholly resident as soon as it lands on recycled memory).
             let cap = self.capacity;
-            append(&mut self.states, &t.state, cap * self.state_dim);
-            append(&mut self.actions, &t.action, cap * self.action_dim);
-            append(&mut self.rewards, &[t.reward], cap);
-            append(&mut self.next_states, &t.next_state, cap * self.state_dim);
-            append(&mut self.dones, &[t.done], cap);
+            append(&mut self.states, narrow(&t.state), cap * self.state_dim);
+            append(&mut self.actions, narrow(&t.action), cap * self.action_dim);
+            append(&mut self.rewards, narrow(&[t.reward]), cap);
+            append(
+                &mut self.next_states,
+                narrow(&t.next_state),
+                cap * self.state_dim,
+            );
+            append(&mut self.dones, [t.done].into_iter(), cap);
             self.len += 1;
         } else {
             let i = self.head;
-            self.states[i * self.state_dim..(i + 1) * self.state_dim].copy_from_slice(&t.state);
-            self.actions[i * self.action_dim..(i + 1) * self.action_dim].copy_from_slice(&t.action);
-            self.rewards[i] = t.reward;
-            self.next_states[i * self.state_dim..(i + 1) * self.state_dim]
-                .copy_from_slice(&t.next_state);
+            let (sd, ad) = (self.state_dim, self.action_dim);
+            overwrite(&mut self.states[i * sd..(i + 1) * sd], &t.state);
+            overwrite(&mut self.actions[i * ad..(i + 1) * ad], &t.action);
+            self.rewards[i] = t.reward as f32;
+            overwrite(&mut self.next_states[i * sd..(i + 1) * sd], &t.next_state);
             self.dones[i] = t.done;
         }
         self.head = (self.head + 1) % self.capacity;
@@ -230,9 +237,21 @@ impl ReplayBuffer {
 /// Appends `row` to a store that never holds more than `full` values,
 /// reserving all of it on the first append: a clone of a part-filled store
 /// starts at its length, and amortised growth would overshoot.
-fn append<T: Copy>(store: &mut Vec<T>, row: &[T], full: usize) {
+fn append<T>(store: &mut Vec<T>, row: impl Iterator<Item = T>, full: usize) {
     store.reserve_exact(full - store.len());
-    store.extend_from_slice(row);
+    store.extend(row);
+}
+
+/// `values` narrowed to the store's `f32`.
+fn narrow(values: &[f64]) -> impl Iterator<Item = f32> + '_ {
+    values.iter().map(|&v| v as f32)
+}
+
+/// Overwrites a stored row with `values`, narrowed.
+fn overwrite(row: &mut [f32], values: &[f64]) {
+    for (dst, v) in row.iter_mut().zip(narrow(values)) {
+        *dst = v;
+    }
 }
 
 #[cfg(test)]

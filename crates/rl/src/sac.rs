@@ -6,6 +6,10 @@
 //! actor output, Sec. VI-A), the squashing function here is the logistic
 //! sigmoid rather than the conventional tanh; the change-of-variables
 //! correction uses `log σ'(u) = log a(1−a)` accordingly.
+//!
+//! The sampled actions and their noise are `f32` tensors, like the
+//! networks; log-probabilities, targets' scalar terms, losses and the head
+//! gradients are computed in `f64` from widened values and narrowed once.
 
 use edgeslice_nn::{mse_loss_into, Activation, Adam, Matrix, Mlp, TrainScratch};
 use rand::rngs::StdRng;
@@ -117,7 +121,7 @@ struct PolicySample {
     eps: Matrix,
     /// Clamped log standard deviations, `n × ad`.
     log_std: Matrix,
-    /// Per-sample log-probabilities.
+    /// Per-sample log-probabilities, in `f64`.
     log_prob: Vec<f64>,
     /// Mask: 1.0 where the raw log-std head was inside the clamp range.
     std_grad_mask: Matrix,
@@ -170,12 +174,12 @@ impl Sac {
     fn split_heads(&self, head: &Matrix) -> (Matrix, Matrix, Matrix) {
         let n = head.rows();
         let ad = self.action_dim;
-        let mean = Matrix::from_fn(n, ad, |i, j| head[(i, j)]);
+        let mean = Matrix::from_fn(n, ad, |i, j| f64::from(head[(i, j)]));
         let log_std = Matrix::from_fn(n, ad, |i, j| {
-            head[(i, ad + j)].clamp(LOG_STD_MIN, LOG_STD_MAX)
+            f64::from(head[(i, ad + j)]).clamp(LOG_STD_MIN, LOG_STD_MAX)
         });
         let mask = Matrix::from_fn(n, ad, |i, j| {
-            let raw = head[(i, ad + j)];
+            let raw = f64::from(head[(i, ad + j)]);
             if (LOG_STD_MIN..=LOG_STD_MAX).contains(&raw) {
                 1.0
             } else {
@@ -196,17 +200,14 @@ impl Sac {
         let mut log_prob = vec![0.0; n];
         for i in 0..n {
             for j in 0..ad {
-                let e = sample_standard_normal(rng);
-                let sigma = log_std[(i, j)].exp();
-                let ui = mean[(i, j)] + sigma * e;
-                let a = edgeslice_nn::sigmoid(ui);
+                let e = sample_standard_normal(rng) as f32;
+                let ls = log_std[(i, j)];
+                let a = edgeslice_nn::sigmoid(mean[(i, j)] + ls.exp() * e);
                 eps[(i, j)] = e;
                 actions[(i, j)] = a;
                 // log N(u; μ, σ) − log |da/du|
-                log_prob[i] += -0.5 * e * e
-                    - log_std[(i, j)]
-                    - 0.5 * LOG_2PI
-                    - (a * (1.0 - a)).max(1e-12).ln();
+                let (e, ls, a) = (f64::from(e), f64::from(ls), f64::from(a));
+                log_prob[i] += -0.5 * e * e - ls - 0.5 * LOG_2PI - (a * (1.0 - a)).max(1e-12).ln();
             }
         }
         PolicySample {
@@ -228,15 +229,22 @@ impl Sac {
     pub fn policy(&self, state: &[f64]) -> Vec<f64> {
         let head = self.actor.forward_one(state);
         (0..self.action_dim)
-            .map(|j| edgeslice_nn::sigmoid(head[j]))
+            .map(|j| f64::from(edgeslice_nn::sigmoid(head[j] as f32)))
             .collect()
     }
 
     /// A stochastic action for exploration.
     pub fn explore(&self, state: &[f64], rng: &mut StdRng) -> Vec<f64> {
-        let head = self.actor.forward(&Matrix::row_vector(state));
+        let head = self
+            .actor
+            .forward(&Matrix::from_fn(1, state.len(), |_, j| state[j]));
         let sample = self.sample_from_heads(&head, rng);
-        sample.actions.row(0).to_vec()
+        sample
+            .actions
+            .row(0)
+            .iter()
+            .map(|&a| f64::from(a))
+            .collect()
     }
 
     /// Stores a transition.
@@ -281,14 +289,14 @@ impl Sac {
         self.q2_target.forward_scratch(&s.next_sa, c2);
         s.targets.resize_for(n, 1);
         for i in 0..n {
-            let minq = c1.output()[(i, 0)].min(c2.output()[(i, 0)]);
+            let minq = f64::from(c1.output()[(i, 0)].min(c2.output()[(i, 0)]));
             let soft = minq - alpha * next_sample.log_prob[i];
             let bootstrap = if s.batch.dones[i] {
                 0.0
             } else {
                 self.config.gamma * soft
             };
-            s.targets[(i, 0)] = s.batch.rewards[i] + bootstrap;
+            s.targets[(i, 0)] = (f64::from(s.batch.rewards[i]) + bootstrap) as f32;
         }
 
         Matrix::hstack_into(&[&s.batch.states, &s.batch.actions], &mut s.sa);
@@ -322,12 +330,12 @@ impl Sac {
         }
         for i in 0..n {
             let (v1, v2) = (c1.output()[(i, 0)], c2.output()[(i, 0)]);
-            actor_loss += (alpha * sample.log_prob[i] - v1.min(v2)) / n as f64;
+            actor_loss += (alpha * sample.log_prob[i] - f64::from(v1.min(v2))) / n as f64;
             // d(−Qmin)/dQk = −1/n on the selected critic.
             if v1 <= v2 {
-                d1[(i, 0)] = -1.0 / n as f64;
+                d1[(i, 0)] = (-1.0 / n as f64) as f32;
             } else {
-                d2[(i, 0)] = -1.0 / n as f64;
+                d2[(i, 0)] = (-1.0 / n as f64) as f32;
             }
         }
         // Only ∇_a Q is needed: the critics' parameter gradients would be
@@ -343,16 +351,16 @@ impl Sac {
         for i in 0..n {
             for j in 0..ad {
                 // ∂L/∂a from the −Qmin path (already includes the 1/n factor).
-                let dl_da = din1[(i, sd + j)] + din2[(i, sd + j)];
-                let a = sample.actions[(i, j)];
+                let dl_da = f64::from(din1[(i, sd + j)]) + f64::from(din2[(i, sd + j)]);
+                let a = f64::from(sample.actions[(i, j)]);
                 let da_du = (a * (1.0 - a)).max(1e-12);
                 // ∂L/∂u = (∂L/∂a)·σ'(u) + (α/n)·∂(−log σ'(u))/∂u.
                 let dl_du = dl_da * da_du + alpha / n as f64 * -(1.0 - 2.0 * a);
-                s.d_head[(i, j)] = dl_du; // μ head
-                let sigma = sample.log_std[(i, j)].exp();
+                s.d_head[(i, j)] = dl_du as f32; // μ head
+                let sigma = f64::from(sample.log_std[(i, j)]).exp();
                 // log-σ head: via u = μ + σ ε, plus the −log σ term of log π.
-                let dls = dl_du * sigma * sample.eps[(i, j)] - alpha / n as f64;
-                s.d_head[(i, ad + j)] = dls * sample.std_grad_mask[(i, j)];
+                let dls = dl_du * sigma * f64::from(sample.eps[(i, j)]) - alpha / n as f64;
+                s.d_head[(i, ad + j)] = (dls * f64::from(sample.std_grad_mask[(i, j)])) as f32;
             }
         }
         self.actor.backward_scratch(&mut s.actor, &s.d_head);

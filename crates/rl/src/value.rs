@@ -33,9 +33,11 @@ impl ValueNet {
         }
     }
 
-    /// Predicted values for a batch of states, one per row.
+    /// Predicted values for a batch of states, one per row, widened to
+    /// `f64`.
     pub fn predict(&self, states: &Matrix) -> Vec<f64> {
-        self.net.forward(states).into_vec()
+        let values = self.net.forward(states);
+        values.as_slice().iter().map(|&v| f64::from(v)).collect()
     }
 
     /// Predicted value of a single state.
@@ -63,8 +65,7 @@ impl ValueNet {
             let mut batches = 0;
             for chunk in indices.chunks(batch_size.max(1)) {
                 let xs = states.select_rows(chunk);
-                let ys =
-                    Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| targets[i]).collect());
+                let ys = Matrix::from_fn(chunk.len(), 1, |r, _| targets[chunk[r]]);
                 self.net.forward_scratch(&xs, &mut self.scratch);
                 let loss = mse_loss_into(self.scratch.output(), &ys, &mut self.d_pred);
                 self.net.backward_scratch(&mut self.scratch, &self.d_pred);
@@ -89,7 +90,7 @@ mod tests {
         let mut v = ValueNet::new(2, 16, 1e-2, &mut rng);
         let states = Matrix::from_fn(64, 2, |i, j| ((i * 2 + j) % 8) as f64 / 8.0);
         let targets: Vec<f64> = (0..64)
-            .map(|i| states[(i, 0)] + 2.0 * states[(i, 1)])
+            .map(|i| f64::from(states[(i, 0)] + 2.0 * states[(i, 1)]))
             .collect();
         let first = v.fit(&states, &targets, 1, 16, &mut rng);
         let last = v.fit(&states, &targets, 60, 16, &mut rng);

@@ -181,12 +181,13 @@ fn all_policies_emit_unit_box_actions() {
     }
 }
 
-/// FNV-1a over the IEEE bit patterns of `values`: one flipped bit anywhere
-/// changes the digest.
-fn bits_digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+/// FNV-1a over the IEEE bit patterns of `values` (an `f32` parameter is
+/// digested widened, which is exact): one flipped bit anywhere changes the
+/// digest.
+fn bits_digest<T: Copy + Into<f64>>(values: &[T]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
+    for &v in values {
+        for byte in v.into().to_bits().to_le_bytes() {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
     }
@@ -194,18 +195,22 @@ fn bits_digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
 }
 
 fn policy_digest(policy: &GaussianPolicy) -> u64 {
-    let mut values = policy.mean_net().flat_params();
+    let mut values: Vec<f64> = policy
+        .mean_net()
+        .flat_params()
+        .iter()
+        .map(|&p| p.into())
+        .collect();
     values.extend_from_slice(policy.log_std());
     bits_digest(&values)
 }
 
 /// Pins every float of the Fig. 10b comparators' training: SAC, PPO, TRPO
 /// and VPG each train a few fixed-seed updates on the mirror task, and a
-/// standalone `ValueNet` fits a fixed regression. The digests were recorded
-/// before the comparators moved onto the scratch-arena training pass; any
-/// reordered add, skipped term or changed RNG draw in their updates shows
-/// here as a different digest, in about a second instead of a full `fig10`
-/// run.
+/// standalone `ValueNet` fits a fixed regression. The digests are the
+/// `comparator.*` lines of results/DIGESTS; any reordered add, skipped
+/// term or changed RNG draw in their updates shows here as a different
+/// digest, in about a second instead of a full `fig10` run.
 #[test]
 fn comparator_training_is_bit_pinned() {
     let mut rng = StdRng::seed_from_u64(31);
@@ -290,7 +295,7 @@ fn comparator_training_is_bit_pinned() {
     let mut value = ValueNet::new(2, 12, 1e-2, &mut rng);
     let states = Matrix::from_fn(40, 2, |i, j| ((3 * i + j) as f64 * 0.37).sin());
     let targets: Vec<f64> = (0..40)
-        .map(|i| states[(i, 0)] - 0.5 * states[(i, 1)])
+        .map(|i| f64::from(states[(i, 0)]) - 0.5 * f64::from(states[(i, 1)]))
         .collect();
     value.fit(&states, &targets, 4, 16, &mut rng);
     let probe = Matrix::from_fn(5, 2, |i, j| (i as f64 - 2.0) * 0.3 + j as f64 * 0.1);
@@ -304,11 +309,11 @@ fn comparator_training_is_bit_pinned() {
         value_digest,
     ];
     let want = [
-        0x3ed4_13a0_4526_6022,
-        0x48ab_ad58_9601_0d0f,
-        0xb3d9_8dc8_bd97_1ba4,
-        0x86e0_a6a7_89ed_78e1,
-        0xe2c1_c4b6_4130_74a2,
+        0x0f0f_27d4_d007_9198,
+        0xaca5_9794_df6e_989c,
+        0x53c6_c9e0_a827_2e8f,
+        0x5016_4248_9573_850c,
+        0x30b1_ac8f_f39f_2875,
     ];
     assert_eq!(
         got.map(|d| format!("{d:016x}")),

@@ -14,6 +14,11 @@
 //! The product's own term order is pinned where it is computed, by
 //! `crates/nn/tests/properties.rs` against a naive triple loop.
 //!
+//! Like the shipped update it computes in `f32`, narrowing the same `f64`
+//! inputs at the same seams: the state fed to the actor, the replay store,
+//! `γ`, and Adam's hyper-parameters and bias corrections. `Matrix::from_fn`
+//! narrows, so every `f32` it is handed goes through `f64::from` (exact).
+//!
 //! Included by `#[path]` into the `edgeslice-rl` unit tests (which compare
 //! all four networks) and into the root package's
 //! `tests/train_equivalence.rs` (the paper's RA environment); it is not a
@@ -24,7 +29,8 @@ use edgeslice_rl::{Ddpg, DdpgConfig, DecayingGaussian, Environment, ReplayBuffer
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Adam's fixed hyper-parameters, as `edgeslice_nn::Adam` sets them.
+/// Adam's fixed hyper-parameters, as `edgeslice_nn::Adam` sets them (in
+/// `f64`, narrowed per step).
 const BETA1: f64 = 0.9;
 const BETA2: f64 = 0.999;
 const EPS: f64 = 1e-8;
@@ -46,7 +52,7 @@ fn forward(net: &Mlp, x: &Matrix) -> Cache {
         let mut z = Matrix::gemm(GemmOp::ABt, &h, layer.weights());
         z.add_row_broadcast(layer.bias());
         let act = layer.activation();
-        let out = Matrix::from_fn(z.rows(), z.cols(), |i, j| act.eval(z[(i, j)]));
+        let out = Matrix::from_fn(z.rows(), z.cols(), |i, j| f64::from(act.eval(z[(i, j)])));
         inputs.push(h);
         pre.push(z);
         h = out;
@@ -66,10 +72,10 @@ fn backward(net: &Mlp, cache: &Cache, d_output: &Matrix) -> (Gradients, Matrix) 
         let (x, z) = (&cache.inputs[idx], &cache.pre[idx]);
         let act = layer.activation();
         let dz = Matrix::from_fn(z.rows(), z.cols(), |i, j| {
-            d[(i, j)] * act.derivative(z[(i, j)])
+            f64::from(d[(i, j)] * act.derivative(z[(i, j)]))
         });
         let weights = Matrix::gemm(GemmOp::AtB, &dz, x);
-        let mut bias = vec![0.0; dz.cols()];
+        let mut bias = vec![0.0f32; dz.cols()];
         for row in dz.rows_iter() {
             for (b, &v) in bias.iter_mut().zip(row) {
                 *b += v;
@@ -82,22 +88,24 @@ fn backward(net: &Mlp, cache: &Cache, d_output: &Matrix) -> (Gradients, Matrix) 
     (Gradients { layers }, d)
 }
 
-/// `(mean((pred − target)²), 2 (pred − target) / n)`.
+/// `(mean((pred − target)²), 2 (pred − target) / n)`, the loss in `f64`.
 fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    let n = (pred.rows() * pred.cols()) as f64;
+    let n = pred.rows() * pred.cols();
     let diff = pred - target;
-    let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = Matrix::from_fn(diff.rows(), diff.cols(), |i, j| 2.0 * diff[(i, j)] / n);
+    let loss = diff.dot(&diff) / n as f64;
+    let grad = Matrix::from_fn(diff.rows(), diff.cols(), |i, j| {
+        f64::from(2.0 * diff[(i, j)] / n as f32)
+    });
     (loss, grad)
 }
 
 fn hstack(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), a.cols() + b.cols(), |i, j| {
-        if j < a.cols() {
+        f64::from(if j < a.cols() {
             a[(i, j)]
         } else {
             b[(i, j - a.cols())]
-        }
+        })
     })
 }
 
@@ -105,8 +113,8 @@ fn hstack(a: &Matrix, b: &Matrix) -> Matrix {
 struct FlatAdam {
     lr: f64,
     t: i32,
-    m: Vec<f64>,
-    v: Vec<f64>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl FlatAdam {
@@ -123,15 +131,17 @@ impl FlatAdam {
     fn step(&mut self, net: &mut Mlp, grads: &Gradients) {
         let g = net.flat_grads(grads);
         self.t += 1;
-        let b1t = 1.0 - BETA1.powi(self.t);
-        let b2t = 1.0 - BETA2.powi(self.t);
+        let b1t = (1.0 - BETA1.powi(self.t)) as f32;
+        let b2t = (1.0 - BETA2.powi(self.t)) as f32;
+        let (b1, b2, lr, eps) = (BETA1 as f32, BETA2 as f32, self.lr as f32, EPS as f32);
+        let (c1, c2) = ((1.0 - BETA1) as f32, (1.0 - BETA2) as f32);
         let mut params = net.flat_params();
         for i in 0..g.len() {
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g[i];
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g[i] * g[i];
+            self.m[i] = b1 * self.m[i] + c1 * g[i];
+            self.v[i] = b2 * self.v[i] + c2 * g[i] * g[i];
             let m_hat = self.m[i] / b1t;
             let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
+            params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
         }
         net.set_flat_params(&params);
     }
@@ -179,9 +189,9 @@ impl DdpgOracle {
                     .map(|_| rng.gen_range(0.0..1.0))
                     .collect()
             } else {
-                let mut a = forward(&self.actor, &Matrix::row_vector(&state))
-                    .output
-                    .into_vec();
+                let row = Matrix::from_fn(1, state.len(), |_, j| state[j]);
+                let out = forward(&self.actor, &row).output;
+                let mut a: Vec<f64> = out.as_slice().iter().map(|&y| f64::from(y)).collect();
                 self.noise.perturb(&mut a, rng);
                 a
             };
@@ -217,13 +227,14 @@ impl DdpgOracle {
             &hstack(&batch.next_states, &next_actions),
         )
         .output;
+        let gamma = self.config.gamma as f32;
         let targets = Matrix::from_fn(n, 1, |i, _| {
             let bootstrap = if batch.dones[i] {
                 0.0
             } else {
-                self.config.gamma * next_q[(i, 0)]
+                gamma * next_q[(i, 0)]
             };
-            batch.rewards[i] + bootstrap
+            f64::from(batch.rewards[i] + bootstrap)
         });
         let cache = forward(&self.critic, &hstack(&batch.states, &batch.actions));
         let (_, d_pred) = mse(&cache.output, &targets);
@@ -237,7 +248,9 @@ impl DdpgOracle {
         let d_q = Matrix::filled(n, 1, -1.0 / n as f64);
         let (_, d_input) = backward(&self.critic, &critic_cache, &d_q);
         let sd = batch.states.cols();
-        let d_action = Matrix::from_fn(n, actor_cache.output.cols(), |i, j| d_input[(i, sd + j)]);
+        let d_action = Matrix::from_fn(n, actor_cache.output.cols(), |i, j| {
+            f64::from(d_input[(i, sd + j)])
+        });
         let (mut actor_grads, _) = backward(&self.actor, &actor_cache, &d_action);
         actor_grads.clip_global_norm(MAX_GRAD_NORM);
         self.actor_opt.step(&mut self.actor, &actor_grads);
