@@ -92,7 +92,7 @@ impl DemandEstimate {
     /// # Panics
     ///
     /// Panics unless `0 < utilization < 1` and `rate ≥ 0`.
-    pub fn for_app(
+    pub(crate) fn for_app(
         app: &AppProfile,
         rate: f64,
         capacities: &RaCapacities,
@@ -194,7 +194,7 @@ impl AdmissionController {
     /// # Panics
     ///
     /// Panics if `id` is already admitted.
-    pub fn decide_as(
+    pub(crate) fn decide_as(
         &mut self,
         id: SliceId,
         request: &SliceRequest,
@@ -295,7 +295,7 @@ impl AdmissionController {
     ///
     /// Returns [`crate::EdgeSliceError::SliceNotAdmitted`] if the slice is
     /// unknown, leaving the controller unchanged.
-    pub fn release(
+    pub(crate) fn release(
         &mut self,
         slice: SliceId,
         expected_rate: f64,

@@ -16,15 +16,10 @@ impl Taro {
         Self
     }
 
-    /// Allocates all three resources proportionally to `queue_lengths`.
-    /// With an empty system (all queues zero) the capacity is split evenly.
-    pub fn allocate(&self, queue_lengths: &[f64]) -> Vec<DomainShares> {
-        proportional_shares(queue_lengths).collect()
-    }
-
-    /// The flat action-vector form of [`Taro::allocate`] (slice-major
-    /// `[radio, transport, compute]` layout), for use wherever a learned
-    /// policy's action is expected.
+    /// Allocates all three resources proportionally to `queue_lengths`
+    /// (an even split when every queue is empty), as a flat action vector
+    /// (slice-major `[radio, transport, compute]` layout) for use wherever
+    /// a learned policy's action is expected.
     pub fn action(&self, queue_lengths: &[f64]) -> Vec<f64> {
         let mut action = Vec::with_capacity(queue_lengths.len() * 3);
         self.action_into(queue_lengths, &mut action);
@@ -58,10 +53,13 @@ fn proportional_shares(queue_lengths: &[f64]) -> impl Iterator<Item = DomainShar
 mod tests {
     use super::*;
 
+    fn allocate(queue_lengths: &[f64]) -> Vec<DomainShares> {
+        proportional_shares(queue_lengths).collect()
+    }
+
     #[test]
     fn allocation_is_proportional_to_queues() {
-        let taro = Taro::new();
-        let shares = taro.allocate(&[30.0, 10.0]);
+        let shares = allocate(&[30.0, 10.0]);
         assert!((shares[0].radio - 0.75).abs() < 1e-12);
         assert!((shares[1].radio - 0.25).abs() < 1e-12);
         // Same ratio in every domain — TARO's defining blindness.
@@ -71,9 +69,8 @@ mod tests {
 
     #[test]
     fn allocation_saturates_capacity() {
-        let taro = Taro::new();
         for lens in [&[5.0, 5.0][..], &[100.0, 1.0], &[0.0, 7.0]] {
-            let shares = taro.allocate(lens);
+            let shares = allocate(lens);
             let sum: f64 = shares.iter().map(|s| s.radio).sum();
             assert!(
                 (sum - 1.0).abs() < 1e-9,
@@ -84,8 +81,7 @@ mod tests {
 
     #[test]
     fn empty_system_splits_evenly() {
-        let taro = Taro::new();
-        let shares = taro.allocate(&[0.0, 0.0, 0.0]);
+        let shares = allocate(&[0.0, 0.0, 0.0]);
         for s in shares {
             assert!((s.radio - 1.0 / 3.0).abs() < 1e-12);
         }
@@ -102,8 +98,7 @@ mod tests {
 
     #[test]
     fn negative_queues_are_treated_as_empty() {
-        let taro = Taro::new();
-        let shares = taro.allocate(&[-5.0, 10.0]);
+        let shares = allocate(&[-5.0, 10.0]);
         assert_eq!(shares[0].radio, 0.0);
         assert!((shares[1].radio - 1.0).abs() < 1e-12);
     }

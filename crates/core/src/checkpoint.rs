@@ -53,7 +53,7 @@ pub struct PolicyCheckpoint {
 /// * 1 — `f64` network weights.
 /// * 2 — `f32` network weights. A version-1 file is rejected rather than
 ///   narrowed into a network: its policy was trained in another precision.
-pub const POLICY_CHECKPOINT_VERSION: u32 = 2;
+pub(crate) const POLICY_CHECKPOINT_VERSION: u32 = 2;
 
 /// Errors from checkpoint (de)serialization.
 #[derive(Debug)]

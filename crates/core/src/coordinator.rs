@@ -14,7 +14,7 @@
 //! ([`PerformanceCoordinator::update_partial`]):
 //!
 //! * a missing RA's `Σ_t U` is substituted with its **last-known report**
-//!   for up to a configurable **staleness budget** of consecutive rounds;
+//!   for up to a **staleness budget** of 3 consecutive rounds;
 //! * the missing RA's dual column is **frozen** (no `y` ascent on stale
 //!   data — stale residuals would corrupt the consensus);
 //! * past the budget the RA is **declared dead**: its columns leave the
@@ -153,7 +153,7 @@ impl PerformanceCoordinator {
     /// # Panics
     ///
     /// Panics if `slice` is beyond the coordinator's slice capacity.
-    pub fn admit_slice(&mut self, slice: SliceId, sla: Sla) {
+    pub(crate) fn admit_slice(&mut self, slice: SliceId, sla: Sla) {
         let i = slice.0;
         assert!(i < self.slas.len(), "slice {i} beyond capacity");
         self.slas[i] = sla;
@@ -179,7 +179,7 @@ impl PerformanceCoordinator {
     /// # Panics
     ///
     /// Panics if `slice` is beyond the coordinator's slice capacity.
-    pub fn depart_slice(&mut self, slice: SliceId) {
+    pub(crate) fn depart_slice(&mut self, slice: SliceId) {
         let i = slice.0;
         assert!(i < self.slas.len(), "slice {i} beyond capacity");
         self.active[i] = false;
@@ -196,7 +196,7 @@ impl PerformanceCoordinator {
     /// # Panics
     ///
     /// Panics if `slice` is beyond the coordinator's slice capacity.
-    pub fn resize_slice(&mut self, slice: SliceId, sla: Sla) {
+    pub(crate) fn resize_slice(&mut self, slice: SliceId, sla: Sla) {
         self.admit_slice(slice, sla);
     }
 
@@ -353,33 +353,9 @@ impl PerformanceCoordinator {
         residuals
     }
 
-    /// Sets the number of consecutive missed rounds tolerated before an RA
-    /// is declared dead (default 3).
-    pub fn set_staleness_budget(&mut self, rounds: usize) {
-        self.staleness_budget = rounds;
-    }
-
-    /// The staleness budget in effect, rounds.
-    pub fn staleness_budget(&self) -> usize {
-        self.staleness_budget
-    }
-
-    /// Consecutive rounds RA `ra` has gone without reporting.
-    pub fn staleness(&self, ra: RaId) -> usize {
-        self.staleness[ra.0]
-    }
-
     /// Whether `ra` is currently declared dead.
     pub fn is_dead(&self, ra: RaId) -> bool {
         self.dead[ra.0]
-    }
-
-    /// RAs currently declared dead.
-    pub fn dead_ras(&self) -> Vec<RaId> {
-        (0..self.n_ras)
-            .filter(|&j| self.dead[j])
-            .map(RaId)
-            .collect()
     }
 
     /// True once the coordination loop should stop (converged or at the
@@ -581,21 +557,21 @@ mod tests {
         c.update_partial(&[vec![-120.0, -90.0], vec![-80.0, -70.0]], &[true, false]);
         let y_after: Vec<f64> = c.y().iter().map(|row| row[1]).collect();
         assert_eq!(y_before, y_after, "missing RA's duals moved");
-        assert_eq!(c.staleness(RaId(1)), 1);
+        assert_eq!(c.staleness[1], 1);
         assert!(!c.is_dead(RaId(1)));
     }
 
     #[test]
     fn exceeding_the_staleness_budget_declares_death_and_redistributes() {
         let mut c = coordinator();
-        c.set_staleness_budget(1);
+        c.staleness_budget = 1;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
         c.update_partial(&achieved, &[true, false]); // within budget
         assert!(!c.is_dead(RaId(1)));
         c.update_partial(&achieved, &[true, false]); // budget exceeded
         assert!(c.is_dead(RaId(1)));
-        assert_eq!(c.dead_ras(), vec![RaId(1)]);
+        assert_eq!(c.dead, [false, true]);
         for (i, zr) in c.z().iter().enumerate() {
             assert_eq!(zr[1], 0.0, "dead column must leave the projection");
             assert!(
@@ -609,14 +585,14 @@ mod tests {
     #[test]
     fn rejoin_revives_with_zeroed_duals() {
         let mut c = coordinator();
-        c.set_staleness_budget(0);
+        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
         c.update_partial(&achieved, &[true, false]);
         assert!(c.is_dead(RaId(1)));
         c.update_partial(&achieved, &[true, true]);
         assert!(!c.is_dead(RaId(1)));
-        assert_eq!(c.staleness(RaId(1)), 0);
+        assert_eq!(c.staleness[1], 0);
         // The revived column's duals restarted from zero before this
         // round's ascent; after one ascent they are small relative to the
         // survivor's accumulated duals.
@@ -626,7 +602,7 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_and_validates_shape() {
         let mut c = coordinator();
-        c.set_staleness_budget(2);
+        c.staleness_budget = 2;
         let achieved = vec![vec![-100.0, -80.0], vec![-10.0, -5.0]];
         c.update(&achieved);
         c.update_partial(&achieved, &[true, false]);
@@ -637,8 +613,8 @@ mod tests {
         assert_eq!(fresh.z(), c.z());
         assert_eq!(fresh.y(), c.y());
         assert_eq!(fresh.rounds(), c.rounds());
-        assert_eq!(fresh.staleness(RaId(1)), c.staleness(RaId(1)));
-        assert_eq!(fresh.staleness_budget(), 2);
+        assert_eq!(fresh.staleness[1], c.staleness[1]);
+        assert_eq!(fresh.staleness_budget, 2);
         assert_eq!(fresh.snapshot(), state);
 
         // The restored coordinator continues exactly as the original.
@@ -699,7 +675,7 @@ mod tests {
     #[test]
     fn admit_skips_dead_columns() {
         let mut c = coordinator();
-        c.set_staleness_budget(0);
+        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
         c.update_partial(&achieved, &[true, false]);
@@ -741,13 +717,13 @@ mod tests {
     #[test]
     fn total_blackout_holds_state() {
         let mut c = coordinator();
-        c.set_staleness_budget(0);
+        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
         let (z, y) = (c.z().to_vec(), c.y().to_vec());
         c.update_partial(&achieved, &[false, false]);
         c.update_partial(&achieved, &[false, false]);
-        assert!(c.dead_ras() == vec![RaId(0), RaId(1)]);
+        assert_eq!(c.dead, [true, true]);
         // z/y zeroed for dead columns is the only change; a later rejoin
         // rebuilds them. No NaNs, no panics.
         assert!(c.z().iter().flatten().all(|v| v.is_finite()));

@@ -78,7 +78,7 @@ pub struct RaEnvConfig {
     /// Squash the *training* reward with `asinh` to compress the huge
     /// dynamic range of Eq. 15 (quadratic in `U = −l^α`) — a monotone
     /// per-step transform that stabilizes the critic. Evaluation metrics
-    /// (`advance`'s return and [`RaSliceEnv::last_performance`]) are never
+    /// (`advance`'s return and `RaSliceEnv::last_performance`) are never
     /// squashed.
     pub squash_training_reward: bool,
     /// Project the decoded shares onto per-resource capacity before they
@@ -240,7 +240,7 @@ impl RaSliceEnv {
     /// # Panics
     ///
     /// Panics if `i` is beyond the slice capacity.
-    pub fn set_slice_active(&mut self, i: usize, active: bool) {
+    pub(crate) fn set_slice_active(&mut self, i: usize, active: bool) {
         assert!(i < self.n_slices(), "slice {i} beyond capacity");
         if self.active[i] != active {
             self.queues[i].flush();
@@ -255,7 +255,7 @@ impl RaSliceEnv {
     ///
     /// Panics if `i` is beyond the slice capacity or `rate` is not a
     /// finite non-negative number.
-    pub fn set_slice_rate(&mut self, i: usize, rate: f64) {
+    pub(crate) fn set_slice_rate(&mut self, i: usize, rate: f64) {
         assert!(i < self.n_slices(), "slice {i} beyond capacity");
         self.traffic[i] = Box::new(edgeslice_netsim::PoissonTraffic::new(rate));
         self.rate_overrides[i] = Some(rate);
@@ -270,7 +270,7 @@ impl RaSliceEnv {
     /// Returns [`crate::EdgeSliceError::SnapshotMismatch`] if the state is
     /// shaped for a different slice capacity; the environment is left
     /// untouched.
-    pub fn apply_lifecycle(
+    pub(crate) fn apply_lifecycle(
         &mut self,
         state: &crate::workload::LifecycleState,
     ) -> Result<(), crate::EdgeSliceError> {
@@ -297,7 +297,7 @@ impl RaSliceEnv {
     }
 
     /// Restores lifecycle flags captured by a durable snapshot. Unlike
-    /// [`RaSliceEnv::apply_lifecycle`] this never flushes queues — the
+    /// `RaSliceEnv::apply_lifecycle` this never flushes queues — the
     /// snapshot's queues already reflect every past transition.
     ///
     /// # Panics
@@ -378,7 +378,7 @@ impl RaSliceEnv {
     }
 
     /// Per-slice performance of the most recent interval.
-    pub fn last_performance(&self) -> &[f64] {
+    pub(crate) fn last_performance(&self) -> &[f64] {
         &self.last_perf
     }
 
@@ -487,7 +487,7 @@ impl RaSliceEnv {
     /// slice-major, `[radio, transport, compute]` per slice) inside the
     /// environment's own buffers and returns the reward; the per-slice
     /// `U`, the applied shares and the service times are left in
-    /// [`RaSliceEnv::last_performance`], [`RaSliceEnv::last_shares`] and
+    /// `RaSliceEnv::last_performance`, [`RaSliceEnv::last_shares`] and
     /// [`RaSliceEnv::last_service_times`]. Shared by the RL trait impl and
     /// the orchestrator loop; against a dataset model it never touches the
     /// allocator.

@@ -391,11 +391,6 @@ impl RaFaultView {
             capacity_scale: [1.0; 3],
         }
     }
-
-    /// Whether anything at all is wrong this round.
-    pub fn is_healthy(&self) -> bool {
-        *self == Self::healthy()
-    }
 }
 
 /// A [`FaultPlan`] compiled into O(1) per-(RA, round) lookups.
@@ -495,7 +490,7 @@ impl FaultInjector {
 
     /// What `ra` experiences in `round`. Rounds beyond the horizon are
     /// healthy (the plan simply ran out).
-    pub fn view(&self, ra: RaId, round: usize) -> RaFaultView {
+    pub(crate) fn view(&self, ra: RaId, round: usize) -> RaFaultView {
         if round >= self.plan.horizon_rounds || ra.0 >= self.plan.n_ras {
             return RaFaultView::healthy();
         }
@@ -515,19 +510,6 @@ impl FaultInjector {
                 self.scale[round][ra.0]
             },
         }
-    }
-
-    /// Whether `ra` is dark in `round`.
-    pub fn ra_down(&self, ra: RaId, round: usize) -> bool {
-        self.view(ra, round).down
-    }
-
-    /// RAs dark in `round`.
-    pub fn down_ras(&self, round: usize) -> Vec<RaId> {
-        (0..self.plan.n_ras)
-            .map(RaId)
-            .filter(|&ra| self.ra_down(ra, round))
-            .collect()
     }
 }
 
@@ -602,15 +584,15 @@ mod tests {
         )
         .unwrap();
         let inj = FaultInjector::new(plan);
-        assert!(!inj.ra_down(RaId(1), 1));
+        assert!(!inj.view(RaId(1), 1).down);
         for r in 2..5 {
-            assert!(inj.ra_down(RaId(1), r));
-            assert!(!inj.ra_down(RaId(0), r));
+            assert!(inj.view(RaId(1), r).down);
+            assert!(!inj.view(RaId(0), r).down);
         }
-        assert!(!inj.ra_down(RaId(1), 5));
+        assert!(!inj.view(RaId(1), 5).down);
         assert!(inj.view(RaId(1), 5).rejoining);
         assert!(!inj.view(RaId(1), 6).rejoining);
-        assert_eq!(inj.down_ras(3), vec![RaId(1)]);
+        assert!(!inj.view(RaId(0), 3).down && inj.view(RaId(1), 3).down);
     }
 
     #[test]
@@ -738,8 +720,8 @@ mod tests {
     #[test]
     fn out_of_horizon_queries_are_healthy() {
         let inj = FaultInjector::none(2, 4);
-        assert!(inj.view(RaId(0), 99).is_healthy());
-        assert!(inj.view(RaId(9), 0).is_healthy());
+        assert_eq!(inj.view(RaId(0), 99), RaFaultView::healthy());
+        assert_eq!(inj.view(RaId(9), 0), RaFaultView::healthy());
     }
 
     proptest::proptest! {

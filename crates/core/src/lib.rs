@@ -71,7 +71,7 @@ mod workload;
 pub use admission::{AdmissionController, DemandEstimate, RejectReason, SliceRequest};
 pub use agent::{AgentBackend, AgentConfig, OrchestrationAgent};
 pub use baseline::Taro;
-pub use checkpoint::{CheckpointError, FrozenPolicy, PolicyCheckpoint, POLICY_CHECKPOINT_VERSION};
+pub use checkpoint::{CheckpointError, FrozenPolicy, PolicyCheckpoint};
 pub use coordinator::{CoordinationInfo, CoordinatorState, PerformanceCoordinator};
 pub use env::{RaEnvConfig, RaSliceEnv, ServiceModel, StateSpec};
 pub use error::EdgeSliceError;
@@ -87,9 +87,7 @@ pub use orchestrator::{
     RunReport, ServeOutcome, SupervisionStats, SystemConfig, TrafficKind, WorkerNetOptions,
 };
 pub use overhead::{OverheadModel, RoundTraffic};
-pub use store::{
-    CheckpointStore, LatestRun, RunSnapshot, TrainSnapshot, WorkerSnapshot, SNAPSHOT_FORMAT_VERSION,
-};
+pub use store::{CheckpointStore, LatestRun, RunSnapshot, TrainSnapshot, WorkerSnapshot};
 // The execution engine's scheduler, supervision policy, and networked-mode
 // surface are part of the system API (see `EdgeSliceSystem::set_scheduler`
 // / `set_supervision` / `run_networked` / `serve_ra`); re-export them so

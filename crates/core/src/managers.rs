@@ -91,7 +91,6 @@ impl std::error::Error for ManagerError {}
 /// configuration explicitly.
 #[derive(Debug)]
 pub struct ResourceManagers {
-    ra_id: RaId,
     ra: ResourceAutonomy,
     /// Last rates produced, for the monitor.
     last_rates: Vec<SliceRates>,
@@ -101,9 +100,8 @@ pub struct ResourceManagers {
 
 impl ResourceManagers {
     /// Wraps the manager stack around an RA's substrates.
-    pub fn new(ra_id: RaId, ra: ResourceAutonomy) -> Self {
+    pub fn new(ra: ResourceAutonomy) -> Self {
         Self {
-            ra_id,
             ra,
             last_rates: Vec::new(),
             committed: Vec::new(),
@@ -113,12 +111,7 @@ impl ResourceManagers {
     /// Builds the prototype manager stack for RA `ra_id` serving
     /// `n_slices` slices.
     pub fn prototype(ra_id: RaId, n_slices: usize) -> Self {
-        Self::new(ra_id, ResourceAutonomy::prototype(ra_id.0, n_slices))
-    }
-
-    /// The RA this stack manages.
-    pub fn ra_id(&self) -> RaId {
-        self.ra_id
+        Self::new(ResourceAutonomy::prototype(ra_id.0, n_slices))
     }
 
     /// The underlying substrates (read-only).

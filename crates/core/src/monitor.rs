@@ -1,12 +1,9 @@
 //! The system monitor (paper Sec. V-D): collects network state and slice
-//! performance across the system, keeps the user↔slice association
-//! database, and serves aggregates to the performance coordinator over the
-//! RC-M interface.
+//! performance across the system and serves aggregates to the performance
+//! coordinator over the RC-M interface.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use edgeslice_netsim::radio::Imsi;
-use edgeslice_netsim::transport::IpAddr;
 use serde::{Deserialize, Serialize};
 
 use crate::{RaId, SliceId};
@@ -365,36 +362,12 @@ pub struct SystemMonitor {
     aggregates: Vec<RoundAggregate>,
     /// Slice lifecycle transitions, in application order.
     lifecycle: Vec<LifecycleRecord>,
-    /// IMSI → slice (learned from S1AP via the radio manager).
-    imsi_assoc: BTreeMap<Imsi, SliceId>,
-    /// IP → slice (used by transport and computing managers).
-    ip_assoc: BTreeMap<IpAddr, SliceId>,
 }
 
 impl SystemMonitor {
     /// Creates an empty monitor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers a user↔slice association by IMSI.
-    pub fn associate_imsi(&mut self, imsi: Imsi, slice: SliceId) {
-        self.imsi_assoc.insert(imsi, slice);
-    }
-
-    /// Registers a user↔slice association by IP.
-    pub fn associate_ip(&mut self, ip: IpAddr, slice: SliceId) {
-        self.ip_assoc.insert(ip, slice);
-    }
-
-    /// Looks up a slice by IMSI.
-    pub fn slice_by_imsi(&self, imsi: Imsi) -> Option<SliceId> {
-        self.imsi_assoc.get(&imsi).copied()
-    }
-
-    /// Looks up a slice by IP.
-    pub fn slice_by_ip(&self, ip: IpAddr) -> Option<SliceId> {
-        self.ip_assoc.get(&ip).copied()
     }
 
     /// Appends an interval record (the VR-interface report) and folds it
@@ -410,7 +383,7 @@ impl SystemMonitor {
     }
 
     /// Appends a slice lifecycle transition.
-    pub fn record_lifecycle(&mut self, record: LifecycleRecord) {
+    pub(crate) fn record_lifecycle(&mut self, record: LifecycleRecord) {
         self.lifecycle.push(record);
     }
 
@@ -553,16 +526,6 @@ mod tests {
             shares: [0.5, 0.3, 0.2],
             status: IntervalStatus::Served,
         }
-    }
-
-    #[test]
-    fn associations_by_imsi_and_ip() {
-        let mut m = SystemMonitor::new();
-        m.associate_imsi(Imsi(7), SliceId(1));
-        m.associate_ip(IpAddr([10, 0, 0, 1]), SliceId(0));
-        assert_eq!(m.slice_by_imsi(Imsi(7)), Some(SliceId(1)));
-        assert_eq!(m.slice_by_ip(IpAddr([10, 0, 0, 1])), Some(SliceId(0)));
-        assert_eq!(m.slice_by_imsi(Imsi(8)), None);
     }
 
     #[test]

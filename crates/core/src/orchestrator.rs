@@ -376,12 +376,6 @@ impl EdgeSliceSystem {
             .expect("invariant: systems are constructed with at least one RA")
     }
 
-    /// Sets the coordinator's staleness budget: missed rounds tolerated
-    /// before an RA is declared dead (default 3).
-    pub fn set_staleness_budget(&mut self, rounds: usize) {
-        self.coordinator.set_staleness_budget(rounds);
-    }
-
     /// Attaches a dynamic workload: the plan's lifecycle events (arrivals,
     /// resizes, teardowns) are replayed online through `admission` by
     /// subsequent `run*` calls. The system must have been constructed with

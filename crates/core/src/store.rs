@@ -40,9 +40,9 @@ use edgeslice_netsim::ServiceQueue;
 ///   negotiated rates), so kill-and-resume stays byte-identical under
 ///   slice churn.
 /// * 3 — the policies in run and train snapshots hold `f32` weights
-///   ([`crate::POLICY_CHECKPOINT_VERSION`] 2); a version-2 file is
+///   ([`crate::checkpoint::POLICY_CHECKPOINT_VERSION`] 2); a version-2 file is
 ///   rejected rather than narrowed.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub(crate) const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Envelope magic: **E**dge**S**lice **C**hec**K**point.
 const MAGIC: &[u8; 4] = b"ESCK";
@@ -305,7 +305,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns [`EdgeSliceError::Io`] on filesystem failure.
-    pub fn save_train(&self, snapshot: &TrainSnapshot) -> Result<PathBuf, EdgeSliceError> {
+    pub(crate) fn save_train(&self, snapshot: &TrainSnapshot) -> Result<PathBuf, EdgeSliceError> {
         let path = self.train_path(snapshot.ra);
         let payload = serde_json::to_string(snapshot)?.into_bytes();
         self.write_envelope(&path, &payload)?;
@@ -318,7 +318,7 @@ impl CheckpointStore {
     ///
     /// A missing file is `Ok(None)`; an existing file that fails
     /// validation is a hard error (the caller decides whether to retrain).
-    pub fn load_train(&self, ra: RaId) -> Result<Option<TrainSnapshot>, EdgeSliceError> {
+    pub(crate) fn load_train(&self, ra: RaId) -> Result<Option<TrainSnapshot>, EdgeSliceError> {
         let path = self.train_path(ra);
         if !path.exists() {
             return Ok(None);

@@ -185,20 +185,6 @@ pub struct WorkloadPlan {
 }
 
 impl WorkloadPlan {
-    /// A plan with only the initial slices and no lifecycle events — the
-    /// static workload expressed in dynamic terms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeSliceError::InvalidWorkloadPlan`] if an initial
-    /// request is malformed or `horizon_rounds` is zero.
-    pub fn static_only(
-        initial: Vec<SliceRequest>,
-        horizon_rounds: usize,
-    ) -> Result<Self, EdgeSliceError> {
-        Self::scripted(initial, horizon_rounds, Vec::new())
-    }
-
     /// Builds a plan from an explicit event script. Events may arrive in
     /// any order; they are sorted stably by round.
     ///
@@ -805,7 +791,7 @@ impl SliceLifecycle {
     /// fired yet, returning the resulting transitions in event order.
     /// Events targeting retired slots (rejected arrivals, departed
     /// slices) are no-ops.
-    pub fn apply_round(&mut self, round: usize) -> Vec<LifecycleAction> {
+    pub(crate) fn apply_round(&mut self, round: usize) -> Vec<LifecycleAction> {
         let mut actions = Vec::new();
         while self.cursor < self.plan.events.len() && self.plan.events[self.cursor].round <= round {
             let ev = self.plan.events[self.cursor].clone();
@@ -911,27 +897,6 @@ impl SliceLifecycle {
         &self.slas
     }
 
-    /// Slots ever admitted.
-    pub fn admitted_count(&self) -> usize {
-        self.lifetimes
-            .iter()
-            .filter(|l| l.admit_round.is_some())
-            .count()
-    }
-
-    /// Slots whose arrival was rejected.
-    pub fn rejected_count(&self) -> usize {
-        self.lifetimes.iter().filter(|l| l.reject.is_some()).count()
-    }
-
-    /// Slots currently serving.
-    pub fn active_count(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| **s == SlotStatus::Active)
-            .count()
-    }
-
     /// Captures the machine's durable state.
     pub fn snapshot(&self) -> LifecycleSnapshot {
         LifecycleSnapshot {
@@ -985,6 +950,19 @@ impl SliceLifecycle {
 mod tests {
     use super::*;
     use edgeslice_netsim::AppProfile;
+
+    /// Slots ever admitted.
+    fn admitted(lc: &SliceLifecycle) -> usize {
+        lc.lifetimes
+            .iter()
+            .filter(|l| l.admit_round.is_some())
+            .count()
+    }
+
+    /// Slots whose arrival was rejected.
+    fn rejected(lc: &SliceLifecycle) -> usize {
+        lc.lifetimes.iter().filter(|l| l.reject.is_some()).count()
+    }
 
     fn req(rate: f64) -> SliceRequest {
         SliceRequest {
@@ -1195,10 +1173,11 @@ mod tests {
 
     #[test]
     fn lifecycle_admits_initial_slices_at_round_zero() {
-        let plan = WorkloadPlan::static_only(vec![req(10.0), compute_req(10.0)], 4).unwrap();
+        let plan =
+            WorkloadPlan::scripted(vec![req(10.0), compute_req(10.0)], 4, Vec::new()).unwrap();
         let lc = SliceLifecycle::new(plan, AdmissionController::prototype());
-        assert_eq!(lc.admitted_count(), 2);
-        assert_eq!(lc.active_count(), 2);
+        assert_eq!(admitted(&lc), 2);
+        assert_eq!(lc.status, [SlotStatus::Active; 2]);
         let state = lc.state();
         assert_eq!(state.active, vec![true, true]);
         // Initial slices keep their configured traffic source: no
@@ -1289,10 +1268,10 @@ mod tests {
         .unwrap();
         let mut lc = SliceLifecycle::new(plan, AdmissionController::prototype());
         assert!(
-            lc.rejected_count() + lc.admitted_count() == n,
+            rejected(&lc) + admitted(&lc) == n,
             "every initial slot decided"
         );
-        let rejected_before = lc.rejected_count();
+        let rejected_before = rejected(&lc);
         let acts = lc.apply_round(1);
         assert!(matches!(
             acts.as_slice(),
@@ -1301,7 +1280,7 @@ mod tests {
                 ..
             }]
         ));
-        assert_eq!(lc.rejected_count(), rejected_before + 1);
+        assert_eq!(rejected(&lc), rejected_before + 1);
         // The departure now targets a retired slot: a no-op.
         assert!(lc.apply_round(3).is_empty());
     }
@@ -1337,7 +1316,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_shapes() {
-        let plan = WorkloadPlan::static_only(vec![req(10.0)], 4).unwrap();
+        let plan = WorkloadPlan::scripted(vec![req(10.0)], 4, Vec::new()).unwrap();
         let mut lc = SliceLifecycle::new(plan.clone(), AdmissionController::prototype());
         let mut snap = lc.snapshot();
         snap.status.push(SlotStatus::Pending);

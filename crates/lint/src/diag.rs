@@ -62,7 +62,7 @@ pub struct Suppression {
     /// Whole-file scope (`lint:allow-file`) vs. line scope (`lint:allow`).
     pub file_scoped: bool,
     /// The justification text after the marker; suppressions without one
-    /// are themselves a lint error ([`crate::rules::SUPPRESSION_HYGIENE`]).
+    /// are themselves a lint error (`suppression-hygiene`).
     pub justification: String,
 }
 
@@ -70,7 +70,7 @@ pub struct Suppression {
 /// comment may carry several markers. Doc comments are skipped — they are
 /// rendered documentation, which may mention the syntax without waiving
 /// anything.
-pub fn parse_suppressions(comments: &[Comment]) -> Vec<Suppression> {
+pub(crate) fn parse_suppressions(comments: &[Comment]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for c in comments.iter().filter(|c| !c.doc) {
         let mut rest: &str = &c.text;
@@ -112,17 +112,12 @@ pub fn parse_suppressions(comments: &[Comment]) -> Vec<Suppression> {
 /// Whether one suppression covers `diag`: the rule matches and the
 /// suppression is either file-scoped or sits on the diagnostic's line or
 /// the line above it.
-pub fn suppression_covers(s: &Suppression, diag: &Diagnostic) -> bool {
+pub(crate) fn suppression_covers(s: &Suppression, diag: &Diagnostic) -> bool {
     s.rule == diag.rule && (s.file_scoped || s.line == diag.line || s.line + 1 == diag.line)
 }
 
-/// Whether `diag` is covered by one of `sups`.
-pub fn is_suppressed(diag: &Diagnostic, sups: &[Suppression]) -> bool {
-    sups.iter().any(|s| suppression_covers(s, diag))
-}
-
 /// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -192,8 +187,8 @@ mod tests {
         let same = parse_suppressions(&[comment(" lint:allow(float-eq): why", 8)]);
         let above = parse_suppressions(&[comment(" lint:allow(float-eq): why", 7)]);
         let far = parse_suppressions(&[comment(" lint:allow(float-eq): why", 5)]);
-        assert!(is_suppressed(&d, &same));
-        assert!(is_suppressed(&d, &above));
-        assert!(!is_suppressed(&d, &far));
+        assert!(suppression_covers(&same[0], &d));
+        assert!(suppression_covers(&above[0], &d));
+        assert!(!suppression_covers(&far[0], &d));
     }
 }

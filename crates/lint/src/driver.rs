@@ -5,7 +5,9 @@
 //!    suppressions, run the local rules, build the item-level parse.
 //! 2. **Graph** — sequential over the scan results: the cross-file
 //!    passes (`rng-stream-separation`, `frame-protocol`,
-//!    `transitive-alloc`) run on the workspace symbol table / call graph.
+//!    `transitive-alloc`) run on the workspace symbol table / call graph;
+//!    on the workspace walk, `dead-pub` also runs on the names every file
+//!    uses.
 //! 3. **Filter** — suppressions are applied to the combined finding set
 //!    while tracking which allows actually fired; a justified allow that
 //!    suppresses nothing is itself a `suppression-hygiene` error (stale
@@ -19,13 +21,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::dead_pub::{dead_pub, Names};
 use crate::diag::{
     json_escape, parse_suppressions, suppression_covers, Diagnostic, Severity, Suppression,
 };
 use crate::graph::{frame_protocol, rng_stream_separation, transitive_alloc, Unit};
 use crate::lexer::lex;
 use crate::parse::{parse, ParsedFile};
-use crate::rules::{cross_registry, registry, SourceFile, SUPPRESSION_HYGIENE};
+use crate::rules::{cross_registry, registry, SourceFile, DEAD_PUB, SUPPRESSION_HYGIENE};
 
 /// A fatal analyzer error (not a lint finding): bad workspace root,
 /// unreadable file.
@@ -156,13 +159,17 @@ pub struct FileSpec {
     /// besides its own crate. `None` when unknown (explicit files), which
     /// leaves cross-crate resolution unconstrained.
     pub deps: Option<Vec<String>>,
+    /// A file outside every library (a test, an example, the benchmark), read
+    /// only for the names it uses: no rule runs on it and it is not counted.
+    pub names_only: bool,
 }
 
 /// Collects every non-test source file of the workspace: `src/**/*.rs` of
 /// the root package and of each `crates/*` member, each with its crate's
-/// workspace dependencies. Integration tests, examples, and vendored
-/// stand-ins are intentionally out of scope — the rules guard shipping
-/// code, and in-file `#[cfg(test)]` regions are excluded during analysis.
+/// workspace dependencies. The rules guard shipping code (in-file
+/// `#[cfg(test)]` regions are excluded during analysis), so integration
+/// tests, examples and the benchmark follow as [`FileSpec::names_only`]
+/// files for `dead-pub`; vendored stand-ins are out of scope.
 ///
 /// # Errors
 ///
@@ -184,7 +191,16 @@ pub fn workspace_files(root: &Path) -> Result<Vec<FileSpec>, LintError> {
     let deps = crate_deps(&packages);
     let mut out = Vec::new();
     for (dir, name) in &packages {
-        collect_package(root, &dir.join("src"), name, deps.get(name), &mut out)?;
+        let src = dir.join("src");
+        collect_package(root, &src, name, deps.get(name), false, &mut out)?;
+    }
+    let mut outside = vec![(root.join("benchmark"), "benchmark")];
+    for (dir, name) in &packages {
+        outside.push((dir.join("tests"), name));
+        outside.push((dir.join("examples"), name));
+    }
+    for (dir, name) in outside {
+        collect_package(root, &dir, name, None, true, &mut out)?;
     }
     Ok(out)
 }
@@ -274,6 +290,7 @@ fn collect_package(
     src: &Path,
     crate_name: &str,
     deps: Option<&Vec<String>>,
+    names_only: bool,
     out: &mut Vec<FileSpec>,
 ) -> Result<(), LintError> {
     if !src.is_dir() {
@@ -284,7 +301,10 @@ fn collect_package(
     while let Some(dir) = stack.pop() {
         for p in read_dir(&dir)? {
             if p.is_dir() {
-                stack.push(p);
+                // A build directory (the benchmark's own `target/`).
+                if !p.ends_with("target") {
+                    stack.push(p);
+                }
             } else if p.extension().is_some_and(|e| e == "rs") {
                 files.push(p);
             }
@@ -312,6 +332,7 @@ fn collect_package(
             crate_name: crate_name.to_string(),
             path,
             deps: deps.cloned(),
+            names_only,
         });
     }
     Ok(())
@@ -327,19 +348,35 @@ struct FileAnalysis {
     raw: Vec<Diagnostic>,
     /// The spec's crate dependencies (see [`FileSpec::deps`]).
     deps: Option<Vec<String>>,
+    /// The identifiers the file names, for `dead-pub`.
+    names: Names,
+    /// See [`FileSpec::names_only`].
+    names_only: bool,
 }
 
-/// Phase 1 for one file: lex, parse suppressions, run the local rules,
-/// build the item-level parse.
+/// Phase 1 for one file: lex, collect the names it uses, parse
+/// suppressions, run the local rules, build the item-level parse.
 fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
     let (toks, comments) = lex(source);
-    let sups = parse_suppressions(&comments);
+    let names = Names::of(&toks, &comments);
     let file = SourceFile::new(
         spec.crate_name.clone(),
         spec.rel_path.clone(),
         spec.is_crate_root,
         toks,
     );
+    if spec.names_only {
+        return FileAnalysis {
+            file,
+            parsed: ParsedFile::default(),
+            sups: Vec::new(),
+            raw: Vec::new(),
+            deps: None,
+            names,
+            names_only: true,
+        };
+    }
+    let sups = parse_suppressions(&comments);
     let mut raw = Vec::new();
     for rule in registry() {
         (rule.check)(&file, &mut raw);
@@ -351,6 +388,8 @@ fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
         sups,
         raw,
         deps: spec.deps.clone(),
+        names,
+        names_only: false,
     }
 }
 
@@ -359,8 +398,12 @@ fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
 /// cross-rule allow held to the stale-suppression check — in single-file
 /// mode a cross-file finding may legitimately be invisible (e.g. the
 /// `WireMsg` declaration lives elsewhere), so staleness is only assessed
-/// for the always-full-context local rules.
-fn finish(mut analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
+/// for the always-full-context local rules. `dead-pub` runs, and its
+/// allows are stale-checked, only when names-only files are present.
+fn finish(analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
+    let (outside, mut analyses): (Vec<_>, Vec<_>) =
+        analyses.into_iter().partition(|a| a.names_only);
+    let dead_pub_ran = !outside.is_empty();
     // Phase 2: the cross-file passes over the workspace graph.
     let units: Vec<Unit<'_>> = analyses
         .iter()
@@ -374,6 +417,10 @@ fn finish(mut analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
     rng_stream_separation(&units, &mut cross);
     frame_protocol(&units, &mut cross);
     transitive_alloc(&units, &mut cross);
+    if dead_pub_ran {
+        let names = analyses.iter().map(|a| &a.names);
+        dead_pub(&units, names, outside.iter().map(|a| &a.names), &mut cross);
+    }
     drop(units);
 
     // Phase 3: suppression filtering with usage tracking.
@@ -432,7 +479,10 @@ fn finish(mut analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
                     line: s.line,
                     message: format!("`lint:allow({})` names an unknown rule", s.rule),
                 });
-            } else if !used[ai][j] && (full_set || !cross_rules.contains(rule)) {
+            } else if !used[ai][j]
+                && (full_set || !cross_rules.contains(rule))
+                && (dead_pub_ran || rule != DEAD_PUB)
+            {
                 diags.push(Diagnostic {
                     rule: SUPPRESSION_HYGIENE,
                     severity: Severity::Error,
@@ -562,6 +612,7 @@ mod tests {
             crate_name: crate_name.into(),
             is_crate_root: false,
             deps: None,
+            names_only: false,
         }
     }
 

@@ -79,7 +79,7 @@ fn call_args<'t>(toks: &'t [Tok], call: &CallSite) -> &'t [Tok] {
 /// named tag constant — XOR-folding ad-hoc literals collides silently;
 /// (3) a `*_STREAM_TAG` XORed into more than one stream aliases those
 /// streams (tag families use `derive_stream_seed` with an index instead).
-pub fn rng_stream_separation(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
+pub(crate) fn rng_stream_separation(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
     // (1) Tag uniqueness, workspace-wide.
     let mut by_value: BTreeMap<u128, (usize, String, usize)> = BTreeMap::new();
     for (ui, u) in units.iter().enumerate() {
@@ -262,7 +262,7 @@ fn is_silent_wildcard(pat: &[Tok]) -> bool {
 /// swallowing a future frame; (3) every `match` over raw tag bytes must
 /// name every `TAG_*` constant (a binding arm for the typed unknown-tag
 /// error is fine there).
-pub fn frame_protocol(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
+pub(crate) fn frame_protocol(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
     // Protocol declarations: files declaring `enum WireMsg`, with their
     // co-resident TAG_* constants.
     let mut variants: BTreeSet<String> = BTreeSet::new();
@@ -476,7 +476,7 @@ const STD_ADAPTER_METHODS: &[&str] = &[
 /// kernel-family fn also fails when it *reaches* an allocating fn at any
 /// call depth. Depth 0 (a local allocation) is left to the local rule so
 /// each defect is reported exactly once.
-pub fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
+pub(crate) fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
     // Symbol table over all non-test fns.
     let mut fns: Vec<FnRef> = Vec::new();
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();

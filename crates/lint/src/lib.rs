@@ -12,14 +12,16 @@
 //! | `crate-header` | every crate root carries `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` | all crates |
 //! | `float-eq` | no `==`/`!=` against float literals | all crates |
 //!
-//! On top of the per-file rules, three **cross-file passes** run over a
-//! workspace symbol table and approximate call graph (see [`graph`]):
+//! On top of the per-file rules, four **cross-file passes** run over the
+//! whole workspace — the first three over a symbol table and approximate
+//! call graph (see [`graph`]):
 //!
 //! | rule | invariant | scope |
 //! |---|---|---|
 //! | `rng-stream-separation` | every `*_STREAM_TAG`/`DOMAIN_*` constant is unique workspace-wide, and every seed-derivation site folds in exactly one *named* tag (no literal tags, no tag reuse) | `runtime`, `core`, `netsim` |
 //! | `frame-protocol` | the `TAG_*` wire constants and `WireMsg` variants stay in sync, and every match over decoded frames names each variant — no wildcard arm silently swallowing a tag | `runtime` |
 //! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl` |
+//! | `dead-pub` | a library's `pub fn`/`const`/`static` is named by code outside it (other crates, bins, tests, examples, the benchmark, doc code blocks); otherwise it becomes `pub(crate)` | every library, on the workspace walk only |
 //!
 //! All rules skip `#[cfg(test)]` / `#[test]` regions. A finding can be
 //! waived inline with a **justified** suppression on the offending line or
@@ -52,6 +54,8 @@ pub mod graph;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
+
+mod dead_pub;
 
 pub use diag::{Diagnostic, Severity, Suppression};
 pub use driver::{

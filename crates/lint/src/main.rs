@@ -144,6 +144,7 @@ fn main() -> ExitCode {
             rel_path: rel,
             crate_name,
             deps: None,
+            names_only: false,
         });
     }
 

@@ -112,7 +112,7 @@ pub struct FnItem {
 impl FnItem {
     /// Whether token index `k` lies inside one of this fn's
     /// `.get_or_init(..)` initializers.
-    pub fn in_once_init(&self, k: usize) -> bool {
+    pub(crate) fn in_once_init(&self, k: usize) -> bool {
         self.once_inits.iter().any(|&(o, c)| (o..c).contains(&k))
     }
 }

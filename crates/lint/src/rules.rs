@@ -12,30 +12,33 @@ use crate::lexer::{Tok, TokKind};
 use crate::parse::matching;
 
 /// Rule name for the determinism invariant (see [`determinism`]).
-pub const DETERMINISM: &str = "determinism";
+pub(crate) const DETERMINISM: &str = "determinism";
 /// Rule name for the panic policy (see [`panic_policy`]).
-pub const PANIC_POLICY: &str = "panic-policy";
+pub(crate) const PANIC_POLICY: &str = "panic-policy";
 /// Rule name for hot-path allocation discipline (see [`hot_path_alloc`]).
-pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
+pub(crate) const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Rule name for crate-root header hygiene (see [`crate_header`]).
-pub const CRATE_HEADER: &str = "crate-header";
+pub(crate) const CRATE_HEADER: &str = "crate-header";
 /// Rule name for float equality comparisons (see [`float_eq`]).
-pub const FLOAT_EQ: &str = "float-eq";
+pub(crate) const FLOAT_EQ: &str = "float-eq";
 /// Rule name for suppression hygiene (emitted by the driver, not a
 /// registry rule: suppressions are parsed once per file, before rules
 /// run). Covers unjustified allows, allows naming unknown rules, and —
 /// since the workspace-graph passes — *stale* allows that no longer
 /// suppress any finding.
-pub const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
+pub(crate) const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
 /// Cross-file rule name: RNG stream-tag separation (see
 /// [`crate::graph::rng_stream_separation`]).
-pub const RNG_STREAM_SEPARATION: &str = "rng-stream-separation";
+pub(crate) const RNG_STREAM_SEPARATION: &str = "rng-stream-separation";
 /// Cross-file rule name: frame-protocol exhaustiveness (see
 /// [`crate::graph::frame_protocol`]).
-pub const FRAME_PROTOCOL: &str = "frame-protocol";
+pub(crate) const FRAME_PROTOCOL: &str = "frame-protocol";
 /// Cross-file rule name: transitive hot-path allocation (see
 /// [`crate::graph::transitive_alloc`]).
-pub const TRANSITIVE_ALLOC: &str = "transitive-alloc";
+pub(crate) const TRANSITIVE_ALLOC: &str = "transitive-alloc";
+/// Cross-file rule name: a library's `pub` items are named outside it
+/// (see the `dead_pub` module).
+pub(crate) const DEAD_PUB: &str = "dead-pub";
 
 /// Crates whose non-test code must be a pure function of its seeds:
 /// the per-RA worker loop, the coordinator, and the network simulation.
@@ -99,7 +102,7 @@ impl SourceFile {
     }
 
     /// Whether token index `i` lies inside test code.
-    pub fn in_test(&self, i: usize) -> bool {
+    pub(crate) fn in_test(&self, i: usize) -> bool {
         self.test_spans
             .iter()
             .any(|&(lo, hi)| (lo..hi).contains(&i))
@@ -168,6 +171,12 @@ pub fn cross_registry() -> Vec<CrossRule> {
             severity: Severity::Error,
             description: "hot-path fns must not *reach* an allocating fn at any call depth \
                           (the call-graph closure of hot-path-alloc)",
+        },
+        CrossRule {
+            name: DEAD_PUB,
+            severity: Severity::Error,
+            description: "every pub fn/const/static of a library is named by code outside it \
+                          (other crates, bins, tests, examples, benchmark, doc code blocks)",
         },
     ]
 }

@@ -21,6 +21,7 @@ fn analyze_fixture(name: &str, crate_name: &str, is_crate_root: bool) -> (Vec<Di
         crate_name: crate_name.into(),
         is_crate_root,
         deps: None,
+        names_only: false,
     };
     analyze_source(&spec, &source)
 }
@@ -85,6 +86,7 @@ fn determinism_covers_the_core_workload_module() {
         crate_name: "core".into(),
         is_crate_root: false,
         deps: None,
+        names_only: false,
     };
     let (diags, _) = analyze_source(&spec, &source);
     assert_all_rule(&diags, "determinism", 4);
@@ -300,6 +302,7 @@ fn transitive_alloc_never_resolves_into_a_crate_outside_the_dependency_graph() {
         crate_name: crate_name.into(),
         is_crate_root: false,
         deps: Some(Vec::new()),
+        names_only: false,
     };
     let specs = [
         spec("transitive_alloc_dep_graph_clean.rs", "nn"),

@@ -134,6 +134,7 @@ fn list_rules_names_every_rule() {
         "rng-stream-separation",
         "frame-protocol",
         "transitive-alloc",
+        "dead-pub",
     ] {
         assert!(text.contains(rule), "--list-rules omits {rule}:\n{text}");
     }
@@ -151,6 +152,7 @@ fn synth_spec(name: &str, rel: &str, crate_name: &str, source: &str) -> FileSpec
         crate_name: crate_name.into(),
         is_crate_root: false,
         deps: None,
+        names_only: false,
     }
 }
 
@@ -227,7 +229,7 @@ fn a_partial_frame_match_is_caught_against_the_real_enum() {
 fn a_deep_allocation_under_a_hot_fn_is_caught() {
     // Acceptance scenario (iii): an allocation two calls below an
     // `_into` fn, with the real workspace in scope.
-    let source = "pub fn synth_pack_into(out: &mut [f64]) {\n    helper_a(out);\n}\n\
+    let source = "fn synth_pack_into(out: &mut [f64]) {\n    helper_a(out);\n}\n\
                   fn helper_a(out: &mut [f64]) {\n    helper_b(out);\n}\n\
                   fn helper_b(out: &mut [f64]) {\n    let v = vec![0.0; 4];\n    \
                   out[0] = v[0];\n}\n";

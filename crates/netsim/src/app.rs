@@ -45,7 +45,7 @@ impl FrameResolution {
 
     /// Bits transmitted per frame (uplink). 24-bit color at ~10:1 JPEG
     /// compression.
-    pub fn bits_per_frame(self) -> f64 {
+    pub(crate) fn bits_per_frame(self) -> f64 {
         let px = (self.side() as f64).powi(2);
         px * 24.0 / 10.0
     }
@@ -82,7 +82,7 @@ impl ComputationModel {
     /// Per-frame inference workload in GFLOPs. YOLOv2/v3 FLOPs scale with
     /// the square of the input side; anchored so YOLO-608 ≈ 140 GFLOP
     /// (the published YOLOv3-608 figure).
-    pub fn gflops_per_frame(self) -> f64 {
+    pub(crate) fn gflops_per_frame(self) -> f64 {
         let s = self.input_side() as f64;
         140.0 * (s * s) / (608.0 * 608.0)
     }

@@ -88,8 +88,6 @@ pub struct Gpu {
     budgets: BTreeMap<TenantId, u32>,
     /// Tenant → pending kernel queue (in launch order, post-split).
     queues: BTreeMap<TenantId, Vec<Kernel>>,
-    /// Peak concurrent occupancy observed per tenant (for reporting).
-    peak_occupancy: BTreeMap<TenantId, u32>,
     /// Set if any kernel ever executed with more threads than its tenant's
     /// budget at that moment (the invariant the kernel-split mechanism
     /// guarantees can never happen).
@@ -110,7 +108,6 @@ impl Gpu {
             peak_gflops_s,
             budgets: BTreeMap::new(),
             queues: BTreeMap::new(),
-            peak_occupancy: BTreeMap::new(),
             occupancy_violated: false,
         }
     }
@@ -165,14 +162,9 @@ impl Gpu {
         }
     }
 
-    /// Pending kernels for a tenant.
-    pub fn pending(&self, tenant: TenantId) -> usize {
-        self.queues.get(&tenant).map_or(0, Vec::len)
-    }
-
     /// The tenant's effective throughput in GFLOPs/s: its budget share of
     /// the card (MPS partitions SMs proportionally to occupancy).
-    pub fn tenant_gflops_s(&self, tenant: TenantId) -> f64 {
+    pub(crate) fn tenant_gflops_s(&self, tenant: TenantId) -> f64 {
         self.peak_gflops_s * self.budget(tenant) as f64 / self.total_threads as f64
     }
 
@@ -197,8 +189,6 @@ impl Gpu {
                 if front.threads > budget {
                     self.occupancy_violated = true;
                 }
-                let occ = self.peak_occupancy.entry(tenant).or_insert(0);
-                *occ = (*occ).max(front.threads);
                 if front.gflops <= capacity {
                     capacity -= front.gflops;
                     completed += front.gflops;
@@ -221,16 +211,16 @@ impl Gpu {
     pub fn occupancy_within_budgets(&self) -> bool {
         !self.occupancy_violated
     }
-
-    /// Peak concurrent occupancy a tenant has reached so far.
-    pub fn peak_occupancy(&self, tenant: TenantId) -> u32 {
-        self.peak_occupancy.get(&tenant).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pending kernels for a tenant.
+    fn pending(gpu: &Gpu, tenant: TenantId) -> usize {
+        gpu.queues.get(&tenant).map_or(0, Vec::len)
+    }
 
     #[test]
     fn split_preserves_threads_and_work() {
@@ -256,7 +246,7 @@ mod tests {
         let mut gpu = Gpu::prototype();
         let t = TenantId(1);
         gpu.submit(t, Kernel::new(4096, 10.0));
-        assert_eq!(gpu.pending(t), 0);
+        assert_eq!(pending(&gpu, t), 0);
         assert_eq!(gpu.tenant_gflops_s(t), 0.0);
     }
 
@@ -301,10 +291,10 @@ mod tests {
         gpu.submit(t, Kernel::new(100, 30.0));
         let done = gpu.advance(0.5); // 50 GFLOPs of capacity
         assert!((done[&t] - 50.0).abs() < 1e-9);
-        assert_eq!(gpu.pending(t), 1); // first kernel done, second partial
+        assert_eq!(pending(&gpu, t), 1); // first kernel done, second partial
         let done = gpu.advance(0.1); // 10 more
         assert!((done[&t] - 10.0).abs() < 1e-9);
-        assert_eq!(gpu.pending(t), 0);
+        assert_eq!(pending(&gpu, t), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::app::{service_time_seconds, AppProfile};
 
 /// Service times are capped here so unserved grid points (zero allocation →
 /// infinite service time) stay finite for regression.
-pub const SERVICE_TIME_CAP_S: f64 = 1.0e4;
+pub(crate) const SERVICE_TIME_CAP_S: f64 = 1.0e4;
 
 /// Physical capacities of an RA used for the grid search, mirroring
 /// Table II.
@@ -43,7 +43,7 @@ impl RaCapacities {
     }
 
     /// Service time of one `app` task under fractional shares
-    /// `[radio, transport, compute]`, capped at [`SERVICE_TIME_CAP_S`].
+    /// `[radio, transport, compute]`, capped at `SERVICE_TIME_CAP_S`.
     pub fn service_time(&self, app: &AppProfile, shares: [f64; 3]) -> f64 {
         service_time_seconds(
             app,
@@ -110,7 +110,7 @@ impl GridDataset {
     /// # Panics
     ///
     /// Panics if `granularity` is not in `(0, 1]`.
-    pub fn generate_with_granularity(
+    pub(crate) fn generate_with_granularity(
         app: AppProfile,
         capacities: RaCapacities,
         granularity: f64,

@@ -12,8 +12,6 @@
 //!   scheduling, IMSI extraction from S1AP (Sec. V-A);
 //! * [`transport`] — OpenFlow switches with flow tables and rate meters, an
 //!   SDN controller with make-before-break reconfiguration (Sec. V-B);
-//! * [`topology`] — capacitated switch graphs with shortest-path routing
-//!   and reservations (the mesh generalization of the prototype chain);
 //! * [`compute`] — MPS-shared GPUs with the kernel-split occupancy bound
 //!   (Sec. V-C);
 //! * [`app`] — the YOLO video-analytics offloading workload (Sec. VII-A);
@@ -48,12 +46,11 @@ pub mod dataset;
 pub mod queue;
 pub mod ra;
 pub mod radio;
-pub mod topology;
 pub mod traffic;
 pub mod transport;
 
 pub use app::{service_time_seconds, AppProfile, ComputationModel, FrameResolution};
-pub use dataset::{GridDataset, RaCapacities, SERVICE_TIME_CAP_S};
+pub use dataset::{GridDataset, RaCapacities};
 pub use queue::ServiceQueue;
 pub use ra::{DomainShares, ResourceAutonomy, SliceRates};
 pub use traffic::{

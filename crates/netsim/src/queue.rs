@@ -51,21 +51,6 @@ impl ServiceQueue {
         self.backlog
     }
 
-    /// Cumulative arrivals accepted into the queue.
-    pub fn total_arrived(&self) -> f64 {
-        self.total_arrived
-    }
-
-    /// Cumulative tasks served.
-    pub fn total_served(&self) -> f64 {
-        self.total_served
-    }
-
-    /// Cumulative arrivals dropped at a full bounded queue.
-    pub fn total_dropped(&self) -> f64 {
-        self.total_dropped
-    }
-
     /// Enqueues `tasks` arrivals, returning how many were accepted.
     ///
     /// # Panics
@@ -154,7 +139,7 @@ mod tests {
         let mut q = ServiceQueue::with_capacity(5.0);
         let accepted = q.arrive(8.0);
         assert_eq!(accepted, 5.0);
-        assert_eq!(q.total_dropped(), 3.0);
+        assert_eq!(q.total_dropped, 3.0);
         assert_eq!(q.backlog(), 5.0);
         assert!(q.is_conserving());
     }
@@ -166,7 +151,7 @@ mod tests {
         q.serve(2.0);
         assert_eq!(q.flush(), 5.0);
         assert_eq!(q.backlog(), 0.0);
-        assert_eq!(q.total_dropped(), 5.0);
+        assert_eq!(q.total_dropped, 5.0);
     }
 
     #[test]

@@ -66,57 +66,6 @@ pub fn extract_imsi(msg: &S1apMessage) -> Option<Imsi> {
     }
 }
 
-/// A channel quality indicator (3GPP 36.213: 1–15).
-///
-/// The prototype's smartphones report CQI per subframe; the scheduler maps
-/// it to a modulation-and-coding scheme whose spectral efficiency scales
-/// the rate each PRB delivers. The simulator defaults every UE to CQI 15
-/// (the paper's bench-distance radio conditions) and lets experiments
-/// degrade individual users.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Cqi(u8);
-
-impl Cqi {
-    /// The best reportable channel quality.
-    pub const MAX: Cqi = Cqi(15);
-
-    /// Creates a CQI.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ value ≤ 15`.
-    pub fn new(value: u8) -> Self {
-        assert!((1..=15).contains(&value), "CQI must be 1..=15, got {value}");
-        Self(value)
-    }
-
-    /// The raw index.
-    pub fn value(self) -> u8 {
-        self.0
-    }
-
-    /// Spectral efficiency in bits/s/Hz from the 3GPP 36.213 CQI table
-    /// (QPSK 0.1523 … 64-QAM 5.5547).
-    pub fn spectral_efficiency(self) -> f64 {
-        const TABLE: [f64; 15] = [
-            0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141, 2.4063, 2.7305, 3.3223,
-            3.9023, 4.5234, 5.1152, 5.5547,
-        ];
-        TABLE[(self.0 - 1) as usize]
-    }
-
-    /// Rate scaling relative to the peak MCS (CQI 15 → 1.0).
-    pub fn rate_factor(self) -> f64 {
-        self.spectral_efficiency() / Cqi::MAX.spectral_efficiency()
-    }
-}
-
-impl Default for Cqi {
-    fn default() -> Self {
-        Cqi::MAX
-    }
-}
-
 /// One user's PRB assignment within a scheduling interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrbAssignment {
@@ -138,8 +87,6 @@ pub struct EnodeB {
     /// IMSI → slice index, learned from S1AP.
     associations: BTreeMap<Imsi, usize>,
     attached: Vec<UserEquipment>,
-    /// IMSI → last reported channel quality (absent ⇒ CQI 15).
-    cqi: BTreeMap<Imsi, Cqi>,
 }
 
 impl EnodeB {
@@ -157,7 +104,6 @@ impl EnodeB {
             cell_rate_mbps,
             associations: BTreeMap::new(),
             attached: Vec::new(),
-            cqi: BTreeMap::new(),
         }
     }
 
@@ -181,11 +127,6 @@ impl EnodeB {
         self.cell_rate_mbps
     }
 
-    /// Attached UEs, in attach order.
-    pub fn attached_users(&self) -> &[UserEquipment] {
-        &self.attached
-    }
-
     /// Attempts to attach a UE; rejects UEs searching a different band
     /// (band selection, Sec. VI-A). On success the S1AP initial UE message
     /// is returned so a radio manager can learn the association.
@@ -206,16 +147,6 @@ impl EnodeB {
     /// after extracting the IMSI from S1AP).
     pub fn associate(&mut self, imsi: Imsi, slice: usize) {
         self.associations.insert(imsi, slice);
-    }
-
-    /// Records a UE's reported channel quality (default CQI 15).
-    pub fn report_cqi(&mut self, imsi: Imsi, cqi: Cqi) {
-        self.cqi.insert(imsi, cqi);
-    }
-
-    /// The channel quality currently assumed for `imsi`.
-    pub fn cqi_of(&self, imsi: Imsi) -> Cqi {
-        self.cqi.get(&imsi).copied().unwrap_or_default()
     }
 
     /// Schedules one interval.
@@ -280,13 +211,8 @@ impl EnodeB {
             );
             next_prb += share;
         }
-        let rate_factors = assignments
-            .keys()
-            .map(|imsi| (*imsi, self.cqi_of(*imsi).rate_factor()))
-            .collect();
         ScheduleOutcome {
             assignments,
-            rate_factors,
             total_prbs: self.total_prbs,
             cell_rate_mbps: self.cell_rate_mbps,
         }
@@ -297,36 +223,21 @@ impl EnodeB {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleOutcome {
     assignments: BTreeMap<Imsi, PrbAssignment>,
-    /// Per-user MCS rate factor at schedule time (CQI-derived).
-    rate_factors: BTreeMap<Imsi, f64>,
     total_prbs: u32,
     cell_rate_mbps: f64,
 }
 
 impl ScheduleOutcome {
-    /// The PRB assignment for `imsi`, if the user was scheduled.
-    pub fn assignment(&self, imsi: Imsi) -> Option<PrbAssignment> {
-        self.assignments.get(&imsi).copied()
-    }
-
-    /// All scheduled users.
-    pub fn scheduled_users(&self) -> impl Iterator<Item = (&Imsi, &PrbAssignment)> {
-        self.assignments.iter()
-    }
-
     /// Number of PRBs granted in total.
     pub fn prbs_used(&self) -> u32 {
         self.assignments.values().map(|a| a.count).sum()
     }
 
     /// The data rate `imsi` obtains this interval, Mb/s: its PRB share of
-    /// the cell, scaled by the MCS its reported CQI supports.
-    pub fn user_rate_mbps(&self, imsi: Imsi) -> f64 {
+    /// the cell.
+    pub(crate) fn user_rate_mbps(&self, imsi: Imsi) -> f64 {
         match self.assignments.get(&imsi) {
-            Some(a) => {
-                let factor = self.rate_factors.get(&imsi).copied().unwrap_or(1.0);
-                self.cell_rate_mbps * factor * a.count as f64 / self.total_prbs as f64
-            }
+            Some(a) => self.cell_rate_mbps * a.count as f64 / self.total_prbs as f64,
             None => 0.0,
         }
     }
@@ -377,7 +288,7 @@ mod tests {
             band: LteBand::Band38,
         };
         assert!(enb.attach(ue).is_none());
-        assert!(enb.attached_users().is_empty());
+        assert!(enb.attached.is_empty());
     }
 
     #[test]
@@ -398,16 +309,16 @@ mod tests {
         let out = enb.schedule(&[0.6, 0.4]);
         assert!(out.check_invariants());
         // 0.6 * 25 = 15 PRBs, 0.4 * 25 = 10 PRBs.
-        assert_eq!(out.assignment(Imsi(1000)).unwrap().count, 15);
-        assert_eq!(out.assignment(Imsi(1001)).unwrap().count, 10);
+        assert_eq!(out.assignments[&Imsi(1000)].count, 15);
+        assert_eq!(out.assignments[&Imsi(1001)].count, 10);
     }
 
     #[test]
     fn zero_share_user_is_not_scheduled() {
         let enb = enb_with_users(2, 1);
         let out = enb.schedule(&[1.0, 0.0]);
-        assert!(out.assignment(Imsi(1000)).is_some());
-        assert!(out.assignment(Imsi(1001)).is_none());
+        assert!(out.assignments.contains_key(&Imsi(1000)));
+        assert!(!out.assignments.contains_key(&Imsi(1001)));
         assert_eq!(out.user_rate_mbps(Imsi(1001)), 0.0);
     }
 
@@ -417,8 +328,9 @@ mod tests {
         let out = enb.schedule(&[0.5, 0.5]);
         assert!(out.check_invariants());
         let mut spans: Vec<(u32, u32)> = out
-            .scheduled_users()
-            .map(|(_, a)| (a.start, a.count))
+            .assignments
+            .values()
+            .map(|a| (a.start, a.count))
             .collect();
         spans.sort_unstable();
         // Users are packed back-to-back from PRB 0.
@@ -433,7 +345,7 @@ mod tests {
     fn shares_within_slice_are_balanced() {
         let enb = enb_with_users(1, 3);
         let out = enb.schedule(&[1.0]);
-        let counts: Vec<u32> = out.scheduled_users().map(|(_, a)| a.count).collect();
+        let counts: Vec<u32> = out.assignments.values().map(|a| a.count).collect();
         assert_eq!(counts.iter().sum::<u32>(), 25);
         let max = counts.iter().max().unwrap();
         let min = counts.iter().min().unwrap();
@@ -458,38 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn cqi_scales_user_rate() {
-        let mut enb = enb_with_users(1, 1);
-        let full = enb.schedule(&[1.0]).user_rate_mbps(Imsi(1000));
-        enb.report_cqi(Imsi(1000), Cqi::new(7));
-        let degraded = enb.schedule(&[1.0]).user_rate_mbps(Imsi(1000));
-        let expected = full * Cqi::new(7).rate_factor();
-        assert!((degraded - expected).abs() < 1e-9);
-        assert!(
-            degraded < full * 0.3,
-            "CQI 7 is roughly a quarter of peak MCS"
-        );
-    }
-
-    #[test]
-    fn cqi_table_is_monotone() {
-        for v in 1..15u8 {
-            assert!(
-                Cqi::new(v).spectral_efficiency() < Cqi::new(v + 1).spectral_efficiency(),
-                "CQI {v}"
-            );
-        }
-        assert_eq!(Cqi::default(), Cqi::MAX);
-        assert!((Cqi::MAX.rate_factor() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "CQI must be 1..=15")]
-    fn cqi_zero_rejected() {
-        Cqi::new(0);
-    }
-
-    #[test]
     fn unassociated_user_is_ignored() {
         let mut enb = EnodeB::prototype(LteBand::Band7);
         enb.attach(UserEquipment {
@@ -497,6 +377,6 @@ mod tests {
             band: LteBand::Band7,
         });
         let out = enb.schedule(&[1.0]);
-        assert!(out.assignment(Imsi(5)).is_none());
+        assert!(!out.assignments.contains_key(&Imsi(5)));
     }
 }

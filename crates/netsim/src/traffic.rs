@@ -106,7 +106,7 @@ impl DiurnalTrace {
     /// # Panics
     ///
     /// Panics if `peak_rate` is not positive.
-    pub fn synthesize(peak_rate: f64, phase_hours: f64, jitter: f64) -> Self {
+    pub(crate) fn synthesize(peak_rate: f64, phase_hours: f64, jitter: f64) -> Self {
         assert!(peak_rate > 0.0, "peak rate must be positive");
         let hourly = (0..24)
             .map(|h| {
@@ -142,11 +142,6 @@ impl DiurnalTrace {
         let midday = 0.55 * bump(13.0, 3.5);
         let evening = 0.75 * bump(20.0, 2.0);
         (floor + midday + evening).min(1.0)
-    }
-
-    /// The 24 hourly means.
-    pub fn hourly_means(&self) -> &[f64] {
-        &self.hourly
     }
 }
 
@@ -197,7 +192,7 @@ impl BlockRandomPoisson {
     }
 
     /// The rate in effect for `interval`.
-    pub fn rate_at(&self, interval: usize) -> f64 {
+    pub(crate) fn rate_at(&self, interval: usize) -> f64 {
         let b = (interval / self.block) as u64;
         // SplitMix64 over (seed, block) → uniform in [0, 1).
         let mut x = self.seed ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -329,7 +324,7 @@ mod tests {
     #[test]
     fn diurnal_shape_has_trough_and_evening_peak() {
         let t = DiurnalTrace::synthesize(10.0, 0.0, 0.0);
-        let means = t.hourly_means();
+        let means = &t.hourly;
         let night = means[3];
         let midday = means[13];
         let evening = means[20];
@@ -349,7 +344,7 @@ mod tests {
         let base = DiurnalTrace::synthesize(10.0, 0.0, 0.0);
         let shifted = DiurnalTrace::synthesize(10.0, 3.0, 0.0);
         let argmax = |t: &DiurnalTrace| {
-            t.hourly_means()
+            t.hourly
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
@@ -371,7 +366,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = DiurnalTrace::random_area(10.0, &mut rng);
         let b = DiurnalTrace::random_area(10.0, &mut rng);
-        assert_ne!(a.hourly_means(), b.hourly_means());
+        assert_ne!(a.hourly, b.hourly);
     }
 
     #[test]

@@ -70,13 +70,13 @@ impl Switch {
     }
 
     /// Installs (or replaces) a meter.
-    pub fn install_meter(&mut self, meter: Meter) {
+    pub(crate) fn install_meter(&mut self, meter: Meter) {
         self.meters.insert(meter.id, meter);
     }
 
     /// Removes a meter and every flow attached to it (the OpenFlow
     /// delete-meter cascade that causes the outage).
-    pub fn remove_meter(&mut self, id: MeterId) {
+    pub(crate) fn remove_meter(&mut self, id: MeterId) {
         self.meters.remove(&id);
         self.flows.retain(|_, m| *m != id);
     }
@@ -86,7 +86,7 @@ impl Switch {
     /// # Errors
     ///
     /// Returns an error string if the referenced meter does not exist.
-    pub fn install_flow(&mut self, entry: FlowEntry) -> Result<(), String> {
+    pub(crate) fn install_flow(&mut self, entry: FlowEntry) -> Result<(), String> {
         if !self.meters.contains_key(&entry.meter) {
             return Err(format!("meter {:?} not installed", entry.meter));
         }
@@ -96,21 +96,11 @@ impl Switch {
 
     /// The forwarding rate for traffic matching `m`, Mb/s; `0` (drop) when
     /// no flow matches — this is the outage state.
-    pub fn rate_for(&self, m: FlowMatch) -> f64 {
+    pub(crate) fn rate_for(&self, m: FlowMatch) -> f64 {
         self.flows
             .get(&m)
             .and_then(|id| self.meters.get(id))
             .map_or(0.0, |meter| meter.rate_mbps)
-    }
-
-    /// Number of installed flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Number of installed meters.
-    pub fn meter_count(&self) -> usize {
-        self.meters.len()
     }
 }
 
@@ -177,18 +167,13 @@ impl SdnController {
         self.outage_seconds
     }
 
-    /// The per-switch meter delete–create interval in effect, seconds.
-    pub fn deletion_creation_interval_s(&self) -> f64 {
-        self.deletion_creation_interval_s
-    }
-
     /// Reconfigures the modeled per-switch delete–create interval (e.g. to
     /// study slower control planes).
     ///
     /// # Panics
     ///
     /// Panics if `seconds` is negative or non-finite.
-    pub fn set_deletion_creation_interval_s(&mut self, seconds: f64) {
+    pub(crate) fn set_deletion_creation_interval_s(&mut self, seconds: f64) {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
             "invalid interval {seconds}"
@@ -329,7 +314,7 @@ mod tests {
         })
         .unwrap();
         sw.remove_meter(MeterId(1));
-        assert_eq!(sw.flow_count(), 0);
+        assert_eq!(sw.flows.len(), 0);
         assert_eq!(sw.rate_for(flow()), 0.0);
     }
 
@@ -368,8 +353,8 @@ mod tests {
         ctl.set_bandwidth(flow(), 20.0, ReconfigMode::MakeBeforeBreak);
         // Exactly one meter per switch remains.
         for sw in ctl.switches() {
-            assert_eq!(sw.meter_count(), 1);
-            assert_eq!(sw.flow_count(), 1);
+            assert_eq!(sw.meters.len(), 1);
+            assert_eq!(sw.flows.len(), 1);
         }
     }
 

@@ -173,7 +173,7 @@ pub fn sigmoid(x: f32) -> f32 {
 
 /// Numerically stable softplus `ln(1 + e^x)`.
 #[inline]
-pub fn softplus(x: f32) -> f32 {
+pub(crate) fn softplus(x: f32) -> f32 {
     if x > 30.0 {
         x
     } else if x < -30.0 {

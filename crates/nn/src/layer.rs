@@ -27,14 +27,6 @@ pub struct DenseGrad {
 }
 
 impl DenseGrad {
-    /// A zero gradient with the same shape as `layer`.
-    pub fn zeros_like(layer: &Dense) -> Self {
-        Self {
-            weights: Matrix::zeros(layer.out_dim(), layer.in_dim()),
-            bias: vec![0.0; layer.out_dim()],
-        }
-    }
-
     /// Reshapes this gradient to match `layer`, reusing allocations.
     /// Values are unspecified afterwards; callers overwrite them.
     pub fn resize_like(&mut self, layer: &Dense) {
@@ -53,14 +45,6 @@ impl DenseGrad {
         dz.sum_rows_into(&mut self.bias);
     }
 
-    /// `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &DenseGrad) {
-        self.weights.axpy(alpha, &other.weights);
-        for (b, o) in self.bias.iter_mut().zip(&other.bias) {
-            *b += alpha * o;
-        }
-    }
-
     /// Multiplies the gradient by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
         self.weights.scale(alpha);
@@ -70,7 +54,7 @@ impl DenseGrad {
     }
 
     /// Squared L2 norm of the gradient, accumulated in `f64`.
-    pub fn norm_sq(&self) -> f64 {
+    pub(crate) fn norm_sq(&self) -> f64 {
         self.weights.dot(&self.weights) + crate::matrix::dot_f64(&self.bias, &self.bias)
     }
 }
@@ -306,12 +290,13 @@ mod tests {
     #[test]
     fn grad_helpers() {
         let l = layer();
-        let mut g = DenseGrad::zeros_like(&l);
+        let mut g = DenseGrad {
+            weights: Matrix::zeros(l.out_dim(), l.in_dim()),
+            bias: vec![0.0; l.out_dim()],
+        };
         assert_eq!(g.norm_sq(), 0.0);
-        let mut h = DenseGrad::zeros_like(&l);
-        h.weights[(0, 0)] = 3.0;
-        h.bias[1] = 4.0;
-        g.axpy(1.0, &h);
+        g.weights[(0, 0)] = 3.0;
+        g.bias[1] = 4.0;
         assert_eq!(g.norm_sq(), 25.0);
         g.scale(0.5);
         assert_eq!(g.norm_sq(), 6.25);

@@ -49,7 +49,7 @@ mod matrix;
 mod network;
 mod optimizer;
 
-pub use activation::{sigmoid, softplus, Activation};
+pub use activation::{sigmoid, Activation};
 pub use init::Init;
 pub use layer::{Dense, DenseGrad};
 pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};

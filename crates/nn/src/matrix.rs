@@ -155,11 +155,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     ///
     /// # Panics
@@ -301,7 +296,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
+    pub(crate) fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
@@ -331,7 +326,7 @@ impl Matrix {
 
     /// Column-wise sum written into `out` (resized to `cols` as needed):
     /// each column accumulates from `+0.0` over the rows top to bottom.
-    pub fn sum_rows_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn sum_rows_into(&self, out: &mut Vec<f32>) {
         out.resize(self.cols, 0.0);
         out.fill(0.0);
         for r in self.data.chunks_exact(self.cols) {

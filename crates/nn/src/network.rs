@@ -215,13 +215,6 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// A zero gradient shaped like `net`.
-    pub fn zeros_like(net: &Mlp) -> Self {
-        Self {
-            layers: net.layers.iter().map(DenseGrad::zeros_like).collect(),
-        }
-    }
-
     /// Reshapes to match `net`, reusing allocations; values are
     /// unspecified afterwards.
     pub fn resize_like(&mut self, net: &Mlp) {
@@ -229,13 +222,6 @@ impl Gradients {
             .resize_with(net.layers.len(), DenseGrad::default);
         for (g, l) in self.layers.iter_mut().zip(&net.layers) {
             g.resize_like(l);
-        }
-    }
-
-    /// `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Gradients) {
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.axpy(alpha, b);
         }
     }
 
@@ -247,7 +233,7 @@ impl Gradients {
     }
 
     /// Global (whole-network) L2 norm, accumulated in `f64`.
-    pub fn global_norm(&self) -> f64 {
+    pub(crate) fn global_norm(&self) -> f64 {
         self.layers
             .iter()
             .map(DenseGrad::norm_sq)

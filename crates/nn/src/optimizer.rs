@@ -40,16 +40,6 @@ impl Adam {
         Self::new(net, 1e-3)
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Sets the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
     /// Applies one descent step: `θ ← θ - lr * m̂ / (sqrt(v̂) + ε)`.
     ///
     /// `grads` must come from a backward pass over `net` (gradient of the
@@ -220,15 +210,5 @@ mod tests {
             assert!(after.iter().all(|p| p.is_finite()), "step {}", adam.t);
             assert_ne!(before, after, "step {} left the parameters", adam.t);
         }
-    }
-
-    #[test]
-    fn adam_learning_rate_accessors() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let net = Mlp::new(&[1, 2, 1], Activation::Relu, Activation::Identity, &mut rng);
-        let mut adam = Adam::paper(&net);
-        assert_eq!(adam.learning_rate(), 1e-3);
-        adam.set_learning_rate(5e-4);
-        assert_eq!(adam.learning_rate(), 5e-4);
     }
 }

@@ -88,7 +88,7 @@ mod tests {
                 .collect::<Vec<f64>>()
         };
         let x_cg = conjugate_gradient(matvec, &b, 20, 1e-12);
-        let x_direct = crate::solve_spd(&a, &b).unwrap();
+        let x_direct = crate::solve::solve_spd(&a, &b).unwrap();
         for (u, v) in x_cg.iter().zip(&x_direct) {
             assert!((u - v).abs() < 1e-9);
         }

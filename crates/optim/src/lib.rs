@@ -11,7 +11,6 @@
 //! * [`LinearModel`] — the local linear regression that the simulated
 //!   environment fits over grid-search neighbours (Sec. VI-B; the paper used
 //!   scikit-learn).
-//! * [`solve_spd`] / [`solve_spd_in_place`] — small dense SPD solvers.
 //! * [`conjugate_gradient`] — implicit-system solver used by TRPO.
 //!
 //! # Examples
@@ -43,4 +42,3 @@ pub use cg::conjugate_gradient;
 pub use error::OptimError;
 pub use linreg::LinearModel;
 pub use qp::{project_capacity_strided, project_sum_halfspace};
-pub use solve::{solve_spd, solve_spd_in_place};

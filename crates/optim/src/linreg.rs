@@ -7,7 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{solve_spd_in_place, OptimError};
+use crate::solve::solve_spd_in_place;
+use crate::OptimError;
 
 /// A fitted linear model `y = w · x + b`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,11 +123,6 @@ impl LinearModel {
         &self.weights
     }
 
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
     /// Predicts `w · x + b`.
     ///
     /// # Panics
@@ -188,7 +184,7 @@ mod tests {
             ata[i * n + i] += lambda.max(1e-9);
         }
         ata[d * n + d] += 1e-9;
-        let sol = crate::solve_spd(&ata, &atb)?;
+        let sol = crate::solve::solve_spd(&ata, &atb)?;
         Ok(LinearModel {
             weights: sol[..d].to_vec(),
             intercept: sol[d],
@@ -221,8 +217,8 @@ mod tests {
                 prop_assert_eq!(got.weights()[i].to_bits(), w.to_bits());
                 prop_assert_eq!(coef[i].to_bits(), w.to_bits());
             }
-            prop_assert_eq!(got.intercept().to_bits(), want.intercept().to_bits());
-            prop_assert_eq!(coef[3].to_bits(), want.intercept().to_bits());
+            prop_assert_eq!(got.intercept.to_bits(), want.intercept.to_bits());
+            prop_assert_eq!(coef[3].to_bits(), want.intercept.to_bits());
             prop_assert_eq!(
                 LinearModel::predict_coef(&coef, &at).to_bits(),
                 want.predict(&at).to_bits()
@@ -249,7 +245,7 @@ mod tests {
         let m = LinearModel::fit(&xs, &ys, 0.0).unwrap();
         assert!((m.weights()[0] - 3.0).abs() < 1e-6);
         assert!((m.weights()[1] + 2.0).abs() < 1e-6);
-        assert!((m.intercept() - 5.0).abs() < 1e-5);
+        assert!((m.intercept - 5.0).abs() < 1e-5);
         assert!(m.mse(&xs, &ys) < 1e-10);
     }
 

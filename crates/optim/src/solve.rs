@@ -3,32 +3,20 @@
 use crate::OptimError;
 
 /// Solves `A x = b` for a symmetric positive-definite `A` (row-major,
-/// `n × n`) via Cholesky factorization.
-///
-/// # Errors
-///
-/// Returns [`OptimError::NotPositiveDefinite`] if a non-positive pivot is
-/// encountered, and [`OptimError::DimensionMismatch`] if shapes disagree.
-pub fn solve_spd(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
-    let mut l = a.to_vec();
-    let mut x = b.to_vec();
-    solve_spd_in_place(&mut l, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_spd`] without touching the heap: the Cholesky factor `L`
-/// overwrites `a`'s lower triangle (the strict upper triangle is never
-/// read or written) and the solution overwrites `b`. Every element is
-/// computed by the same operations in the same order as the out-of-place
+/// `n × n`) via Cholesky factorization, without touching the heap: the
+/// factor `L` overwrites `a`'s lower triangle (the strict upper triangle is
+/// never read or written) and the solution overwrites `b`. Every element is
+/// computed by the same operations in the same order as an out-of-place
 /// solve — each `L` entry is read only after it is final, and both
 /// triangular solves consume `b` in the direction they produce it — so the
 /// two agree bit for bit.
 ///
 /// # Errors
 ///
-/// As [`solve_spd`]. On [`OptimError::NotPositiveDefinite`] both buffers
-/// are left partially overwritten.
-pub fn solve_spd_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), OptimError> {
+/// Returns [`OptimError::NotPositiveDefinite`] if a non-positive pivot is
+/// encountered (both buffers are then left partially overwritten), and
+/// [`OptimError::DimensionMismatch`] if shapes disagree.
+pub(crate) fn solve_spd_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), OptimError> {
     let n = b.len();
     if a.len() != n * n {
         return Err(OptimError::DimensionMismatch {
@@ -73,6 +61,15 @@ pub fn solve_spd_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), OptimError
         b[i] = sum / a[i * n + i];
     }
     Ok(())
+}
+
+/// [`solve_spd_in_place`] on copies of `a` and `b`, returning `x`.
+#[cfg(test)]
+pub(crate) fn solve_spd(a: &[f64], b: &[f64]) -> Result<Vec<f64>, OptimError> {
+    let mut l = a.to_vec();
+    let mut x = b.to_vec();
+    solve_spd_in_place(&mut l, &mut x)?;
+    Ok(x)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ mod value;
 pub use common::GaussianPolicy;
 pub use ddpg::{Ddpg, DdpgConfig, DdpgUpdate};
 pub use env::{evaluate, Environment, Step, Transition};
-pub use noise::{sample_standard_normal, DecayingGaussian};
+pub use noise::DecayingGaussian;
 pub use on_policy::{OnPolicy, OnPolicyConfig, OnPolicyUpdate, UpdateRule};
 pub use replay::{Batch, ReplayBuffer, SampleError};
 pub use sac::{Sac, SacConfig, SacUpdate};

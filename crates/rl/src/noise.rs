@@ -33,7 +33,7 @@ impl DecayingGaussian {
     }
 
     /// Current standard deviation.
-    pub fn sigma(&self) -> f64 {
+    pub(crate) fn sigma(&self) -> f64 {
         self.sigma
     }
 
@@ -71,7 +71,7 @@ pub(crate) mod rand_distr_shim {
 }
 
 /// Draws one standard-normal sample.
-pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
+pub(crate) fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     rand_distr_shim::StandardNormal.sample(rng)
 }
 

@@ -41,7 +41,7 @@ impl ValueNet {
     }
 
     /// Predicted value of a single state.
-    pub fn predict_one(&self, state: &[f64]) -> f64 {
+    pub(crate) fn predict_one(&self, state: &[f64]) -> f64 {
         self.net.forward_one(state)[0]
     }
 

@@ -21,7 +21,7 @@
 //! For lease/heartbeat logic the module additionally provides a *mockable*
 //! clock: [`Clock`] yields monotonic [`TimePoint`]s either from the real
 //! wall ([`Clock::wall`]) or from a hand-advanced counter
-//! ([`Clock::mock`]), so registration-plane deadline tests never sleep.
+//! ([`Clock::Mock`]), so registration-plane deadline tests never sleep.
 //! Consumers take `TimePoint` parameters instead of reading time
 //! themselves, which keeps them out of the quarantine entirely.
 
@@ -47,7 +47,7 @@ impl RoundDeadline {
 
     /// Time left until the deadline ([`Duration::ZERO`] once passed) —
     /// the timeout to hand to the next blocking channel receive.
-    pub fn remaining(&self) -> Duration {
+    pub(crate) fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
     }
 }
@@ -66,14 +66,9 @@ impl TimePoint {
         Self { millis }
     }
 
-    /// Milliseconds since the clock epoch.
-    pub fn millis(self) -> u64 {
-        self.millis
-    }
-
     /// Milliseconds elapsed since `earlier` (0 if `earlier` is later —
     /// monotonic clocks never require negative elapsed time).
-    pub fn millis_since(self, earlier: TimePoint) -> u64 {
+    pub(crate) fn millis_since(self, earlier: TimePoint) -> u64 {
         self.millis.saturating_sub(earlier.millis)
     }
 }
@@ -102,7 +97,8 @@ impl Clock {
     }
 
     /// A mock clock starting at 0 ms, plus the handle that advances it.
-    pub fn mock() -> (Self, MockClock) {
+    #[cfg(test)]
+    pub(crate) fn mock() -> (Self, MockClock) {
         let state = Arc::new(AtomicU64::new(0));
         (Clock::Mock(Arc::clone(&state)), MockClock(state))
     }
@@ -129,11 +125,6 @@ impl MockClock {
         let ms = u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
         let prev = self.0.load(Ordering::SeqCst);
         self.0.store(prev.saturating_add(ms), Ordering::SeqCst);
-    }
-
-    /// Sets mock time to an absolute millisecond count.
-    pub fn set_millis(&self, millis: u64) {
-        self.0.store(millis, Ordering::SeqCst);
     }
 }
 
@@ -163,8 +154,6 @@ mod tests {
         assert_eq!(clock.now(), TimePoint::from_millis(250));
         // Clones share the counter — no clone-local time.
         assert_eq!(observer.now(), TimePoint::from_millis(250));
-        handle.set_millis(1000);
-        assert_eq!(observer.now().millis(), 1000);
     }
 
     #[test]

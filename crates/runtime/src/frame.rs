@@ -17,7 +17,7 @@
 //! Decoding NEVER panics: truncated frames, oversized length prefixes,
 //! unknown tags, trailing garbage, and malformed payloads all surface as a
 //! typed [`FrameError`]. Length prefixes are validated against
-//! [`MAX_PAYLOAD_LEN`] *before* any allocation, so a hostile or corrupt
+//! `MAX_PAYLOAD_LEN` *before* any allocation, so a hostile or corrupt
 //! peer cannot trigger an allocation bomb.
 
 use crate::msg::{Control, CoordInfo};
@@ -32,16 +32,16 @@ pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload (1 MiB). A length prefix beyond this is
 /// rejected as [`FrameError::Oversized`] before allocating.
-pub const MAX_PAYLOAD_LEN: usize = 1 << 20;
+pub(crate) const MAX_PAYLOAD_LEN: usize = 1 << 20;
 
 /// Bytes in the frame header (`tag` + `len`).
 pub const HEADER_LEN: usize = 5;
 
 /// Rejection code: peer speaks an incompatible protocol version.
-pub const REJECT_VERSION: u32 = 1;
+pub(crate) const REJECT_VERSION: u32 = 1;
 /// Rejection code: the announced RA index is outside the coordinator's
 /// worker range.
-pub const REJECT_UNKNOWN_RA: u32 = 2;
+pub(crate) const REJECT_UNKNOWN_RA: u32 = 2;
 
 /// A typed frame-decode failure. Every variant is a protocol observation,
 /// not a crash: the codec is total over arbitrary byte strings.
@@ -54,7 +54,7 @@ pub enum FrameError {
         /// Bytes actually available.
         have: usize,
     },
-    /// The length prefix exceeds [`MAX_PAYLOAD_LEN`].
+    /// The length prefix exceeds `MAX_PAYLOAD_LEN`.
     Oversized {
         /// The announced payload length.
         len: usize,
@@ -190,7 +190,7 @@ const CTL_REJOIN: u8 = 1;
 const CTL_SHUTDOWN: u8 = 2;
 
 /// Encodes `msg` as one complete frame (header + payload). Fails only if
-/// the payload would exceed [`MAX_PAYLOAD_LEN`] (an oversized report
+/// the payload would exceed `MAX_PAYLOAD_LEN` (an oversized report
 /// body).
 pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
     let mut p = Vec::with_capacity(64);
@@ -297,7 +297,7 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
 /// `Ok(None)` when more header bytes are needed; `Err` when the header
 /// itself is invalid (oversized length prefix) — the streaming reader's
 /// "how much to read next" primitive.
-pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
+pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
@@ -315,7 +315,7 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
 
 /// Decodes exactly one complete frame from the front of `buf`, returning
 /// the message and the bytes consumed. A buffer shorter than the frame is
-/// [`FrameError::Truncated`] (streaming readers call [`frame_len`] first
+/// [`FrameError::Truncated`] (streaming readers call `frame_len` first
 /// and only decode complete frames, so `Truncated` there means EOF
 /// mid-frame).
 pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {

@@ -85,12 +85,11 @@ pub use net::{
 pub use registration::{
     caps, Lease, NodeInfo, RegStats, Registration, RegistrationError, RegistrationPlane,
 };
-pub use seed::{derive_stream_seed, DOMAIN_FAULTS, DOMAIN_ORCH, DOMAIN_ROUND, DOMAIN_TRAIN};
+pub use seed::{derive_stream_seed, DOMAIN_ORCH, DOMAIN_ROUND, DOMAIN_TRAIN};
 pub use supervisor::{DownCause, Supervisor, SupervisorConfig, WorkerDown};
 pub use transport::{
-    client_handshake, connect_tcp, connect_uds, loopback_pair, server_handshake, ByteStream,
-    FramedTransport, LinkStats, LoopbackTransport, NetListener, NetStream, RetryPolicy, Transport,
-    TransportError,
+    connect_tcp, connect_uds, loopback_pair, ByteStream, FramedTransport, LinkStats,
+    LoopbackTransport, NetListener, NetStream, RetryPolicy, Transport, TransportError,
 };
 
 /// How the engine maps RA workers onto OS threads.

@@ -183,12 +183,12 @@ impl<T: Transport> NetCoordinator<T> {
     }
 
     /// Adopts a freshly connected peer: serves its handshake
-    /// ([`crate::server_handshake`], bounded by
+    /// ([`crate::transport::server_handshake`], bounded by
     /// [`NetConfig::handshake_timeout`], which rejects a wrong version or
     /// an RA out of range) and installs the link — replacing any previous
     /// (dead) link for the same RA. Registration itself arrives as the
     /// peer's next frame and is absorbed during the normal message pump.
-    pub fn adopt(&mut self, mut t: T) -> Result<usize, TransportError> {
+    pub(crate) fn adopt(&mut self, mut t: T) -> Result<usize, TransportError> {
         let ra = server_handshake(&mut t, self.links.len(), self.config.handshake_timeout)?;
         if let Some(slot) = self.links.get_mut(ra) {
             *slot = Some(Link { t, broken: false });

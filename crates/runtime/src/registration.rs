@@ -169,7 +169,7 @@ impl RegistrationPlane {
     }
 
     /// Records a registration arriving during `round` at wall time `now`.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         info: NodeInfo,
         lease: Lease,
@@ -199,7 +199,7 @@ impl RegistrationPlane {
     /// Records a round-tagged sign of life from `ra`: a report for
     /// `round`, or a refresh carrying the last round the worker served.
     /// A sign of life from an expired node re-admits it (a rejoin).
-    pub fn note_alive(
+    pub(crate) fn note_alive(
         &mut self,
         ra: usize,
         round: usize,
@@ -227,7 +227,7 @@ impl RegistrationPlane {
     /// leases *and* still-expired nodes (failure is re-reported every
     /// round it persists, mirroring [`DownCause::RestartsExhausted`]).
     /// Events are sorted by RA.
-    pub fn end_round(&mut self, round: usize, now: TimePoint) -> Vec<WorkerDown> {
+    pub(crate) fn end_round(&mut self, round: usize, now: TimePoint) -> Vec<WorkerDown> {
         let mut downs = Vec::new();
         for (ra, slot) in self.slots.iter_mut().enumerate() {
             match slot.state {
@@ -265,22 +265,15 @@ impl RegistrationPlane {
         downs
     }
 
-    /// Whether `ra` is registered and its lease is current.
-    pub fn is_live(&self, ra: usize) -> bool {
-        self.slots
-            .get(ra)
-            .is_some_and(|s| s.state == NodeState::Live)
-    }
-
     /// Whether `ra` has ever registered (live or expired).
-    pub fn is_registered(&self, ra: usize) -> bool {
+    pub(crate) fn is_registered(&self, ra: usize) -> bool {
         self.slots
             .get(ra)
             .is_some_and(|s| s.state != NodeState::Unregistered)
     }
 
     /// Whether every slot has registered.
-    pub fn all_registered(&self) -> bool {
+    pub(crate) fn all_registered(&self) -> bool {
         self.slots
             .iter()
             .all(|s| s.state != NodeState::Unregistered)
@@ -359,8 +352,8 @@ mod tests {
             }
         }
         assert_eq!(plane.stats().leases_expired, 1, "expiry counted once");
-        assert!(!plane.is_live(1));
-        assert!(plane.is_live(0));
+        assert_ne!(plane.slots[1].state, NodeState::Live);
+        assert_eq!(plane.slots[0].state, NodeState::Live);
     }
 
     #[test]
@@ -371,10 +364,10 @@ mod tests {
         plane.register(node(0), lease(0), 0, now).unwrap();
         // Deadline 0: any missed round is fatal.
         assert_eq!(plane.end_round(1, now).len(), 1);
-        assert!(!plane.is_live(0));
+        assert_ne!(plane.slots[0].state, NodeState::Live);
         // The node answers again in round 3: re-admitted, counted.
         plane.note_alive(0, 3, now).unwrap();
-        assert!(plane.is_live(0));
+        assert_eq!(plane.slots[0].state, NodeState::Live);
         assert_eq!(plane.stats().rejoins, 1);
         assert!(plane.end_round(3, now).is_empty());
     }

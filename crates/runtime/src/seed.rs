@@ -3,7 +3,7 @@
 //! A parallel run is only reproducible if every worker owns its own
 //! random stream: a shared generator would interleave draws in scheduling
 //! order. Each worker therefore derives a private seed from the run's
-//! master seed, a *domain* tag (orchestration vs training vs faults), and
+//! master seed, a *domain* tag (orchestration, training, or per-round), and
 //! its RA index. The derivation is a double SplitMix64 finalizer over the
 //! mixed words — stateless, collision-resistant in practice, and
 //! independent of how many workers exist or which thread runs them.
@@ -14,11 +14,6 @@ pub const DOMAIN_ORCH: u64 = 0x0E5E_0001_0000_0001;
 
 /// Domain tag for per-RA offline-training streams.
 pub const DOMAIN_TRAIN: u64 = 0x0E5E_0002_0000_0001;
-
-/// Domain tag reserved for fault-schedule expansion (kept distinct from
-/// the orchestration and training domains so a fault plan never perturbs
-/// traffic or learning streams).
-pub const DOMAIN_FAULTS: u64 = 0x0E5E_0003_0000_0001;
 
 /// Domain tag for per-round re-derivation of a worker's stream: seeding
 /// round `r` from `derive_stream_seed(worker_stream, DOMAIN_ROUND, r)`
@@ -67,7 +62,6 @@ mod tests {
     fn domains_and_indices_separate_streams() {
         let base = derive_stream_seed(7, DOMAIN_ORCH, 0);
         assert_ne!(base, derive_stream_seed(7, DOMAIN_TRAIN, 0));
-        assert_ne!(base, derive_stream_seed(7, DOMAIN_FAULTS, 0));
         assert_ne!(base, derive_stream_seed(7, DOMAIN_ROUND, 0));
         assert_ne!(base, derive_stream_seed(7, DOMAIN_ORCH, 1));
         assert_ne!(base, derive_stream_seed(8, DOMAIN_ORCH, 0));
@@ -77,7 +71,7 @@ mod tests {
     fn no_collisions_over_a_small_grid() {
         let mut seen = std::collections::BTreeSet::new();
         for master in 0..8u64 {
-            for domain in [DOMAIN_ORCH, DOMAIN_TRAIN, DOMAIN_FAULTS, DOMAIN_ROUND] {
+            for domain in [DOMAIN_ORCH, DOMAIN_TRAIN, DOMAIN_ROUND] {
                 for index in 0..64u64 {
                     assert!(
                         seen.insert(derive_stream_seed(master, domain, index)),

@@ -140,12 +140,16 @@ impl SupervisorConfig {
     /// The backoff slept before restart number `n` (0-based):
     /// `backoff_base * 2^n`, saturating at `backoff_max`.
     #[must_use]
-    pub fn backoff(&self, n: usize) -> Duration {
-        let factor = 1u32 << n.min(16) as u32;
-        self.backoff_base
-            .checked_mul(factor)
-            .map_or(self.backoff_max, |d| d.min(self.backoff_max))
+    pub(crate) fn backoff(&self, n: usize) -> Duration {
+        exponential_backoff(self.backoff_base, self.backoff_max, n)
     }
+}
+
+/// `base · 2^min(n, 16)`, saturating at `max`: the bounded exponential
+/// backoff of supervisor restarts and transport retries.
+pub(crate) fn exponential_backoff(base: Duration, max: Duration, n: usize) -> Duration {
+    let factor = 1u32 << n.min(16) as u32;
+    base.checked_mul(factor).map_or(max, |d| d.min(max))
 }
 
 /// Per-shard supervision state: one restart counter and one dead flag per

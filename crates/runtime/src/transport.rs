@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use crate::frame::{
     self, FrameError, WireMsg, PROTOCOL_VERSION, REJECT_UNKNOWN_RA, REJECT_VERSION,
 };
+use crate::supervisor::exponential_backoff;
 
 /// A typed transport failure. `Timeout` and `Disconnected` are ordinary
 /// protocol observations (the registration plane turns sustained silence
@@ -161,11 +162,8 @@ impl RetryPolicy {
     /// The backoff slept before retry `n` (0-based), doubling and
     /// saturating at `backoff_max`.
     #[must_use]
-    pub fn backoff(&self, n: usize) -> Duration {
-        let factor = 1u32 << n.min(16) as u32;
-        self.backoff_base
-            .checked_mul(factor)
-            .map_or(self.backoff_max, |d| d.min(self.backoff_max))
+    pub(crate) fn backoff(&self, n: usize) -> Duration {
+        exponential_backoff(self.backoff_base, self.backoff_max, n)
     }
 }
 
@@ -433,6 +431,7 @@ impl NetListener {
     }
 
     /// Binds a non-blocking TCP listener at `addr` (e.g. `127.0.0.1:0`).
+    // lint:allow(dead-pub): README "Multi-process mode" promises UDS or TCP; no bin wires TCP in
     pub fn bind_tcp(addr: &str) -> Result<Self, TransportError> {
         let l = TcpListener::bind(addr).map_err(|e| io_err("bind", &e))?;
         l.set_nonblocking(true).map_err(|e| io_err("bind", &e))?;
@@ -440,6 +439,7 @@ impl NetListener {
     }
 
     /// The bound TCP address, if this is a TCP listener.
+    // lint:allow(dead-pub): README "Multi-process mode" promises UDS or TCP; no bin wires TCP in
     pub fn tcp_addr(&self) -> Option<std::net::SocketAddr> {
         match self {
             NetListener::Tcp(l) => l.local_addr().ok(),
@@ -510,6 +510,7 @@ pub fn connect_uds(
 
 /// Connects to a TCP coordinator socket, retrying while the listener
 /// comes up (bounded by `budget`).
+// lint:allow(dead-pub): README "Multi-process mode" promises UDS or TCP; no bin wires TCP in
 pub fn connect_tcp(
     addr: &str,
     retry: RetryPolicy,
@@ -533,7 +534,7 @@ pub fn connect_tcp(
 /// `HelloAck`. A silent server is a typed [`TransportError::Timeout`], a
 /// dead one [`TransportError::Disconnected`] — never a hang past
 /// `timeout`.
-pub fn client_handshake<T: Transport>(
+pub(crate) fn client_handshake<T: Transport>(
     t: &mut T,
     ra: usize,
     timeout: Duration,
@@ -567,7 +568,7 @@ pub fn client_handshake<T: Transport>(
 /// RA outside `0..n_ras`. Returns the RA the connection announces.
 /// Bounded by `timeout`: a connecting-but-silent client cannot stall the
 /// coordinator.
-pub fn server_handshake<T: Transport>(
+pub(crate) fn server_handshake<T: Transport>(
     t: &mut T,
     n_ras: usize,
     timeout: Duration,

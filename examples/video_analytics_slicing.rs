@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example video_analytics_slicing`
 
-use edgeslice::{RaId, ResourceKind, ResourceManagers, SliceAllocation, SliceId, SystemMonitor};
+use edgeslice::{RaId, ResourceKind, ResourceManagers, SliceAllocation, SliceId};
 use edgeslice_netsim::compute::{split_kernel, Kernel};
 use edgeslice_netsim::radio::{extract_imsi, EnodeB, Imsi, LteBand, S1apMessage, UserEquipment};
 use edgeslice_netsim::transport::IpAddr;
@@ -16,7 +16,6 @@ fn main() {
     // --- Radio attach: the manager learns user↔slice associations from
     // S1AP without touching the UE side.
     let mut enb = EnodeB::prototype(LteBand::Band7);
-    let mut monitor = SystemMonitor::new();
     let users = [
         (Imsi(310170000000001), SliceId(0), IpAddr([10, 0, 0, 1])),
         (Imsi(310170000000002), SliceId(1), IpAddr([10, 0, 0, 2])),
@@ -30,8 +29,6 @@ fn main() {
             .expect("UE searches band 7");
         let learned = extract_imsi(&msg).expect("attach carries the IMSI");
         enb.associate(learned, slice.0);
-        monitor.associate_imsi(learned, slice);
-        monitor.associate_ip(ip, slice);
         println!("attached {learned} -> {slice} (ip {ip})");
     }
 

@@ -16,17 +16,10 @@ pub use edgeslice_nn as nn;
 pub use edgeslice_optim as optim;
 pub use edgeslice_rl as rl;
 
-/// The arXiv identifier of the reproduced paper.
-pub const PAPER_ARXIV_ID: &str = "2003.12911";
-
-/// The paper's venue.
-pub const PAPER_VENUE: &str = "IEEE ICDCS 2020";
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn reexports_resolve() {
         let _ = crate::edgeslice::SystemConfig::prototype();
-        assert_eq!(crate::PAPER_ARXIV_ID, "2003.12911");
     }
 }
