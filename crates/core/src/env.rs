@@ -698,6 +698,30 @@ mod tests {
         assert!(e.last_performance()[1] < -400.0);
     }
 
+    /// Every queue stays flow-conserving across the flushes the env makes:
+    /// `reset`, `clear_queues` and a slot's deactivation, with a starved
+    /// slice overflowing its bounded queue in between.
+    #[test]
+    fn queues_conserve_across_reset_and_clear() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut e = env(StateSpec::Full);
+        let conserving = |e: &RaSliceEnv| e.queues().iter().all(ServiceQueue::is_conserving);
+        let starve = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0];
+        for _ in 0..2 {
+            e.reset(&mut rng);
+            assert!(conserving(&e), "after reset");
+            for _ in 0..40 {
+                e.step(&starve, &mut rng);
+            }
+            assert!(conserving(&e), "after stepping");
+            e.clear_queues();
+            assert!(conserving(&e), "after clear_queues");
+        }
+        e.step(&starve, &mut rng);
+        e.set_slice_active(1, false);
+        assert!(conserving(&e), "after deactivating a slot");
+    }
+
     #[test]
     fn over_allocation_is_penalized_in_reward() {
         let mut rng = StdRng::seed_from_u64(2);

@@ -94,9 +94,8 @@ pub use store::{CheckpointStore, LatestRun, RunSnapshot, TrainSnapshot, WorkerSn
 // downstream users don't need a direct `edgeslice-runtime` dependency.
 pub use edgeslice_runtime::{
     channel_acceptor, connect_tcp, connect_uds, loopback_pair, Acceptor, ChannelAcceptor, Clock,
-    FramedTransport, Lease, ListenerAcceptor, LoopbackTransport, MockClock, NetConfig,
-    NetCoordinator, NetListener, NetStats, RetryPolicy, Scheduler, SupervisorConfig, Transport,
-    TransportError,
+    FramedTransport, Lease, ListenerAcceptor, LoopbackTransport, NetConfig, NetCoordinator,
+    NetListener, NetStats, RetryPolicy, Scheduler, SupervisorConfig, Transport, TransportError,
 };
 // Fleet scratch staging is part of the system API; re-export it so
 // downstream users don't need a direct `edgeslice-nn` dependency.

@@ -65,9 +65,9 @@ impl ServiceQueue {
             Some(cap) => tasks.min((cap - self.backlog).max(0.0)),
             None => tasks,
         };
+        self.total_arrived += tasks;
         self.total_dropped += tasks - accepted;
         self.backlog += accepted;
-        self.total_arrived += accepted;
         accepted
     }
 
@@ -97,10 +97,13 @@ impl ServiceQueue {
         b
     }
 
-    /// Flow-conservation check:
-    /// `arrived == served + backlog` (within floating-point tolerance).
+    /// Flow-conservation check: every offered task was served, dropped
+    /// (on overflow or by a [`ServiceQueue::flush`]) or is still queued —
+    /// `arrived == served + dropped + backlog` (within floating-point
+    /// tolerance).
     pub fn is_conserving(&self) -> bool {
-        (self.total_arrived - self.total_served - self.backlog).abs() < 1e-6
+        let accounted = self.total_served + self.total_dropped + self.backlog;
+        (self.total_arrived - accounted).abs() < 1e-6
     }
 }
 
@@ -142,6 +145,10 @@ mod tests {
         assert_eq!(q.total_dropped, 3.0);
         assert_eq!(q.backlog(), 5.0);
         assert!(q.is_conserving());
+        q.serve(1.0);
+        assert_eq!(q.arrive(2.0), 1.0);
+        assert_eq!(q.total_arrived, 10.0);
+        assert!(q.is_conserving());
     }
 
     #[test]
@@ -152,6 +159,10 @@ mod tests {
         assert_eq!(q.flush(), 5.0);
         assert_eq!(q.backlog(), 0.0);
         assert_eq!(q.total_dropped, 5.0);
+        assert!(q.is_conserving());
+        q.arrive(1.0);
+        assert_eq!(q.flush(), 1.0);
+        assert!(q.is_conserving());
     }
 
     #[test]

@@ -87,20 +87,22 @@ impl Activation {
 
     /// Applies the activation element-wise, writing [`Activation::eval`] of
     /// each element of `z` into `out` (resized as needed); allocation-free.
-    ///
-    /// The variant is matched once per call, not per element: each arm runs
-    /// its own monomorphised loop over [`Activation::eval`] of a constant
-    /// variant, so the loop body is branch-free wherever the activation is
-    /// (Leaky ReLU's select, say) and every element's expression is
-    /// unchanged.
     pub fn forward_into(self, z: &Matrix, out: &mut Matrix) {
-        fn run(out: &mut [f32], z: &[f32], f: impl Fn(f32) -> f32) {
-            for (o, &x) in out.iter_mut().zip(z) {
+        out.resize_for(z.rows(), z.cols());
+        self.eval_into(z.as_slice().iter().copied(), out.as_mut_slice());
+    }
+
+    /// Writes [`Activation::eval`] of each value `z` yields into `out`, in
+    /// order. The variant is matched once per call, not per element: each
+    /// arm runs its own monomorphised loop over `eval` of a constant
+    /// variant, so the loop body is branch-free wherever the activation is
+    /// (Leaky ReLU's select, say) and every element's value is unchanged.
+    pub(crate) fn eval_into(self, z: impl Iterator<Item = f32>, out: &mut [f32]) {
+        fn run(out: &mut [f32], z: impl Iterator<Item = f32>, f: impl Fn(f32) -> f32) {
+            for (o, x) in out.iter_mut().zip(z) {
                 *o = f(x);
             }
         }
-        out.resize_for(z.rows(), z.cols());
-        let (out, z) = (out.as_mut_slice(), z.as_slice());
         match self {
             Activation::Identity => run(out, z, |x| Activation::Identity.eval(x)),
             Activation::Relu => run(out, z, |x| Activation::Relu.eval(x)),

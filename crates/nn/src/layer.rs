@@ -8,8 +8,8 @@ use crate::{Activation, GemmOp, Init, Matrix};
 /// A dense layer computing `act(x Wᵀ + b)` over a batch of row-vector inputs.
 ///
 /// Weights are stored `out × in` so a batch forward pass is a single
-/// [`GemmOp::ABt`] product. (The batch-1 forward runs as [`GemmOp::AB`]
-/// against an output-major copy that the owning [`crate::Mlp`] memoises.)
+/// [`GemmOp::ABt`] product. (The batch-1 forward runs against a padded
+/// output-major copy that the owning [`crate::Mlp`] memoises.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
@@ -120,28 +120,6 @@ impl Dense {
     /// (both resized as needed).
     pub fn forward_into(&self, x: &Matrix, z: &mut Matrix, out: &mut Matrix) {
         Matrix::gemm_into(GemmOp::ABt, x, &self.weights, z);
-        self.bias_activation_into(z, out);
-    }
-
-    /// [`Dense::forward_into`] against `weights_t`, this layer's weights laid
-    /// out output-major (`in × out`, i.e. `Wᵀ`): the product runs as `A·B`,
-    /// whose one-row kernel vectorises across outputs where `A·Bᵀ`'s dot
-    /// tiles cannot. Each output is the same `k`-ascending sum of the same
-    /// terms, so the result is bit-identical to [`Dense::forward_into`].
-    pub(crate) fn forward_output_major_into(
-        &self,
-        x: &Matrix,
-        weights_t: &Matrix,
-        z: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        Matrix::gemm_into(GemmOp::AB, x, weights_t, z);
-        self.bias_activation_into(z, out);
-    }
-
-    /// The element-wise half of a forward pass: adds the bias to the
-    /// pre-activation product in `z` and writes the activation into `out`.
-    fn bias_activation_into(&self, z: &mut Matrix, out: &mut Matrix) {
         z.add_row_broadcast(&self.bias);
         self.activation.forward_into(z, out);
     }

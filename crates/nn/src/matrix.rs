@@ -16,6 +16,8 @@ use std::ops::{Add, Sub};
 
 use serde::{Deserialize, Serialize};
 
+use crate::Activation;
+
 /// Inner-dimension (`k`) tile for the cache-blocked GEMM kernels: terms per
 /// packed B panel. `TILE_K × TILE_N` f32 values are 32 KiB — sized so one
 /// panel plus the active A rows stay resident in L1/L2 while every output
@@ -39,7 +41,7 @@ const PANEL_LEN: usize = TILE_K * TILE_N;
 /// use edgeslice_nn::{GemmOp, Matrix};
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(Matrix::gemm(GemmOp::AB, &a, &b), a);
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
@@ -82,15 +84,6 @@ impl Matrix {
             cols,
             data: vec![value as f32; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from row slices.
@@ -190,16 +183,19 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// The transpose of this matrix. Written one output row at a time (a
-    /// column of `self`): it fills an `Mlp`'s output-major weight memo
-    /// after every weight change, so its speed shows in training.
+    /// The transpose of this matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        if self.rows > 0 {
-            for (j, out) in t.data.chunks_exact_mut(self.rows).enumerate() {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.data[i * self.cols + j];
-                }
+        self.transpose_padded(self.rows)
+    }
+
+    /// The transpose, each row zero-padded to `width ≥ rows` columns and
+    /// written whole (a column of `self`): it refills an `Mlp`'s lone-row
+    /// memo after every weight change, so its speed shows in training.
+    pub(crate) fn transpose_padded(&self, width: usize) -> Matrix {
+        let mut t = Matrix::zeros(self.cols, width);
+        for j in 0..self.cols {
+            for (i, o) in t.data[j * width..][..self.rows].iter_mut().enumerate() {
+                *o = self.data[i * self.cols + j];
             }
         }
         t
@@ -243,9 +239,8 @@ impl Matrix {
     /// whichever schedule the operand shape selects:
     ///
     /// * `A·B` reads `B` in place in register tiles four output rows × 8
-    ///   columns at a time (a lone row — the batch-1 policy forward against
-    ///   an output-major `Wᵀ` — 16 columns wide), narrower tiles for the
-    ///   last columns and 2- and 1-row groups for the last rows;
+    ///   columns at a time, narrower tiles for the last columns and 2- and
+    ///   1-row groups for the last rows;
     /// * `Aᵀ·B` is cache-blocked, with a transpose-packed `A` block;
     /// * `A·Bᵀ` is cache-blocked from [`BLOCKED_MIN_ROWS`] rows and 8
     ///   columns, at any depth; below that it runs dot tiles (2×4, a 1×8
@@ -439,8 +434,8 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Row `r`'s first `w ≤ W` outputs are `out[r * ldo..][..w]`; the rest of
 /// a zero-padded panel sliver is computed and dropped. The inner step is a
 /// fully unrolled multiply-add of `R` broadcast terms across `W` lanes:
-/// `R × W / 8` independent 256-bit add chains, 4 at 4 × 8; a 16-wide
-/// sliver (eight chains) measured no faster (DESIGN.md §14). No term is skipped for an exact-zero `a[t]`: a
+/// `R × W / 8` independent 256-bit add chains: 4 at 4 × 8, 8 in a 64-wide
+/// [`lone_row_into`] pass. No term is skipped for an exact-zero `a[t]`: a
 /// branch-free inner loop is what lets the compiler vectorize it
 /// (DESIGN.md §14).
 #[inline]
@@ -481,16 +476,11 @@ fn accumulate_tile<const R: usize, const W: usize, const RESUME: bool>(
 /// `R` output rows of `A·B` against `b` (`k × n`) read in place, each
 /// seeded from `+0.0`: [`accumulate_tile`]s 8 columns wide, then at most
 /// one each of 4, 2 and 1 — fixed widths, because a variable-width tail
-/// loop cost the 64 → 15 output layer all of its gain. A lone row (the
-/// batch-1 policy forward against an output-major `Wᵀ`) first runs
-/// 16-wide tiles. `out` starts at the group's first output row.
+/// loop cost the 64 → 15 output layer all of its gain. `out` starts at the
+/// group's first output row.
 #[inline]
 fn accumulate_rows<const R: usize>(a: [&[f32]; R], b: &[f32], n: usize, out: &mut [f32]) {
     let mut j = 0;
-    while R == 1 && j + 16 <= n {
-        accumulate_tile::<R, 16, false>(a, b, n, j, &mut out[j..], n, 16);
-        j += 16;
-    }
     while j + 8 <= n {
         accumulate_tile::<R, 8, false>(a, b, n, j, &mut out[j..], n, 8);
         j += 8;
@@ -505,6 +495,35 @@ fn accumulate_rows<const R: usize>(a: [&[f32]; R], b: &[f32], n: usize, out: &mu
     }
     if j < n {
         accumulate_tile::<R, 1, false>(a, b, n, j, &mut out[j..], n, 1);
+    }
+}
+
+/// Row width of a layer's lone-row memo for `n` outputs: whole 64-wide
+/// passes, then the rest zero-padded to 8, 16, 32 or 64 columns.
+pub(crate) fn lone_row_width(n: usize) -> usize {
+    match n % 64 {
+        0 => n,
+        rest => n - rest + rest.next_power_of_two().max(8),
+    }
+}
+
+/// One row `x` through a dense layer, the batch-1 decide: `y[j] =
+/// act(x·wt[.., j] + b[j])`, `wt` its `Wᵀ` padded to [`lone_row_width`].
+/// Each run of up to 64 outputs is one [`accumulate_tile`] pass over `k` at
+/// the padded width (eight chains at 64; a 15-wide layer is one 16-wide
+/// pass whose padded column is dropped), then bias and activation in its
+/// epilogue: the batch forward's sum, `+ b` and `act`, bit for bit.
+pub(crate) fn lone_row_into(x: &[f32], wt: &Matrix, b: &[f32], act: Activation, y: &mut [f32]) {
+    let (w, ld) = (&wt.data[..], wt.cols);
+    for (j, y) in (0..).step_by(64).zip(y.chunks_mut(64)) {
+        let mut acc = [0.0f32; 64];
+        match ld - j {
+            64.. => accumulate_tile::<1, 64, false>([x], w, ld, j, &mut acc, 64, 64),
+            32 => accumulate_tile::<1, 32, false>([x], w, ld, j, &mut acc, 64, 32),
+            16 => accumulate_tile::<1, 16, false>([x], w, ld, j, &mut acc, 64, 16),
+            _ => accumulate_tile::<1, 8, false>([x], w, ld, j, &mut acc, 64, 8),
+        }
+        act.eval_into(acc.iter().zip(&b[j..]).map(|(&z, &b)| z + b), y);
     }
 }
 
@@ -928,9 +947,10 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
+        let identity = |n| Matrix::from_fn(n, n, |i, j| f64::from(u8::from(i == j)));
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(matmul(&a, &Matrix::identity(3)), a);
-        assert_eq!(matmul(&Matrix::identity(2), &a), a);
+        assert_eq!(matmul(&a, &identity(3)), a);
+        assert_eq!(matmul(&identity(2), &a), a);
     }
 
     #[test]

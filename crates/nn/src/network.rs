@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::matrix::{lone_row_into, lone_row_width};
 use crate::{Activation, Dense, DenseGrad, GemmOp, Init, Matrix};
 
 /// A feed-forward network of [`Dense`] layers.
@@ -18,11 +19,11 @@ use crate::{Activation, Dense, DenseGrad, GemmOp, Init, Matrix};
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    /// Each layer's weights laid out output-major (`in × out`, i.e. `Wᵀ`)
-    /// for the batch-1 / fleet forward, filled on its first call and
-    /// dropped by every `&mut self` method, so it never outlives the
-    /// weights it copies. Not part of the network's value: equality,
-    /// `Debug` and serialization see `layers` only.
+    /// Each layer's `Wᵀ` (`in × out`), rows zero-padded to
+    /// [`lone_row_width`], for the batch-1 / fleet forward: filled on its
+    /// first call and dropped by every `&mut self` method, so it never
+    /// outlives the weights it copies. Not part of the network's value:
+    /// equality, `Debug` and serialization see `layers` only.
     weights_t: OnceLock<Vec<Matrix>>,
 }
 
@@ -152,19 +153,19 @@ impl TrainScratch {
 ///
 /// Callers stage one input row per (agent, batch) pair — [`FleetScratch::begin`]
 /// shapes the stacked `(n_ra·batch) × in_dim` input, [`FleetScratch::set_input_row`]
-/// fills it — and the forward pass ping-pongs between two activation
+/// fills it — and each row's hidden activations ping-pong between two
 /// buffers. All buffers reshape in place, so steady-state fleet inference
 /// performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct FleetScratch {
     /// Stacked input batch, one row per (agent, batch) pair.
     x: Matrix,
-    /// Pre-activation buffer, reused across layers.
-    z: Matrix,
-    /// Activation ping buffer; holds the final output after a pass.
-    cur: Matrix,
-    /// Activation pong buffer.
-    next: Matrix,
+    /// Stacked output, one row per input row.
+    out: Matrix,
+    /// Hidden-activation ping buffer, one row wide.
+    cur: Vec<f32>,
+    /// Hidden-activation pong buffer.
+    next: Vec<f32>,
 }
 
 impl FleetScratch {
@@ -194,16 +195,11 @@ impl FleetScratch {
         }
     }
 
-    /// The staged input batch.
-    pub fn input(&self) -> &Matrix {
-        &self.x
-    }
-
     /// The stacked network output of the last
     /// [`Mlp::forward_fleet_scratch`], row `i` corresponding to input row
     /// `i`.
     pub fn output(&self) -> &Matrix {
-        &self.cur
+        &self.out
     }
 }
 
@@ -317,14 +313,14 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// The output-major weights of every layer, transposed from the live
-    /// weights on first use after construction or a mutation. One fill per
-    /// weight state: the steady-state forward reads it allocation-free.
+    /// The padded output-major weights of every layer, transposed from the
+    /// live weights on first use after construction or a mutation. One fill
+    /// per weight state: the steady-state forward reads it allocation-free.
     fn weights_t(&self) -> &[Matrix] {
         self.weights_t.get_or_init(|| {
             self.layers
                 .iter()
-                .map(|l| l.weights().transpose())
+                .map(|l| l.weights().transpose_padded(lone_row_width(l.out_dim())))
                 .collect()
         })
     }
@@ -372,41 +368,40 @@ impl Mlp {
         s.begin(1, x.len());
         s.set_input_row(0, x);
         self.forward_fleet_scratch(&mut s);
-        s.cur.as_slice().iter().map(|&y| f64::from(y)).collect()
+        s.out.as_slice().iter().map(|&y| f64::from(y)).collect()
     }
 
-    /// Batched multi-network forward: one fused GEMM chain over the input
-    /// batch staged in `s` (one row per (agent, batch) pair), replacing N
-    /// per-agent [`Mlp::forward`] calls against shared-shape weights.
-    ///
-    /// Each layer runs as `x·Wᵀ` = `A·B` against the network's memoised
-    /// output-major weights, so a one-row product vectorises across
-    /// outputs. Output row `i` is **bit-identical** to `forward` on input
-    /// row `i` alone: every GEMM output element is one accumulator over `k`
-    /// ascending, a pure function of that input row and the weights —
-    /// neither operand layout nor stacking rows changes an element's
-    /// arithmetic. Returns the stacked output, also readable via
-    /// [`FleetScratch::output`]. Allocation-free at steady state (the first
-    /// call after construction or a weight mutation fills the memo).
+    /// Batched multi-network forward over the input batch staged in `s`
+    /// (one row per (agent, batch) pair), replacing N per-agent
+    /// [`Mlp::forward`] calls against shared-shape weights: each row runs
+    /// the layer chain alone, every layer one fused lone-row kernel against
+    /// the network's padded `Wᵀ` memo. Output row `i` is **bit-identical**
+    /// to `forward` on input row `i`: each output is the same `k`-ascending
+    /// sum, `+ b` and activation. Returns the stacked output, also readable
+    /// via [`FleetScratch::output`]. Allocation-free at steady state (the
+    /// first call after construction or a weight mutation fills the memo).
     ///
     /// # Panics
     ///
     /// Panics if the staged input width differs from `in_dim`.
     pub fn forward_fleet_scratch<'s>(&self, s: &'s mut FleetScratch) -> &'s Matrix {
-        assert_eq!(
-            s.x.cols(),
-            self.in_dim(),
-            "fleet input width mismatch: staged {} vs network {}",
-            s.x.cols(),
-            self.in_dim()
-        );
+        assert_eq!(s.x.cols(), self.in_dim(), "fleet input width mismatch");
         let weights_t = self.weights_t();
-        self.layers[0].forward_output_major_into(&s.x, &weights_t[0], &mut s.z, &mut s.cur);
-        for (layer, wt) in self.layers[1..].iter().zip(&weights_t[1..]) {
-            layer.forward_output_major_into(&s.cur, wt, &mut s.z, &mut s.next);
-            std::mem::swap(&mut s.cur, &mut s.next);
+        let (last, hidden) = self.layers.split_last().expect("an Mlp has layers");
+        let FleetScratch { x, out, cur, next } = s;
+        out.resize_for(x.rows(), last.out_dim());
+        for i in 0..x.rows() {
+            let mut input = x.row(i);
+            for (layer, wt) in hidden.iter().zip(weights_t) {
+                next.resize(layer.out_dim(), 0.0);
+                lone_row_into(input, wt, layer.bias(), layer.activation(), next);
+                std::mem::swap(cur, next);
+                input = cur;
+            }
+            let wt = &weights_t[hidden.len()];
+            lone_row_into(input, wt, last.bias(), last.activation(), out.row_mut(i));
         }
-        &s.cur
+        out
     }
 
     /// Forward pass through a [`TrainScratch`], recording each layer's input

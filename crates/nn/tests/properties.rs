@@ -9,14 +9,23 @@
 //! reordered sum would show).
 
 use edgeslice_nn::{
-    Activation, Adam, DenseGrad, GemmOp, Gradients, Matrix, Mlp, TrainScratch, BLOCKED_MIN_ROWS,
-    TILE_K, TILE_N,
+    Activation, Adam, Dense, DenseGrad, FleetScratch, GemmOp, Gradients, Matrix, Mlp, TrainScratch,
+    BLOCKED_MIN_ROWS, TILE_K, TILE_N,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const OPS: [GemmOp; 3] = [GemmOp::AB, GemmOp::AtB, GemmOp::ABt];
+
+const ACTS: [Activation; 6] = [
+    Activation::Identity,
+    Activation::Relu,
+    Activation::LeakyRelu(0.01),
+    Activation::Sigmoid,
+    Activation::Tanh,
+    Activation::Softplus,
+];
 
 /// The GEMM oracle: output `(i, j)` is one `f32` accumulator from `+0.0`
 /// over the contraction index ascending, no term skipped (widened for
@@ -195,9 +204,9 @@ proptest! {
 /// Every product on every side of every dispatch term and tile edge: output
 /// rows at every remainder of the 4-row groups (4, 2 and 1 rows) inside
 /// one 8-row block of the cache-blocked driver and across it, and around
-/// [`BLOCKED_MIN_ROWS`] (one row is the per-RA policy forward); widths
-/// around the one-row `A·B` tiles' 16/8/4/2/1 widths and every
-/// combination of their tails, the 4- and 8-wide register tiles, the
+/// [`BLOCKED_MIN_ROWS`] (one row is the batch forward on one row); widths
+/// around the `A·B` tiles' 8/4/2/1 widths and every combination of their
+/// tails, the 4- and 8-wide register tiles, the
 /// `A·Bᵀ` 8-column cutover and [`TILE_N`]; depths around empty (1–3 reach
 /// the blocked `A·Bᵀ`, which takes any depth), 32 and [`TILE_K`]. The
 /// largest of each crosses two full tiles with a ragged tail, so the
@@ -250,9 +259,9 @@ fn dispatch_bit_identical_to_naive_around_every_threshold() {
 /// benchmark's `train-paper` configuration, at `DdpgConfig::paper()` on the
 /// same 5-slice environment, and at `tests/train_equivalence.rs`'s 2-slice
 /// one (whose 4-wide state is the only caller of the `Aᵀ·B` stream) — plus
-/// the one-row forward every agent step decides through, in both layouts:
-/// `A·Bᵀ` against `W` (the batch forward `Mlp::forward` / `forward_scratch`
-/// on one row) and `A·B` against `Wᵀ` (the memoised batch-1 forward).
+/// each layer's product on one row, in both layouts: `A·Bᵀ` against `W`
+/// (the batch forward `Mlp::forward` / `forward_scratch` on one row) and
+/// `A·B` against `Wᵀ`.
 #[test]
 fn training_layer_shapes_bit_identical_to_naive() {
     let mut rng = StdRng::seed_from_u64(2020);
@@ -279,22 +288,15 @@ fn training_layer_shapes_bit_identical_to_naive() {
     }
 }
 
-/// `forward_one` on an `f64` row (narrowed into the fleet forward, `A·B`
-/// against `Wᵀ`, and widened out) against row 0 of the batch `forward` on
-/// the narrowed rows (the training pass's `forward_scratch`, `A·Bᵀ`
-/// against `W`, at three rows), bit for bit, with every activation in the
+/// `forward_one` on an `f64` row (narrowed into the fleet forward's fused
+/// lone-row kernel, against the padded `Wᵀ` memo, and widened out) against
+/// row 0 of the batch `forward` on the narrowed rows (the training pass's
+/// `forward_scratch`, `A·Bᵀ` against `W`, at three rows), bit for bit, with
+/// every activation in the
 /// hidden and in the output position, on a narrow net and on one whose
 /// layers cross the blocked schedule's depth and width thresholds.
 #[test]
 fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
-    const ACTS: [Activation; 6] = [
-        Activation::Identity,
-        Activation::Relu,
-        Activation::LeakyRelu(0.01),
-        Activation::Sigmoid,
-        Activation::Tanh,
-        Activation::Softplus,
-    ];
     let mut rng = StdRng::seed_from_u64(2929);
     for dims in [&[3, 6, 2][..], &[10, 64, 64, 15][..]] {
         for hidden in ACTS {
@@ -430,28 +432,110 @@ fn split_backward_bit_identical_to_backward_scratch() {
 }
 
 /// Fleet (batched multi-network) forward: each stacked output row is
-/// bit-identical to a solo 1-row forward of the same input.
+/// bit-identical to a solo 1-row forward of the same input — at 17 rows and
+/// at the 10 rows of a `run-long` fleet on the paper actor's shape, one
+/// scratch reused across both nets.
 #[test]
 fn fleet_forward_rows_bit_identical_to_solo_forwards() {
     let mut rng = StdRng::seed_from_u64(4242);
-    let net = Mlp::new(
-        &[6, 24, 24, 4],
-        Activation::leaky_default(),
-        Activation::Sigmoid,
-        &mut rng,
-    );
-    let inputs: Vec<Vec<f64>> = (0..17)
-        .map(|_| (0..6).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
-        .collect();
-    let mut scratch = edgeslice_nn::FleetScratch::new();
-    scratch.begin(inputs.len(), 6);
-    for (i, x) in inputs.iter().enumerate() {
-        scratch.set_input_row(i, x);
+    let mut scratch = FleetScratch::new();
+    for (dims, rows) in [([6, 24, 24, 4], 17), ([10, 64, 64, 15], 10)] {
+        let net = Mlp::new(
+            &dims,
+            Activation::leaky_default(),
+            Activation::Sigmoid,
+            &mut rng,
+        );
+        let inputs: Vec<Vec<f64>> = (0..rows)
+            .map(|_| (0..dims[0]).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
+            .collect();
+        scratch.begin(rows, dims[0]);
+        for (i, x) in inputs.iter().enumerate() {
+            scratch.set_input_row(i, x);
+        }
+        let out = net.forward_fleet_scratch(&mut scratch);
+        assert_eq!(out.shape(), (rows, dims[3]));
+        for (i, x) in inputs.iter().enumerate() {
+            assert_eq!(widen(out.row(i)), net.forward_one(x), "{dims:?} row {i}");
+        }
     }
-    let out = net.forward_fleet_scratch(&mut scratch);
-    assert_eq!(out.shape(), (17, 4));
-    for (i, x) in inputs.iter().enumerate() {
-        assert_eq!(widen(out.row(i)), net.forward_one(x), "row {i}");
+}
+
+/// One layer on one row by the oracle: [`naive`] `x·Wᵀ`, then `+ b`, then
+/// the activation — the batch forward's three steps.
+fn naive_layer(layer: &Dense, x: &[f32]) -> Vec<f32> {
+    let z = naive(GemmOp::ABt, &Matrix::from_rows(&[x]), layer.weights());
+    let act = layer.activation();
+    let biased = z.row(0).iter().zip(layer.bias());
+    biased.map(|(&z, &b)| act.eval(z + b)).collect()
+}
+
+/// [`naive_layer`] down every layer of `net`.
+fn naive_net(net: &Mlp, x: &[f32]) -> Vec<f32> {
+    let layers = net.layers().iter();
+    layers.fold(x.to_vec(), |x, layer| naive_layer(layer, &x))
+}
+
+/// A net of `dims` whose weights and biases are [`rand_value`]s.
+fn rand_net(rng: &mut StdRng, dims: &[usize], act: Activation) -> Mlp {
+    let mut net = Mlp::new(dims, act, act, rng);
+    for layer in net.layers_mut() {
+        let (o, i) = layer.weights().shape();
+        *layer.weights_mut() = rand_matrix(rng, o, i);
+        for b in layer.bias_mut() {
+            *b = rand_value(rng) as f32;
+        }
+    }
+    net
+}
+
+/// The fused lone-row kernel under `forward_one`, one layer `k → n` at a
+/// time, against [`naive_layer`] by `to_bits`: every width on both sides of
+/// the memo's 8/16/32/64 row padding and of one and two 64-wide passes, at
+/// depths from empty to a hidden layer's, under every activation.
+#[test]
+fn lone_row_layer_bit_identical_to_naive_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(3434);
+    let mut widths: Vec<usize> = (1..=9).collect();
+    widths.extend([15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]);
+    for act in ACTS {
+        for &n in &widths {
+            for k in [0, 1, 2, 3, 10, 64] {
+                let net = rand_net(&mut rng, &[k, n], act);
+                let x = rand_matrix(&mut rng, 1, k);
+                let got = net.forward_one(&widen(x.row(0)));
+                let want = widen(&naive_net(&net, x.row(0)));
+                assert_eq!(row_bits(&got), row_bits(&want), "{k} -> {n}, {act:?}");
+            }
+        }
+    }
+}
+
+/// A padded memo column is computed and dropped: it never reaches a
+/// layer's output, so never the next layer's input nor the stacked output.
+/// Nets whose every width is padded, one scratch reused from the widest
+/// down (stale values from a wider net sit past each narrower one's
+/// columns), against [`naive_net`] by `to_bits`, with the output exactly
+/// `n` wide.
+#[test]
+fn padded_memo_columns_never_reach_an_output() {
+    let mut rng = StdRng::seed_from_u64(3535);
+    let mut scratch = FleetScratch::new();
+    for n in [129, 65, 33, 17, 15, 9, 5, 1] {
+        for dims in [[7, n, n, 3], [5, 3, n, n]] {
+            let net = rand_net(&mut rng, &dims, Activation::Identity);
+            let x = rand_matrix(&mut rng, 2, dims[0]);
+            scratch.begin(2, dims[0]);
+            for i in 0..2 {
+                scratch.set_input_row(i, &widen(x.row(i)));
+            }
+            let out = net.forward_fleet_scratch(&mut scratch);
+            assert_eq!(out.shape(), (2, dims[3]), "{dims:?}");
+            for i in 0..2 {
+                let want = naive_net(&net, x.row(i));
+                assert_eq!(row_bits(&widen(out.row(i))), row_bits(&widen(&want)));
+            }
+        }
     }
 }
 
@@ -483,7 +567,7 @@ fn row_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The batch-1 forward (against the memoised `Wᵀ`) equals row 0 of the
+/// The batch-1 forward (against the padded `Wᵀ` memo) equals row 0 of the
 /// batch `forward` (against the live `W`), bit for bit, and differs
 /// from `before` — so a stale memo could not pass unnoticed.
 fn assert_batch1_tracks_weights(net: &Mlp, x: &Matrix, before: &[f64], what: &str) {
@@ -497,36 +581,43 @@ fn assert_batch1_tracks_weights(net: &Mlp, x: &Matrix, before: &[f64], what: &st
     );
 }
 
-/// The output-major weights `forward_one` runs against are a memo of the
-/// live weights: every way to change a network's weights — `Adam::step`
-/// (through `layers_mut`), `soft_update_from`, `set_flat_params`, a direct
-/// `layers_mut` edit, mutating a clone, and deserializing — leaves a net
-/// whose memo was warm before the change deciding on the new weights.
+/// The padded output-major weights `forward_one` runs against are a memo of
+/// the live weights: every way to change a network's weights —
+/// `Adam::step` (through `layers_mut`), `soft_update_from`,
+/// `set_flat_params`, a direct `layers_mut` edit, mutating a clone, and
+/// deserializing — leaves a net whose memo was warm before the change
+/// deciding on the new weights. On the paper actor and on a net whose every
+/// layer is padded (65, 33 and 9 outputs to 72, 64 and 16 columns).
 #[test]
 fn batch1_forward_tracks_every_weight_mutation() {
     let mut rng = StdRng::seed_from_u64(2121);
-    let dims = [10, 64, 64, 15];
-    let mut new_net = || {
-        Mlp::new(
-            &dims,
-            Activation::leaky_default(),
-            Activation::Sigmoid,
-            &mut rng,
-        )
-    };
-    let (mut net, other) = (new_net(), new_net());
+    for dims in [[10, 64, 64, 15], [10, 65, 33, 9]] {
+        let mut new_net = || {
+            Mlp::new(
+                &dims,
+                Activation::leaky_default(),
+                Activation::Sigmoid,
+                &mut rng,
+            )
+        };
+        let (net, other) = (new_net(), new_net());
+        check_batch1_tracks_every_weight_mutation(net, &other);
+    }
+}
+
+fn check_batch1_tracks_every_weight_mutation(mut net: Mlp, other: &Mlp) {
     let x = Matrix::from_fn(3, 10, |i, j| ((i * 10 + j) as f64 * 0.37).sin());
 
     let before = net.forward_one(&widen(x.row(0)));
     let mut opt = Adam::new(&net, 1e-2);
     let mut s = TrainScratch::new();
     net.forward_scratch(&x, &mut s);
-    net.backward_scratch(&mut s, &Matrix::filled(3, 15, 1.0));
+    net.backward_scratch(&mut s, &Matrix::filled(3, net.out_dim(), 1.0));
     opt.step(&mut net, s.grads());
     assert_batch1_tracks_weights(&net, &x, &before, "Adam::step");
 
     let before = net.forward_one(&widen(x.row(0)));
-    net.soft_update_from(&other, 0.5);
+    net.soft_update_from(other, 0.5);
     assert_batch1_tracks_weights(&net, &x, &before, "soft_update_from");
 
     let before = net.forward_one(&widen(x.row(0)));
@@ -547,7 +638,7 @@ fn batch1_forward_tracks_every_weight_mutation() {
         "mutating a clone reached the original"
     );
 
-    let json = serde_json::to_string(&other).expect("serializable");
+    let json = serde_json::to_string(other).expect("serializable");
     net = serde_json::from_str(&json).expect("deserializable");
     assert_batch1_tracks_weights(&net, &x, &before, "deserialize");
 }

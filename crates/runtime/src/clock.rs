@@ -76,7 +76,7 @@ impl TimePoint {
 /// A time source for lease/heartbeat deadlines: either the real monotonic
 /// wall clock or a hand-advanced mock, so deadline logic is testable
 /// without sleeping. Cloning a mock clock shares its state — a test holds
-/// the [`MockClock`] handle and every consumer clone observes `advance`.
+/// the handle that advances it and every consumer clone observes the move.
 #[derive(Debug, Clone)]
 pub enum Clock {
     /// Real time: [`Instant`] reads relative to a fixed epoch.
@@ -116,12 +116,14 @@ impl Clock {
 }
 
 /// The test-side handle to a [`Clock::Mock`]: the only way mock time moves.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct MockClock(Arc<AtomicU64>);
+pub(crate) struct MockClock(Arc<AtomicU64>);
 
+#[cfg(test)]
 impl MockClock {
     /// Advances mock time by `d` (saturating on overflow).
-    pub fn advance(&self, d: Duration) {
+    pub(crate) fn advance(&self, d: Duration) {
         let ms = u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
         let prev = self.0.load(Ordering::SeqCst);
         self.0.store(prev.saturating_add(ms), Ordering::SeqCst);

@@ -73,7 +73,7 @@ mod seed;
 mod supervisor;
 mod transport;
 
-pub use clock::{Clock, MockClock, RoundDeadline, TimePoint};
+pub use clock::{Clock, RoundDeadline, TimePoint};
 pub use engine::{par_map, Engine, EngineReport, RoundCoordinator, RoundTelemetry, RoundWorker};
 pub use frame::{FrameError, WireMsg, PROTOCOL_VERSION};
 pub use gather::{round_loop, RoundGather};
