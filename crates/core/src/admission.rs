@@ -162,11 +162,6 @@ impl AdmissionController {
         Self::new(RaCapacities::prototype(), 0.7)
     }
 
-    /// Slices admitted so far, in admission order.
-    pub fn admitted(&self) -> &[SliceSpec] {
-        &self.admitted
-    }
-
     /// Residual per-domain fraction available to future slices.
     pub fn residual(&self) -> [f64; 3] {
         let [radio, transport, computing] = self.committed;
@@ -356,8 +351,8 @@ mod tests {
         assert!(ctl
             .decide(&request(AppProfile::compute_heavy(), 10.0))
             .is_ok());
-        assert_eq!(ctl.admitted().len(), 2);
-        assert_eq!(ctl.admitted()[1].id, SliceId(1));
+        assert_eq!(ctl.admitted.len(), 2);
+        assert_eq!(ctl.admitted[1].id, SliceId(1));
     }
 
     #[test]
@@ -400,7 +395,7 @@ mod tests {
         let after = ctl.residual();
         assert!(after[0] > before[0]);
         assert!((after[0] - 1.0).abs() < 1e-9);
-        assert!(ctl.admitted().is_empty());
+        assert!(ctl.admitted.is_empty());
     }
 
     #[test]
@@ -443,8 +438,8 @@ mod tests {
             .decide_as(SliceId(1), &request(AppProfile::compute_heavy(), 10.0))
             .unwrap();
         assert_eq!(b.id, SliceId(1));
-        assert_eq!(ctl.admitted().len(), 1);
-        assert_eq!(ctl.admitted()[0].id, SliceId(1));
+        assert_eq!(ctl.admitted.len(), 1);
+        assert_eq!(ctl.admitted[0].id, SliceId(1));
     }
 
     #[test]
@@ -464,7 +459,7 @@ mod tests {
                 "residual drifted over admit/release cycles: {start:?} -> {end:?}"
             );
         }
-        assert!(ctl.admitted().is_empty());
+        assert!(ctl.admitted.is_empty());
     }
 
     #[test]
@@ -506,7 +501,7 @@ mod tests {
             before,
             "rejected resize must leave the old commitment serving"
         );
-        assert_eq!(ctl.admitted()[0].sla, Sla::paper());
+        assert_eq!(ctl.admitted[0].sla, Sla::paper());
     }
 
     #[test]
@@ -527,7 +522,7 @@ mod tests {
         let json = serde_json::to_string(&ctl).unwrap();
         let back: AdmissionController = serde_json::from_str(&json).unwrap();
         assert_eq!(back.residual(), ctl.residual());
-        assert_eq!(back.admitted(), ctl.admitted());
+        assert_eq!(back.admitted, ctl.admitted);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl OrchestrationAgent {
     }
 
     /// The technique in use.
-    pub fn technique(&self) -> Technique {
+    pub(crate) fn technique(&self) -> Technique {
         match &*self.backend {
             AgentBackend::Ddpg(_) => Technique::Ddpg,
             AgentBackend::Sac(_) => Technique::Sac,

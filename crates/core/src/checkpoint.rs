@@ -5,7 +5,7 @@
 //! mean network and its decoding rule), not optimizer or replay state —
 //! the unit an operator ships from the training cluster to the RAs.
 
-use edgeslice_nn::{FleetScratch, Mlp};
+use edgeslice_nn::{Mlp, RowScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::{AgentBackend, OrchestrationAgent, RaId};
@@ -110,16 +110,6 @@ impl PolicyCheckpoint {
         }
     }
 
-    /// The format version this checkpoint was written with.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The training technique the policy came from.
-    pub fn technique(&self) -> &str {
-        &self.technique
-    }
-
     /// Expected state dimensionality.
     pub fn state_dim(&self) -> usize {
         self.state_dim
@@ -138,55 +128,34 @@ impl PolicyCheckpoint {
     /// Panics if `state.len() != state_dim()`.
     pub fn decide(&self, state: &[f64]) -> Vec<f64> {
         let mut action = Vec::with_capacity(self.action_dim);
-        self.decide_into(state, &mut FleetScratch::new(), &mut action);
+        self.decide_into(state, &mut RowScratch::new(), &mut action);
         action
     }
 
     /// [`PolicyCheckpoint::decide`] on caller-owned storage: the state is
-    /// one row through the policy network's batched forward in `scratch`,
-    /// decoded into `action` (cleared and refilled). Bit-identical to
+    /// one row through the policy network's batch-1 forward in `scratch`,
+    /// decoded into `action` (cleared and refilled), each share widened to
+    /// `f64`: the seam where an action leaves the network. Bit-identical to
     /// `decide`, and allocation-free once both buffers have warmed up —
     /// what a per-RA worker calls every interval.
     ///
     /// # Panics
     ///
     /// Panics if `state.len() != state_dim()`.
-    pub fn decide_into(&self, state: &[f64], scratch: &mut FleetScratch, action: &mut Vec<f64>) {
-        scratch.begin(1, state.len());
-        scratch.set_input_row(0, state);
-        let out = self.network.forward_fleet_scratch(scratch);
-        self.decode_row(out.row(0), action);
-    }
-
-    /// True when `other` holds the same decode rule, dimensions, and
-    /// bit-identical network parameters — i.e. the two policies produce
-    /// identical actions on every state, so a [`crate::PolicyFleet`] may
-    /// serve both from one fused batched forward.
-    pub fn policy_bit_identical(&self, other: &PolicyCheckpoint) -> bool {
-        self.decode == other.decode
-            && self.state_dim == other.state_dim
-            && self.action_dim == other.action_dim
-            && self.network == other.network
-    }
-
-    /// The stored policy network (fleet inference runs the batched forward
-    /// directly against it).
-    pub(crate) fn network(&self) -> &Mlp {
-        &self.network
-    }
-
-    /// Decodes one raw `f32` network-output row into `action` (cleared and
-    /// refilled in place; allocation-free once capacity has warmed up),
-    /// widening each share to `f64`: the seam where an action leaves the
-    /// network. Element-for-element the same arithmetic as
-    /// [`PolicyCheckpoint::decide`].
-    pub(crate) fn decode_row(&self, row: &[f32], action: &mut Vec<f64>) {
+    pub fn decide_into(&self, state: &[f64], scratch: &mut RowScratch, action: &mut Vec<f64>) {
+        let row = self.network.forward_row(state, scratch);
         action.clear();
         let decoded = row[..self.action_dim].iter().map(|&v| match self.decode {
             Decode::Direct => v.clamp(0.0, 1.0),
             Decode::SigmoidMeanHead => edgeslice_nn::sigmoid(v),
         });
         action.extend(decoded.map(f64::from));
+    }
+
+    /// The stored policy network.
+    #[cfg(test)]
+    pub(crate) fn network(&self) -> &Mlp {
+        &self.network
     }
 
     /// Serializes to JSON.
@@ -297,7 +266,7 @@ mod tests {
                 params.iter().map(|w| w.to_bits()).collect()
             };
             assert_eq!(weights(&restored), weights(&ckpt), "{t}");
-            assert_eq!(restored.technique(), t.label());
+            assert_eq!(restored.technique, t.label());
             assert_eq!(restored.state_dim(), e.state_dim());
             assert_eq!(restored.action_dim(), e.action_dim());
         }
@@ -321,7 +290,6 @@ mod tests {
         let action = ckpt.decide(&vec![0.3; e.state_dim()]);
         assert_eq!(ckpt.to_json().unwrap(), json);
         assert_eq!(ckpt, cold);
-        assert!(ckpt.policy_bit_identical(&cold));
         assert_eq!(cold.decide(&vec![0.3; e.state_dim()]), action);
     }
 
@@ -347,37 +315,42 @@ mod tests {
     }
 
     /// The three decide paths — the agent's own, a checkpoint's
-    /// `decide_into` on a reused scratch, and a fleet's fused forward —
-    /// narrow the same states into the same f32 network and widen the same
-    /// actions: bit for bit, for every technique, on random states.
+    /// `decide_into`, and a fleet's — narrow the same states into the same
+    /// f32 network and widen the same actions: bit for bit, on random
+    /// states, over every technique's policy at once. The fleet holds each
+    /// technique's distinct checkpoint and a clone of it, and one scratch
+    /// serves every checkpoint's `decide_into`, its networks' widths
+    /// differing (SAC's head is twice the action wide).
     #[test]
     fn decide_paths_agree_bit_for_bit_on_random_states() {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(4);
         let e = env();
         let cfg = AgentConfig::default();
-        for t in Technique::ALL {
-            let agent = OrchestrationAgent::new(RaId(0), t, &e, &cfg, &mut rng);
-            let ckpt = PolicyCheckpoint::from_agent(&agent);
-            let mut fleet =
-                crate::PolicyFleet::new(vec![ckpt.clone(); 3], crate::Parallelism::Sequential);
-            let (mut scratch, mut action, mut actions) =
-                (FleetScratch::new(), Vec::new(), Vec::new());
-            for _ in 0..20 {
-                let states: Vec<Vec<f64>> = (0..3)
-                    .map(|_| {
-                        (0..e.state_dim())
-                            .map(|_| rng.gen_range(-4.0..4.0))
-                            .collect()
-                    })
-                    .collect();
-                fleet.decide_into(&states, &mut actions);
-                for (state, fleet_action) in states.iter().zip(&actions) {
-                    let want = bits(&agent.decide(state));
-                    ckpt.decide_into(state, &mut scratch, &mut action);
-                    assert_eq!(bits(&action), want, "{t}: checkpoint decide_into");
-                    assert_eq!(bits(fleet_action), want, "{t}: fleet decide_into");
-                }
+        let agents: Vec<OrchestrationAgent> = Technique::ALL
+            .iter()
+            .map(|&t| OrchestrationAgent::new(RaId(0), t, &e, &cfg, &mut rng))
+            .collect();
+        let ckpts: Vec<PolicyCheckpoint> =
+            agents.iter().map(PolicyCheckpoint::from_agent).collect();
+        let policies = ckpts.iter().flat_map(|c| [c.clone(), c.clone()]).collect();
+        let mut fleet = crate::PolicyFleet::new(policies, crate::Parallelism::Sequential);
+        let (mut scratch, mut action, mut actions) = (RowScratch::new(), Vec::new(), Vec::new());
+        for _ in 0..20 {
+            let states: Vec<Vec<f64>> = (0..2 * agents.len())
+                .map(|_| {
+                    (0..e.state_dim())
+                        .map(|_| rng.gen_range(-4.0..4.0))
+                        .collect()
+                })
+                .collect();
+            fleet.decide_into(&states, &mut actions);
+            for (i, (state, fleet_action)) in states.iter().zip(&actions).enumerate() {
+                let t = agents[i / 2].technique();
+                let want = bits(&agents[i / 2].decide(state));
+                ckpts[i / 2].decide_into(state, &mut scratch, &mut action);
+                assert_eq!(bits(&action), want, "{t}: checkpoint decide_into");
+                assert_eq!(bits(fleet_action), want, "{t}: fleet decide_into");
             }
         }
     }

@@ -70,11 +70,9 @@ pub struct CoordinatorState {
     pub dual_clamp: f64,
     /// The staleness budget in effect, rounds.
     pub staleness_budget: usize,
-    /// Active flags per slice row (dynamic workloads; empty means every
-    /// row active, the static default).
+    /// Active flags, one per slice row.
     pub active: Vec<bool>,
-    /// Live per-slice `Umin` (renegotiated SLAs; empty means the
-    /// construction-time SLAs are in force).
+    /// Live `Umin` (renegotiated by resizes), one per slice row.
     pub umins: Vec<f64>,
 }
 
@@ -213,21 +211,6 @@ impl PerformanceCoordinator {
     /// Number of slices.
     pub fn n_slices(&self) -> usize {
         self.slas.len()
-    }
-
-    /// Number of RAs.
-    pub fn n_ras(&self) -> usize {
-        self.n_ras
-    }
-
-    /// The current auxiliary variables `z`.
-    pub fn z(&self) -> &[Vec<f64>] {
-        &self.z
-    }
-
-    /// The current scaled duals `y`.
-    pub fn y(&self) -> &[Vec<f64>] {
-        &self.y
     }
 
     /// The ADMM configuration in effect.
@@ -404,16 +387,17 @@ impl PerformanceCoordinator {
                 .all(|row| row.len() == self.n_ras)
             && state.staleness.len() == self.n_ras
             && state.dead.len() == self.n_ras
-            // Lifecycle fields: empty means "static defaults" (a pre-churn
-            // snapshot), otherwise one entry per slice row.
-            && (state.active.is_empty() || state.active.len() == n_slices)
-            && (state.umins.is_empty() || state.umins.len() == n_slices);
+            && state.active.len() == n_slices
+            && state.umins.len() == n_slices;
         if !shape_ok {
             return Err(crate::EdgeSliceError::SnapshotMismatch {
                 reason: format!(
-                    "coordinator state shaped for {}x{} does not fit {}x{} (slices x RAs)",
+                    "coordinator state shaped for {}x{} with {} active flags and {} umins \
+                     does not fit {}x{} (slices x RAs)",
                     state.z.len(),
                     state.z.first().map_or(0, Vec::len),
+                    state.active.len(),
+                    state.umins.len(),
                     n_slices,
                     self.n_ras
                 ),
@@ -427,21 +411,11 @@ impl PerformanceCoordinator {
         self.tracker = ConvergenceTracker::from_history(state.residual_history.clone());
         self.dual_clamp = state.dual_clamp;
         self.staleness_budget = state.staleness_budget;
-        if !state.active.is_empty() {
-            self.active = state.active.clone();
-        }
-        if !state.umins.is_empty() {
-            for (sla, &umin) in self.slas.iter_mut().zip(&state.umins) {
-                *sla = Sla::new(umin);
-            }
+        self.active = state.active.clone();
+        for (sla, &umin) in self.slas.iter_mut().zip(&state.umins) {
+            *sla = Sla::new(umin);
         }
         Ok(())
-    }
-
-    /// Whether slice `i`'s SLA is met by the achieved performance.
-    pub fn sla_met(&self, slice: SliceId, achieved: &[Vec<f64>]) -> bool {
-        let total: f64 = achieved[slice.0].iter().sum();
-        total >= self.slas[slice.0].umin - 1e-9
     }
 }
 
@@ -460,12 +434,12 @@ mod tests {
     #[test]
     fn initialization_is_feasible() {
         let c = coordinator();
-        for (i, zr) in c.z().iter().enumerate() {
+        for (i, zr) in c.z.iter().enumerate() {
             let sum: f64 = zr.iter().sum();
             assert!(sum >= c.slas[i].umin - 1e-9);
             assert_eq!(zr.len(), 2);
         }
-        assert!(c.y().iter().flatten().all(|&y| y == 0.0));
+        assert!(c.y.iter().flatten().all(|&y| y == 0.0));
     }
 
     #[test]
@@ -474,7 +448,7 @@ mod tests {
         // Achieved performance far below SLA.
         let achieved = vec![vec![-100.0, -80.0], vec![-10.0, -5.0]];
         c.update(&achieved);
-        for (i, zr) in c.z().iter().enumerate() {
+        for (i, zr) in c.z.iter().enumerate() {
             let sum: f64 = zr.iter().sum();
             assert!(sum >= c.slas[i].umin - 1e-9, "slice {i} z-sum {sum}");
         }
@@ -486,8 +460,8 @@ mod tests {
         let achieved = vec![vec![-10.0, -10.0], vec![-5.0, -5.0]];
         c.update(&achieved);
         // y was zero, c = achieved, Σc = -20 ≥ -50 ⇒ z = achieved, y stays 0.
-        assert_eq!(c.z()[0], vec![-10.0, -10.0]);
-        assert!(c.y()[0].iter().all(|&y| y.abs() < 1e-12));
+        assert_eq!(c.z[0], vec![-10.0, -10.0]);
+        assert!(c.y[0].iter().all(|&y| y.abs() < 1e-12));
     }
 
     #[test]
@@ -496,9 +470,9 @@ mod tests {
         let achieved = vec![vec![-100.0, -100.0], vec![0.0, 0.0]];
         c.update(&achieved);
         // Slice 0 misses its SLA: z is lifted above achieved ⇒ y < 0.
-        assert!(c.y()[0].iter().all(|&y| y < 0.0));
+        assert!(c.y[0].iter().all(|&y| y < 0.0));
         // Slice 1 is fine ⇒ duals untouched.
-        assert!(c.y()[1].iter().all(|&y| y.abs() < 1e-12));
+        assert!(c.y[1].iter().all(|&y| y.abs() < 1e-12));
     }
 
     #[test]
@@ -508,7 +482,7 @@ mod tests {
         let info = c.coordination_info();
         for i in 0..2 {
             for j in 0..2 {
-                assert!((info.zy[i][j] - (c.z()[i][j] - c.y()[i][j])).abs() < 1e-12);
+                assert!((info.zy[i][j] - (c.z[i][j] - c.y[i][j])).abs() < 1e-12);
             }
         }
         assert_eq!(info.for_ra(RaId(1)), vec![info.zy[0][1], info.zy[1][1]]);
@@ -531,31 +505,24 @@ mod tests {
     }
 
     #[test]
-    fn sla_check() {
-        let c = coordinator();
-        assert!(c.sla_met(SliceId(0), &[vec![-20.0, -20.0], vec![0.0, 0.0]]));
-        assert!(!c.sla_met(SliceId(0), &[vec![-40.0, -20.0], vec![0.0, 0.0]]));
-    }
-
-    #[test]
     fn full_update_equals_update_partial_with_all_present() {
         let mut a = coordinator();
         let mut b = coordinator();
         let achieved = vec![vec![-100.0, -80.0], vec![-10.0, -5.0]];
         a.update(&achieved);
         b.update_partial(&achieved, &[true, true]);
-        assert_eq!(a.z(), b.z());
-        assert_eq!(a.y(), b.y());
+        assert_eq!(a.z, b.z);
+        assert_eq!(a.y, b.y);
     }
 
     #[test]
     fn missing_ra_freezes_its_dual_column() {
         let mut c = coordinator();
         c.update(&[vec![-100.0, -100.0], vec![-100.0, -100.0]]);
-        let y_before: Vec<f64> = c.y().iter().map(|row| row[1]).collect();
+        let y_before: Vec<f64> = c.y.iter().map(|row| row[1]).collect();
         // RA 1 misses the next round: its duals must not move.
         c.update_partial(&[vec![-120.0, -90.0], vec![-80.0, -70.0]], &[true, false]);
-        let y_after: Vec<f64> = c.y().iter().map(|row| row[1]).collect();
+        let y_after: Vec<f64> = c.y.iter().map(|row| row[1]).collect();
         assert_eq!(y_before, y_after, "missing RA's duals moved");
         assert_eq!(c.staleness[1], 1);
         assert!(!c.is_dead(RaId(1)));
@@ -572,7 +539,7 @@ mod tests {
         c.update_partial(&achieved, &[true, false]); // budget exceeded
         assert!(c.is_dead(RaId(1)));
         assert_eq!(c.dead, [false, true]);
-        for (i, zr) in c.z().iter().enumerate() {
+        for (i, zr) in c.z.iter().enumerate() {
             assert_eq!(zr[1], 0.0, "dead column must leave the projection");
             assert!(
                 zr[0] >= c.slas[i].umin - 1e-9,
@@ -596,7 +563,7 @@ mod tests {
         // The revived column's duals restarted from zero before this
         // round's ascent; after one ascent they are small relative to the
         // survivor's accumulated duals.
-        assert!(c.y()[0][1].abs() <= c.y()[0][0].abs() + 1e-9);
+        assert!(c.y[0][1].abs() <= c.y[0][0].abs() + 1e-9);
     }
 
     #[test]
@@ -610,8 +577,8 @@ mod tests {
 
         let mut fresh = coordinator();
         fresh.restore(&state).unwrap();
-        assert_eq!(fresh.z(), c.z());
-        assert_eq!(fresh.y(), c.y());
+        assert_eq!(fresh.z, c.z);
+        assert_eq!(fresh.y, c.y);
         assert_eq!(fresh.rounds(), c.rounds());
         assert_eq!(fresh.staleness[1], c.staleness[1]);
         assert_eq!(fresh.staleness_budget, 2);
@@ -622,8 +589,8 @@ mod tests {
         let ra = c.update_partial(&next, &[true, true]);
         let rb = fresh.update_partial(&next, &[true, true]);
         assert_eq!(ra, rb);
-        assert_eq!(fresh.z(), c.z());
-        assert_eq!(fresh.y(), c.y());
+        assert_eq!(fresh.z, c.z);
+        assert_eq!(fresh.y, c.y);
 
         // A state shaped for a different system is rejected, not applied.
         let mut small = PerformanceCoordinator::new(&[Sla::new(-50.0)], 1, AdmmConfig::default());
@@ -640,14 +607,14 @@ mod tests {
         c.update(&achieved);
         c.depart_slice(SliceId(0));
         assert!(!c.slice_active(SliceId(0)));
-        assert!(c.z()[0].iter().all(|&z| z == 0.0));
-        assert!(c.y()[0].iter().all(|&y| y == 0.0));
+        assert!(c.z[0].iter().all(|&z| z == 0.0));
+        assert!(c.y[0].iter().all(|&y| y == 0.0));
         // Updates no longer move the departed row, and the live row still
         // gets its full SLA.
         c.update(&achieved);
-        assert!(c.z()[0].iter().all(|&z| z == 0.0));
-        assert!(c.y()[0].iter().all(|&y| y == 0.0));
-        let live_sum: f64 = c.z()[1].iter().sum();
+        assert!(c.z[0].iter().all(|&z| z == 0.0));
+        assert!(c.y[0].iter().all(|&y| y == 0.0));
+        let live_sum: f64 = c.z[1].iter().sum();
         assert!(live_sum >= c.slas[1].umin - 1e-9);
     }
 
@@ -661,11 +628,11 @@ mod tests {
         c.admit_slice(SliceId(0), Sla::new(-30.0));
         assert!(c.slice_active(SliceId(0)));
         assert_eq!(c.slice_umin(SliceId(0)), -30.0);
-        assert_eq!(c.z()[0], vec![-15.0, -15.0]);
-        assert!(c.y()[0].iter().all(|&y| y == 0.0));
+        assert_eq!(c.z[0], vec![-15.0, -15.0]);
+        assert!(c.y[0].iter().all(|&y| y == 0.0));
         // The new SLA governs the projection from the next update on.
         c.update(&achieved);
-        let sum: f64 = c.z()[0].iter().sum();
+        let sum: f64 = c.z[0].iter().sum();
         assert!(
             sum >= -30.0 - 1e-9,
             "row must satisfy the *new* Umin: {sum}"
@@ -681,7 +648,7 @@ mod tests {
         c.update_partial(&achieved, &[true, false]);
         assert!(c.is_dead(RaId(1)));
         c.admit_slice(SliceId(0), Sla::new(-40.0));
-        assert_eq!(c.z()[0], vec![-40.0, 0.0], "dead column stays zeroed");
+        assert_eq!(c.z[0], vec![-40.0, 0.0], "dead column stays zeroed");
     }
 
     #[test]
@@ -702,16 +669,24 @@ mod tests {
     }
 
     #[test]
-    fn restore_accepts_pre_churn_snapshots_with_empty_lifecycle_fields() {
+    fn restore_rejects_snapshots_without_per_slice_lifecycle_fields() {
         let mut c = coordinator();
         c.update(&[vec![-100.0, -80.0], vec![-10.0, -5.0]]);
-        let mut state = c.snapshot();
-        state.active.clear();
-        state.umins.clear();
-        let mut fresh = coordinator();
-        fresh.restore(&state).unwrap();
-        assert!(fresh.slice_active(SliceId(0)) && fresh.slice_active(SliceId(1)));
-        assert_eq!(fresh.slice_umin(SliceId(0)), -50.0);
+        let full = c.snapshot();
+        for clear_active in [true, false] {
+            let mut state = full.clone();
+            if clear_active {
+                state.active.clear();
+            } else {
+                state.umins.clear();
+            }
+            let mut fresh = coordinator();
+            assert!(matches!(
+                fresh.restore(&state),
+                Err(crate::EdgeSliceError::SnapshotMismatch { .. })
+            ));
+            assert_eq!(fresh.snapshot(), coordinator().snapshot(), "left untouched");
+        }
     }
 
     #[test]
@@ -720,14 +695,14 @@ mod tests {
         c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
-        let (z, y) = (c.z().to_vec(), c.y().to_vec());
+        let (z, y) = (c.z.to_vec(), c.y.to_vec());
         c.update_partial(&achieved, &[false, false]);
         c.update_partial(&achieved, &[false, false]);
         assert_eq!(c.dead, [true, true]);
         // z/y zeroed for dead columns is the only change; a later rejoin
         // rebuilds them. No NaNs, no panics.
-        assert!(c.z().iter().flatten().all(|v| v.is_finite()));
-        assert!(c.y().iter().flatten().all(|v| v.is_finite()));
+        assert!(c.z.iter().flatten().all(|v| v.is_finite()));
+        assert!(c.y.iter().flatten().all(|v| v.is_finite()));
         let _ = (z, y);
     }
 }

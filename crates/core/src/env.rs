@@ -392,11 +392,6 @@ impl RaSliceEnv {
         &self.last_service
     }
 
-    /// The environment's state-spec.
-    pub fn state_spec(&self) -> StateSpec {
-        self.config.state_spec
-    }
-
     /// Switches between training-mode (randomized coordination at reset)
     /// and orchestration-mode (externally controlled).
     pub fn set_randomize_coord(&mut self, randomize: bool) {

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use edgeslice_nn::FleetScratch;
+use edgeslice_nn::RowScratch;
 use edgeslice_runtime::{
     derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
     RoundWorker, DOMAIN_ORCH, DOMAIN_ROUND,
@@ -201,7 +201,7 @@ pub(crate) struct RaExecWorker<'a> {
     /// never touches the allocator.
     state: Vec<f64>,
     action: Vec<f64>,
-    scratch: FleetScratch,
+    scratch: RowScratch,
 }
 
 impl<'a> RaExecWorker<'a> {
@@ -231,7 +231,7 @@ impl<'a> RaExecWorker<'a> {
             was_down,
             state: Vec::new(),
             action: Vec::new(),
-            scratch: FleetScratch::new(),
+            scratch: RowScratch::new(),
         }
     }
 }
@@ -384,6 +384,21 @@ impl RoundWorker for RaExecWorker<'_> {
     }
 }
 
+/// The state a run enters the round loop with: the system as it stands
+/// for a fresh run, a snapshot's for a resumed one.
+pub(crate) struct RunStart {
+    /// First engine-local round to execute.
+    pub(crate) first_round: usize,
+    /// Global round index of the run's round 0.
+    pub(crate) round_base: usize,
+    /// Per-RA round-boundary state.
+    pub(crate) worker_state: Vec<WorkerSnapshot>,
+    /// Caught panics per RA so far (restart budgets).
+    pub(crate) panic_counts: Vec<usize>,
+    /// The rounds (and supervision telemetry) already completed.
+    pub(crate) prefix: RunReport,
+}
+
 /// The coordinator task: folds per-RA reports and supervision telemetry
 /// into the ADMM update, the monitor database, the [`RunReport`], and —
 /// every K rounds, when a durable sink is attached — a crash-consistent
@@ -415,13 +430,16 @@ pub(crate) struct SystemExecCoordinator<'a> {
 }
 
 impl<'a> SystemExecCoordinator<'a> {
+    /// The coordinator task of a run over `n_ras` RAs on `policies` (the
+    /// effective policy per RA), entering the round loop at `start`.
     pub(crate) fn new(
         coordinator: &'a mut PerformanceCoordinator,
         monitor: &'a mut SystemMonitor,
         slices: &'a [SliceSpec],
         n_ras: usize,
         period: usize,
-        round_base: usize,
+        policies: Vec<Option<PolicyCheckpoint>>,
+        start: RunStart,
     ) -> Self {
         Self {
             coordinator,
@@ -429,23 +447,13 @@ impl<'a> SystemExecCoordinator<'a> {
             slices,
             n_ras,
             period,
-            round_base,
-            worker_state: (0..n_ras)
-                .map(|j| WorkerSnapshot {
-                    ra: RaId(j),
-                    queues: Vec::new(),
-                    coordination: Vec::new(),
-                    global_t: 0,
-                    was_down: false,
-                    active: Vec::new(),
-                    rates: Vec::new(),
-                })
-                .collect(),
-            panic_counts: vec![0; n_ras],
-            policies: vec![None; n_ras],
+            round_base: start.round_base,
+            worker_state: start.worker_state,
+            panic_counts: start.panic_counts,
+            policies,
             sink: None,
             lifecycle: None,
-            report: RunReport::default(),
+            report: start.prefix,
         }
     }
 
@@ -455,23 +463,6 @@ impl<'a> SystemExecCoordinator<'a> {
         lifecycle: Option<&'a mut crate::workload::SliceLifecycle>,
     ) -> Self {
         self.lifecycle = lifecycle;
-        self
-    }
-
-    /// Seeds the coordinator with resume (or fresh-run) state: the per-RA
-    /// round-boundary snapshots, prior panic counts, effective policies,
-    /// and the already-completed report prefix.
-    pub(crate) fn with_state(
-        mut self,
-        worker_state: Vec<WorkerSnapshot>,
-        panic_counts: Vec<usize>,
-        policies: Vec<Option<PolicyCheckpoint>>,
-        prefix: RunReport,
-    ) -> Self {
-        self.worker_state = worker_state;
-        self.panic_counts = panic_counts;
-        self.policies = policies;
-        self.report = prefix;
         self
     }
 

@@ -62,23 +62,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A configuration that injects nothing (the fault-free baseline).
-    pub fn quiet(n_ras: usize, horizon_rounds: usize) -> Self {
-        Self {
-            seed: 0,
-            n_ras,
-            horizon_rounds,
-            outage_rate: 0.0,
-            outage_rounds: (1, 1),
-            broadcast_drop_rate: 0.0,
-            straggler_rate: 0.0,
-            degradation_rate: 0.0,
-            degradation_factor: 1.0,
-            degradation_rounds: (1, 1),
-            panic_rate: 0.0,
-        }
-    }
-
     /// A moderately hostile environment: occasional short outages, lossy
     /// coordination, stragglers and capacity sags.
     pub fn stress(n_ras: usize, horizon_rounds: usize, seed: u64) -> Self {
@@ -337,11 +320,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Number of RAs the plan covers.
-    pub fn n_ras(&self) -> usize {
-        self.n_ras
-    }
-
     /// Rounds the plan covers.
     pub fn horizon_rounds(&self) -> usize {
         self.horizon_rounds
@@ -380,7 +358,7 @@ pub struct RaFaultView {
 
 impl RaFaultView {
     /// The healthy view.
-    pub fn healthy() -> Self {
+    pub(crate) fn healthy() -> Self {
         Self {
             down: false,
             rejoining: false,
@@ -529,7 +507,15 @@ mod tests {
 
     #[test]
     fn quiet_config_generates_nothing() {
-        let plan = FaultPlan::generate(&FaultConfig::quiet(3, 100));
+        let quiet = FaultConfig {
+            outage_rate: 0.0,
+            broadcast_drop_rate: 0.0,
+            straggler_rate: 0.0,
+            degradation_rate: 0.0,
+            panic_rate: 0.0,
+            ..FaultConfig::chaos(3, 100, 0)
+        };
+        let plan = FaultPlan::generate(&quiet);
         assert!(plan.events().is_empty());
     }
 

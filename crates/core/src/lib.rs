@@ -97,9 +97,10 @@ pub use edgeslice_runtime::{
     FramedTransport, Lease, ListenerAcceptor, LoopbackTransport, NetConfig, NetCoordinator,
     NetListener, NetStats, RetryPolicy, Scheduler, SupervisorConfig, Transport, TransportError,
 };
-// Fleet scratch staging is part of the system API; re-export it so
-// downstream users don't need a direct `edgeslice-nn` dependency.
-pub use edgeslice_nn::FleetScratch;
+// The batch-1 decide's scratch is part of the system API
+// (`PolicyCheckpoint::decide_into`); re-export it so downstream users
+// don't need a direct `edgeslice-nn` dependency.
+pub use edgeslice_nn::RowScratch;
 pub use perf::{NegServiceTime, PerformanceFunction, QueuePenalty};
 pub use reward::{reward, RewardParams};
 pub use sla::{Sla, SliceSpec};

@@ -84,10 +84,8 @@ impl std::error::Error for ManagerError {}
 /// configuration serving traffic untouched. Phase 2 installs the new
 /// configuration; the transport domain swaps meters make-before-break
 /// (parallel install, atomic repoint, old release) so the flow never goes
-/// dark, with the modeled per-switch swap interval configurable via
-/// [`set_reconfig_interval_s`](Self::set_reconfig_interval_s). Only after
-/// the substrates accept the new configuration does it replace the
-/// committed one; [`rollback`](Self::rollback) re-installs the committed
+/// dark. Only after the substrates accept the new configuration does it
+/// replace the committed one; [`rollback`](Self::rollback) re-installs the committed
 /// configuration explicitly.
 #[derive(Debug)]
 pub struct ResourceManagers {
@@ -198,17 +196,6 @@ impl ResourceManagers {
     /// make-before-break).
     pub fn set_reconfig_mode(&mut self, mode: ReconfigMode) {
         self.ra.set_reconfig_mode(mode);
-    }
-
-    /// Sets the modeled per-switch meter delete–create interval, seconds —
-    /// the outage each break-before-make swap would cost (and the window a
-    /// make-before-break swap runs both configurations in parallel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is negative or non-finite.
-    pub fn set_reconfig_interval_s(&mut self, seconds: f64) {
-        self.ra.set_reconfig_interval_s(seconds);
     }
 
     /// The rates achieved by the most recent update.

@@ -387,11 +387,6 @@ impl SystemMonitor {
         self.lifecycle.push(record);
     }
 
-    /// All lifecycle transitions, in application order.
-    pub fn lifecycle(&self) -> &[LifecycleRecord] {
-        &self.lifecycle
-    }
-
     /// RC-M query: `Σ_t U_{i,j}` for one round, indexed `[slice][ra]` —
     /// exactly what the coordinator's update consumes.
     pub fn round_performance(&self, round: usize, n_slices: usize, n_ras: usize) -> Vec<Vec<f64>> {

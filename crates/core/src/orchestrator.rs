@@ -110,11 +110,6 @@ impl EdgeSliceSystem {
         self.scheduler = scheduler;
     }
 
-    /// The execution topology in effect.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// Makes injected stragglers also sleep for `delay` before reporting,
     /// so their reports are physically late on the channel (default zero:
     /// straggling stays purely logical and runs stay fast).
@@ -335,11 +330,8 @@ impl EdgeSliceSystem {
     }
 
     /// Snapshots every RA's current policy (restored checkpoint override
-    /// when present, live agent otherwise) into a [`crate::PolicyFleet`]
-    /// for batched cross-RA inference. After [`EdgeSliceSystem::train_shared`]
-    /// or [`EdgeSliceSystem::install_agents`] the parameters are
-    /// bit-identical across RAs, so the fleet collapses to one group and
-    /// one fused GEMM chain per decision round; per-RA actions stay
+    /// when present, live agent otherwise) into a [`crate::PolicyFleet`],
+    /// which decides for every RA in turn; per-RA actions stay
     /// bit-identical to [`OrchestrationAgent::decide`].
     pub fn policy_fleet(&self, par: crate::Parallelism) -> crate::PolicyFleet {
         let policies = (0..self.config.n_ras)
@@ -409,11 +401,6 @@ impl EdgeSliceSystem {
         }
         self.workload = Some(crate::workload::SliceLifecycle::new(plan, admission));
         Ok(())
-    }
-
-    /// The attached dynamic-workload state machine, if any.
-    pub fn workload(&self) -> Option<&crate::workload::SliceLifecycle> {
-        self.workload.as_ref()
     }
 
     /// Deactivates coordinator rows and substrate slots that the workload

@@ -14,7 +14,7 @@ use rand::Rng;
 
 use super::{EdgeSliceSystem, OrchestratorKind, RunReport};
 use crate::exec::{
-    decode_body, encode_body, RaExecWorker, RaRoundBody, SystemExecCoordinator, WorkerRun,
+    decode_body, encode_body, RaExecWorker, RaRoundBody, RunStart, SystemExecCoordinator, WorkerRun,
 };
 use crate::store::{CheckpointStore, RunSnapshot, WorkerSnapshot};
 use crate::{EdgeSliceError, FaultInjector, NetCoordinator, RaId};
@@ -181,26 +181,11 @@ impl EdgeSliceSystem {
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
-        let RunStart {
-            first_round,
-            round_base,
-            worker_state,
-            panic_counts,
-            prefix,
-        } = match resume {
+        let start = match resume {
             Some(start) => {
-                // Rewind every environment to the snapshot boundary; a
-                // pre-churn snapshot carries no slot activity, so fall
-                // back to the restored workload machine's present state.
+                // Rewind every environment to the snapshot boundary.
                 for (env, ws) in self.envs.iter_mut().zip(&start.worker_state) {
                     ws.rewind(env);
-                }
-                if start
-                    .worker_state
-                    .first()
-                    .is_some_and(|ws| ws.active.is_empty())
-                {
-                    self.sync_lifecycle_into_substrate();
                 }
                 start
             }
@@ -225,13 +210,15 @@ impl EdgeSliceSystem {
                 }
             }
         };
+        let (first_round, round_base) = (start.first_round, start.round_base);
+        let prior_panics = start.panic_counts.clone();
         let policies: Vec<_> = (0..n_ras).map(|j| self.effective_policy(j, None)).collect();
         // Workers exist in this process only when the RAs do: one per RA,
         // each on its effective policy, resolved once here.
         let mut local: Vec<RaExecWorker<'_>> = match workers {
             Workers::Local(injector) => {
                 let run = self.worker_run(injector, master, round_base);
-                let starts = self.envs.iter_mut().zip(&policies).zip(&worker_state);
+                let starts = self.envs.iter_mut().zip(&policies).zip(&start.worker_state);
                 starts
                     .enumerate()
                     .map(|(j, ((env, policy), ws))| {
@@ -247,9 +234,9 @@ impl EdgeSliceSystem {
             &self.config.slices,
             n_ras,
             self.config.reward.period,
-            round_base,
+            policies,
+            start,
         )
-        .with_state(worker_state, panic_counts.clone(), policies, prefix)
         .with_workload(self.workload.as_mut());
         if let Some(store) = &self.store {
             exec = exec.with_sink(store, self.checkpoint_every, master);
@@ -257,7 +244,7 @@ impl EdgeSliceSystem {
         match workers {
             Workers::Local(_) => Engine::new(self.scheduler)
                 .with_supervisor(self.supervision)
-                .with_prior_panics(panic_counts)
+                .with_prior_panics(prior_panics)
                 .run_from(&mut local, &mut exec, first_round, max_rounds),
             Workers::Remote(net) => {
                 let mut decoded = DecodedReports {
@@ -384,8 +371,10 @@ impl EdgeSliceSystem {
     /// # Errors
     ///
     /// Returns [`EdgeSliceError::Transport`] if the session cannot be
-    /// established or dies mid-round, and [`EdgeSliceError::Io`] /
-    /// snapshot errors if the checkpoint store is attached but unreadable.
+    /// established or dies mid-round, [`EdgeSliceError::Io`] / snapshot
+    /// errors if the checkpoint store is attached but unreadable, and
+    /// [`EdgeSliceError::SnapshotMismatch`] if this run's newest snapshot
+    /// does not fit this system's slice slots.
     ///
     /// # Panics
     ///
@@ -415,6 +404,7 @@ impl EdgeSliceSystem {
             if let Some(snap) = newest_valid_run(store)?
                 .filter(|snap| snap.master_seed == master && snap.workers.len() == n_ras)
             {
+                snap.validate_slices(&self.config.slices)?;
                 let ws = &snap.workers[ra.0];
                 ws.rewind(&mut self.envs[ra.0]);
                 was_down = ws.was_down;
@@ -661,19 +651,4 @@ pub struct ServeOutcome {
     pub resynced_from: Option<usize>,
     /// Panics the peer's local supervisor caught and restarted through.
     pub caught_panics: usize,
-}
-
-/// The state a run enters the round loop with: the system as it stands
-/// for a fresh run, a snapshot's for a resumed one.
-struct RunStart {
-    /// First engine-local round to execute.
-    first_round: usize,
-    /// Global round index of the run's round 0.
-    round_base: usize,
-    /// Per-RA round-boundary state.
-    worker_state: Vec<WorkerSnapshot>,
-    /// Caught panics per RA so far (restart budgets).
-    panic_counts: Vec<usize>,
-    /// The rounds (and supervision telemetry) already completed.
-    prefix: RunReport,
 }

@@ -66,11 +66,10 @@ pub struct WorkerSnapshot {
     /// the snapshot round, so a resumed worker takes the same rejoin path
     /// the live one would.
     pub was_down: bool,
-    /// Per-slot activity flags at the snapshot boundary (empty means "all
-    /// active", the static-workload default).
+    /// Per-slot activity flags at the snapshot boundary.
     pub active: Vec<bool>,
     /// Per-slot traffic-rate overrides installed by lifecycle events
-    /// (empty means "no overrides").
+    /// (`None` where a slot has none).
     pub rates: Vec<Option<f64>>,
 }
 
@@ -90,13 +89,15 @@ impl WorkerSnapshot {
     }
 
     /// Rewinds `env` to this boundary, including its slot activity and
-    /// rate overrides (absent on pre-churn snapshots, which leave the
-    /// environment's present lifecycle state alone).
+    /// rate overrides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a per-slice field is not one entry per slot of `env`:
+    /// [`RunSnapshot::validate_slices`] rejects such a snapshot first.
     pub(crate) fn rewind(&self, env: &mut RaSliceEnv) {
         env.restore_round_state(self.queues.clone(), &self.coordination, self.global_t);
-        if !self.active.is_empty() {
-            env.restore_lifecycle(&self.active, &self.rates);
-        }
+        env.restore_lifecycle(&self.active, &self.rates);
     }
 }
 
@@ -136,18 +137,15 @@ pub struct RunSnapshot {
 
 impl RunSnapshot {
     /// Validates that this snapshot was taken from a run over exactly the
-    /// given slice slots. An empty recorded set (a pre-v2 payload migrated
-    /// forward, or a hand-built snapshot) is accepted for compatibility;
-    /// a non-empty set must match slot-for-slot.
+    /// given slice slots: the recorded set matches slot for slot, and every
+    /// worker's per-slice state (queues, coordination, activity, rates)
+    /// holds one entry per slot.
     ///
     /// # Errors
     ///
-    /// Returns [`EdgeSliceError::SnapshotMismatch`] naming the first
-    /// differing slot (or the count difference).
+    /// Returns [`EdgeSliceError::SnapshotMismatch`] naming the count
+    /// difference, the first differing slot or the mis-shaped worker.
     pub fn validate_slices(&self, expected: &[SliceSpec]) -> Result<(), EdgeSliceError> {
-        if self.slices.is_empty() {
-            return Ok(());
-        }
         if self.slices.len() != expected.len() {
             return Err(EdgeSliceError::SnapshotMismatch {
                 reason: format!(
@@ -163,6 +161,24 @@ impl RunSnapshot {
                     reason: format!(
                         "slice slot {} differs between snapshot and system",
                         stored.id.0
+                    ),
+                });
+            }
+        }
+        let n = expected.len();
+        for ws in &self.workers {
+            let lens = [
+                ws.queues.len(),
+                ws.coordination.len(),
+                ws.active.len(),
+                ws.rates.len(),
+            ];
+            if lens != [n; 4] {
+                return Err(EdgeSliceError::SnapshotMismatch {
+                    reason: format!(
+                        "ra {}'s per-slice state (queues, coordination, active, rates) is \
+                         {lens:?} long, the system has {n} slice slots",
+                        ws.ra.0
                     ),
                 });
             }
@@ -222,11 +238,6 @@ impl CheckpointStore {
         Ok(Self {
             dir: dir.to_path_buf(),
         })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Writes a run snapshot as `run_{next_round:06}.ckpt`, atomically.
@@ -695,10 +706,31 @@ mod tests {
             Err(EdgeSliceError::SnapshotMismatch { .. })
         ));
 
-        // A pre-v2-style snapshot (no recorded slices) is accepted.
-        let mut legacy = snap.clone();
-        legacy.slices = Vec::new();
-        assert!(legacy.validate_slices(&two).is_ok());
+        // A snapshot that records no slice set fits no system.
+        let mut unrecorded = snap.clone();
+        unrecorded.slices = Vec::new();
+        assert!(matches!(
+            unrecorded.validate_slices(&expected),
+            Err(EdgeSliceError::SnapshotMismatch { .. })
+        ));
+        // Nor does one whose worker holds per-slice state for other slots.
+        for field in 0..4 {
+            let mut bad = snap.clone();
+            let ws = &mut bad.workers[0];
+            match field {
+                0 => ws.queues.clear(),
+                1 => ws.coordination.push(0.0),
+                2 => ws.active.clear(),
+                _ => ws.rates.clear(),
+            }
+            assert!(
+                matches!(
+                    bad.validate_slices(&expected),
+                    Err(EdgeSliceError::SnapshotMismatch { .. })
+                ),
+                "field {field}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

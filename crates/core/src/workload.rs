@@ -555,7 +555,7 @@ impl WorkloadPlan {
     }
 
     /// The initial (round-0, pre-run) slice requests.
-    pub fn initial(&self) -> &[SliceRequest] {
+    pub(crate) fn initial(&self) -> &[SliceRequest] {
         &self.initial
     }
 
@@ -869,7 +869,7 @@ impl SliceLifecycle {
     }
 
     /// The absolute per-slot state to broadcast this round.
-    pub fn state(&self) -> LifecycleState {
+    pub(crate) fn state(&self) -> LifecycleState {
         LifecycleState {
             active: self
                 .status
@@ -887,14 +887,8 @@ impl SliceLifecycle {
 
     /// Per-slot lifetime rows (admit round, depart round, reject reason,
     /// resize count).
-    pub fn lifetimes(&self) -> &[SliceLifetime] {
+    pub(crate) fn lifetimes(&self) -> &[SliceLifetime] {
         &self.lifetimes
-    }
-
-    /// Each slot's live SLA (initial spec until admission/resize changes
-    /// it).
-    pub fn slas(&self) -> &[Sla] {
-        &self.slas
     }
 
     /// Captures the machine's durable state.

@@ -17,8 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edgeslice::{
-    project_action_per_resource, AgentConfig, EdgeSliceSystem, FleetScratch, OrchestrationAgent,
-    OrchestratorKind, PolicyCheckpoint, RaId, RaSliceEnv, SystemConfig, Taro,
+    project_action_per_resource, AgentConfig, EdgeSliceSystem, OrchestrationAgent,
+    OrchestratorKind, PolicyCheckpoint, RaId, RaSliceEnv, RowScratch, SystemConfig, Taro,
 };
 use edgeslice_rl::Technique;
 use rand::rngs::StdRng;
@@ -129,7 +129,7 @@ fn learned_agent_step_is_allocation_free_after_warm_up() {
     let env = system.env0_mut();
     env.set_randomize_coord(false);
     env.set_coordination(&[-30.0; N_SLICES]);
-    let (mut state, mut action, mut scratch) = (Vec::new(), Vec::new(), FleetScratch::new());
+    let (mut state, mut action, mut scratch) = (Vec::new(), Vec::new(), RowScratch::new());
     // An untrained actor barely moves, so `i` drifts its action across the
     // grid: the counted steps hold first touches (a cell fitted and
     // remembered) as well as revisits.

@@ -3,9 +3,13 @@
 //! another crate, a bin, a test, an example, the benchmark — or by a
 //! doc-comment code block anywhere, since doctests compile against the
 //! public API. Names inside a `use` declaration never count: a re-export
-//! alone is not a use. A flagged item becomes `pub(crate)`, and rustc's
-//! `dead_code` finds what nothing reaches. Names, not types, are matched:
-//! dead items can hide behind a common name, live ones are never flagged.
+//! alone is not a use. A `fn` counts as named only where a call or a path
+//! can name it — `name(`, `Type::name` or `name::<` — so a local or a field
+//! that shares its name keeps nothing alive; a `const` or `static` counts
+//! wherever its identifier appears. A flagged item becomes `pub(crate)`,
+//! and rustc's `dead_code` finds what nothing reaches. Names, not types,
+//! are matched: dead items can hide behind a common name, live ones are
+//! never flagged.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -17,8 +21,16 @@ use crate::rules::DEAD_PUB;
 /// The identifiers one file names: `code` outside `use` declarations, and
 /// `doc` inside its doc comments' code blocks.
 pub(crate) struct Names {
-    code: BTreeSet<String>,
-    doc: BTreeSet<String>,
+    code: Idents,
+    doc: Idents,
+}
+
+/// One file's identifiers outside `use` declarations: `any` holds every
+/// one, `fns` those in call or path position.
+#[derive(Default)]
+struct Idents {
+    any: BTreeSet<String>,
+    fns: BTreeSet<String>,
 }
 
 impl Names {
@@ -47,16 +59,25 @@ impl Names {
     }
 }
 
-/// Every identifier token outside a `use` declaration.
-fn code_names(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
+/// Every identifier token outside a `use` declaration, and which of them
+/// stand where a `fn` is named: before `(` or `::<`, or after `::`. A `fn`
+/// definition's own name is not a use.
+fn code_names(toks: &[Tok]) -> Idents {
+    let mut out = Idents::default();
     let mut in_use = false;
-    for t in toks {
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    for (i, t) in toks.iter().enumerate() {
         if in_use {
             in_use = t.text != ";";
         } else if t.kind == TokKind::Ident {
             in_use = t.text == "use";
-            out.insert(t.text.clone());
+            out.any.insert(t.text.clone());
+            let before = if i == 0 { "" } else { text(i - 1) };
+            let named_as_fn =
+                before == "::" || text(i + 1) == "(" || (text(i + 1) == "::" && text(i + 2) == "<");
+            if named_as_fn && before != "fn" {
+                out.fns.insert(t.text.clone());
+            }
         }
     }
     out
@@ -103,25 +124,34 @@ pub(crate) fn dead_pub<'n>(
     outside: impl IntoIterator<Item = &'n Names>,
     out: &mut Vec<Diagnostic>,
 ) {
-    // Name → the libraries naming it; "" stands for every other naming
-    // place (binaries, tests, examples, the benchmark, doc code blocks).
+    // Name → the libraries naming it, as any identifier and as a `fn`; ""
+    // stands for every other naming place (binaries, tests, examples, the
+    // benchmark, doc code blocks).
     let mut named_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut fn_named_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     let libs = units.iter().zip(names).map(|(u, n)| {
         let lib = is_library(&u.file.rel_path).then_some(u.file.crate_name.as_str());
         (lib, n)
     });
     for (lib, n) in libs.chain(outside.into_iter().map(|n| (None, n))) {
-        for s in &n.code {
-            named_in.entry(s).or_default().insert(lib.unwrap_or(""));
-        }
-        for s in &n.doc {
-            named_in.entry(s).or_default().insert("");
+        for (idents, by) in [(&n.code, lib.unwrap_or("")), (&n.doc, "")] {
+            for s in &idents.any {
+                named_in.entry(s).or_default().insert(by);
+            }
+            for s in &idents.fns {
+                fn_named_in.entry(s).or_default().insert(by);
+            }
         }
     }
     for u in units.iter().filter(|u| is_library(&u.file.rel_path)) {
         let krate = u.file.crate_name.as_str();
         for (kind, name, line) in pub_items(u) {
-            if named_in
+            let named = if kind == "fn" {
+                &fn_named_in
+            } else {
+                &named_in
+            };
+            if named
                 .get(name)
                 .is_some_and(|by| by.iter().any(|b| *b != krate))
             {

@@ -624,7 +624,7 @@ pub(crate) fn transitive_alloc(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
                     f.line,
                     format!(
                         "hot-path fn `{}` reaches an allocation through {}: `{}` does \
-                         {what} at {}:{line} — the `*_into`/`*_scratch`/kernel families \
+                         {what} at {}:{line} — the `*_into`/`*_scratch`/`*_row`/kernel families \
                          must stay allocation-free at every call depth",
                         f.name,
                         chain.join(" → "),

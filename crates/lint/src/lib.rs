@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `determinism` | workers are pure functions of `(master_seed, ra, round)`: no wall clock, OS entropy, or hash-order iteration | `runtime`, `core`, `netsim` (clock module exempt) |
 //! | `panic-policy` | the Supervisor catches *worker* panics; coordinator code returns typed errors | `runtime`, `core` |
-//! | `hot-path-alloc` | the `*_into`/`*_scratch` training families reuse caller storage | `nn`, `rl` |
+//! | `hot-path-alloc` | the `*_into`/`*_scratch`/`*_row` families reuse caller storage | `nn`, `rl` |
 //! | `crate-header` | every crate root carries `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` | all crates |
 //! | `float-eq` | no `==`/`!=` against float literals | all crates |
 //!
@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | `rng-stream-separation` | every `*_STREAM_TAG`/`DOMAIN_*` constant is unique workspace-wide, and every seed-derivation site folds in exactly one *named* tag (no literal tags, no tag reuse) | `runtime`, `core`, `netsim` |
 //! | `frame-protocol` | the `TAG_*` wire constants and `WireMsg` variants stay in sync, and every match over decoded frames names each variant — no wildcard arm silently swallowing a tag | `runtime` |
-//! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl` |
+//! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `*_row`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl` |
 //! | `dead-pub` | a library's `pub fn`/`const`/`static` is named by code outside it (other crates, bins, tests, examples, the benchmark, doc code blocks); otherwise it becomes `pub(crate)` | every library, on the workspace walk only |
 //!
 //! All rules skip `#[cfg(test)]` / `#[test]` regions. A finding can be

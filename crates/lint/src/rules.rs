@@ -202,8 +202,8 @@ pub fn registry() -> Vec<Rule> {
             name: HOT_PATH_ALLOC,
             severity: Severity::Error,
             description: "no Vec::new/vec!/to_vec/clone()/collect() inside the `*_into` / \
-                          `*_scratch` / `matmul_*` / `pack_*` / `accumulate_*` function \
-                          families in nn/rl/optim/netsim/core",
+                          `*_scratch` / `*_row` / `matmul_*` / `pack_*` / `accumulate_*` \
+                          function families in nn/rl/optim/netsim/core",
             check: hot_path_alloc,
         },
         Rule {
@@ -418,13 +418,15 @@ fn next_is(toks: &[Tok], i: usize, text: &str) -> bool {
 }
 
 /// True for function names in the hot-path families: the
-/// caller-provides-storage suffixes (`*_into`, `*_scratch`) plus the PR 9
+/// caller-provides-storage suffixes (`*_into`, `*_scratch`, and `*_row`,
+/// the batch-1 forward on a caller's row scratch) plus the PR 9
 /// GEMM kernel-layer prefixes (`matmul_*`, `pack_*`, `accumulate_*`) —
 /// the blocked/parallel kernels and their panel-packing helpers, whose
 /// packed B panels live on the stack precisely so they never allocate.
 pub(crate) fn is_hot_path_fn_name(name: &str) -> bool {
     name.ends_with("_into")
         || name.ends_with("_scratch")
+        || name.ends_with("_row")
         || name.starts_with("matmul_")
         || name.starts_with("pack_")
         || name.starts_with("accumulate_")
@@ -500,7 +502,7 @@ fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     Severity::Error,
                     toks[k].line,
                     format!(
-                        "{what} inside hot-path fn `{fn_name}`: the `*_into`/`*_scratch` \
+                        "{what} inside hot-path fn `{fn_name}`: the `*_into`/`*_scratch`/`*_row` \
                          and kernel (`matmul_*`/`pack_*`/`accumulate_*`) families must \
                          reuse caller-provided storage \
                          (see the counting-allocator tests: crates/rl/tests/zero_alloc.rs, \

@@ -143,6 +143,46 @@ fn calls_from_root_tests_and_the_benchmark_count() {
 }
 
 #[test]
+fn a_local_or_a_field_of_the_same_name_does_not_count() {
+    let diags = findings(&[
+        lib(CORE_LIB, "core", "pub fn synth_shadowed() {}\n"),
+        outside(
+            "tests/__synth_test.rs",
+            "fn f(s: S) -> usize {\n    let synth_shadowed = s.synth_shadowed;\n    \
+             S { synth_shadowed }.synth_shadowed + synth_shadowed\n}\n",
+        ),
+    ]);
+    assert_flags(&diags, "synth_shadowed");
+}
+
+#[test]
+fn a_method_call_a_path_and_a_turbofish_each_count() {
+    for source in [
+        "fn f(x: X) {\n    x.synth_called();\n}\n",
+        "fn f() {\n    let g = edgeslice::Type::synth_called;\n}\n",
+        "fn f() {\n    let g = synth_called::<u8>;\n}\n",
+    ] {
+        let diags = findings(&[
+            lib(CORE_LIB, "core", "pub fn synth_called() {}\n"),
+            outside("tests/__synth_test.rs", source),
+        ]);
+        assert!(diags.is_empty(), "{source}: {diags:#?}");
+    }
+}
+
+#[test]
+fn a_const_counts_wherever_its_name_appears() {
+    let diags = findings(&[
+        lib(CORE_LIB, "core", "pub const SYNTH_LIMIT: usize = 3;\n"),
+        outside(
+            "tests/__synth_test.rs",
+            "fn f() -> [u8; SYNTH_LIMIT] {\n    [0; SYNTH_LIMIT]\n}\n",
+        ),
+    ]);
+    assert!(diags.is_empty(), "{diags:#?}");
+}
+
+#[test]
 fn a_doc_comment_code_block_counts() {
     let source = "/// ```\n/// edgeslice::synth_in_a_doctest();\n/// ```\n\
                   pub fn synth_in_a_doctest() {}\n";

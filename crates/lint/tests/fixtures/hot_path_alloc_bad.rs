@@ -1,5 +1,5 @@
 //! Fixture: violates `hot-path-alloc` inside the banned function families
-//! — the `*_into`/`*_scratch` suffixes and the
+//! — the `*_into`/`*_scratch`/`*_row` suffixes and the
 //! `matmul_*`/`pack_*`/`accumulate_*` kernel layer (analyzed as crate
 //! `nn`).
 
@@ -14,6 +14,10 @@ fn scaled_copy_into(src: &[f64], dst: &mut Vec<f64>, k: f64) {
 fn gather_scratch(src: &[f64], scratch: &mut Vec<f64>) {
     *scratch = src.iter().map(|x| x * 2.0).collect();
     let _backup = scratch.clone();
+}
+
+fn forward_row(x: &[f64], scratch: &mut Vec<f32>) {
+    *scratch = x.iter().map(|&v| v as f32).collect();
 }
 
 fn matmul_rows_blocked(a: &[f64], out: &mut [f64]) {

@@ -116,9 +116,10 @@ fn panic_policy_clean_is_silent() {
 #[test]
 fn hot_path_alloc_bad_fires_in_all_families() {
     let (diags, _) = analyze_fixture("hot_path_alloc_bad.rs", "nn", false);
-    assert_all_rule(&diags, "hot-path-alloc", 7);
+    assert_all_rule(&diags, "hot-path-alloc", 8);
     assert!(diags.iter().any(|d| d.message.contains("scaled_copy_into")));
     assert!(diags.iter().any(|d| d.message.contains("gather_scratch")));
+    assert!(diags.iter().any(|d| d.message.contains("forward_row")));
     // The PR 9 kernel families are covered too.
     assert!(diags
         .iter()

@@ -147,7 +147,7 @@ impl Gpu {
     }
 
     /// A tenant's current budget (0 if unknown).
-    pub fn budget(&self, tenant: TenantId) -> u32 {
+    pub(crate) fn budget(&self, tenant: TenantId) -> u32 {
         self.budgets.get(&tenant).copied().unwrap_or(0)
     }
 

@@ -155,11 +155,6 @@ impl GridDataset {
         self.times.is_empty()
     }
 
-    /// The application profile this dataset models.
-    pub fn app(&self) -> &AppProfile {
-        &self.app
-    }
-
     /// Exact lookup for an on-grid action, if `shares` lies on the grid.
     pub fn lookup(&self, shares: [f64; 3]) -> Option<f64> {
         let mut idx = [0usize; 3];

@@ -170,16 +170,6 @@ impl ResourceAutonomy {
         self.reconfig_mode = mode;
     }
 
-    /// Sets the transport controller's per-switch meter delete–create
-    /// interval, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is negative or non-finite.
-    pub fn set_reconfig_interval_s(&mut self, seconds: f64) {
-        self.transport.set_deletion_creation_interval_s(seconds);
-    }
-
     /// Scales each domain's total capacity by the given multipliers
     /// `[radio, transport, compute]` (fault injection: a degraded domain's
     /// `R^{tot}` shrinks; `[1.0; 3]` restores full capacity).

@@ -167,20 +167,6 @@ impl SdnController {
         self.outage_seconds
     }
 
-    /// Reconfigures the modeled per-switch delete–create interval (e.g. to
-    /// study slower control planes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is negative or non-finite.
-    pub(crate) fn set_deletion_creation_interval_s(&mut self, seconds: f64) {
-        assert!(
-            seconds.is_finite() && seconds >= 0.0,
-            "invalid interval {seconds}"
-        );
-        self.deletion_creation_interval_s = seconds;
-    }
-
     /// Sets `flow`'s bandwidth to `rate_mbps` along the whole path.
     ///
     /// With [`ReconfigMode::BreakBeforeMake`] the old meters are removed

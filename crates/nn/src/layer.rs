@@ -46,7 +46,7 @@ impl DenseGrad {
     }
 
     /// Multiplies the gradient by `alpha` in place.
-    pub fn scale(&mut self, alpha: f32) {
+    pub(crate) fn scale(&mut self, alpha: f32) {
         self.weights.scale(alpha);
         for b in &mut self.bias {
             *b *= alpha;

@@ -53,5 +53,5 @@ pub use activation::{sigmoid, Activation};
 pub use init::Init;
 pub use layer::{Dense, DenseGrad};
 pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};
-pub use network::{FleetScratch, Gradients, Mlp, TrainScratch};
+pub use network::{Gradients, Mlp, RowScratch, TrainScratch};
 pub use optimizer::{mse_loss_into, Adam};

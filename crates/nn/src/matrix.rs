@@ -299,7 +299,7 @@ impl Matrix {
     }
 
     /// Multiplies every element by `alpha` in place.
-    pub fn scale(&mut self, alpha: f32) {
+    pub(crate) fn scale(&mut self, alpha: f32) {
         for x in &mut self.data {
             *x *= alpha;
         }

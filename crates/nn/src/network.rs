@@ -20,7 +20,7 @@ use crate::{Activation, Dense, DenseGrad, GemmOp, Init, Matrix};
 pub struct Mlp {
     layers: Vec<Dense>,
     /// Each layer's `Wᵀ` (`in × out`), rows zero-padded to
-    /// [`lone_row_width`], for the batch-1 / fleet forward: filled on its
+    /// [`lone_row_width`], for the batch-1 forward: filled on its
     /// first call and dropped by every `&mut self` method, so it never
     /// outlives the weights it copies. Not part of the network's value:
     /// equality, `Debug` and serialization see `layers` only.
@@ -148,58 +148,24 @@ impl TrainScratch {
     }
 }
 
-/// A reusable scratch arena for batched multi-network inference
-/// ([`Mlp::forward_fleet_scratch`]).
-///
-/// Callers stage one input row per (agent, batch) pair — [`FleetScratch::begin`]
-/// shapes the stacked `(n_ra·batch) × in_dim` input, [`FleetScratch::set_input_row`]
-/// fills it — and each row's hidden activations ping-pong between two
-/// buffers. All buffers reshape in place, so steady-state fleet inference
-/// performs zero heap allocations.
+/// The reusable scratch of the batch-1 forward ([`Mlp::forward_row`]):
+/// the input row narrowed to `f32`, and two rows the layer outputs
+/// ping-pong between. Every buffer is resized in place, so a steady-state
+/// forward performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
-pub struct FleetScratch {
-    /// Stacked input batch, one row per (agent, batch) pair.
-    x: Matrix,
-    /// Stacked output, one row per input row.
-    out: Matrix,
-    /// Hidden-activation ping buffer, one row wide.
+pub struct RowScratch {
+    /// The narrowed input row.
+    x: Vec<f32>,
+    /// The last layer's output: after a forward, the network output.
     cur: Vec<f32>,
-    /// Hidden-activation pong buffer.
+    /// The layer output being written.
     next: Vec<f32>,
 }
 
-impl FleetScratch {
+impl RowScratch {
     /// A fresh, empty scratch. Buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reshapes the staged input batch to `rows × in_dim` in place. Row
-    /// contents are unspecified until [`FleetScratch::set_input_row`]
-    /// overwrites them.
-    pub fn begin(&mut self, rows: usize, in_dim: usize) {
-        self.x.resize_for(rows, in_dim);
-    }
-
-    /// Copies one input row into slot `i` of the staged batch, narrowing
-    /// each value to `f32`: the seam where an `f64` state enters a network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds or `row.len() != in_dim`.
-    pub fn set_input_row(&mut self, i: usize, row: &[f64]) {
-        let dst = self.x.row_mut(i);
-        assert_eq!(dst.len(), row.len(), "input row length mismatch");
-        for (d, &v) in dst.iter_mut().zip(row) {
-            *d = v as f32;
-        }
-    }
-
-    /// The stacked network output of the last
-    /// [`Mlp::forward_fleet_scratch`], row `i` corresponding to input row
-    /// `i`.
-    pub fn output(&self) -> &Matrix {
-        &self.out
     }
 }
 
@@ -222,7 +188,7 @@ impl Gradients {
     }
 
     /// Multiplies all gradients by `alpha` in place.
-    pub fn scale(&mut self, alpha: f32) {
+    pub(crate) fn scale(&mut self, alpha: f32) {
         for g in &mut self.layers {
             g.scale(alpha);
         }
@@ -353,55 +319,44 @@ impl Mlp {
         s.output
     }
 
-    /// Convenience forward pass for a single input vector: one row through
-    /// [`Mlp::forward_fleet_scratch`] on a throw-away scratch, so the
-    /// batch-1 forward has one implementation. Callers that decide every
-    /// step keep a [`FleetScratch`] and call that directly. The input is
-    /// narrowed to `f32` and the output widened back.
+    /// Convenience forward pass for a single input vector: one
+    /// [`Mlp::forward_row`] on a throw-away scratch, widened back to `f64`.
+    /// Callers that decide every step keep a [`RowScratch`] and call that
+    /// directly.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim`.
     pub fn forward_one(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.in_dim(), "input length mismatch");
-        let mut s = FleetScratch::new();
-        s.begin(1, x.len());
-        s.set_input_row(0, x);
-        self.forward_fleet_scratch(&mut s);
-        s.out.as_slice().iter().map(|&y| f64::from(y)).collect()
+        let mut s = RowScratch::new();
+        let out = self.forward_row(x, &mut s);
+        out.iter().map(|&y| f64::from(y)).collect()
     }
 
-    /// Batched multi-network forward over the input batch staged in `s`
-    /// (one row per (agent, batch) pair), replacing N per-agent
-    /// [`Mlp::forward`] calls against shared-shape weights: each row runs
-    /// the layer chain alone, every layer one fused lone-row kernel against
-    /// the network's padded `Wᵀ` memo. Output row `i` is **bit-identical**
-    /// to `forward` on input row `i`: each output is the same `k`-ascending
-    /// sum, `+ b` and activation. Returns the stacked output, also readable
-    /// via [`FleetScratch::output`]. Allocation-free at steady state (the
-    /// first call after construction or a weight mutation fills the memo).
+    /// The batch-1 forward: `x` narrowed to `f32`, then every layer one
+    /// fused lone-row kernel against the network's padded `Wᵀ` memo.
+    /// **Bit-identical** to row 0 of [`Mlp::forward`] on the narrowed row:
+    /// each output is the same `k`-ascending sum, `+ b` and activation.
+    /// Returns the output row, which lives in `s`. Allocation-free at
+    /// steady state (the first call after construction or a weight mutation
+    /// fills the memo).
     ///
     /// # Panics
     ///
-    /// Panics if the staged input width differs from `in_dim`.
-    pub fn forward_fleet_scratch<'s>(&self, s: &'s mut FleetScratch) -> &'s Matrix {
-        assert_eq!(s.x.cols(), self.in_dim(), "fleet input width mismatch");
-        let weights_t = self.weights_t();
-        let (last, hidden) = self.layers.split_last().expect("an Mlp has layers");
-        let FleetScratch { x, out, cur, next } = s;
-        out.resize_for(x.rows(), last.out_dim());
-        for i in 0..x.rows() {
-            let mut input = x.row(i);
-            for (layer, wt) in hidden.iter().zip(weights_t) {
-                next.resize(layer.out_dim(), 0.0);
-                lone_row_into(input, wt, layer.bias(), layer.activation(), next);
-                std::mem::swap(cur, next);
-                input = cur;
-            }
-            let wt = &weights_t[hidden.len()];
-            lone_row_into(input, wt, last.bias(), last.activation(), out.row_mut(i));
+    /// Panics if `x.len() != in_dim`.
+    pub fn forward_row<'s>(&self, x: &[f64], s: &'s mut RowScratch) -> &'s [f32] {
+        assert_eq!(x.len(), self.in_dim(), "input length mismatch");
+        let RowScratch { x: row, cur, next } = s;
+        row.clear();
+        row.extend(x.iter().map(|&v| v as f32));
+        let mut input: &[f32] = row;
+        for (layer, wt) in self.layers.iter().zip(self.weights_t()) {
+            next.resize(layer.out_dim(), 0.0);
+            lone_row_into(input, wt, layer.bias(), layer.activation(), next);
+            std::mem::swap(cur, next);
+            input = cur;
         }
-        out
+        cur
     }
 
     /// Forward pass through a [`TrainScratch`], recording each layer's input

@@ -9,7 +9,7 @@
 //! reordered sum would show).
 
 use edgeslice_nn::{
-    Activation, Adam, Dense, DenseGrad, FleetScratch, GemmOp, Gradients, Matrix, Mlp, TrainScratch,
+    Activation, Adam, Dense, DenseGrad, GemmOp, Gradients, Matrix, Mlp, RowScratch, TrainScratch,
     BLOCKED_MIN_ROWS, TILE_K, TILE_N,
 };
 use proptest::prelude::*;
@@ -288,7 +288,7 @@ fn training_layer_shapes_bit_identical_to_naive() {
     }
 }
 
-/// `forward_one` on an `f64` row (narrowed into the fleet forward's fused
+/// `forward_one` on an `f64` row (narrowed into the batch-1 forward's fused
 /// lone-row kernel, against the padded `Wᵀ` memo, and widened out) against
 /// row 0 of the batch `forward` on the narrowed rows (the training pass's
 /// `forward_scratch`, `A·Bᵀ` against `W`, at three rows), bit for bit, with
@@ -431,14 +431,14 @@ fn split_backward_bit_identical_to_backward_scratch() {
     }
 }
 
-/// Fleet (batched multi-network) forward: each stacked output row is
-/// bit-identical to a solo 1-row forward of the same input — at 17 rows and
-/// at the 10 rows of a `run-long` fleet on the paper actor's shape, one
-/// scratch reused across both nets.
+/// The batch-1 forward on one scratch reused across rows and nets: each
+/// output row is bit-identical to a fresh-scratch `forward_one` of the same
+/// input — at 17 rows and at the 10 rows of a `run-long` round on the
+/// paper actor's shape, the wider net first.
 #[test]
-fn fleet_forward_rows_bit_identical_to_solo_forwards() {
+fn forward_row_on_a_reused_scratch_matches_a_fresh_one() {
     let mut rng = StdRng::seed_from_u64(4242);
-    let mut scratch = FleetScratch::new();
+    let mut scratch = RowScratch::new();
     for (dims, rows) in [([6, 24, 24, 4], 17), ([10, 64, 64, 15], 10)] {
         let net = Mlp::new(
             &dims,
@@ -446,17 +446,11 @@ fn fleet_forward_rows_bit_identical_to_solo_forwards() {
             Activation::Sigmoid,
             &mut rng,
         );
-        let inputs: Vec<Vec<f64>> = (0..rows)
-            .map(|_| (0..dims[0]).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
-            .collect();
-        scratch.begin(rows, dims[0]);
-        for (i, x) in inputs.iter().enumerate() {
-            scratch.set_input_row(i, x);
-        }
-        let out = net.forward_fleet_scratch(&mut scratch);
-        assert_eq!(out.shape(), (rows, dims[3]));
-        for (i, x) in inputs.iter().enumerate() {
-            assert_eq!(widen(out.row(i)), net.forward_one(x), "{dims:?} row {i}");
+        for i in 0..rows {
+            let x: Vec<f64> = (0..dims[0]).map(|_| rng.gen_range(-3.0f64..3.0)).collect();
+            let out = net.forward_row(&x, &mut scratch);
+            assert_eq!(out.len(), dims[3]);
+            assert_eq!(widen(out), net.forward_one(&x), "{dims:?} row {i}");
         }
     }
 }
@@ -512,7 +506,7 @@ fn lone_row_layer_bit_identical_to_naive_at_every_width() {
 }
 
 /// A padded memo column is computed and dropped: it never reaches a
-/// layer's output, so never the next layer's input nor the stacked output.
+/// layer's output, so never the next layer's input nor the network's.
 /// Nets whose every width is padded, one scratch reused from the widest
 /// down (stale values from a wider net sit past each narrower one's
 /// columns), against [`naive_net`] by `to_bits`, with the output exactly
@@ -520,20 +514,16 @@ fn lone_row_layer_bit_identical_to_naive_at_every_width() {
 #[test]
 fn padded_memo_columns_never_reach_an_output() {
     let mut rng = StdRng::seed_from_u64(3535);
-    let mut scratch = FleetScratch::new();
+    let mut scratch = RowScratch::new();
     for n in [129, 65, 33, 17, 15, 9, 5, 1] {
         for dims in [[7, n, n, 3], [5, 3, n, n]] {
             let net = rand_net(&mut rng, &dims, Activation::Identity);
             let x = rand_matrix(&mut rng, 2, dims[0]);
-            scratch.begin(2, dims[0]);
             for i in 0..2 {
-                scratch.set_input_row(i, &widen(x.row(i)));
-            }
-            let out = net.forward_fleet_scratch(&mut scratch);
-            assert_eq!(out.shape(), (2, dims[3]), "{dims:?}");
-            for i in 0..2 {
+                let out = net.forward_row(&widen(x.row(i)), &mut scratch);
+                assert_eq!(out.len(), dims[3], "{dims:?}");
                 let want = naive_net(&net, x.row(i));
-                assert_eq!(row_bits(&widen(out.row(i))), row_bits(&widen(&want)));
+                assert_eq!(row_bits(&widen(out)), row_bits(&widen(&want)));
             }
         }
     }

@@ -114,8 +114,8 @@ fn ddpg_update_is_allocation_free_at_steady_state() {
 }
 
 #[test]
-fn blocked_kernels_and_fleet_forward_are_allocation_free() {
-    use edgeslice_nn::{Activation, FleetScratch, GemmOp, Matrix, Mlp, TILE_K, TILE_N};
+fn blocked_kernels_are_allocation_free() {
+    use edgeslice_nn::{GemmOp, Matrix, TILE_K, TILE_N};
 
     let mut rng = StdRng::seed_from_u64(13);
 
@@ -147,49 +147,16 @@ fn blocked_kernels_and_fleet_forward_are_allocation_free() {
         allocations, 0,
         "steady-state blocked kernels performed {allocations} heap allocations"
     );
-
-    // Batched multi-network forward: stage once, then steady-state passes
-    // (restage + forward) must never touch the heap.
-    let net = Mlp::new(
-        &[12, 32, 32, 6],
-        Activation::leaky_default(),
-        Activation::Sigmoid,
-        &mut rng,
-    );
-    let inputs: Vec<Vec<f64>> = (0..64)
-        .map(|_| (0..12).map(|_| rng.gen_range(-1.0f64..1.0)).collect())
-        .collect();
-    let mut scratch = FleetScratch::new();
-    scratch.begin(inputs.len(), 12);
-    for (i, x) in inputs.iter().enumerate() {
-        scratch.set_input_row(i, x);
-    }
-    net.forward_fleet_scratch(&mut scratch);
-    let allocations = count_allocations(|| {
-        for _ in 0..8 {
-            scratch.begin(inputs.len(), 12);
-            for (i, x) in inputs.iter().enumerate() {
-                scratch.set_input_row(i, x);
-            }
-            let out = net.forward_fleet_scratch(&mut scratch);
-            assert_eq!(out.shape(), (64, 6));
-        }
-    });
-    assert_eq!(
-        allocations, 0,
-        "steady-state fleet forward performed {allocations} heap allocations"
-    );
 }
 
 #[test]
-fn one_row_fleet_forward_is_allocation_free() {
-    use edgeslice_nn::{Activation, FleetScratch, Mlp, BLOCKED_MIN_ROWS};
+fn one_row_forward_is_allocation_free() {
+    use edgeslice_nn::{Activation, Mlp, RowScratch};
 
-    // The per-RA decide of every agent step: one state row through the
-    // batched forward, `A·B` against the memoised `Wᵀ`, which reads `B` in
-    // place at any size. One row of the `A·Bᵀ` batch forward stays off the
-    // blocked schedule by its row-count term.
-    const { assert!(BLOCKED_MIN_ROWS > 1) };
+    // The per-RA decide of every agent step: one state row through
+    // `forward_row`, each layer one lone-row pass against the memoised
+    // padded `Wᵀ`, on the paper actor's shapes; the states change every
+    // call, the scratch is warmed once.
     let mut rng = StdRng::seed_from_u64(14);
     for hidden in [64, 128] {
         let net = Mlp::new(
@@ -198,17 +165,15 @@ fn one_row_fleet_forward_is_allocation_free() {
             Activation::Sigmoid,
             &mut rng,
         );
-        let state: Vec<f64> = (0..10).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
-        let mut scratch = FleetScratch::new();
-        scratch.begin(1, 10);
-        scratch.set_input_row(0, &state);
-        net.forward_fleet_scratch(&mut scratch);
+        let states: Vec<Vec<f64>> = (0..32)
+            .map(|_| (0..10).map(|_| rng.gen_range(-1.0f64..1.0)).collect())
+            .collect();
+        let mut scratch = RowScratch::new();
+        net.forward_row(&states[0], &mut scratch);
         let allocations = count_allocations(|| {
-            for _ in 0..32 {
-                scratch.begin(1, 10);
-                scratch.set_input_row(0, &state);
-                let out = net.forward_fleet_scratch(&mut scratch);
-                assert_eq!(out.shape(), (1, 15));
+            for state in &states {
+                let out = net.forward_row(state, &mut scratch);
+                assert_eq!(out.len(), 15);
             }
         });
         assert_eq!(

@@ -39,7 +39,7 @@ pub struct RoundDeadline {
 
 impl RoundDeadline {
     /// A deadline `budget` from now.
-    pub fn after(budget: Duration) -> Self {
+    pub(crate) fn after(budget: Duration) -> Self {
         Self {
             at: Instant::now() + budget,
         }

@@ -170,11 +170,6 @@ impl Engine {
         self
     }
 
-    /// The scheduler in effect.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// Runs up to `max_rounds` coordination rounds over `workers`, driving
     /// `coord` on the calling thread.
     ///

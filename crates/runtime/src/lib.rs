@@ -108,7 +108,7 @@ pub enum Scheduler {
 impl Scheduler {
     /// The number of worker threads this scheduler would spawn for
     /// `n_workers` RAs (0 for `Sequential`).
-    pub fn threads(&self, n_workers: usize) -> usize {
+    pub(crate) fn threads(&self, n_workers: usize) -> usize {
         match *self {
             Scheduler::Sequential => 0,
             Scheduler::Threaded(n) => n.max(1).min(n_workers),

@@ -289,11 +289,6 @@ impl RegistrationPlane {
             .collect()
     }
 
-    /// The registered node info for `ra`, if any.
-    pub fn info(&self, ra: usize) -> Option<NodeInfo> {
-        self.slots.get(ra).and_then(|s| s.info)
-    }
-
     /// Cumulative plane counters.
     pub fn stats(&self) -> RegStats {
         self.stats
@@ -442,6 +437,6 @@ mod tests {
         plane.register(node(0), lease(1), 0, now).unwrap();
         plane.register(node(1), lease(1), 0, now).unwrap();
         assert!(plane.all_registered());
-        assert_eq!(plane.info(1).map(|i| i.ra), Some(1));
+        assert_eq!(plane.slots[1].info.map(|i| i.ra), Some(1));
     }
 }

@@ -23,8 +23,8 @@ use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use edgeslice::{
-    channel_acceptor, connect_uds, loopback_pair, AgentConfig, Clock, EdgeSliceError,
-    EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, Lease, ListenerAcceptor,
+    channel_acceptor, connect_uds, loopback_pair, AgentConfig, CheckpointStore, Clock,
+    EdgeSliceError, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, Lease, ListenerAcceptor,
     LoopbackTransport, NetConfig, NetCoordinator, NetListener, OrchestratorKind, RaId,
     ResourceKind, RetryPolicy, RunReport, ServeOutcome, SystemConfig, Transport, TransportError,
     WorkerNetOptions,
@@ -315,6 +315,42 @@ fn respawned_worker_resyncs_from_checkpoint_and_finishes_the_run() {
         "the replacement must serve at least one round: {out2:?}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose worker state is not one entry per slice slot is a
+/// typed mismatch on both paths that rewind an environment from one —
+/// `resume` and a `serve_ra` peer's re-sync — never a panic.
+#[test]
+fn misshaped_worker_snapshot_is_a_typed_mismatch_on_resume_and_resync() {
+    let dir = fresh_dir("misshaped");
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut sys = taro_system(&mut rng);
+    sys.set_checkpointing(&dir, 1).unwrap();
+    sys.run(ROUNDS, &mut rng);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut snap = store.latest_run().unwrap().snapshot.unwrap();
+    snap.workers[0].queues.pop();
+    store.save_run(&snap).unwrap();
+
+    // One round past the snapshot, so the resume rewinds the environments.
+    let injector = FaultInjector::none(N_RAS, ROUNDS + 1);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let resumed = taro_system(&mut rng).resume(&dir, ROUNDS + 1, &mut rng, &injector);
+    assert!(matches!(
+        resumed,
+        Err(EdgeSliceError::SnapshotMismatch { .. })
+    ));
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut peer = taro_system(&mut rng);
+    peer.set_checkpointing(&dir, 1).unwrap();
+    let (_coordinator_end, worker_end) = loopback_pair();
+    let served = peer.serve_ra(RaId(0), &mut rng, &injector, worker_end, &worker_opts());
+    assert!(matches!(
+        served,
+        Err(EdgeSliceError::SnapshotMismatch { .. })
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -120,10 +120,7 @@ fn an_installed_policy_is_not_shadowed_by_a_restored_one() {
     assert_eq!(sys.restored_policy_count(), 0);
     let installed = PolicyCheckpoint::from_agent(&new);
     let fleet = sys.policy_fleet(Parallelism::Sequential);
-    assert!(fleet
-        .policies()
-        .iter()
-        .all(|p| p.policy_bit_identical(&installed)));
+    assert!(fleet.policies().iter().all(|p| *p == installed));
 
     let mut sys = restored_system();
     assert_eq!(sys.restored_policy_count(), n_ras);
