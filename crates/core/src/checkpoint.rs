@@ -120,6 +120,21 @@ impl PolicyCheckpoint {
         self.action_dim
     }
 
+    /// Whether this policy decides on `state_dim` inputs for `action_dim`
+    /// shares: its declared dimensions are those, and its network — which
+    /// a hand-edited file may have left without layers — reads and writes
+    /// them.
+    pub(crate) fn fits(&self, state_dim: usize, action_dim: usize) -> bool {
+        let outputs = match self.decode {
+            Decode::Direct => action_dim,
+            Decode::SigmoidMeanHead => 2 * action_dim,
+        };
+        let layers = self.network.layers();
+        let ends = layers.first().zip(layers.last());
+        (self.state_dim, self.action_dim) == (state_dim, action_dim)
+            && ends.map(|(a, z)| (a.in_dim(), z.out_dim())) == Some((state_dim, outputs))
+    }
+
     /// The greedy action for a state, identical to the source agent's
     /// [`OrchestrationAgent::decide`].
     ///

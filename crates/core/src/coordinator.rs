@@ -14,7 +14,8 @@
 //! ([`PerformanceCoordinator::update_partial`]):
 //!
 //! * a missing RA's `Σ_t U` is substituted with its **last-known report**
-//!   for up to a **staleness budget** of 3 consecutive rounds;
+//!   for up to a **staleness budget** of 3 consecutive rounds
+//!   (`STALENESS_BUDGET`);
 //! * the missing RA's dual column is **frozen** (no `y` ascent on stale
 //!   data — stale residuals would corrupt the consensus);
 //! * past the budget the RA is **declared dead**: its columns leave the
@@ -48,10 +49,13 @@ impl CoordinationInfo {
 /// The complete mutable state of a [`PerformanceCoordinator`], as captured
 /// by a durable run snapshot: the ADMM iterates (`z`, `y`), the
 /// degraded-coordination bookkeeping (last-known reports, staleness
-/// counters, dead flags), the residual history driving convergence checks,
-/// and the tunable knobs. The static shape (SLAs, RA count, ADMM config)
-/// is *not* stored — it is rebuilt from the system configuration and
-/// validated against the snapshot on restore.
+/// counters, dead flags), the round count and last residuals driving
+/// convergence checks, and the per-slice lifecycle rows. The static shape
+/// (SLAs, RA count, ADMM config) is *not* stored — it is rebuilt from the
+/// system configuration and validated against the snapshot on restore —
+/// and neither are the constants (`DUAL_CLAMP`, `STALENESS_BUDGET`)
+/// nor the residual history (each [`crate::RoundRecord`] holds its
+/// round's residuals).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoordinatorState {
     /// Auxiliary variables `z`, `[slice][ra]`.
@@ -64,17 +68,24 @@ pub struct CoordinatorState {
     pub staleness: Vec<usize>,
     /// Dead flags per RA.
     pub dead: Vec<bool>,
-    /// Residuals of every completed round, in order.
-    pub residual_history: Vec<AdmmResiduals>,
-    /// The dual safeguard bound in effect.
-    pub dual_clamp: f64,
-    /// The staleness budget in effect, rounds.
-    pub staleness_budget: usize,
+    /// Rounds completed and the last round's residuals.
+    pub convergence: ConvergenceTracker,
     /// Active flags, one per slice row.
     pub active: Vec<bool>,
     /// Live `Umin` (renegotiated by resizes), one per slice row.
     pub umins: Vec<f64>,
 }
+
+/// Safeguard bound on |y|: scaled duals are clamped into
+/// `[-DUAL_CLAMP, DUAL_CLAMP]`. With a feasible SLA the duals stay far
+/// inside the bound and the clamp is inert; with a (transiently)
+/// infeasible SLA it prevents dual divergence from driving the
+/// coordination signal outside the agents' trained input range — the
+/// standard safeguarded-ADMM device.
+const DUAL_CLAMP: f64 = 50.0;
+
+/// Consecutive missed rounds tolerated before an RA is declared dead.
+const STALENESS_BUDGET: usize = 3;
 
 /// The performance coordinator.
 #[derive(Debug, Clone)]
@@ -87,19 +98,10 @@ pub struct PerformanceCoordinator {
     y: Vec<Vec<f64>>,
     config: AdmmConfig,
     tracker: ConvergenceTracker,
-    /// Safeguard bound on |y|: scaled duals are clamped into
-    /// `[-dual_clamp, dual_clamp]`. With a feasible SLA the duals stay far
-    /// inside the bound and the clamp is inert; with a (transiently)
-    /// infeasible SLA it prevents dual divergence from driving the
-    /// coordination signal outside the agents' trained input range — the
-    /// standard safeguarded-ADMM device.
-    dual_clamp: f64,
     /// Last report received per RA, `[slice][ra]` (bounded-staleness reuse).
     last_known: Vec<Vec<f64>>,
     /// Consecutive rounds each RA has gone without reporting.
     staleness: Vec<usize>,
-    /// Missed rounds tolerated before an RA is declared dead.
-    staleness_budget: usize,
     /// RAs currently declared dead (past the staleness budget).
     dead: Vec<bool>,
     /// Active flags per slice row: an inactive slice (slot pending
@@ -133,10 +135,8 @@ impl PerformanceCoordinator {
             y,
             config,
             tracker: ConvergenceTracker::new(),
-            dual_clamp: 50.0,
             last_known,
             staleness: vec![0; n_ras],
-            staleness_budget: 3,
             dead: vec![false; n_ras],
             active: vec![true; slas.len()],
         }
@@ -273,7 +273,7 @@ impl PerformanceCoordinator {
                 self.staleness[j] = 0;
             } else {
                 self.staleness[j] += 1;
-                if self.staleness[j] > self.staleness_budget {
+                if self.staleness[j] > STALENESS_BUDGET {
                     self.dead[j] = true;
                     for row in self.z.iter_mut().chain(self.y.iter_mut()) {
                         row[j] = 0.0;
@@ -325,7 +325,7 @@ impl PerformanceCoordinator {
             dual_update(&mut y_alive, &u_alive, &z_alive);
             for (slot, &j) in alive.iter().enumerate() {
                 if present[j] {
-                    self.y[i][j] = y_alive[slot].clamp(-self.dual_clamp, self.dual_clamp);
+                    self.y[i][j] = y_alive[slot].clamp(-DUAL_CLAMP, DUAL_CLAMP);
                 }
             }
         }
@@ -360,9 +360,7 @@ impl PerformanceCoordinator {
             last_known: self.last_known.clone(),
             staleness: self.staleness.clone(),
             dead: self.dead.clone(),
-            residual_history: self.tracker.history().to_vec(),
-            dual_clamp: self.dual_clamp,
-            staleness_budget: self.staleness_budget,
+            convergence: self.tracker.clone(),
             active: self.active.clone(),
             umins: self.slas.iter().map(|s| s.umin).collect(),
         }
@@ -408,9 +406,7 @@ impl PerformanceCoordinator {
         self.last_known = state.last_known.clone();
         self.staleness = state.staleness.clone();
         self.dead = state.dead.clone();
-        self.tracker = ConvergenceTracker::from_history(state.residual_history.clone());
-        self.dual_clamp = state.dual_clamp;
-        self.staleness_budget = state.staleness_budget;
+        self.tracker = state.convergence.clone();
         self.active = state.active.clone();
         for (sla, &umin) in self.slas.iter_mut().zip(&state.umins) {
             *sla = Sla::new(umin);
@@ -528,13 +524,21 @@ mod tests {
         assert!(!c.is_dead(RaId(1)));
     }
 
+    /// Misses RA 1's reports until it is declared dead.
+    fn kill_ra1(c: &mut PerformanceCoordinator, achieved: &[Vec<f64>]) {
+        for _ in 0..=STALENESS_BUDGET {
+            c.update_partial(achieved, &[true, false]);
+        }
+    }
+
     #[test]
     fn exceeding_the_staleness_budget_declares_death_and_redistributes() {
         let mut c = coordinator();
-        c.staleness_budget = 1;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
-        c.update_partial(&achieved, &[true, false]); // within budget
+        for _ in 0..STALENESS_BUDGET {
+            c.update_partial(&achieved, &[true, false]); // within budget
+        }
         assert!(!c.is_dead(RaId(1)));
         c.update_partial(&achieved, &[true, false]); // budget exceeded
         assert!(c.is_dead(RaId(1)));
@@ -552,10 +556,9 @@ mod tests {
     #[test]
     fn rejoin_revives_with_zeroed_duals() {
         let mut c = coordinator();
-        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
-        c.update_partial(&achieved, &[true, false]);
+        kill_ra1(&mut c, &achieved);
         assert!(c.is_dead(RaId(1)));
         c.update_partial(&achieved, &[true, true]);
         assert!(!c.is_dead(RaId(1)));
@@ -569,7 +572,6 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_and_validates_shape() {
         let mut c = coordinator();
-        c.staleness_budget = 2;
         let achieved = vec![vec![-100.0, -80.0], vec![-10.0, -5.0]];
         c.update(&achieved);
         c.update_partial(&achieved, &[true, false]);
@@ -581,7 +583,6 @@ mod tests {
         assert_eq!(fresh.y, c.y);
         assert_eq!(fresh.rounds(), c.rounds());
         assert_eq!(fresh.staleness[1], c.staleness[1]);
-        assert_eq!(fresh.staleness_budget, 2);
         assert_eq!(fresh.snapshot(), state);
 
         // The restored coordinator continues exactly as the original.
@@ -642,10 +643,9 @@ mod tests {
     #[test]
     fn admit_skips_dead_columns() {
         let mut c = coordinator();
-        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
-        c.update_partial(&achieved, &[true, false]);
+        kill_ra1(&mut c, &achieved);
         assert!(c.is_dead(RaId(1)));
         c.admit_slice(SliceId(0), Sla::new(-40.0));
         assert_eq!(c.z[0], vec![-40.0, 0.0], "dead column stays zeroed");
@@ -692,12 +692,12 @@ mod tests {
     #[test]
     fn total_blackout_holds_state() {
         let mut c = coordinator();
-        c.staleness_budget = 0;
         let achieved = vec![vec![-100.0, -100.0], vec![-100.0, -100.0]];
         c.update(&achieved);
         let (z, y) = (c.z.to_vec(), c.y.to_vec());
-        c.update_partial(&achieved, &[false, false]);
-        c.update_partial(&achieved, &[false, false]);
+        for _ in 0..=STALENESS_BUDGET + 1 {
+            c.update_partial(&achieved, &[false, false]);
+        }
         assert_eq!(c.dead, [true, true]);
         // z/y zeroed for dead columns is the only change; a later rejoin
         // rebuilds them. No NaNs, no panics.

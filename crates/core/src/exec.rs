@@ -61,41 +61,58 @@ pub(crate) struct WorkerRun<'a> {
     pub master: u64,
     pub period: usize,
     pub project_actions: bool,
-    /// Global round index of this run's round 0 (monitor rounds keep
-    /// counting across runs).
-    pub round_base: usize,
     /// Real wall-clock delay applied when a worker straggles, making the
     /// late report physically late on the channel (zero by default so
     /// determinism tests stay instant).
     pub straggle_sleep: Duration,
 }
 
-/// One RA's round outcome, carried in [`RaReport::body`]: the achieved
-/// per-slice `Σ_t U`, the end-of-round queue state, the coordination
-/// signal and trace position the environment ended the round with (the
-/// coordinator's snapshot material), and this round's monitor rows (the
-/// VR-interface reports, shipped to the central monitor in one batch per
-/// round).
+/// One RA's round outcome, carried in [`RaReport::body`]: this round's
+/// monitor rows (the VR-interface reports, shipped to the central monitor
+/// in one batch per round) and the RA's state at the round's end (the
+/// coordinator's snapshot material).
+///
+/// Which RA reported, for which round, is what the coordinator already
+/// knows; so is where each row sits in the grid. The body carries neither,
+/// nor the achieved per-slice `Σ_t U`: that is the sum of the rows'
+/// performance in interval order, and the coordinator adds it up itself.
 ///
 /// Serializable because the networked runtime ships it across process
 /// boundaries as an opaque frame payload (see [`encode_body`]); JSON's
 /// Ryu `f64` round-trip keeps loopback and socket runs byte-identical.
 #[derive(serde::Serialize, serde::Deserialize)]
 pub(crate) struct RaRoundBody {
-    /// `Σ_t U_{i,j}` per slice `i` for this RA `j`.
-    pub u: Vec<f64>,
-    /// End-of-round per-slice service queues.
-    pub queues: Vec<edgeslice_netsim::ServiceQueue>,
-    /// The coordination vector the environment holds after this round.
-    pub coordination: Vec<f64>,
-    /// The environment's global interval counter after this round.
-    pub global_t: usize,
-    /// The round's per-(interval, slice) monitor rows.
-    pub records: Vec<MonitorRecord>,
-    /// Per-slice activity flags after this round (dynamic workloads).
-    pub active: Vec<bool>,
-    /// Per-slice negotiated rate overrides after this round.
-    pub rates: Vec<Option<f64>>,
+    /// The round's rows, interval-major: row `k` is interval
+    /// `k / n_slices`, slice `k % n_slices`.
+    pub rows: Vec<MeasuredRow>,
+    /// The RA's round-boundary state after this round.
+    pub state: WorkerSnapshot,
+}
+
+/// What one served (interval, slice) cell measured: the monitor row
+/// without its identity, which the coordinator stamps from the cell.
+#[derive(Clone, Copy, serde::Serialize, serde::Deserialize)]
+pub(crate) struct MeasuredRow {
+    /// Queue length at interval end.
+    pub queue: f64,
+    /// Performance `U`.
+    pub performance: f64,
+    /// Applied shares `[radio, transport, compute]`.
+    pub shares: [f64; 3],
+}
+
+impl MeasuredRow {
+    /// This measurement as the served row of `cell`'s (round, interval,
+    /// RA, slice).
+    fn at(self, cell: MonitorRecord) -> MonitorRecord {
+        MonitorRecord {
+            queue: self.queue,
+            performance: self.performance,
+            shares: self.shares,
+            status: IntervalStatus::Served,
+            ..cell
+        }
+    }
 }
 
 /// Encodes a round body for the wire (the networked runtime carries it as
@@ -106,71 +123,35 @@ pub(crate) fn encode_body(body: &RaRoundBody) -> Result<Vec<u8>, crate::EdgeSlic
         .map_err(crate::EdgeSliceError::from)
 }
 
-/// Decodes the wire round body RA `ra` reported for global round `round`.
-/// A payload that framed correctly but fails to decode is a protocol bug
-/// or a foreign peer — a typed error, never a panic. So is a body whose
-/// per-slice state (`u`, `queues`, `coordination`, `active`, `rates`) is
-/// not `n_slices` long, or whose rate overrides are not finite and
-/// non-negative: the coordinator folds that state into the next snapshot,
-/// which a resume restores into the environments. So, too, is a body whose
-/// monitor rows are not the grid a worker emits: `period × n_slices`
-/// served rows of the reporter's own for that round, row `k` at interval
-/// `k / n_slices` and slice `k % n_slices`. The monitor sizes its
-/// per-round aggregates by the row ids, prorates SLAs by the outage rows
-/// and sums usage over every row, so a peer must not get to pick any of
-/// them, leave cells out or repeat one.
+/// Decodes the wire round body RA `ra` reported. A payload that framed
+/// correctly but fails to decode is a protocol bug or a foreign peer — a
+/// typed error, never a panic. So is a body whose state fails
+/// [`WorkerSnapshot::check`] for `ra` or marks the RA down (the
+/// coordinator folds that state into the next snapshot, which a resume
+/// restores into the environments), and one whose rows are not the
+/// `period × n_slices` grid a worker emits: the monitor sums every row
+/// into the cell its position names, so a peer must not leave cells out
+/// or add any.
 pub(crate) fn decode_body(
     bytes: &[u8],
     ra: RaId,
-    round: usize,
     period: usize,
     n_slices: usize,
 ) -> Result<RaRoundBody, crate::EdgeSliceError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| crate::EdgeSliceError::Serialization(format!("non-UTF-8 body: {e}")))?;
     let body: RaRoundBody = serde_json::from_str(text)?;
-    let lengths = [
-        ("u", body.u.len()),
-        ("queues", body.queues.len()),
-        ("coordination", body.coordination.len()),
-        ("active", body.active.len()),
-        ("rates", body.rates.len()),
-    ];
-    if let Some((field, len)) = lengths.into_iter().find(|&(_, len)| len != n_slices) {
-        return Err(crate::EdgeSliceError::Serialization(format!(
-            "{len} `{field}` entries in {ra}'s report for round {round}, not {n_slices}"
-        )));
+    let refuse = |reason: String| {
+        crate::EdgeSliceError::Serialization(format!("{ra}'s report body: {reason}"))
+    };
+    body.state.check(ra, n_slices).map_err(refuse)?;
+    if body.state.was_down {
+        return Err(refuse("a served round's state marks the RA down".into()));
     }
-    if let Some(rate) = body
-        .rates
-        .iter()
-        .flatten()
-        .find(|r| !(r.is_finite() && **r >= 0.0))
-    {
-        return Err(crate::EdgeSliceError::Serialization(format!(
-            "rate {rate} in {ra}'s report for round {round} is not finite and non-negative"
-        )));
-    }
-    if Some(body.records.len()) != period.checked_mul(n_slices) {
-        return Err(crate::EdgeSliceError::Serialization(format!(
-            "{} monitor rows in {ra}'s report for round {round}, not {period} × {n_slices}",
-            body.records.len()
-        )));
-    }
-    let foreign = body.records.iter().enumerate().find(|(k, r)| {
-        (r.round, r.ra, r.interval, r.slice.0, r.status)
-            != (
-                round,
-                ra,
-                k / n_slices,
-                k % n_slices,
-                IntervalStatus::Served,
-            )
-    });
-    if let Some((k, r)) = foreign {
-        return Err(crate::EdgeSliceError::Serialization(format!(
-            "monitor row {k} is ({:?}, round {}, interval {}, {}, {}) in {ra}'s report for round {round}",
-            r.status, r.round, r.interval, r.ra, r.slice
+    if Some(body.rows.len()) != period.checked_mul(n_slices) {
+        return Err(refuse(format!(
+            "{} monitor rows, not {period} × {n_slices}",
+            body.rows.len()
         )));
     }
     Ok(body)
@@ -279,7 +260,6 @@ impl RoundWorker for RaExecWorker<'_> {
                 ),
             }
         }
-        let round = self.run.round_base + round_off;
         if view.down {
             // Outage start: make-before-break — snapshot the policy the
             // RA will be re-deployed from when it rejoins.
@@ -302,9 +282,8 @@ impl RoundWorker for RaExecWorker<'_> {
         if !view.broadcast_dropped {
             self.env.set_coordination(&info.zy);
         }
-        let mut u = vec![0.0; self.n_slices];
-        let mut records = Vec::with_capacity(self.run.period * self.n_slices);
-        for t in 0..self.run.period {
+        let mut rows = Vec::with_capacity(self.run.period * self.n_slices);
+        for _ in 0..self.run.period {
             match &self.policy {
                 WorkerPolicy::Learned(policy) => {
                     self.env.observe_into(&mut self.state);
@@ -322,19 +301,11 @@ impl RoundWorker for RaExecWorker<'_> {
             let perf = self.env.last_performance();
             let queues = self.env.queues();
             let shares = self.env.last_shares();
-            for i in 0..self.n_slices {
-                u[i] += perf[i];
-                records.push(MonitorRecord {
-                    round,
-                    interval: t,
-                    ra: self.ra,
-                    slice: SliceId(i),
-                    queue: queues[i].backlog(),
-                    performance: perf[i],
-                    shares: shares[i].as_array(),
-                    status: IntervalStatus::Served,
-                });
-            }
+            rows.extend((0..self.n_slices).map(|i| MeasuredRow {
+                queue: queues[i].backlog(),
+                performance: perf[i],
+                shares: shares[i].as_array(),
+            }));
         }
         if view.straggler && !self.run.straggle_sleep.is_zero() {
             std::thread::sleep(self.run.straggle_sleep);
@@ -344,13 +315,8 @@ impl RoundWorker for RaExecWorker<'_> {
             round: round_off,
             deadline_missed: view.straggler,
             body: Some(RaRoundBody {
-                u,
-                queues: self.env.queues().to_vec(),
-                coordination: self.env.coordination().to_vec(),
-                global_t: self.env.global_t(),
-                records,
-                active: self.env.slice_active().to_vec(),
-                rates: self.env.rate_overrides().to_vec(),
+                rows,
+                state: WorkerSnapshot::capture(self.ra, self.env),
             }),
         }
     }
@@ -466,14 +432,16 @@ impl<'a> SystemExecCoordinator<'a> {
         self
     }
 
-    /// Records `ra` as having served nothing in `round`: one explicit
-    /// outage row per (interval, slice).
-    fn record_outage(&mut self, round: usize, ra: RaId) {
-        for t in 0..self.period {
-            for i in 0..self.slices.len() {
-                self.monitor
-                    .record(MonitorRecord::outage(round, t, ra, SliceId(i)));
-            }
+    /// Records RA `ra`'s `round` in the monitor, one row per (interval,
+    /// slice) cell, stamped with the cell's identity: row `k` of `rows` is
+    /// interval `k / n_slices`, slice `k % n_slices`. Without rows the RA
+    /// served nothing, and every cell is an explicit outage row.
+    fn record_rows(&mut self, round: usize, ra: RaId, rows: Option<&[MeasuredRow]>) {
+        let n_slices = self.slices.len();
+        for k in 0..self.period * n_slices {
+            let cell = MonitorRecord::outage(round, k / n_slices, ra, SliceId(k % n_slices));
+            let row = rows.and_then(|rows| rows.get(k));
+            self.monitor.record(row.map_or(cell, |row| row.at(cell)));
         }
     }
 
@@ -593,7 +561,7 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                 None => {
                     present[j] = false;
                     if downed.contains(&RaId(j)) {
-                        self.record_outage(round, RaId(j));
+                        self.record_rows(round, RaId(j), None);
                     }
                 }
                 Some(rep) => match rep.body {
@@ -602,25 +570,17 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                         present[j] = false;
                         outages.push(RaId(j));
                         self.worker_state[j].was_down = true;
-                        self.record_outage(round, RaId(j));
+                        self.record_rows(round, RaId(j), None);
                     }
                     Some(body) => {
-                        for (row, &u) in achieved.iter_mut().zip(&body.u) {
-                            row[j] = u;
+                        // `Σ_t U` per slice, summed in interval order from
+                        // +0.0 — the worker's own sum, bit for bit.
+                        for (k, row) in body.rows.iter().enumerate() {
+                            achieved[k % n_slices][j] += row.performance;
                         }
-                        load[j] = body.queues.iter().map(|q| q.backlog()).sum();
-                        self.worker_state[j] = WorkerSnapshot {
-                            ra: RaId(j),
-                            queues: body.queues,
-                            coordination: body.coordination,
-                            global_t: body.global_t,
-                            was_down: false,
-                            active: body.active,
-                            rates: body.rates,
-                        };
-                        for record in body.records {
-                            self.monitor.record(record);
-                        }
+                        load[j] = body.state.queues.iter().map(|q| q.backlog()).sum();
+                        self.record_rows(round, RaId(j), Some(&body.rows));
+                        self.worker_state[j] = body.state;
                         // Served but reported late: the coordinator treats
                         // the RA as missing (the late report is superseded
                         // by the next one).
@@ -715,118 +675,71 @@ mod tests {
         assert_sync::<crate::CheckpointStore>();
     }
 
-    /// A peer's report may only carry the grid a worker emits — its own
-    /// served rows for the round being collected, every (interval, slice)
-    /// once, in order — and one entry of valid state per slice: anything
-    /// else is rejected before it reaches the monitor or a snapshot.
+    /// A peer's report may only carry the grid a worker emits — one row
+    /// per (interval, slice) cell — and its own state, one entry of valid
+    /// state per slice: anything else is rejected before it reaches the
+    /// monitor or a snapshot.
     #[test]
     fn decode_body_rejects_rows_that_are_not_the_reporters() {
         const PERIOD: usize = 3;
-        let grid: Vec<MonitorRecord> = (0..PERIOD * 2)
-            .map(|k| MonitorRecord {
-                status: IntervalStatus::Served,
-                ..MonitorRecord::outage(7, k / 2, RaId(1), SliceId(k % 2))
-            })
-            .collect();
-        let body = |records: Vec<MonitorRecord>| RaRoundBody {
-            u: vec![0.0; 2],
+        let row = MeasuredRow {
+            queue: 1.0,
+            performance: -2.0,
+            shares: [0.5; 3],
+        };
+        let grid = vec![row; PERIOD * 2];
+        let state = || WorkerSnapshot {
+            ra: RaId(1),
             queues: vec![edgeslice_netsim::ServiceQueue::new(); 2],
             coordination: vec![0.0; 2],
             global_t: 0,
-            records,
+            was_down: false,
             active: vec![true; 2],
             rates: vec![None, Some(1.5)],
         };
-        let decode_text =
-            |text: &str| decode_body(text.as_bytes(), RaId(1), 7, PERIOD, 2).map(|_| ());
+        let body = |rows: Vec<MeasuredRow>| RaRoundBody {
+            rows,
+            state: state(),
+        };
+        let decode_text = |text: &str| decode_body(text.as_bytes(), RaId(1), PERIOD, 2).map(|_| ());
         let encode = |body: RaRoundBody| String::from_utf8(encode_body(&body).unwrap()).unwrap();
-        let decode = |records| decode_text(&encode(body(records)));
+        let decode = |rows| decode_text(&encode(body(rows)));
         assert!(decode(grid.clone()).is_ok());
-        let served = || body(grid.clone());
-        let short = vec![0.0];
-        for hostile in [
-            RaRoundBody {
-                u: short.clone(),
-                ..served()
-            },
-            RaRoundBody {
-                queues: vec![edgeslice_netsim::ServiceQueue::new(); 3],
-                ..served()
-            },
-            RaRoundBody {
-                coordination: short,
-                ..served()
-            },
-            RaRoundBody {
-                active: Vec::new(),
-                ..served()
-            },
-            RaRoundBody {
-                rates: vec![None],
-                ..served()
-            },
-            RaRoundBody {
-                rates: vec![None, Some(-1.0)],
-                ..served()
-            },
-        ] {
+        // Per-slice state of another length or out of range, another RA's
+        // state, and a served round's state marked down.
+        let edits: [fn(&mut WorkerSnapshot); 7] = [
+            |s| s.queues.push(edgeslice_netsim::ServiceQueue::new()),
+            |s| s.coordination.truncate(1),
+            |s| s.active.clear(),
+            |s| s.rates.truncate(1),
+            |s| s.rates[1] = Some(-1.0),
+            |s| s.ra = RaId(0),
+            |s| s.was_down = true,
+        ];
+        for edit in edits {
+            let mut hostile = body(grid.clone());
+            edit(&mut hostile.state);
             assert!(matches!(
                 decode_text(&encode(hostile)),
                 Err(crate::EdgeSliceError::Serialization(_))
             ));
         }
         // JSON has no non-finite numbers; an overflowing one is refused too.
-        let text = encode(served());
+        let text = encode(body(grid.clone()));
         assert!(text.contains("\"rates\":[null,1.5]"), "{text}");
         assert!(matches!(
             decode_text(&text.replace("\"rates\":[null,1.5]", "\"rates\":[null,1e999]")),
             Err(crate::EdgeSliceError::Serialization(_))
         ));
-        let with_row = |k: usize, r: MonitorRecord| {
-            let mut rows = grid.clone();
-            rows[k] = r;
-            rows
-        };
         let last = grid.len() - 1;
-        for foreign in [
-            with_row(
-                3,
-                MonitorRecord {
-                    round: usize::MAX,
-                    ..grid[3]
-                },
-            ),
-            with_row(
-                3,
-                MonitorRecord {
-                    ra: RaId(0),
-                    ..grid[3]
-                },
-            ),
-            with_row(
-                3,
-                MonitorRecord {
-                    slice: SliceId(2),
-                    ..grid[3]
-                },
-            ),
-            with_row(
-                last,
-                MonitorRecord {
-                    interval: PERIOD,
-                    ..grid[last]
-                },
-            ),
-            with_row(3, MonitorRecord::outage(7, 1, RaId(1), SliceId(1))),
-            // A duplicate cell in place of the next one.
-            with_row(4, grid[3]),
-            // A short body, and one row too many.
+        // A short body, one row too many, and none at all.
+        for misshaped in [
             grid[..last].to_vec(),
             [&grid[..], &grid[last..]].concat(),
             Vec::new(),
         ] {
             assert!(matches!(
-                decode(foreign),
+                decode(misshaped),
                 Err(crate::EdgeSliceError::Serialization(_))
             ));
         }

@@ -188,17 +188,20 @@ impl EdgeSliceSystem {
         // Per RA: resume from a matching train snapshot, or train live.
         let mut restored: Vec<Option<TrainSnapshot>> = vec![None; self.config.n_ras];
         if let Some(store) = &self.store {
+            let (n_slices, state_dim) = (self.config.slices.len(), self.state_dim());
             for (j, slot) in restored.iter_mut().enumerate() {
-                match store.load_train(RaId(j)) {
+                let snap = match store.load_train(RaId(j)) {
                     Ok(Some(snap)) if snap.master_seed == master && snap.env_steps == env_steps => {
-                        *slot = Some(snap);
+                        snap.check(RaId(j), n_slices, state_dim).map(|()| snap)
                     }
-                    // A snapshot from a different seed/length: retrain.
-                    Ok(_) => {}
+                    // No snapshot, or one from a different seed/length: retrain.
+                    Ok(_) => continue,
+                    Err(err) => Err(err.to_string()),
+                };
+                match snap {
+                    Ok(snap) => *slot = Some(snap),
                     Err(err) => {
-                        eprintln!(
-                            "edgeslice: ignoring unreadable train snapshot for ra {j}: {err}"
-                        );
+                        eprintln!("edgeslice: ignoring unreadable train snapshot for ra {j}: {err}")
                     }
                 }
             }
@@ -244,11 +247,7 @@ impl EdgeSliceSystem {
                 Some(snap) => {
                     // Skipped RA: re-install the stored outcome — policy
                     // and environment exactly as training left them.
-                    self.envs[j].restore_round_state(
-                        snap.env.queues,
-                        &snap.env.coordination,
-                        snap.env.global_t,
-                    );
+                    snap.env.rewind(&mut self.envs[j]);
                     self.policy_overrides[j] = Some(snap.policy);
                 }
                 None => self.policy_overrides[j] = None,
@@ -338,6 +337,12 @@ impl EdgeSliceSystem {
             .filter_map(|j| self.effective_policy(j, None))
             .collect();
         crate::PolicyFleet::new(policies, par)
+    }
+
+    /// What every RA's policy observes: one input per slice slot, twice
+    /// that when the queues are observed too.
+    fn state_dim(&self) -> usize {
+        self.config.state_spec.dim(self.config.slices.len())
     }
 
     /// The policy RA `j` decides with — what a fresh process re-installs
@@ -508,6 +513,35 @@ mod tests {
         // Monitor saw every (round, interval, ra, slice) tuple.
         let expected = report.rounds.len() * 10 * 2 * 2;
         assert_eq!(sys.monitor().records().len(), expected);
+    }
+
+    /// A matching train snapshot whose state does not fit its RA (one
+    /// queue short) is retrained with a note, never restored into the
+    /// environment — and the other RA's still skips retraining.
+    #[test]
+    fn a_misshaped_train_snapshot_is_retrained() {
+        let dir =
+            std::env::temp_dir().join(format!("edgeslice-misshaped-train-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut sys = EdgeSliceSystem::new(
+            SystemConfig::prototype(),
+            OrchestratorKind::Learned(Technique::Ddpg),
+            &quick_agent_config(),
+            &mut rng,
+        );
+        sys.set_checkpointing(&dir, 1).unwrap();
+        sys.train(100, &mut StdRng::seed_from_u64(9));
+        let store = CheckpointStore::open(&dir).unwrap();
+        let mut snap = store.load_train(RaId(0)).unwrap().unwrap();
+        snap.env.queues.pop();
+        store.save_train(&snap).unwrap();
+
+        sys.train(100, &mut StdRng::seed_from_u64(9));
+        assert_eq!(sys.restored_policy_count(), 1, "only RA 1 skips training");
+        let retrained = store.load_train(RaId(0)).unwrap().unwrap();
+        assert_eq!(retrained.env.queues.len(), 2, "rewritten by the retrain");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

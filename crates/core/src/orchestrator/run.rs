@@ -116,7 +116,7 @@ impl EdgeSliceSystem {
                 ),
             });
         }
-        snap.validate_slices(&self.config.slices)?;
+        snap.validate(&self.config.slices, Some(self.state_dim()))?;
         match (self.workload.as_mut(), snap.lifecycle) {
             (Some(lc), Some(state)) => lc.restore(state)?,
             (Some(_), None) => {
@@ -210,14 +210,14 @@ impl EdgeSliceSystem {
                 }
             }
         };
-        let (first_round, round_base) = (start.first_round, start.round_base);
+        let first_round = start.first_round;
         let prior_panics = start.panic_counts.clone();
         let policies: Vec<_> = (0..n_ras).map(|j| self.effective_policy(j, None)).collect();
         // Workers exist in this process only when the RAs do: one per RA,
         // each on its effective policy, resolved once here.
         let mut local: Vec<RaExecWorker<'_>> = match workers {
             Workers::Local(injector) => {
-                let run = self.worker_run(injector, master, round_base);
+                let run = self.worker_run(injector, master);
                 let starts = self.envs.iter_mut().zip(&policies).zip(&start.worker_state);
                 starts
                     .enumerate()
@@ -249,7 +249,6 @@ impl EdgeSliceSystem {
             Workers::Remote(net) => {
                 let mut decoded = DecodedReports {
                     net,
-                    round_base,
                     period: self.config.reward.period,
                     n_slices: self.config.slices.len(),
                 };
@@ -267,18 +266,12 @@ impl EdgeSliceSystem {
 
     /// The run-wide constants RA workers are built from, here and in a
     /// `serve_ra` peer alike.
-    fn worker_run<'a>(
-        &self,
-        injector: &'a FaultInjector,
-        master: u64,
-        round_base: usize,
-    ) -> WorkerRun<'a> {
+    fn worker_run<'a>(&self, injector: &'a FaultInjector, master: u64) -> WorkerRun<'a> {
         WorkerRun {
             injector,
             master,
             period: self.config.reward.period,
             project_actions: self.config.project_actions,
-            round_base,
             straggle_sleep: self.straggle_sleep,
         }
     }
@@ -374,7 +367,7 @@ impl EdgeSliceSystem {
     /// established or dies mid-round, [`EdgeSliceError::Io`] / snapshot
     /// errors if the checkpoint store is attached but unreadable, and
     /// [`EdgeSliceError::SnapshotMismatch`] if this run's newest snapshot
-    /// does not fit this system's slice slots.
+    /// does not fit this system.
     ///
     /// # Panics
     ///
@@ -396,7 +389,6 @@ impl EdgeSliceSystem {
         // Re-sync from the newest checkpoint, if a store is attached and
         // its snapshot belongs to this exact run (same master seed).
         let mut resynced_from = None;
-        let mut round_base = self.monitor.rounds();
         let mut panic_count = 0usize;
         let mut restored_policy = None;
         let mut was_down = false;
@@ -404,13 +396,12 @@ impl EdgeSliceSystem {
             if let Some(snap) = newest_valid_run(store)?
                 .filter(|snap| snap.master_seed == master && snap.workers.len() == n_ras)
             {
-                snap.validate_slices(&self.config.slices)?;
+                snap.validate(&self.config.slices, Some(self.state_dim()))?;
                 let ws = &snap.workers[ra.0];
                 ws.rewind(&mut self.envs[ra.0]);
                 was_down = ws.was_down;
                 panic_count = snap.panic_counts[ra.0];
                 restored_policy = snap.policies[ra.0].clone();
-                round_base = snap.round_base;
                 resynced_from = Some(snap.next_round);
             }
         }
@@ -425,7 +416,7 @@ impl EdgeSliceSystem {
             }
         }
         let policy = self.effective_policy(ra.0, restored_policy).into();
-        let run = self.worker_run(injector, master, round_base);
+        let run = self.worker_run(injector, master);
         let mut worker = RaExecWorker::new(ra, &mut self.envs[ra.0], policy, was_down, run);
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
@@ -539,8 +530,6 @@ enum Workers<'a> {
 /// counts what would not decode.
 struct DecodedReports<'a> {
     net: &'a mut dyn RoundGather<Body = Vec<u8>>,
-    /// Global round index of this run's round 0.
-    round_base: usize,
     /// The shape of the row grid every report must carry.
     period: usize,
     n_slices: usize,
@@ -556,22 +545,13 @@ impl RoundGather for DecodedReports<'_> {
         lifecycle: &[u8],
     ) -> (Vec<Option<RaReport<RaRoundBody>>>, RoundTelemetry) {
         let (raw, mut telemetry) = self.net.gather(round, zys, lifecycle);
-        let global_round = self.round_base + round;
         let decoded = raw
             .into_iter()
             .map(|slot| {
                 let rep = slot?;
                 let body = rep
                     .body
-                    .map(|bytes| {
-                        decode_body(
-                            &bytes,
-                            RaId(rep.ra),
-                            global_round,
-                            self.period,
-                            self.n_slices,
-                        )
-                    })
+                    .map(|bytes| decode_body(&bytes, RaId(rep.ra), self.period, self.n_slices))
                     .transpose();
                 match body {
                     Ok(body) => Some(RaReport {
@@ -585,7 +565,8 @@ impl RoundGather for DecodedReports<'_> {
                     // going.
                     Err(err) => {
                         eprintln!(
-                            "edgeslice: dropping undecodable report body from ra {}: {err}",
+                            "edgeslice: dropping undecodable report body from ra {} for \
+                             round {round}: {err}",
                             rep.ra
                         );
                         telemetry.discarded_reports += 1;

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::coordinator::CoordinatorState;
 use crate::orchestrator::{RoundRecord, SupervisionStats};
 use crate::workload::LifecycleSnapshot;
-use crate::{EdgeSliceError, PolicyCheckpoint, RaId, RaSliceEnv, SliceSpec};
+use crate::{EdgeSliceError, PolicyCheckpoint, RaId, RaSliceEnv, ResourceKind, SliceSpec};
 use edgeslice_netsim::ServiceQueue;
 
 /// The envelope format version this build reads and writes.
@@ -42,7 +42,11 @@ use edgeslice_netsim::ServiceQueue;
 /// * 3 — the policies in run and train snapshots hold `f32` weights
 ///   ([`crate::checkpoint::POLICY_CHECKPOINT_VERSION`] 2); a version-2 file is
 ///   rejected rather than narrowed.
-pub(crate) const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+/// * 4 — the coordinator state keeps its round count and last residuals,
+///   not every round's residuals, nor its dual clamp and staleness budget
+///   (constants of the build); service queues keep only their backlog and
+///   capacity.
+pub(crate) const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// Envelope magic: **E**dge**S**lice **C**hec**K**point.
 const MAGIC: &[u8; 4] = b"ESCK";
@@ -88,13 +92,48 @@ impl WorkerSnapshot {
         }
     }
 
+    /// Why this cannot be RA `ra`'s state on `n_slices` slice slots, if it
+    /// cannot: it names another RA, a per-slice field (queues,
+    /// coordination, activity, rates) is not one entry per slot, a backlog
+    /// or rate is not finite and non-negative, or a coordination value is
+    /// not finite. The one check of an RA's state from outside the process,
+    /// whether a peer's report body or a snapshot file carried it.
+    pub(crate) fn check(&self, ra: RaId, n_slices: usize) -> Result<(), String> {
+        if self.ra != ra {
+            return Err(format!("the state of {ra} names {}", self.ra));
+        }
+        let lens = [
+            self.queues.len(),
+            self.coordination.len(),
+            self.active.len(),
+            self.rates.len(),
+        ];
+        if lens != [n_slices; 4] {
+            return Err(format!(
+                "{ra}'s per-slice state (queues, coordination, active, rates) is {lens:?} \
+                 long, not {n_slices}"
+            ));
+        }
+        // Each number with its floor.
+        let mut numbers = (self.queues.iter().map(|q| (q.backlog(), 0.0)))
+            .chain(self.coordination.iter().map(|&c| (c, f64::NEG_INFINITY)))
+            .chain(self.rates.iter().flatten().map(|&r| (r, 0.0)));
+        match numbers.find(|&(v, floor)| !(v.is_finite() && v >= floor)) {
+            Some((v, _)) => Err(format!(
+                "{ra}'s state holds {v}: backlogs and rates must be finite and \
+                 non-negative, coordination values finite"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Rewinds `env` to this boundary, including its slot activity and
     /// rate overrides.
     ///
     /// # Panics
     ///
     /// Panics if a per-slice field is not one entry per slot of `env`:
-    /// [`RunSnapshot::validate_slices`] rejects such a snapshot first.
+    /// [`WorkerSnapshot::check`] rejects such a state first.
     pub(crate) fn rewind(&self, env: &mut RaSliceEnv) {
         env.restore_round_state(self.queues.clone(), &self.coordination, self.global_t);
         env.restore_lifecycle(&self.active, &self.rates);
@@ -137,53 +176,64 @@ pub struct RunSnapshot {
 
 impl RunSnapshot {
     /// Validates that this snapshot was taken from a run over exactly the
-    /// given slice slots: the recorded set matches slot for slot, and every
-    /// worker's per-slice state (queues, coordination, activity, rates)
-    /// holds one entry per slot.
+    /// given slice slots: the recorded set matches slot for slot; every
+    /// worker's state passes `WorkerSnapshot::check` for its RA; there
+    /// is one policy and one panic count per worker; and every policy
+    /// produces one share per (slot, resource) from an input its network
+    /// reads.
     ///
     /// # Errors
     ///
     /// Returns [`EdgeSliceError::SnapshotMismatch`] naming the count
-    /// difference, the first differing slot or the mis-shaped worker.
+    /// difference, the first differing slot, the mis-shaped worker or the
+    /// policy that does not fit.
     pub fn validate_slices(&self, expected: &[SliceSpec]) -> Result<(), EdgeSliceError> {
+        self.validate(expected, None)
+    }
+
+    /// [`RunSnapshot::validate_slices`], and — given the `state_dim` a
+    /// system's environments produce, as `resume` and a `serve_ra` re-sync
+    /// give it — every policy observes that many inputs.
+    pub(crate) fn validate(
+        &self,
+        expected: &[SliceSpec],
+        state_dim: Option<usize>,
+    ) -> Result<(), EdgeSliceError> {
+        let mismatch = |reason: String| EdgeSliceError::SnapshotMismatch { reason };
         if self.slices.len() != expected.len() {
-            return Err(EdgeSliceError::SnapshotMismatch {
-                reason: format!(
-                    "snapshot records {} slice slots, system has {}",
-                    self.slices.len(),
-                    expected.len()
-                ),
-            });
+            return Err(mismatch(format!(
+                "snapshot records {} slice slots, system has {}",
+                self.slices.len(),
+                expected.len()
+            )));
         }
-        for (stored, live) in self.slices.iter().zip(expected) {
-            if stored != live {
-                return Err(EdgeSliceError::SnapshotMismatch {
-                    reason: format!(
-                        "slice slot {} differs between snapshot and system",
-                        stored.id.0
-                    ),
-                });
-            }
+        if let Some((stored, _)) = self.slices.iter().zip(expected).find(|(s, l)| s != l) {
+            return Err(mismatch(format!(
+                "slice slot {} differs between snapshot and system",
+                stored.id.0
+            )));
         }
         let n = expected.len();
-        for ws in &self.workers {
-            let lens = [
-                ws.queues.len(),
-                ws.coordination.len(),
-                ws.active.len(),
-                ws.rates.len(),
-            ];
-            if lens != [n; 4] {
-                return Err(EdgeSliceError::SnapshotMismatch {
-                    reason: format!(
-                        "ra {}'s per-slice state (queues, coordination, active, rates) is \
-                         {lens:?} long, the system has {n} slice slots",
-                        ws.ra.0
-                    ),
-                });
-            }
+        for (j, ws) in self.workers.iter().enumerate() {
+            ws.check(RaId(j), n).map_err(mismatch)?;
         }
-        Ok(())
+        let counts = [self.policies.len(), self.panic_counts.len()];
+        if counts != [self.workers.len(); 2] {
+            return Err(mismatch(format!(
+                "{counts:?} policies and panic counts for {} workers",
+                self.workers.len()
+            )));
+        }
+        let shares = n * ResourceKind::COUNT;
+        let mut policies = self.policies.iter().flatten();
+        match policies.find(|p| !p.fits(state_dim.unwrap_or(p.state_dim()), shares)) {
+            Some(p) => Err(mismatch(format!(
+                "a policy of {} inputs and {} shares does not fit this system",
+                p.state_dim(),
+                p.action_dim()
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -204,6 +254,23 @@ pub struct TrainSnapshot {
     /// deployment baseline, trace position advanced), so a process that
     /// skips retraining still starts its run from the identical state.
     pub env: WorkerSnapshot,
+}
+
+impl TrainSnapshot {
+    /// Why this cannot be RA `ra`'s training outcome on `n_slices` slice
+    /// slots observed through `state_dim` inputs, if it cannot: its state
+    /// fails [`WorkerSnapshot::check`], or its policy does not fit.
+    pub(crate) fn check(&self, ra: RaId, n_slices: usize, state_dim: usize) -> Result<(), String> {
+        self.env.check(ra, n_slices)?;
+        if !self.policy.fits(state_dim, n_slices * ResourceKind::COUNT) {
+            return Err(format!(
+                "{ra}'s policy of {} inputs and {} shares does not fit this system",
+                self.policy.state_dim(),
+                self.policy.action_dim()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The outcome of [`CheckpointStore::latest_run`]: the newest snapshot
@@ -469,7 +536,7 @@ fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeslice_optim::AdmmResiduals;
+    use edgeslice_optim::{AdmmResiduals, ConvergenceTracker};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -489,12 +556,14 @@ mod tests {
                 last_known: vec![vec![-3.0, -4.0]],
                 staleness: vec![0, 1],
                 dead: vec![false, false],
-                residual_history: vec![AdmmResiduals {
-                    primal: 0.5,
-                    dual: 0.25,
-                }],
-                dual_clamp: 50.0,
-                staleness_budget: 3,
+                convergence: {
+                    let mut tracker = ConvergenceTracker::new();
+                    tracker.record(AdmmResiduals {
+                        primal: 0.5,
+                        dual: 0.25,
+                    });
+                    tracker
+                },
                 active: vec![true],
                 umins: vec![-50.0],
             },
@@ -629,19 +698,22 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A version-2 snapshot (its policies in f64) is a typed rejection,
-    /// never narrowed into a run; a version-3 one carries its policy's f32
-    /// weights through the envelope bit for bit.
+    /// A version-3 snapshot (its coordinator keeping every round's
+    /// residuals and its queues their counters) is a typed rejection, never
+    /// read into a run; a version-4 one carries its policy's f32 weights
+    /// through the envelope bit for bit. The policy fits only a system
+    /// whose observation it reads: queues and coordination, two per slot.
     #[test]
-    fn v2_snapshots_are_rejected_and_f32_policies_round_trip() {
+    fn v3_snapshots_are_rejected_and_f32_policies_round_trip() {
         use crate::{AgentConfig, OrchestrationAgent, RaEnvConfig};
         use edgeslice_netsim::PoissonTraffic;
         use edgeslice_rl::Technique;
         use rand::SeedableRng;
         let dir = tmp_dir("f32-policy");
         let store = CheckpointStore::open(&dir).unwrap();
+        let slices = vec![SliceSpec::experiment_slice1()];
         let env = RaSliceEnv::with_dataset(
-            RaEnvConfig::experiment(vec![SliceSpec::experiment_slice1()]),
+            RaEnvConfig::experiment(slices.clone()),
             vec![Box::new(PoissonTraffic::paper())],
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -654,6 +726,24 @@ mod tests {
         );
         let mut snap = snapshot(2);
         snap.policies = vec![Some(PolicyCheckpoint::from_agent(&agent))];
+        assert!(snap.validate(&slices, Some(2)).is_ok());
+        assert!(matches!(
+            snap.validate(&slices, Some(1)),
+            Err(EdgeSliceError::SnapshotMismatch { .. })
+        ));
+        // A network without layers fits nothing: the network is the
+        // policy's last field, its layers its only one.
+        let mut no_layers = snap.clone();
+        let json = PolicyCheckpoint::from_agent(&agent).to_json().unwrap();
+        let json = format!(
+            "{}\"layers\":[]}}}}",
+            &json[..json.find("\"layers\"").unwrap()]
+        );
+        no_layers.policies = vec![Some(PolicyCheckpoint::from_json(&json).unwrap())];
+        assert!(matches!(
+            no_layers.validate_slices(&slices),
+            Err(EdgeSliceError::SnapshotMismatch { .. })
+        ));
         let path = store.save_run(&snap).unwrap();
         let weights = |s: &RunSnapshot| -> Vec<u32> {
             let policy = s.policies[0].as_ref().expect("a policy");
@@ -663,13 +753,13 @@ mod tests {
         assert_eq!(weights(&store.load_run(&path).unwrap()), weights(&snap));
 
         let mut bytes = fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             store.load_run(&path),
             Err(EdgeSliceError::UnsupportedSnapshotVersion {
-                found: 2,
-                supported: 3,
+                found: 3,
+                supported: 4,
                 ..
             })
         ));
@@ -713,22 +803,30 @@ mod tests {
             unrecorded.validate_slices(&expected),
             Err(EdgeSliceError::SnapshotMismatch { .. })
         ));
-        // Nor does one whose worker holds per-slice state for other slots.
-        for field in 0..4 {
+        // Nor does one whose worker holds per-slice state for other slots,
+        // out-of-range state or another RA's, or that is short of a policy
+        // or a panic count.
+        for edit in 0..10 {
             let mut bad = snap.clone();
             let ws = &mut bad.workers[0];
-            match field {
+            match edit {
                 0 => ws.queues.clear(),
                 1 => ws.coordination.push(0.0),
                 2 => ws.active.clear(),
-                _ => ws.rates.clear(),
+                3 => ws.rates.clear(),
+                4 => ws.rates[0] = Some(-1.0),
+                5 => ws.rates[0] = Some(f64::INFINITY),
+                6 => ws.coordination[0] = f64::NAN,
+                7 => ws.ra = RaId(1),
+                8 => bad.policies.clear(),
+                _ => bad.panic_counts.clear(),
             }
             assert!(
                 matches!(
                     bad.validate_slices(&expected),
                     Err(EdgeSliceError::SnapshotMismatch { .. })
                 ),
-                "field {field}"
+                "edit {edit}"
             );
         }
         let _ = fs::remove_dir_all(&dir);

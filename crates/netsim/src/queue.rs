@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceQueue {
     backlog: f64,
-    total_arrived: f64,
-    total_served: f64,
-    total_dropped: f64,
     capacity: Option<f64>,
 }
 
@@ -26,9 +23,6 @@ impl ServiceQueue {
     pub fn new() -> Self {
         Self {
             backlog: 0.0,
-            total_arrived: 0.0,
-            total_served: 0.0,
-            total_dropped: 0.0,
             capacity: None,
         }
     }
@@ -65,8 +59,6 @@ impl ServiceQueue {
             Some(cap) => tasks.min((cap - self.backlog).max(0.0)),
             None => tasks,
         };
-        self.total_arrived += tasks;
-        self.total_dropped += tasks - accepted;
         self.backlog += accepted;
         accepted
     }
@@ -84,26 +76,14 @@ impl ServiceQueue {
         );
         let served = capacity.min(self.backlog);
         self.backlog -= served;
-        self.total_served += served;
         served
     }
 
-    /// Empties the queue and returns the flushed backlog (counters are
-    /// preserved; the flushed work counts as dropped).
+    /// Empties the queue and returns the flushed backlog.
     pub fn flush(&mut self) -> f64 {
         let b = self.backlog;
         self.backlog = 0.0;
-        self.total_dropped += b;
         b
-    }
-
-    /// Flow-conservation check: every offered task was served, dropped
-    /// (on overflow or by a [`ServiceQueue::flush`]) or is still queued —
-    /// `arrived == served + dropped + backlog` (within floating-point
-    /// tolerance).
-    pub fn is_conserving(&self) -> bool {
-        let accounted = self.total_served + self.total_dropped + self.backlog;
-        (self.total_arrived - accounted).abs() < 1e-6
     }
 }
 
@@ -120,12 +100,11 @@ mod tests {
     #[test]
     fn arrivals_and_service_update_backlog() {
         let mut q = ServiceQueue::new();
-        q.arrive(10.0);
+        assert_eq!(q.arrive(10.0), 10.0);
         assert_eq!(q.backlog(), 10.0);
         let served = q.serve(4.0);
         assert_eq!(served, 4.0);
         assert_eq!(q.backlog(), 6.0);
-        assert!(q.is_conserving());
     }
 
     #[test]
@@ -134,35 +113,27 @@ mod tests {
         q.arrive(3.0);
         assert_eq!(q.serve(100.0), 3.0);
         assert_eq!(q.backlog(), 0.0);
-        assert!(q.is_conserving());
     }
 
     #[test]
     fn bounded_queue_drops_overflow() {
         let mut q = ServiceQueue::with_capacity(5.0);
-        let accepted = q.arrive(8.0);
-        assert_eq!(accepted, 5.0);
-        assert_eq!(q.total_dropped, 3.0);
+        assert_eq!(q.arrive(8.0), 5.0);
         assert_eq!(q.backlog(), 5.0);
-        assert!(q.is_conserving());
         q.serve(1.0);
         assert_eq!(q.arrive(2.0), 1.0);
-        assert_eq!(q.total_arrived, 10.0);
-        assert!(q.is_conserving());
+        assert_eq!(q.backlog(), 5.0);
     }
 
     #[test]
-    fn flush_counts_as_drops() {
+    fn flush_empties_the_queue() {
         let mut q = ServiceQueue::new();
         q.arrive(7.0);
         q.serve(2.0);
         assert_eq!(q.flush(), 5.0);
         assert_eq!(q.backlog(), 0.0);
-        assert_eq!(q.total_dropped, 5.0);
-        assert!(q.is_conserving());
         q.arrive(1.0);
         assert_eq!(q.flush(), 1.0);
-        assert!(q.is_conserving());
     }
 
     #[test]
@@ -171,9 +142,11 @@ mod tests {
         ServiceQueue::new().arrive(-1.0);
     }
 
+    /// What was accepted is what was served plus what is still queued.
     #[test]
     fn conservation_over_random_walk() {
-        let mut q = ServiceQueue::new();
+        let mut q = ServiceQueue::with_capacity(8.0);
+        let (mut accepted, mut served) = (0.0, 0.0);
         let mut x = 1u64;
         for _ in 0..1000 {
             // Cheap deterministic pseudo-random walk.
@@ -181,13 +154,13 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let a = (x >> 33) as f64 / 4e9;
-            q.arrive(a * 10.0);
+            accepted += q.arrive(a * 10.0);
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let s = (x >> 33) as f64 / 4e9;
-            q.serve(s * 10.0);
+            served += q.serve(s * 10.0);
         }
-        assert!(q.is_conserving());
+        assert!((accepted - served - q.backlog()).abs() < 1e-6);
     }
 }

@@ -87,11 +87,14 @@ pub fn dual_update(y: &mut [f64], achieved: &[f64], z: &[f64]) {
     }
 }
 
-/// Tracks a rolling window of residuals to detect convergence of the
-/// coordinator/agent interaction (Alg. 1, "if convergence").
-#[derive(Debug, Clone, Default)]
+/// Tracks the coordinator/agent interaction's convergence (Alg. 1, "if
+/// convergence"): the rounds run so far and the last round's residuals —
+/// all `should_stop` reads. Serializable, so a crash-consistent snapshot
+/// carries it and a resumed run stops where the uninterrupted one would.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConvergenceTracker {
-    history: Vec<AdmmResiduals>,
+    rounds: usize,
+    last: Option<AdmmResiduals>,
 }
 
 impl ConvergenceTracker {
@@ -100,36 +103,24 @@ impl ConvergenceTracker {
         Self::default()
     }
 
-    /// Rebuilds a tracker from a previously recorded residual history —
-    /// the restore half of a crash-consistent snapshot, so convergence
-    /// checks (`should_stop`) see the same round count and last residuals
-    /// a never-interrupted run would.
-    pub fn from_history(history: Vec<AdmmResiduals>) -> Self {
-        Self { history }
-    }
-
     /// Records a round's residuals.
     pub fn record(&mut self, residuals: AdmmResiduals) {
-        self.history.push(residuals);
-    }
-
-    /// All recorded residuals, in round order.
-    pub fn history(&self) -> &[AdmmResiduals] {
-        &self.history
+        self.rounds += 1;
+        self.last = Some(residuals);
     }
 
     /// Number of recorded rounds.
     pub fn rounds(&self) -> usize {
-        self.history.len()
+        self.rounds
     }
 
     /// True once the most recent round satisfies the tolerances or the
     /// round cap has been reached.
     pub fn should_stop(&self, config: &AdmmConfig) -> bool {
-        if self.history.len() >= config.max_rounds {
+        if self.rounds >= config.max_rounds {
             return true;
         }
-        self.history.last().is_some_and(|r| r.converged(config))
+        self.last.is_some_and(|r| r.converged(config))
     }
 }
 
@@ -181,11 +172,7 @@ mod tests {
             });
         }
         assert!(t2.should_stop(&config), "round cap must stop the loop");
-
-        let restored = ConvergenceTracker::from_history(t2.history().to_vec());
-        assert_eq!(restored.rounds(), t2.rounds());
-        assert_eq!(restored.history(), t2.history());
-        assert!(restored.should_stop(&config));
+        assert_eq!(t2.rounds(), 3);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   included;
 //! * a peer whose report bodies do not decode is counted, folded as
 //!   missing, and cannot stop the run;
-//! * a peer whose link dies mid-round still leaves its substrate healthy.
+//! * a peer whose link dies mid-round still leaves its substrate healthy;
+//! * a hand-edited snapshot is a typed mismatch on resume and re-sync.
 
 use std::path::{Path, PathBuf};
 use std::thread;
@@ -26,9 +27,10 @@ use edgeslice::{
     channel_acceptor, connect_uds, loopback_pair, AgentConfig, CheckpointStore, Clock,
     EdgeSliceError, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, Lease, ListenerAcceptor,
     LoopbackTransport, NetConfig, NetCoordinator, NetListener, OrchestratorKind, RaId,
-    ResourceKind, RetryPolicy, RunReport, ServeOutcome, SystemConfig, Transport, TransportError,
-    WorkerNetOptions,
+    ResourceKind, RetryPolicy, RunReport, RunSnapshot, ServeOutcome, SystemConfig, Transport,
+    TransportError, WorkerNetOptions,
 };
+use edgeslice_rl::Technique;
 use edgeslice_runtime::{
     caps, Control, CoordInfo, NodeInfo, WireMsg, WorkerCommand, WorkerSession, PROTOCOL_VERSION,
 };
@@ -352,6 +354,60 @@ fn misshaped_worker_snapshot_is_a_typed_mismatch_on_resume_and_resync() {
         Err(EdgeSliceError::SnapshotMismatch { .. })
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each of these hand edits of a run snapshot once panicked `resume` or a
+/// `serve_ra` re-sync of a learned system — an index past the short list,
+/// or a traffic source built on a negative rate. Each is a typed mismatch
+/// on both paths.
+#[test]
+fn hand_edited_snapshots_are_typed_mismatches_on_resume_and_resync() {
+    fn learned_system(rng: &mut StdRng) -> EdgeSliceSystem {
+        EdgeSliceSystem::new(
+            SystemConfig::prototype(),
+            OrchestratorKind::Learned(Technique::Ddpg),
+            &AgentConfig::default(),
+            rng,
+        )
+    }
+    type Edit = fn(&mut RunSnapshot);
+    let edits: [(&str, Edit); 3] = [
+        ("one policy short", |snap| {
+            snap.policies.pop();
+        }),
+        ("no panic counts", |snap| snap.panic_counts.clear()),
+        ("a rate of -1", |snap| snap.workers[0].rates[0] = Some(-1.0)),
+    ];
+    for (name, edit) in edits {
+        let dir = fresh_dir("hand-edited");
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut sys = learned_system(&mut rng);
+        sys.set_checkpointing(&dir, 1).unwrap();
+        sys.run(ROUNDS, &mut rng);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let mut snap = store.latest_run().unwrap().snapshot.unwrap();
+        edit(&mut snap);
+        store.save_run(&snap).unwrap();
+
+        let injector = FaultInjector::none(N_RAS, ROUNDS + 1);
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let resumed = learned_system(&mut rng).resume(&dir, ROUNDS + 1, &mut rng, &injector);
+        assert!(
+            matches!(resumed, Err(EdgeSliceError::SnapshotMismatch { .. })),
+            "{name}: {resumed:?}"
+        );
+
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let mut peer = learned_system(&mut rng);
+        peer.set_checkpointing(&dir, 1).unwrap();
+        let (_coordinator_end, worker_end) = loopback_pair();
+        let served = peer.serve_ra(RaId(0), &mut rng, &injector, worker_end, &worker_opts());
+        assert!(
+            matches!(served, Err(EdgeSliceError::SnapshotMismatch { .. })),
+            "{name}: {served:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Where the RA workers run is a property of the link, not of the
