@@ -115,6 +115,12 @@ impl OrchestrationAgent {
         }
     }
 
+    /// Whether `other` is a replica of this agent: the two share one
+    /// learner, so they decide identically.
+    pub(crate) fn shares_learner(&self, other: &OrchestrationAgent) -> bool {
+        Arc::ptr_eq(&self.backend, &other.backend)
+    }
+
     /// The learning backend (e.g. for checkpoint extraction).
     pub fn backend(&self) -> &AgentBackend {
         &self.backend

@@ -42,8 +42,11 @@ impl StateSpec {
 /// How the environment maps an action to service times.
 pub enum ServiceModel {
     /// The Fig. 5 training path: per-slice grid dataset + local linear
-    /// regression.
-    Dataset(Vec<GridDataset>),
+    /// regression. A system builds each slot's dataset once and every RA's
+    /// environment holds the same `Arc`: the grid and the fitted-cell memo
+    /// are functions of the slot's app alone, so which RA fills a cell
+    /// first changes no bit.
+    Dataset(Vec<Arc<GridDataset>>),
     /// The prototype path: drive the physical RA substrates.
     Physical(Box<ResourceAutonomy>),
 }
@@ -134,6 +137,16 @@ impl RaEnvConfig {
     }
 }
 
+/// One grid dataset per slice slot, generated from the prototype
+/// capacities: what a [`ServiceModel::Dataset`] environment serves with.
+pub(crate) fn slot_datasets(slices: &[SliceSpec]) -> Vec<Arc<GridDataset>> {
+    let caps = RaCapacities::prototype();
+    slices
+        .iter()
+        .map(|s| Arc::new(GridDataset::generate(s.app, caps)))
+        .collect()
+}
+
 /// The per-RA environment (Fig. 5).
 pub struct RaSliceEnv {
     config: RaEnvConfig,
@@ -186,15 +199,10 @@ impl std::fmt::Debug for RaSliceEnv {
 }
 
 impl RaSliceEnv {
-    /// Builds a training environment over grid datasets generated from the
-    /// prototype capacities.
+    /// Builds a training environment over grid datasets of its own,
+    /// generated from the prototype capacities.
     pub fn with_dataset(config: RaEnvConfig, traffic: Vec<Box<dyn TrafficSource + Send>>) -> Self {
-        let caps = RaCapacities::prototype();
-        let datasets = config
-            .slices
-            .iter()
-            .map(|s| GridDataset::generate(s.app, caps))
-            .collect();
+        let datasets = slot_datasets(&config.slices);
         Self::new(config, traffic, ServiceModel::Dataset(datasets))
     }
 
@@ -400,6 +408,15 @@ impl RaSliceEnv {
     /// Per-slice service times of the most recent interval, seconds.
     pub fn last_service_times(&self) -> &[f64] {
         &self.last_service
+    }
+
+    /// The per-slot grid datasets of a dataset-model environment.
+    #[cfg(test)]
+    pub(crate) fn datasets(&self) -> &[Arc<GridDataset>] {
+        match &self.model {
+            ServiceModel::Dataset(datasets) => datasets,
+            ServiceModel::Physical(_) => &[],
+        }
     }
 
     /// Switches between training-mode (randomized coordination at reset)

@@ -15,6 +15,7 @@
 //! [`crate::CheckpointStore`] snapshot is bit-identical to one that was
 //! never interrupted.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use edgeslice_nn::RowScratch;
@@ -38,16 +39,17 @@ pub(crate) enum WorkerPolicy {
     /// The RA's effective frozen policy — the snapshot-restored one when
     /// there is one, the live agent's otherwise (bit-identical decisions
     /// either way: the checkpoint stores the exact weights, and training
-    /// never runs inside a coordination round).
-    Learned(PolicyCheckpoint),
+    /// never runs inside a coordination round). Replicas of one learner
+    /// share one checkpoint.
+    Learned(Arc<PolicyCheckpoint>),
     /// The TARO proportional baseline.
     Taro(Taro),
 }
 
-impl From<Option<PolicyCheckpoint>> for WorkerPolicy {
+impl From<Option<Arc<PolicyCheckpoint>>> for WorkerPolicy {
     /// An RA's effective policy as the system resolves it: a checkpoint
     /// for learned kinds, none for TARO.
-    fn from(policy: Option<PolicyCheckpoint>) -> Self {
+    fn from(policy: Option<Arc<PolicyCheckpoint>>) -> Self {
         policy.map_or_else(|| WorkerPolicy::Taro(Taro::new()), WorkerPolicy::Learned)
     }
 }
@@ -173,8 +175,8 @@ pub(crate) struct RaExecWorker<'a> {
     n_slices: usize,
     /// Policy snapshot taken at outage start (learned kinds only) and
     /// re-deployed at rejoin; decisions after a rejoin are bit-identical
-    /// to the pre-outage policy.
-    checkpoint: Option<PolicyCheckpoint>,
+    /// to the pre-outage policy. A pointer copy: the policy is frozen.
+    checkpoint: Option<Arc<PolicyCheckpoint>>,
     was_down: bool,
     /// What the policy observes this interval (Eq. 13 state; queue
     /// lengths under TARO), its action, and the batch-1 inference
@@ -325,7 +327,7 @@ impl RoundWorker for RaExecWorker<'_> {
         match ctl {
             Control::Checkpoint => {
                 if let (None, WorkerPolicy::Learned(policy)) = (&self.checkpoint, &self.policy) {
-                    self.checkpoint = Some(policy.clone());
+                    self.checkpoint = Some(Arc::clone(policy));
                 }
             }
             Control::Rejoin { .. } => {
@@ -384,7 +386,7 @@ pub(crate) struct SystemExecCoordinator<'a> {
     panic_counts: Vec<usize>,
     /// The effective policy per RA (`None` for TARO), re-installed
     /// verbatim on resume.
-    policies: Vec<Option<PolicyCheckpoint>>,
+    policies: Vec<Option<Arc<PolicyCheckpoint>>>,
     /// Durable sink: `(store, every_k, master_seed)`.
     sink: Option<(&'a CheckpointStore, usize, u64)>,
     /// The dynamic-workload state machine, when a workload plan is set:
@@ -404,7 +406,7 @@ impl<'a> SystemExecCoordinator<'a> {
         slices: &'a [SliceSpec],
         n_ras: usize,
         period: usize,
-        policies: Vec<Option<PolicyCheckpoint>>,
+        policies: Vec<Option<Arc<PolicyCheckpoint>>>,
         start: RunStart,
     ) -> Self {
         Self {
@@ -634,7 +636,11 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                     next_round: round_off + 1,
                     coordinator: self.coordinator.snapshot(),
                     workers: self.worker_state.clone(),
-                    policies: self.policies.clone(),
+                    policies: self
+                        .policies
+                        .iter()
+                        .map(|p| p.as_deref().cloned())
+                        .collect(),
                     panic_counts: self.panic_counts.clone(),
                     rounds: self.report.rounds.clone(),
                     supervision: self.report.supervision.clone(),

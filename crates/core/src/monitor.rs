@@ -350,8 +350,9 @@ impl PartialEq<&[MonitorRecord]> for Records<'_> {
     }
 }
 
-/// The monitor database: the row history plus one [`RoundAggregate`] per
-/// round, which is what every per-round query reads. Not serialisable —
+/// The monitor database: the row history plus one aggregate per round
+/// (`Σ U`, served shares and lost intervals), which is what every
+/// per-round query reads. Not serialisable —
 /// the aggregates are derived state that only `record` keeps in step.
 #[derive(Debug, Clone, Default)]
 pub struct SystemMonitor {

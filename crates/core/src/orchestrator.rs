@@ -6,6 +6,7 @@
 //! fresh `z − y`, iterating until the ADMM residuals converge.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use edgeslice_optim::project_capacity_strided;
@@ -51,7 +52,7 @@ pub struct EdgeSliceSystem {
     checkpoint_every: usize,
     /// Per-RA policies restored from snapshots; when set, workers decide
     /// with these instead of the live agents (bit-identical either way).
-    policy_overrides: Vec<Option<PolicyCheckpoint>>,
+    policy_overrides: Vec<Option<Arc<PolicyCheckpoint>>>,
     /// Dynamic-workload state machine (see
     /// [`EdgeSliceSystem::set_workload`]); `None` = static slice set.
     workload: Option<crate::workload::SliceLifecycle>,
@@ -75,7 +76,12 @@ impl EdgeSliceSystem {
         agent_config: &AgentConfig,
         rng: &mut StdRng,
     ) -> Self {
-        let envs: Vec<RaSliceEnv> = (0..config.n_ras).map(|_| config.make_env(rng)).collect();
+        // One surrogate per system: every RA serves from the same per-slot
+        // datasets (and so shares their fitted-cell memo).
+        let datasets = crate::env::slot_datasets(&config.slices);
+        let envs: Vec<RaSliceEnv> = (0..config.n_ras)
+            .map(|_| config.make_env(&datasets, rng))
+            .collect();
         let agents = match kind {
             OrchestratorKind::Learned(technique) => (0..config.n_ras)
                 .map(|j| OrchestrationAgent::new(RaId(j), technique, &envs[j], agent_config, rng))
@@ -248,7 +254,7 @@ impl EdgeSliceSystem {
                     // Skipped RA: re-install the stored outcome — policy
                     // and environment exactly as training left them.
                     snap.env.rewind(&mut self.envs[j]);
-                    self.policy_overrides[j] = Some(snap.policy);
+                    self.policy_overrides[j] = Some(Arc::new(snap.policy));
                 }
                 None => self.policy_overrides[j] = None,
             }
@@ -333,9 +339,8 @@ impl EdgeSliceSystem {
     /// which decides for every RA in turn; per-RA actions stay
     /// bit-identical to [`OrchestrationAgent::decide`].
     pub fn policy_fleet(&self, par: crate::Parallelism) -> crate::PolicyFleet {
-        let policies = (0..self.config.n_ras)
-            .filter_map(|j| self.effective_policy(j, None))
-            .collect();
+        let policies = self.effective_policies().into_iter().flatten();
+        let policies = policies.map(|p| (*p).clone()).collect();
         crate::PolicyFleet::new(policies, par)
     }
 
@@ -346,19 +351,37 @@ impl EdgeSliceSystem {
     }
 
     /// The policy RA `j` decides with — what a fresh process re-installs
-    /// instead of retraining: `restored` (a snapshot's) when given, else
-    /// the pinned override, else the live agent's. `None` for TARO.
-    fn effective_policy(
-        &self,
-        j: usize,
-        restored: Option<PolicyCheckpoint>,
-    ) -> Option<PolicyCheckpoint> {
-        match self.kind {
-            OrchestratorKind::Learned(_) => restored
-                .or_else(|| self.policy_overrides[j].clone())
-                .or_else(|| Some(PolicyCheckpoint::from_agent(&self.agents[j]))),
-            OrchestratorKind::Taro => None,
+    /// instead of retraining: the pinned override, else the live agent's.
+    /// `None` for TARO.
+    fn effective_policy(&self, j: usize) -> Option<Arc<PolicyCheckpoint>> {
+        match (self.kind, &self.policy_overrides[j]) {
+            (OrchestratorKind::Taro, _) => None,
+            (_, Some(restored)) => Some(Arc::clone(restored)),
+            (_, None) => Some(Arc::new(PolicyCheckpoint::from_agent(&self.agents[j]))),
         }
+    }
+
+    /// Every RA's effective policy, one checkpoint per distinct learner:
+    /// an RA deciding with a replica of an earlier RA's learner (neither
+    /// overridden) shares that RA's checkpoint, and so its one batch-1
+    /// weight memo; a restored policy stays its RA's own.
+    fn effective_policies(&self) -> Vec<Option<Arc<PolicyCheckpoint>>> {
+        let live = |j: usize| match self.policy_overrides[j] {
+            None => self.agents.get(j),
+            Some(_) => None,
+        };
+        let mut policies: Vec<Option<Arc<PolicyCheckpoint>>> = Vec::new();
+        for j in 0..self.config.n_ras {
+            let replica_of = live(j).and_then(|agent| {
+                (0..j).find(|&i| live(i).is_some_and(|earlier| earlier.shares_learner(agent)))
+            });
+            let policy = match replica_of {
+                Some(i) => policies[i].clone(),
+                None => self.effective_policy(j),
+            };
+            policies.push(policy);
+        }
+        policies
     }
 
     /// A mutable handle to RA 0's environment (used to train an agent that
@@ -458,6 +481,7 @@ impl OrchestrationAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::WorkerPolicy;
     use crate::StateSpec;
     use edgeslice_rl::Technique;
 
@@ -583,6 +607,72 @@ mod tests {
         assert_eq!(c.reward.period, 24);
         let nt = c.clone().without_traffic_state();
         assert_eq!(nt.state_spec, StateSpec::CoordinationOnly);
+    }
+
+    /// One surrogate per system: every RA's environment serves from the
+    /// same per-slot dataset, so a cell fitted through RA 0 is already
+    /// remembered through RA 9.
+    #[test]
+    fn every_ra_shares_each_slots_dataset_and_its_fitted_cells() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let config = SystemConfig::simulation(5, 10, &mut rng);
+        let taro = OrchestratorKind::Taro;
+        let mut sys = EdgeSliceSystem::new(config, taro, &AgentConfig::default(), &mut rng);
+        for env in &sys.envs {
+            assert_eq!(env.datasets().len(), 5);
+            let first = sys.envs[0].datasets();
+            assert!(env
+                .datasets()
+                .iter()
+                .zip(first)
+                .all(|(d, f)| Arc::ptr_eq(d, f)));
+        }
+        // The memo shows only in `Debug`: a fitted cell prints its fit.
+        let fitted = |env: &RaSliceEnv| -> Vec<usize> {
+            let count = |d: String| d.matches("Plane(").count() + d.matches("Mean(").count();
+            env.datasets()
+                .iter()
+                .map(|d| count(format!("{d:?}")))
+                .collect()
+        };
+        assert_eq!(fitted(&sys.envs[9]), vec![0; 5]);
+        // Every share off the 10 % grid, and no resource over capacity.
+        let off_grid: Vec<f64> = (0..15).map(|k| 0.03 + 0.013 * k as f64).collect();
+        sys.envs[0].advance(&off_grid, &mut rng);
+        let through_ra9 = fitted(&sys.envs[9]);
+        assert!(through_ra9.iter().all(|&n| n > 0), "{through_ra9:?}");
+        assert_eq!(through_ra9, fitted(&sys.envs[0]));
+    }
+
+    /// One deployed policy per learner: the workers of `install_agents`
+    /// replicas decide through one checkpoint, untrained agents through
+    /// one each, and a restored policy stays its RA's own.
+    #[test]
+    fn install_agents_replicas_decide_through_one_checkpoint() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let config = SystemConfig::simulation(2, 10, &mut rng);
+        let ddpg = OrchestratorKind::Learned(Technique::Ddpg);
+        let mut sys = EdgeSliceSystem::new(config, ddpg, &quick_agent_config(), &mut rng);
+        // The checkpoints the workers decide through, as `run_rounds`
+        // builds them, counted once each.
+        let distinct = |sys: &EdgeSliceSystem| {
+            let workers: Vec<Arc<PolicyCheckpoint>> = sys
+                .effective_policies()
+                .into_iter()
+                .map(|policy| match WorkerPolicy::from(policy) {
+                    WorkerPolicy::Learned(p) => p,
+                    WorkerPolicy::Taro(_) => unreachable!("a learned system"),
+                })
+                .collect();
+            let first = |j: usize| !workers[..j].iter().any(|w| Arc::ptr_eq(w, &workers[j]));
+            (0..workers.len()).filter(|&j| first(j)).count()
+        };
+        assert_eq!(distinct(&sys), 10);
+        let trained = sys.agent0();
+        sys.install_agents(&trained);
+        assert_eq!(distinct(&sys), 1);
+        sys.policy_overrides[3] = Some(Arc::new(PolicyCheckpoint::from_agent(&trained)));
+        assert_eq!(distinct(&sys), 2);
     }
 
     #[test]

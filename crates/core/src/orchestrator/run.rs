@@ -3,6 +3,7 @@
 //! deployment (`run_networked`, `serve_ra`).
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use edgeslice_runtime::{
@@ -136,7 +137,7 @@ impl EdgeSliceSystem {
             (None, None) => {}
         }
         self.coordinator.restore(&snap.coordinator)?;
-        self.policy_overrides = snap.policies;
+        self.policy_overrides = snap.policies.into_iter().map(|p| p.map(Arc::new)).collect();
         let mut prefix = RunReport {
             rounds: snap.rounds,
             supervision: snap.supervision,
@@ -212,9 +213,10 @@ impl EdgeSliceSystem {
         };
         let first_round = start.first_round;
         let prior_panics = start.panic_counts.clone();
-        let policies: Vec<_> = (0..n_ras).map(|j| self.effective_policy(j, None)).collect();
+        let policies = self.effective_policies();
         // Workers exist in this process only when the RAs do: one per RA,
-        // each on its effective policy, resolved once here.
+        // each on its effective policy, resolved once here — replicas of
+        // one learner share one checkpoint.
         let mut local: Vec<RaExecWorker<'_>> = match workers {
             Workers::Local(injector) => {
                 let run = self.worker_run(injector, master);
@@ -393,7 +395,7 @@ impl EdgeSliceSystem {
         let mut restored_policy = None;
         let mut was_down = false;
         if let Some(store) = &self.store {
-            if let Some(snap) = newest_valid_run(store)?
+            if let Some(mut snap) = newest_valid_run(store)?
                 .filter(|snap| snap.master_seed == master && snap.workers.len() == n_ras)
             {
                 snap.validate(&self.config.slices, Some(self.state_dim()))?;
@@ -401,7 +403,7 @@ impl EdgeSliceSystem {
                 ws.rewind(&mut self.envs[ra.0]);
                 was_down = ws.was_down;
                 panic_count = snap.panic_counts[ra.0];
-                restored_policy = snap.policies[ra.0].clone();
+                restored_policy = snap.policies.swap_remove(ra.0);
                 resynced_from = Some(snap.next_round);
             }
         }
@@ -415,9 +417,14 @@ impl EdgeSliceSystem {
                 );
             }
         }
-        let policy = self.effective_policy(ra.0, restored_policy).into();
+        // A snapshot's policy comes first, and stays this RA's own.
+        let policy = match restored_policy {
+            Some(restored) if self.kind != OrchestratorKind::Taro => Some(Arc::new(restored)),
+            _ => self.effective_policy(ra.0),
+        };
         let run = self.worker_run(injector, master);
-        let mut worker = RaExecWorker::new(ra, &mut self.envs[ra.0], policy, was_down, run);
+        let env = &mut self.envs[ra.0];
+        let mut worker = RaExecWorker::new(ra, env, policy.into(), was_down, run);
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
             | match self.kind {

@@ -10,12 +10,13 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use edgeslice_netsim::{
-    AppProfile, ComputationModel, DiurnalTrace, FrameResolution, PoissonTraffic, TrafficSource,
+    AppProfile, ComputationModel, DiurnalTrace, FrameResolution, GridDataset, PoissonTraffic,
+    TrafficSource,
 };
 
 use crate::{
     EdgeSliceError, PerformanceFunction, QueuePenalty, RaEnvConfig, RaId, RaSliceEnv, RewardParams,
-    Sla, SliceId, SliceSpec, StateSpec,
+    ServiceModel, Sla, SliceId, SliceSpec, StateSpec,
 };
 
 /// Traffic model shared by every (slice, RA) pair.
@@ -137,7 +138,9 @@ impl SystemConfig {
             .collect()
     }
 
-    pub(super) fn make_env(&self, rng: &mut StdRng) -> RaSliceEnv {
+    /// One RA's environment, serving with the system's per-slot
+    /// `datasets` (shared, not copied).
+    pub(super) fn make_env(&self, datasets: &[Arc<GridDataset>], rng: &mut StdRng) -> RaSliceEnv {
         let env_config = RaEnvConfig {
             slices: self.slices.clone(),
             perf: Arc::clone(&self.perf),
@@ -152,7 +155,12 @@ impl SystemConfig {
             squash_training_reward: true,
             project_shares: true,
         };
-        RaSliceEnv::with_dataset(env_config, self.make_traffic(rng))
+        let traffic = self.make_traffic(rng);
+        RaSliceEnv::new(
+            env_config,
+            traffic,
+            ServiceModel::Dataset(datasets.to_vec()),
+        )
     }
 }
 

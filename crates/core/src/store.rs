@@ -766,6 +766,85 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `json` with the first entry of the first array opened by `key`
+    /// removed — a hand edit that keeps the JSON well-formed.
+    fn drop_first_entry(json: &str, key: &str) -> String {
+        let start = json.find(key).expect("the key") + key.len();
+        let end = start + json[start..].find(',').expect("a second entry") + 1;
+        format!("{}{}", &json[..start], &json[end..])
+    }
+
+    /// A hand-edited run snapshot whose policy network lost one weight,
+    /// or one bias entry, does not decode: the store refuses the file as
+    /// corrupt, so `resume` falls back to the snapshot before it and ends
+    /// like the uninterrupted run (no worker panics on every decide, and
+    /// no silent run on a short bias), and the policy alone is a malformed
+    /// checkpoint.
+    #[test]
+    fn a_policy_missing_a_weight_or_a_bias_does_not_decode() {
+        use crate::{
+            AgentConfig, CheckpointError, EdgeSliceSystem, FaultInjector, OrchestratorKind,
+            SystemConfig,
+        };
+        use edgeslice_rl::Technique;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const ROUNDS: usize = 4;
+        let make = |rng: &mut StdRng| {
+            let kind = OrchestratorKind::Learned(Technique::Ddpg);
+            EdgeSliceSystem::new(
+                SystemConfig::prototype(),
+                kind,
+                &AgentConfig::default(),
+                rng,
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(31);
+        let expected = make(&mut rng).run(ROUNDS, &mut rng);
+        let injector = FaultInjector::none(SystemConfig::prototype().n_ras, ROUNDS);
+        // RA 0's policy is the first `Some` in `policies`: these hit its
+        // first layer.
+        for key in ["\"data\":[", "\"bias\":["] {
+            let dir = tmp_dir("misshapen-network");
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut sys = make(&mut rng);
+            sys.set_checkpointing(&dir, 2).unwrap();
+            sys.run(ROUNDS, &mut rng);
+            let store = CheckpointStore::open(&dir).unwrap();
+            let newest = store.run_path(ROUNDS);
+            let text = String::from_utf8(store.read_envelope(&newest).unwrap()).unwrap();
+            let at = text.find("\"policies\"").unwrap();
+            let hostile = format!("{}{}", &text[..at], drop_first_entry(&text[at..], key));
+            store.write_envelope(&newest, hostile.as_bytes()).unwrap();
+            let latest = store.latest_run().unwrap();
+            assert!(
+                matches!(
+                    &latest.rejected[..],
+                    [(path, EdgeSliceError::CorruptSnapshot { .. })] if *path == newest
+                ),
+                "{key}: {:?}",
+                latest.rejected
+            );
+            assert_eq!(latest.snapshot.map(|s| s.next_round), Some(2), "{key}");
+
+            let mut rng = StdRng::seed_from_u64(31);
+            let resumed = make(&mut rng).resume(&dir, ROUNDS, &mut rng, &injector);
+            assert_eq!(resumed.unwrap(), expected, "{key}");
+
+            let policy = store.latest_run().unwrap().snapshot.unwrap().policies[0].take();
+            let json = policy.expect("a learned RA's policy").to_json().unwrap();
+            assert!(PolicyCheckpoint::from_json(&json).is_ok());
+            assert!(
+                matches!(
+                    PolicyCheckpoint::from_json(&drop_first_entry(&json, key)),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{key}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn snapshot_records_slice_set_and_rejects_mismatched_counts() {
         let dir = tmp_dir("slices");

@@ -515,7 +515,7 @@ fn finish(analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
 /// Analyzes one already-read source text under `spec`'s identity.
 /// Shared by the driver and the fixture tests. The cross-file passes run
 /// over the single file; stale-suppression detection is limited to the
-/// local rules (see [`finish`]).
+/// local rules (see `finish`).
 pub fn analyze_source(spec: &FileSpec, source: &str) -> (Vec<Diagnostic>, usize) {
     let analysis = scan_file(spec, source);
     let sups = analysis.sups.len();

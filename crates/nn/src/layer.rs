@@ -1,7 +1,7 @@
 //! A single fully-connected layer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{Activation, GemmOp, Init, Matrix};
 
@@ -10,11 +10,37 @@ use crate::{Activation, GemmOp, Init, Matrix};
 /// Weights are stored `out × in` so a batch forward pass is a single
 /// [`GemmOp::ABt`] product. (The batch-1 forward runs against a padded
 /// output-major copy that the owning [`crate::Mlp`] memoises.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dense {
     weights: Matrix,
     bias: Vec<f32>,
     activation: Activation,
+}
+
+impl Deserialize for Dense {
+    /// Decodes a layer only if its bias has one entry per output (its
+    /// weights' rows; [`Matrix`] has checked their own shape).
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name| {
+            v.get_field(name)
+                .ok_or_else(|| DeError::missing_field("Dense", name))
+        };
+        let weights = Matrix::from_value(field("weights")?)?;
+        let bias = Vec::<f32>::from_value(field("bias")?)?;
+        let activation = Activation::from_value(field("activation")?)?;
+        if bias.len() != weights.rows() {
+            return Err(DeError::msg(format!(
+                "a layer of {} outputs with {} biases",
+                weights.rows(),
+                bias.len()
+            )));
+        }
+        Ok(Self {
+            weights,
+            bias,
+            activation,
+        })
+    }
 }
 
 /// Gradients of a [`Dense`] layer's parameters for one backward pass.

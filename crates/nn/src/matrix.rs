@@ -14,7 +14,7 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::Activation;
 
@@ -44,11 +44,33 @@ const PANEL_LEN: usize = TILE_K * TILE_N;
 /// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(Matrix::gemm(GemmOp::AB, &a, &b), a);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Deserialize for Matrix {
+    /// Decodes a matrix only if it holds exactly `rows × cols` entries: a
+    /// short or long `data` is an error here, not an out-of-bounds index
+    /// (or silently ignored entries) at the first product.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name| {
+            v.get_field(name)
+                .ok_or_else(|| DeError::missing_field("Matrix", name))
+        };
+        let rows = usize::from_value(field("rows")?)?;
+        let cols = usize::from_value(field("cols")?)?;
+        let data = Vec::<f32>::from_value(field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError::msg(format!(
+                "a {rows} × {cols} matrix with {} entries",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 /// Which product of its two operands [`Matrix::gemm_into`] computes — the
@@ -341,8 +363,8 @@ impl Matrix {
         self.dot(self).sqrt()
     }
 
-    /// Dot product of the flattened matrices, accumulated in `f64`
-    /// ([`dot_f64`]).
+    /// Dot product of the flattened matrices, accumulated in `f64` over
+    /// eight interleaved lanes.
     ///
     /// # Panics
     ///

@@ -16,15 +16,25 @@ use crate::{Activation, Dense, DenseGrad, GemmOp, Init, Matrix};
 /// Leaky-ReLU hidden layers; the actor ends in a sigmoid so the action lands
 /// in `[0, 1]^d` before being scaled to the RA's resource capacities
 /// (Sec. VI-A); `edgeslice_rl::DdpgConfig::paper()` holds those shapes.
-#[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
     /// Each layer's `Wᵀ` (`in × out`), rows zero-padded to
     /// [`lone_row_width`], for the batch-1 forward: filled on its
     /// first call and dropped by every `&mut self` method, so it never
     /// outlives the weights it copies. Not part of the network's value:
-    /// equality, `Debug` and serialization see `layers` only.
+    /// equality, `Debug`, cloning and serialization see `layers` only.
     weights_t: OnceLock<Vec<Matrix>>,
+}
+
+impl Clone for Mlp {
+    /// A copy of the layers; the copy fills its own batch-1 memo if it is
+    /// ever asked for a row.
+    fn clone(&self) -> Self {
+        Self {
+            layers: self.layers.clone(),
+            weights_t: OnceLock::new(),
+        }
+    }
 }
 
 impl PartialEq for Mlp {
@@ -46,12 +56,24 @@ impl Serialize for Mlp {
 }
 
 impl Deserialize for Mlp {
+    /// Decodes a network only if each layer reads what the one before it
+    /// writes ([`Dense`] has checked each layer's own shape).
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let layers = v
             .get_field("layers")
             .ok_or_else(|| DeError::missing_field("Mlp", "layers"))?;
+        let layers: Vec<Dense> = Vec::from_value(layers)?;
+        if let Some(l) = (1..layers.len()).find(|&l| layers[l - 1].out_dim() != layers[l].in_dim())
+        {
+            return Err(DeError::msg(format!(
+                "layer {l} reads {} inputs, layer {} writes {}",
+                layers[l].in_dim(),
+                l - 1,
+                layers[l - 1].out_dim()
+            )));
+        }
         Ok(Self {
-            layers: Vec::from_value(layers)?,
+            layers,
             weights_t: OnceLock::new(),
         })
     }

@@ -143,7 +143,7 @@ pub struct Engine {
 
 impl Engine {
     /// An engine on `scheduler` with the default supervision policy. Each
-    /// round waits at most [`ROUND_DEADLINE`] for its reports.
+    /// round waits at most 30 s for its reports (`ROUND_DEADLINE`).
     pub fn new(scheduler: Scheduler) -> Self {
         Self {
             scheduler,

@@ -121,7 +121,7 @@ impl<T: Transport> Acceptor<T> for ChannelAcceptor<T> {
     }
 }
 
-/// An [`Acceptor`] over a listening socket ([`NetListener`]): the
+/// An [`Acceptor`] over a listening socket ([`crate::NetListener`]): the
 /// initial-attach *and* rejoin path for real multi-process deployments —
 /// a respawned worker process reconnects to the same socket and is
 /// adopted at the next gather poll.

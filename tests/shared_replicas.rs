@@ -1,11 +1,12 @@
 //! Deployment shares, training copies: replicas of one trained agent are
 //! handles to a single learner, yet each behaves as a value of its own —
-//! training one never moves another — and an installed policy is the one
-//! the system decides with, whatever a checkpoint store restored before.
+//! training one never moves another — an installed policy is the one the
+//! system decides with, whatever a checkpoint store restored before, and a
+//! resumed run of replicas ends like the uninterrupted one.
 
 use edgeslice::{
-    AgentConfig, EdgeSliceSystem, OrchestrationAgent, OrchestratorKind, Parallelism,
-    PolicyCheckpoint, RaId, Scheduler, SystemConfig,
+    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, OrchestrationAgent,
+    OrchestratorKind, Parallelism, PolicyCheckpoint, RaId, Scheduler, SystemConfig,
 };
 use edgeslice_rl::Technique;
 use rand::rngs::StdRng;
@@ -128,5 +129,45 @@ fn an_installed_policy_is_not_shadowed_by_a_restored_one() {
     assert_eq!(sys.restored_policy_count(), 0);
     let shared = policy_json(&sys.agent0());
     assert!(fleet_json(&sys).iter().all(|p| *p == shared));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replicas decide through one shared checkpoint, and an outage keeps a
+/// pointer to it for the rejoin; a run resumed from a snapshot re-installs
+/// each RA's policy as its own, and still ends byte-identical to the run
+/// nobody interrupted.
+#[test]
+fn a_resumed_run_of_shared_replicas_equals_the_uninterrupted_one() {
+    let dir = std::env::temp_dir().join(format!("edgeslice-shared-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (n_ras, rounds) = (4, 8);
+    // RA 1 is dark for rounds 3..6: down across the round-4 snapshot, so
+    // the resumed worker rejoins on the policy the snapshot restored.
+    let outage = FaultEvent::RaOutage {
+        ra: RaId(1),
+        start_round: 3,
+        rounds: 3,
+    };
+    let injector = FaultInjector::new(FaultPlan::scripted(n_ras, rounds, vec![outage]).unwrap());
+    let deployed = |rng: &mut StdRng| {
+        let mut sys = learned_system(SystemConfig::simulation(2, n_ras, rng), rng);
+        sys.train_shared(120, rng);
+        sys
+    };
+    let mut rng = StdRng::seed_from_u64(55);
+    let expected = deployed(&mut rng).run_with_faults(rounds, &mut rng, &injector);
+
+    let mut rng = StdRng::seed_from_u64(55);
+    let mut victim = deployed(&mut rng);
+    victim.set_checkpointing(&dir, 2).unwrap();
+    let partial = victim.run_with_faults(5, &mut rng, &injector);
+    assert_eq!(partial.rounds.len(), 5);
+
+    let mut rng = StdRng::seed_from_u64(55);
+    let mut resumed = deployed(&mut rng);
+    assert_eq!(resumed.restored_policy_count(), 0);
+    let report = resumed.resume(&dir, rounds, &mut rng, &injector).unwrap();
+    assert_eq!(resumed.restored_policy_count(), n_ras);
+    assert_eq!(report.to_json().unwrap(), expected.to_json().unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }
