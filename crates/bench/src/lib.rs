@@ -11,7 +11,9 @@
 //! | `fig9` | scalability over #RAs and #slices |
 //! | `fig10` | training steps and training techniques |
 //! | `fig11` | performance-function compatibility (α sweep, CDF) |
-//! | `prototype` | Table II inventory + manager-mechanism demos |
+//!
+//! Table II and the Sec. V manager mechanisms are pinned by `netsim`'s unit
+//! tests (`ra.rs`, `compute.rs`, `transport.rs`) rather than printed here.
 //!
 //! The experiment set-up every system-level figure (6, 7, 9, 10, 11)
 //! shares lives here, once: [`simulation`] is the trace-driven simulation

@@ -11,8 +11,8 @@
 //!   schedule (same seed ⇒ byte-identical plan ⇒ byte-identical run);
 //! * [`FaultPlan::scripted`] builds a hand-written schedule for targeted
 //!   tests (e.g. "RA 1 is dark for rounds 3..6");
-//! * a [`FaultInjector`] compiles the plan into per-(RA, round) lookups the
-//!   orchestrator queries each round as a [`RaFaultView`].
+//! * a [`FaultInjector`] answers the orchestrator's per-(RA, round)
+//!   query, a [`RaFaultView`], straight from the plan's events.
 //!
 //! The injector is pure bookkeeping: all *reactions* (stale-report reuse,
 //! frozen duals, checkpoint re-sync, slice redistribution) live in the
@@ -371,89 +371,23 @@ impl RaFaultView {
     }
 }
 
-/// A [`FaultPlan`] compiled into O(1) per-(RA, round) lookups.
+/// A [`FaultPlan`] answering per-(RA, round) queries from its events.
+///
+/// It holds the plan and nothing else: each [`RaFaultView`] is derived on
+/// demand by one pass over the plan's events, so its cost follows the plan,
+/// not the round cap. A decoded plan skips [`FaultPlan::scripted`]'s
+/// checks: an event naming an RA out of range or starting past the horizon
+/// never matches, and a window whose end would pass `usize::MAX` runs to
+/// the horizon.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// `[round][ra]` flags / scales.
-    down: Vec<Vec<bool>>,
-    dropped: Vec<Vec<bool>>,
-    straggle: Vec<Vec<bool>>,
-    panics: Vec<Vec<bool>>,
-    silence: Vec<Vec<bool>>,
-    scale: Vec<Vec<[f64; 3]>>,
 }
 
 impl FaultInjector {
-    /// Compiles `plan` into round-indexed tables.
+    /// The injector for `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let (rounds, n_ras) = (plan.horizon_rounds, plan.n_ras);
-        let mut down = vec![vec![false; n_ras]; rounds];
-        let mut dropped = vec![vec![false; n_ras]; rounds];
-        let mut straggle = vec![vec![false; n_ras]; rounds];
-        let mut panics = vec![vec![false; n_ras]; rounds];
-        let mut silence = vec![vec![false; n_ras]; rounds];
-        let mut scale = vec![vec![[1.0f64; 3]; n_ras]; rounds];
-        for ev in &plan.events {
-            match *ev {
-                FaultEvent::RaOutage {
-                    ra,
-                    start_round,
-                    rounds: len,
-                } => {
-                    let end = (start_round + len).min(rounds);
-                    for row in &mut down[start_round..end] {
-                        row[ra.0] = true;
-                    }
-                }
-                FaultEvent::BroadcastDrop { ra, round } => {
-                    if round < rounds {
-                        dropped[round][ra.0] = true;
-                    }
-                }
-                FaultEvent::Straggler { ra, round } => {
-                    if round < rounds {
-                        straggle[round][ra.0] = true;
-                    }
-                }
-                FaultEvent::CapacityDegradation {
-                    ra,
-                    domain,
-                    start_round,
-                    rounds: len,
-                    factor,
-                } => {
-                    let end = (start_round + len).min(rounds);
-                    for row in &mut scale[start_round..end] {
-                        row[ra.0][domain.index()] *= factor;
-                    }
-                }
-                FaultEvent::WorkerPanic { ra, round } => {
-                    if round < rounds {
-                        panics[round][ra.0] = true;
-                    }
-                }
-                FaultEvent::WorkerSilence {
-                    ra,
-                    start_round,
-                    rounds: len,
-                } => {
-                    let end = (start_round + len).min(rounds);
-                    for row in &mut silence[start_round..end] {
-                        row[ra.0] = true;
-                    }
-                }
-            }
-        }
-        Self {
-            plan,
-            down,
-            dropped,
-            straggle,
-            panics,
-            silence,
-            scale,
-        }
+        Self { plan }
     }
 
     /// The fault-free injector.
@@ -461,32 +395,63 @@ impl FaultInjector {
         Self::new(FaultPlan::none(n_ras, horizon_rounds))
     }
 
-    /// The compiled plan.
+    /// The plan the injector answers from.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// What `ra` experiences in `round`. Rounds beyond the horizon are
-    /// healthy (the plan simply ran out).
+    /// What `ra` experiences in `round`. Rounds beyond the horizon and
+    /// RAs beyond the plan's size are healthy (the plan simply ran out).
     pub(crate) fn view(&self, ra: RaId, round: usize) -> RaFaultView {
         if round >= self.plan.horizon_rounds || ra.0 >= self.plan.n_ras {
             return RaFaultView::healthy();
         }
-        let down = self.down[round][ra.0];
-        let was_down = round > 0 && self.down[round - 1][ra.0];
+        // A window's end `start + len` is never formed, so no length
+        // overflows.
+        let covers = |start: usize, len: usize, r: usize| start <= r && r - start < len;
+        let (mut down, mut was_down, mut dropped) = (false, false, false);
+        let (mut straggle, mut panics, mut silence) = (false, false, false);
+        let mut scale = [1.0f64; 3];
+        for ev in self.plan.events.iter().filter(|ev| ev.ra() == ra) {
+            match *ev {
+                FaultEvent::RaOutage {
+                    start_round,
+                    rounds,
+                    ..
+                } => {
+                    down |= covers(start_round, rounds, round);
+                    was_down |= round > 0 && covers(start_round, rounds, round - 1);
+                }
+                FaultEvent::BroadcastDrop { round: r, .. } => dropped |= r == round,
+                FaultEvent::Straggler { round: r, .. } => straggle |= r == round,
+                FaultEvent::WorkerPanic { round: r, .. } => panics |= r == round,
+                FaultEvent::WorkerSilence {
+                    start_round,
+                    rounds,
+                    ..
+                } => silence |= covers(start_round, rounds, round),
+                FaultEvent::CapacityDegradation {
+                    domain,
+                    start_round,
+                    rounds,
+                    factor,
+                    ..
+                } => {
+                    if covers(start_round, rounds, round) {
+                        scale[domain.index()] *= factor;
+                    }
+                }
+            }
+        }
         RaFaultView {
             down,
             rejoining: !down && was_down,
-            broadcast_dropped: self.dropped[round][ra.0] && !down,
-            straggler: self.straggle[round][ra.0] && !down,
+            broadcast_dropped: dropped && !down,
+            straggler: straggle && !down,
             // A frozen process can't crash: silence masks the panic draw.
-            panic: self.panics[round][ra.0] && !down && !self.silence[round][ra.0],
-            silent: self.silence[round][ra.0] && !down,
-            capacity_scale: if down {
-                [1.0; 3]
-            } else {
-                self.scale[round][ra.0]
-            },
+            panic: panics && !down && !silence,
+            silent: silence && !down,
+            capacity_scale: if down { [1.0; 3] } else { scale },
         }
     }
 }
@@ -494,6 +459,115 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The test oracle `FaultInjector::view` is held to: the plan compiled
+    /// into `[round][ra]` tables, as the injector once stored it. Valid
+    /// plans only (`FaultPlan::generate` / `FaultPlan::scripted`): an
+    /// event out of range would index past a table.
+    struct TableOracle {
+        down: Vec<Vec<bool>>,
+        dropped: Vec<Vec<bool>>,
+        straggle: Vec<Vec<bool>>,
+        panics: Vec<Vec<bool>>,
+        silence: Vec<Vec<bool>>,
+        scale: Vec<Vec<[f64; 3]>>,
+    }
+
+    impl TableOracle {
+        fn new(plan: &FaultPlan) -> Self {
+            let (rounds, n_ras) = (plan.horizon_rounds, plan.n_ras);
+            let mut down = vec![vec![false; n_ras]; rounds];
+            let mut dropped = vec![vec![false; n_ras]; rounds];
+            let mut straggle = vec![vec![false; n_ras]; rounds];
+            let mut panics = vec![vec![false; n_ras]; rounds];
+            let mut silence = vec![vec![false; n_ras]; rounds];
+            let mut scale = vec![vec![[1.0f64; 3]; n_ras]; rounds];
+            for ev in &plan.events {
+                match *ev {
+                    FaultEvent::RaOutage {
+                        ra,
+                        start_round,
+                        rounds: len,
+                    } => {
+                        let end = (start_round + len).min(rounds);
+                        for row in &mut down[start_round..end] {
+                            row[ra.0] = true;
+                        }
+                    }
+                    FaultEvent::BroadcastDrop { ra, round } => dropped[round][ra.0] = true,
+                    FaultEvent::Straggler { ra, round } => straggle[round][ra.0] = true,
+                    FaultEvent::WorkerPanic { ra, round } => panics[round][ra.0] = true,
+                    FaultEvent::CapacityDegradation {
+                        ra,
+                        domain,
+                        start_round,
+                        rounds: len,
+                        factor,
+                    } => {
+                        let end = (start_round + len).min(rounds);
+                        for row in &mut scale[start_round..end] {
+                            row[ra.0][domain.index()] *= factor;
+                        }
+                    }
+                    FaultEvent::WorkerSilence {
+                        ra,
+                        start_round,
+                        rounds: len,
+                    } => {
+                        let end = (start_round + len).min(rounds);
+                        for row in &mut silence[start_round..end] {
+                            row[ra.0] = true;
+                        }
+                    }
+                }
+            }
+            Self {
+                down,
+                dropped,
+                straggle,
+                panics,
+                silence,
+                scale,
+            }
+        }
+
+        fn view(&self, ra: RaId, round: usize) -> RaFaultView {
+            if round >= self.down.len() || ra.0 >= self.down[round].len() {
+                return RaFaultView::healthy();
+            }
+            let down = self.down[round][ra.0];
+            let was_down = round > 0 && self.down[round - 1][ra.0];
+            RaFaultView {
+                down,
+                rejoining: !down && was_down,
+                broadcast_dropped: self.dropped[round][ra.0] && !down,
+                straggler: self.straggle[round][ra.0] && !down,
+                panic: self.panics[round][ra.0] && !down && !self.silence[round][ra.0],
+                silent: self.silence[round][ra.0] && !down,
+                capacity_scale: if down {
+                    [1.0; 3]
+                } else {
+                    self.scale[round][ra.0]
+                },
+            }
+        }
+    }
+
+    /// Every (RA, round) of `plan`, two RAs and three rounds past its
+    /// ends included, read through the injector and through the oracle:
+    /// equal flags, and capacity scales equal by `to_bits`.
+    fn assert_view_matches_oracle(plan: &FaultPlan) {
+        let oracle = TableOracle::new(plan);
+        let inj = FaultInjector::new(plan.clone());
+        for round in 0..plan.horizon_rounds + 3 {
+            for j in 0..plan.n_ras + 2 {
+                let (got, want) = (inj.view(RaId(j), round), oracle.view(RaId(j), round));
+                let bits = |v: RaFaultView| v.capacity_scale.map(f64::to_bits);
+                assert_eq!(bits(got), bits(want), "ra {j} round {round}");
+                assert_eq!(got, want, "ra {j} round {round}");
+            }
+        }
+    }
 
     #[test]
     fn generate_is_deterministic_in_the_seed() {
@@ -558,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn injector_compiles_outage_windows_and_rejoin() {
+    fn injector_reads_outage_windows_and_rejoin() {
         let plan = FaultPlan::scripted(
             2,
             10,
@@ -603,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_panics_compile_and_are_suppressed_while_down() {
+    fn worker_panics_are_read_and_suppressed_while_down() {
         let plan = FaultPlan::scripted(
             2,
             10,
@@ -665,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_silence_compiles_and_masks_panics() {
+    fn worker_silence_is_read_and_masks_panics() {
         let plan = FaultPlan::scripted(
             2,
             10,
@@ -708,10 +782,84 @@ mod tests {
         let inj = FaultInjector::none(2, 4);
         assert_eq!(inj.view(RaId(0), 99), RaFaultView::healthy());
         assert_eq!(inj.view(RaId(9), 0), RaFaultView::healthy());
+        // The injector holds the plan, not a table per round: an unbounded
+        // horizon costs nothing up front.
+        let unbounded = FaultInjector::none(2, usize::MAX);
+        for round in [0, 1_000_000, usize::MAX - 1, usize::MAX] {
+            assert_eq!(unbounded.view(RaId(1), round), RaFaultView::healthy());
+        }
+    }
+
+    #[test]
+    fn hostile_decoded_plans_read_as_their_valid_twin() {
+        // Decoding skips `scripted`'s checks, as a plan read from a file or
+        // the wire would. Each hostile plan is a valid 2-RA, 4-round plan
+        // plus one event `scripted` would reject or whose window runs past
+        // `usize::MAX`; the injector must build and read it like the valid
+        // plan with that event dropped (or, for the overlong outage, cut
+        // at the horizon).
+        let valid = r#"{"RaOutage":{"ra":0,"start_round":1,"rounds":2}},
+            {"BroadcastDrop":{"ra":1,"round":3}},
+            {"CapacityDegradation":{"ra":1,"domain":"Computing","start_round":0,"rounds":2,"factor":0.5}}"#;
+        let plan = |events: &str| -> FaultPlan {
+            let json = format!(r#"{{"n_ras":2,"horizon_rounds":4,"events":[{valid}{events}]}}"#);
+            serde_json::from_str(&json).unwrap()
+        };
+        let cases = [
+            (r#",{"Straggler":{"ra":5,"round":1}}"#, ""),
+            (r#",{"RaOutage":{"ra":1,"start_round":9,"rounds":2}}"#, ""),
+            (
+                &*format!(
+                    r#",{{"RaOutage":{{"ra":1,"start_round":2,"rounds":{}}}}}"#,
+                    usize::MAX
+                ),
+                r#",{"RaOutage":{"ra":1,"start_round":2,"rounds":2}}"#,
+            ),
+        ];
+        for (hostile, twin) in cases {
+            let inj = FaultInjector::new(plan(hostile));
+            let twin = FaultInjector::new(plan(twin));
+            for round in 0..4 {
+                for j in 0..2 {
+                    assert_eq!(
+                        inj.view(RaId(j), round),
+                        twin.view(RaId(j), round),
+                        "{hostile}"
+                    );
+                }
+            }
+        }
     }
 
     proptest::proptest! {
-        /// Same seed ⇒ bit-for-bit identical plan *and* identical compiled
+        /// The injector reads every (RA, round) exactly as the compiled
+        /// tables did: generated stress and chaos plans, and scripted
+        /// windows degrading one domain of one RA, overlapping at will.
+        #[test]
+        fn view_equals_the_table_oracle(
+            seed in 0u64..u64::MAX,
+            n_ras in 1usize..6,
+            horizon in 1usize..40,
+            chaos in 0u8..2,
+            windows in proptest::collection::vec((0usize..40, 1usize..12, 0usize..5), 0..6),
+        ) {
+            let config = if chaos == 1 { FaultConfig::chaos } else { FaultConfig::stress };
+            assert_view_matches_oracle(&FaultPlan::generate(&config(n_ras, horizon, seed)));
+            let factors = [1.0, 0.9, 0.7, 0.5, 0.3];
+            let overlapping = windows
+                .iter()
+                .map(|&(start, rounds, f)| FaultEvent::CapacityDegradation {
+                    ra: RaId(n_ras - 1),
+                    domain: ResourceKind::Transport,
+                    start_round: start % horizon,
+                    rounds,
+                    factor: factors[f],
+                })
+                .collect();
+            assert_view_matches_oracle(&FaultPlan::scripted(n_ras, horizon, overlapping).unwrap());
+        }
+
+        /// Same seed ⇒ bit-for-bit identical plan *and* identical
         /// per-(RA, round) views, for arbitrary seeds and system sizes.
         #[test]
         fn same_seed_reproduces_the_fault_stream(

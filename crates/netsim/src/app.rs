@@ -35,7 +35,7 @@ impl FrameResolution {
     ];
 
     /// Pixels per side.
-    pub fn side(self) -> u32 {
+    pub(crate) fn side(self) -> u32 {
         match self {
             FrameResolution::R100 => 100,
             FrameResolution::R300 => 300,
@@ -71,7 +71,7 @@ impl ComputationModel {
     ];
 
     /// Network input side in pixels.
-    pub fn input_side(self) -> u32 {
+    pub(crate) fn input_side(self) -> u32 {
         match self {
             ComputationModel::Yolo320 => 320,
             ComputationModel::Yolo416 => 416,

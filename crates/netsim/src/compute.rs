@@ -121,13 +121,8 @@ impl Gpu {
     }
 
     /// Total thread capacity.
-    pub fn total_threads(&self) -> u32 {
+    pub(crate) fn total_threads(&self) -> u32 {
         self.total_threads
-    }
-
-    /// Peak throughput, GFLOPs/s.
-    pub fn peak_gflops_s(&self) -> f64 {
-        self.peak_gflops_s
     }
 
     /// Sets a tenant's virtual resource (maximum concurrent threads).
@@ -136,7 +131,7 @@ impl Gpu {
     /// performs splitting in the modified user application at launch time
     /// (Sec. V-C), so anything not yet on the GPU is re-shaped by the next
     /// virtual-resource update.
-    pub fn set_budget(&mut self, tenant: TenantId, max_threads: u32) {
+    pub(crate) fn set_budget(&mut self, tenant: TenantId, max_threads: u32) {
         self.budgets.insert(tenant, max_threads);
         if let Some(queue) = self.queues.get_mut(&tenant) {
             let pending = std::mem::take(queue);
@@ -154,7 +149,7 @@ impl Gpu {
     /// Submits an application kernel. The computing manager splits it
     /// against the tenant's budget before it reaches the kernel queue, so
     /// in-order execution bounds the tenant's occupancy by its budget.
-    pub fn submit(&mut self, tenant: TenantId, kernel: Kernel) {
+    pub(crate) fn submit(&mut self, tenant: TenantId, kernel: Kernel) {
         let budget = self.budget(tenant);
         let queue = self.queues.entry(tenant).or_default();
         for k in split_kernel(kernel, budget) {
@@ -208,7 +203,7 @@ impl Gpu {
 
     /// The invariant the kernel-split mechanism guarantees: no kernel ever
     /// executed with more threads than its tenant's budget at that moment.
-    pub fn occupancy_within_budgets(&self) -> bool {
+    pub(crate) fn occupancy_within_budgets(&self) -> bool {
         !self.occupancy_violated
     }
 }
@@ -231,6 +226,16 @@ mod tests {
         let work: f64 = parts.iter().map(|p| p.gflops).sum();
         assert!((work - 50.0).abs() < 1e-9);
         assert!(parts.iter().all(|p| p.threads <= 300));
+        // A YOLO-sized kernel on the prototype GPU's 51 200 threads.
+        let yolo = Kernel::new(51_200, 140.0);
+        for (budget, pieces) in [(51_200, 1), (25_600, 2), (10_000, 6), (1_024, 50)] {
+            let parts = split_kernel(yolo, budget);
+            assert_eq!(parts.len(), pieces);
+            assert_eq!(parts.iter().map(|p| p.threads).sum::<u32>(), 51_200);
+            let work: f64 = parts.iter().map(|p| p.gflops).sum();
+            assert!((work - 140.0).abs() < 1e-9);
+            assert!(parts.iter().all(|p| p.threads <= budget));
+        }
     }
 
     #[test]

@@ -63,10 +63,6 @@ pub struct ResourceAutonomy {
     /// Per-slice representative users.
     users: Vec<RaUser>,
     reconfig_mode: ReconfigMode,
-    /// Per-domain capacity multipliers `[radio, transport, compute]`,
-    /// `1.0` when healthy — fault injection shrinks a domain's `R^{tot}`
-    /// by lowering its entry (interference, co-tenancy, partial failure).
-    capacity_scale: [f64; 3],
 }
 
 /// A slice's representative user within an RA.
@@ -135,18 +131,12 @@ impl ResourceAutonomy {
             link_mbps,
             users,
             reconfig_mode: ReconfigMode::MakeBeforeBreak,
-            capacity_scale: [1.0; 3],
         }
     }
 
     /// Number of slices served in this RA.
     pub fn n_slices(&self) -> usize {
         self.users.len()
-    }
-
-    /// Total link bandwidth, Mb/s.
-    pub fn link_mbps(&self) -> f64 {
-        self.link_mbps
     }
 
     /// The eNodeB.
@@ -159,37 +149,10 @@ impl ResourceAutonomy {
         &self.transport
     }
 
-    /// The edge GPU.
-    pub fn gpu(&self) -> &Gpu {
-        &self.gpu
-    }
-
     /// Sets the transport reconfiguration strategy (default
     /// make-before-break, the paper's mechanism).
     pub fn set_reconfig_mode(&mut self, mode: ReconfigMode) {
         self.reconfig_mode = mode;
-    }
-
-    /// Scales each domain's total capacity by the given multipliers
-    /// `[radio, transport, compute]` (fault injection: a degraded domain's
-    /// `R^{tot}` shrinks; `[1.0; 3]` restores full capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every multiplier is finite and in `(0, 1]`.
-    pub fn set_capacity_scale(&mut self, scale: [f64; 3]) {
-        for s in scale {
-            assert!(
-                s.is_finite() && s > 0.0 && s <= 1.0,
-                "capacity scale {s} not in (0, 1]"
-            );
-        }
-        self.capacity_scale = scale;
-    }
-
-    /// The per-domain capacity multipliers in effect.
-    pub fn capacity_scale(&self) -> [f64; 3] {
-        self.capacity_scale
     }
 
     /// Applies an orchestration action: per-slice domain shares. Configures
@@ -205,24 +168,21 @@ impl ResourceAutonomy {
     /// Panics if `shares.len() != n_slices()`.
     pub fn apply(&mut self, shares: &[DomainShares]) -> Vec<SliceRates> {
         assert_eq!(shares.len(), self.users.len(), "one share triple per slice");
-        // A degraded domain delivers `scale · R^tot`; a share `x` of the
-        // degraded capacity equals a share `x · scale` of the nominal one.
-        let [radio_scale, transport_scale, compute_scale] = self.capacity_scale;
         // Radio: pass fractions to the slice-aware scheduler.
-        let radio_shares: Vec<f64> = shares.iter().map(|s| s.radio * radio_scale).collect();
+        let radio_shares: Vec<f64> = shares.iter().map(|s| s.radio).collect();
         let schedule = self.enodeb.schedule(&radio_shares);
         // Transport: one meter per slice flow.
         for (user, share) in self.users.iter().zip(shares) {
             self.transport.set_bandwidth(
                 user.flow,
-                share.transport * self.link_mbps * transport_scale,
+                share.transport * self.link_mbps,
                 self.reconfig_mode,
             );
         }
         // Compute: budgets in threads.
         let total_threads = self.gpu.total_threads();
         for (user, share) in self.users.iter().zip(shares) {
-            let threads = (share.compute * total_threads as f64 * compute_scale) as u32;
+            let threads = (share.compute * total_threads as f64) as u32;
             self.gpu.set_budget(user.tenant, threads);
         }
         self.users
@@ -285,8 +245,8 @@ mod tests {
     fn prototype_matches_table_ii() {
         let ra = ResourceAutonomy::prototype(0, 2);
         assert_eq!(ra.enodeb().total_prbs(), 25);
-        assert_eq!(ra.gpu().total_threads(), 51_200);
-        assert_eq!(ra.link_mbps(), 80.0);
+        assert_eq!(ra.gpu.total_threads(), 51_200);
+        assert_eq!(ra.link_mbps, 80.0);
         assert_eq!(ra.transport().switches().len(), 6);
         assert_eq!(ra.n_slices(), 2);
     }
@@ -296,6 +256,8 @@ mod tests {
         let a = ResourceAutonomy::prototype(0, 1);
         let b = ResourceAutonomy::prototype(1, 1);
         assert_ne!(a.enodeb().band(), b.enodeb().band());
+        assert_eq!(a.enodeb().band(), LteBand::Band7);
+        assert_eq!(b.enodeb().band(), LteBand::Band38);
     }
 
     #[test]
@@ -353,32 +315,6 @@ mod tests {
         );
         assert!(t[0].is_finite());
         assert!(t[1].is_infinite());
-    }
-
-    #[test]
-    fn capacity_degradation_scales_rates_and_restores() {
-        let mut ra = ResourceAutonomy::prototype(0, 2);
-        let shares = [
-            DomainShares::new(0.5, 0.5, 0.5),
-            DomainShares::new(0.5, 0.5, 0.5),
-        ];
-        let healthy = ra.apply(&shares);
-        ra.set_capacity_scale([1.0, 0.5, 0.5]);
-        let degraded = ra.apply(&shares);
-        assert!((degraded[0].transport_mbps - healthy[0].transport_mbps * 0.5).abs() < 1e-9);
-        assert!(degraded[0].compute_gflops_s < healthy[0].compute_gflops_s);
-        assert_eq!(degraded[0].radio_mbps, healthy[0].radio_mbps);
-        ra.set_capacity_scale([1.0; 3]);
-        let restored = ra.apply(&shares);
-        assert_eq!(restored[0].transport_mbps, healthy[0].transport_mbps);
-        assert_eq!(restored[0].compute_gflops_s, healthy[0].compute_gflops_s);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity scale")]
-    fn zero_capacity_scale_is_rejected() {
-        let mut ra = ResourceAutonomy::prototype(0, 1);
-        ra.set_capacity_scale([0.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl EnodeB {
     }
 
     /// The operating band.
-    pub fn band(&self) -> LteBand {
+    pub(crate) fn band(&self) -> LteBand {
         self.band
     }
 

@@ -157,7 +157,8 @@ impl SdnController {
     }
 
     /// The switches on the path.
-    pub fn switches(&self) -> &[Switch] {
+    #[cfg(test)]
+    pub(crate) fn switches(&self) -> &[Switch] {
         &self.switches
     }
 

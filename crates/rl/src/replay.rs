@@ -90,7 +90,10 @@ impl std::fmt::Display for SampleError {
 impl std::error::Error for SampleError {}
 
 impl ReplayBuffer {
-    /// Creates a buffer for transitions of the given dimensions.
+    /// Creates a buffer for transitions of the given dimensions. It
+    /// reserves nothing until the first [`ReplayBuffer::push`]: a learner
+    /// that is built and replaced before it stores a transition never
+    /// asks the allocator for its memory.
     ///
     /// # Panics
     ///
@@ -101,11 +104,11 @@ impl ReplayBuffer {
             capacity,
             state_dim,
             action_dim,
-            states: Vec::with_capacity(capacity * state_dim),
-            actions: Vec::with_capacity(capacity * action_dim),
-            rewards: Vec::with_capacity(capacity),
-            next_states: Vec::with_capacity(capacity * state_dim),
-            dones: Vec::with_capacity(capacity),
+            states: Vec::new(),
+            actions: Vec::new(),
+            rewards: Vec::new(),
+            next_states: Vec::new(),
+            dones: Vec::new(),
             len: 0,
             head: 0,
         }
@@ -142,7 +145,7 @@ impl ReplayBuffer {
         );
         if self.len < self.capacity {
             // Still filling: append. The stores are reserved at full size
-            // up front but written only as transitions arrive, so a
+            // on the first push but written only as transitions arrive, so a
             // part-filled memory keeps only its filled pages resident —
             // wherever the allocator places it (a zero-filled store is
             // wholly resident as soon as it lands on recycled memory).
@@ -278,6 +281,16 @@ mod tests {
         assert_eq!(b.len(), 3);
         // Oldest two (0, 1) evicted: all stored rewards are in {2,3,4}.
         assert!(b.rewards.iter().all(|&r| (2.0..=4.0).contains(&r)));
+    }
+
+    /// An empty buffer holds no memory; the first push reserves all of it.
+    #[test]
+    fn memory_is_reserved_by_the_first_push() {
+        let mut b = ReplayBuffer::new(4, 2, 1);
+        assert_eq!(b.states.capacity() + b.rewards.capacity(), 0);
+        b.push(&t(0.0));
+        assert_eq!(b.states.capacity(), 4 * 2);
+        assert_eq!(b.dones.capacity(), 4);
     }
 
     /// A clone taken mid-fill keeps filling, then wraps, exactly like the
