@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use edgeslice_nn::RowScratch;
 use edgeslice_runtime::{
-    derive_stream_seed, Control, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
+    derive_stream_seed, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
     RoundWorker, DOMAIN_ORCH, DOMAIN_ROUND,
 };
 use rand::rngs::StdRng;
@@ -217,6 +217,24 @@ impl<'a> RaExecWorker<'a> {
             scratch: RowScratch::new(),
         }
     }
+
+    /// Snapshots the deployed policy (learned kinds only), unless an
+    /// earlier snapshot is still waiting for its rejoin: make-before-break
+    /// at outage start.
+    pub(crate) fn checkpoint(&mut self) {
+        if let (None, WorkerPolicy::Learned(policy)) = (&self.checkpoint, &self.policy) {
+            self.checkpoint = Some(Arc::clone(policy));
+        }
+    }
+
+    /// The node rebooted: its backlog is gone, and the policy is
+    /// re-deployed from the outage-start checkpoint.
+    fn rejoin(&mut self) {
+        self.env.clear_queues();
+        if let Some(ckpt) = self.checkpoint.take() {
+            self.policy = WorkerPolicy::Learned(ckpt);
+        }
+    }
 }
 
 impl RoundWorker for RaExecWorker<'_> {
@@ -266,7 +284,7 @@ impl RoundWorker for RaExecWorker<'_> {
             // Outage start: make-before-break — snapshot the policy the
             // RA will be re-deployed from when it rejoins.
             if !self.was_down {
-                self.handle_control(&Control::Checkpoint);
+                self.checkpoint();
             }
             self.was_down = true;
             return RaReport {
@@ -277,7 +295,7 @@ impl RoundWorker for RaExecWorker<'_> {
             };
         }
         if view.rejoining || self.was_down {
-            self.handle_control(&Control::Rejoin { round: round_off });
+            self.rejoin();
             self.was_down = false;
         }
         self.env.set_capacity_scale(view.capacity_scale);
@@ -320,25 +338,6 @@ impl RoundWorker for RaExecWorker<'_> {
                 rows,
                 state: WorkerSnapshot::capture(self.ra, self.env),
             }),
-        }
-    }
-
-    fn handle_control(&mut self, ctl: &Control) {
-        match ctl {
-            Control::Checkpoint => {
-                if let (None, WorkerPolicy::Learned(policy)) = (&self.checkpoint, &self.policy) {
-                    self.checkpoint = Some(Arc::clone(policy));
-                }
-            }
-            Control::Rejoin { .. } => {
-                // The node rebooted: backlog is gone, and the policy is
-                // re-deployed from the outage-start checkpoint.
-                self.env.clear_queues();
-                if let Some(ckpt) = self.checkpoint.take() {
-                    self.policy = WorkerPolicy::Learned(ckpt);
-                }
-            }
-            Control::Shutdown => {}
         }
     }
 
@@ -467,35 +466,18 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
         // so the broadcast already reflects admissions, resizes and
         // teardowns decided this round.
         if let Some(lc) = self.lifecycle.as_deref_mut() {
-            use crate::monitor::{LifecycleChange, LifecycleRecord};
             use crate::workload::LifecycleAction;
-            let global_round = self.round_base + round;
             for action in lc.apply_round(round) {
-                let (slice, change) = match action {
+                match action {
                     LifecycleAction::Admitted { slice, sla } => {
-                        self.coordinator.admit_slice(slice, sla);
-                        (slice, LifecycleChange::Admitted)
-                    }
-                    LifecycleAction::Rejected { slice, reason } => {
-                        (slice, LifecycleChange::Rejected { reason })
+                        self.coordinator.admit_slice(slice, sla)
                     }
                     LifecycleAction::Resized { slice, sla } => {
-                        self.coordinator.resize_slice(slice, sla);
-                        (slice, LifecycleChange::Resized)
+                        self.coordinator.resize_slice(slice, sla)
                     }
-                    LifecycleAction::ResizeRejected { slice, reason } => {
-                        (slice, LifecycleChange::ResizeRejected { reason })
-                    }
-                    LifecycleAction::Departed { slice } => {
-                        self.coordinator.depart_slice(slice);
-                        (slice, LifecycleChange::Departed)
-                    }
-                };
-                self.monitor.record_lifecycle(LifecycleRecord {
-                    round: global_round,
-                    slice,
-                    change,
-                });
+                    LifecycleAction::Departed { slice } => self.coordinator.depart_slice(slice),
+                    LifecycleAction::Rejected { .. } | LifecycleAction::ResizeRejected { .. } => {}
+                }
             }
         }
         let info = self.coordinator.coordination_info();
@@ -679,6 +661,60 @@ mod tests {
         assert_sync::<FaultInjector>();
         assert_sync::<crate::OrchestrationAgent>();
         assert_sync::<crate::CheckpointStore>();
+    }
+
+    /// The coordinator task keeps a round's three failure signals apart:
+    /// an expired deadline, a dead channel and discarded reports each land
+    /// in their own `SupervisionStats` counter.
+    #[test]
+    fn collect_counts_disconnects_apart_from_deadlines() {
+        let slices = [
+            SliceSpec::experiment_slice1(),
+            SliceSpec::experiment_slice2(),
+        ];
+        let slas: Vec<_> = slices.iter().map(|s| s.sla).collect();
+        let mut coordinator = PerformanceCoordinator::new(&slas, 1, Default::default());
+        let mut monitor = SystemMonitor::new();
+        // No report and no down: nothing reads the RA's state.
+        let start = RunStart {
+            first_round: 0,
+            round_base: 0,
+            worker_state: Vec::new(),
+            panic_counts: vec![0],
+            prefix: RunReport::default(),
+        };
+        let mut exec = SystemExecCoordinator::new(
+            &mut coordinator,
+            &mut monitor,
+            &slices,
+            1,
+            2,
+            vec![None],
+            start,
+        );
+        // `(deadline expired, channel disconnected, reports discarded)`.
+        for (round, (expired, disconnected, discarded)) in
+            [(true, false, 0), (false, true, 0), (false, false, 2)]
+                .into_iter()
+                .enumerate()
+        {
+            let telemetry = RoundTelemetry {
+                downs: Vec::new(),
+                discarded_reports: discarded,
+                deadline_expired: expired,
+                channel_disconnected: disconnected,
+            };
+            exec.collect(round, vec![None], &telemetry);
+        }
+        let sup = &exec.report.supervision;
+        let counters = (
+            sup.deadline_timeouts,
+            sup.disconnects,
+            sup.discarded_reports,
+        );
+        assert_eq!(counters, (1, 1, 2), "{sup:?}");
+        assert!(sup.worker_downs.is_empty());
+        assert_eq!(exec.report.rounds.len(), 3);
     }
 
     /// A peer's report may only carry the grid a worker emits — one row

@@ -22,14 +22,13 @@ use crate::error::EdgeSliceError;
 use crate::ids::{RaId, ResourceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the stochastic fault processes, expanded by
 /// [`FaultPlan::generate`].
 ///
 /// Rates are per-RA, per-round Bernoulli probabilities; durations are
 /// inclusive `(min, max)` ranges in coordination rounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the fault stream (independent of the traffic seed).
     pub seed: u64,
@@ -92,7 +91,7 @@ impl FaultConfig {
 }
 
 /// One injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The RA is unreachable for `rounds` rounds starting at `start_round`:
     /// no reports, no broadcasts received, no traffic served.
@@ -176,7 +175,7 @@ impl FaultEvent {
 }
 
 /// A concrete, reproducible schedule of [`FaultEvent`]s over a horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     n_ras: usize,
     horizon_rounds: usize,
@@ -262,14 +261,15 @@ impl FaultPlan {
     ///
     /// Returns [`EdgeSliceError::InvalidFaultPlan`] when an event references
     /// an RA `≥ n_ras`, starts at/after the horizon, has a zero duration,
-    /// or a degradation factor outside `(0, 1]`.
+    /// or a degradation factor outside `(0, 1]`, or when overlapping
+    /// degradation windows scale a domain's capacity to `0`.
     pub fn scripted(
         n_ras: usize,
         horizon_rounds: usize,
         events: Vec<FaultEvent>,
     ) -> Result<Self, EdgeSliceError> {
+        let bad = |msg: String| Err(EdgeSliceError::InvalidFaultPlan(msg));
         for ev in &events {
-            let bad = |msg: String| Err(EdgeSliceError::InvalidFaultPlan(msg));
             if ev.ra().0 >= n_ras {
                 return bad(format!("{:?} references RA ≥ {n_ras}", ev));
             }
@@ -308,11 +308,30 @@ impl FaultPlan {
                 _ => {}
             }
         }
-        Ok(Self {
+        let plan = Self {
             n_ras,
             horizon_rounds,
             events,
-        })
+        };
+        // Factors in (0, 1] only shrink a product, in floating point too,
+        // so a domain's scale is smallest at the first round of one of its
+        // windows: checking those rounds checks every round.
+        for ev in &plan.events {
+            if let FaultEvent::CapacityDegradation {
+                ra,
+                domain,
+                start_round,
+                ..
+            } = *ev
+            {
+                if plan.capacity_scale(ra, start_round)[domain.index()] <= 0.0 {
+                    return bad(format!(
+                        "{ev:?} overlaps windows whose factors scale {domain:?} to 0"
+                    ));
+                }
+            }
+        }
+        Ok(plan)
     }
 
     /// The scheduled events.
@@ -324,6 +343,33 @@ impl FaultPlan {
     pub fn horizon_rounds(&self) -> usize {
         self.horizon_rounds
     }
+
+    /// `ra`'s per-domain capacity multipliers in `round`: the factors of
+    /// the degradation windows covering it, multiplied in event order.
+    fn capacity_scale(&self, ra: RaId, round: usize) -> [f64; 3] {
+        let mut scale = [1.0f64; 3];
+        for ev in &self.events {
+            if let FaultEvent::CapacityDegradation {
+                ra: r,
+                domain,
+                start_round,
+                rounds,
+                factor,
+            } = *ev
+            {
+                if r == ra && covers(start_round, rounds, round) {
+                    scale[domain.index()] *= factor;
+                }
+            }
+        }
+        scale
+    }
+}
+
+/// Whether the window of `len` rounds from `start` covers `round`. Its end
+/// `start + len` is never formed, so no length overflows.
+fn covers(start: usize, len: usize, round: usize) -> bool {
+    start <= round && round - start < len
 }
 
 /// Domain-separation tag keeping the fault stream independent of every
@@ -374,11 +420,11 @@ impl RaFaultView {
 /// A [`FaultPlan`] answering per-(RA, round) queries from its events.
 ///
 /// It holds the plan and nothing else: each [`RaFaultView`] is derived on
-/// demand by one pass over the plan's events, so its cost follows the plan,
-/// not the round cap. A decoded plan skips [`FaultPlan::scripted`]'s
-/// checks: an event naming an RA out of range or starting past the horizon
-/// never matches, and a window whose end would pass `usize::MAX` runs to
-/// the horizon.
+/// demand from the plan's events, so its cost follows the plan, not the
+/// round cap. A plan is only ever built by [`FaultPlan::none`],
+/// [`FaultPlan::generate`] or [`FaultPlan::scripted`] (it has no decoder
+/// that could skip `scripted`'s checks), and a window whose end would
+/// pass `usize::MAX` runs to the horizon.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -406,12 +452,8 @@ impl FaultInjector {
         if round >= self.plan.horizon_rounds || ra.0 >= self.plan.n_ras {
             return RaFaultView::healthy();
         }
-        // A window's end `start + len` is never formed, so no length
-        // overflows.
-        let covers = |start: usize, len: usize, r: usize| start <= r && r - start < len;
         let (mut down, mut was_down, mut dropped) = (false, false, false);
         let (mut straggle, mut panics, mut silence) = (false, false, false);
-        let mut scale = [1.0f64; 3];
         for ev in self.plan.events.iter().filter(|ev| ev.ra() == ra) {
             match *ev {
                 FaultEvent::RaOutage {
@@ -430,17 +472,7 @@ impl FaultInjector {
                     rounds,
                     ..
                 } => silence |= covers(start_round, rounds, round),
-                FaultEvent::CapacityDegradation {
-                    domain,
-                    start_round,
-                    rounds,
-                    factor,
-                    ..
-                } => {
-                    if covers(start_round, rounds, round) {
-                        scale[domain.index()] *= factor;
-                    }
-                }
+                FaultEvent::CapacityDegradation { .. } => {}
             }
         }
         RaFaultView {
@@ -451,7 +483,11 @@ impl FaultInjector {
             // A frozen process can't crash: silence masks the panic draw.
             panic: panics && !down && !silence,
             silent: silence && !down,
-            capacity_scale: if down { [1.0; 3] } else { scale },
+            capacity_scale: if down {
+                [1.0; 3]
+            } else {
+                self.plan.capacity_scale(ra, round)
+            },
         }
     }
 }
@@ -791,42 +827,67 @@ mod tests {
     }
 
     #[test]
-    fn hostile_decoded_plans_read_as_their_valid_twin() {
-        // Decoding skips `scripted`'s checks, as a plan read from a file or
-        // the wire would. Each hostile plan is a valid 2-RA, 4-round plan
-        // plus one event `scripted` would reject or whose window runs past
-        // `usize::MAX`; the injector must build and read it like the valid
-        // plan with that event dropped (or, for the overlong outage, cut
-        // at the horizon).
-        let valid = r#"{"RaOutage":{"ra":0,"start_round":1,"rounds":2}},
-            {"BroadcastDrop":{"ra":1,"round":3}},
-            {"CapacityDegradation":{"ra":1,"domain":"Computing","start_round":0,"rounds":2,"factor":0.5}}"#;
-        let plan = |events: &str| -> FaultPlan {
-            let json = format!(r#"{{"n_ras":2,"horizon_rounds":4,"events":[{valid}{events}]}}"#);
-            serde_json::from_str(&json).unwrap()
+    fn an_overlong_window_reads_as_one_cut_at_the_horizon() {
+        // A valid 2-RA, 4-round plan plus an outage of RA 1 whose end would
+        // pass `usize::MAX`: it reads like the same outage cut at the horizon.
+        let outage = |ra, start_round, rounds| FaultEvent::RaOutage {
+            ra: RaId(ra),
+            start_round,
+            rounds,
         };
-        let cases = [
-            (r#",{"Straggler":{"ra":5,"round":1}}"#, ""),
-            (r#",{"RaOutage":{"ra":1,"start_round":9,"rounds":2}}"#, ""),
-            (
-                &*format!(
-                    r#",{{"RaOutage":{{"ra":1,"start_round":2,"rounds":{}}}}}"#,
-                    usize::MAX
-                ),
-                r#",{"RaOutage":{"ra":1,"start_round":2,"rounds":2}}"#,
-            ),
-        ];
-        for (hostile, twin) in cases {
-            let inj = FaultInjector::new(plan(hostile));
-            let twin = FaultInjector::new(plan(twin));
-            for round in 0..4 {
-                for j in 0..2 {
-                    assert_eq!(
-                        inj.view(RaId(j), round),
-                        twin.view(RaId(j), round),
-                        "{hostile}"
-                    );
-                }
+        let plan = |rounds| {
+            let degradation = FaultEvent::CapacityDegradation {
+                ra: RaId(1),
+                domain: ResourceKind::Computing,
+                start_round: 0,
+                rounds: 2,
+                factor: 0.5,
+            };
+            let drop = FaultEvent::BroadcastDrop {
+                ra: RaId(1),
+                round: 3,
+            };
+            let events = vec![outage(0, 1, 2), drop, degradation, outage(1, 2, rounds)];
+            FaultInjector::new(FaultPlan::scripted(2, 4, events).unwrap())
+        };
+        let (overlong, twin) = (plan(usize::MAX), plan(2));
+        for round in 0..4 {
+            for j in 0..2 {
+                let (got, want) = (overlong.view(RaId(j), round), twin.view(RaId(j), round));
+                assert_eq!(got, want, "ra {j} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_windows_that_scale_a_domain_to_zero_are_rejected() {
+        // Each factor is valid on its own; where the two windows overlap
+        // their product underflows to 0, which no substrate can run on.
+        let window = |domain, start_round| FaultEvent::CapacityDegradation {
+            ra: RaId(1),
+            domain,
+            start_round,
+            rounds: 3,
+            factor: 1e-200,
+        };
+        let plan =
+            |second| FaultPlan::scripted(2, 10, vec![window(ResourceKind::Radio, 2), second]);
+        assert!(matches!(
+            plan(window(ResourceKind::Radio, 4)),
+            Err(EdgeSliceError::InvalidFaultPlan(_))
+        ));
+        // Apart in time, or on another domain, they never multiply.
+        for apart in [
+            window(ResourceKind::Radio, 5),
+            window(ResourceKind::Transport, 4),
+        ] {
+            let inj = FaultInjector::new(plan(apart).unwrap());
+            for round in 0..10 {
+                assert!(inj
+                    .view(RaId(1), round)
+                    .capacity_scale
+                    .iter()
+                    .all(|&s| s > 0.0));
             }
         }
     }

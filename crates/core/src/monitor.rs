@@ -60,49 +60,12 @@ impl MonitorRecord {
     }
 }
 
-/// What happened to a slice at a lifecycle transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LifecycleChange {
-    /// The slice was admitted and its ADMM row activated.
-    Admitted,
-    /// Admission control rejected the arrival; the slot is retired.
-    Rejected {
-        /// The binding resource domain.
-        reason: crate::RejectReason,
-    },
-    /// A make-before-break resize committed a new SLA.
-    Resized,
-    /// A resize was rejected; the slice keeps its previous contract.
-    ResizeRejected {
-        /// The binding resource domain.
-        reason: crate::RejectReason,
-    },
-    /// The slice departed and its resources were released.
-    Departed,
-}
-
-/// One slice lifecycle transition, recorded by the monitor when the
-/// coordinator applies a workload event (admit / resize / teardown).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LifecycleRecord {
-    /// Global coordination round the transition took effect in.
-    pub round: usize,
-    /// The slice (slot id — stable across the whole run).
-    pub slice: SliceId,
-    /// The transition.
-    pub change: LifecycleChange,
-}
-
 /// One round's RC-M aggregates, folded by [`SystemMonitor::record`] in
 /// arrival order so every sum sees the addends a scan of the history
-/// would, in the same order (duplicated rows included). Tables are
-/// indexed by slice / RA id and grown on demand.
-#[derive(Debug, Clone)]
+/// would, in the same order (duplicated rows included). The usage table
+/// is indexed by slice id and grown on demand.
+#[derive(Debug, Clone, Default)]
 struct RoundAggregate {
-    /// `Σ_t U` over served rows, `[slice][ra]`.
-    performance: Vec<Vec<f64>>,
-    /// `Σ U` over every served row of the round.
-    system_performance: f64,
     /// Per slice: served `shares` sums and the served row count.
     usage: Vec<([f64; 3], usize)>,
     /// `(ra, interval)` pairs lost to outages (one entry however many
@@ -110,23 +73,10 @@ struct RoundAggregate {
     outages: BTreeSet<(RaId, usize)>,
 }
 
-impl Default for RoundAggregate {
-    fn default() -> Self {
-        Self {
-            performance: Vec::new(),
-            system_performance: empty_sum(),
-            usage: Vec::new(),
-            outages: BTreeSet::new(),
-        }
-    }
-}
-
 impl RoundAggregate {
     fn fold(&mut self, r: &MonitorRecord) {
         match r.status {
             IntervalStatus::Served => {
-                *cell(cell(&mut self.performance, r.slice.0), r.ra.0) += r.performance;
-                self.system_performance += r.performance;
                 let (sums, n) = cell(&mut self.usage, r.slice.0);
                 for (s, v) in sums.iter_mut().zip(r.shares) {
                     *s += v;
@@ -147,13 +97,6 @@ fn cell<T: Clone + Default>(table: &mut Vec<T>, i: usize) -> &mut T {
         table.resize(i + 1, T::default());
     }
     &mut table[i]
-}
-
-/// What `Iterator::sum` yields for no `f64` at all (`-0.0` on current
-/// toolchains): the seed of a folded sum that must stay bit-identical to
-/// `.sum()` over the same rows, down to an empty or all-`-0.0` round.
-fn empty_sum() -> f64 {
-    std::iter::empty::<f64>().sum()
 }
 
 /// Bytes per history chunk: 80 KiB, under glibc's 128 KiB mmap threshold,
@@ -351,8 +294,8 @@ impl PartialEq<&[MonitorRecord]> for Records<'_> {
 }
 
 /// The monitor database: the row history plus one aggregate per round
-/// (`Σ U`, served shares and lost intervals), which is what every
-/// per-round query reads. Not serialisable —
+/// (served shares and lost intervals), which is what every per-round
+/// query reads. Not serialisable —
 /// the aggregates are derived state that only `record` keeps in step.
 #[derive(Debug, Clone, Default)]
 pub struct SystemMonitor {
@@ -361,8 +304,6 @@ pub struct SystemMonitor {
     /// arrive in any order (a same-process resume re-appends replayed
     /// rounds), so rows fold into their round's slot wherever they arrive.
     aggregates: Vec<RoundAggregate>,
-    /// Slice lifecycle transitions, in application order.
-    lifecycle: Vec<LifecycleRecord>,
 }
 
 impl SystemMonitor {
@@ -381,41 +322,6 @@ impl SystemMonitor {
     /// All records, in arrival order.
     pub fn records(&self) -> Records<'_> {
         Records(&self.history)
-    }
-
-    /// Appends a slice lifecycle transition.
-    pub(crate) fn record_lifecycle(&mut self, record: LifecycleRecord) {
-        self.lifecycle.push(record);
-    }
-
-    /// RC-M query: `Σ_t U_{i,j}` for one round, indexed `[slice][ra]` —
-    /// exactly what the coordinator's update consumes.
-    pub fn round_performance(&self, round: usize, n_slices: usize, n_ras: usize) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; n_ras]; n_slices];
-        if let Some(agg) = self.aggregates.get(round) {
-            for (row, sums) in out.iter_mut().zip(&agg.performance) {
-                for (o, &sum) in row.iter_mut().zip(sums) {
-                    *o = sum;
-                }
-            }
-        }
-        out
-    }
-
-    /// Total system performance of a round: `Σ_{i,j,t} U` over served
-    /// intervals (outage placeholders are excluded).
-    pub fn round_system_performance(&self, round: usize) -> f64 {
-        self.aggregates
-            .get(round)
-            .map_or_else(empty_sum, |agg| agg.system_performance)
-    }
-
-    /// Intervals RA `ra` lost to outages in `round` (counted once per
-    /// interval, not per slice).
-    pub fn round_outage_intervals(&self, round: usize, ra: RaId) -> usize {
-        self.aggregates.get(round).map_or(0, |agg| {
-            agg.outages.range((ra, 0)..=(ra, usize::MAX)).count()
-        })
     }
 
     /// Fraction of this round's (RA, interval) pairs that actually served
@@ -525,21 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn round_performance_aggregates_per_slice_ra() {
-        let mut m = SystemMonitor::new();
-        m.record(rec(0, 0, 0, -2.0));
-        m.record(rec(0, 0, 0, -3.0));
-        m.record(rec(0, 1, 0, -1.0));
-        m.record(rec(0, 0, 1, -4.0));
-        m.record(rec(1, 0, 0, -99.0)); // other round
-        let agg = m.round_performance(0, 2, 2);
-        assert_eq!(agg[0][0], -5.0);
-        assert_eq!(agg[0][1], -1.0);
-        assert_eq!(agg[1][0], -4.0);
-        assert_eq!(m.round_system_performance(0), -10.0);
-    }
-
-    #[test]
     fn usage_is_averaged() {
         let mut m = SystemMonitor::new();
         m.record(rec(0, 0, 0, 0.0));
@@ -580,23 +471,19 @@ mod tests {
     }
 
     #[test]
-    fn outage_rows_are_explicit_but_excluded_from_aggregates() {
+    fn outage_rows_are_explicit_but_excluded_from_usage() {
         let mut m = SystemMonitor::new();
         m.record(rec(0, 0, 0, -2.0));
         m.record(MonitorRecord::outage(0, 0, RaId(1), SliceId(0)));
         m.record(MonitorRecord::outage(0, 1, RaId(1), SliceId(0)));
         // The rows exist...
         assert_eq!(m.records().len(), 3);
-        // ...but carry no performance weight and don't dilute usage.
-        assert_eq!(m.round_system_performance(0), -2.0);
-        assert_eq!(m.round_performance(0, 1, 2)[0][1], 0.0);
+        // ...but don't dilute usage.
         let u = m.round_usage(0, SliceId(0));
         assert!(
             (u[0] - 0.5).abs() < 1e-12,
             "outage rows must not dilute usage means"
         );
-        assert_eq!(m.round_outage_intervals(0, RaId(1)), 2);
-        assert_eq!(m.round_outage_intervals(0, RaId(0)), 0);
         // 2 RAs × 2 intervals, 2 lost ⇒ half served.
         assert!((m.round_served_fraction(0, 2, 2) - 0.5).abs() < 1e-12);
     }
@@ -652,8 +539,8 @@ mod tests {
         assert_eq!(m.history.runs.len(), 6);
     }
 
-    /// The full-history scans the folded aggregates replaced, verbatim:
-    /// the oracle of the differential property below.
+    /// The full-history scans the folded aggregates replaced: the oracle
+    /// of the differential property below.
     mod scan {
         use super::*;
 
@@ -666,36 +553,6 @@ mod tests {
                 .filter(move |r| r.round == round && r.status == IntervalStatus::Served)
         }
 
-        pub fn round_performance(
-            records: &[MonitorRecord],
-            round: usize,
-            n_slices: usize,
-            n_ras: usize,
-        ) -> Vec<Vec<f64>> {
-            let mut out = vec![vec![0.0; n_ras]; n_slices];
-            for r in served_in_round(records, round) {
-                if r.slice.0 < n_slices && r.ra.0 < n_ras {
-                    out[r.slice.0][r.ra.0] += r.performance;
-                }
-            }
-            out
-        }
-
-        pub fn round_system_performance(records: &[MonitorRecord], round: usize) -> f64 {
-            served_in_round(records, round).map(|r| r.performance).sum()
-        }
-
-        pub fn round_outage_intervals(records: &[MonitorRecord], round: usize, ra: RaId) -> usize {
-            let mut intervals: Vec<usize> = records
-                .iter()
-                .filter(|r| r.round == round && r.ra == ra && r.status == IntervalStatus::Outage)
-                .map(|r| r.interval)
-                .collect();
-            intervals.sort_unstable();
-            intervals.dedup();
-            intervals.len()
-        }
-
         pub fn round_served_fraction(
             records: &[MonitorRecord],
             round: usize,
@@ -706,10 +563,16 @@ mod tests {
                 return 1.0;
             }
             let total = (n_ras * period) as f64;
-            let lost: usize = (0..n_ras)
-                .map(|j| round_outage_intervals(records, round, RaId(j)))
-                .sum();
-            ((total - lost as f64) / total).clamp(0.0, 1.0)
+            let mut lost: Vec<(RaId, usize)> = records
+                .iter()
+                .filter(|r| {
+                    r.round == round && r.ra.0 < n_ras && r.status == IntervalStatus::Outage
+                })
+                .map(|r| (r.ra, r.interval))
+                .collect();
+            lost.sort_unstable();
+            lost.dedup();
+            ((total - lost.len() as f64) / total).clamp(0.0, 1.0)
         }
 
         pub fn round_usage(records: &[MonitorRecord], round: usize, slice: SliceId) -> [f64; 3] {
@@ -734,13 +597,13 @@ mod tests {
         }
     }
 
-    /// Ids run past the queried `n_slices` / `n_ras` (≤ 4 below).
+    /// Ids run past the queried `n_ras` (≤ 4 below).
     const MAX_ID: usize = 6;
     const MAX_ROUND: usize = 5;
     const MAX_INTERVAL: usize = 4;
 
     /// Magnitudes that make a sum depend on the order of its addends,
-    /// plus both zeros (an all-`-0.0` round sums to `-0.0`).
+    /// plus both zeros.
     const VALUES: [f64; 8] = [0.0, -0.0, 0.1, -0.3, 1e16, -1e16, 1.0, -7.25];
 
     /// One generated event: a served row, or an outage of one
@@ -770,13 +633,6 @@ mod tests {
         }]
     }
 
-    fn bits(table: &[Vec<f64>]) -> Vec<Vec<u64>> {
-        table
-            .iter()
-            .map(|row| row.iter().map(|v| v.to_bits()).collect())
-            .collect()
-    }
-
     proptest::proptest! {
         /// Differential: on any row stream — rounds out of order, a round
         /// re-appended whole (the same-process resume case), outage rows
@@ -794,7 +650,6 @@ mod tests {
                 0..60,
             ),
             replayed in 0..MAX_ROUND,
-            n_slices in 0usize..5,
             n_ras in 0usize..5,
             period in 0usize..6,
         ) {
@@ -810,14 +665,6 @@ mod tests {
             proptest::prop_assert_eq!(m.rounds(), scan::rounds(&stream));
             // One round past the last recorded one: the empty aggregate.
             for round in 0..=MAX_ROUND {
-                proptest::prop_assert_eq!(
-                    bits(&m.round_performance(round, n_slices, n_ras)),
-                    bits(&scan::round_performance(&stream, round, n_slices, n_ras))
-                );
-                proptest::prop_assert_eq!(
-                    m.round_system_performance(round).to_bits(),
-                    scan::round_system_performance(&stream, round).to_bits()
-                );
                 // The drawn shape, then the two `n_ras * period == 0` edges.
                 for (n, t) in [(n_ras, period), (0, period), (n_ras, 0)] {
                     proptest::prop_assert_eq!(
@@ -826,10 +673,6 @@ mod tests {
                     );
                 }
                 for id in 0..=MAX_ID {
-                    proptest::prop_assert_eq!(
-                        m.round_outage_intervals(round, RaId(id)),
-                        scan::round_outage_intervals(&stream, round, RaId(id))
-                    );
                     proptest::prop_assert_eq!(
                         m.round_usage(round, SliceId(id)).map(f64::to_bits),
                         scan::round_usage(&stream, round, SliceId(id)).map(f64::to_bits)

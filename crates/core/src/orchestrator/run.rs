@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use edgeslice_runtime::{
-    caps, round_loop, Control, Engine, Lease, NodeInfo, RaReport, RoundGather, RoundTelemetry,
-    RoundWorker, Supervisor, Transport, TransportError, WorkerCommand, WorkerSession,
+    caps, round_loop, Engine, Lease, NodeInfo, RaReport, RoundGather, RoundTelemetry, RoundWorker,
+    Supervisor, Transport, TransportError, WorkerCommand, WorkerSession,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -487,7 +487,7 @@ fn serve_rounds<T: Transport>(
                         // mark the worker down so the round it thaws
                         // on takes the rejoin path — the same
                         // make-before-break an outage performs.
-                        worker.handle_control(&Control::Checkpoint);
+                        worker.checkpoint();
                         let _ = worker.recover();
                         frozen = true;
                     }
@@ -511,8 +511,7 @@ fn serve_rounds<T: Transport>(
                         .map_err(EdgeSliceError::Transport)?,
                 }
             }
-            Ok(WorkerCommand::Control(Control::Shutdown)) => return Ok(rounds_served),
-            Ok(WorkerCommand::Control(ctl)) => worker.handle_control(&ctl),
+            Ok(WorkerCommand::Shutdown) => return Ok(rounds_served),
             // The coordinator is gone: an orderly end of service, not
             // a worker failure.
             Err(TransportError::Disconnected) => return Ok(rounds_served),
@@ -532,9 +531,8 @@ enum Workers<'a> {
 }
 
 /// The networked gather as the round loop sees it: `net`'s raw report
-/// payloads decoded into round bodies, so the loop's telemetry — what
-/// `EngineReport` absorbs and the coordinator task collects — already
-/// counts what would not decode.
+/// payloads decoded into round bodies, so the telemetry the coordinator
+/// task collects already counts what would not decode.
 struct DecodedReports<'a> {
     net: &'a mut dyn RoundGather<Body = Vec<u8>>,
     /// The shape of the row grid every report must carry.

@@ -4,10 +4,13 @@
 //! centralized learning agent "needs to obtain network performance data
 //! from all the network nodes, which introduces excessive communication
 //! overhead and delay", while the coordinator "only exchanges slight
-//! coordinating information with orchestration agents". This module makes
-//! that claim measurable: it counts the bytes EdgeSlice's control plane
-//! exchanges per coordination round and compares them with what an
-//! equivalent centralized design would ship.
+//! coordinating information with orchestration agents". This module
+//! models that claim: it counts the paper's exchange — one scalar per
+//! slice per RA each way per coordination round — and compares it with
+//! what an equivalent centralized design would ship. It is a model of the
+//! paper's protocol, not a meter of this runtime's: a runtime report frame
+//! carries the RA's whole row grid and its round-boundary state besides
+//! (`runtime.frame.report_bytes` in the benchmark measures it).
 
 use serde::{Deserialize, Serialize};
 

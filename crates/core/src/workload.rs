@@ -631,7 +631,7 @@ pub struct SliceLifetime {
 }
 
 /// What one round's lifecycle events did — the orchestrator maps these
-/// onto coordinator mutations and monitor rows.
+/// onto coordinator mutations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LifecycleAction {
     /// An arrival was admitted.

@@ -3,13 +3,12 @@
 //! either inline (sequential) or across worker threads with typed `mpsc`
 //! channels, per-round deadlines, and panic supervision.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 use crate::clock::RoundDeadline;
 use crate::gather::{round_loop, RoundGather, SettleLedger};
-use crate::msg::{Control, CoordInfo, RaReport};
+use crate::msg::{CoordInfo, RaReport};
 use crate::supervisor::{Supervisor, SupervisorConfig, WorkerDown};
 use crate::Scheduler;
 
@@ -28,9 +27,6 @@ pub trait RoundWorker: Send {
 
     /// Runs one coordination round under `info` and reports the outcome.
     fn run_round(&mut self, info: &CoordInfo) -> RaReport<Self::Body>;
-
-    /// Handles a control message (checkpoint, rejoin re-sync, shutdown).
-    fn handle_control(&mut self, _ctl: &Control) {}
 
     /// Called by the [`Supervisor`] after a panic was caught inside
     /// [`RoundWorker::run_round`], before this worker is driven again.
@@ -64,31 +60,13 @@ pub struct RoundTelemetry {
     pub channel_disconnected: bool,
 }
 
-/// The outcome of an [`Engine::run`]: how many rounds ran plus the run's
-/// aggregated failure telemetry.
+/// The outcome of an [`Engine::run`]: how many rounds ran. Each round's
+/// failure telemetry went to [`RoundCoordinator::collect`] as it happened.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineReport {
     /// Coordination rounds executed (possibly fewer than requested if the
     /// coordinator stopped early).
     pub rounds: usize,
-    /// Rounds whose wall-clock deadline expired with slots still open.
-    pub deadline_timeouts: usize,
-    /// Rounds that ended because the report channel disconnected — dead
-    /// worker threads, counted separately from deadline expiry.
-    pub disconnects: usize,
-    /// Total reports dropped as stale/malformed/duplicate across the run.
-    pub discarded_reports: usize,
-    /// Every typed worker-down event observed across the run.
-    pub downs: Vec<WorkerDown>,
-}
-
-impl EngineReport {
-    pub(crate) fn absorb(&mut self, telemetry: &RoundTelemetry) {
-        self.deadline_timeouts += usize::from(telemetry.deadline_expired);
-        self.disconnects += usize::from(telemetry.channel_disconnected);
-        self.discarded_reports += telemetry.discarded_reports;
-        self.downs.extend(telemetry.downs.iter().cloned());
-    }
 }
 
 /// The coordinator side of the round protocol: produce the downstream
@@ -260,9 +238,8 @@ impl<W: RoundWorker> RoundGather for InlineGather<'_, W> {
         ledger.finish()
     }
 
-    fn shutdown(&mut self) {
-        shut_down(self.workers);
-    }
+    /// Inline workers hold no thread or channel: there is nothing to end.
+    fn shutdown(&mut self) {}
 }
 
 /// The decentralized gather: worker threads own contiguous RA shards; the
@@ -355,9 +332,9 @@ impl<B> RoundGather for ShardGather<B> {
 }
 
 /// The per-thread worker loop: serve round commands for this thread's RA
-/// shard until the coordinator hangs up. Every `run_round` and control
-/// delivery is guarded, so one panicking worker downs only its own RA —
-/// the shard thread and its channel stay alive.
+/// shard until the coordinator hangs up. Every `run_round` is guarded, so
+/// one panicking worker downs only its own RA — the shard thread and its
+/// channel stay alive.
 fn worker_loop<W: RoundWorker>(
     shard: &mut [W],
     cmd_rx: &Receiver<Vec<CoordInfo>>,
@@ -373,15 +350,6 @@ fn worker_loop<W: RoundWorker>(
                 return; // Coordinator gone; nothing left to serve.
             }
         }
-    }
-    shut_down(shard);
-}
-
-/// Delivers `Shutdown` to every worker, guarded like everything else a
-/// worker runs.
-fn shut_down<W: RoundWorker>(workers: &mut [W]) {
-    for w in workers {
-        let _ = catch_unwind(AssertUnwindSafe(|| w.handle_control(&Control::Shutdown)));
     }
 }
 
@@ -481,11 +449,13 @@ mod tests {
         }
     }
 
-    /// Records everything it sees, byte-comparably.
+    /// Records everything it sees, byte-comparably, and the typed down
+    /// events on their own.
     #[derive(Default)]
     struct RecordingCoordinator {
         n_ras: usize,
         log: Vec<String>,
+        downs: Vec<WorkerDown>,
         stop_after: Option<usize>,
     }
 
@@ -510,9 +480,12 @@ mod tests {
             for down in &telemetry.downs {
                 self.log.push(format!("{round}/down: {down}"));
             }
+            self.downs.extend(telemetry.downs.iter().cloned());
             self.log.push(format!(
-                "{round}/discarded: {}",
-                telemetry.discarded_reports
+                "{round}/discarded: {} expired: {} disconnected: {}",
+                telemetry.discarded_reports,
+                telemetry.deadline_expired,
+                telemetry.channel_disconnected
             ));
             self.stop_after.is_some_and(|r| round + 1 >= r)
         }
@@ -620,19 +593,19 @@ mod tests {
             let report = Engine::new(scheduler)
                 .with_supervisor(fast_supervision())
                 .run(&mut ws, &mut coord, 5);
-            (report, coord.log)
+            assert_eq!(report.rounds, 5, "{scheduler}: panics must not end the run");
+            coord
         };
-        let (seq_report, seq_log) = run(Scheduler::Sequential);
-        assert_eq!(seq_report.rounds, 5, "panics must not end the run");
-        assert_eq!(seq_report.downs.len(), 2);
-        assert!(seq_report
+        let seq = run(Scheduler::Sequential);
+        assert_eq!(seq.downs.len(), 2);
+        assert!(seq
             .downs
             .iter()
             .all(|d| d.ra == 2 && matches!(d.cause, DownCause::Panic(_))));
         for threads in [1, 2, 4] {
-            let (rep, log) = run(Scheduler::Threaded(threads));
-            assert_eq!(rep.downs, seq_report.downs, "threaded({threads}) downs");
-            assert_eq!(log, seq_log, "threaded({threads}) log diverged");
+            let threaded = run(Scheduler::Threaded(threads));
+            assert_eq!(threaded.downs, seq.downs, "threaded({threads}) downs");
+            assert_eq!(threaded.log, seq.log, "threaded({threads}) log diverged");
         }
     }
 
@@ -652,13 +625,20 @@ mod tests {
         assert_eq!(report.rounds, 5);
         // Round 1: the panic. Rounds 2..5: explicit RestartsExhausted —
         // the failure is re-reported, never silently truncated.
-        assert_eq!(report.downs.len(), 4);
-        assert!(matches!(report.downs[0].cause, DownCause::Panic(_)));
-        assert!(report.downs[1..]
+        assert_eq!(coord.downs.len(), 4);
+        assert!(matches!(coord.downs[0].cause, DownCause::Panic(_)));
+        assert!(coord.downs[1..]
             .iter()
             .all(|d| d.cause == DownCause::RestartsExhausted));
-        assert_eq!(report.deadline_timeouts, 0, "downs are not deadline misses");
-        assert_eq!(report.disconnects, 0);
+        let rounds_ended = coord.log.iter().filter(|l| l.contains("/discarded: "));
+        assert!(
+            rounds_ended
+                .clone()
+                .all(|l| l.ends_with("expired: false disconnected: false")),
+            "downs are neither deadline misses nor disconnects: {:?}",
+            coord.log
+        );
+        assert_eq!(rounds_ended.count(), 5);
     }
 
     #[test]
@@ -674,10 +654,10 @@ mod tests {
                 n_ras: 3,
                 ..Default::default()
             };
-            let report = Engine::new(Scheduler::Sequential)
+            Engine::new(Scheduler::Sequential)
                 .with_supervisor(fast_supervision())
                 .run(&mut ws, &mut coord, 6);
-            (report.downs, coord.log)
+            coord
         };
         // Split run: rounds 0..3 (3 panics), then resume 3..6 carrying the
         // panic count — the tail must be byte-identical to the one-shot's.
@@ -689,40 +669,16 @@ mod tests {
             ..Default::default()
         };
         let engine = Engine::new(Scheduler::Sequential).with_supervisor(fast_supervision());
-        let head = engine.run_from(&mut ws, &mut coord, 0, 3);
-        assert_eq!(head.downs.len(), 3);
-        let resumed = engine
+        engine.run_from(&mut ws, &mut coord, 0, 3);
+        assert_eq!(coord.downs.len(), 3);
+        engine
             .clone()
             .with_prior_panics(vec![0, 3, 0])
             .run_from(&mut ws, &mut coord, 3, 6);
-        let mut downs = head.downs;
-        downs.extend(resumed.downs);
-        assert_eq!(downs, full.0);
-        assert_eq!(coord.log, full.1);
-        assert!(matches!(downs[3].cause, DownCause::Panic(_)));
-        assert_eq!(downs[4].cause, DownCause::RestartsExhausted);
-    }
-
-    #[test]
-    fn telemetry_counts_disconnects_apart_from_deadlines() {
-        // Satellite check: the two channel-failure modes accumulate into
-        // distinct counters, never conflated.
-        let mut report = EngineReport::default();
-        report.absorb(&RoundTelemetry {
-            deadline_expired: true,
-            ..Default::default()
-        });
-        report.absorb(&RoundTelemetry {
-            channel_disconnected: true,
-            ..Default::default()
-        });
-        report.absorb(&RoundTelemetry {
-            discarded_reports: 2,
-            ..Default::default()
-        });
-        assert_eq!(report.deadline_timeouts, 1);
-        assert_eq!(report.disconnects, 1);
-        assert_eq!(report.discarded_reports, 2);
+        assert_eq!(coord.downs, full.downs);
+        assert_eq!(coord.log, full.log);
+        assert!(matches!(coord.downs[3].cause, DownCause::Panic(_)));
+        assert_eq!(coord.downs[4].cause, DownCause::RestartsExhausted);
     }
 
     #[test]

@@ -185,8 +185,10 @@ const TAG_REPORT: u8 = 8;
 const TAG_CTL: u8 = 9;
 const TAG_DOWN: u8 = 10;
 
-const CTL_CHECKPOINT: u8 = 0;
-const CTL_REJOIN: u8 = 1;
+/// The one control kind. Kinds 0 and 1 named a checkpoint and a rejoin
+/// request that no v2 coordinator ever sent (workers take both from their
+/// fault view), so they are retired without a version bump and decode as
+/// a bad value; `Shutdown` keeps its byte.
 const CTL_SHUTDOWN: u8 = 2;
 
 /// Encodes `msg` as one complete frame (header + payload). Fails only if
@@ -255,21 +257,9 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
             }
             TAG_REPORT
         }
-        WireMsg::Ctl(ctl) => {
-            match ctl {
-                Control::Checkpoint => {
-                    p.push(CTL_CHECKPOINT);
-                    put_u64(&mut p, 0);
-                }
-                Control::Rejoin { round } => {
-                    p.push(CTL_REJOIN);
-                    put_u64(&mut p, *round as u64);
-                }
-                Control::Shutdown => {
-                    p.push(CTL_SHUTDOWN);
-                    put_u64(&mut p, 0);
-                }
-            }
+        WireMsg::Ctl(Control::Shutdown) => {
+            p.push(CTL_SHUTDOWN);
+            put_u64(&mut p, 0); // A round field no kind left reads.
             TAG_CTL
         }
         WireMsg::Down { ra, round, cause } => {
@@ -389,15 +379,11 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
             }
         }
         TAG_CTL => {
-            let kind = r.u8()?;
-            let round = r.index()?;
-            let ctl = match kind {
-                CTL_CHECKPOINT => Control::Checkpoint,
-                CTL_REJOIN => Control::Rejoin { round },
-                CTL_SHUTDOWN => Control::Shutdown,
-                _ => return Err(FrameError::BadValue("control kind")),
-            };
-            WireMsg::Ctl(ctl)
+            if r.u8()? != CTL_SHUTDOWN {
+                return Err(FrameError::BadValue("control kind"));
+            }
+            r.u64()?; // The unread round field.
+            WireMsg::Ctl(Control::Shutdown)
         }
         TAG_DOWN => {
             let ra = r.u64()?;
@@ -589,8 +575,6 @@ mod tests {
                 deadline_missed: false,
                 body: None,
             },
-            WireMsg::Ctl(Control::Checkpoint),
-            WireMsg::Ctl(Control::Rejoin { round: 9 }),
             WireMsg::Ctl(Control::Shutdown),
             WireMsg::Down {
                 ra: 1,
@@ -718,14 +702,24 @@ mod tests {
         frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
         frame.extend_from_slice(&p);
         assert_eq!(decode(&frame), Err(FrameError::BadValue("bool byte")));
-        // Unknown control kind.
-        let mut p = Vec::new();
-        p.push(9);
-        put_u64(&mut p, 0);
-        let mut frame = vec![TAG_CTL];
-        frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&p);
-        assert_eq!(decode(&frame), Err(FrameError::BadValue("control kind")));
+        // An unknown control kind, and the two retired ones.
+        for kind in [9, 0, 1] {
+            let mut p = vec![kind];
+            put_u64(&mut p, 0);
+            let mut frame = vec![TAG_CTL];
+            frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&p);
+            assert_eq!(
+                decode(&frame),
+                Err(FrameError::BadValue("control kind")),
+                "kind {kind}"
+            );
+        }
+        // `Shutdown` keeps its byte.
+        assert_eq!(
+            encode(&WireMsg::Ctl(Control::Shutdown)).unwrap()[5],
+            CTL_SHUTDOWN
+        );
     }
 
     #[test]

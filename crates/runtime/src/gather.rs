@@ -47,19 +47,18 @@ where
     G: RoundGather,
     C: RoundCoordinator<Body = G::Body>,
 {
-    let mut report = EngineReport::default();
+    let mut rounds = 0;
     for round in first_round..end_round {
         let zys = coord.broadcast(round);
         let lifecycle = coord.lifecycle_delta(round);
         let (reports, telemetry) = gather.gather(round, &zys, &lifecycle);
-        report.rounds = round - first_round + 1;
-        report.absorb(&telemetry);
+        rounds += 1;
         if coord.collect(round, reports, &telemetry) {
             break;
         }
     }
     gather.shutdown();
-    report
+    EngineReport { rounds }
 }
 
 /// One round's settle ledger, shared by every gather. A slot settles

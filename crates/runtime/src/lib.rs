@@ -24,8 +24,8 @@
 //!    [`RaReport`], and the coordinator folds the reports into its next
 //!    update. [`round_loop`] is the one place that sequence is written;
 //!    one slot-settle ledger decides, for every gather, which arrival
-//!    fills a slot and which is dropped and counted. [`Control`] messages
-//!    handle checkpointing, rejoin re-sync and shutdown.
+//!    fills a slot and which is dropped and counted. A networked peer's
+//!    service ends on a [`Control::Shutdown`] message.
 //! 3. **Deadlines** — the coordinator waits at most 30 s per round for
 //!    the report channel. A report
 //!    that misses the wall-clock deadline (a hung or genuinely slow

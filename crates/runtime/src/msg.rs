@@ -1,7 +1,7 @@
 //! The typed messages exchanged between the coordinator task and the RA
 //! workers. Three message kinds cover the whole protocol, matching the
 //! paper's low-overhead coordination story (Sec. IV): one downstream
-//! broadcast, one upstream report, and a small control vocabulary.
+//! broadcast, one upstream report, and the end of service.
 
 /// Downstream, coordinator → worker: the coordinating information for one
 /// RA in one round — the per-slice `z_{i,j} − y_{i,j}` signal that is the
@@ -55,18 +55,12 @@ pub struct RaReport<B> {
     pub body: Option<B>,
 }
 
-/// Control messages, coordinator → worker.
+/// Control messages, coordinator → a networked worker peer.
+///
+/// A worker checkpoints its policy and re-syncs at rejoin on its own, from
+/// its fault view; no coordinator asks for either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
-    /// Snapshot the worker's policy (make-before-break: taken at outage
-    /// start so a rejoining RA redeploys the exact pre-outage policy).
-    Checkpoint,
-    /// Re-sync after an outage or a missed deadline: flush stale local
-    /// state and restore the checkpointed policy before `round` runs.
-    Rejoin {
-        /// The first round the worker will serve again.
-        round: usize,
-    },
     /// Tear the worker down; no further messages follow.
     Shutdown,
 }

@@ -484,8 +484,8 @@ impl<T: Transport> RoundGather for NetCoordinator<T> {
 pub enum WorkerCommand {
     /// Serve one round.
     Round(CoordInfo),
-    /// A control message (checkpoint / rejoin / shutdown).
-    Control(Control),
+    /// The run is over: end the service.
+    Shutdown,
 }
 
 /// The coordinator's answer to a registration.
@@ -582,7 +582,7 @@ impl<T: Transport> WorkerSession<T> {
                     self.last_round = info.round;
                     return Ok(WorkerCommand::Round(info));
                 }
-                Ok(WireMsg::Ctl(ctl)) => return Ok(WorkerCommand::Control(ctl)),
+                Ok(WireMsg::Ctl(Control::Shutdown)) => return Ok(WorkerCommand::Shutdown),
                 // Duplicate ack / noise: ignore.
                 Ok(WireMsg::Hello { .. })
                 | Ok(WireMsg::HelloAck { .. })
@@ -697,8 +697,7 @@ mod tests {
                         sess.report(info.round, false, Some(vec![ra as u8, info.round as u8]))
                             .expect("report");
                     }
-                    Ok(WorkerCommand::Control(Control::Shutdown)) => return served,
-                    Ok(WorkerCommand::Control(_)) => {}
+                    Ok(WorkerCommand::Shutdown) => return served,
                     Err(TransportError::Disconnected) => return served,
                     Err(e) => panic!("worker {ra}: {e}"),
                 }
@@ -893,8 +892,7 @@ mod tests {
                         sess.report(info.round, false, Some(vec![7]))
                             .expect("report");
                     }
-                    Ok(WorkerCommand::Control(Control::Shutdown)) => return served,
-                    Ok(_) => {}
+                    Ok(WorkerCommand::Shutdown) => return served,
                     Err(TransportError::Disconnected) => return served,
                     Err(e) => panic!("rejoined worker: {e}"),
                 }

@@ -2,8 +2,8 @@
 //! coordinator and monitor.
 
 use edgeslice::{
-    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, OrchestratorKind, RaId,
-    RunReport, SliceId, SystemConfig,
+    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, IntervalStatus,
+    OrchestratorKind, RaId, RunReport, SliceId, SystemConfig,
 };
 use edgeslice_rl::{DdpgConfig, Technique};
 use rand::rngs::StdRng;
@@ -52,7 +52,15 @@ fn monitor_agrees_with_run_report() {
     );
     let report = sys.run(4, &mut rng);
     for r in &report.rounds {
-        let monitored = sys.monitor().round_system_performance(r.round);
+        // `Σ U` over the round's served rows, per slice.
+        let mut per_slice = vec![0.0; r.slice_performance.len()];
+        let records = sys.monitor().records();
+        for row in records.iter().filter(|row| row.round == r.round) {
+            if row.status == IntervalStatus::Served {
+                per_slice[row.slice.0] += row.performance;
+            }
+        }
+        let monitored: f64 = per_slice.iter().sum();
         assert!(
             (monitored - r.system_performance).abs() < 1e-6,
             "round {}: monitor {monitored} vs report {}",
@@ -60,10 +68,12 @@ fn monitor_agrees_with_run_report() {
             r.system_performance
         );
         // Per-slice totals agree too.
-        let agg = sys.monitor().round_performance(r.round, 2, 2);
-        for (row, expected) in agg.iter().zip(&r.slice_performance) {
-            let s: f64 = row.iter().sum();
-            assert!((s - expected).abs() < 1e-6);
+        for (s, expected) in per_slice.iter().zip(&r.slice_performance) {
+            assert!(
+                (s - expected).abs() < 1e-6,
+                "round {}: {s} vs {expected}",
+                r.round
+            );
         }
     }
     // Every (round, interval, ra, slice) tuple recorded exactly once.

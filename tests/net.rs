@@ -32,7 +32,7 @@ use edgeslice::{
 };
 use edgeslice_rl::Technique;
 use edgeslice_runtime::{
-    caps, Control, CoordInfo, NodeInfo, WireMsg, WorkerCommand, WorkerSession, PROTOCOL_VERSION,
+    caps, CoordInfo, NodeInfo, WireMsg, WorkerCommand, WorkerSession, PROTOCOL_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -507,9 +507,7 @@ fn undecodable_report_bodies_are_counted_and_cannot_stop_the_run() {
                         .unwrap();
                     answered += 1;
                 }
-                Ok(WorkerCommand::Control(Control::Shutdown))
-                | Err(TransportError::Disconnected) => return answered,
-                Ok(WorkerCommand::Control(_)) => {}
+                Ok(WorkerCommand::Shutdown) | Err(TransportError::Disconnected) => return answered,
                 Err(e) => panic!("hostile peer: {e}"),
             }
         }
