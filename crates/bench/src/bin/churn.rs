@@ -264,7 +264,8 @@ fn fault_sweep(rounds: usize) {
             degradation_rate: (base.degradation_rate * scale).min(0.9),
             ..base
         };
-        let injector = FaultInjector::new(FaultPlan::generate(&cfg));
+        let injector =
+            FaultInjector::new(FaultPlan::generate(&cfg).expect("scaled stress config is valid"));
         let (tail, served, dark) = run(&injector);
         println!(
             "{label:>22}  {tail:>12.2}  {:>+12.2}  {dark:>11}   (mean served fraction {served:.2})",

@@ -476,7 +476,6 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                         self.coordinator.resize_slice(slice, sla)
                     }
                     LifecycleAction::Departed { slice } => self.coordinator.depart_slice(slice),
-                    LifecycleAction::Rejected { .. } | LifecycleAction::ResizeRejected { .. } => {}
                 }
             }
         }

@@ -48,8 +48,8 @@ pub struct FaultConfig {
     pub straggler_rate: f64,
     /// Probability a capacity-degradation window starts on an up RA.
     pub degradation_rate: f64,
-    /// Capacity multiplier during a degradation window (e.g. `0.5` halves
-    /// the affected domain's `R^{tot}`).
+    /// Capacity multiplier during a degradation window, in `(0, 1]` (e.g.
+    /// `0.5` halves the affected domain's `R^{tot}`).
     pub degradation_factor: f64,
     /// Degradation duration range, rounds (inclusive).
     pub degradation_rounds: (usize, usize),
@@ -195,7 +195,14 @@ impl FaultPlan {
     /// Expands `config` into a concrete schedule with a dedicated
     /// `StdRng` seeded from `config.seed`: the same configuration always
     /// yields the same plan, independent of the traffic/training streams.
-    pub fn generate(config: &FaultConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The drawn events go through [`FaultPlan::scripted`]'s checks, so a
+    /// configuration that draws an invalid event (a degradation factor
+    /// outside `(0, 1]`, a zero-length window) returns
+    /// [`EdgeSliceError::InvalidFaultPlan`].
+    pub fn generate(config: &FaultConfig) -> Result<Self, EdgeSliceError> {
         let mut rng = StdRng::seed_from_u64(config.seed ^ FAULT_STREAM_TAG);
         let mut events = Vec::new();
         for j in 0..config.n_ras {
@@ -247,11 +254,7 @@ impl FaultPlan {
                 }
             }
         }
-        Self {
-            n_ras: config.n_ras,
-            horizon_rounds: config.horizon_rounds,
-            events,
-        }
+        Self::scripted(config.n_ras, config.horizon_rounds, events)
     }
 
     /// Builds a hand-written schedule, validating every event against the
@@ -608,10 +611,10 @@ mod tests {
     #[test]
     fn generate_is_deterministic_in_the_seed() {
         let cfg = FaultConfig::stress(4, 50, 1234);
-        let a = FaultPlan::generate(&cfg);
-        let b = FaultPlan::generate(&cfg);
+        let a = FaultPlan::generate(&cfg).unwrap();
+        let b = FaultPlan::generate(&cfg).unwrap();
         assert_eq!(a, b);
-        let c = FaultPlan::generate(&FaultConfig { seed: 1235, ..cfg });
+        let c = FaultPlan::generate(&FaultConfig { seed: 1235, ..cfg }).unwrap();
         assert_ne!(a, c, "different seeds should differ for a hostile config");
     }
 
@@ -625,8 +628,43 @@ mod tests {
             panic_rate: 0.0,
             ..FaultConfig::chaos(3, 100, 0)
         };
-        let plan = FaultPlan::generate(&quiet);
+        let plan = FaultPlan::generate(&quiet).unwrap();
         assert!(plan.events().is_empty());
+    }
+
+    #[test]
+    fn generated_plans_pass_the_scripted_checks() {
+        // A factor outside `(0, 1]` would down the degraded RA every round.
+        for factor in [0.0, 1.5, f64::NAN] {
+            let cfg = FaultConfig {
+                degradation_rate: 0.5,
+                degradation_factor: factor,
+                ..FaultConfig::stress(2, 6, 3)
+            };
+            assert!(
+                matches!(
+                    FaultPlan::generate(&cfg),
+                    Err(EdgeSliceError::InvalidFaultPlan(_))
+                ),
+                "factor {factor}"
+            );
+        }
+        // The presets still draw the events they drew unchecked.
+        let events = |config| format!("{:?}", FaultPlan::generate(&config).unwrap().events());
+        assert_eq!(
+            events(FaultConfig::stress(2, 10, 6)),
+            "[CapacityDegradation { ra: RaId(0), domain: Computing, start_round: 4, rounds: 1, \
+             factor: 0.5 }, BroadcastDrop { ra: RaId(0), round: 6 }, \
+             RaOutage { ra: RaId(0), start_round: 7, rounds: 1 }, Straggler { ra: RaId(0), round: 9 }]"
+        );
+        assert_eq!(
+            events(FaultConfig::chaos(2, 10, 6)),
+            "[CapacityDegradation { ra: RaId(0), domain: Computing, start_round: 3, rounds: 1, \
+             factor: 0.5 }, WorkerPanic { ra: RaId(0), round: 5 }, \
+             CapacityDegradation { ra: RaId(0), domain: Transport, start_round: 5, rounds: 2, \
+             factor: 0.5 }, RaOutage { ra: RaId(0), start_round: 7, rounds: 1 }, \
+             Straggler { ra: RaId(1), round: 6 }, WorkerPanic { ra: RaId(1), round: 9 }]"
+        );
     }
 
     #[test]
@@ -758,13 +796,14 @@ mod tests {
         // The panic draw is guarded by `panic_rate > 0.0`, so disabling
         // panics in a chaos config reproduces the stress plan exactly —
         // pre-existing fault schedules are byte-for-byte stable.
-        let stress = FaultPlan::generate(&FaultConfig::stress(3, 60, 7));
+        let stress = FaultPlan::generate(&FaultConfig::stress(3, 60, 7)).unwrap();
         let defanged = FaultPlan::generate(&FaultConfig {
             panic_rate: 0.0,
             ..FaultConfig::chaos(3, 60, 7)
-        });
+        })
+        .unwrap();
         assert_eq!(stress, defanged);
-        let chaos = FaultPlan::generate(&FaultConfig::chaos(3, 60, 7));
+        let chaos = FaultPlan::generate(&FaultConfig::chaos(3, 60, 7)).unwrap();
         assert!(
             chaos
                 .events()
@@ -905,7 +944,7 @@ mod tests {
             windows in proptest::collection::vec((0usize..40, 1usize..12, 0usize..5), 0..6),
         ) {
             let config = if chaos == 1 { FaultConfig::chaos } else { FaultConfig::stress };
-            assert_view_matches_oracle(&FaultPlan::generate(&config(n_ras, horizon, seed)));
+            assert_view_matches_oracle(&FaultPlan::generate(&config(n_ras, horizon, seed)).unwrap());
             let factors = [1.0, 0.9, 0.7, 0.5, 0.3];
             let overlapping = windows
                 .iter()
@@ -929,8 +968,8 @@ mod tests {
             horizon in 1usize..40,
         ) {
             let cfg = FaultConfig::stress(n_ras, horizon, seed);
-            let a = FaultPlan::generate(&cfg);
-            let b = FaultPlan::generate(&cfg);
+            let a = FaultPlan::generate(&cfg).unwrap();
+            let b = FaultPlan::generate(&cfg).unwrap();
             proptest::prop_assert_eq!(&a, &b);
             let ia = FaultInjector::new(a);
             let ib = FaultInjector::new(b);

@@ -630,8 +630,10 @@ pub struct SliceLifetime {
     pub resizes: usize,
 }
 
-/// What one round's lifecycle events did — the orchestrator maps these
-/// onto coordinator mutations.
+/// What one round's lifecycle events changed — the orchestrator maps these
+/// onto coordinator mutations. A refused arrival or resize changes nothing
+/// there and yields no action; an arrival's refusal is kept in its slot's
+/// [`SliceLifetime::reject`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LifecycleAction {
     /// An arrival was admitted.
@@ -641,27 +643,12 @@ pub enum LifecycleAction {
         /// Its negotiated SLA.
         sla: Sla,
     },
-    /// An arrival was rejected.
-    Rejected {
-        /// The retired slot.
-        slice: SliceId,
-        /// The binding capacity domain.
-        reason: RejectReason,
-    },
     /// An admitted slice was resized in place.
     Resized {
         /// The resized slice.
         slice: SliceId,
         /// Its new SLA.
         sla: Sla,
-    },
-    /// A resize did not fit; the slice keeps its previous allocation
-    /// (make-before-break).
-    ResizeRejected {
-        /// The unchanged slice.
-        slice: SliceId,
-        /// The binding capacity domain.
-        reason: RejectReason,
     },
     /// An admitted slice was torn down.
     Departed {
@@ -817,7 +804,6 @@ impl SliceLifecycle {
                         Err(reason) => {
                             self.status[i] = SlotStatus::Rejected;
                             self.lifetimes[i].reject = Some(reason);
-                            actions.push(LifecycleAction::Rejected { slice, reason });
                         }
                     }
                 }
@@ -831,24 +817,17 @@ impl SliceLifecycle {
                     }
                     let old_rate = self.rates[i]
                         .expect("invariant: an Active slot always has a negotiated rate");
-                    match self.admission.resize(slice, old_rate, new_rate, new_sla) {
-                        Ok(spec) => {
-                            self.rates[i] = Some(new_rate);
-                            self.overrides[i] = Some(new_rate);
-                            self.slas[i] = spec.sla;
-                            self.lifetimes[i].resizes += 1;
-                            actions.push(LifecycleAction::Resized {
-                                slice,
-                                sla: spec.sla,
-                            });
-                        }
-                        Err(EdgeSliceError::AdmissionRejected { reason, .. }) => {
-                            actions.push(LifecycleAction::ResizeRejected { slice, reason });
-                        }
-                        Err(_) => {
-                            // Unreachable while the Active invariant holds;
-                            // treat as a no-op rather than poison the round.
-                        }
+                    // A resize that does not fit leaves the slice as it
+                    // was (make-before-break).
+                    if let Ok(spec) = self.admission.resize(slice, old_rate, new_rate, new_sla) {
+                        self.rates[i] = Some(new_rate);
+                        self.overrides[i] = Some(new_rate);
+                        self.slas[i] = spec.sla;
+                        self.lifetimes[i].resizes += 1;
+                        actions.push(LifecycleAction::Resized {
+                            slice,
+                            sla: spec.sla,
+                        });
                     }
                 }
                 SliceEvent::Depart { slice } => {
@@ -1254,6 +1233,14 @@ mod tests {
                     },
                 },
                 ScheduledEvent {
+                    round: 2,
+                    event: SliceEvent::Resize {
+                        slice: SliceId(0),
+                        new_rate: 1000.0,
+                        new_sla: Sla::new(-40.0),
+                    },
+                },
+                ScheduledEvent {
                     round: 3,
                     event: SliceEvent::Depart { slice: SliceId(n) },
                 },
@@ -1266,15 +1253,19 @@ mod tests {
             "every initial slot decided"
         );
         let rejected_before = rejected(&lc);
-        let acts = lc.apply_round(1);
-        assert!(matches!(
-            acts.as_slice(),
-            [LifecycleAction::Rejected {
-                reason: RejectReason::RadioExhausted { .. },
-                ..
-            }]
-        ));
+        assert!(lc.apply_round(1).is_empty());
         assert_eq!(rejected(&lc), rejected_before + 1);
+        assert!(matches!(
+            lc.lifetimes()[n].reject,
+            Some(RejectReason::RadioExhausted { .. })
+        ));
+        // A resize that does not fit leaves the slice as it was.
+        assert_eq!(lc.lifetimes()[0].admit_round, Some(0));
+        let (sla, state) = (lc.slas[0], lc.state());
+        assert!(lc.apply_round(2).is_empty());
+        assert_eq!(lc.lifetimes()[0].resizes, 0);
+        assert_eq!(lc.slas[0], sla);
+        assert_eq!(lc.state(), state);
         // The departure now targets a retired slot: a no-op.
         assert!(lc.apply_round(3).is_empty());
     }

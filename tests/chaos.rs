@@ -456,7 +456,7 @@ fn corrupt_snapshots_fall_back_to_previous_valid_state() {
 /// mix; the run completes with every downed RA accounted for.
 #[test]
 fn generated_chaos_preset_runs_to_completion() {
-    let plan = FaultPlan::generate(&FaultConfig::chaos(N_RAS, ROUNDS, 41));
+    let plan = FaultPlan::generate(&FaultConfig::chaos(N_RAS, ROUNDS, 41)).unwrap();
     let n_panics = plan
         .events()
         .iter()

@@ -2,8 +2,8 @@
 //! coordinator and monitor.
 
 use edgeslice::{
-    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, IntervalStatus,
-    OrchestratorKind, RaId, RunReport, SliceId, SystemConfig,
+    AgentConfig, EdgeSliceSystem, FaultEvent, FaultInjector, FaultPlan, OrchestratorKind, RaId,
+    RunReport, SliceId, SystemConfig,
 };
 use edgeslice_rl::{DdpgConfig, Technique};
 use rand::rngs::StdRng;
@@ -51,15 +51,17 @@ fn monitor_agrees_with_run_report() {
         &mut rng,
     );
     let report = sys.run(4, &mut rng);
+    let period = sys.config().reward.period;
     for r in &report.rounds {
-        // `Σ U` over the round's served rows, per slice.
-        let mut per_slice = vec![0.0; r.slice_performance.len()];
-        let records = sys.monitor().records();
-        for row in records.iter().filter(|row| row.round == r.round) {
-            if row.status == IntervalStatus::Served {
-                per_slice[row.slice.0] += row.performance;
-            }
-        }
+        // `Σ U` over the round's rows, per slice (an outage row adds 0).
+        let per_slice: Vec<f64> = (0..r.slice_performance.len())
+            .map(|i| {
+                let series = sys.monitor().slice_interval_series(SliceId(i), period);
+                series[r.round * period..(r.round + 1) * period]
+                    .iter()
+                    .sum()
+            })
+            .collect();
         let monitored: f64 = per_slice.iter().sum();
         assert!(
             (monitored - r.system_performance).abs() < 1e-6,

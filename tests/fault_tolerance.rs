@@ -8,8 +8,7 @@
 
 use edgeslice::{
     AgentConfig, EdgeSliceSystem, FaultConfig, FaultEvent, FaultInjector, FaultPlan,
-    IntervalStatus, OrchestratorKind, RaId, ResourceKind, ResourceManagers, SliceAllocation,
-    SliceId, SystemConfig,
+    OrchestratorKind, RaId, ResourceKind, ResourceManagers, SliceAllocation, SliceId, SystemConfig,
 };
 use edgeslice_netsim::DomainShares;
 use edgeslice_rl::{DdpgConfig, Technique};
@@ -55,20 +54,9 @@ fn one_ra_outage_is_survived_and_excluded_from_sla_accounting() {
     );
 
     let period = faulty.config().reward.period;
-    // The intervals `ra` lost in `round`, counted once however many slices
-    // report them.
-    let outage_intervals = |round: usize, ra: RaId| {
-        let mut lost: Vec<usize> = faulty
-            .monitor()
-            .records()
-            .iter()
-            .filter(|r| r.round == round && r.ra == ra && r.status == IntervalStatus::Outage)
-            .map(|r| r.interval)
-            .collect();
-        lost.sort_unstable();
-        lost.dedup();
-        lost.len()
-    };
+    // The served fraction of `round` over RA 0 alone, and over both RAs.
+    let served =
+        |round: usize, n_ras: usize| faulty.monitor().round_served_fraction(round, n_ras, period);
     for r in &report.rounds {
         let local = r.round;
         if (2..2 + k).contains(&local) {
@@ -78,14 +66,15 @@ fn one_ra_outage_is_survived_and_excluded_from_sla_accounting() {
                 "round {local} should be dark on RA 1"
             );
             // One of two RAs is dark: exactly half the (RA, interval)
-            // pairs served, and the monitor holds explicit outage rows.
+            // pairs served, and the monitor counts the lost pairs.
             assert!(
                 (r.served_fraction - 0.5).abs() < 1e-12,
                 "{}",
                 r.served_fraction
             );
-            assert_eq!(outage_intervals(local, RaId(1)), period);
-            assert_eq!(outage_intervals(local, RaId(0)), 0);
+            // RA 0 lost no interval, so RA 1 lost every one.
+            assert_eq!(served(local, 1), 1.0);
+            assert_eq!(served(local, 2), 0.5);
         } else {
             assert!(r.outages.is_empty());
             assert!((r.served_fraction - 1.0).abs() < 1e-12);
@@ -155,7 +144,7 @@ fn learned_system_survives_outage_with_checkpoint_resync() {
 fn same_fault_seed_reproduces_identical_reports() {
     let cfg = FaultConfig::stress(2, ROUNDS, 42);
     let run = || {
-        let injector = FaultInjector::new(FaultPlan::generate(&cfg));
+        let injector = FaultInjector::new(FaultPlan::generate(&cfg).unwrap());
         let mut rng = StdRng::seed_from_u64(3);
         let mut sys = taro_system(&mut rng);
         sys.run_with_faults(ROUNDS, &mut rng, &injector)
@@ -170,7 +159,7 @@ fn same_fault_seed_reproduces_identical_reports() {
     // A different fault seed genuinely changes the run (the plan above is
     // hostile enough to perturb at least one round).
     let other = FaultConfig::stress(2, ROUNDS, 43);
-    let injector = FaultInjector::new(FaultPlan::generate(&other));
+    let injector = FaultInjector::new(FaultPlan::generate(&other).unwrap());
     let mut rng = StdRng::seed_from_u64(3);
     let mut sys = taro_system(&mut rng);
     let c = sys.run_with_faults(ROUNDS, &mut rng, &injector);

@@ -542,8 +542,9 @@ fn undecodable_report_bodies_are_counted_and_cannot_stop_the_run() {
             "a missing RA reports no load: {round:?}"
         );
     }
-    let rows = sys.monitor().records();
-    assert!(!rows.is_empty() && rows.iter().all(|r| r.ra == RaId(0)));
+    // RA 0's rows alone: no row of the discarded RA 1 was recorded.
+    let grid = sys.config().reward.period * sys.config().slices.len();
+    assert_eq!(sys.monitor().records().len(), report.rounds.len() * grid);
 }
 
 /// A coordinator link that dies with a round in flight: the far end is
