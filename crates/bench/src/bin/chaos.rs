@@ -16,6 +16,8 @@
 //!
 //! Run: `cargo run --release -p edgeslice-bench --bin chaos`
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 

@@ -22,6 +22,8 @@
 //! the concurrent slice count from a demand curve (CSV `round,target`
 //! rows, or a JSON array of per-round targets).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice::{
     AdmissionController, AgentConfig, ArrivalModel, EdgeSliceSystem, FaultConfig, FaultEvent,
     FaultInjector, FaultPlan, OrchestratorKind, RunReport, Sla, SliceRequest, SystemConfig,

@@ -11,6 +11,8 @@
 //! qualitative shape. Override with `EDGESLICE_TRAIN_STEPS` (the top grid
 //! point).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice_bench::{print_row, run_arm, simulation, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;
 

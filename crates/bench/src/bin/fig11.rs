@@ -7,6 +7,8 @@
 //! is the negative service time (traffic-independent) — EdgeSlice and
 //! EdgeSlice-NT should coincide, both far ahead of TARO.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::sync::Arc;
 
 use edgeslice::{NegServiceTime, PerformanceFunction, QueuePenalty};

@@ -5,6 +5,8 @@
 //! `Umin = −50`. Prototype configuration: 2 slices, 2 RAs, 3 resources,
 //! Poisson(10) traffic, `t = 1 s`, `T = 10`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice::{SliceId, SystemConfig};
 use edgeslice_bench::{downsample, print_row, print_series, run_arm, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;

@@ -6,6 +6,8 @@
 //! transport resources; slice 2 (compute-heavy) starts with most computing
 //! resources; allocations stabilize within ~6 coordination rounds.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice::{ResourceKind, SliceId, SystemConfig};
 use edgeslice_bench::{downsample, print_series, run_arm, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;

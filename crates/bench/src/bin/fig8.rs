@@ -6,6 +6,8 @@
 //! (b)–(d) average resource-usage ratio `η1/η2` vs the two slices' traffic
 //! loads, one panel per algorithm. `η_i = Σ_k x_{i,j,k} / rtot_{j,k}`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice::{
     AgentConfig, OrchestrationAgent, RaEnvConfig, RaId, RaSliceEnv, SliceSpec, StateSpec, Taro,
 };

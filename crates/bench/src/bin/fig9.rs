@@ -10,6 +10,8 @@
 //! replicated across every RA-count point (the paper trains per-RA agents
 //! in parallel on its testbed).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use edgeslice_bench::{print_row, run_arm, simulation, Arm, Knobs, Policy};
 use edgeslice_rl::Technique;
 

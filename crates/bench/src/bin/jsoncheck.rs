@@ -21,6 +21,8 @@
 //! Exits 2 with a usage message on a malformed invocation; any schema
 //! violation panics, which is exactly what a CI step wants.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use serde::Value;
 
 const USAGE: &str = "usage: jsoncheck <path> [<field> [<min>]]\n\
@@ -41,6 +43,12 @@ fn numeric(v: &Value) -> Option<f64> {
         Value::Float(f) => Some(*f),
         _ => None,
     }
+}
+
+/// Whether `n` is a count: whole and non-negative. Exact on purpose:
+/// `fract()` of a whole number is exactly 0.0.
+fn is_count(n: f64) -> bool {
+    n >= 0.0 && n.fract() == 0.0
 }
 
 /// A required top-level numeric field; panics with a field-specific
@@ -90,15 +98,15 @@ fn check_runtime(path: &str, doc: &Value) {
 fn check_churn(path: &str, doc: &Value) {
     let n_levels = require_numeric(path, doc, "n_levels");
     assert!(
-        n_levels >= 1.0,
-        "{path}: n_levels = {n_levels} must be >= 1"
+        is_count(n_levels) && n_levels >= 1.0,
+        "{path}: n_levels = {n_levels} must be a whole count >= 1"
     );
     let levels = doc
         .get_field("levels")
         .and_then(Value::as_array)
         .unwrap_or_else(|| panic!("{path}: missing or non-array field \"levels\""));
     assert!(
-        levels.len() as f64 == n_levels,
+        levels.len() == n_levels as usize,
         "{path}: n_levels = {n_levels} but levels[] holds {} entries",
         levels.len()
     );
@@ -114,10 +122,8 @@ fn check_churn(path: &str, doc: &Value) {
         );
         for field in ["slots", "admitted", "rejected", "departed", "resizes"] {
             let n = require_numeric(path, level, field);
-            // lint:allow(float-eq): whole-number counter check — `fract()` is exactly 0.0
-            let is_count = n >= 0.0 && n.fract() == 0.0;
             assert!(
-                is_count,
+                is_count(n),
                 "{path}: levels[{i}] ({label}): {field} = {n} must be a non-negative count"
             );
         }
@@ -222,5 +228,32 @@ fn main() {
             "{path}: {field} = {n} is below the required minimum {min}"
         );
         println!("{path}: {field} = {n} >= {min}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A churn document whose `levels[]` holds two consistent levels.
+    fn churn_doc(n_levels: &str) -> Value {
+        let level = r#"{"label": "x", "arrival_rate": 1.0, "slots": 4, "admitted": 2,
+            "rejected": 1, "departed": 1, "resizes": 0, "sla_violation_rate": 0.5,
+            "mean_active_performance": 1.0, "tail_system_performance": 1.0}"#;
+        let text = format!(r#"{{"n_levels": {n_levels}, "levels": [{level}, {level}]}}"#);
+        serde_json::parse_value(&text).expect("test document parses")
+    }
+
+    #[test]
+    fn churn_accepts_a_whole_level_count() {
+        check_churn("doc", &churn_doc("2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "n_levels = 2.5 must be a whole count")]
+    fn churn_rejects_a_fractional_level_count() {
+        // `2.5 as usize` is 2, the length of `levels[]`: only the count
+        // check stands between this document and a pass.
+        check_churn("doc", &churn_doc("2.5"));
     }
 }

@@ -10,6 +10,8 @@
 //! available parallelism recorded alongside, since speedups are bounded by
 //! the machine the bench ran on.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::time::{Duration, Instant};
 
 use edgeslice::{

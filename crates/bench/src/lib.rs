@@ -26,8 +26,7 @@
 //! minutes; set `EDGESLICE_TRAIN_STEPS` / `EDGESLICE_SEED` to change the
 //! schedule (EXPERIMENTS.md records the schedules used).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::str::FromStr;
 

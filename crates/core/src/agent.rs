@@ -13,10 +13,11 @@ use crate::{RaId, RaSliceEnv};
 
 /// The learning backend of an orchestration agent. DDPG is the paper's
 /// technique; the others are the Fig. 10b comparators.
-// `Ddpg` carries its scratch arena and reusable sample batch inline, so the
-// variant is big — but a backend only ever lives behind its agent's `Arc`
-// (never in arrays), so boxing the variant would buy nothing.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "`Ddpg` carries its scratch arena and sample batch inline, but a backend only \
+              lives behind its agent's `Arc` (never in arrays): boxing it would buy nothing"
+)]
 #[derive(Debug, Clone)]
 pub enum AgentBackend {
     /// Deep deterministic policy gradient (the paper's choice).

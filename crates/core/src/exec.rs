@@ -251,8 +251,12 @@ impl RoundWorker for RaExecWorker<'_> {
         // and before any state mutation: the panicked round leaves the
         // worker exactly as the previous round left it, which is what
         // makes caught panics replayable from a snapshot.
+        #[expect(
+            clippy::panic,
+            reason = "scripted fault injection: this unwind is the failure under test, and the \
+                      Supervisor must observe a real worker panic"
+        )]
         if view.panic {
-            // lint:allow(panic-policy): scripted fault injection — this unwind IS the failure under test; the Supervisor must observe a real worker panic
             panic!("injected worker panic: ra {} round {round_off}", self.ra.0);
         }
         self.rng = StdRng::seed_from_u64(derive_stream_seed(

@@ -8,6 +8,11 @@
 //! outage grid instead, plus one replayed round) from 10 RAs and from 20,
 //! under a per-thread allocator that tracks live bytes.
 
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` wrapper around `System` tracks the monitor's live heap bytes: the trait and its methods are `unsafe`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

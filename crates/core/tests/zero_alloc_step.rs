@@ -13,6 +13,11 @@
 //! The same allocator counts deployment: installing a trained agent on
 //! every RA is a handful of allocations whatever its replay capacity.
 
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` wrapper around `System` counts the agent step's and deployment's allocations: the trait and its methods are `unsafe`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -28,7 +28,7 @@ impl fmt::Display for Severity {
 /// One finding: rule, severity, location, message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// The rule that fired (e.g. `determinism`).
+    /// The rule that fired (e.g. `hot-path-alloc`).
     pub rule: &'static str,
     /// The rule's severity.
     pub severity: Severity,
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn doc_comments_never_carry_suppressions() {
         let sups = parse_suppressions(&[Comment {
-            text: "/ documented example: lint:allow(float-eq): why".into(),
+            text: "/ documented example: lint:allow(hot-path-alloc): why".into(),
             line: 1,
             doc: true,
         }]);
@@ -158,19 +158,19 @@ mod tests {
     #[test]
     fn parses_line_and_file_scoped_allows() {
         let sups = parse_suppressions(&[
-            comment(" lint:allow(float-eq): exact-zero sentinel", 7),
+            comment(" lint:allow(hot-path-alloc): one-off warm-up", 7),
             comment(" lint:allow-file(panic-policy): fixed-arity triples", 1),
         ]);
         assert_eq!(sups.len(), 2);
-        assert_eq!(sups[0].rule, "float-eq");
+        assert_eq!(sups[0].rule, "hot-path-alloc");
         assert!(!sups[0].file_scoped);
-        assert_eq!(sups[0].justification, "exact-zero sentinel");
+        assert_eq!(sups[0].justification, "one-off warm-up");
         assert!(sups[1].file_scoped);
     }
 
     #[test]
     fn empty_justification_detected() {
-        let sups = parse_suppressions(&[comment(" lint:allow(determinism)", 3)]);
+        let sups = parse_suppressions(&[comment(" lint:allow(transitive-alloc)", 3)]);
         assert_eq!(sups.len(), 1);
         assert!(sups[0].justification.is_empty());
     }
@@ -178,15 +178,15 @@ mod tests {
     #[test]
     fn suppression_scope_is_line_or_next() {
         let d = Diagnostic {
-            rule: "float-eq",
+            rule: "hot-path-alloc",
             severity: Severity::Error,
             file: "x.rs".into(),
             line: 8,
             message: String::new(),
         };
-        let same = parse_suppressions(&[comment(" lint:allow(float-eq): why", 8)]);
-        let above = parse_suppressions(&[comment(" lint:allow(float-eq): why", 7)]);
-        let far = parse_suppressions(&[comment(" lint:allow(float-eq): why", 5)]);
+        let same = parse_suppressions(&[comment(" lint:allow(hot-path-alloc): why", 8)]);
+        let above = parse_suppressions(&[comment(" lint:allow(hot-path-alloc): why", 7)]);
+        let far = parse_suppressions(&[comment(" lint:allow(hot-path-alloc): why", 5)]);
         assert!(suppression_covers(&same[0], &d));
         assert!(suppression_covers(&above[0], &d));
         assert!(!suppression_covers(&far[0], &d));

@@ -152,8 +152,6 @@ pub struct FileSpec {
     pub rel_path: String,
     /// Short crate name the scoping rules key on.
     pub crate_name: String,
-    /// Whether this file is the package's primary crate root.
-    pub is_crate_root: bool,
     /// The workspace crates `crate_name` depends on, transitively (short
     /// names, sorted) — where the call graph may follow this file's calls
     /// besides its own crate. `None` when unknown (explicit files), which
@@ -311,15 +309,6 @@ fn collect_package(
         }
     }
     files.sort();
-    let lib_root = src.join("lib.rs");
-    let main_root = src.join("main.rs");
-    // The package's primary crate root: lib.rs, else main.rs. Secondary
-    // bin roots (src/bin/*) are not held to the crate-header rule.
-    let primary = if lib_root.is_file() {
-        lib_root
-    } else {
-        main_root
-    };
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -327,7 +316,6 @@ fn collect_package(
             .to_string_lossy()
             .replace('\\', "/");
         out.push(FileSpec {
-            is_crate_root: path == primary,
             rel_path: rel,
             crate_name: crate_name.to_string(),
             path,
@@ -359,12 +347,7 @@ struct FileAnalysis {
 fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
     let (toks, comments) = lex(source);
     let names = Names::of(&toks, &comments);
-    let file = SourceFile::new(
-        spec.crate_name.clone(),
-        spec.rel_path.clone(),
-        spec.is_crate_root,
-        toks,
-    );
+    let file = SourceFile::new(spec.crate_name.clone(), spec.rel_path.clone(), toks);
     if spec.names_only {
         return FileAnalysis {
             file,
@@ -610,25 +593,28 @@ mod tests {
             path: PathBuf::from(rel),
             rel_path: rel.into(),
             crate_name: crate_name.into(),
-            is_crate_root: false,
             deps: None,
             names_only: false,
         }
     }
 
+    /// A hot-path fn that allocates once, with `comment` on the line above.
+    fn hot_alloc(comment: &str) -> String {
+        format!("fn fill_into(out: &mut [f64]) {{\n    {comment}\n    let v = vec![0.0; 4];\n}}")
+    }
+
     #[test]
     fn suppression_with_justification_silences_finding() {
-        let src =
-            "fn f(x: f64) -> bool {\n    // lint:allow(float-eq): exact sentinel\n    x == 0.0\n}";
-        let (diags, sups) = analyze_source(&spec("optim", "crates/optim/src/x.rs"), src);
+        let src = hot_alloc("// lint:allow(hot-path-alloc): one-off warm-up");
+        let (diags, sups) = analyze_source(&spec("optim", "crates/optim/src/x.rs"), &src);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(sups, 1);
     }
 
     #[test]
     fn unjustified_suppression_is_its_own_error() {
-        let src = "fn f(x: f64) -> bool {\n    // lint:allow(float-eq)\n    x == 0.0\n}";
-        let (diags, _) = analyze_source(&spec("optim", "crates/optim/src/x.rs"), src);
+        let src = hot_alloc("// lint:allow(hot-path-alloc)");
+        let (diags, _) = analyze_source(&spec("optim", "crates/optim/src/x.rs"), &src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, SUPPRESSION_HYGIENE);
     }
@@ -642,10 +628,26 @@ mod tests {
     }
 
     #[test]
+    fn an_allow_naming_a_rule_clippy_now_holds_is_unknown() {
+        // `determinism` moved to `clippy.toml`: a leftover allow for it
+        // suppresses nothing here and must be deleted, not kept as noise.
+        let src = "// lint:allow(determinism): was a wall-clock read\nfn f() {}";
+        let (diags, _) = analyze_source(&spec("core", "crates/core/src/x.rs"), src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, SUPPRESSION_HYGIENE);
+        assert!(
+            diags[0].message.contains("unknown rule"),
+            "{}",
+            diags[0].message
+        );
+    }
+
+    #[test]
     fn stale_suppression_is_flagged() {
         // A justified allow for a local rule with nothing to suppress:
         // the code it excused has drifted away.
-        let src = "// lint:allow(float-eq): was a sentinel once\nfn f(x: f64) -> f64 { x + 1.0 }";
+        let src =
+            "// lint:allow(hot-path-alloc): was a warm-up once\nfn fill_into(out: &mut [f64]) {}";
         let (diags, _) = analyze_source(&spec("optim", "crates/optim/src/x.rs"), src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, SUPPRESSION_HYGIENE);
@@ -693,11 +695,11 @@ mod tests {
     fn json_report_is_well_formed_enough() {
         let report = Report {
             diagnostics: vec![Diagnostic {
-                rule: "float-eq",
+                rule: "hot-path-alloc",
                 severity: Severity::Error,
                 file: "a \"b\".rs".into(),
                 line: 3,
-                message: "x == 0.0".into(),
+                message: "`vec![..]` in `fill_into`".into(),
             }],
             files_checked: 1,
             suppressions: 0,

@@ -18,9 +18,14 @@ use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{matching, CallSite, FnItem, ParsedFile};
 use crate::rules::{
-    alloc_construct, is_hot_path_fn_name, SourceFile, DETERMINISM_CRATES, FRAME_PROTOCOL,
-    HOT_PATH_CRATES, RNG_STREAM_SEPARATION, TRANSITIVE_ALLOC,
+    alloc_construct, is_hot_path_fn_name, SourceFile, FRAME_PROTOCOL, HOT_PATH_CRATES,
+    RNG_STREAM_SEPARATION, TRANSITIVE_ALLOC,
 };
+
+/// Crates whose non-test code must be a pure function of its seeds — the
+/// per-RA worker loop, the coordinator, and the network simulation — and
+/// so whose seed-derivation sites must each fold in a named tag.
+const SEEDED_CRATES: &[&str] = &["runtime", "core", "netsim"];
 
 /// One analyzed file, as the cross-file passes see it.
 pub struct Unit<'a> {
@@ -75,7 +80,7 @@ fn call_args<'t>(toks: &'t [Tok], call: &CallSite) -> &'t [Tok] {
 /// Byte-identical replay rests on every RNG stream being derived from a
 /// distinct, *named* tag: (1) all `*_STREAM_TAG`/`DOMAIN_*` constants
 /// must hold unique values workspace-wide; (2) every `seed_from_u64` /
-/// `derive_stream_seed` site in the determinism crates must reference a
+/// `derive_stream_seed` site in [`SEEDED_CRATES`] must reference a
 /// named tag constant — XOR-folding ad-hoc literals collides silently;
 /// (3) a `*_STREAM_TAG` XORed into more than one stream aliases those
 /// streams (tag families use `derive_stream_seed` with an index instead).
@@ -107,10 +112,10 @@ pub(crate) fn rng_stream_separation(units: &[Unit<'_>], out: &mut Vec<Diagnostic
         }
     }
 
-    // (2) + (3) Derivation sites in the determinism crates.
+    // (2) + (3) Derivation sites in the seeded crates.
     let mut xor_sites: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
     for (ui, u) in units.iter().enumerate() {
-        if !DETERMINISM_CRATES.contains(&u.file.crate_name.as_str()) {
+        if !SEEDED_CRATES.contains(&u.file.crate_name.as_str()) {
             continue;
         }
         for f in &u.parsed.fns {
@@ -662,7 +667,7 @@ mod tests {
         files
             .iter()
             .map(|(crate_name, rel, src)| {
-                let file = SourceFile::new(*crate_name, *rel, false, lex(src).0);
+                let file = SourceFile::new(*crate_name, *rel, lex(src).0);
                 let parsed = crate::parse::parse(&file.toks);
                 (file, parsed)
             })

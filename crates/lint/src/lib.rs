@@ -1,26 +1,26 @@
 //! # edgeslice-lint
 //!
-//! A self-contained static analyzer enforcing the EdgeSlice workspace's
-//! project invariants — the guarantees the last PRs bought dynamically,
-//! held statically:
+//! A self-contained static analyzer for the EdgeSlice workspace's project
+//! invariants that rustc and clippy cannot check. Those that they can —
+//! no wall clock or hash-order collection in the seeded crates, no
+//! `unwrap`/`panic!` on the coordinator path, no float equality, no
+//! `unsafe`, no undocumented public item — are lint configuration
+//! (`[workspace.lints]`, the crates' `clippy.toml` files and crate-root
+//! attributes; DESIGN.md §11). What is left is two per-file rules:
 //!
 //! | rule | invariant | scope |
 //! |---|---|---|
-//! | `determinism` | workers are pure functions of `(master_seed, ra, round)`: no wall clock, OS entropy, or hash-order iteration | `runtime`, `core`, `netsim` (clock module exempt) |
-//! | `panic-policy` | the Supervisor catches *worker* panics; coordinator code returns typed errors | `runtime`, `core` |
-//! | `hot-path-alloc` | the `*_into`/`*_scratch`/`*_row` families reuse caller storage | `nn`, `rl` |
-//! | `crate-header` | every crate root carries `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` | all crates |
-//! | `float-eq` | no `==`/`!=` against float literals | all crates |
+//! | `panic-policy` | coordinator code returns typed errors: no literal indexing, and every `expect` states an `invariant: ...` | `runtime`, `core` |
+//! | `hot-path-alloc` | the `*_into`/`*_scratch`/`*_row` and kernel families reuse caller storage | `nn`, `rl`, `optim`, `netsim`, `core` |
 //!
-//! On top of the per-file rules, four **cross-file passes** run over the
-//! whole workspace — the first three over a symbol table and approximate
-//! call graph (see [`graph`]):
+//! and four **cross-file passes** over the whole workspace — the first
+//! three over a symbol table and approximate call graph (see [`graph`]):
 //!
 //! | rule | invariant | scope |
 //! |---|---|---|
 //! | `rng-stream-separation` | every `*_STREAM_TAG`/`DOMAIN_*` constant is unique workspace-wide, and every seed-derivation site folds in exactly one *named* tag (no literal tags, no tag reuse) | `runtime`, `core`, `netsim` |
 //! | `frame-protocol` | the `TAG_*` wire constants and `WireMsg` variants stay in sync, and every match over decoded frames names each variant — no wildcard arm silently swallowing a tag | `runtime` |
-//! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `*_row`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl` |
+//! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `*_row`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl`, `optim`, `netsim`, `core` |
 //! | `dead-pub` | a library's `pub fn`/`const`/`static` is named by code outside it (other crates, bins, tests, examples, the benchmark, doc code blocks); otherwise it becomes `pub(crate)` | every library, on the workspace walk only |
 //!
 //! All rules skip `#[cfg(test)]` / `#[test]` regions. A finding can be
@@ -28,8 +28,8 @@
 //! the line above it:
 //!
 //! ```text
-//! // lint:allow(float-eq): exact-zero is the disabled-jitter sentinel
-//! if self.jitter == 0.0 { ... }
+//! // lint:allow(hot-path-alloc): the testbed arm re-configures its models by design
+//! let shares = shares.collect::<Vec<_>>();
 //! ```
 //!
 //! (`lint:allow-file(rule): why` waives a rule for a whole file.)
@@ -45,8 +45,7 @@
 //! hand-rolled (token-level, no `syn`): the build environment is
 //! offline, and the analyzer must never be broken by the code it checks.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod diag;
 pub mod driver;

@@ -8,8 +8,7 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -140,7 +139,6 @@ fn main() -> ExitCode {
         });
         specs.push(FileSpec {
             path: path.clone(),
-            is_crate_root: rel.ends_with("src/lib.rs"),
             rel_path: rel,
             crate_name,
             deps: None,

@@ -55,7 +55,6 @@ fn findings(synths: &[Synth]) -> Vec<Diagnostic> {
             path: path.clone(),
             rel_path: s.rel.into(),
             crate_name: s.crate_name.into(),
-            is_crate_root: false,
             deps: None,
             names_only: s.names_only,
         });
@@ -219,7 +218,6 @@ fn analyze_source_never_runs_the_pass() {
         path: PathBuf::from(CORE_LIB),
         rel_path: CORE_LIB.into(),
         crate_name: "core".into(),
-        is_crate_root: false,
         deps: None,
         names_only: false,
     };

@@ -1,26 +1,9 @@
-//! Fixture: violates `panic-policy` five ways (analyzed as crate `core`).
+//! Fixture: violates `panic-policy` both ways (analyzed as crate `core`).
 
 fn first_share(shares: &[f64]) -> f64 {
     shares[0]
 }
 
-fn head(v: Vec<u8>) -> u8 {
-    *v.first().unwrap()
-}
-
 fn head_expect(v: Vec<u8>) -> u8 {
     *v.first().expect("should not happen")
-}
-
-fn unreachable_branch(kind: u8) -> &'static str {
-    match kind {
-        0 => "radio",
-        1 => "transport",
-        2 => "computing",
-        _ => panic!("bad resource kind"),
-    }
-}
-
-fn later() {
-    todo!()
 }

@@ -1,11 +1,9 @@
-//! Fixture: panic-free counterpart of `panic_policy_bad.rs` — typed
-//! errors, handled misses, and `invariant:`-documented expects (analyzed
-//! as crate `core`).
+//! Fixture: panic-free counterpart of `panic_policy_bad.rs` — a handled
+//! miss and an `invariant:`-documented expect (analyzed as crate `core`).
 
 #[derive(Debug)]
 enum FixtureError {
     Empty,
-    BadKind(u8),
 }
 
 fn first_share(shares: &[f64]) -> Result<f64, FixtureError> {
@@ -19,16 +17,7 @@ fn head(v: Vec<u8>) -> u8 {
         .expect("invariant: callers construct v with at least one element")
 }
 
-fn kind_name(kind: u8) -> Result<&'static str, FixtureError> {
-    match kind {
-        0 => Ok("radio"),
-        1 => Ok("transport"),
-        2 => Ok("computing"),
-        other => Err(FixtureError::BadKind(other)),
-    }
-}
-
-fn fallbacks(v: Option<u8>) -> u8 {
-    // unwrap_or / unwrap_or_default are fine: they cannot panic.
-    v.unwrap_or_default().max(v.unwrap_or(1))
+fn table() -> [u8; 3] {
+    // Array literals and array types are not index expressions.
+    [0, 1, 2]
 }

@@ -1,7 +1,7 @@
 //! Fixture: a justified allow whose excused code has drifted away
 //! (analyzed as crate `optim`). Lexed, never compiled.
 
-fn damped(x: f64) -> f64 {
-    // lint:allow(float-eq): exact-zero was the disabled-jitter sentinel
-    x * 0.5
+fn damp_into(out: &mut [f64]) {
+    // lint:allow(hot-path-alloc): the staging copy was a one-off warm-up
+    out.iter_mut().for_each(|x| *x *= 0.5);
 }

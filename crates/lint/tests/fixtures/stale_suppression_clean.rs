@@ -2,7 +2,8 @@
 //! covers a live finding (analyzed as crate `optim`). Lexed, never
 //! compiled.
 
-fn is_disabled(x: f64) -> bool {
-    // lint:allow(float-eq): exact-zero is the disabled-jitter sentinel
-    x == 0.0
+fn damp_into(out: &mut [f64]) {
+    // lint:allow(hot-path-alloc): the staging copy is a one-off warm-up
+    let staged = out.to_vec();
+    out.copy_from_slice(&staged);
 }

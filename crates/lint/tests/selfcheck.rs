@@ -31,26 +31,11 @@ fn workspace_has_zero_unsuppressed_findings() {
         "only {} files found — workspace discovery is broken",
         report.files_checked
     );
-    // The justified bit-exact comparisons (GEMM zero-skip etc.) must be
-    // visible to the audit trail.
+    // The justified allows (the testbed arm's allocation, the TCP
+    // transport's public surface) must be visible to the audit trail.
     assert!(
         report.suppressions > 0,
         "expected the documented lint:allow sites to be counted"
-    );
-}
-
-#[test]
-fn workspace_walk_covers_the_workload_module() {
-    // The dynamic-workload generator rides the determinism rule (it must
-    // be a pure function of its seed): prove the walk actually schedules
-    // it under the `core` crate identity the scoping keys on.
-    let root = workspace_root();
-    let specs = workspace_files(&root).expect("workspace sources enumerable");
-    assert!(
-        specs
-            .iter()
-            .any(|s| s.rel_path == "crates/core/src/workload.rs" && s.crate_name == "core"),
-        "crates/core/src/workload.rs missing from the workspace walk"
     );
 }
 
@@ -126,17 +111,21 @@ fn list_rules_names_every_rule() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in [
-        "determinism",
         "panic-policy",
         "hot-path-alloc",
-        "crate-header",
-        "float-eq",
         "rng-stream-separation",
         "frame-protocol",
         "transitive-alloc",
         "dead-pub",
     ] {
         assert!(text.contains(rule), "--list-rules omits {rule}:\n{text}");
+    }
+    // Clippy and rustc hold these now (DESIGN.md §11).
+    for retired in ["determinism", "crate-header", "float-eq"] {
+        assert!(
+            !text.contains(retired),
+            "--list-rules names {retired}:\n{text}"
+        );
     }
 }
 
@@ -150,7 +139,6 @@ fn synth_spec(name: &str, rel: &str, crate_name: &str, source: &str) -> FileSpec
         path,
         rel_path: rel.into(),
         crate_name: crate_name.into(),
-        is_crate_root: false,
         deps: None,
         names_only: false,
     }

@@ -37,8 +37,7 @@
 //! assert!(times.iter().all(|t| t.is_finite()));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod app;
 pub mod compute;

@@ -152,7 +152,7 @@ impl TrafficSource for DiurnalTrace {
 
     fn arrivals(&self, interval: usize, rng: &mut StdRng) -> f64 {
         let mean = self.mean_rate(interval);
-        // lint:allow(float-eq): exact 0.0 is the "jitter disabled" sentinel, assigned literally from config
+        // Exact: 0.0 is the "jitter disabled" sentinel, assigned literally from config.
         if self.jitter == 0.0 {
             return mean;
         }

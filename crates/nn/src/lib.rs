@@ -39,8 +39,7 @@
 //! assert!(loss < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod activation;
 mod init;

@@ -27,8 +27,7 @@
 //! assert!(z.iter().sum::<f64>() >= -50.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod admm;
 mod cg;

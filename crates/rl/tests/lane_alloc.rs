@@ -12,6 +12,11 @@
 //! as old on the way and never counted; the calling thread is marked
 //! explicitly. What is left is the lane, spawned inside the region.
 
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` wrapper around `System` counts the lane's allocations: the trait and its methods are `unsafe`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -13,6 +13,11 @@
 //! about one run in three failed. A thread only ever counts itself now, and
 //! the tests need no lock between them.
 
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` wrapper around `System` counts the training step's allocations: the trait and its methods are `unsafe`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

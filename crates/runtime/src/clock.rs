@@ -2,16 +2,17 @@
 //!
 //! The determinism contract (crate docs) makes every worker a pure
 //! function of `(master_seed, ra, round)` — which is exactly why
-//! `Instant::now()` is banned by `edgeslice-lint`'s `determinism` rule
-//! everywhere in `runtime`/`core`/`netsim` *except* this module and the
-//! socket transport (`transport.rs`, whose read/retry deadlines are
-//! wall-clock by nature — see the lint's `WALL_CLOCK_QUARANTINE`). The
+//! `Instant::now()` is a `clippy::disallowed_methods` error (the
+//! `clippy.toml` beside the `runtime`, `core` and `netsim` manifests)
+//! everywhere in those crates *except* this module and the socket
+//! transport (`transport.rs`, whose read/retry deadlines are wall-clock by
+//! nature); each of the two opts out with one reasoned `#![expect]`. The
 //! things that legitimately need real time are the per-round report
 //! deadline and the lease backstop: a hung worker must eventually lose
 //! its round, and only the wall clock can say "eventually". Quarantining
 //! those reads keeps the exemption auditable: any new wall-clock
 //! dependency has to either land in a quarantined module (and be
-//! justified in review) or trip the lint.
+//! justified in review) or fail clippy.
 //!
 //! Deadline expiry is *observable* nondeterminism by design — it is
 //! reported as [`crate::RoundTelemetry::deadline_expired`], never silently
@@ -24,6 +25,11 @@
 //! ([`Clock::Mock`]), so registration-plane deadline tests never sleep.
 //! Consumers take `TimePoint` parameters instead of reading time
 //! themselves, which keeps them out of the quarantine entirely.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock quarantine: round deadlines and the lease backstop read `Instant::now`"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -59,8 +59,16 @@
 //! as an in-process panic — never by a mere socket disconnect, so the
 //! degraded-coordination path is identical in and out of process.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod clock;
 mod engine;

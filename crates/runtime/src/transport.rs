@@ -17,12 +17,18 @@
 //! [`TransportError::Disconnected`], a slow peer as
 //! [`TransportError::Timeout`] — never a panic, never an unbounded block.
 //!
-//! Wall-clock note: this module is one of the lint's two sanctioned
-//! wall-clock quarantines (with [`crate::clock`]). Socket deadlines are
+//! Wall-clock note: this module is one of the two sanctioned wall-clock
+//! quarantines (with [`crate::clock`]), the only `runtime` modules that opt
+//! out of `clippy::disallowed_methods`. Socket deadlines are
 //! wall-clock by nature — a receive budget must keep draining across
 //! partial reads, and retry pacing is real elapsed time. Nothing here
 //! feeds round *outcomes*: timing only decides when a typed failure is
 //! reported, and lease accounting upstream is round-based.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock quarantine: socket receive deadlines and retry pacing read `Instant::now`"
+)]
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -7,8 +7,7 @@
 //! Start from [`edgeslice`] (the system) or run
 //! `cargo run --release --example quickstart`.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub use edgeslice;
 pub use edgeslice_netsim as netsim;
