@@ -51,6 +51,6 @@ mod optimizer;
 pub use activation::{sigmoid, Activation};
 pub use init::Init;
 pub use layer::{Dense, DenseGrad};
-pub use matrix::{GemmOp, Matrix, BLOCKED_MIN_ROWS, TILE_K, TILE_N};
+pub use matrix::{GemmOp, Matrix};
 pub use network::{Gradients, Mlp, RowScratch, TrainScratch};
 pub use optimizer::{mse_loss_into, Adam};

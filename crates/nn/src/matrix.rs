@@ -3,9 +3,9 @@
 //! This is deliberately a small, allocation-explicit matrix type rather than
 //! a general tensor library: everything EdgeSlice needs is 2-D (batches of
 //! states/actions flowing through fully-connected layers) and small (layer
-//! widths of 64–256), so one register-tiled, cache-blocked product over a
-//! contiguous `Vec<f32>` ([`Matrix::gemm_into`]) is both simple and fast
-//! enough to train the paper's 2×128 networks on a laptop. Single precision
+//! widths of 64–256), so one register-tiled product over a contiguous
+//! `Vec<f32>` ([`Matrix::gemm_into`]), its operands read in place, is both
+//! simple and fast enough to train the paper's 2×128 networks on a laptop. Single precision
 //! is the paper's GPU working precision; values built from `f64` callers
 //! ([`Matrix::filled`], [`Matrix::from_fn`]) are narrowed once on the way
 //! in, and the reductions ([`Matrix::sum`], [`Matrix::norm`], …) accumulate
@@ -17,21 +17,6 @@ use std::ops::{Add, Sub};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::Activation;
-
-/// Inner-dimension (`k`) tile for the cache-blocked GEMM kernels: terms per
-/// packed B panel. `TILE_K × TILE_N` f32 values are 32 KiB — sized so one
-/// panel plus the active A rows stay resident in L1/L2 while every output
-/// tile is visited.
-pub const TILE_K: usize = 128;
-
-/// Output-width (`n`) tile for the cache-blocked GEMM kernels: columns per
-/// packed B panel.
-pub const TILE_N: usize = 64;
-
-/// Length of one packed B panel (`TILE_K × TILE_N`), held in a per-thread
-/// array ([`BLOCKED_BUFFERS`]) so the blocked kernels never touch the
-/// allocator.
-const PANEL_LEN: usize = TILE_K * TILE_N;
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -257,16 +242,17 @@ impl Matrix {
     /// `op` only picks the row body. Every body computes each output element
     /// as one accumulator seeded from `+0.0` running over the contraction
     /// index ascending — the sum a naive triple loop produces, bit for bit
-    /// (the property suite holds every body to that loop by `to_bits`) —
-    /// whichever schedule the operand shape selects:
+    /// (the property suite holds every body to that loop by `to_bits`).
+    /// All three run one register tile, a group of output rows × 8 columns
+    /// against a row-major right operand, with narrower tiles for the last
+    /// columns and smaller groups for the last rows:
     ///
-    /// * `A·B` reads `B` in place in register tiles four output rows × 8
-    ///   columns at a time, narrower tiles for the last columns and 2- and
-    ///   1-row groups for the last rows;
-    /// * `Aᵀ·B` is cache-blocked, with a transpose-packed `A` block;
-    /// * `A·Bᵀ` is cache-blocked from [`BLOCKED_MIN_ROWS`] rows and 8
-    ///   columns, at any depth; below that it runs dot tiles (2×4, a 1×8
-    ///   tile on an odd last row, 8×1 for outputs under 4 columns wide).
+    /// * `A·B` reads both operands in place, four rows of `A` at a time;
+    /// * `Aᵀ·B` reads eight adjacent columns of `A` in place at each term;
+    /// * `A·Bᵀ` from 8 rows and 8 columns copies `Bᵀ` into a per-thread
+    ///   buffer once per call and runs the `A·B` tile on it; below that, or
+    ///   too deep for the buffer, it runs dot tiles (2×4, a 1×8 tile on an
+    ///   odd last row, 8×1 for outputs under 4 columns wide).
     ///
     /// The schedules only reorder *which* outputs are in flight, never the
     /// sum inside one output.
@@ -291,7 +277,7 @@ impl Matrix {
         let (a, b, out) = (&a.data, &b.data, &mut out.data);
         match op {
             GemmOp::AB => matmul_rows(a, m, k, b, n, out),
-            GemmOp::AtB => matmul_at_b_rows(a, m, k, b, n, out),
+            GemmOp::AtB => matmul_at_b_rows(a, m, b, n, out),
             GemmOp::ABt => matmul_a_bt_rows(a, m, k, b, n, out),
         }
     }
@@ -445,78 +431,102 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// The register tile every `A·B`-shaped schedule runs: `R` output rows ×
-/// `W` adjacent output columns. Row `r`'s terms are `a[r]`, `k` long;
-/// term `t`'s `W` right-operand values are `b[t * ldb + j..][..W]` — a row
-/// of `B` read in place, or one row of a packed panel sliver (`ldb = 8`,
-/// `j = 0`). Every accumulator starts from `+0.0` — or, with `RESUME`,
-/// from `out`: an `f32` load/store round-trip is exact, so chaining calls
-/// over ascending `k`-tiles reproduces one pass bit for bit — then runs
-/// over `t` ascending, the per-output term order of a naive triple loop.
-/// Row `r`'s first `w ≤ W` outputs are `out[r * ldo..][..w]`; the rest of
-/// a zero-padded panel sliver is computed and dropped. The inner step is a
+/// The register tile every product's batch path runs: `R` output rows ×
+/// `W` adjacent output columns. `terms` yields term `t`'s `R` left-operand
+/// values, `t` ascending; its `W` right-operand values are
+/// `b[t * ldb + j..][..W]` — a row of `B` read in place, of a staged `Bᵀ`
+/// or of a padded lone-row memo. Every accumulator starts from `+0.0` and
+/// runs over `t` ascending, the per-output term order of a naive triple
+/// loop, and row `r`'s `W` sums are stored whole to `out[r * ldo..][..W]`:
+/// a compile-time width, so the store is `W / 8` vector moves, not a
+/// `memcpy` call around which the accumulators spill. The inner step is a
 /// fully unrolled multiply-add of `R` broadcast terms across `W` lanes:
-/// `R × W / 8` independent 256-bit add chains: 4 at 4 × 8, 8 in a 64-wide
-/// [`lone_row_into`] pass. No term is skipped for an exact-zero `a[t]`: a
-/// branch-free inner loop is what lets the compiler vectorize it
-/// (DESIGN.md §14).
-#[inline]
-fn accumulate_tile<const R: usize, const W: usize, const RESUME: bool>(
-    a: [&[f32]; R],
+/// `R × W / 8` independent 256-bit add chains, 4 at 4 × 8, 8 at 8 × 8 and
+/// in a 64-wide [`lone_row_into`] pass. No term is skipped for an
+/// exact-zero value: a branch-free inner loop is what lets the compiler
+/// vectorize it (DESIGN.md §14). Always inlined: called out of line, the
+/// tile no longer knows that its rows are `k` long, checks every row's
+/// index at every term, and the staged 128 × 64 × 64 `A·Bᵀ` ran 1.3×
+/// slower.
+#[inline(always)]
+fn accumulate_tile<const R: usize, const W: usize>(
+    terms: impl Iterator<Item = [f32; R]>,
     b: &[f32],
     ldb: usize,
     j: usize,
     out: &mut [f32],
     ldo: usize,
-    w: usize,
 ) {
     let mut acc = [[0.0f32; W]; R];
-    if RESUME {
-        for (r, acc) in acc.iter_mut().enumerate() {
-            acc[..w].copy_from_slice(&out[r * ldo..][..w]);
-        }
-    }
-    let k = a[0].len();
-    let a = a.map(|row| &row[..k]);
     assert!(j + W <= ldb, "tile past the end of its row");
-    // Row 0's terms come from its iterator, so a lone row's loop carries no
-    // bounds check: indexed, it ran the 64 → 15 decide layer ≈ 1.4× slower.
-    for ((t, b_row), &x0) in b.chunks_exact(ldb).enumerate().zip(a[0]) {
+    for (b_row, x) in b.chunks_exact(ldb).zip(terms) {
         let b_t = &b_row[j..j + W];
-        for (r, acc) in acc.iter_mut().enumerate() {
-            let x = if r == 0 { x0 } else { a[r][t] };
+        for (acc, x) in acc.iter_mut().zip(x) {
             for (o, &bv) in acc.iter_mut().zip(b_t) {
                 *o += x * bv;
             }
         }
     }
     for (r, acc) in acc.iter().enumerate() {
-        out[r * ldo..][..w].copy_from_slice(&acc[..w]);
+        out[r * ldo..][..W].copy_from_slice(acc);
     }
 }
 
-/// `R` output rows of `A·B` against `b` (`k × n`) read in place, each
-/// seeded from `+0.0`: [`accumulate_tile`]s 8 columns wide, then at most
-/// one each of 4, 2 and 1 — fixed widths, because a variable-width tail
-/// loop cost the 64 → 15 output layer all of its gain. `out` starts at the
-/// group's first output row.
+/// The terms of `R` rows of `A` read in place: row `r`'s are `a[r]`. Row
+/// 0's come from its iterator, so a lone row's loop carries no bounds
+/// check: indexed, it ran the 64 → 15 decide layer ≈ 1.4× slower.
 #[inline]
-fn accumulate_rows<const R: usize>(a: [&[f32]; R], b: &[f32], n: usize, out: &mut [f32]) {
+fn row_terms<'a, const R: usize>(a: [&'a [f32]; R]) -> impl Iterator<Item = [f32; R]> + 'a {
+    let k = a[0].len();
+    let a = a.map(|row| &row[..k]);
+    a[0].iter()
+        .enumerate()
+        .map(move |(t, &x0)| std::array::from_fn(|r| if r == 0 { x0 } else { a[r][t] }))
+}
+
+/// The terms of `R` adjacent columns of `a` (row-major, `lda` wide) from
+/// column `i`, read in place: term `t` is one contiguous `R`-float load
+/// from row `t`.
+#[inline]
+fn column_terms<'a, const R: usize>(
+    a: &'a [f32],
+    lda: usize,
+    i: usize,
+) -> impl Iterator<Item = [f32; R]> + 'a {
+    a.chunks_exact(lda).map(move |row| {
+        let x = &row[i..i + R];
+        std::array::from_fn(|r| x[r])
+    })
+}
+
+/// `R` output rows of a product against `b` (`k × n`) read in place:
+/// [`accumulate_tile`]s 8 columns wide, then at most one each of 4, 2 and
+/// 1 — fixed widths, because a variable-width tail loop cost the 64 → 15
+/// output layer all of its gain. Each tile takes a fresh pass over the
+/// group's terms from `terms()`; `out` starts at the group's first output
+/// row.
+#[inline]
+fn accumulate_rows<const R: usize, T: Iterator<Item = [f32; R]>>(
+    terms: impl Fn() -> T,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     let mut j = 0;
     while j + 8 <= n {
-        accumulate_tile::<R, 8, false>(a, b, n, j, &mut out[j..], n, 8);
+        accumulate_tile::<R, 8>(terms(), b, n, j, &mut out[j..], n);
         j += 8;
     }
     if j + 4 <= n {
-        accumulate_tile::<R, 4, false>(a, b, n, j, &mut out[j..], n, 4);
+        accumulate_tile::<R, 4>(terms(), b, n, j, &mut out[j..], n);
         j += 4;
     }
     if j + 2 <= n {
-        accumulate_tile::<R, 2, false>(a, b, n, j, &mut out[j..], n, 2);
+        accumulate_tile::<R, 2>(terms(), b, n, j, &mut out[j..], n);
         j += 2;
     }
     if j < n {
-        accumulate_tile::<R, 1, false>(a, b, n, j, &mut out[j..], n, 1);
+        accumulate_tile::<R, 1>(terms(), b, n, j, &mut out[j..], n);
     }
 }
 
@@ -539,160 +549,104 @@ pub(crate) fn lone_row_into(x: &[f32], wt: &Matrix, b: &[f32], act: Activation, 
     let (w, ld) = (&wt.data[..], wt.cols);
     for (j, y) in (0..).step_by(64).zip(y.chunks_mut(64)) {
         let mut acc = [0.0f32; 64];
+        let x = row_terms([x]);
         match ld - j {
-            64.. => accumulate_tile::<1, 64, false>([x], w, ld, j, &mut acc, 64, 64),
-            32 => accumulate_tile::<1, 32, false>([x], w, ld, j, &mut acc, 64, 32),
-            16 => accumulate_tile::<1, 16, false>([x], w, ld, j, &mut acc, 64, 16),
-            _ => accumulate_tile::<1, 8, false>([x], w, ld, j, &mut acc, 64, 8),
+            64.. => accumulate_tile::<1, 64>(x, w, ld, j, &mut acc, 64),
+            32 => accumulate_tile::<1, 32>(x, w, ld, j, &mut acc, 64),
+            16 => accumulate_tile::<1, 16>(x, w, ld, j, &mut acc, 64),
+            _ => accumulate_tile::<1, 8>(x, w, ld, j, &mut acc, 64),
         }
         act.eval_into(acc.iter().zip(&b[j..]).map(|(&z, &b)| z + b), y);
     }
 }
 
-/// Packs the `kc × nc` sub-panel of row-major `b` (terms `kt..kt+kc`,
-/// columns `jt..jt+nc`) into `panel`, sliver-major: 8-wide column slivers
-/// laid out term-contiguous, the last one zero-padded to 8, so
-/// [`accumulate_panel`] reads the panel strictly forward in 64-byte lines
-/// and runs every sliver at one compile-time width.
-#[inline]
-fn pack_b_panel(
-    b: &[f32],
-    n: usize,
-    kt: usize,
-    kc: usize,
-    jt: usize,
-    nc: usize,
-    panel: &mut [f32],
-) {
-    let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
-    for (s, sliver) in slivers.enumerate() {
-        let w = (nc - s * 8).min(8);
-        if w < 8 {
-            sliver.fill(0.0);
-        }
-        let src_rows = b[kt * n + jt + s * 8..].chunks(n);
-        for (dst, src) in sliver.chunks_exact_mut(8).zip(src_rows) {
-            // A fixed-length copy is two vector moves, a `w`-long one a
-            // `memcpy` call.
-            if w == 8 {
-                dst.copy_from_slice(&src[..8]);
-            } else {
-                dst[..w].copy_from_slice(&src[..w]);
-            }
-        }
-    }
-}
-
-/// [`pack_b_panel`]'s transposed sibling for `A·Bᵀ`: packs the
-/// `kc × nc` sub-panel of `bᵀ` (terms `kt..kt+kc` of B rows
-/// `jt..jt+nc`) into the same zero-padded sliver-major layout. Reads of
-/// `b` stay row-contiguous (one B row per output column); the transpose
-/// happens in the strided panel *writes*, paid once per tile and
-/// amortized over every A row that reuses the panel.
-#[inline]
-fn pack_bt_panel(
-    b: &[f32],
-    k: usize,
-    kt: usize,
-    kc: usize,
-    jt: usize,
-    nc: usize,
-    panel: &mut [f32],
-) {
-    let slivers = panel.chunks_exact_mut(kc * 8).take(nc.div_ceil(8));
-    for (s, sliver) in slivers.enumerate() {
-        let w = (nc - s * 8).min(8);
-        if w < 8 {
-            sliver.fill(0.0);
-        }
-        for c in 0..w {
-            let src = (jt + s * 8 + c) * k + kt;
-            for (t, &v) in b[src..src + kc].iter().enumerate() {
-                sliver[t * 8 + c] = v;
-            }
-        }
-    }
-}
-
-/// `R` output rows against a packed panel `nc` columns wide: one
-/// [`accumulate_tile`] per 8-wide sliver into `out` (`n`-strided, starting
-/// at the group's first output of the tile), seeded from `+0.0` on the
-/// first `k`-tile and resuming partial sums from `out` on later ones. `a`
-/// are contiguous term slices — an A row for `A·Bᵀ`, a transpose-packed A
-/// column for `Aᵀ·B`.
-#[inline]
-fn accumulate_panel<const R: usize>(
-    a: [&[f32]; R],
-    panel: &[f32],
-    nc: usize,
-    out: &mut [f32],
-    n: usize,
-    resume: bool,
-) {
-    let kc = a[0].len();
-    for (s, sliver) in panel.chunks_exact(kc * 8).take(nc.div_ceil(8)).enumerate() {
-        let (w, out) = ((nc - s * 8).min(8), &mut out[s * 8..]);
-        if resume {
-            accumulate_tile::<R, 8, true>(a, sliver, 8, 0, out, n, w);
-        } else {
-            accumulate_tile::<R, 8, false>(a, sliver, 8, 0, out, n, w);
-        }
-    }
-}
-
 /// `A·B` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `k × n` and
-/// `out` is `m × n`, all row-major: [`accumulate_rows`] four output rows at
-/// a time, reading `b` in place. `A·B` has no blocked schedule: at every
-/// measured shape, training's input gradients and the paper's 128-wide
-/// layers included, packing `b` cost more than it saved (DESIGN.md §14).
+/// `out` is `m × n`, all row-major: [`accumulate_rows`] four rows of `a`
+/// at a time, then at most one pair and one single row, reading both
+/// operands in place.
 fn matmul_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let rows = |i: usize| -> &[f32] { &a[i * k..(i + 1) * k] };
     let mut i = 0;
     while i + 4 <= m {
-        let group = std::array::from_fn(|r| rows(i + r));
-        accumulate_rows::<4>(group, b, n, &mut out[i * n..]);
+        let group: [_; 4] = std::array::from_fn(|r| rows(i + r));
+        accumulate_rows(move || row_terms(group), b, n, &mut out[i * n..]);
         i += 4;
     }
     if i + 2 <= m {
-        accumulate_rows::<2>([rows(i), rows(i + 1)], b, n, &mut out[i * n..]);
+        let pair = [rows(i), rows(i + 1)];
+        accumulate_rows(move || row_terms(pair), b, n, &mut out[i * n..]);
         i += 2;
     }
     if i < m {
-        accumulate_rows::<1>([rows(i)], b, n, &mut out[i * n..]);
+        accumulate_rows(move || row_terms([rows(i)]), b, n, &mut out[i * n..]);
     }
 }
 
-/// `Aᵀ·B` under [`Matrix::gemm_into`]: `a` is `r × m` and `b` is `r × n`,
-/// row-major; output row `i` is column `i` of `a` against `b`. Always the
-/// blocked schedule: each block of output rows is a block of `a` columns,
-/// transpose-packed once per tile so the tiles read their terms forward.
-fn matmul_at_b_rows(a: &[f32], m: usize, r: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let pack = |kt, kc, jt, nc, panel: &mut [f32]| pack_b_panel(b, n, kt, kc, jt, nc, panel);
-    matmul_rows_blocked::<true>(pack, a, m, r, m, n, out);
+/// `Aᵀ·B` under [`Matrix::gemm_into`]: `a` is `k × m` and `b` is `k × n`,
+/// row-major; output row `i` is column `i` of `a` against `b`. The `A·B`
+/// schedule with its terms read down eight adjacent columns of `a` at a
+/// time ([`column_terms`]), then at most one group of four, one pair and
+/// one single column: nothing is packed. Eight, where `A·B` groups four
+/// rows: each term is then one 32-byte load of `a`, and a group's pass
+/// over `b` serves twice the outputs — at batch 512 (`k = 512`) the
+/// operands outgrow L1, and four columns ran 128 × 512 × 128 slower than
+/// the cache-blocked kernels this replaced (DESIGN.md §14). Kept out of
+/// line: inlined, its tiles grew the `gemm_into` body around `A·B`, and
+/// the one-deep 128 × 1 × 64 `A·B` read 0.65 → 0.69 µs.
+#[inline(never)]
+fn matmul_at_b_rows(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let mut i = 0;
+    while i + 8 <= m {
+        accumulate_rows(move || column_terms::<8>(a, m, i), b, n, &mut out[i * n..]);
+        i += 8;
+    }
+    while i + 4 <= m {
+        accumulate_rows(move || column_terms::<4>(a, m, i), b, n, &mut out[i * n..]);
+        i += 4;
+    }
+    if i + 2 <= m {
+        accumulate_rows(move || column_terms::<2>(a, m, i), b, n, &mut out[i * n..]);
+        i += 2;
+    }
+    if i < m {
+        accumulate_rows(move || column_terms::<1>(a, m, i), b, n, &mut out[i * n..]);
+    }
 }
 
-/// Fewest rows of `A` for which `A·Bᵀ` takes the cache-blocked schedule.
-/// Every blocked call packs each `Bᵀ` tile into a panel once — a fixed
-/// cost worth a few rows of multiply-adds, repaid only when several rows
-/// reuse the packed panel (DESIGN.md §14). Below it the dot tiles read `B`
-/// in place.
-pub const BLOCKED_MIN_ROWS: usize = 8;
+/// Fewest rows of `A` for which `A·Bᵀ` stages `Bᵀ`. Staging is one pass
+/// over `B` per call, repaid only when several rows reuse it (DESIGN.md
+/// §14); below it the dot tiles read `B` in place.
+const STAGED_MIN_ROWS: usize = 8;
+
+/// Floats in a thread's `Bᵀ` staging buffer, 32 KiB: a chunk holds as many
+/// whole 8-column slivers as fit `k` rows, so depths up to `STAGE_LEN / 8`
+/// fit at least one.
+const STAGE_LEN: usize = 8192;
+
+thread_local! {
+    /// The staged `Bᵀ` of this thread's `A·Bᵀ` calls. `const`-initialised
+    /// and without a destructor, so it lives in the thread's static TLS
+    /// block (zeroed once when the thread starts): no allocation, no
+    /// registration on first use. Each call writes every element its tiles
+    /// read, the padding of a short last sliver included, so a previous
+    /// call's leftovers never reach an output.
+    static STAGE: std::cell::RefCell<[f32; STAGE_LEN]> =
+        const { std::cell::RefCell::new([0.0; STAGE_LEN]) };
+}
 
 /// `A·Bᵀ` under [`Matrix::gemm_into`]: `a` is `m × k`, `b` is `n × k` and
 /// `out` is `m × n`, all row-major. Every output is one accumulator over
 /// `k` ascending.
 ///
-/// From [`BLOCKED_MIN_ROWS`] rows and one full sliver (8 columns) of
-/// output, at any depth, it takes the blocked schedule: once its panel
-/// holds `bᵀ` ([`pack_bt_panel`]), `A·Bᵀ` *is* `A·B'`, and the 4×8 tile
-/// runs across outputs at full vector width where a dot product cannot.
-/// Below that, row pairs run a 2×4 dot tile (eight independent
-/// accumulator chains hide the floating-point add latency of a single
-/// dot product) and an odd last row a 1×8 dot tile.
+/// From [`STAGED_MIN_ROWS`] rows and one full sliver (8 columns) of
+/// output, at depths 1 to `STAGE_LEN / 8`, it stages `Bᵀ` and runs the
+/// `A·B` tile on it ([`matmul_a_bt_staged`]). Otherwise row pairs run a
+/// 2×4 dot tile (eight independent accumulator chains hide the
+/// floating-point add latency of a single dot product), an odd last row a
+/// 1×8 dot tile, and outputs under 4 columns wide an 8×1 one.
 fn matmul_a_bt_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if m >= BLOCKED_MIN_ROWS && n >= 8 {
-        let pack = |kt, kc, jt, nc, panel: &mut [f32]| pack_bt_panel(b, k, kt, kc, jt, nc, panel);
-        matmul_rows_blocked::<false>(pack, a, k, k, m, n, out);
+    if m >= STAGED_MIN_ROWS && n >= 8 && (1..=STAGE_LEN / 8).contains(&k) {
+        matmul_a_bt_staged(a, m, k, b, n, out);
         return;
     }
     let mut i = 0;
@@ -775,113 +729,88 @@ fn dot_tile<const W: usize>(a0: &[f32], b_rows: &[f32]) -> [f32; W] {
     acc
 }
 
-/// Rows of the left operand staged together by [`matmul_rows_blocked`]. For
-/// `Aᵀ·B` it is the column count of the transpose-packed A block: eight
-/// columns of `a` re-laid term-contiguous (4 KiB) so the tiles read their
-/// `a` operands forward instead of striding across `a`'s full width per
-/// term.
-const AT_B_IBLOCK: usize = 8;
-
-/// The blocked schedule's working set: a packed `B` panel and a
-/// transpose-packed `A` block.
-type BlockedBuffers = ([f32; PANEL_LEN], [f32; TILE_K * AT_B_IBLOCK]);
-
-thread_local! {
-    /// One [`BlockedBuffers`] per thread, reused by every blocked call on
-    /// it. `const`-initialised and without a destructor, so it lives in the
-    /// thread's static TLS block (36 KiB, zeroed once when the thread
-    /// starts): no allocation, no registration on first use. Nothing is
-    /// read before it is written — every panel element (padding included)
-    /// and block element a tile reads was written by the same call's
-    /// packing — so a previous call's leftovers never reach an output and
-    /// the buffers need no zero-fill.
-    static BLOCKED_BUFFERS: std::cell::RefCell<BlockedBuffers> =
-        const { std::cell::RefCell::new(([0.0; PANEL_LEN], [0.0; TILE_K * AT_B_IBLOCK])) };
-}
-
-/// The cache-blocked schedule of `Aᵀ·B` and `A·Bᵀ`: computes the `m × n`
-/// output `out` over `terms` contraction terms. Per `k`/`n` tile,
-/// `pack_panel(kt, kc, jt, nc, panel)` lays the right operand's sub-block
-/// out sliver-major ([`pack_b_panel`], or [`pack_bt_panel`] for `A·Bᵀ`) and
-/// [`accumulate_panel`] runs over it four output rows at a time (then at
-/// most one pair and one single row), resuming partial sums from `out`
-/// between `k`-tiles. `k`-tiles ascend and packing only copies operands,
-/// so each output element still accumulates its terms in ascending order
-/// from `+0.0` — bit for bit what the unblocked bodies compute,
-/// regardless of tile or block boundaries.
-///
-/// `a` has row stride `lda`. With `A_COLS` unset an output row's terms are
-/// a row of `a`, read in place (`A·Bᵀ`); with it set they are a
-/// *column* of `a` (`Aᵀ·B`), and each block of [`AT_B_IBLOCK`] columns is
-/// transpose-packed per tile first.
-///
-/// The panel and the `A` block are this thread's [`BLOCKED_BUFFERS`]. Kept
-/// out of line so the register paths — the one-row policy forward of every
-/// agent step above all — do not carry the blocked schedule's frame on
-/// every call.
+/// The staged `A·Bᵀ`: `Bᵀ` is `A·B`'s right operand. Per chunk of output
+/// columns — as many whole 8-column slivers as [`STAGE`] holds `k` rows
+/// of — it writes that chunk of `Bᵀ` into the buffer row-major, each row
+/// zero-padded to a whole sliver, then runs four rows of `a` at a time
+/// (then at most one pair and one single row) across its slivers
+/// ([`accumulate_slivers`]), reading `a` in place. Staging only copies
+/// `b`, so each output is still the one chain over `k` ascending. Kept out
+/// of line, so that the buffer's access and its tiles stay out of the
+/// `gemm_into` body every one-row batch forward enters.
 #[inline(never)]
-fn matmul_rows_blocked<const A_COLS: bool>(
-    pack_panel: impl Fn(usize, usize, usize, usize, &mut [f32]),
-    a: &[f32],
-    lda: usize,
-    terms: usize,
-    m: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    BLOCKED_BUFFERS.with_borrow_mut(|(panel, ablock)| {
-        if terms == 0 {
-            out.fill(0.0);
-        }
-        let mut kt = 0;
-        while kt < terms {
-            let kc = (terms - kt).min(TILE_K);
-            let mut jt = 0;
-            while jt < n {
-                let nc = (n - jt).min(TILE_N);
-                pack_panel(kt, kc, jt, nc, panel);
-                let mut ib = 0;
-                while ib < m {
-                    let bc = (m - ib).min(AT_B_IBLOCK);
-                    // `lhs[c * stride..][..kc]` holds this tile's terms of
-                    // output row `ib + c`.
-                    let (lhs, stride): (&[f32], usize) = if A_COLS {
-                        for t in 0..kc {
-                            let src = (kt + t) * lda + ib;
-                            for (c, &v) in a[src..src + bc].iter().enumerate() {
-                                ablock[c * kc + t] = v;
-                            }
-                        }
-                        (&ablock[..], kc)
-                    } else {
-                        (&a[ib * lda + kt..], lda)
-                    };
-                    let rows = |c: usize| -> &[f32] { &lhs[c * stride..][..kc] };
-                    let (panel, resume) = (&panel[..], kt > 0);
-                    let mut rr = 0;
-                    while rr + 4 <= bc {
-                        let group = std::array::from_fn(|r| rows(rr + r));
-                        let out = &mut out[(ib + rr) * n + jt..];
-                        accumulate_panel::<4>(group, panel, nc, out, n, resume);
-                        rr += 4;
-                    }
-                    if rr + 2 <= bc {
-                        let (pair, out) =
-                            ([rows(rr), rows(rr + 1)], &mut out[(ib + rr) * n + jt..]);
-                        accumulate_panel::<2>(pair, panel, nc, out, n, resume);
-                        rr += 2;
-                    }
-                    if rr < bc {
-                        let out = &mut out[(ib + rr) * n + jt..];
-                        accumulate_panel::<1>([rows(rr)], panel, nc, out, n, resume);
-                    }
-                    ib += bc;
+fn matmul_a_bt_staged(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let width = STAGE_LEN / k / 8 * 8;
+    let rows = |i: usize| -> &[f32] { &a[i * k..(i + 1) * k] };
+    STAGE.with_borrow_mut(|stage| {
+        for jc in (0..n).step_by(width) {
+            let nc = (n - jc).min(width);
+            let ld = nc.next_multiple_of(8);
+            let bt = &mut stage[..k * ld];
+            // Eight rows of `b` at a time fill one sliver, a contiguous
+            // 8-float store per term; the last sliver's few rows are
+            // copied one term at a time beside their zero padding.
+            let full = nc / 8 * 8;
+            for (s, src) in b[jc * k..][..full * k].chunks_exact(8 * k).enumerate() {
+                let src: [&[f32]; 8] = std::array::from_fn(|c| &src[c * k..][..k]);
+                for (t, row) in (0..k).zip(bt.chunks_exact_mut(ld)) {
+                    let terms: [f32; 8] = std::array::from_fn(|c| src[c][t]);
+                    row[s * 8..][..8].copy_from_slice(&terms);
                 }
-                jt += nc;
             }
-            kt += kc;
+            for (t, row) in bt.chunks_exact_mut(ld).enumerate() {
+                let (cols, pad) = row[full..].split_at_mut(nc - full);
+                for (c, o) in cols.iter_mut().enumerate() {
+                    *o = b[(jc + full + c) * k + t];
+                }
+                pad.fill(0.0);
+            }
+            let (bt, out) = (&bt[..], &mut out[jc..]);
+            let mut i = 0;
+            while i + 4 <= m {
+                let group: [_; 4] = std::array::from_fn(|r| rows(i + r));
+                accumulate_slivers(move || row_terms(group), bt, ld, nc, &mut out[i * n..], n);
+                i += 4;
+            }
+            if i + 2 <= m {
+                let pair = [rows(i), rows(i + 1)];
+                accumulate_slivers(move || row_terms(pair), bt, ld, nc, &mut out[i * n..], n);
+                i += 2;
+            }
+            if i < m {
+                let row = [rows(i)];
+                accumulate_slivers(move || row_terms(row), bt, ld, nc, &mut out[i * n..], n);
+            }
         }
     });
+}
+
+/// `R` output rows against a staged chunk `bt` of `nc` columns, its rows
+/// zero-padded to `ld`: one 8-wide [`accumulate_tile`] per sliver into
+/// `out` (`n`-strided, starting at the group's first output of the chunk).
+/// A padded last sliver runs the same tile into a stack tile, and only its
+/// real columns reach `out`.
+#[inline]
+fn accumulate_slivers<const R: usize, T: Iterator<Item = [f32; R]>>(
+    terms: impl Fn() -> T,
+    bt: &[f32],
+    ld: usize,
+    nc: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    let mut j = 0;
+    while j + 8 <= nc {
+        accumulate_tile::<R, 8>(terms(), bt, ld, j, &mut out[j..], n);
+        j += 8;
+    }
+    if j < nc {
+        let mut tail = [[0.0f32; 8]; R];
+        accumulate_tile::<R, 8>(terms(), bt, ld, j, tail.as_flattened_mut(), 8);
+        for (r, tail) in tail.iter().enumerate() {
+            out[r * n + j..][..nc - j].copy_from_slice(&tail[..nc - j]);
+        }
+    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -3,14 +3,13 @@
 //! The three matrix products have one reference, [`naive`]: a triple loop
 //! with a single `f32` accumulator per output, seeded from `+0.0`, running
 //! over the contraction index ascending. [`Matrix::gemm_into`] — every row
-//! body, both schedules — is held to it by `to_bits`,
+//! body: the register tiles and the dot tiles — is held to it by `to_bits`,
 //! on operands that carry exact `±0.0`, a subnormal and large magnitudes
 //! (the values under which a skipped term, a re-seeded accumulator or a
 //! reordered sum would show).
 
 use edgeslice_nn::{
     Activation, Adam, Dense, DenseGrad, GemmOp, Gradients, Matrix, Mlp, RowScratch, TrainScratch,
-    BLOCKED_MIN_ROWS, TILE_K, TILE_N,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -202,43 +201,22 @@ proptest! {
 }
 
 /// Every product on every side of every dispatch term and tile edge: output
-/// rows at every remainder of the 4-row groups (4, 2 and 1 rows) inside
-/// one 8-row block of the cache-blocked driver and across it, and around
-/// [`BLOCKED_MIN_ROWS`] (one row is the batch forward on one row); widths
-/// around the `A·B` tiles' 8/4/2/1 widths and every combination of their
-/// tails, the 4- and 8-wide register tiles, the
-/// `A·Bᵀ` 8-column cutover and [`TILE_N`]; depths around empty (1–3 reach
-/// the blocked `A·Bᵀ`, which takes any depth), 32 and [`TILE_K`]. The
-/// largest of each crosses two full tiles with a ragged tail, so the
-/// blocked driver's partial `k`-tiles, partial `n`-tiles and zero-padded
-/// tail slivers are all reached through the shapes that select it.
+/// rows at every remainder of the 8-, 4- and 2-row groups and around the
+/// 8 rows from which `A·Bᵀ` stages `Bᵀ` (one row is the batch forward on
+/// one row); widths around the tiles' 8/4/2/1 widths and every combination
+/// of their tails, the `A·Bᵀ` 8-column cutover and its zero-padded last
+/// sliver, and 64; depths around empty (1–3 reach the staged `A·Bᵀ`,
+/// which takes any depth that fits its buffer), 32 and 128. At 129 and
+/// 261 a staged chunk holds fewer columns than the widest outputs, so
+/// those calls stage several chunks.
 #[test]
 fn dispatch_bit_identical_to_naive_around_every_threshold() {
     let mut rng = StdRng::seed_from_u64(1717);
-    let (t, tn, tk) = (BLOCKED_MIN_ROWS, TILE_N, TILE_K);
-    let rows = [1, 2, 3, 4, 5, 6, t - 1, t, t + 1, 10, 11, 12, 13, 16, 17];
+    let rows = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17];
     let widths = [
-        1,
-        2,
-        3,
-        4,
-        5,
-        6,
-        7,
-        8,
-        9,
-        15,
-        16,
-        17,
-        31,
-        32,
-        33,
-        tn - 1,
-        tn,
-        tn + 1,
-        2 * tn + 13,
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 141,
     ];
-    let depths = [0, 1, 2, 3, 31, 32, 33, tk - 1, tk, tk + 1, 2 * tk + 5];
+    let depths = [0, 1, 2, 3, 31, 32, 33, 127, 128, 129, 261];
     let mut out = Matrix::zeros(1, 1);
     for op in OPS {
         for m in rows {
@@ -247,6 +225,43 @@ fn dispatch_bit_identical_to_naive_around_every_threshold() {
                     let (a, b) = rand_operands(&mut rng, op, m, k, n);
                     assert_gemm_is_naive(op, &a, &b, &mut out, &format!("{m}x{k}x{n}"));
                 }
+            }
+        }
+    }
+}
+
+/// `A·Bᵀ` from 8 rows stages `Bᵀ` in a 8 192-float buffer, one chunk of
+/// whole 8-column slivers at a time: at depth 512 a chunk holds 16
+/// columns, so every width past 16 stages two chunks or more, and a
+/// ragged width pads the last chunk's last sliver; at 1 024 a chunk is one
+/// sliver; at 1 025 not even one fits and the dot tiles take over.
+#[test]
+fn staged_a_bt_bit_identical_to_naive_across_chunks() {
+    let mut rng = StdRng::seed_from_u64(1818);
+    let mut out = Matrix::zeros(1, 1);
+    for m in [8, 9, 10, 11, 13] {
+        for n in [8, 15, 16, 17, 23, 24, 33, 41] {
+            for k in [512, 1024, 1025] {
+                let (a, b) = rand_operands(&mut rng, GemmOp::ABt, m, k, n);
+                assert_gemm_is_naive(GemmOp::ABt, &a, &b, &mut out, &format!("{m}x{k}x{n}"));
+            }
+        }
+    }
+}
+
+/// `Aᵀ·B` reads its terms down adjacent columns of `A` in place, eight
+/// output rows at a time, then at most one group of 4, 2 and 1: every
+/// output-row remainder of those groups, crossed with every combination
+/// of the 8/4/2/1-wide column tiles, at depths 0–3 and 512.
+#[test]
+fn at_b_row_remainders_bit_identical_to_naive() {
+    let mut rng = StdRng::seed_from_u64(1919);
+    let mut out = Matrix::zeros(1, 1);
+    for m in 1..=19 {
+        for n in 1..=16 {
+            for k in [0, 1, 2, 3, 512] {
+                let (a, b) = rand_operands(&mut rng, GemmOp::AtB, m, k, n);
+                assert_gemm_is_naive(GemmOp::AtB, &a, &b, &mut out, &format!("{m}x{k}x{n}"));
             }
         }
     }
@@ -293,8 +308,8 @@ fn training_layer_shapes_bit_identical_to_naive() {
 /// row 0 of the batch `forward` on the narrowed rows (the training pass's
 /// `forward_scratch`, `A·Bᵀ` against `W`, at three rows), bit for bit, with
 /// every activation in the
-/// hidden and in the output position, on a narrow net and on one whose
-/// layers cross the blocked schedule's depth and width thresholds.
+/// hidden and in the output position, on a narrow net and on the paper
+/// actor's shape.
 #[test]
 fn forward_one_bit_identical_to_row_zero_of_forward_for_every_activation() {
     let mut rng = StdRng::seed_from_u64(2929);
@@ -369,7 +384,7 @@ fn textbook_grads(net: &Mlp, x: &Matrix, d_output: &Matrix) -> Vec<DenseGrad> {
 /// [`TrainScratch::weight_grads`] — at every split point — against
 /// `backward_scratch`, and both against [`textbook_grads`]: every gradient
 /// by `to_bits`. Batch 1, an odd batch and 128 rows (tall enough for the
-/// cache-blocked products), through networks of 2, 3 and 4 layers, one
+/// staged `A·Bᵀ`), through networks of 2, 3 and 4 layers, one
 /// with tanh hidden layers, whose deltas read the recorded outputs.
 #[test]
 fn split_backward_bit_identical_to_backward_scratch() {

@@ -119,14 +119,16 @@ fn ddpg_update_is_allocation_free_at_steady_state() {
 }
 
 #[test]
-fn blocked_kernels_are_allocation_free() {
-    use edgeslice_nn::{GemmOp, Matrix, TILE_K, TILE_N};
+fn batch_kernels_are_allocation_free() {
+    use edgeslice_nn::{GemmOp, Matrix};
 
     let mut rng = StdRng::seed_from_u64(13);
 
-    // Shapes past TILE_K/TILE_N so every product dispatches to the
-    // cache-blocked schedule (the packed B panel lives on the stack).
-    let (m, k, n) = (8, TILE_K + 5, TILE_N + 3);
+    // Eight rows, so `A·Bᵀ` stages `Bᵀ` in its per-thread buffer: 133 deep,
+    // a chunk holds 56 of the 67 columns, so each call stages two chunks,
+    // the second padded to a whole sliver. `A·B` and `Aᵀ·B` run the same
+    // register tile in place, through every column-tail width.
+    let (m, k, n) = (8, 133, 67);
     let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0f64..1.0));
     let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f64..1.0));
     let at = Matrix::from_fn(k, m, |_, _| rng.gen_range(-1.0f64..1.0));
@@ -150,7 +152,7 @@ fn blocked_kernels_are_allocation_free() {
     });
     assert_eq!(
         allocations, 0,
-        "steady-state blocked kernels performed {allocations} heap allocations"
+        "steady-state batch kernels performed {allocations} heap allocations"
     );
 }
 
