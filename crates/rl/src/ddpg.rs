@@ -28,6 +28,7 @@
 //! both placements, so the two are bit-identical.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use edgeslice_nn::{mse_loss_into, Adam, DenseGrad, Matrix, Mlp, TrainScratch};
@@ -366,16 +367,36 @@ impl Packet {
     }
 }
 
+/// How many times a waiter polls [`Handoff::seq`], yielding its CPU after
+/// each poll, before it parks. A yield rather than a busy spin: pinned to
+/// one CPU, a yield hands the core to the side being waited for, where a
+/// spin burns the rest of its time slice first.
+const YIELD_ROUNDS: u32 = 100;
+
 /// The one hand-off point between the caller and the lane: the slot the
-/// packet crosses in, and the condition variable a side waits on for its
-/// turn. Each side holds an [`End`]; dropping one — at hang-up, or while
-/// unwinding from a panic — closes the slot, so the other side's next wait
-/// or hand-off fails instead of blocking forever. A mutex and a condition
-/// variable rather than a channel: a blocking channel operation allocates
-/// on a thread's first use, and the lane allocates nothing.
+/// packet crosses in. A side waiting for its turn polls the slot's sequence
+/// number, yielding between polls, and parks on the condition variable only
+/// after [`YIELD_ROUNDS`] polls; a put notifies only a parked side. The put
+/// and the parked count are both read and written under the slot's lock, so
+/// no wake-up is lost. Each side holds an [`End`]; dropping one — at
+/// hang-up, or while unwinding from a panic — closes the slot, so the other
+/// side's next wait or hand-off fails instead of blocking forever. A mutex
+/// and a condition variable rather than a channel: a blocking channel
+/// operation allocates on a thread's first use, and the lane allocates
+/// nothing.
 struct Handoff {
-    slot: Mutex<Slot>,
+    /// Bumped, under the lock, by every put and by the close.
+    seq: AtomicU64,
+    state: Mutex<State>,
     turn: Condvar,
+}
+
+/// What the [`Handoff`]'s lock guards.
+struct State {
+    slot: Slot,
+    /// Waiters between parking on [`Handoff::turn`] and taking the lock
+    /// back.
+    parked: u32,
 }
 
 /// What the [`Handoff`] holds.
@@ -398,43 +419,68 @@ struct LaneDown;
 impl Handoff {
     fn new() -> Self {
         Self {
-            slot: Mutex::new(Slot::Empty),
+            seq: AtomicU64::new(0),
+            state: Mutex::new(State {
+                slot: Slot::Empty,
+                parked: 0,
+            }),
             turn: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Slot> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         // Nothing panics under the lock, and a poisoned one still guards a
         // whole slot.
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Leaves `next` in the slot for the other side.
+    /// Leaves `next` in the slot for the other side, waking it if it has
+    /// parked.
     fn put(&self, next: Slot) -> Result<(), LaneDown> {
-        let mut slot = self.lock();
-        if matches!(*slot, Slot::Closed) {
+        let mut state = self.lock();
+        if matches!(state.slot, Slot::Closed) {
             return Err(LaneDown);
         }
-        *slot = next;
-        self.turn.notify_one();
+        state.slot = next;
+        self.seq.fetch_add(1, Ordering::Release);
+        if state.parked > 0 {
+            self.turn.notify_one();
+        }
         Ok(())
     }
 
     /// Waits for a job (`for_lane`) or a finished one; `None` once a side
     /// has gone.
     fn wait(&self, for_lane: bool) -> Option<Packet> {
-        let mut slot = self.lock();
+        let mut polls = YIELD_ROUNDS;
+        let mut state = self.lock();
         loop {
-            match std::mem::replace(&mut *slot, Slot::Empty) {
+            match std::mem::replace(&mut state.slot, Slot::Empty) {
                 Slot::Job(p) if for_lane => return Some(p),
                 Slot::Done(p) if !for_lane => return Some(p),
                 Slot::Closed => {
-                    *slot = Slot::Closed;
+                    state.slot = Slot::Closed;
                     return None;
                 }
-                other => *slot = other,
+                other => state.slot = other,
             }
-            slot = self.turn.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            if polls > 0 {
+                // Read under the lock: any later put moves it.
+                let seen = self.seq.load(Ordering::Relaxed);
+                drop(state);
+                while polls > 0 && self.seq.load(Ordering::Acquire) == seen {
+                    polls -= 1;
+                    std::thread::yield_now();
+                }
+                state = self.lock();
+            } else {
+                state.parked += 1;
+                state = self
+                    .turn
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.parked -= 1;
+            }
         }
     }
 }
@@ -456,7 +502,8 @@ impl End<'_> {
 
 impl Drop for End<'_> {
     fn drop(&mut self) {
-        *self.0.lock() = Slot::Closed;
+        self.0.lock().slot = Slot::Closed;
+        self.0.seq.fetch_add(1, Ordering::Release);
         self.0.turn.notify_all();
     }
 }
@@ -1255,6 +1302,75 @@ mod tests {
         let payload = catch_unwind(AssertUnwindSafe(|| agent.train(&mut env, 200, &mut rng)))
             .expect_err("the environment's panic must unwind train");
         assert!(panic_message(payload.as_ref()).contains("environment failed"));
+    }
+
+    /// A packet for the hand-off tests: nothing reads its contents.
+    fn tiny_packet() -> Packet {
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = Mlp::new(&[1, 2, 1], Activation::Relu, Activation::Identity, &mut rng);
+        Packet::new(&net, &net)
+    }
+
+    /// A waiter that has used up its polls parks on the condition variable;
+    /// a post that lands after that still wakes it.
+    #[test]
+    fn a_post_after_the_waiter_parked_wakes_it() {
+        let handoff = Handoff::new();
+        std::thread::scope(|scope| {
+            let lane = scope.spawn(|| handoff.wait(true).is_some());
+            while handoff.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            assert!(handoff.put(Slot::Job(tiny_packet())).is_ok());
+            assert!(lane.join().unwrap(), "the parked lane missed its job");
+        });
+    }
+
+    /// Closing one end ends the other side's wait — the close moves the
+    /// sequence number a polling waiter reads, and wakes a parked one —
+    /// with `None` on the lane's side and `LaneDown` on the caller's; every
+    /// later post fails.
+    #[test]
+    fn closing_an_end_ends_the_other_sides_wait() {
+        for lane_waits in [true, false] {
+            let handoff = Handoff::new();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    if lane_waits {
+                        handoff.wait(true).is_none()
+                    } else {
+                        End(&handoff).collect().is_err()
+                    }
+                });
+                drop(End(&handoff));
+                assert!(waiter.join().unwrap(), "lane waits: {lane_waits}");
+            });
+            assert!(End(&handoff).post(tiny_packet()).is_err());
+        }
+    }
+
+    /// Ten thousand round trips through the hand-off, as a `train` call
+    /// makes: this must finish pinned to one CPU too, where each side's
+    /// polls yield the core to the other.
+    #[test]
+    fn ten_thousand_round_trips_finish() {
+        let handoff = Handoff::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let end = End(&handoff);
+                while let Some(p) = end.0.wait(true) {
+                    if end.0.put(Slot::Done(p)).is_err() {
+                        return;
+                    }
+                }
+            });
+            let link = End(&handoff);
+            let mut p = tiny_packet();
+            for round in 0..10_000 {
+                link.post(p).expect("the lane is up");
+                p = link.collect().unwrap_or_else(|_| panic!("round {round}"));
+            }
+        });
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl Environment for Drift {
 
 /// Two `train` calls — the second starts with every buffer already grown,
 /// the first from nothing — at a batch that splits the critic re-forward
-/// unevenly and is tall enough for the cache-blocked products.
+/// unevenly and is tall enough for the 8-row staged `A·Bᵀ`, which copies
+/// `Bᵀ` into a const-initialised per-thread buffer, on the lane too.
 #[test]
 fn the_lane_never_allocates() {
     let config = DdpgConfig {
