@@ -6,7 +6,8 @@
 //! the unit an operator ships from the training cluster to the RAs.
 
 use edgeslice_nn::{Mlp, RowScratch};
-use serde::{Deserialize, Serialize};
+use edgeslice_rl::Technique;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{AgentBackend, OrchestrationAgent, RaId};
 
@@ -40,11 +41,33 @@ pub struct PolicyCheckpoint {
     /// rejects values other than [`POLICY_CHECKPOINT_VERSION`] (and, via
     /// the missing-field decode error, pre-versioned JSON without it).
     version: u32,
-    technique: String,
+    technique: TechniqueLabel,
     state_dim: usize,
     action_dim: usize,
     decode: Decode,
     network: Mlp,
+}
+
+/// The technique a policy was trained with, written as its label
+/// (`"DDPG"`, …): a checkpoint taken in process holds no text of its own,
+/// and a label that names no technique does not decode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TechniqueLabel(Technique);
+
+impl Serialize for TechniqueLabel {
+    fn to_value(&self) -> Value {
+        self.0.label().to_value()
+    }
+}
+
+impl Deserialize for TechniqueLabel {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let label = String::from_value(v)?;
+        let technique = Technique::ALL.into_iter().find(|t| t.label() == label);
+        technique
+            .map(TechniqueLabel)
+            .ok_or_else(|| DeError::unknown_variant("Technique", &label))
+    }
 }
 
 /// The checkpoint format version this build reads and writes.
@@ -102,7 +125,7 @@ impl PolicyCheckpoint {
         };
         Self {
             version: POLICY_CHECKPOINT_VERSION,
-            technique: agent.technique().label().to_string(),
+            technique: TechniqueLabel(agent.technique()),
             state_dim: network.in_dim(),
             action_dim,
             decode,
@@ -281,7 +304,13 @@ mod tests {
                 params.iter().map(|w| w.to_bits()).collect()
             };
             assert_eq!(weights(&restored), weights(&ckpt), "{t}");
-            assert_eq!(restored.technique, t.label());
+            assert_eq!(restored.technique, TechniqueLabel(t));
+            let unknown = json.replace(&format!("\"{}\"", t.label()), "\"A2C\"");
+            assert_ne!(unknown, json);
+            assert!(matches!(
+                PolicyCheckpoint::from_json(&unknown),
+                Err(CheckpointError::Malformed(_))
+            ));
             assert_eq!(restored.state_dim(), e.state_dim());
             assert_eq!(restored.action_dim(), e.action_dim());
         }

@@ -22,7 +22,7 @@
 //!   projection, so the SLA half-space `Σ_j z_{i,j} ≥ Umin_i` spreads each
 //!   slice's requirement across the survivors;
 //! * a report from a dead RA **revives** it with a zeroed dual column (the
-//!   rejoining RA restarts from checkpointed policy, not stale duals).
+//!   rejoining RA restarts on its deployed policy, not stale duals).
 
 use edgeslice_optim::{
     dual_update, project_sum_halfspace, AdmmConfig, AdmmResiduals, ConvergenceTracker,
@@ -263,7 +263,7 @@ impl PerformanceCoordinator {
         for j in 0..self.n_ras {
             if present[j] {
                 if self.dead[j] {
-                    // Rejoin after death: the RA restarts from checkpointed
+                    // Rejoin after death: the RA restarts on its deployed
                     // policy; stale duals would mis-steer it.
                     for yr in &mut self.y {
                         yr[j] = 0.0;
@@ -515,13 +515,24 @@ mod tests {
     fn missing_ra_freezes_its_dual_column() {
         let mut c = coordinator();
         c.update(&[vec![-100.0, -100.0], vec![-100.0, -100.0]]);
-        let y_before: Vec<f64> = c.y.iter().map(|row| row[1]).collect();
-        // RA 1 misses the next round: its duals must not move.
-        c.update_partial(&[vec![-120.0, -90.0], vec![-80.0, -70.0]], &[true, false]);
-        let y_after: Vec<f64> = c.y.iter().map(|row| row[1]).collect();
-        assert_eq!(y_before, y_after, "missing RA's duals moved");
-        assert_eq!(c.staleness[1], 1);
-        assert!(!c.is_dead(RaId(1)));
+        let column = |c: &PerformanceCoordinator| -> Vec<u64> {
+            c.y.iter().map(|row| row[1].to_bits()).collect()
+        };
+        let y_before = column(&c);
+        // RA 1 misses every round its staleness budget tolerates: its
+        // duals must not move in any of them, while RA 0's keep ascending.
+        for missed in 1..=STALENESS_BUDGET {
+            let late = -10.0 * missed as f64;
+            let achieved = [vec![-120.0 + late, -90.0], vec![-80.0 + late, -70.0]];
+            c.update_partial(&achieved, &[true, false]);
+            assert_eq!(
+                column(&c),
+                y_before,
+                "missing RA's duals moved in round {missed}"
+            );
+            assert_eq!(c.staleness[1], missed);
+            assert!(!c.is_dead(RaId(1)));
+        }
     }
 
     /// Misses RA 1's reports until it is declared dead.
@@ -631,6 +642,11 @@ mod tests {
         assert_eq!(c.slice_umin(SliceId(0)), -30.0);
         assert_eq!(c.z[0], vec![-15.0, -15.0]);
         assert!(c.y[0].iter().all(|&y| y == 0.0));
+        let row = |c: &PerformanceCoordinator| -> Vec<u64> {
+            let rows = [&c.z[0], &c.y[0], &c.last_known[0]];
+            rows.into_iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let readmitted = row(&c);
         // The new SLA governs the projection from the next update on.
         c.update(&achieved);
         let sum: f64 = c.z[0].iter().sum();
@@ -638,6 +654,12 @@ mod tests {
             sum >= -30.0 - 1e-9,
             "row must satisfy the *new* Umin: {sum}"
         );
+        // A second depart → re-admit under the same SLA restores the row
+        // the first re-admit left, bit for bit.
+        c.depart_slice(SliceId(0));
+        c.update(&achieved);
+        c.admit_slice(SliceId(0), Sla::new(-30.0));
+        assert_eq!(row(&c), readmitted);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The orchestration layer's bindings to the [`edgeslice_runtime`]
 //! execution engine: one [`RaExecWorker`] per resource autonomy (policy +
-//! environment + private RNG stream + fault view + checkpoints) and one
+//! environment + private RNG stream + fault view) and one
 //! [`SystemExecCoordinator`] wrapping the ADMM coordinator and the system
 //! monitor.
 //!
@@ -34,23 +34,32 @@ use crate::{
     SliceSpec, SystemMonitor, Taro,
 };
 
-/// The policy a worker decides with.
+/// The policy an RA is deployed with: one per RA in the system, set only
+/// where a policy changes (`new`, `train`, `deploy`, `resume`) and handed
+/// to the RA's worker as is. Nothing reassigns it during a run, so a
+/// worker that rejoins after an outage decides with the policy it had.
+#[derive(Clone)]
 pub(crate) enum WorkerPolicy {
-    /// The RA's effective frozen policy — the snapshot-restored one when
-    /// there is one, the live agent's otherwise (bit-identical decisions
-    /// either way: the checkpoint stores the exact weights, and training
-    /// never runs inside a coordination round). Replicas of one learner
-    /// share one checkpoint.
+    /// A frozen learned policy: the learner's weights as `new`, `train`
+    /// or `deploy` left them, or a snapshot's. RAs deployed with replicas
+    /// of one learner share one checkpoint.
     Learned(Arc<PolicyCheckpoint>),
     /// The TARO proportional baseline.
     Taro(Taro),
 }
 
-impl From<Option<Arc<PolicyCheckpoint>>> for WorkerPolicy {
-    /// An RA's effective policy as the system resolves it: a checkpoint
-    /// for learned kinds, none for TARO.
-    fn from(policy: Option<Arc<PolicyCheckpoint>>) -> Self {
-        policy.map_or_else(|| WorkerPolicy::Taro(Taro::new()), WorkerPolicy::Learned)
+impl WorkerPolicy {
+    /// `agent`'s policy as it stands, frozen.
+    pub(crate) fn from_agent(agent: &crate::OrchestrationAgent) -> Self {
+        WorkerPolicy::Learned(Arc::new(PolicyCheckpoint::from_agent(agent)))
+    }
+
+    /// The frozen policy, for learned kinds.
+    pub(crate) fn learned(&self) -> Option<&PolicyCheckpoint> {
+        match self {
+            WorkerPolicy::Learned(policy) => Some(policy),
+            WorkerPolicy::Taro(_) => None,
+        }
     }
 }
 
@@ -173,10 +182,6 @@ pub(crate) struct RaExecWorker<'a> {
     stream_seed: u64,
     rng: StdRng,
     n_slices: usize,
-    /// Policy snapshot taken at outage start (learned kinds only) and
-    /// re-deployed at rejoin; decisions after a rejoin are bit-identical
-    /// to the pre-outage policy. A pointer copy: the policy is frozen.
-    checkpoint: Option<Arc<PolicyCheckpoint>>,
     was_down: bool,
     /// What the policy observes this interval (Eq. 13 state; queue
     /// lengths under TARO), its action, and the batch-1 inference
@@ -210,7 +215,6 @@ impl<'a> RaExecWorker<'a> {
             // Placeholder only: `run_round` reseeds before every draw.
             rng: StdRng::seed_from_u64(stream_seed),
             n_slices,
-            checkpoint: None,
             was_down,
             state: Vec::new(),
             action: Vec::new(),
@@ -218,22 +222,10 @@ impl<'a> RaExecWorker<'a> {
         }
     }
 
-    /// Snapshots the deployed policy (learned kinds only), unless an
-    /// earlier snapshot is still waiting for its rejoin: make-before-break
-    /// at outage start.
-    pub(crate) fn checkpoint(&mut self) {
-        if let (None, WorkerPolicy::Learned(policy)) = (&self.checkpoint, &self.policy) {
-            self.checkpoint = Some(Arc::clone(policy));
-        }
-    }
-
-    /// The node rebooted: its backlog is gone, and the policy is
-    /// re-deployed from the outage-start checkpoint.
+    /// The node rebooted: its backlog is gone. Its policy is the one it
+    /// was deployed with, which nothing reassigns during a run.
     fn rejoin(&mut self) {
         self.env.clear_queues();
-        if let Some(ckpt) = self.checkpoint.take() {
-            self.policy = WorkerPolicy::Learned(ckpt);
-        }
     }
 }
 
@@ -285,11 +277,6 @@ impl RoundWorker for RaExecWorker<'_> {
             }
         }
         if view.down {
-            // Outage start: make-before-break — snapshot the policy the
-            // RA will be re-deployed from when it rejoins.
-            if !self.was_down {
-                self.checkpoint();
-            }
             self.was_down = true;
             return RaReport {
                 ra: self.ra.0,
@@ -348,8 +335,8 @@ impl RoundWorker for RaExecWorker<'_> {
     fn recover(&mut self) -> bool {
         // The supervisor respawns this worker after a caught panic. The
         // panicked round mutated nothing, so recovery is a rejoin: the
-        // next served round flushes the queues and redeploys the policy —
-        // identical to a node reboot, and to what a resumed process does.
+        // next served round flushes the queues — identical to a node
+        // reboot, and to what a resumed process does.
         self.was_down = true;
         true
     }
@@ -387,9 +374,8 @@ pub(crate) struct SystemExecCoordinator<'a> {
     /// Caught panics per RA, prior runs included: seeds resumed restart
     /// budgets.
     panic_counts: Vec<usize>,
-    /// The effective policy per RA (`None` for TARO), re-installed
-    /// verbatim on resume.
-    policies: Vec<Option<Arc<PolicyCheckpoint>>>,
+    /// The deployed policy per RA, re-installed verbatim on resume.
+    policies: &'a [WorkerPolicy],
     /// Durable sink: `(store, every_k, master_seed)`.
     sink: Option<(&'a CheckpointStore, usize, u64)>,
     /// The dynamic-workload state machine, when a workload plan is set:
@@ -402,14 +388,14 @@ pub(crate) struct SystemExecCoordinator<'a> {
 
 impl<'a> SystemExecCoordinator<'a> {
     /// The coordinator task of a run over `n_ras` RAs on `policies` (the
-    /// effective policy per RA), entering the round loop at `start`.
+    /// deployed policy per RA), entering the round loop at `start`.
     pub(crate) fn new(
         coordinator: &'a mut PerformanceCoordinator,
         monitor: &'a mut SystemMonitor,
         slices: &'a [SliceSpec],
         n_ras: usize,
         period: usize,
-        policies: Vec<Option<Arc<PolicyCheckpoint>>>,
+        policies: &'a [WorkerPolicy],
         start: RunStart,
     ) -> Self {
         Self {
@@ -621,11 +607,7 @@ impl RoundCoordinator for SystemExecCoordinator<'_> {
                     next_round: round_off + 1,
                     coordinator: self.coordinator.snapshot(),
                     workers: self.worker_state.clone(),
-                    policies: self
-                        .policies
-                        .iter()
-                        .map(|p| p.as_deref().cloned())
-                        .collect(),
+                    policies: self.policies.iter().map(|p| p.learned().cloned()).collect(),
                     panic_counts: self.panic_counts.clone(),
                     rounds: self.report.rounds.clone(),
                     supervision: self.report.supervision.clone(),
@@ -686,13 +668,14 @@ mod tests {
             panic_counts: vec![0],
             prefix: RunReport::default(),
         };
+        let policies = [WorkerPolicy::Taro(Taro::new())];
         let mut exec = SystemExecCoordinator::new(
             &mut coordinator,
             &mut monitor,
             &slices,
             1,
             2,
-            vec![None],
+            &policies,
             start,
         );
         // `(deadline expired, channel disconnected, reports discarded)`.

@@ -14,10 +14,11 @@ use edgeslice_runtime::{derive_stream_seed, par_map, Scheduler, SupervisorConfig
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::exec::WorkerPolicy;
 use crate::store::{CheckpointStore, TrainSnapshot, WorkerSnapshot};
 use crate::{
     AgentConfig, EdgeSliceError, OrchestrationAgent, PerformanceCoordinator, PolicyCheckpoint,
-    RaId, RaSliceEnv, Sla, SliceId, SystemMonitor,
+    RaId, RaSliceEnv, Sla, SliceId, SystemMonitor, Taro,
 };
 
 mod run;
@@ -29,7 +30,8 @@ pub use types::{
     TrafficKind,
 };
 
-/// The assembled EdgeSlice system: envs + agents + coordinator + monitor.
+/// The assembled EdgeSlice system: envs + deployed policies + coordinator
+/// + monitor (+ the learners that `train` trains, for learned kinds).
 ///
 /// All round execution and training is delegated to the
 /// [`edgeslice_runtime`] engine; [`EdgeSliceSystem::set_scheduler`] picks
@@ -39,7 +41,12 @@ pub struct EdgeSliceSystem {
     config: SystemConfig,
     kind: OrchestratorKind,
     envs: Vec<RaSliceEnv>,
-    agents: Vec<OrchestrationAgent>,
+    /// One learner per RA (none for TARO): what `train` trains.
+    learners: Vec<OrchestrationAgent>,
+    /// The policy each RA decides with; every run path reads it as is.
+    deployed: Vec<WorkerPolicy>,
+    /// How many entries of `deployed` a checkpoint store restored.
+    restored: usize,
     coordinator: PerformanceCoordinator,
     monitor: SystemMonitor,
     scheduler: Scheduler,
@@ -50,9 +57,6 @@ pub struct EdgeSliceSystem {
     /// `checkpoint_every` rounds and training checkpoints per RA.
     store: Option<CheckpointStore>,
     checkpoint_every: usize,
-    /// Per-RA policies restored from snapshots; when set, workers decide
-    /// with these instead of the live agents (bit-identical either way).
-    policy_overrides: Vec<Option<Arc<PolicyCheckpoint>>>,
     /// Dynamic-workload state machine (see
     /// [`EdgeSliceSystem::set_workload`]); `None` = static slice set.
     workload: Option<crate::workload::SliceLifecycle>,
@@ -69,7 +73,7 @@ impl std::fmt::Debug for EdgeSliceSystem {
 
 impl EdgeSliceSystem {
     /// Assembles the system (envs, coordinator, and — for learned kinds —
-    /// untrained agents).
+    /// untrained learners, each RA deployed with its own).
     pub fn new(
         config: SystemConfig,
         kind: OrchestratorKind,
@@ -82,20 +86,25 @@ impl EdgeSliceSystem {
         let envs: Vec<RaSliceEnv> = (0..config.n_ras)
             .map(|_| config.make_env(&datasets, rng))
             .collect();
-        let agents = match kind {
+        let learners: Vec<OrchestrationAgent> = match kind {
             OrchestratorKind::Learned(technique) => (0..config.n_ras)
                 .map(|j| OrchestrationAgent::new(RaId(j), technique, &envs[j], agent_config, rng))
                 .collect(),
             OrchestratorKind::Taro => Vec::new(),
         };
+        let deployed = match kind {
+            OrchestratorKind::Learned(_) => learners.iter().map(WorkerPolicy::from_agent).collect(),
+            OrchestratorKind::Taro => vec![WorkerPolicy::Taro(Taro::new()); config.n_ras],
+        };
         let slas: Vec<Sla> = config.slices.iter().map(|s| s.sla).collect();
         let coordinator = PerformanceCoordinator::new(&slas, config.n_ras, config.admm);
-        let n_ras = config.n_ras;
         Self {
             config,
             kind,
             envs,
-            agents,
+            learners,
+            deployed,
+            restored: 0,
             coordinator,
             monitor: SystemMonitor::new(),
             scheduler: Scheduler::Sequential,
@@ -103,7 +112,6 @@ impl EdgeSliceSystem {
             supervision: SupervisorConfig::default(),
             store: None,
             checkpoint_every: 4,
-            policy_overrides: vec![None; n_ras],
             workload: None,
         }
     }
@@ -148,10 +156,11 @@ impl EdgeSliceSystem {
         Ok(())
     }
 
-    /// How many of this system's RAs currently decide with a
-    /// snapshot-restored policy instead of a live agent.
+    /// How many of this system's RAs are deployed with a policy a
+    /// checkpoint store restored (by `train` or `resume`) rather than one
+    /// of this system's learners.
     pub fn restored_policy_count(&self) -> usize {
-        self.policy_overrides.iter().filter(|p| p.is_some()).count()
+        self.restored
     }
 
     /// The system configuration.
@@ -182,7 +191,7 @@ impl EdgeSliceSystem {
     /// `env_steps` — skips straight to the stored outcome instead of
     /// retraining, so an interrupted train-then-run program resumes.
     pub fn train(&mut self, env_steps: usize, rng: &mut StdRng) {
-        if self.agents.is_empty() {
+        if self.learners.is_empty() {
             // TARO trains nothing, but deployment still starts from an
             // operational baseline (and the caller's rng is untouched).
             for env in &mut self.envs {
@@ -213,7 +222,7 @@ impl EdgeSliceSystem {
             }
         }
         let mut units: Vec<TrainUnit<'_>> = self
-            .agents
+            .learners
             .iter_mut()
             .zip(&mut self.envs)
             .enumerate()
@@ -248,16 +257,17 @@ impl EdgeSliceSystem {
             }
         });
         drop(units);
+        self.restored = restored.iter().flatten().count();
         for (j, slot) in restored.into_iter().enumerate() {
-            match slot {
+            self.deployed[j] = match slot {
                 Some(snap) => {
                     // Skipped RA: re-install the stored outcome — policy
                     // and environment exactly as training left them.
                     snap.env.rewind(&mut self.envs[j]);
-                    self.policy_overrides[j] = Some(Arc::new(snap.policy));
+                    WorkerPolicy::Learned(Arc::new(snap.policy))
                 }
-                None => self.policy_overrides[j] = None,
-            }
+                None => WorkerPolicy::from_agent(&self.learners[j]),
+            };
         }
     }
 
@@ -270,14 +280,14 @@ impl EdgeSliceSystem {
     /// one trained learner, and an RA pays for a learner of its own only
     /// if it is trained further (a later [`EdgeSliceSystem::train`]).
     pub fn train_shared(&mut self, env_steps: usize, rng: &mut StdRng) {
-        if self.agents.is_empty() {
+        if self.learners.is_empty() {
             return;
         }
         // Same stream derivation as `train` (worker 0's stream), so shared
         // and per-RA training draw from the same family of streams.
         let master = rng.gen::<u64>();
         let mut rng0 = StdRng::seed_from_u64(derive_stream_seed(master, DOMAIN_TRAIN, 0));
-        if let (Some(agent), Some(env)) = (self.agents.first_mut(), self.envs.first_mut()) {
+        if let (Some(agent), Some(env)) = (self.learners.first_mut(), self.envs.first_mut()) {
             agent.train(env, env_steps, &mut rng0);
         }
         let trained = self.agent0();
@@ -307,26 +317,35 @@ impl EdgeSliceSystem {
         self.deploy(trained);
     }
 
-    /// Makes every RA decide with `trained`'s policy from here on: live
-    /// replicas of it, and no policy restored earlier from a snapshot left
-    /// standing in front of them.
+    /// Makes every RA decide with `trained`'s policy from here on, through
+    /// one checkpoint, in place of whatever was deployed (a policy
+    /// restored from a snapshot included); every RA's learner becomes a
+    /// replica of `trained`. Both `Vec`s are refilled in place, so the
+    /// checkpoint is all that deploying allocates.
     fn deploy(&mut self, trained: &OrchestrationAgent) {
-        self.agents = trained.replicate(self.config.n_ras);
-        self.policy_overrides.fill(None);
+        self.learners.clear();
+        self.learners
+            .extend((0..self.config.n_ras).map(|j| trained.clone_for_ra(RaId(j))));
+        self.deployed.fill(WorkerPolicy::from_agent(trained));
+        self.restored = 0;
         for env in &mut self.envs {
             env.set_randomize_coord(false);
         }
     }
 
-    /// A replica of RA 0's (trained) agent, for installation into another
+    /// A replica of RA 0's *learner*, for installation into another
     /// system of the same slice set (e.g. a different network size in a
-    /// scalability sweep).
+    /// scalability sweep). It is what `train`, `train_shared` or
+    /// `install_agents` left in RA 0's learner slot — not necessarily what
+    /// RA 0 is deployed with: a `train` that restored RA 0 from a
+    /// checkpoint store deploys the stored policy and leaves this learner
+    /// untrained.
     ///
     /// # Panics
     ///
     /// Panics on a TARO system.
     pub fn agent0(&self) -> OrchestrationAgent {
-        self.agents
+        self.learners
             .first()
             .expect(
                 "invariant: agent0 is only called on learned systems, which hold one agent per RA",
@@ -334,54 +353,18 @@ impl EdgeSliceSystem {
             .clone()
     }
 
-    /// Snapshots every RA's current policy (restored checkpoint override
-    /// when present, live agent otherwise) into a [`crate::PolicyFleet`],
+    /// Copies every RA's deployed policy into a [`crate::PolicyFleet`],
     /// which decides for every RA in turn; per-RA actions stay
-    /// bit-identical to [`OrchestrationAgent::decide`].
+    /// bit-identical to [`OrchestrationAgent::decide`]. Empty for TARO.
     pub fn policy_fleet(&self, par: crate::Parallelism) -> crate::PolicyFleet {
-        let policies = self.effective_policies().into_iter().flatten();
-        let policies = policies.map(|p| (*p).clone()).collect();
-        crate::PolicyFleet::new(policies, par)
+        let policies = self.deployed.iter().filter_map(WorkerPolicy::learned);
+        crate::PolicyFleet::new(policies.cloned().collect(), par)
     }
 
     /// What every RA's policy observes: one input per slice slot, twice
     /// that when the queues are observed too.
     fn state_dim(&self) -> usize {
         self.config.state_spec.dim(self.config.slices.len())
-    }
-
-    /// The policy RA `j` decides with — what a fresh process re-installs
-    /// instead of retraining: the pinned override, else the live agent's.
-    /// `None` for TARO.
-    fn effective_policy(&self, j: usize) -> Option<Arc<PolicyCheckpoint>> {
-        match (self.kind, &self.policy_overrides[j]) {
-            (OrchestratorKind::Taro, _) => None,
-            (_, Some(restored)) => Some(Arc::clone(restored)),
-            (_, None) => Some(Arc::new(PolicyCheckpoint::from_agent(&self.agents[j]))),
-        }
-    }
-
-    /// Every RA's effective policy, one checkpoint per distinct learner:
-    /// an RA deciding with a replica of an earlier RA's learner (neither
-    /// overridden) shares that RA's checkpoint, and so its one batch-1
-    /// weight memo; a restored policy stays its RA's own.
-    fn effective_policies(&self) -> Vec<Option<Arc<PolicyCheckpoint>>> {
-        let live = |j: usize| match self.policy_overrides[j] {
-            None => self.agents.get(j),
-            Some(_) => None,
-        };
-        let mut policies: Vec<Option<Arc<PolicyCheckpoint>>> = Vec::new();
-        for j in 0..self.config.n_ras {
-            let replica_of = live(j).and_then(|agent| {
-                (0..j).find(|&i| live(i).is_some_and(|earlier| earlier.shares_learner(agent)))
-            });
-            let policy = match replica_of {
-                Some(i) => policies[i].clone(),
-                None => self.effective_policy(j),
-            };
-            policies.push(policy);
-        }
-        policies
     }
 
     /// A mutable handle to RA 0's environment (used to train an agent that
@@ -481,7 +464,6 @@ impl OrchestrationAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::WorkerPolicy;
     use crate::StateSpec;
     use edgeslice_rl::Technique;
 
@@ -654,24 +636,24 @@ mod tests {
         let ddpg = OrchestratorKind::Learned(Technique::Ddpg);
         let mut sys = EdgeSliceSystem::new(config, ddpg, &quick_agent_config(), &mut rng);
         // The checkpoints the workers decide through, as `run_rounds`
-        // builds them, counted once each.
+        // hands them out, counted once each.
         let distinct = |sys: &EdgeSliceSystem| {
-            let workers: Vec<Arc<PolicyCheckpoint>> = sys
-                .effective_policies()
-                .into_iter()
-                .map(|policy| match WorkerPolicy::from(policy) {
+            let workers: Vec<&Arc<PolicyCheckpoint>> = sys
+                .deployed
+                .iter()
+                .map(|policy| match policy {
                     WorkerPolicy::Learned(p) => p,
                     WorkerPolicy::Taro(_) => unreachable!("a learned system"),
                 })
                 .collect();
-            let first = |j: usize| !workers[..j].iter().any(|w| Arc::ptr_eq(w, &workers[j]));
+            let first = |j: usize| !workers[..j].iter().any(|w| Arc::ptr_eq(w, workers[j]));
             (0..workers.len()).filter(|&j| first(j)).count()
         };
         assert_eq!(distinct(&sys), 10);
         let trained = sys.agent0();
         sys.install_agents(&trained);
         assert_eq!(distinct(&sys), 1);
-        sys.policy_overrides[3] = Some(Arc::new(PolicyCheckpoint::from_agent(&trained)));
+        sys.deployed[3] = WorkerPolicy::from_agent(&trained);
         assert_eq!(distinct(&sys), 2);
     }
 

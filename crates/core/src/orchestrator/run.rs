@@ -15,7 +15,8 @@ use rand::Rng;
 
 use super::{EdgeSliceSystem, OrchestratorKind, RunReport};
 use crate::exec::{
-    decode_body, encode_body, RaExecWorker, RaRoundBody, RunStart, SystemExecCoordinator, WorkerRun,
+    decode_body, encode_body, RaExecWorker, RaRoundBody, RunStart, SystemExecCoordinator,
+    WorkerPolicy, WorkerRun,
 };
 use crate::store::{CheckpointStore, RunSnapshot, WorkerSnapshot};
 use crate::{EdgeSliceError, FaultInjector, NetCoordinator, RaId};
@@ -36,11 +37,10 @@ impl EdgeSliceSystem {
     /// * **down** — the RA serves nothing; the monitor records explicit
     ///   outage rows; the coordinator sees the RA as missing (stale reuse,
     ///   frozen duals, death + redistribution past the staleness budget).
-    ///   At outage start a learned RA's policy is checkpointed.
-    /// * **rejoining** — the RA's queues are flushed (the node rebooted)
-    ///   and, for learned kinds, its policy is restored from the
-    ///   checkpoint taken at outage start — decisions after rejoin are
-    ///   bit-identical to the pre-outage policy.
+    /// * **rejoining** — the RA's queues are flushed (the node rebooted);
+    ///   it decides with its deployed policy, which nothing reassigns
+    ///   during a run, so decisions after rejoin are the pre-outage
+    ///   policy's.
     /// * **broadcast dropped** — the RA orchestrates on its previous
     ///   `z − y` (the env keeps the last coordination it received).
     /// * **straggler** — traffic is served and monitored, but the report
@@ -137,7 +137,15 @@ impl EdgeSliceSystem {
             (None, None) => {}
         }
         self.coordinator.restore(&snap.coordinator)?;
-        self.policy_overrides = snap.policies.into_iter().map(|p| p.map(Arc::new)).collect();
+        if self.kind != OrchestratorKind::Taro {
+            self.restored = 0;
+            for (deployed, policy) in self.deployed.iter_mut().zip(snap.policies) {
+                if let Some(policy) = policy {
+                    *deployed = WorkerPolicy::Learned(Arc::new(policy));
+                    self.restored += 1;
+                }
+            }
+        }
         let mut prefix = RunReport {
             rounds: snap.rounds,
             supervision: snap.supervision,
@@ -167,9 +175,9 @@ impl EdgeSliceSystem {
 
     /// The one run path behind `run`, `run_with_faults`, `resume` and
     /// `run_networked`: snapshots (or, resuming, rewinds) the worker
-    /// state, resolves the policies, wires the coordinator task to sink
-    /// and workload, drives the runtime's round loop over `workers`, and
-    /// leaves the substrates healthy. Where the RA workers live only picks
+    /// state, wires the coordinator task to sink and workload, drives the
+    /// runtime's round loop over `workers`, and leaves the substrates
+    /// healthy. Where the RA workers live only picks
     /// the gather under that loop.
     fn run_rounds(
         &mut self,
@@ -213,18 +221,17 @@ impl EdgeSliceSystem {
         };
         let first_round = start.first_round;
         let prior_panics = start.panic_counts.clone();
-        let policies = self.effective_policies();
+        let policies = &self.deployed;
         // Workers exist in this process only when the RAs do: one per RA,
-        // each on its effective policy, resolved once here — replicas of
-        // one learner share one checkpoint.
+        // each on its deployed policy.
         let mut local: Vec<RaExecWorker<'_>> = match workers {
             Workers::Local(injector) => {
                 let run = self.worker_run(injector, master);
-                let starts = self.envs.iter_mut().zip(&policies).zip(&start.worker_state);
+                let starts = self.envs.iter_mut().zip(policies).zip(&start.worker_state);
                 starts
                     .enumerate()
                     .map(|(j, ((env, policy), ws))| {
-                        RaExecWorker::new(RaId(j), env, policy.clone().into(), ws.was_down, run)
+                        RaExecWorker::new(RaId(j), env, policy.clone(), ws.was_down, run)
                     })
                     .collect()
             }
@@ -419,12 +426,14 @@ impl EdgeSliceSystem {
         }
         // A snapshot's policy comes first, and stays this RA's own.
         let policy = match restored_policy {
-            Some(restored) if self.kind != OrchestratorKind::Taro => Some(Arc::new(restored)),
-            _ => self.effective_policy(ra.0),
+            Some(restored) if self.kind != OrchestratorKind::Taro => {
+                WorkerPolicy::Learned(Arc::new(restored))
+            }
+            _ => self.deployed[ra.0].clone(),
         };
         let run = self.worker_run(injector, master);
         let env = &mut self.envs[ra.0];
-        let mut worker = RaExecWorker::new(ra, env, policy.into(), was_down, run);
+        let mut worker = RaExecWorker::new(ra, env, policy, was_down, run);
         let mut supervisor = Supervisor::with_panic_counts(self.supervision, &[panic_count]);
         let capabilities = caps::RESYNC
             | match self.kind {
@@ -483,11 +492,9 @@ fn serve_rounds<T: Transport>(
             Ok(WorkerCommand::Round(info)) => {
                 if injector.view(ra, info.round).silent {
                     if !frozen {
-                        // Freeze: checkpoint the effective policy and
-                        // mark the worker down so the round it thaws
-                        // on takes the rejoin path — the same
-                        // make-before-break an outage performs.
-                        worker.checkpoint();
+                        // Freeze: mark the worker down so the round it
+                        // thaws on takes the rejoin path, as after an
+                        // outage.
                         let _ = worker.recover();
                         frozen = true;
                     }

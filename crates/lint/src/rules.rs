@@ -305,10 +305,12 @@ fn next_is(toks: &[Tok], i: usize, text: &str) -> bool {
 
 /// True for function names in the hot-path families: the
 /// caller-provides-storage suffixes (`*_into`, `*_scratch`, and `*_row`,
-/// the batch-1 forward on a caller's row scratch) plus the PR 9
-/// GEMM kernel-layer prefixes (`matmul_*`, `pack_*`, `accumulate_*`) —
-/// the blocked/parallel kernels and their panel-packing helpers, whose
-/// packed B panels live on the stack precisely so they never allocate.
+/// the batch-1 forward on a caller's row scratch) plus the GEMM
+/// kernel-layer prefixes (`matmul_*`, `pack_*`, `accumulate_*`) — the
+/// row bodies and the in-place register tile under every matrix product,
+/// which read their operands where they lie (or from the per-thread
+/// stage) and so never allocate. No `pack_*` kernel exists; the prefix
+/// stays in the family so that one cannot come back allocating.
 pub(crate) fn is_hot_path_fn_name(name: &str) -> bool {
     name.ends_with("_into")
         || name.ends_with("_scratch")
@@ -342,9 +344,10 @@ pub(crate) fn alloc_construct(toks: &[Tok], k: usize) -> Option<&'static str> {
 /// complement, so a stray allocation is caught at lint time even on paths
 /// the tests didn't drive. Inside every function in the
 /// [`is_hot_path_fn_name`] families (the caller-provides-storage
-/// `*_into`/`*_scratch` suffixes and the `matmul_*`/`pack_*`/`accumulate_*`
-/// kernel layer) in [`HOT_PATH_CRATES`], these are banned: `Vec::new`,
-/// `vec![..]`, `.to_vec()`, `.clone()`, `.collect(..)`.
+/// `*_into`/`*_scratch`/`*_row` suffixes and the in-place GEMM kernel
+/// layer, `matmul_*`/`pack_*`/`accumulate_*`) in [`HOT_PATH_CRATES`],
+/// these are banned: `Vec::new`, `vec![..]`, `.to_vec()`, `.clone()`,
+/// `.collect(..)`.
 fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !HOT_PATH_CRATES.contains(&file.crate_name.as_str()) {
         return;
