@@ -221,6 +221,14 @@ impl EdgeSliceSystem {
                 }
             }
         }
+        // An RA that trains drops its stale policy first, so that no copy
+        // of the old actor sits in the heap under the replay store as it
+        // grows; the trained one is deployed below.
+        for (policy, slot) in self.deployed.iter_mut().zip(&restored) {
+            if slot.is_none() {
+                *policy = WorkerPolicy::Taro(Taro::new());
+            }
+        }
         let mut units: Vec<TrainUnit<'_>> = self
             .learners
             .iter_mut()
