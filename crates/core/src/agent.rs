@@ -166,7 +166,6 @@ mod tests {
     use super::*;
     use crate::{RaEnvConfig, SliceSpec, StateSpec};
     use edgeslice_netsim::PoissonTraffic;
-    use rand::SeedableRng;
 
     fn small_env() -> RaSliceEnv {
         let config = RaEnvConfig::experiment(vec![
@@ -184,7 +183,7 @@ mod tests {
 
     #[test]
     fn every_technique_constructs_and_decides() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = crate::test_rng(0);
         let env = small_env();
         let cfg = AgentConfig::default();
         for t in Technique::ALL {
@@ -198,7 +197,7 @@ mod tests {
 
     #[test]
     fn training_restores_orchestration_mode() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = crate::test_rng(1);
         let mut env = small_env();
         let cfg = AgentConfig {
             ddpg: edgeslice_rl::DdpgConfig {
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn on_policy_training_budgets_whole_rollouts_of_the_agents_own_length() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = crate::test_rng(3);
         let mut env = small_env();
         let cfg = AgentConfig {
             ppo: OnPolicyConfig {
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn nt_agent_has_smaller_state() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = crate::test_rng(2);
         let mut config = RaEnvConfig::experiment(vec![
             SliceSpec::experiment_slice1(),
             SliceSpec::experiment_slice2(),

@@ -266,8 +266,6 @@ mod tests {
     use crate::{AgentConfig, RaEnvConfig, RaSliceEnv, SliceSpec};
     use edgeslice_netsim::PoissonTraffic;
     use edgeslice_rl::{Environment, Technique};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn env() -> RaSliceEnv {
         RaSliceEnv::with_dataset(
@@ -284,7 +282,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_decisions_for_every_technique() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = crate::test_rng(0);
         let e = env();
         let cfg = AgentConfig::default();
         for t in Technique::ALL {
@@ -320,7 +318,7 @@ mod tests {
     fn deciding_leaves_the_checkpoint_json_and_value_unchanged() {
         // The first decide fills the policy network's output-major weight
         // memo; it must not show in the checkpoint's JSON or equality.
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = crate::test_rng(3);
         let e = env();
         let agent = OrchestrationAgent::new(
             RaId(0),
@@ -339,7 +337,7 @@ mod tests {
 
     #[test]
     fn frozen_policy_binds_an_ra() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = crate::test_rng(1);
         let e = env();
         let agent = OrchestrationAgent::new(
             RaId(0),
@@ -368,7 +366,7 @@ mod tests {
     #[test]
     fn decide_paths_agree_bit_for_bit_on_random_states() {
         use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = crate::test_rng(4);
         let e = env();
         let cfg = AgentConfig::default();
         let agents: Vec<OrchestrationAgent> = Technique::ALL
@@ -409,7 +407,7 @@ mod tests {
 
     #[test]
     fn unknown_format_versions_fail_loudly() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = crate::test_rng(2);
         let e = env();
         let agent = OrchestrationAgent::new(
             RaId(0),

@@ -662,7 +662,6 @@ impl Environment for RaSliceEnv {
 mod tests {
     use super::*;
     use edgeslice_netsim::PoissonTraffic;
-    use rand::SeedableRng;
 
     fn env(spec: StateSpec) -> RaSliceEnv {
         let mut config = RaEnvConfig::experiment(vec![
@@ -690,7 +689,7 @@ mod tests {
 
     #[test]
     fn episode_ends_after_period() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = crate::test_rng(0);
         let mut e = env(StateSpec::Full);
         e.reset(&mut rng);
         let mut steps = 0;
@@ -706,7 +705,7 @@ mod tests {
 
     #[test]
     fn starving_a_slice_grows_its_queue() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = crate::test_rng(1);
         let mut e = env(StateSpec::Full);
         e.reset(&mut rng);
         // Slice 0 gets everything; slice 1 nothing.
@@ -723,7 +722,7 @@ mod tests {
 
     #[test]
     fn over_allocation_is_penalized_in_reward() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = crate::test_rng(2);
         let mut e = env(StateSpec::Full);
         e.reset(&mut rng);
         e.set_randomize_coord(false);
@@ -731,7 +730,7 @@ mod tests {
         e.clear_queues();
         // Duplicate env to compare rewards on identical traffic.
         let (r_ok, _) = e.advance(&[0.5, 0.5, 0.5, 0.5, 0.5, 0.5], &mut rng);
-        let mut rng2 = StdRng::seed_from_u64(2);
+        let mut rng2 = crate::test_rng(2);
         let mut e2 = env(StateSpec::Full);
         e2.reset(&mut rng2);
         e2.set_randomize_coord(false);
@@ -745,7 +744,7 @@ mod tests {
 
     #[test]
     fn nt_state_excludes_queues() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = crate::test_rng(3);
         let mut e = env(StateSpec::CoordinationOnly);
         e.set_randomize_coord(false);
         e.set_coordination(&[-10.0, -20.0]);
@@ -778,7 +777,7 @@ mod tests {
             ],
             ServiceModel::Physical(Box::new(ResourceAutonomy::prototype(0, 2))),
         );
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = crate::test_rng(4);
         let action = [0.6, 0.5, 0.4, 0.4, 0.5, 0.6];
         let mut times = |e: &mut RaSliceEnv, scale| {
             e.set_capacity_scale(scale);

@@ -20,11 +20,9 @@ use std::time::Duration;
 
 use edgeslice_nn::RowScratch;
 use edgeslice_runtime::{
-    derive_stream_seed, CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry,
-    RoundWorker, DOMAIN_ORCH, DOMAIN_ROUND,
+    CoordInfo, DownCause, RaReport, RoundCoordinator, RoundTelemetry, RoundWorker, Stream,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::orchestrator::DownEvent;
 use crate::store::{CheckpointStore, RunSnapshot, WorkerSnapshot};
@@ -205,7 +203,7 @@ impl<'a> RaExecWorker<'a> {
         run: WorkerRun<'a>,
     ) -> Self {
         let n_slices = env.n_slices();
-        let stream_seed = derive_stream_seed(run.master, DOMAIN_ORCH, ra.0 as u64);
+        let stream_seed = Stream::Orch.seed(run.master, ra.0 as u64);
         Self {
             ra,
             env,
@@ -213,7 +211,7 @@ impl<'a> RaExecWorker<'a> {
             run,
             stream_seed,
             // Placeholder only: `run_round` reseeds before every draw.
-            rng: StdRng::seed_from_u64(stream_seed),
+            rng: crate::stream_rng(run.master, Stream::Orch, ra.0 as u64),
             n_slices,
             was_down,
             state: Vec::new(),
@@ -251,11 +249,7 @@ impl RoundWorker for RaExecWorker<'_> {
         if view.panic {
             panic!("injected worker panic: ra {} round {round_off}", self.ra.0);
         }
-        self.rng = StdRng::seed_from_u64(derive_stream_seed(
-            self.stream_seed,
-            DOMAIN_ROUND,
-            round_off as u64,
-        ));
+        self.rng = crate::stream_rng(self.stream_seed, Stream::Round, round_off as u64);
         // Converge on the broadcast slice-lifecycle state *before* the
         // dark-RA early return, so an RA serving nothing still tracks
         // admissions/teardowns and rejoins with the correct slice set.

@@ -20,8 +20,8 @@
 
 use crate::error::EdgeSliceError;
 use crate::ids::{RaId, ResourceKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use edgeslice_runtime::Stream;
+use rand::Rng;
 
 /// Parameters of the stochastic fault processes, expanded by
 /// [`FaultPlan::generate`].
@@ -203,7 +203,7 @@ impl FaultPlan {
     /// outside `(0, 1]`, a zero-length window) returns
     /// [`EdgeSliceError::InvalidFaultPlan`].
     pub fn generate(config: &FaultConfig) -> Result<Self, EdgeSliceError> {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ FAULT_STREAM_TAG);
+        let mut rng = crate::stream_rng(config.seed, Stream::Fault, 0);
         let mut events = Vec::new();
         for j in 0..config.n_ras {
             let ra = RaId(j);
@@ -374,10 +374,6 @@ impl FaultPlan {
 fn covers(start: usize, len: usize, round: usize) -> bool {
     start <= round && round - start < len
 }
-
-/// Domain-separation tag keeping the fault stream independent of every
-/// other consumer of the same user-facing seed.
-const FAULT_STREAM_TAG: u64 = 0xFA17_0000_0000_0001;
 
 /// What one RA experiences in one round, as queried by the orchestrator.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -76,6 +76,10 @@ mod sla;
 mod store;
 mod workload;
 
+use edgeslice_runtime::Stream;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 pub use admission::{AdmissionController, DemandEstimate, RejectReason, SliceRequest};
 pub use agent::{AgentBackend, AgentConfig, OrchestrationAgent};
 pub use baseline::Taro;
@@ -114,3 +118,25 @@ pub use workload::{
     ArrivalModel, LifecycleAction, LifecycleSnapshot, LifecycleState, ScheduledEvent, SliceEvent,
     SliceLifecycle, SliceLifetime, SlotStatus, WorkloadConfig, WorkloadPlan,
 };
+
+/// The generator of stream `index` of `stream` under `master` (see
+/// [`Stream::seed`]): the one place product code seeds a `StdRng`, so
+/// every generator names its stream.
+pub(crate) fn stream_rng(master: u64, stream: Stream, index: u64) -> StdRng {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one product constructor: its seed comes from a named `Stream`"
+    )]
+    StdRng::seed_from_u64(stream.seed(master, index))
+}
+
+/// A fixed-seed generator for unit tests, which draw from no product
+/// stream.
+#[cfg(test)]
+pub(crate) fn test_rng(seed: u64) -> StdRng {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a unit test's own fixed seed, not a product stream"
+    )]
+    StdRng::seed_from_u64(seed)
+}

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use edgeslice_optim::project_capacity_strided;
-use edgeslice_runtime::{derive_stream_seed, par_map, Scheduler, SupervisorConfig, DOMAIN_TRAIN};
+use edgeslice_runtime::{par_map, Scheduler, Stream, SupervisorConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::exec::WorkerPolicy;
 use crate::store::{CheckpointStore, TrainSnapshot, WorkerSnapshot};
@@ -239,7 +239,8 @@ impl EdgeSliceSystem {
                 ra: RaId(j),
                 agent,
                 env,
-                rng: StdRng::seed_from_u64(derive_stream_seed(master, DOMAIN_TRAIN, j as u64)),
+                rng: crate::stream_rng(master, Stream::Train, j as u64),
+                policy: None,
             })
             .collect();
         let sink = self.store.as_ref();
@@ -248,34 +249,42 @@ impl EdgeSliceSystem {
             // Deployment starts from an operational baseline, not whatever
             // backlog the final training episode left behind.
             unit.env.clear_queues();
-            if let Some(store) = sink {
-                let snap = TrainSnapshot {
-                    ra: unit.ra,
-                    master_seed: master,
-                    env_steps,
-                    policy: PolicyCheckpoint::from_agent(unit.agent),
-                    env: WorkerSnapshot::capture(unit.ra, unit.env),
-                };
-                if let Err(err) = store.save_train(&snap) {
-                    eprintln!(
-                        "edgeslice: train checkpoint write failed for ra {} (continuing): {err}",
-                        unit.ra.0
-                    );
-                }
+            // One frozen copy of the trained policy: persisted, then deployed.
+            let policy = PolicyCheckpoint::from_agent(unit.agent);
+            let Some(store) = sink else {
+                unit.policy = Some(policy);
+                return;
+            };
+            let snap = TrainSnapshot {
+                ra: unit.ra,
+                master_seed: master,
+                env_steps,
+                policy,
+                env: WorkerSnapshot::capture(unit.ra, unit.env),
+            };
+            if let Err(err) = store.save_train(&snap) {
+                eprintln!(
+                    "edgeslice: train checkpoint write failed for ra {} (continuing): {err}",
+                    unit.ra.0
+                );
             }
+            unit.policy = Some(snap.policy);
         });
-        drop(units);
+        let trained: Vec<(RaId, PolicyCheckpoint)> = units
+            .into_iter()
+            .filter_map(|u| u.policy.map(|policy| (u.ra, policy)))
+            .collect();
         self.restored = restored.iter().flatten().count();
         for (j, slot) in restored.into_iter().enumerate() {
-            self.deployed[j] = match slot {
-                Some(snap) => {
-                    // Skipped RA: re-install the stored outcome — policy
-                    // and environment exactly as training left them.
-                    snap.env.rewind(&mut self.envs[j]);
-                    WorkerPolicy::Learned(Arc::new(snap.policy))
-                }
-                None => WorkerPolicy::from_agent(&self.learners[j]),
-            };
+            if let Some(snap) = slot {
+                // Skipped RA: re-install the stored outcome — policy and
+                // environment exactly as training left them.
+                snap.env.rewind(&mut self.envs[j]);
+                self.deployed[j] = WorkerPolicy::Learned(Arc::new(snap.policy));
+            }
+        }
+        for (ra, policy) in trained {
+            self.deployed[ra.0] = WorkerPolicy::Learned(Arc::new(policy));
         }
     }
 
@@ -294,7 +303,7 @@ impl EdgeSliceSystem {
         // Same stream derivation as `train` (worker 0's stream), so shared
         // and per-RA training draw from the same family of streams.
         let master = rng.gen::<u64>();
-        let mut rng0 = StdRng::seed_from_u64(derive_stream_seed(master, DOMAIN_TRAIN, 0));
+        let mut rng0 = crate::stream_rng(master, Stream::Train, 0);
         if let (Some(agent), Some(env)) = (self.learners.first_mut(), self.envs.first_mut()) {
             agent.train(env, env_steps, &mut rng0);
         }
@@ -448,6 +457,8 @@ struct TrainUnit<'a> {
     agent: &'a mut OrchestrationAgent,
     env: &'a mut RaSliceEnv,
     rng: StdRng,
+    /// The trained policy, frozen once training ends.
+    policy: Option<PolicyCheckpoint>,
 }
 
 /// Projects a flat slice-major action onto per-resource capacity
@@ -489,7 +500,7 @@ mod tests {
 
     #[test]
     fn taro_system_runs_and_reports() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = crate::test_rng(0);
         let config = SystemConfig::prototype();
         let mut sys = EdgeSliceSystem::new(
             config,
@@ -512,7 +523,7 @@ mod tests {
 
     #[test]
     fn learned_system_trains_and_runs() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = crate::test_rng(1);
         let config = SystemConfig::prototype();
         let mut sys = EdgeSliceSystem::new(
             config,
@@ -537,7 +548,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("edgeslice-misshaped-train-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = crate::test_rng(4);
         let mut sys = EdgeSliceSystem::new(
             SystemConfig::prototype(),
             OrchestratorKind::Learned(Technique::Ddpg),
@@ -545,13 +556,13 @@ mod tests {
             &mut rng,
         );
         sys.set_checkpointing(&dir, 1).unwrap();
-        sys.train(100, &mut StdRng::seed_from_u64(9));
+        sys.train(100, &mut crate::test_rng(9));
         let store = CheckpointStore::open(&dir).unwrap();
         let mut snap = store.load_train(RaId(0)).unwrap().unwrap();
         snap.env.queues.pop();
         store.save_train(&snap).unwrap();
 
-        sys.train(100, &mut StdRng::seed_from_u64(9));
+        sys.train(100, &mut crate::test_rng(9));
         assert_eq!(sys.restored_policy_count(), 1, "only RA 1 skips training");
         let retrained = store.load_train(RaId(0)).unwrap().unwrap();
         assert_eq!(retrained.env.queues.len(), 2, "rewritten by the retrain");
@@ -574,7 +585,7 @@ mod tests {
 
     #[test]
     fn run_report_serializes() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = crate::test_rng(5);
         let mut sys = EdgeSliceSystem::new(
             SystemConfig::prototype(),
             OrchestratorKind::Taro,
@@ -590,7 +601,7 @@ mod tests {
 
     #[test]
     fn simulation_config_shapes() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = crate::test_rng(2);
         let c = SystemConfig::simulation(5, 10, &mut rng);
         assert_eq!(c.slices.len(), 5);
         assert_eq!(c.n_ras, 10);
@@ -604,7 +615,7 @@ mod tests {
     /// remembered through RA 9.
     #[test]
     fn every_ra_shares_each_slots_dataset_and_its_fitted_cells() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = crate::test_rng(6);
         let config = SystemConfig::simulation(5, 10, &mut rng);
         let taro = OrchestratorKind::Taro;
         let mut sys = EdgeSliceSystem::new(config, taro, &AgentConfig::default(), &mut rng);
@@ -639,7 +650,7 @@ mod tests {
     /// one each, and a restored policy stays its RA's own.
     #[test]
     fn install_agents_replicas_decide_through_one_checkpoint() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = crate::test_rng(7);
         let config = SystemConfig::simulation(2, 10, &mut rng);
         let ddpg = OrchestratorKind::Learned(Technique::Ddpg);
         let mut sys = EdgeSliceSystem::new(config, ddpg, &quick_agent_config(), &mut rng);
@@ -667,7 +678,7 @@ mod tests {
 
     #[test]
     fn train_shared_replicates_one_agent() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = crate::test_rng(3);
         let config = SystemConfig::prototype();
         let mut sys = EdgeSliceSystem::new(
             config,

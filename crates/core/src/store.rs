@@ -708,7 +708,6 @@ mod tests {
         use crate::{AgentConfig, OrchestrationAgent, RaEnvConfig};
         use edgeslice_netsim::PoissonTraffic;
         use edgeslice_rl::Technique;
-        use rand::SeedableRng;
         let dir = tmp_dir("f32-policy");
         let store = CheckpointStore::open(&dir).unwrap();
         let slices = vec![SliceSpec::experiment_slice1()];
@@ -716,7 +715,7 @@ mod tests {
             RaEnvConfig::experiment(slices.clone()),
             vec![Box::new(PoissonTraffic::paper())],
         );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut rng = crate::test_rng(8);
         let agent = OrchestrationAgent::new(
             RaId(0),
             Technique::Ddpg,
@@ -788,7 +787,6 @@ mod tests {
         };
         use edgeslice_rl::Technique;
         use rand::rngs::StdRng;
-        use rand::SeedableRng;
         const ROUNDS: usize = 4;
         let make = |rng: &mut StdRng| {
             let kind = OrchestratorKind::Learned(Technique::Ddpg);
@@ -799,14 +797,14 @@ mod tests {
                 rng,
             )
         };
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = crate::test_rng(31);
         let expected = make(&mut rng).run(ROUNDS, &mut rng);
         let injector = FaultInjector::none(SystemConfig::prototype().n_ras, ROUNDS);
         // RA 0's policy is the first `Some` in `policies`: these hit its
         // first layer.
         for key in ["\"data\":[", "\"bias\":["] {
             let dir = tmp_dir("misshapen-network");
-            let mut rng = StdRng::seed_from_u64(31);
+            let mut rng = crate::test_rng(31);
             let mut sys = make(&mut rng);
             sys.set_checkpointing(&dir, 2).unwrap();
             sys.run(ROUNDS, &mut rng);
@@ -827,7 +825,7 @@ mod tests {
             );
             assert_eq!(latest.snapshot.map(|s| s.next_round), Some(2), "{key}");
 
-            let mut rng = StdRng::seed_from_u64(31);
+            let mut rng = crate::test_rng(31);
             let resumed = make(&mut rng).resume(&dir, ROUNDS, &mut rng, &injector);
             assert_eq!(resumed.unwrap(), expected, "{key}");
 

@@ -29,29 +29,21 @@
 //! recycled), and later events referencing it are no-ops.
 //!
 //! Determinism contract: plan generation draws from dedicated RNG
-//! streams (`seed ^ WORKLOAD_STREAM_TAG` for the arrival process,
-//! `seed ^ RESIZE_STREAM_TAG` for resize decisions) with guarded draws
+//! streams (`Stream::Workload` for the arrival process,
+//! `Stream::Resize` for resize decisions) with guarded draws
 //! — a zero rate consumes no randomness — so the same seed yields the
 //! same arrival schedule regardless of which optional features are
 //! enabled: toggling `resize_rate` never shifts the arrival stream.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use edgeslice_netsim::sample_poisson;
+use edgeslice_runtime::Stream;
 
 use crate::admission::{AdmissionController, RejectReason, SliceRequest};
 use crate::{EdgeSliceError, Sla, SliceId, SliceSpec};
-
-/// Domain-separation tag for the workload RNG stream (disjoint from the
-/// fault-plan stream by construction).
-const WORKLOAD_STREAM_TAG: u64 = 0x51C3_0000_0000_0007;
-
-/// Domain-separation tag for the resize-decision RNG stream: resize
-/// gates and magnitudes draw here so enabling/disabling resizes never
-/// shifts the arrival schedule.
-const RESIZE_STREAM_TAG: u64 = 0x51C3_0000_0000_0008;
 
 /// One slice-lifecycle event over the SR interface.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -236,11 +228,11 @@ impl WorkloadPlan {
                 config.resize_rate
             )));
         }
-        let mut rng = StdRng::seed_from_u64(config.seed ^ WORKLOAD_STREAM_TAG);
+        let mut rng = crate::stream_rng(config.seed, Stream::Workload, 0);
         // Resize gates and magnitudes live on their own derived stream:
         // the arrival schedule is a pure function of the arrival stream,
         // so toggling resize_rate never shifts when slices arrive.
-        let mut resize_rng = StdRng::seed_from_u64(config.seed ^ RESIZE_STREAM_TAG);
+        let mut resize_rng = crate::stream_rng(config.seed, Stream::Resize, 0);
         let mut events: Vec<ScheduledEvent> = Vec::new();
         let mut next_id = initial.len();
         // Guarded draws: every optional feature checks its gate before

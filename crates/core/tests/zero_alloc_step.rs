@@ -79,6 +79,15 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 const N_SLICES: usize = 5;
 const STEPS: usize = 1_000;
 
+/// This test's fixed-seed generator: it draws from no product stream.
+fn seeded(seed: u64) -> StdRng {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test's own fixed seed, not a product stream"
+    )]
+    StdRng::seed_from_u64(seed)
+}
+
 /// A deployment on the simulation configuration (5 slices, dataset
 /// service model, diurnal traffic, `project_actions` on) with untrained
 /// DDPG agents: the shapes are the deployed ones, and an untrained actor's
@@ -128,7 +137,7 @@ impl CellsSeen {
 
 #[test]
 fn learned_agent_step_is_allocation_free_after_warm_up() {
-    let mut rng = StdRng::seed_from_u64(17);
+    let mut rng = seeded(17);
     let mut system = deployment(1, &mut rng);
     let policy = PolicyCheckpoint::from_agent(&system.agent0());
     let env = system.env0_mut();
@@ -175,7 +184,7 @@ fn learned_agent_step_is_allocation_free_after_warm_up() {
 #[test]
 fn installing_agents_allocates_the_same_handful_whatever_the_replay_capacity() {
     let installs_at = |replay_capacity: usize| {
-        let mut rng = StdRng::seed_from_u64(19);
+        let mut rng = seeded(19);
         let mut system = deployment(10, &mut rng);
         let mut agent_config = AgentConfig::default();
         agent_config.ddpg.replay_capacity = replay_capacity;
@@ -198,7 +207,7 @@ fn installing_agents_allocates_the_same_handful_whatever_the_replay_capacity() {
 
 #[test]
 fn taro_agent_step_is_allocation_free_after_warm_up() {
-    let mut rng = StdRng::seed_from_u64(18);
+    let mut rng = seeded(18);
     let mut system = deployment(1, &mut rng);
     let env = system.env0_mut();
     env.set_randomize_coord(false);

@@ -3,11 +3,9 @@
 //!
 //! 1. **Scan** — per file, embarrassingly parallel: read, lex, parse
 //!    suppressions, run the local rules, build the item-level parse.
-//! 2. **Graph** — sequential over the scan results: the cross-file
-//!    passes (`rng-stream-separation`, `frame-protocol`,
-//!    `transitive-alloc`) run on the workspace symbol table / call graph;
-//!    on the workspace walk, `dead-pub` also runs on the names every file
-//!    uses.
+//! 2. **Graph** — sequential over the scan results: `transitive-alloc`
+//!    runs on the workspace symbol table / call graph; on the workspace
+//!    walk, `dead-pub` also runs on the names every file uses.
 //! 3. **Filter** — suppressions are applied to the combined finding set
 //!    while tracking which allows actually fired; a justified allow that
 //!    suppresses nothing is itself a `suppression-hygiene` error (stale
@@ -25,7 +23,7 @@ use crate::dead_pub::{dead_pub, Names};
 use crate::diag::{
     json_escape, parse_suppressions, suppression_covers, Diagnostic, Severity, Suppression,
 };
-use crate::graph::{frame_protocol, rng_stream_separation, transitive_alloc, Unit};
+use crate::graph::{transitive_alloc, Unit};
 use crate::lexer::lex;
 use crate::parse::{parse, ParsedFile};
 use crate::rules::{cross_registry, registry, SourceFile, DEAD_PUB, SUPPRESSION_HYGIENE};
@@ -380,7 +378,7 @@ fn scan_file(spec: &FileSpec, source: &str) -> FileAnalysis {
 /// a complete analysis universe (the workspace walk): only then is a
 /// cross-rule allow held to the stale-suppression check — in single-file
 /// mode a cross-file finding may legitimately be invisible (e.g. the
-/// `WireMsg` declaration lives elsewhere), so staleness is only assessed
+/// allocating callee lives elsewhere), so staleness is only assessed
 /// for the always-full-context local rules. `dead-pub` runs, and its
 /// allows are stale-checked, only when names-only files are present.
 fn finish(analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
@@ -397,8 +395,6 @@ fn finish(analyses: Vec<FileAnalysis>, full_set: bool) -> Report {
         })
         .collect();
     let mut cross = Vec::new();
-    rng_stream_separation(&units, &mut cross);
-    frame_protocol(&units, &mut cross);
     transitive_alloc(&units, &mut cross);
     if dead_pub_ran {
         let names = analyses.iter().map(|a| &a.names);
@@ -660,10 +656,11 @@ mod tests {
 
     #[test]
     fn cross_rule_allows_are_not_stale_checked_in_single_file_mode() {
-        // The frame enum lives elsewhere: a frame-protocol allow here
-        // cannot be proven stale from one file, so it is left alone.
-        let src = "// lint:allow(frame-protocol): declaration lives in frame.rs\nfn f() {}";
-        let (diags, _) = analyze_source(&spec("runtime", "crates/runtime/src/x.rs"), src);
+        // The allocating callee lives elsewhere: a transitive-alloc allow
+        // here cannot be proven stale from one file, so it is left alone.
+        let src = "// lint:allow(transitive-alloc): the callee allocates once per memo\n\
+                   fn fill_into(out: &mut [f64]) { helper(out); }";
+        let (diags, _) = analyze_source(&spec("nn", "crates/nn/src/x.rs"), src);
         assert!(diags.is_empty(), "{diags:?}");
     }
 

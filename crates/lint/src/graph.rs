@@ -1,7 +1,5 @@
 //! The workspace graph: a symbol table and approximate call graph over
-//! every analyzed file, plus the three cross-file passes that consume
-//! them — `rng-stream-separation`, `frame-protocol`, and
-//! `transitive-alloc`.
+//! every analyzed file, and the `transitive-alloc` pass that walks it.
 //!
 //! The call graph is *name-based* (no type inference): a call only lands
 //! in the caller's crate or a crate it depends on; free calls resolve
@@ -12,20 +10,13 @@
 //! this approximation are documented executable facts in the unit tests
 //! below and in DESIGN.md §15.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{Tok, TokKind};
-use crate::parse::{matching, CallSite, FnItem, ParsedFile};
+use crate::parse::{CallSite, FnItem, ParsedFile};
 use crate::rules::{
-    alloc_construct, is_hot_path_fn_name, SourceFile, FRAME_PROTOCOL, HOT_PATH_CRATES,
-    RNG_STREAM_SEPARATION, TRANSITIVE_ALLOC,
+    alloc_construct, is_hot_path_fn_name, SourceFile, HOT_PATH_CRATES, TRANSITIVE_ALLOC,
 };
-
-/// Crates whose non-test code must be a pure function of its seeds — the
-/// per-RA worker loop, the coordinator, and the network simulation — and
-/// so whose seed-derivation sites must each fold in a named tag.
-const SEEDED_CRATES: &[&str] = &["runtime", "core", "netsim"];
 
 /// One analyzed file, as the cross-file passes see it.
 pub struct Unit<'a> {
@@ -56,356 +47,6 @@ fn diag(unit: &Unit<'_>, rule: &'static str, line: usize, message: String) -> Di
         file: unit.file.rel_path.clone(),
         line,
         message,
-    }
-}
-
-/// Whether a constant name is an RNG stream tag by the workspace's naming
-/// convention: `*_STREAM_TAG` (XOR-folded whole-stream tags) or
-/// `DOMAIN_*` (`derive_stream_seed` domain separators).
-fn is_stream_tag_name(name: &str) -> bool {
-    name.ends_with("_STREAM_TAG") || (name.starts_with("DOMAIN_") && name.len() > "DOMAIN_".len())
-}
-
-/// The argument tokens of `call` (exclusive of the parens).
-fn call_args<'t>(toks: &'t [Tok], call: &CallSite) -> &'t [Tok] {
-    let open = call.open_paren;
-    match matching(toks, open, "(", ")") {
-        Some(close) => &toks[open + 1..close],
-        None => &[],
-    }
-}
-
-/// Cross-file pass (a): RNG stream separation.
-///
-/// Byte-identical replay rests on every RNG stream being derived from a
-/// distinct, *named* tag: (1) all `*_STREAM_TAG`/`DOMAIN_*` constants
-/// must hold unique values workspace-wide; (2) every `seed_from_u64` /
-/// `derive_stream_seed` site in [`SEEDED_CRATES`] must reference a
-/// named tag constant — XOR-folding ad-hoc literals collides silently;
-/// (3) a `*_STREAM_TAG` XORed into more than one stream aliases those
-/// streams (tag families use `derive_stream_seed` with an index instead).
-pub(crate) fn rng_stream_separation(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
-    // (1) Tag uniqueness, workspace-wide.
-    let mut by_value: BTreeMap<u128, (usize, String, usize)> = BTreeMap::new();
-    for (ui, u) in units.iter().enumerate() {
-        for c in &u.parsed.consts {
-            if !is_stream_tag_name(&c.name) || u.file.in_test(c.name_tok) {
-                continue;
-            }
-            let Some(v) = c.value else { continue };
-            match by_value.get(&v) {
-                Some((fi, first_name, first_line)) => out.push(diag(
-                    u,
-                    RNG_STREAM_SEPARATION,
-                    c.line,
-                    format!(
-                        "stream tag `{}` duplicates the value {v:#x} of `{first_name}` \
-                         ({}:{first_line}) — RNG stream tags must be unique workspace-wide \
-                         or the streams they separate collide",
-                        c.name, units[*fi].file.rel_path
-                    ),
-                )),
-                None => {
-                    by_value.insert(v, (ui, c.name.clone(), c.line));
-                }
-            }
-        }
-    }
-
-    // (2) + (3) Derivation sites in the seeded crates.
-    let mut xor_sites: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
-    for (ui, u) in units.iter().enumerate() {
-        if !SEEDED_CRATES.contains(&u.file.crate_name.as_str()) {
-            continue;
-        }
-        for f in &u.parsed.fns {
-            for call in &f.calls {
-                if call.name != "seed_from_u64" && call.name != "derive_stream_seed" {
-                    continue;
-                }
-                if u.file.in_test(call.name_tok) {
-                    continue;
-                }
-                let args = call_args(&u.file.toks, call);
-                let has_derive = call.name == "seed_from_u64"
-                    && args
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && t.text == "derive_stream_seed");
-                let tags: Vec<&str> = args
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident && is_stream_tag_name(&t.text))
-                    .map(|t| t.text.as_str())
-                    .collect();
-                let has_xor = args.iter().any(|t| t.text == "^");
-                let has_int = args.iter().any(|t| t.kind == TokKind::Int);
-                if has_derive {
-                    continue; // the inner derive_stream_seed call is checked itself
-                }
-                if !tags.is_empty() {
-                    if call.name == "seed_from_u64" {
-                        for tag in tags {
-                            xor_sites
-                                .entry(tag.to_string())
-                                .or_default()
-                                .push((ui, call.line));
-                        }
-                    }
-                    continue;
-                }
-                if has_xor {
-                    out.push(diag(
-                        u,
-                        RNG_STREAM_SEPARATION,
-                        call.line,
-                        format!(
-                            "`{}` folds stream material with `^` but no named \
-                             `*_STREAM_TAG`/`DOMAIN_*` constant — ad-hoc tags collide \
-                             silently; declare a named tag constant",
-                            call.name
-                        ),
-                    ));
-                } else if has_int {
-                    out.push(diag(
-                        u,
-                        RNG_STREAM_SEPARATION,
-                        call.line,
-                        format!(
-                            "`{}` uses literal seed material — derive the stream from a \
-                             named `*_STREAM_TAG`/`DOMAIN_*` constant (or pass a \
-                             pre-derived stream seed)",
-                            call.name
-                        ),
-                    ));
-                }
-                // A bare pre-derived variable is fine: the deriving site
-                // is where the tag discipline is enforced.
-            }
-        }
-    }
-    for (tag, sites) in &xor_sites {
-        if sites.len() < 2 {
-            continue;
-        }
-        let (fi, first_line) = sites[0];
-        for &(ui, line) in &sites[1..] {
-            out.push(diag(
-                &units[ui],
-                RNG_STREAM_SEPARATION,
-                line,
-                format!(
-                    "stream tag `{tag}` is already XORed into a stream at {}:{first_line} — \
-                     reusing a tag aliases the two streams; derive per-entity streams with \
-                     `derive_stream_seed(master, DOMAIN, index)` instead",
-                    units[fi].file.rel_path
-                ),
-            ));
-        }
-    }
-}
-
-/// Converts a frame tag constant name to its expected enum variant:
-/// `TAG_REGISTER_ACK` → `RegisterAck`.
-fn tag_to_variant(tag: &str) -> String {
-    tag.trim_start_matches("TAG_")
-        .split('_')
-        .map(|part| {
-            let mut cs = part.chars();
-            match cs.next() {
-                Some(first) => {
-                    first.to_uppercase().collect::<String>() + &cs.as_str().to_lowercase()
-                }
-                None => String::new(),
-            }
-        })
-        .collect()
-}
-
-/// The variant names a pattern handles: every ident following
-/// `WireMsg ::`.
-fn handled_variants(pat: &[Tok]) -> Vec<String> {
-    let mut out = Vec::new();
-    for k in 0..pat.len() {
-        if pat[k].kind == TokKind::Ident
-            && pat[k].text == "WireMsg"
-            && pat.get(k + 1).is_some_and(|t| t.text == "::")
-        {
-            if let Some(v) = pat.get(k + 2).filter(|t| t.kind == TokKind::Ident) {
-                out.push(v.text.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Whether a pattern (guard stripped) is a silent catch-all: `_`, a bare
-/// lowercase binding, or either wrapped in one `Ok(..)` / `Some(..)`.
-fn is_silent_wildcard(pat: &[Tok]) -> bool {
-    let guard_end = pat
-        .iter()
-        .position(|t| t.kind == TokKind::Ident && t.text == "if")
-        .unwrap_or(pat.len());
-    let pat = &pat[..guard_end];
-    let is_catchall = |t: &Tok| {
-        t.text == "_"
-            || (t.kind == TokKind::Ident && t.text.starts_with(|c: char| c.is_lowercase()))
-    };
-    match pat {
-        [t] => is_catchall(t),
-        [w, open, t, close] if open.text == "(" && close.text == ")" => {
-            (w.text == "Ok" || w.text == "Some") && is_catchall(t)
-        }
-        _ => false,
-    }
-}
-
-/// Cross-file pass (b): frame-protocol exhaustiveness.
-///
-/// The wire protocol stays in lockstep end to end: (1) the `TAG_*`
-/// constants and the `WireMsg` variants in the frame module must map
-/// 1:1; (2) every non-test `match` whose arms pattern-match `WireMsg`
-/// must handle every variant explicitly, with no wildcard arm silently
-/// swallowing a future frame; (3) every `match` over raw tag bytes must
-/// name every `TAG_*` constant (a binding arm for the typed unknown-tag
-/// error is fine there).
-pub(crate) fn frame_protocol(units: &[Unit<'_>], out: &mut Vec<Diagnostic>) {
-    // Protocol declarations: files declaring `enum WireMsg`, with their
-    // co-resident TAG_* constants.
-    let mut variants: BTreeSet<String> = BTreeSet::new();
-    let mut tags: BTreeSet<String> = BTreeSet::new();
-    for u in units {
-        let Some(e) = u
-            .parsed
-            .enums
-            .iter()
-            .find(|e| e.name == "WireMsg" && !u.file.in_test(e.name_tok))
-        else {
-            continue;
-        };
-        variants.extend(e.variants.iter().cloned());
-        let file_tags: Vec<_> = u
-            .parsed
-            .consts
-            .iter()
-            .filter(|c| c.name.starts_with("TAG_") && !u.file.in_test(c.name_tok))
-            .collect();
-        // (1) Codec/enum sync, only where both sides live together.
-        if !file_tags.is_empty() {
-            for c in &file_tags {
-                let want = tag_to_variant(&c.name);
-                if !e.variants.contains(&want) {
-                    out.push(diag(
-                        u,
-                        FRAME_PROTOCOL,
-                        c.line,
-                        format!(
-                            "frame tag `{}` has no matching `WireMsg` variant `{want}` — \
-                             the codec and the enum have drifted",
-                            c.name
-                        ),
-                    ));
-                }
-            }
-            for v in &e.variants {
-                if !file_tags.iter().any(|c| tag_to_variant(&c.name) == *v) {
-                    out.push(diag(
-                        u,
-                        FRAME_PROTOCOL,
-                        e.line,
-                        format!(
-                            "`WireMsg::{v}` has no `TAG_*` constant — the codec cannot \
-                             encode it; add the tag next to the other frame tags"
-                        ),
-                    ));
-                }
-            }
-            tags.extend(file_tags.iter().map(|c| c.name.clone()));
-        }
-    }
-
-    // (2) + (3) Frame matches everywhere.
-    for u in units {
-        for m in &u.parsed.matches {
-            if u.file.in_test(m.match_tok) {
-                continue;
-            }
-            let pats: Vec<&[Tok]> = m
-                .arms
-                .iter()
-                .map(|a| &u.file.toks[a.pat.0..a.pat.1])
-                .collect();
-            let is_wire = pats.iter().any(|p| {
-                p.iter()
-                    .any(|t| t.kind == TokKind::Ident && t.text == "WireMsg")
-            });
-            if is_wire {
-                let mut wildcarded = false;
-                for (arm, pat) in m.arms.iter().zip(&pats) {
-                    if is_silent_wildcard(pat) {
-                        wildcarded = true;
-                        out.push(diag(
-                            u,
-                            FRAME_PROTOCOL,
-                            arm.line,
-                            "wildcard arm in a frame match swallows future frame tags \
-                             silently — list every `WireMsg` variant explicitly so a \
-                             protocol change is a compile/lint error here"
-                                .to_string(),
-                        ));
-                    }
-                }
-                if !wildcarded && !variants.is_empty() {
-                    let handled: BTreeSet<String> =
-                        pats.iter().flat_map(|p| handled_variants(p)).collect();
-                    let missing: Vec<&str> = variants
-                        .iter()
-                        .filter(|v| !handled.contains(*v))
-                        .map(String::as_str)
-                        .collect();
-                    if !missing.is_empty() {
-                        out.push(diag(
-                            u,
-                            FRAME_PROTOCOL,
-                            m.line,
-                            format!(
-                                "frame match does not handle `WireMsg` variant(s) {} — \
-                                 every frame tag must be handled (or explicitly listed \
-                                 as noise) wherever frames are matched",
-                                missing.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-            // Tag-byte matches (the decoder): all TAG_* named.
-            if !tags.is_empty() {
-                let named: BTreeSet<String> = pats
-                    .iter()
-                    .flat_map(|p| p.iter())
-                    .filter(|t| t.kind == TokKind::Ident && tags.contains(&t.text))
-                    .map(|t| t.text.clone())
-                    .collect();
-                if !named.is_empty() {
-                    let missing: Vec<&str> = tags
-                        .iter()
-                        .filter(|t| !named.contains(*t))
-                        .map(String::as_str)
-                        .collect();
-                    if !missing.is_empty() {
-                        out.push(diag(
-                            u,
-                            FRAME_PROTOCOL,
-                            m.line,
-                            format!(
-                                "frame-tag match does not handle {} — the decoder must \
-                                 name every tag (unknown tags go through the typed \
-                                 unknown-tag arm)",
-                                missing.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -474,7 +115,7 @@ const STD_ADAPTER_METHODS: &[&str] = &[
     "zip",
 ];
 
-/// Cross-file pass (c): transitive hot-path allocation.
+/// Cross-file pass: transitive hot-path allocation.
 ///
 /// PR 5's local rule catches an allocation *inside* a hot fn; this pass
 /// propagates the ban through the call graph so a `*_into`/`*_scratch`/
@@ -690,49 +331,6 @@ mod tests {
         let mut out = Vec::new();
         pass(&units, &mut out);
         out
-    }
-
-    #[test]
-    fn duplicate_tags_across_files_collide() {
-        let out = run_pass(
-            &[
-                (
-                    "core",
-                    "crates/core/src/a.rs",
-                    "const A_STREAM_TAG: u64 = 0x10;",
-                ),
-                (
-                    "runtime",
-                    "crates/runtime/src/b.rs",
-                    "const B_STREAM_TAG: u64 = 0x10;",
-                ),
-            ],
-            rng_stream_separation,
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].file, "crates/runtime/src/b.rs");
-        assert!(
-            out[0].message.contains("A_STREAM_TAG"),
-            "{}",
-            out[0].message
-        );
-    }
-
-    #[test]
-    fn xor_reuse_of_one_tag_is_flagged() {
-        let src = "const T_STREAM_TAG: u64 = 0x10;\n\
-                   fn a(seed: u64) { let r = StdRng::seed_from_u64(seed ^ T_STREAM_TAG); }\n\
-                   fn b(seed: u64) { let r = StdRng::seed_from_u64(seed ^ T_STREAM_TAG); }";
-        let out = run_pass(
-            &[("core", "crates/core/src/a.rs", src)],
-            rng_stream_separation,
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(
-            out[0].message.contains("already XORed"),
-            "{}",
-            out[0].message
-        );
     }
 
     // Call-graph resolution pins (the satellite's "documented executable

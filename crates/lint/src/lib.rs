@@ -4,22 +4,25 @@
 //! invariants that rustc and clippy cannot check. Those that they can —
 //! no wall clock or hash-order collection in the seeded crates, no
 //! `unwrap`/`panic!` on the coordinator path, no float equality, no
-//! `unsafe`, no undocumented public item — are lint configuration
-//! (`[workspace.lints]`, the crates' `clippy.toml` files and crate-root
-//! attributes; DESIGN.md §11). What is left is two per-file rules:
+//! `unsafe`, no undocumented public item, a distinct tag per RNG stream
+//! (the `Stream` enum's discriminants), no unnamed RNG stream (a banned
+//! `seed_from_u64`), frame tags in lockstep with `WireMsg` (the `Tag`
+//! enum and exhaustive matches), no wildcard arm over `WireMsg` — are
+//! lint configuration (`[workspace.lints]`, the crates' `clippy.toml`
+//! files and crate-root attributes) or types (DESIGN.md §11). What is
+//! left is three per-file rules:
 //!
 //! | rule | invariant | scope |
 //! |---|---|---|
 //! | `panic-policy` | coordinator code returns typed errors: no literal indexing, and every `expect` states an `invariant: ...` | `runtime`, `core` |
 //! | `hot-path-alloc` | the `*_into`/`*_scratch`/`*_row` and kernel families reuse caller storage | `nn`, `rl`, `optim`, `netsim`, `core` |
+//! | `frame-protocol` | no wildcard arm (`_`, a binding, or either inside `Ok(..)`/`Some(..)`) in a match whose arms name `WireMsg` — the `Result`/`Option` scrutinees clippy's `wildcard_enum_match_arm` skips | every crate |
 //!
-//! and four **cross-file passes** over the whole workspace — the first
-//! three over a symbol table and approximate call graph (see [`graph`]):
+//! and two **cross-file passes** over the whole workspace, which need its
+//! symbol table and approximate call graph (see [`graph`]):
 //!
 //! | rule | invariant | scope |
 //! |---|---|---|
-//! | `rng-stream-separation` | every `*_STREAM_TAG`/`DOMAIN_*` constant is unique workspace-wide, and every seed-derivation site folds in exactly one *named* tag (no literal tags, no tag reuse) | `runtime`, `core`, `netsim` |
-//! | `frame-protocol` | the `TAG_*` wire constants and `WireMsg` variants stay in sync, and every match over decoded frames names each variant — no wildcard arm silently swallowing a tag | `runtime` |
 //! | `transitive-alloc` | a hot-path function (`*_into`, `*_scratch`, `*_row`, `matmul_*`, …) must not *reach* an allocating function at any call depth | `nn`, `rl`, `optim`, `netsim`, `core` |
 //! | `dead-pub` | a library's `pub fn`/`const`/`static` is named by code outside it (other crates, bins, tests, examples, the benchmark, doc code blocks); otherwise it becomes `pub(crate)` | every library, on the workspace walk only |
 //!

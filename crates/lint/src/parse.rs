@@ -1,7 +1,6 @@
 //! Item-level parse on top of the token stream — just enough structure
-//! for the cross-file passes: `const` items, `enum` declarations, `fn`
-//! items with their call expressions, and `match` expressions with their
-//! arms.
+//! for the call graph (`fn` items with their call expressions) and for
+//! `frame-protocol` (`match` expressions with their arms).
 //!
 //! This is a *recognizer*, not a grammar: it walks the flat token stream
 //! with delimiter matching and a handful of shape rules (documented on
@@ -30,34 +29,6 @@ pub(crate) fn matching(toks: &[Tok], i: usize, open: &str, close: &str) -> Optio
         }
     }
     None
-}
-
-/// A `const NAME: Ty = value;` item.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    /// The constant's name.
-    pub name: String,
-    /// 1-indexed declaration line.
-    pub line: usize,
-    /// Token index of the name (for test-region queries).
-    pub name_tok: usize,
-    /// The value when the initializer is a single integer literal
-    /// (`0x51C3_0000_0000_0007u64` and friends); `None` for computed
-    /// initializers.
-    pub value: Option<u128>,
-}
-
-/// An `enum NAME { Variant, ... }` declaration.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// The enum's name.
-    pub name: String,
-    /// 1-indexed declaration line.
-    pub line: usize,
-    /// Token index of the name.
-    pub name_tok: usize,
-    /// Variant names, in declaration order.
-    pub variants: Vec<String>,
 }
 
 /// One call expression inside a function body: `name(...)`,
@@ -138,17 +109,11 @@ pub struct MatchExpr {
     pub arms: Vec<MatchArm>,
 }
 
-/// Everything the cross-file passes need from one file.
+/// Everything the call graph needs from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
-    /// `const` items.
-    pub consts: Vec<ConstItem>,
-    /// `enum` declarations.
-    pub enums: Vec<EnumItem>,
     /// `fn` items with their calls.
     pub fns: Vec<FnItem>,
-    /// `match` expressions with their arms.
-    pub matches: Vec<MatchExpr>,
 }
 
 /// Keywords that look like `name(` but are never call expressions.
@@ -163,10 +128,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 pub fn parse(toks: &[Tok]) -> ParsedFile {
     let impls = collect_impls(toks);
     let mut parsed = ParsedFile {
-        consts: collect_consts(toks),
-        enums: collect_enums(toks),
         fns: collect_fns(toks, &impls),
-        matches: collect_matches(toks),
     };
     attach_calls(toks, &mut parsed.fns);
     parsed
@@ -256,144 +218,6 @@ fn collect_impls(toks: &[Tok]) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// `const NAME: Ty = init;` items. Excluded shapes: `const fn`, raw
-/// pointers (`*const T`), and generic const params (`<const N: usize>`,
-/// recognized by the preceding `<` / `,` / `(`).
-fn collect_consts(toks: &[Tok]) -> Vec<ConstItem> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "const") {
-            continue;
-        }
-        if i > 0 && matches!(toks[i - 1].text.as_str(), "<" | "," | "(" | "*") {
-            continue;
-        }
-        let Some(name_t) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-            continue;
-        };
-        if toks.get(i + 2).is_none_or(|t| t.text != ":") {
-            continue;
-        }
-        // Initializer: the tokens between the `=` and the `;`, both at
-        // delimiter depth 0.
-        let mut depth = 0usize;
-        let mut eq = None;
-        let mut semi = None;
-        for (j, t) in toks.iter().enumerate().skip(i + 3) {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                "=" if depth == 0 && eq.is_none() => eq = Some(j),
-                ";" if depth == 0 => {
-                    semi = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let value = match (eq, semi) {
-            (Some(e), Some(s)) if s == e + 2 && toks[e + 1].kind == TokKind::Int => {
-                parse_int(&toks[e + 1].text)
-            }
-            _ => None,
-        };
-        out.push(ConstItem {
-            name: name_t.text.clone(),
-            line: name_t.line,
-            name_tok: i + 1,
-            value,
-        });
-    }
-    out
-}
-
-/// Parses an integer literal's text (`0x51C3_0000_0000_0007u64`,
-/// `1_000`, `0b1010usize`) to its value.
-fn parse_int(text: &str) -> Option<u128> {
-    let clean: String = text.chars().filter(|&c| c != '_').collect();
-    let (radix, digits) = match clean.as_bytes() {
-        [b'0', b'x' | b'X', ..] => (16, &clean[2..]),
-        [b'0', b'o' | b'O', ..] => (8, &clean[2..]),
-        [b'0', b'b' | b'B', ..] => (2, &clean[2..]),
-        _ => (10, clean.as_str()),
-    };
-    // Strip a type suffix (`u64`, `usize`, `i32`, ...).
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    u128::from_str_radix(&digits[..end], radix).ok()
-}
-
-/// `enum Name { Variant, Variant(..), Variant { .. } }` declarations.
-fn collect_enums(toks: &[Tok]) -> Vec<EnumItem> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "enum") {
-            continue;
-        }
-        let Some(name_t) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-            continue;
-        };
-        // The body `{` at delimiter depth 0 (skipping generics/where).
-        let mut open = None;
-        let mut depth = 0usize;
-        for (j, t) in toks.iter().enumerate().skip(i + 2) {
-            match t.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth = depth.saturating_sub(1),
-                "{" if depth == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-        }
-        let Some(open) = open else { continue };
-        let Some(close) = matching(toks, open, "{", "}") else {
-            continue;
-        };
-        let mut variants = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            // Skip variant attributes.
-            if toks[k].text == "#" && toks.get(k + 1).is_some_and(|t| t.text == "[") {
-                match matching(toks, k + 1, "[", "]") {
-                    Some(c) => {
-                        k = c + 1;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            if toks[k].kind == TokKind::Ident {
-                variants.push(toks[k].text.clone());
-                // Skip the payload / discriminant to the `,` at variant
-                // depth.
-                let mut depth = 0usize;
-                k += 1;
-                while k < close {
-                    match toks[k].text.as_str() {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                        "," if depth == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-            k += 1;
-        }
-        out.push(EnumItem {
-            name: name_t.text.clone(),
-            line: name_t.line,
-            name_tok: i + 1,
-            variants,
-        });
-    }
-    out
-}
-
 /// `fn name(...) { ... }` items (free fns, methods, nested fns). The body
 /// is the first `{` after the signature at paren/bracket depth 0; a `;`
 /// first means a bodyless trait declaration. A fn's innermost container —
@@ -459,7 +283,7 @@ fn collect_fns(toks: &[Tok], impls: &[(usize, usize, String)]) -> Vec<FnItem> {
 /// `match scrutinee { pat => body, ... }` expressions. Arm patterns run
 /// to the `=>` at delimiter depth 0; arm bodies are either a brace block
 /// or everything up to the `,` at depth 0.
-fn collect_matches(toks: &[Tok]) -> Vec<MatchExpr> {
+pub(crate) fn collect_matches(toks: &[Tok]) -> Vec<MatchExpr> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if !(toks[i].kind == TokKind::Ident && toks[i].text == "match") {
@@ -626,37 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn const_items_with_int_values() {
-        let p = parsed(
-            "const A: u64 = 0x51C3_0000_0000_0007;\n\
-             pub const B: usize = 1_000usize;\n\
-             const C: u64 = 1 << 3;\n\
-             fn f<const N: usize>(x: *const u8) {}\n\
-             const fn g() {}",
-        );
-        let names: Vec<&str> = p.consts.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["A", "B", "C"]);
-        assert_eq!(p.consts[0].value, Some(0x51C3_0000_0000_0007));
-        assert_eq!(p.consts[1].value, Some(1_000));
-        assert_eq!(p.consts[2].value, None, "computed initializer");
-    }
-
-    #[test]
-    fn enum_variants_with_payloads_and_attrs() {
-        let p = parsed(
-            "pub enum WireMsg {\n\
-               Hello { version: u32, ra: u64 },\n\
-               #[allow(dead_code)]\n\
-               Round(RoundInfo),\n\
-               Down { ra: u64, round: u64, cause: String },\n\
-             }",
-        );
-        assert_eq!(p.enums.len(), 1);
-        assert_eq!(p.enums[0].name, "WireMsg");
-        assert_eq!(p.enums[0].variants, ["Hello", "Round", "Down"]);
-    }
-
-    #[test]
     fn fn_items_capture_impl_type_and_body() {
         let p = parsed(
             "fn free() {}\n\
@@ -766,25 +559,26 @@ mod tests {
 
     #[test]
     fn match_arms_with_guards_blocks_and_nesting() {
-        let p = parsed(
-            "fn f(m: M) {\n\
+        let p = collect_matches(
+            &lex("fn f(m: M) {\n\
                match m {\n\
                  M::A { x } if x > 0 => handle(x),\n\
                  M::B(inner) => match inner { 0 => {} _ => other() },\n\
                  _ => {\n   fallback();\n }\n\
                }\n\
-             }",
+             }")
+            .0,
         );
-        assert_eq!(p.matches.len(), 2, "outer and nested");
-        let outer = &p.matches[0];
+        assert_eq!(p.len(), 2, "outer and nested");
+        let outer = &p[0];
         assert_eq!(outer.arms.len(), 3, "{outer:?}");
-        let nested = &p.matches[1];
+        let nested = &p[1];
         assert_eq!(nested.arms.len(), 2, "{nested:?}");
     }
 
     #[test]
     fn range_patterns_and_or_patterns_parse() {
-        let p = parsed("fn f(x: u8) { match x { 0..=9 | 20 => a(), _ => b(), } }");
-        assert_eq!(p.matches[0].arms.len(), 2);
+        let p = collect_matches(&lex("fn f(x: u8) { match x { 0..=9 | 20 => a(), _ => b(), } }").0);
+        assert_eq!(p[0].arms.len(), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! The rule registry and the two per-file rules.
+//! The rule registry and the three per-file rules.
 //!
 //! Each rule is a pure function over a [`SourceFile`] (pre-lexed tokens +
 //! test-region map). Rules are scoped by crate name, so the registry — not
@@ -12,7 +12,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
-use crate::parse::matching;
+use crate::parse::{collect_matches, matching};
 
 /// Rule name for the panic policy (see [`panic_policy`]).
 pub(crate) const PANIC_POLICY: &str = "panic-policy";
@@ -24,11 +24,8 @@ pub(crate) const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// since the workspace-graph passes — *stale* allows that no longer
 /// suppress any finding.
 pub(crate) const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
-/// Cross-file rule name: RNG stream-tag separation (see
-/// [`crate::graph::rng_stream_separation`]).
-pub(crate) const RNG_STREAM_SEPARATION: &str = "rng-stream-separation";
-/// Cross-file rule name: frame-protocol exhaustiveness (see
-/// [`crate::graph::frame_protocol`]).
+/// Rule name for wildcard arms over decoded frames (see
+/// [`frame_protocol`]).
 pub(crate) const FRAME_PROTOCOL: &str = "frame-protocol";
 /// Cross-file rule name: transitive hot-path allocation (see
 /// [`crate::graph::transitive_alloc`]).
@@ -127,18 +124,6 @@ pub struct CrossRule {
 pub fn cross_registry() -> Vec<CrossRule> {
     vec![
         CrossRule {
-            name: RNG_STREAM_SEPARATION,
-            severity: Severity::Error,
-            description: "all *_STREAM_TAG/DOMAIN_* constants unique workspace-wide; every \
-                          seed derivation site XORs a named tag (no literals, no reuse)",
-        },
-        CrossRule {
-            name: FRAME_PROTOCOL,
-            severity: Severity::Error,
-            description: "every frame tag handled in every match over decoded frames — no \
-                          wildcard arm silently swallowing a tag; TAG_*/WireMsg kept 1:1",
-        },
-        CrossRule {
             name: TRANSITIVE_ALLOC,
             severity: Severity::Error,
             description: "hot-path fns must not *reach* an allocating fn at any call depth \
@@ -170,6 +155,14 @@ pub fn registry() -> Vec<Rule> {
                           `*_scratch` / `*_row` / `matmul_*` / `pack_*` / `accumulate_*` \
                           function families in nn/rl/optim/netsim/core",
             check: hot_path_alloc,
+        },
+        Rule {
+            name: FRAME_PROTOCOL,
+            severity: Severity::Error,
+            description: "no `_` / binding arm, bare or inside `Ok(..)`/`Some(..)`, in a match \
+                          whose arms name `WireMsg` — the `Result`/`Option` scrutinees \
+                          clippy's wildcard_enum_match_arm skips",
+            check: frame_protocol,
         },
     ]
 }
@@ -401,6 +394,71 @@ fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             }
         }
         i = end + 1;
+    }
+}
+
+/// Whether a pattern (guard stripped) is a silent catch-all: `_`, a bare
+/// lowercase binding, or either wrapped in one `Ok(..)` / `Some(..)`.
+fn is_silent_wildcard(pat: &[Tok]) -> bool {
+    let guard_end = pat
+        .iter()
+        .position(|t| t.kind == TokKind::Ident && t.text == "if")
+        .unwrap_or(pat.len());
+    let pat = &pat[..guard_end];
+    let is_catchall = |t: &Tok| {
+        t.text == "_"
+            || (t.kind == TokKind::Ident && t.text.starts_with(|c: char| c.is_lowercase()))
+    };
+    match pat {
+        [t] => is_catchall(t),
+        [w, open, t, close] if open.text == "(" && close.text == ")" => {
+            (w.text == "Ok" || w.text == "Some") && is_catchall(t)
+        }
+        _ => false,
+    }
+}
+
+/// Rule 3 — no silent wildcard over decoded frames. rustc and clippy hold
+/// the wire protocol's lockstep: the frame `Tag` enum, the exhaustive
+/// matches of `WireMsg::tag` and `decode`, and
+/// `clippy::wildcard_enum_match_arm`, denied in `edgeslice-runtime`. That
+/// lint skips `Result` / `Option` scrutinees, so a match over a
+/// `Result<WireMsg, _>` could still swallow a future frame with `Ok(_)`
+/// or `_`. In every crate, this rule flags a wildcard arm — `_`, a bare
+/// binding, or either inside one `Ok(..)` / `Some(..)` — in a non-test
+/// match whose arms name `WireMsg`.
+fn frame_protocol(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for m in collect_matches(&file.toks) {
+        if file.in_test(m.match_tok) {
+            continue;
+        }
+        let pats: Vec<&[Tok]> = m
+            .arms
+            .iter()
+            .map(|a| &file.toks[a.pat.0..a.pat.1])
+            .collect();
+        let is_wire = pats.iter().any(|p| {
+            p.iter()
+                .any(|t| t.kind == TokKind::Ident && t.text == "WireMsg")
+        });
+        if !is_wire {
+            continue;
+        }
+        for (arm, pat) in m.arms.iter().zip(&pats) {
+            if is_silent_wildcard(pat) {
+                out.push(
+                    file.diag(
+                        FRAME_PROTOCOL,
+                        Severity::Error,
+                        arm.line,
+                        "wildcard arm in a frame match swallows future frame tags silently — \
+                     list every `WireMsg` variant explicitly so a protocol change is a \
+                     compile error here"
+                            .to_string(),
+                    ),
+                );
+            }
+        }
     }
 }
 

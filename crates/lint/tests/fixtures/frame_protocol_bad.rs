@@ -1,39 +1,19 @@
-//! Fixture: frame-protocol drift — a codec/enum desync, a silent
-//! wildcard arm, a deleted match arm, and a decoder missing tags
-//! (analyzed as crate `runtime`). Lexed, never compiled.
+//! Fixture: wildcard arms over decoded frames — `Ok(_)` beside
+//! `Ok(WireMsg::..)` arms, and a bare `_`, over a `Result` scrutinee that
+//! clippy's `wildcard_enum_match_arm` skips (analyzed as crate
+//! `runtime`). Lexed, never compiled.
 
-/// Wire frames.
-pub enum WireMsg {
-    Hello { version: u16 },
-    Round(u64),
-    Report { body: u64 },
+fn nested(frame: Result<WireMsg, FrameError>) {
+    match frame {
+        Ok(WireMsg::Hello { version }) => handle(version),
+        Ok(_) => {}
+        Err(e) => fail(e),
+    }
 }
 
-const TAG_HELLO: u8 = 1;
-const TAG_ROUND: u8 = 2;
-const TAG_REPORT: u8 = 3;
-// Drifted: no `WireMsg::Down` variant exists for this tag.
-const TAG_DOWN: u8 = 4;
-
-fn swallow(msg: WireMsg) {
-    match msg {
-        WireMsg::Hello { version } => handle(version),
+fn bare(frame: Result<WireMsg, FrameError>) {
+    match frame {
+        Ok(WireMsg::Round(r)) => run(r),
         _ => {}
-    }
-}
-
-fn dropped_arm(msg: WireMsg) {
-    // The `WireMsg::Report` arm was deleted: the match no longer covers it.
-    match msg {
-        WireMsg::Hello { version } => handle(version),
-        WireMsg::Round(r) => run(r),
-    }
-}
-
-fn decode_missing_tag(tag: u8) -> bool {
-    match tag {
-        TAG_HELLO => true,
-        TAG_ROUND => true,
-        other => unknown(other),
     }
 }

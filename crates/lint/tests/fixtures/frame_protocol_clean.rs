@@ -1,29 +1,19 @@
 //! Fixture: frame-protocol counterpart of `frame_protocol_bad.rs` —
-//! codec and enum in sync, every match exhaustive by name (analyzed as
-//! crate `runtime`). Lexed, never compiled.
+//! every frame arm named, and wildcards only in matches that name no
+//! `WireMsg` (analyzed as crate `runtime`). Lexed, never compiled.
 
-/// Wire frames.
-pub enum WireMsg {
-    Hello { version: u16 },
-    Round(u64),
-    Report { body: u64 },
-}
-
-const TAG_HELLO: u8 = 1;
-const TAG_ROUND: u8 = 2;
-const TAG_REPORT: u8 = 3;
-
-fn dispatch(msg: WireMsg) {
-    match msg {
-        WireMsg::Hello { version } => handle(version),
-        WireMsg::Round(r) => run(r),
-        WireMsg::Report { body } => record(body),
+fn dispatch(frame: Result<WireMsg, FrameError>) {
+    match frame {
+        Ok(WireMsg::Hello { version }) => handle(version),
+        Ok(WireMsg::Round(r)) => run(r),
+        Ok(WireMsg::Report { body }) => record(body),
+        Err(e) => fail(e),
     }
 }
 
 fn decode(tag: u8) -> bool {
     match tag {
-        TAG_HELLO | TAG_ROUND | TAG_REPORT => true,
+        1..=3 => true,
         other => unknown(other),
     }
 }

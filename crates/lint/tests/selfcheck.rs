@@ -113,7 +113,6 @@ fn list_rules_names_every_rule() {
     for rule in [
         "panic-policy",
         "hot-path-alloc",
-        "rng-stream-separation",
         "frame-protocol",
         "transitive-alloc",
         "dead-pub",
@@ -121,7 +120,12 @@ fn list_rules_names_every_rule() {
         assert!(text.contains(rule), "--list-rules omits {rule}:\n{text}");
     }
     // Clippy and rustc hold these now (DESIGN.md §11).
-    for retired in ["determinism", "crate-header", "float-eq"] {
+    for retired in [
+        "determinism",
+        "crate-header",
+        "float-eq",
+        "rng-stream-separation",
+    ] {
         assert!(
             !text.contains(retired),
             "--list-rules names {retired}:\n{text}"
@@ -162,61 +166,9 @@ fn run_with_synth(spec: FileSpec) -> Vec<edgeslice_lint::Diagnostic> {
 }
 
 #[test]
-fn duplicating_a_real_stream_tag_is_caught_workspace_wide() {
-    // Acceptance scenario (i): a second constant carrying the value of a
-    // real stream tag must collide with it. The value is read out of the
-    // real workload module so the pin survives renumbering.
-    let workload = std::fs::read_to_string(workspace_root().join("crates/core/src/workload.rs"))
-        .expect("workload module readable");
-    let value = workload
-        .lines()
-        .find(|l| l.contains("WORKLOAD_STREAM_TAG") && l.contains('='))
-        .and_then(|l| l.split('=').nth(1))
-        .map(|v| v.trim().trim_end_matches(';').trim().to_string())
-        .expect("WORKLOAD_STREAM_TAG declared in workload.rs");
-    let source = format!("const SYNTH_STREAM_TAG: u64 = {value};\n");
-    let diags = run_with_synth(synth_spec(
-        "dup_tag",
-        "crates/core/src/__synth_tag.rs",
-        "core",
-        &source,
-    ));
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "rng-stream-separation");
-    assert!(
-        diags[0].message.contains("WORKLOAD_STREAM_TAG"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn a_partial_frame_match_is_caught_against_the_real_enum() {
-    // Acceptance scenario (ii): a match handling only two variants must
-    // be reported missing the other eight of the *real* `WireMsg`.
-    let source = "fn peek(msg: WireMsg) -> bool {\n    match msg {\n        \
-                  WireMsg::Round(_) => true,\n        WireMsg::Hello { .. } => false,\n    }\n}\n";
-    let diags = run_with_synth(synth_spec(
-        "partial_match",
-        "crates/runtime/src/__synth_frame.rs",
-        "runtime",
-        source,
-    ));
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "frame-protocol");
-    for variant in ["Report", "Down", "RegisterAck"] {
-        assert!(
-            diags[0].message.contains(variant),
-            "missing-variant list omits {variant}: {}",
-            diags[0].message
-        );
-    }
-}
-
-#[test]
 fn a_deep_allocation_under_a_hot_fn_is_caught() {
-    // Acceptance scenario (iii): an allocation two calls below an
-    // `_into` fn, with the real workspace in scope.
+    // An allocation two calls below an `_into` fn, with the real
+    // workspace in scope.
     let source = "fn synth_pack_into(out: &mut [f64]) {\n    helper_a(out);\n}\n\
                   fn helper_a(out: &mut [f64]) {\n    helper_b(out);\n}\n\
                   fn helper_b(out: &mut [f64]) {\n    let v = vec![0.0; 4];\n    \

@@ -260,9 +260,8 @@ impl GridDataset {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
 
     impl GridDataset {
         /// How many interior cells have been fitted so far.
@@ -445,7 +444,7 @@ mod tests {
                 [1.0 - 0.5 * g, 1.0 - 0.5 * g, 1.0 - 0.5 * g],
             ];
             queries.extend(faces);
-            let mut rng = StdRng::seed_from_u64(0xCE11);
+            let mut rng = crate::test_rng(0xCE11);
             queries.extend((0..1_000).map(|_| [(); 3].map(|()| rng.gen_range(-0.2..1.2))));
             for &q in &queries {
                 assert_matches_reference(&d, q);

@@ -56,3 +56,14 @@ pub use traffic::{
     sample_poisson, BlockRandomPoisson, CsvTrace, DiurnalTrace, PoissonTraffic, TrafficSource,
 };
 pub use transport::ReconfigMode;
+
+/// A fixed-seed generator for unit tests, which draw from no product
+/// stream.
+#[cfg(test)]
+pub(crate) fn test_rng(seed: u64) -> rand::rngs::StdRng {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a unit test's own fixed seed, not a product stream"
+    )]
+    <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed)
+}

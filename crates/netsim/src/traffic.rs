@@ -297,11 +297,10 @@ impl TrafficSource for CsvTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn poisson_mean_is_respected() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = crate::test_rng(0);
         for &mean in &[0.5, 3.0, 10.0, 50.0] {
             let n = 20_000;
             let total: f64 = (0..n).map(|_| sample_poisson(mean, &mut rng) as f64).sum();
@@ -315,7 +314,7 @@ mod tests {
 
     #[test]
     fn poisson_zero_rate_is_silent() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = crate::test_rng(1);
         assert_eq!(sample_poisson(0.0, &mut rng), 0);
         let t = PoissonTraffic::new(0.0);
         assert_eq!(t.arrivals(0, &mut rng), 0.0);
@@ -356,14 +355,14 @@ mod tests {
 
     #[test]
     fn diurnal_wraps_across_periods() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = crate::test_rng(2);
         let t = DiurnalTrace::synthesize(10.0, 0.0, 0.0);
         assert_eq!(t.arrivals(5, &mut rng), t.arrivals(29, &mut rng));
     }
 
     #[test]
     fn random_areas_differ() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = crate::test_rng(3);
         let a = DiurnalTrace::random_area(10.0, &mut rng);
         let b = DiurnalTrace::random_area(10.0, &mut rng);
         assert_ne!(a.hourly, b.hourly);

@@ -435,7 +435,7 @@ mod tests {
                 self.ra,
                 info.round
             );
-            self.state = crate::derive_stream_seed(self.state, crate::DOMAIN_ORCH, 1);
+            self.state = crate::derive_stream_seed(self.state, crate::Stream::Orch, 1);
             RaReport {
                 ra: self.ra,
                 round: info.round,
@@ -709,7 +709,7 @@ mod tests {
         let run = |scheduler| {
             let mut items: Vec<u64> = (0..17).map(|i| i * 3).collect();
             par_map(scheduler, &mut items, |i, v| {
-                *v = crate::derive_stream_seed(*v, crate::DOMAIN_TRAIN, i as u64);
+                *v = crate::derive_stream_seed(*v, crate::Stream::Train, i as u64);
             });
             items
         };

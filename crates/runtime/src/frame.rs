@@ -174,16 +174,71 @@ pub enum WireMsg {
     },
 }
 
-const TAG_HELLO: u8 = 1;
-const TAG_HELLO_ACK: u8 = 2;
-const TAG_REJECT: u8 = 3;
-const TAG_REGISTER: u8 = 4;
-const TAG_REGISTER_ACK: u8 = 5;
-const TAG_REFRESH: u8 = 6;
-const TAG_ROUND: u8 = 7;
-const TAG_REPORT: u8 = 8;
-const TAG_CTL: u8 = 9;
-const TAG_DOWN: u8 = 10;
+impl WireMsg {
+    /// The tag byte this message is framed under.
+    pub(crate) fn tag(&self) -> Tag {
+        match self {
+            WireMsg::Hello { .. } => Tag::Hello,
+            WireMsg::HelloAck { .. } => Tag::HelloAck,
+            WireMsg::Reject { .. } => Tag::Reject,
+            WireMsg::Register { .. } => Tag::Register,
+            WireMsg::RegisterAck { .. } => Tag::RegisterAck,
+            WireMsg::Refresh { .. } => Tag::Refresh,
+            WireMsg::Round(_) => Tag::Round,
+            WireMsg::Report { .. } => Tag::Report,
+            WireMsg::Ctl(_) => Tag::Ctl,
+            WireMsg::Down { .. } => Tag::Down,
+        }
+    }
+}
+
+/// A frame's first byte, one per [`WireMsg`] variant. rustc holds the
+/// protocol's shape: a duplicate byte is E0081, and [`WireMsg::tag`] and
+/// [`decode`] are exhaustive matches, so a new variant without its tag or
+/// its decoder arm does not build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Tag {
+    Hello = 1,
+    HelloAck = 2,
+    Reject = 3,
+    Register = 4,
+    RegisterAck = 5,
+    Refresh = 6,
+    Round = 7,
+    Report = 8,
+    Ctl = 9,
+    Down = 10,
+}
+
+impl Tag {
+    /// Every tag, for decoding a byte back to its tag. The one list rustc
+    /// does not check: the round-trip tests do, through one sample frame
+    /// per tag.
+    const ALL: [Tag; 10] = [
+        Tag::Hello,
+        Tag::HelloAck,
+        Tag::Reject,
+        Tag::Register,
+        Tag::RegisterAck,
+        Tag::Refresh,
+        Tag::Round,
+        Tag::Report,
+        Tag::Ctl,
+        Tag::Down,
+    ];
+}
+
+impl TryFrom<u8> for Tag {
+    type Error = FrameError;
+
+    fn try_from(byte: u8) -> Result<Self, FrameError> {
+        Tag::ALL
+            .into_iter()
+            .find(|&tag| tag as u8 == byte)
+            .ok_or(FrameError::UnknownTag(byte))
+    }
+}
 
 /// The one control kind. Kinds 0 and 1 named a checkpoint and a rejoin
 /// request that no v2 coordinator ever sent (workers take both from their
@@ -196,20 +251,13 @@ const CTL_SHUTDOWN: u8 = 2;
 /// body).
 pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
     let mut p = Vec::with_capacity(64);
-    let tag = match msg {
+    match msg {
         WireMsg::Hello { version, ra } => {
             put_u32(&mut p, *version);
             put_u64(&mut p, *ra);
-            TAG_HELLO
         }
-        WireMsg::HelloAck { version } => {
-            put_u32(&mut p, *version);
-            TAG_HELLO_ACK
-        }
-        WireMsg::Reject { code } => {
-            put_u32(&mut p, *code);
-            TAG_REJECT
-        }
+        WireMsg::HelloAck { version } => put_u32(&mut p, *version),
+        WireMsg::Reject { code } => put_u32(&mut p, *code),
         WireMsg::Register {
             ra,
             capabilities,
@@ -220,24 +268,20 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
             put_u32(&mut p, *capabilities);
             put_f64(&mut p, *capacity);
             put_u64(&mut p, *lease_rounds);
-            TAG_REGISTER
         }
         WireMsg::RegisterAck { next_round, rejoin } => {
             put_u64(&mut p, *next_round);
             p.push(u8::from(*rejoin));
-            TAG_REGISTER_ACK
         }
         WireMsg::Refresh { ra, round } => {
             put_u64(&mut p, *ra);
             put_u64(&mut p, *round);
-            TAG_REFRESH
         }
         WireMsg::Round(info) => {
             put_u64(&mut p, info.round as u64);
             put_u64(&mut p, info.ra as u64);
             put_f64_seq(&mut p, &info.zy)?;
             put_bytes(&mut p, &info.lifecycle)?;
-            TAG_ROUND
         }
         WireMsg::Report {
             ra,
@@ -255,20 +299,17 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
                     put_bytes(&mut p, bytes)?;
                 }
             }
-            TAG_REPORT
         }
         WireMsg::Ctl(Control::Shutdown) => {
             p.push(CTL_SHUTDOWN);
             put_u64(&mut p, 0); // A round field no kind left reads.
-            TAG_CTL
         }
         WireMsg::Down { ra, round, cause } => {
             put_u64(&mut p, *ra);
             put_u64(&mut p, *round);
             put_bytes(&mut p, cause.as_bytes())?;
-            TAG_DOWN
         }
-    };
+    }
     if p.len() > MAX_PAYLOAD_LEN {
         return Err(FrameError::Oversized {
             len: p.len(),
@@ -276,7 +317,7 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
         });
     }
     let mut frame = Vec::with_capacity(HEADER_LEN + p.len());
-    frame.push(tag);
+    frame.push(msg.tag() as u8);
     frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
     frame.extend_from_slice(&p);
     Ok(frame)
@@ -324,33 +365,33 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
             have: buf.len(),
         });
     }
-    let tag = buf.first().copied().unwrap_or_default();
+    let tag = Tag::try_from(buf.first().copied().unwrap_or_default())?;
     let mut r = Reader {
         buf: &buf[HEADER_LEN..total],
         pos: 0,
     };
     let msg = match tag {
-        TAG_HELLO => WireMsg::Hello {
+        Tag::Hello => WireMsg::Hello {
             version: r.u32()?,
             ra: r.u64()?,
         },
-        TAG_HELLO_ACK => WireMsg::HelloAck { version: r.u32()? },
-        TAG_REJECT => WireMsg::Reject { code: r.u32()? },
-        TAG_REGISTER => WireMsg::Register {
+        Tag::HelloAck => WireMsg::HelloAck { version: r.u32()? },
+        Tag::Reject => WireMsg::Reject { code: r.u32()? },
+        Tag::Register => WireMsg::Register {
             ra: r.u64()?,
             capabilities: r.u32()?,
             capacity: r.f64()?,
             lease_rounds: r.u64()?,
         },
-        TAG_REGISTER_ACK => WireMsg::RegisterAck {
+        Tag::RegisterAck => WireMsg::RegisterAck {
             next_round: r.u64()?,
             rejoin: r.bool()?,
         },
-        TAG_REFRESH => WireMsg::Refresh {
+        Tag::Refresh => WireMsg::Refresh {
             ra: r.u64()?,
             round: r.u64()?,
         },
-        TAG_ROUND => {
+        Tag::Round => {
             let round = r.index()?;
             let ra = r.index()?;
             let zy = r.f64_seq()?;
@@ -362,7 +403,7 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
                 lifecycle,
             })
         }
-        TAG_REPORT => {
+        Tag::Report => {
             let ra = r.u64()?;
             let round = r.u64()?;
             let deadline_missed = r.bool()?;
@@ -378,14 +419,14 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
                 body,
             }
         }
-        TAG_CTL => {
+        Tag::Ctl => {
             if r.u8()? != CTL_SHUTDOWN {
                 return Err(FrameError::BadValue("control kind"));
             }
             r.u64()?; // The unread round field.
             WireMsg::Ctl(Control::Shutdown)
         }
-        TAG_DOWN => {
+        Tag::Down => {
             let ra = r.u64()?;
             let round = r.u64()?;
             let cause = match String::from_utf8(r.bytes()?.to_vec()) {
@@ -394,7 +435,6 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
             };
             WireMsg::Down { ra, round, cause }
         }
-        other => return Err(FrameError::UnknownTag(other)),
     };
     let extra = r.remaining();
     if extra > 0 {
@@ -595,6 +635,17 @@ mod tests {
     }
 
     #[test]
+    fn every_tag_decodes_to_itself_and_has_a_sample() {
+        let sampled: std::collections::BTreeSet<u8> =
+            samples().iter().map(|m| m.tag() as u8).collect();
+        assert_eq!(sampled.len(), Tag::ALL.len());
+        for tag in Tag::ALL {
+            assert_eq!(Tag::try_from(tag as u8), Ok(tag));
+            assert!(sampled.contains(&(tag as u8)), "no sample of {tag:?}");
+        }
+    }
+
+    #[test]
     fn f64_payloads_round_trip_by_bits() {
         for x in [0.0, -0.0, 1.0 / 3.0, f64::MAX, f64::MIN_POSITIVE, 1e-300] {
             let msg = WireMsg::Round(CoordInfo {
@@ -636,7 +687,7 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut frame = vec![TAG_REPORT];
+        let mut frame = vec![Tag::Report as u8];
         frame.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert_eq!(
             frame_len(&frame),
@@ -668,7 +719,7 @@ mod tests {
         p.push(1); // has body
         put_u32(&mut p, 512 * 1024); // hostile body length
         p.extend_from_slice(&[1, 2, 3, 4]);
-        let mut frame = vec![TAG_REPORT];
+        let mut frame = vec![Tag::Report as u8];
         frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
         frame.extend_from_slice(&p);
         assert!(matches!(
@@ -680,7 +731,7 @@ mod tests {
         put_u64(&mut p, 0);
         put_u64(&mut p, 0);
         put_u32(&mut p, u32::MAX / 2);
-        let mut frame = vec![TAG_ROUND];
+        let mut frame = vec![Tag::Round as u8];
         frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
         frame.extend_from_slice(&p);
         assert!(matches!(decode(&frame), Err(FrameError::Truncated { .. })));
@@ -689,7 +740,7 @@ mod tests {
     #[test]
     fn trailing_bytes_and_bad_values_are_typed() {
         // Trailing garbage after a valid HelloAck payload.
-        let mut frame = vec![TAG_HELLO_ACK];
+        let mut frame = vec![Tag::HelloAck as u8];
         frame.extend_from_slice(&8u32.to_le_bytes());
         frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         frame.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
@@ -698,7 +749,7 @@ mod tests {
         let mut p = Vec::new();
         put_u64(&mut p, 1);
         p.push(7); // rejoin flag must be 0/1
-        let mut frame = vec![TAG_REGISTER_ACK];
+        let mut frame = vec![Tag::RegisterAck as u8];
         frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
         frame.extend_from_slice(&p);
         assert_eq!(decode(&frame), Err(FrameError::BadValue("bool byte")));
@@ -706,7 +757,7 @@ mod tests {
         for kind in [9, 0, 1] {
             let mut p = vec![kind];
             put_u64(&mut p, 0);
-            let mut frame = vec![TAG_CTL];
+            let mut frame = vec![Tag::Ctl as u8];
             frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
             frame.extend_from_slice(&p);
             assert_eq!(

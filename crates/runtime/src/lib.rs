@@ -66,7 +66,8 @@
         clippy::unwrap_used,
         clippy::panic,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm
     )
 )]
 
@@ -93,7 +94,7 @@ pub use net::{
 pub use registration::{
     caps, Lease, NodeInfo, RegStats, Registration, RegistrationError, RegistrationPlane,
 };
-pub use seed::{derive_stream_seed, DOMAIN_ORCH, DOMAIN_ROUND, DOMAIN_TRAIN};
+pub use seed::{derive_stream_seed, Stream, DOMAIN_ORCH, DOMAIN_ROUND, DOMAIN_TRAIN};
 pub use supervisor::{DownCause, Supervisor, SupervisorConfig, WorkerDown};
 pub use transport::{
     connect_tcp, connect_uds, loopback_pair, ByteStream, FramedTransport, LinkStats,

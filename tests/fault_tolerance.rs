@@ -97,10 +97,10 @@ fn one_ra_outage_is_survived_and_excluded_from_sla_accounting() {
     );
 }
 
-/// The learned pipeline survives an outage too: the policy is checkpointed
-/// at outage start and restored at rejoin, and the run completes.
+/// The learned pipeline survives an outage too: the dark RA rejoins on the
+/// policy it was deployed with, and the run completes.
 #[test]
-fn learned_system_survives_outage_with_checkpoint_resync() {
+fn learned_system_survives_outage_on_its_deployed_policy() {
     let mut rng = StdRng::seed_from_u64(11);
     let agent_cfg = AgentConfig {
         ddpg: DdpgConfig {

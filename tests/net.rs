@@ -547,6 +547,60 @@ fn undecodable_report_bodies_are_counted_and_cannot_stop_the_run() {
     assert_eq!(sys.monitor().records().len(), report.rounds.len() * grid);
 }
 
+/// A registered peer whose every report body is nested `[` as deep as one
+/// frame carries: 1 MiB less the 22 bytes of the report's other fields.
+/// The body parser stops at its nesting bound, so the coordinator counts
+/// and drops each body instead of recursing once per byte until its stack
+/// overflows and the process aborts.
+#[test]
+fn a_deeply_nested_report_body_is_counted_and_dropped_not_fatal() {
+    let (tx, acceptor) = channel_acceptor::<LoopbackTransport>();
+    let mut net = NetCoordinator::new(N_RAS, net_config(), Clock::wall());
+    net.set_acceptor(Box::new(acceptor));
+
+    let (c0, w0) = loopback_pair();
+    tx.send(c0).unwrap();
+    let healthy = spawn_worker(SEED, 0, vec![], ROUNDS, w0, worker_opts(), None);
+
+    let (c1, w1) = loopback_pair();
+    tx.send(c1).unwrap();
+    let hostile = thread::spawn(move || {
+        let node = NodeInfo {
+            ra: 1,
+            capabilities: caps::TARO,
+            capacity: 1.0,
+        };
+        let (mut session, _ack) = WorkerSession::establish(
+            w1,
+            node,
+            worker_opts().lease,
+            Duration::from_secs(10),
+            Duration::from_millis(100),
+        )
+        .unwrap();
+        let body = vec![b'['; (1 << 20) - 22];
+        while let Ok(WorkerCommand::Round(info)) = session.next_command(Duration::from_secs(30)) {
+            session
+                .report(info.round, false, Some(body.clone()))
+                .unwrap();
+        }
+    });
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut sys = taro_system(&mut rng);
+    let injector = FaultInjector::none(N_RAS, ROUNDS);
+    let report = sys
+        .run_networked(ROUNDS, &mut rng, &injector, &mut net)
+        .unwrap();
+    assert_eq!(healthy.join().unwrap().rounds_served, ROUNDS);
+    hostile.join().unwrap();
+
+    assert_eq!(report.rounds.len(), ROUNDS, "the run must complete");
+    let sup = &report.supervision;
+    assert_eq!(sup.discarded_reports, ROUNDS, "{sup:?}");
+    assert!(sup.worker_downs.is_empty(), "{sup:?}");
+}
+
 /// A coordinator link that dies with a round in flight: the far end is
 /// dropped the moment the worker takes the round off the wire, so the
 /// report it then sends has nowhere to go.

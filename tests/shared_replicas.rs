@@ -132,10 +132,10 @@ fn an_installed_policy_is_not_shadowed_by_a_restored_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Replicas decide through one shared checkpoint, and an outage keeps a
-/// pointer to it for the rejoin; a run resumed from a snapshot re-installs
-/// each RA's policy as its own, and still ends byte-identical to the run
-/// nobody interrupted.
+/// Replicas decide through one shared checkpoint, which an RA rejoining
+/// after an outage still decides through; a run resumed from a snapshot
+/// re-installs each RA's policy as its own, and still ends byte-identical
+/// to the run nobody interrupted.
 #[test]
 fn a_resumed_run_of_shared_replicas_equals_the_uninterrupted_one() {
     let dir = std::env::temp_dir().join(format!("edgeslice-shared-resume-{}", std::process::id()));
